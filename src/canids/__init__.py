@@ -16,7 +16,7 @@ from .canlog import (
 )
 from .distill import KdConfig, LatentProjection, distill_pipeline, kd_classifier_loss, kd_latent_loss, soften
 from .errors import CanidsError, ConfigError, DimensionError, ParseError, StateError
-from .gat import GatClassifier, GatConfig, gat_layer, prepare_graph, train_supervised
+from .gat import GatClassifier, GatConfig, GraphBatch, gat_layer, prepare_graph, train_supervised
 from .graphs import WindowGraph, build_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     Metrics,

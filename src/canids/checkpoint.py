@@ -14,6 +14,7 @@ repr() round-trips float64 exactly, so save/load is lossless.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -37,33 +38,47 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]
 
 
 def load_checkpoint(path):
-    """Returns (kind, config dict, ordered {name: float64 array})."""
+    """Returns (kind, config dict, ordered {name: float64 array}).
+
+    Any malformed record raises ParseError with its line number.
+    """
     with open(path, "r", encoding="ascii") as fh:
         if fh.readline().strip() != MAGIC:
             raise ParseError(f"{path}: not a canids checkpoint")
         model_line = fh.readline().split(maxsplit=2)
         if len(model_line) != 3 or model_line[0] != "model":
             raise ParseError(f"{path}: missing model header")
-        kind, config = model_line[1], json.loads(model_line[2])
+        lineno = 2
         params: dict[str, np.ndarray] = {}
-        line = fh.readline()
-        while line:
-            parts = line.split()
-            if parts == ["end"]:
-                break
-            if parts[0] != "param":
-                raise ParseError(f"{path}: expected param record, got {line.strip()!r}")
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
-            n_lines = shape[0] if len(shape) > 1 else 1
-            rows = []
-            for _ in range(n_lines):
-                rows.append([float(v) for v in fh.readline().split()])
-            arr = np.array(rows, dtype=np.float64).reshape(shape)
-            params[name] = arr
+        try:
+            kind, config = model_line[1], json.loads(model_line[2])
             line = fh.readline()
-        else:
-            raise ParseError(f"{path}: truncated checkpoint (no end marker)")
+            lineno += 1
+            while line:
+                parts = line.split()
+                if parts == ["end"]:
+                    break
+                if len(parts) < 2 or parts[0] != "param":
+                    raise ParseError(f"{path}: expected param record, got {line.strip()!r}", line=lineno)
+                name = parts[1]
+                shape = tuple(int(d) for d in parts[2:])
+                # one line per leading row; 1-d and scalar params are a single line
+                n_lines = shape[0] if len(shape) > 1 else 1
+                width = math.prod(shape[1:] if len(shape) > 1 else shape)
+                rows = []
+                for _ in range(n_lines):
+                    lineno += 1
+                    row = [float(v) for v in fh.readline().split()]
+                    if len(row) != width:
+                        raise ParseError(f"{path}: param {name} row has {len(row)} values, expected {width}", line=lineno)
+                    rows.append(row)
+                params[name] = np.array(rows, dtype=np.float64).reshape(shape)
+                line = fh.readline()
+                lineno += 1
+            else:
+                raise ParseError(f"{path}: truncated checkpoint (no end marker)")
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad checkpoint record ({exc})", line=lineno) from None
     return kind, config, params
 
 

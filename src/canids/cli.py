@@ -345,7 +345,7 @@ def cmd_export_embeddings(args) -> int:
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
             width = None
             for g in graphs:
-                emb = model.embed(prepare_graph(g))
+                emb = model.embed(prepare_graph(g))[0]
                 if width is None:
                     width = len(emb)
                     fh.write("window_start_index,label," + ",".join(f"e{i}" for i in range(width)) + "\n")

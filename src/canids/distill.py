@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .gat import GatClassifier, GatConfig, train_supervised
+from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .gat import count_params as gat_count_params
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, derive_seed, glorot_uniform
@@ -49,8 +49,11 @@ def soften(logits, temperature: float) -> Tensor:
     return T.softmax(logits / float(temperature), axis=-1)
 
 
-def kd_classifier_loss(student_logits, teacher_logits, hard_label: int, cfg: KdConfig) -> Tensor:
-    """alpha * CE(student, label) + (1-alpha) * tau^2 * KL(soft student || soft teacher)."""
+def kd_classifier_loss(student_logits, teacher_logits, hard_label, cfg: KdConfig) -> Tensor:
+    """alpha * CE(student, label) + (1-alpha) * tau^2 * KL(soft student || soft teacher).
+
+    For (num_graphs, 2) logits and one label per row, the mean over rows.
+    """
     student_logits = T.as_tensor(student_logits)
     teacher_logits = T.as_tensor(teacher_logits)
     if student_logits.shape != teacher_logits.shape:
@@ -58,7 +61,7 @@ def kd_classifier_loss(student_logits, teacher_logits, hard_label: int, cfg: KdC
             f"kd_classifier_loss: logit arity mismatch {student_logits.shape} vs {teacher_logits.shape}"
         )
     a, tau = cfg.hard_weight, cfg.temperature
-    hard = cross_entropy(student_logits, int(hard_label))
+    hard = cross_entropy(student_logits, hard_label)
     soft = kl_categorical(soften(student_logits, tau), soften(teacher_logits.detach(), tau))
     if cfg.tau_squared:
         soft = (tau * tau) * soft
@@ -90,8 +93,13 @@ class LatentProjection:
         return mu, log_sigma
 
 
-def kd_latent_loss(student_latent: LatentState, teacher_latent: LatentState, projection: LatentProjection) -> Tensor:
-    """Mean per-node KL(projected student Gaussian || teacher Gaussian)."""
+def kd_latent_loss(
+    student_latent: LatentState, teacher_latent: LatentState, projection: LatentProjection, batch=None
+) -> Tensor:
+    """Per-node KL(projected student Gaussian || teacher Gaussian), node-averaged.
+
+    With a GraphBatch, averaged over each window's nodes, then over windows.
+    """
     if student_latent.mu.shape[0] != teacher_latent.mu.shape[0]:
         raise DimensionError(
             f"kd_latent_loss: node counts differ "
@@ -104,7 +112,9 @@ def kd_latent_loss(student_latent: LatentState, teacher_latent: LatentState, pro
     var_ratio = T.exp(2.0 * (ls_s - ls_t))
     delta = (mu_s - mu_t) ** 2 * T.exp(-2.0 * ls_t)
     per_node = (ls_t - ls_s + 0.5 * (var_ratio + delta) - 0.5).sum(axis=1)
-    return per_node.mean()
+    if batch is None:
+        return per_node.mean()
+    return T.segment_mean(per_node, batch.graph_index, batch.node_counts).mean()
 
 
 def _param_checksum(values: dict[str, np.ndarray]) -> str:
@@ -164,15 +174,23 @@ def distill_pipeline(
     train_attacks = [g for g in train_part if g.label == 1]
 
     projection = LatentProjection(student_vgae_config.latent_dim, teacher_vgae.config.latent_dim, seed=seed)
-    teacher_latents: dict[int, LatentState] = {}
+    # frozen-teacher outputs per window, computed on a batch of one at first use
+    teacher_latents: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    teacher_logits: dict[int, np.ndarray] = {}
 
-    def latent_hint(prep, student_latent):
-        key = prep.graph.window_start_index
-        if key not in teacher_latents:
-            with no_grad():
-                teacher_latents[key] = teacher_vgae.encode(teacher_vgae.prepare(prep.graph))
-        hint = kd_latent_loss(student_latent, teacher_latents[key], projection)
-        return (1.0 - kd.hard_weight) * hint
+    def latent_hint(batch, student_latent):
+        for g in batch.graphs:
+            if g.window_start_index not in teacher_latents:
+                with no_grad():
+                    latent = teacher_vgae.encode(teacher_vgae.prepare(g))
+                teacher_latents[g.window_start_index] = (latent.mu.values, latent.log_sigma.values)
+        cached = [teacher_latents[g.window_start_index] for g in batch.graphs]
+        teacher = LatentState(
+            mu=Tensor(np.concatenate([mu for mu, _ in cached])),
+            log_sigma=Tensor(np.concatenate([ls for _, ls in cached])),
+            z=None,
+        )
+        return (1.0 - kd.hard_weight) * kd_latent_loss(student_latent, teacher, projection, batch)
 
     t0 = time.perf_counter()
     student_vgae, vgae_losses = train_vgae(
@@ -193,18 +211,15 @@ def distill_pipeline(
     )
     selection = undersample(ranked, train_attacks, opts.ratio)
 
-    teacher_logit_cache: dict[int, np.ndarray] = {}
-
-    def kd_loss(model, prep, label):
-        key = prep.graph.window_start_index
-        logits_t = teacher_logit_cache.get(key)
-        if logits_t is None:
-            with no_grad():
-                _, t_logits, _ = teacher_gat.forward(prep)
-            logits_t = t_logits.values
-            teacher_logit_cache[key] = logits_t
-        _, s_logits, _ = model.forward(prep)
-        return kd_classifier_loss(s_logits, logits_t, int(label), kd)
+    def kd_loss(model, batch, labels):
+        for g in batch.graphs:
+            if g.window_start_index not in teacher_logits:
+                with no_grad():
+                    _, logits, _ = teacher_gat.forward(prepare_graph(g))
+                teacher_logits[g.window_start_index] = logits.values[0]
+        logits_t = np.stack([teacher_logits[g.window_start_index] for g in batch.graphs])
+        _, s_logits, _ = model.forward(batch)
+        return kd_classifier_loss(s_logits, logits_t, labels, kd)
 
     stage2_graphs = selection.selected_normals + selection.attacks
     stage2_labels = [g.label for g in stage2_graphs]

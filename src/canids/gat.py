@@ -7,7 +7,8 @@ Edge multiplicity enters as a +log(weight) bias on the attention logit,
 so repeated transitions attract proportionally more attention. Hidden
 layers concatenate heads; the final layer aggregates per config. Every
 layer output is concatenated per node (jumping knowledge), mean-pooled
-over nodes, and fed to a 2-logit softmax head.
+over each graph's nodes, and fed to a 2-logit softmax head. A batch of
+windows runs as one disjoint-union graph (``GraphBatch``).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint, validate_params
-from .errors import ConfigError, StateError
+from .errors import ConfigError, DimensionError, StateError
 from .graphs import WindowGraph
 from .losses import cross_entropy
-from .optim import Adam, Param, check_unique_names, clip_grad_norm, derive_seed, glorot_uniform
+from .optim import Adam, Param, check_unique_names, checked_step, derive_seed, glorot_uniform
 from .tensor import Tensor, no_grad
 
 IN_DIM = 3  # [normalized id, frequency, mean payload]
@@ -67,40 +68,111 @@ class GatConfig:
 
 
 @dataclass
-class GraphPrep:
-    """Per-graph constants shared across epochs: features, augmented edges.
+class GraphBatch:
+    """Window graphs as one disjoint union: node rows concatenated, edges offset per graph.
 
-    Nodes with no in-edge get an explicit self-loop (weight 1) so every
-    node has at least one attention target.
+    A single window is a batch of one. ``src``/``dst`` are the attention
+    edges: the window's edges plus a weight-1 self-loop on every node with
+    no in-edge, so every node has at least one attention target.
+    ``edge_src``/``edge_dst`` are the observed edges alone, which the VGAE
+    reconstructs.
     """
 
-    graph: WindowGraph
-    x: Tensor
+    graphs: tuple  # the WindowGraphs, in batch order
+    x: Tensor  # (num_nodes, IN_DIM)
     src: np.ndarray
     dst: np.ndarray
-    log_w: Tensor  # (num_edges, 1), added to attention logits
+    log_w: Tensor  # (len(src), 1), added to attention logits
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
     id_buckets: np.ndarray  # can_id modulo bucket count, for the VGAE decoder
+    graph_index: np.ndarray  # (num_nodes,) batch position of each node's graph
+    node_counts: np.ndarray  # (num_graphs,)
+
+    @property
+    def num_graphs(self) -> int:
+        return len(self.graphs)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.graph_index)
+
+    @property
+    def node_offsets(self) -> np.ndarray:
+        """Row of each graph's first node."""
+        return np.cumsum(self.node_counts) - self.node_counts
+
+    @property
+    def window_starts(self) -> list[int]:
+        return [g.window_start_index for g in self.graphs]
+
+    @property
+    def graph(self) -> WindowGraph:
+        """The window of a batch of one."""
+        if len(self.graphs) != 1:
+            raise StateError(f"expected a batch of one window, got {len(self.graphs)}")
+        return self.graphs[0]
+
+    @classmethod
+    def concat(cls, batches) -> "GraphBatch":
+        batches = list(batches)
+        if len(batches) == 1:
+            return batches[0]
+        offsets = np.cumsum([0] + [b.num_nodes for b in batches[:-1]])
+        firsts = np.cumsum([0] + [b.num_graphs for b in batches[:-1]])
+
+        def joined(name, shifts=None):
+            parts = [getattr(b, name) for b in batches]
+            if shifts is not None:
+                parts = [part + shift for part, shift in zip(parts, shifts)]
+            return np.concatenate(parts)
+
+        return cls(
+            graphs=tuple(g for b in batches for g in b.graphs),
+            x=Tensor(np.concatenate([b.x.values for b in batches])),
+            src=joined("src", offsets),
+            dst=joined("dst", offsets),
+            log_w=Tensor(np.concatenate([b.log_w.values for b in batches])),
+            edge_src=joined("edge_src", offsets),
+            edge_dst=joined("edge_dst", offsets),
+            id_buckets=joined("id_buckets"),
+            graph_index=joined("graph_index", firsts),
+            node_counts=joined("node_counts"),
+        )
 
 
-def prepare_graph(graph: WindowGraph, id_bucket_count: int = 256) -> GraphPrep:
+def prepare_graph(graph: WindowGraph, id_bucket_count: int = 256) -> GraphBatch:
+    """One window as a batch of one."""
     n = graph.num_nodes
     if n == 0:
         raise StateError("empty graph")
     src, dst, w = graph.edge_src, graph.edge_dst, graph.edge_weight
+    # in a batch, an out-of-range index would silently point into a neighbouring graph
+    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        raise DimensionError(f"window {graph.window_start_index}: edge index out of range for {n} nodes")
     in_deg = np.bincount(dst, minlength=n)
     isolated = np.flatnonzero(in_deg == 0)
     if isolated.size:
         src = np.concatenate([src, isolated])
         dst = np.concatenate([dst, isolated])
         w = np.concatenate([w, np.ones(isolated.size)])
-    return GraphPrep(
-        graph=graph,
+    return GraphBatch(
+        graphs=(graph,),
         x=Tensor(graph.node_features),
         src=src,
         dst=dst,
         log_w=Tensor(np.log(w)[:, None]),
+        edge_src=graph.edge_src,
+        edge_dst=graph.edge_dst,
         id_buckets=np.asarray(graph.node_ids, dtype=np.int64) % id_bucket_count,
+        graph_index=np.zeros(n, dtype=np.int64),
+        node_counts=np.array([n], dtype=np.int64),
     )
+
+
+def as_batch(graph, id_bucket_count: int = 256) -> GraphBatch:
+    """A GraphBatch passes through; a WindowGraph becomes a batch of one."""
+    return graph if isinstance(graph, GraphBatch) else prepare_graph(graph, id_bucket_count)
 
 
 @dataclass
@@ -126,7 +198,7 @@ def init_gat_layer(rng, name: str, d_in: int, heads: int, d_head: int, agg: str)
 
 def gat_layer(
     h: Tensor,
-    prep: GraphPrep,
+    prep: GraphBatch,
     params: GatLayerParams,
     heads: int,
     d_head: int,
@@ -135,7 +207,7 @@ def gat_layer(
     collect_attention: list | None = None,
 ) -> Tensor:
     """One attention convolution: ELU(aggregate(alpha * Wh))."""
-    n = prep.graph.num_nodes
+    n = prep.num_nodes
     e = len(prep.src)
     wh = (h @ params.weight.tensor).reshape((n, heads, d_head))
     wh_src = T.gather_rows(wh, prep.src)
@@ -231,31 +303,37 @@ class GatClassifier:
     def param_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.tensor.values for p in self.params()}
 
-    def forward(self, prep: GraphPrep, collect_attention: list | None = None):
-        """Returns (attack probability, 2-logit tensor, graph embedding)."""
+    def forward(self, batch: GraphBatch, collect_attention: list | None = None):
+        """Per graph of the batch: (attack probability, 2 logits, embedding).
+
+        Shapes (num_graphs,), (num_graphs, 2) and (num_graphs, jk_width).
+        """
         cfg = self.config
-        h = prep.x
+        h = batch.x
         per_layer = []
         for layer_params, (_, agg) in zip(self.layers, _layer_plan(cfg)):
             h = gat_layer(
-                h, prep, layer_params, cfg.attn_heads, cfg.hidden_channels,
+                h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels,
                 cfg.leaky_slope, agg, collect_attention,
             )
             per_layer.append(h)
         jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
-        embedding = jk.mean(axis=0)  # graph-level vector, exported for projection
-        logits = (embedding.reshape((1, -1)) @ self.head_weight.tensor).reshape((2,)) + self.head_bias.tensor
-        prob = T.softmax(logits, axis=-1)[1]
+        # graph-level vectors, exported for projection
+        embedding = T.segment_mean(jk, batch.graph_index, batch.node_counts)
+        logits = embedding @ self.head_weight.tensor + self.head_bias.tensor
+        prob = T.softmax(logits, axis=-1)[:, 1]
         return prob, logits, embedding
 
-    def predict_prob(self, prep: GraphPrep) -> float:
+    def predict_prob(self, batch: GraphBatch) -> float:
+        """Attack probability of a batch of one."""
         with no_grad():
-            prob, _, _ = self.forward(prep)
+            prob, _, _ = self.forward(batch)
         return prob.item()
 
-    def embed(self, prep: GraphPrep) -> np.ndarray:
+    def embed(self, batch: GraphBatch) -> np.ndarray:
+        """(num_graphs, jk_width) graph embeddings."""
         with no_grad():
-            _, _, emb = self.forward(prep)
+            _, _, emb = self.forward(batch)
         return emb.values
 
     def save(self, path):
@@ -301,23 +379,27 @@ def train_supervised(
 ) -> tuple[GatClassifier, TrainingLog]:
     """Train a classifier with Adam on mean per-batch BCE.
 
-    With a validation set, stops early once validation F1 has not improved
-    for ``patience`` epochs and restores the best parameters; the stop is
-    deferred until ``min_epochs`` (default 2*patience) so a model still on
-    its initial plateau is not cut off just before it starts to learn.
-    ``loss_fn`` (graph loss given (model, prep, label)) may be overridden,
-    which is how distillation reuses this loop.
+    Each mini-batch is one GraphBatch and takes one forward and backward
+    pass. With a validation set, stops early once validation F1 has not
+    improved for ``patience`` epochs and restores the best parameters; the
+    stop is deferred until ``min_epochs`` (default 2*patience) so a model
+    still on its initial plateau is not cut off just before it starts to
+    learn. ``loss_fn(model, batch, labels)`` gives the mean loss over the
+    batch's windows; overriding it is how distillation reuses this loop.
+    Raises StateError on a non-finite loss or gradient norm.
     """
     if min_epochs is None:
         min_epochs = 2 * patience
-    present = set(int(l) for l in labels)
+    labels = np.array([int(l) for l in labels], dtype=np.int64)
+    present = set(labels.tolist())
     if present != {0, 1}:
         missing = sorted({0, 1} - present)
         raise ConfigError(f"training data lacks class(es) {missing}; need both labels")
-    preps = [g if isinstance(g, GraphPrep) else prepare_graph(g) for g in graphs]
-    val_preps = None
+    preps = [as_batch(g) for g in graphs]
+    val_batch = None
     if val_graphs is not None:
-        val_preps = [g if isinstance(g, GraphPrep) else prepare_graph(g) for g in val_graphs]
+        val_batch = GraphBatch.concat(as_batch(g) for g in val_graphs)
+        val_truths = [int(l) for l in val_labels]
 
     model = GatClassifier(config, seed=seed)
     opt = Adam(model.params(), lr=lr)
@@ -325,9 +407,9 @@ def train_supervised(
     if loss_fn is None:
         # BCE of the attack probability, evaluated on the 2-logit softmax via
         # cross-entropy: identical objective, bounded gradients (p - onehot)
-        def loss_fn(mdl, prep, label):
-            _, logits, _ = mdl.forward(prep)
-            return cross_entropy(logits, int(label))
+        def loss_fn(mdl, batch, batch_labels):
+            _, logits, _ = mdl.forward(batch)
+            return cross_entropy(logits, batch_labels)
 
     log = TrainingLog()
     t0 = time.perf_counter()
@@ -336,23 +418,20 @@ def train_supervised(
     for epoch in range(epochs):
         shuffle_rng.shuffle(order)
         total = 0.0
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
+        for step, lo in enumerate(range(0, len(order), batch_size)):
+            members = order[lo : lo + batch_size]
+            batch = GraphBatch.concat(preps[i] for i in members)
             opt.zero_grad()
-            loss = (
-                sum(loss_fn(model, preps[i], labels[i]) for i in batch)
-                / float(len(batch))
-            )
-            loss.backward()
-            if grad_clip is not None:
-                clip_grad_norm(opt.params, grad_clip)
-            opt.step()
-            total += loss.item() * len(batch)
+            loss = loss_fn(model, batch, labels[members])
+            checked_step(opt, loss, grad_clip, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
+            total += loss.item() * len(members)
         log.epoch_losses.append(total / len(order))
 
-        if val_preps is not None:
-            preds = [1 if model.predict_prob(p) >= 0.5 else 0 for p in val_preps]
-            f1 = _binary_f1([int(l) for l in val_labels], preds)
+        if val_batch is not None:
+            with no_grad():
+                probs, _, _ = model.forward(val_batch)
+            preds = [1 if p >= 0.5 else 0 for p in probs.values]
+            f1 = _binary_f1(val_truths, preds)
             log.val_f1.append(f1)
             if f1 > best_f1:
                 best_f1, best_epoch, since_best = f1, epoch, 0

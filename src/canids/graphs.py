@@ -157,6 +157,7 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
+    """Read a cache written by save_graph_cache; a malformed record raises ParseError with its line number."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != CACHE_MAGIC:
@@ -165,30 +166,33 @@ def load_graph_cache(path) -> list[WindowGraph]:
         lineno = 1
         line = fh.readline()
         lineno += 1
-        while line:
-            parts = line.split()
-            if parts[0] != "graph" or len(parts) != 5:
-                raise ParseError(f"expected graph record, got {line.strip()!r}", line=lineno)
-            start, label, n_nodes, n_edges = (int(x) for x in parts[1:])
-            node_ids: list[int] = []
-            feats = np.empty((n_nodes, 3), dtype=np.float64)
-            for j in range(n_nodes):
-                parts = fh.readline().split()
+        try:
+            while line:
+                parts = line.split()
+                if len(parts) != 5 or parts[0] != "graph":
+                    raise ParseError(f"expected graph record, got {line.strip()!r}", line=lineno)
+                start, label, n_nodes, n_edges = (int(x) for x in parts[1:])
+                node_ids: list[int] = []
+                feats = np.empty((n_nodes, 3), dtype=np.float64)
+                for j in range(n_nodes):
+                    parts = fh.readline().split()
+                    lineno += 1
+                    if len(parts) != 5 or parts[0] != "node":
+                        raise ParseError("expected node record", line=lineno)
+                    node_ids.append(int(parts[1]))
+                    feats[j] = [float(parts[2]), float(parts[3]), float(parts[4])]
+                src = np.empty(n_edges, dtype=np.int64)
+                dst = np.empty(n_edges, dtype=np.int64)
+                wts = np.empty(n_edges, dtype=np.float64)
+                for k in range(n_edges):
+                    parts = fh.readline().split()
+                    lineno += 1
+                    if len(parts) != 4 or parts[0] != "edge":
+                        raise ParseError("expected edge record", line=lineno)
+                    src[k], dst[k], wts[k] = int(parts[1]), int(parts[2]), float(parts[3])
+                graphs.append(WindowGraph(node_ids, feats, src, dst, wts, label, start))
+                line = fh.readline()
                 lineno += 1
-                if len(parts) != 5 or parts[0] != "node":
-                    raise ParseError("expected node record", line=lineno)
-                node_ids.append(int(parts[1]))
-                feats[j] = [float(parts[2]), float(parts[3]), float(parts[4])]
-            src = np.empty(n_edges, dtype=np.int64)
-            dst = np.empty(n_edges, dtype=np.int64)
-            wts = np.empty(n_edges, dtype=np.float64)
-            for k in range(n_edges):
-                parts = fh.readline().split()
-                lineno += 1
-                if len(parts) != 4 or parts[0] != "edge":
-                    raise ParseError("expected edge record", line=lineno)
-                src[k], dst[k], wts[k] = int(parts[1]), int(parts[2]), float(parts[3])
-            graphs.append(WindowGraph(node_ids, feats, src, dst, wts, label, start))
-            line = fh.readline()
-            lineno += 1
+        except ValueError as exc:
+            raise ParseError(f"{path}: bad graph cache record ({exc})", line=lineno) from None
     return graphs

@@ -19,13 +19,18 @@ def _check_same_shape(op, a, b):
         raise DimensionError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def bce(pred, target) -> Tensor:
-    """Mean binary cross-entropy; ``pred`` holds probabilities."""
+def bce_terms(pred, target) -> Tensor:
+    """Elementwise binary cross-entropy; ``pred`` holds probabilities."""
     pred, target = as_tensor(pred), as_tensor(target)
     _check_same_shape("bce", pred, target)
     p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
     t = target.values
-    return -(t * log(p) + (1.0 - t) * log(1.0 - p)).mean()
+    return -(t * log(p) + (1.0 - t) * log(1.0 - p))
+
+
+def bce(pred, target) -> Tensor:
+    """Mean binary cross-entropy; ``pred`` holds probabilities."""
+    return bce_terms(pred, target).mean()
 
 
 def mse(pred, target) -> Tensor:
@@ -34,8 +39,8 @@ def mse(pred, target) -> Tensor:
     return ((pred - target.values) ** 2).mean()
 
 
-def cross_entropy(logits, class_index) -> Tensor:
-    """Mean negative log-likelihood of the given class under softmax(logits)."""
+def cross_entropy_terms(logits, class_index) -> Tensor:
+    """Per-row negative log-likelihood of the given class under softmax(logits)."""
     logits = as_tensor(logits)
     if logits.ndim == 1:
         logits = logits.reshape((1, -1))
@@ -47,17 +52,22 @@ def cross_entropy(logits, class_index) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
         raise DimensionError("cross_entropy: class index out of range")
     p = clamp(softmax(logits, axis=1), PROB_EPS, 1.0)
-    return -log(take_per_row(p, idx)).mean()
+    return -log(take_per_row(p, idx))
 
 
-def kl_gaussian_standard(mu, log_sigma) -> Tensor:
-    """KL(N(mu, diag(sigma^2)) || N(0, I)), summed over all entries."""
+def cross_entropy(logits, class_index) -> Tensor:
+    """Mean negative log-likelihood of the given class under softmax(logits)."""
+    return cross_entropy_terms(logits, class_index).mean()
+
+
+def kl_gaussian_standard(mu, log_sigma, axis=None) -> Tensor:
+    """KL(N(mu, diag(sigma^2)) || N(0, I)), summed over ``axis`` (all entries by default)."""
     mu, log_sigma = as_tensor(mu), as_tensor(log_sigma)
     _check_same_shape("kl_gaussian_standard", mu, log_sigma)
     from .tensor import exp  # local import keeps module init order simple
 
     var = exp(2.0 * log_sigma)
-    return 0.5 * (mu**2 + var - 1.0 - 2.0 * log_sigma).sum()
+    return 0.5 * (mu**2 + var - 1.0 - 2.0 * log_sigma).sum(axis=axis)
 
 
 def kl_categorical(p_student, p_teacher) -> Tensor:

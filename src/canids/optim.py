@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .tensor import Tensor
 
 
@@ -51,6 +51,23 @@ def clip_grad_norm(params: list[Param], max_norm: float) -> float:
             if p.tensor.grad is not None:
                 p.tensor.grad = p.tensor.grad * scale
     return norm
+
+
+def checked_step(opt: "Adam", loss: Tensor, grad_clip: float | None, where) -> None:
+    """Backward, clip and step, or StateError naming ``where()`` on a non-finite value.
+
+    The loss is checked before backward and the global gradient norm (the
+    one clip_grad_norm returns) before the step, so no update applies a
+    NaN or an infinity.
+    """
+    value = loss.item()
+    if not np.isfinite(value):
+        raise StateError(f"non-finite loss {value} at {where()}")
+    loss.backward()
+    norm = clip_grad_norm(opt.params, np.inf if grad_clip is None else grad_clip)
+    if not np.isfinite(norm):
+        raise StateError(f"non-finite gradient norm {norm} at {where()}")
+    opt.step()
 
 
 class Adam:

@@ -227,14 +227,19 @@ def score_windows(
     seed: int,
     options: PipelineOptions,
 ) -> list[ScoredWindow]:
-    """Score a stream with frozen models and fuse per the configured weights."""
+    """Score a stream with frozen models and fuse per the configured weights.
+
+    Each window is prepared once, as a batch of one, and scored alone, so a
+    window's row does not depend on the other windows of the call.
+    """
     w_a, w_g = options.fusion_weights
     scored = []
     for g in graphs:
-        raw = vgae_model.score(g, options.composite_weights, seed, options.score_mode)
+        batch = prepare_graph(g, vgae_model.config.id_buckets)
+        raw = vgae_model.score(batch, options.composite_weights, seed, options.score_mode)
         v_prob = calibration(raw)
         if gat_model is not None:
-            g_prob = gat_model.predict_prob(prepare_graph(g))
+            g_prob = gat_model.predict_prob(batch)
             fused = fuse(v_prob, g_prob, w_a, w_g)
         else:
             g_prob = 0.0

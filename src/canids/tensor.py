@@ -11,6 +11,7 @@ handled correctly: d(x+x)/dx = 2.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class Tensor:
         return self.values.ndim
 
     def item(self) -> float:
-        return float(self.values)
+        return float(self.values.item())
 
     def detach(self) -> "Tensor":
         return Tensor(self.values)
@@ -408,6 +409,26 @@ def clamp(a, lo, hi) -> Tensor:
     return _make(out_v, (a,), backward)
 
 
+def _segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[i] = sum of values[k] over k with idx[k] == i, as np.add.at computes it.
+
+    One np.bincount over (row, column) keys: each output entry starts at 0.0
+    and takes its terms in k order, so the result equals np.add.at bit for bit.
+    """
+    trailing = values.shape[1:]
+    width = math.prod(trailing)
+    keys = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(keys, weights=values.reshape(-1), minlength=num_rows * width)
+    return out.reshape((num_rows,) + trailing)
+
+
+def segment_mean(a, idx, counts) -> Tensor:
+    """Per-segment mean of the rows of ``a``: segment i holds the counts[i] rows with idx == i."""
+    a = as_tensor(a)
+    counts = np.asarray(counts, dtype=np.float64)
+    return scatter_add_rows(a, idx, len(counts)) / counts.reshape((-1,) + (1,) * (a.ndim - 1))
+
+
 def gather_rows(a, idx) -> Tensor:
     """out[k] = a[idx[k]] along axis 0."""
     a = as_tensor(a)
@@ -419,9 +440,7 @@ def gather_rows(a, idx) -> Tensor:
     out_v = a.values[idx]
 
     def backward(g):
-        gx = np.zeros_like(a.values)
-        np.add.at(gx, idx, g)
-        _accumulate(a, gx)
+        _accumulate(a, _segment_sum(g, idx, a.values.shape[0]))
 
     return _make(out_v, (a,), backward)
 
@@ -434,10 +453,11 @@ def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
         raise DimensionError(
             f"scatter_add_rows: index shape {idx.shape} does not match {a.values.shape[0]} rows"
         )
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
-        raise DimensionError(f"scatter_add_rows: index out of range for {num_rows} rows")
-    out_v = np.zeros((num_rows,) + a.values.shape[1:], dtype=np.float64)
-    np.add.at(out_v, idx, a.values)
+    try:
+        # np.bincount rejects a negative index and the reshape a too-large one
+        out_v = _segment_sum(a.values, idx, num_rows)
+    except ValueError:
+        raise DimensionError(f"scatter_add_rows: index out of range for {num_rows} rows") from None
 
     def backward(g):
         _accumulate(a, g[idx])

@@ -12,7 +12,7 @@ Trained on benign windows only; attack windows then reconstruct poorly.
 
 from __future__ import annotations
 
-import time
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +20,9 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint, validate_params
 from .errors import ConfigError, StateError
-from .gat import GatLayerParams, GraphPrep, gat_layer, init_gat_layer, prepare_graph, IN_DIM
-from .losses import bce, cross_entropy, kl_gaussian_standard, mse
-from .optim import Adam, Param, check_unique_names, clip_grad_norm, derive_seed, glorot_uniform
+from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, init_gat_layer, IN_DIM
+from .losses import bce_terms, cross_entropy_terms, kl_gaussian_standard
+from .optim import Adam, Param, check_unique_names, checked_step, derive_seed, glorot_uniform
 from .tensor import Tensor, no_grad
 
 LOG_SIGMA_CLAMP = 10.0  # keeps KL finite on degenerate one-node graphs
@@ -96,9 +96,13 @@ class LatentState:
 
 @dataclass
 class DecodedGraph:
-    adjacency: Tensor  # (n, n) edge probabilities
+    z: Tensor  # (n, latent_dim); edges are decoded from it pair by pair
     features: Tensor  # (n, 3) in (0, 1)
     id_logits: Tensor  # (n, id_buckets)
+
+    def edge_probabilities(self, src, dst) -> Tensor:
+        """sigmoid(z[src] . z[dst]): the inner-product decoder read at the given pairs only."""
+        return T.sigmoid((T.gather_rows(self.z, src) * T.gather_rows(self.z, dst)).sum(axis=1))
 
 
 def expected_param_shapes(config: VgaeConfig, in_dim: int = IN_DIM) -> dict[str, tuple]:
@@ -174,11 +178,15 @@ class VgaeModel:
     def _lin(self, name: str, x: Tensor) -> Tensor:
         return x @ self._linear[f"{name}.weight"].tensor + self._linear[f"{name}.bias"].tensor
 
-    def prepare(self, graph) -> GraphPrep:
-        return graph if isinstance(graph, GraphPrep) else prepare_graph(graph, self.config.id_buckets)
+    def prepare(self, graph) -> GraphBatch:
+        return as_batch(graph, self.config.id_buckets)
 
-    def encode(self, prep: GraphPrep, training: bool = False, rng=None, noise=None) -> LatentState:
-        """Posterior parameters for every node; z is sampled only in training."""
+    def encode(self, prep: GraphBatch, training: bool = False, rng=None, noise=None) -> LatentState:
+        """Posterior parameters for every node; z is sampled only in training.
+
+        The posterior noise of a batch is one draw of (num_nodes, latent_dim),
+        which is the per-window draws in batch order.
+        """
         cfg = self.config
         h = prep.x
         for layer in self.enc_layers:
@@ -196,7 +204,7 @@ class VgaeModel:
         return LatentState(mu=mu, log_sigma=log_sigma, z=z)
 
     def decode_adjacency(self, z: Tensor) -> Tensor:
-        """Symmetric matrix of edge probabilities sigmoid(z_i . z_j)."""
+        """Symmetric n x n matrix of edge probabilities sigmoid(z_i . z_j), for the adjacency_l2 ablation."""
         return T.sigmoid(z @ z.T)
 
     def decode_features(self, z: Tensor) -> tuple[Tensor, Tensor]:
@@ -210,52 +218,32 @@ class VgaeModel:
 
     def decode(self, z: Tensor) -> DecodedGraph:
         features, id_logits = self.decode_features(z)
-        return DecodedGraph(self.decode_adjacency(z), features, id_logits)
+        return DecodedGraph(z, features, id_logits)
 
-    def elbo_loss(self, prep: GraphPrep, latent: LatentState, decoded: DecodedGraph, neg_rng) -> Tensor:
-        """Edge BCE (balanced negative sampling) + feature MSE + ID CE + KL/n."""
-        g = prep.graph
-        n = g.num_nodes
-        pos_p = _pairs_from_matrix(decoded.adjacency, g.edge_src, g.edge_dst)
-        neg_src, neg_dst = sample_non_edges(n, g.edge_src, g.edge_dst, len(g.edge_src), neg_rng)
-        if len(neg_src):
-            neg_p = _pairs_from_matrix(decoded.adjacency, neg_src, neg_dst)
-            probs = T.concat([pos_p, neg_p])
-            targets = np.concatenate([np.ones(len(pos_p.values)), np.zeros(len(neg_src))])
-        else:
-            probs, targets = pos_p, np.ones(len(pos_p.values))
-        loss = bce(probs, targets)
-        loss = loss + mse(decoded.features, prep.x)
-        loss = loss + cross_entropy(decoded.id_logits, prep.id_buckets)
-        return loss + kl_gaussian_standard(latent.mu, latent.log_sigma) / float(n)
+    def elbo_loss(self, prep: GraphBatch, latent: LatentState, decoded: DecodedGraph, neg_rng) -> Tensor:
+        """Mean over the batch's windows of edge BCE + feature MSE + ID CE + KL/n.
 
-    def reconstruction_errors(self, prep: GraphPrep, seed: int) -> tuple[float, float, float]:
-        """(E_node, E_neighbor, E_CAN_ID) at inference (z = mu, no sampling).
+        Each window's negative edges are drawn from ``neg_rng`` in batch order.
+        """
+        e_node, e_neighbor, e_canid = reconstruction_terms(prep, decoded, itertools.repeat(neg_rng))
+        kl = T.segment_mean(
+            kl_gaussian_standard(latent.mu, latent.log_sigma, axis=1), prep.graph_index, prep.node_counts
+        )
+        return (e_neighbor + e_node + e_canid + kl).mean()
 
-        The neighborhood term is the mean BCE of decoded adjacency over the
-        window's observed edges plus an equal count of non-edges sampled
-        from a per-window stream derived from ``seed``.
+    def reconstruction_errors(self, prep, seed: int) -> tuple[float, float, float]:
+        """(E_node, E_neighbor, E_CAN_ID) of one window at inference (z = mu, no sampling).
+
+        The neighborhood term is the mean BCE of the decoded edge
+        probabilities over the window's observed edges plus an equal count
+        of non-edges sampled from a per-window stream derived from ``seed``.
         """
         prep = self.prepare(prep)
-        g = prep.graph
+        rng = derive_seed(seed, _SEED_NEG_SCORE, prep.graph.window_start_index)
         with no_grad():
             latent = self.encode(prep, training=False)
-            decoded = self.decode(latent.z)
-            e_node = mse(decoded.features, prep.x).item()
-            pos_p = _pairs_from_matrix(decoded.adjacency, g.edge_src, g.edge_dst)
-            rng = derive_seed(seed, _SEED_NEG_SCORE, g.window_start_index)
-            neg_src, neg_dst = sample_non_edges(
-                g.num_nodes, g.edge_src, g.edge_dst, len(g.edge_src), rng
-            )
-            if len(neg_src):
-                neg_p = _pairs_from_matrix(decoded.adjacency, neg_src, neg_dst)
-                probs = T.concat([pos_p, neg_p])
-                targets = np.concatenate([np.ones(len(pos_p.values)), np.zeros(len(neg_src))])
-            else:
-                probs, targets = pos_p, np.ones(len(pos_p.values))
-            e_neighbor = bce(probs, targets).item()
-            e_canid = cross_entropy(decoded.id_logits, prep.id_buckets).item()
-        return e_node, e_neighbor, e_canid
+            terms = reconstruction_terms(prep, self.decode(latent.z), [rng])
+        return tuple(t.item() for t in terms)
 
     def composite_error(self, prep, weights: CompositeWeights = CompositeWeights(), seed: int = 0) -> float:
         e_node, e_neighbor, e_canid = self.reconstruction_errors(prep, seed)
@@ -295,7 +283,7 @@ class VgaeModel:
         graphs = list(graphs)
         if not graphs:
             raise StateError("reconstruction_rank: empty input")
-        raw = [g.graph if isinstance(g, GraphPrep) else g for g in graphs]
+        raw = [g.graph if isinstance(g, GraphBatch) else g for g in graphs]
         bad = [g.window_start_index for g in raw if g.label != 0]
         if bad:
             raise ConfigError(f"reconstruction_rank expects normal windows; attack at {bad[:5]}")
@@ -325,8 +313,31 @@ def write_error_components_csv(model: VgaeModel, graphs, path, weights: Composit
             fh.write(f"{g.window_start_index},{e_node!r},{e_neighbor!r},{e_canid!r},{composite!r}\n")
 
 
-def _pairs_from_matrix(adj: Tensor, src, dst) -> Tensor:
-    return T.take_per_row(T.gather_rows(adj, np.asarray(src, dtype=np.int64)), dst)
+def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> tuple[Tensor, Tensor, Tensor]:
+    """Per-window (E_node, E_neighbor, E_CAN_ID) of a batch, each of shape (num_graphs,).
+
+    E_node is the feature MSE and E_CAN_ID the ID-bucket cross-entropy, both
+    averaged over the window's nodes. E_neighbor is the BCE of the decoded
+    edge probabilities averaged over the window's observed edges and as many
+    non-edges, drawn from the window's entry of ``neg_rngs`` in batch order.
+    """
+    seg, counts = batch.graph_index, batch.node_counts
+    src, dst, edge_seg = [batch.edge_src], [batch.edge_dst], [seg[batch.edge_src]]
+    for k, (g, offset, rng) in enumerate(zip(batch.graphs, batch.node_offsets, neg_rngs)):
+        neg_src, neg_dst = sample_non_edges(g.num_nodes, g.edge_src, g.edge_dst, len(g.edge_src), rng)
+        src.append(neg_src + offset)
+        dst.append(neg_dst + offset)
+        edge_seg.append(np.full(len(neg_src), k, dtype=np.int64))
+    edge_seg = np.concatenate(edge_seg)
+    targets = np.zeros(len(edge_seg))
+    targets[: len(batch.edge_src)] = 1.0
+    probs = decoded.edge_probabilities(np.concatenate(src), np.concatenate(dst))
+    e_neighbor = T.segment_mean(
+        bce_terms(probs, targets), edge_seg, np.bincount(edge_seg, minlength=batch.num_graphs)
+    )
+    e_node = T.segment_mean(((decoded.features - batch.x.values) ** 2).mean(axis=1), seg, counts)
+    e_canid = T.segment_mean(cross_entropy_terms(decoded.id_logits, batch.id_buckets), seg, counts)
+    return e_node, e_neighbor, e_canid
 
 
 def sample_non_edges(n: int, edge_src, edge_dst, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -361,13 +372,16 @@ def train_vgae(
 ) -> tuple[VgaeModel, list[float]]:
     """Stage-1 training on benign windows only; returns per-epoch mean loss.
 
-    ``extra_loss_fn(prep, latent) -> Tensor`` hooks distillation terms into
-    the objective; any parameters it owns go in ``extra_params``.
+    Each mini-batch is one GraphBatch and takes one forward and backward
+    pass. ``extra_loss_fn(batch, latent) -> Tensor`` hooks distillation
+    terms into the objective as a mean over the batch's windows; any
+    parameters it owns go in ``extra_params``. Raises StateError on a
+    non-finite loss or gradient norm.
     """
     graphs = list(graphs)
     if not graphs:
         raise StateError("train_vgae: no graphs")
-    attacked = [g for g in graphs if (g.graph.label if isinstance(g, GraphPrep) else g.label) != 0]
+    attacked = [g for g in graphs if (g.graph.label if isinstance(g, GraphBatch) else g.label) != 0]
     if attacked:
         raise ConfigError("train_vgae: attack-labeled windows in training set; stage 1 is normal-only")
     model = VgaeModel(config, seed=seed)
@@ -379,26 +393,17 @@ def train_vgae(
 
     losses: list[float] = []
     order = np.arange(len(preps))
-    for _ in range(epochs):
+    for epoch in range(epochs):
         shuffle_rng.shuffle(order)
         total = 0.0
-        for lo in range(0, len(order), batch_size):
-            batch = order[lo : lo + batch_size]
+        for step, lo in enumerate(range(0, len(order), batch_size)):
+            batch = GraphBatch.concat(preps[i] for i in order[lo : lo + batch_size])
             opt.zero_grad()
-            terms = []
-            for i in batch:
-                prep = preps[i]
-                latent = model.encode(prep, training=True, rng=noise_rng)
-                decoded = model.decode(latent.z)
-                term = model.elbo_loss(prep, latent, decoded, neg_rng)
-                if extra_loss_fn is not None:
-                    term = term + extra_loss_fn(prep, latent)
-                terms.append(term)
-            loss = sum(terms) / float(len(batch))
-            loss.backward()
-            if grad_clip is not None:
-                clip_grad_norm(opt.params, grad_clip)
-            opt.step()
-            total += loss.item() * len(batch)
+            latent = model.encode(batch, training=True, rng=noise_rng)
+            loss = model.elbo_loss(batch, latent, model.decode(latent.z), neg_rng)
+            if extra_loss_fn is not None:
+                loss = loss + extra_loss_fn(batch, latent)
+            checked_step(opt, loss, grad_clip, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
+            total += loss.item() * batch.num_graphs
         losses.append(total / len(order))
     return model, losses

@@ -260,3 +260,58 @@ def test_distill_cli(small_run, capsys):
     assert (root / "kd" / "student-gat.ckpt").is_file()
     assert (root / "kd" / "scores.csv").is_file()
     assert report["metrics"]["student"]["gat_only"]["f1"] >= 0.0
+
+
+def _tamper(src, dst, line_prefix, edit):
+    """Copy src to dst with ``edit`` applied to the first line starting with line_prefix; returns its 1-based number."""
+    lines = src.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith(line_prefix))
+    lines[at] = edit(lines[at])
+    dst.write_text("".join(lines))
+    return at + 1
+
+
+def _row_after_param(src, dst, edit):
+    """Edit the first value row of the first parameter record."""
+    lines = src.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("param ")) + 1
+    lines[at] = edit(lines[at])
+    dst.write_text("".join(lines))
+    return at + 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda row: " ".join(row.split()[:-1]) + "\n", lambda row: row.replace(row.split()[0], "x1.5", 1)],
+    ids=["short-row", "non-numeric"],
+)
+def test_bad_checkpoint_row_is_parse_error(small_run, tmp_path, capsys, edit):
+    bad = tmp_path / "vgae.ckpt"
+    lineno = _row_after_param(small_run / "vgae.ckpt", bad, edit)
+    code, _, err = run_cli(
+        capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", bad,
+        "--ratio", 4, "--seed", 7, "--out", tmp_path / "stage2.cache",
+    )
+    assert code == 1
+    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "prefix, edit",
+    [
+        ("node ", lambda line: line.replace(line.split()[2], "0.x", 1)),
+        ("edge ", lambda line: line.replace(line.split()[1], "one", 1)),
+        ("graph ", lambda line: line.replace(line.split()[3], "3.5", 1)),
+    ],
+    ids=["node-feature", "edge-index", "graph-count"],
+)
+def test_bad_graph_cache_field_is_parse_error(small_run, tmp_path, capsys, prefix, edit):
+    bad = tmp_path / "train.cache"
+    lineno = _tamper(small_run / "train.cache", bad, prefix, edit)
+    code, _, err = run_cli(
+        capsys, "train-vgae", "--graphs", bad, "--preset", "student",
+        "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
+    )
+    assert code == 1
+    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err

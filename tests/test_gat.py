@@ -3,7 +3,7 @@ import pytest
 
 from canids import tensor as T
 from canids.checkpoint import load_checkpoint
-from canids.errors import ConfigError, StateError
+from canids.errors import ConfigError, DimensionError, StateError
 from canids.gat import (
     GatClassifier,
     GatConfig,
@@ -106,7 +106,8 @@ def test_forward_contract(mixed_graphs):
     assert 0.0 < prob.item() < 1.0
     soft = T.softmax(logits, axis=-1).values
     assert abs(soft.sum() - 1.0) <= 1e-12
-    assert emb.shape == (jk_width(cfg),)
+    assert prob.shape == (1,) and logits.shape == (1, 2)
+    assert emb.shape == (1, jk_width(cfg))
 
 
 def test_jk_width_is_sum_of_layer_widths():
@@ -131,6 +132,13 @@ def test_permutation_invariance(mixed_graphs):
 def test_empty_graph_rejected():
     g = make_graph([], np.zeros((0, 3)), [])
     with pytest.raises(StateError):
+        prepare_graph(g)
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+def test_edge_index_out_of_range_rejected(edge):
+    g = make_graph([5, 9], [[0.1, 0.5, 0.2], [0.9, 0.5, 0.3]], [(0, 1, 1.0), (*edge, 1.0)])
+    with pytest.raises(DimensionError, match="out of range"):
         prepare_graph(g)
 
 

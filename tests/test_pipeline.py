@@ -201,3 +201,40 @@ def test_run_two_stage_report_structure(mixed_graphs):
     assert r["lineage"]["vgae_train_windows_all_benign"] is True
     assert r["dataset"]["test_windows"] == len(test)
     assert set(r["metrics"]) == {"gat_only", "fused"}
+
+
+def _scoring_models():
+    from canids.gat import GatClassifier
+    from canids.pipeline import VgaeCalibration
+    from canids.vgae import VgaeModel
+
+    return VgaeModel(VgaeConfig.student(), seed=11), GatClassifier(GatConfig.student(), seed=12), VgaeCalibration(0.5, 4.0)
+
+
+def test_score_windows_list_equals_one_call_per_window(mixed_graphs):
+    from canids.pipeline import score_windows
+
+    vgae_model, gat_model, calibration = _scoring_models()
+    graphs = mixed_graphs[::5]
+    together = score_windows(vgae_model, gat_model, calibration, graphs, 3, QUICK)
+    alone = [score_windows(vgae_model, gat_model, calibration, [g], 3, QUICK)[0] for g in graphs]
+    assert together == alone  # dataclass equality: every float bit for bit
+
+
+def test_score_windows_prepares_each_window_once(mixed_graphs, monkeypatch):
+    from canids import gat, pipeline, vgae
+
+    vgae_model, gat_model, calibration = _scoring_models()
+    calls = []
+    original = gat.prepare_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].window_start_index)
+        return original(*args, **kwargs)
+
+    for module in (gat, pipeline, vgae):
+        if getattr(module, "prepare_graph", None) is original:
+            monkeypatch.setattr(module, "prepare_graph", counting)
+    graphs = mixed_graphs[:12]
+    pipeline.score_windows(vgae_model, gat_model, calibration, graphs, 3, QUICK)
+    assert calls == [g.window_start_index for g in graphs]

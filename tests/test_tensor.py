@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids import tensor as T
 from canids.errors import DimensionError
@@ -118,3 +120,44 @@ def test_backward_grad_finite_where_values_finite():
     out = T.elu(T.softmax(x @ Tensor(rand(3, 3)), axis=1)).sum()
     out.backward()
     assert np.all(np.isfinite(x.grad))
+
+
+@st.composite
+def segment_cases(draw):
+    num_rows = draw(st.integers(0, 6))
+    count = draw(st.integers(0, 20)) if num_rows else 0
+    idx = np.array(draw(st.lists(st.integers(0, max(num_rows - 1, 0)), min_size=count, max_size=count)), dtype=np.int64)
+    trailing = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False) | st.just(0.0) | st.just(-0.0)
+    flat = draw(st.lists(finite, min_size=count * int(np.prod(trailing)), max_size=count * int(np.prod(trailing))))
+    return np.array(flat, dtype=np.float64).reshape((count,) + trailing), idx, num_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_cases())
+def test_segment_sum_equals_add_at_bitwise(case):
+    # repeated and empty segments, zero rows, 1-D to 3-D values
+    values, idx, num_rows = case
+    expected = np.zeros((num_rows,) + values.shape[1:])
+    np.add.at(expected, idx, values)
+    got = T._segment_sum(values, idx, num_rows)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("idx", [[0, -1], [0, 3]])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+def test_scatter_rejects_out_of_range_index(idx, trailing):
+    with pytest.raises(DimensionError, match="out of range"):
+        T.scatter_add_rows(Tensor(rand(2, *trailing)), np.array(idx), 3)
+
+
+def test_segment_mean_values_and_gradient():
+    idx = np.array([1, 0, 1, 1, 2])
+    counts = np.bincount(idx)
+    x = rand(5, 3)
+    got = T.segment_mean(Tensor(x), idx, counts).values
+    for i in range(3):
+        assert np.allclose(got[i], x[idx == i].mean(axis=0), rtol=0, atol=1e-15)
+    err = relative_gradient_error(lambda a: (T.segment_mean(a, idx, counts) ** 2).sum(), [x])
+    assert err < 1e-6

@@ -90,11 +90,13 @@ def test_decode_features_contract(benign_graphs):
 
 
 def test_elbo_near_zero_for_perfect_reconstruction():
+    # two self-looped nodes: the inner-product decode is near 1 on the
+    # self-edges (z_i . z_i = 400) and near 0 on the non-edges (-400)
     g = WindowGraph(
         [5, 9],
         np.array([[0.2, 0.5, 0.3], [0.6, 0.5, 0.1]]),
         np.array([0, 1]),
-        np.array([1, 0]),
+        np.array([0, 1]),
         np.array([2.0, 1.0]),
         0,
         0,
@@ -102,13 +104,12 @@ def test_elbo_near_zero_for_perfect_reconstruction():
     model = VgaeModel(VgaeConfig(2, 2, 4, 3, id_buckets=16), seed=1)
     prep = model.prepare(g)
     n = 2
-    adj = np.zeros((n, n))
-    adj[g.edge_src, g.edge_dst] = 1.0
+    z = np.array([[20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]])
     id_logits = np.full((n, 16), -1000.0)
     id_logits[np.arange(n), prep.id_buckets] = 1000.0
-    decoded = DecodedGraph(Tensor(adj), Tensor(g.node_features.copy()), Tensor(id_logits))
+    decoded = DecodedGraph(Tensor(z), Tensor(g.node_features.copy()), Tensor(id_logits))
     latent = type(model.encode(prep))(
-        mu=Tensor(np.zeros((n, 3))), log_sigma=Tensor(np.zeros((n, 3))), z=Tensor(np.zeros((n, 3)))
+        mu=Tensor(np.zeros((n, 3))), log_sigma=Tensor(np.zeros((n, 3))), z=Tensor(z)
     )
     loss = model.elbo_loss(prep, latent, decoded, seeded_rng(0)).item()
     assert 0.0 <= loss < 1e-5
