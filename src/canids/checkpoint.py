@@ -71,6 +71,8 @@ def load_checkpoint(path):
                     row = [float(v) for v in fh.readline().split()]
                     if len(row) != width:
                         raise ParseError(f"{path}: param {name} row has {len(row)} values, expected {width}", line=lineno)
+                    if not all(map(math.isfinite, row)):
+                        raise ParseError(f"{path}: param {name} has a non-finite value", line=lineno)
                     rows.append(row)
                 params[name] = np.array(rows, dtype=np.float64).reshape(shape)
                 line = fh.readline()

@@ -19,8 +19,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .canlog import parse_car_hacking_csv, parse_generic_labeled_csv, write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
@@ -29,13 +27,11 @@ from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .gat import count_params as gat_count_params
 from .graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
-    Metrics,
     PipelineOptions,
-    calibrate_vgae,
     chronological_split,
-    evaluate,
+    metrics_block,
     read_scores_csv,
-    score_windows,
+    score_split,
     undersample,
     write_scores_csv,
 )
@@ -66,7 +62,8 @@ def _output_lock(directory: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise StateError(f"another canids process holds {lock}; remove it if stale") from None
+        holder = _lock_holder(lock)
+        raise StateError(f"another canids process holds {lock} ({holder}); remove it if stale") from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -76,10 +73,31 @@ def _output_lock(directory: Path):
             os.unlink(lock)
 
 
+def _lock_holder(lock: Path) -> str:
+    """Whether the PID recorded in a held lock file is still running; the lock itself is left alone."""
+    try:
+        pid = int(lock.read_text().strip())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:
+        return "no PID recorded"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return f"PID {pid} is not running"
+    except PermissionError:
+        pass  # the process exists but belongs to another user
+    return f"PID {pid} is still running"
+
+
 def _atomic(path: Path, write_fn):
     tmp = path.with_name(f".tmp-{path.name}")
     write_fn(tmp)
     os.replace(tmp, path)
+
+
+def _write_json(path: Path, obj):
+    _atomic(path, lambda tmp: Path(tmp).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
 
 
 def _write_with_lock(path, write_fn):
@@ -247,13 +265,7 @@ def cmd_undersample(args) -> int:
     selection = undersample(ranked, attacks, opts.ratio)
     stage2 = selection.selected_normals + selection.attacks
     _write_with_lock(args.out, lambda tmp: save_graph_cache(stage2, tmp))
-    _emit({
-        "out": str(args.out),
-        "requested_ratio": selection.requested_ratio,
-        "achieved_ratio": selection.achieved_ratio,
-        "normals_kept": len(selection.selected_normals),
-        "attacks": len(selection.attacks),
-    })
+    _emit({"out": str(args.out), **selection.summary()})
     return 0
 
 
@@ -313,14 +325,9 @@ def cmd_distill(args) -> int:
         if result.scored_student is not None:
             _atomic(out_dir / "scores.csv", lambda tmp: write_scores_csv(result.scored_student, tmp))
             artifacts["scores"] = str(out_dir / "scores.csv")
-        _atomic(
-            out_dir / "report.json",
-            lambda tmp: Path(tmp).write_text(json.dumps(result.report, indent=2, sort_keys=True) + "\n"),
-        )
-        manifest = _manifest(args, "distill", artifacts, {"seconds": time.perf_counter() - t0})
-        _atomic(
-            out_dir / "manifest.json",
-            lambda tmp: Path(tmp).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
+        _write_json(out_dir / "report.json", result.report)
+        _write_json(
+            out_dir / "manifest.json", _manifest(args, "distill", artifacts, {"seconds": time.perf_counter() - t0})
         )
     _emit(result.report)
     return 0
@@ -328,11 +335,7 @@ def cmd_distill(args) -> int:
 
 def cmd_evaluate(args) -> int:
     scores = read_scores_csv(_require_file(args.scores, "scores file"))
-    metrics = evaluate(scores, threshold=args.threshold)
-    gat_only = Metrics.from_pairs(
-        [s.truth for s in scores], [1 if s.gat_prob >= args.threshold else 0 for s in scores]
-    )
-    _emit({"fused": metrics.to_dict(), "gat_only": gat_only.to_dict(), "threshold": args.threshold})
+    _emit({**metrics_block(scores, args.threshold), "threshold": args.threshold})
     return 0
 
 
@@ -365,35 +368,19 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     t0 = time.perf_counter()
 
-    _, val_part = chronological_split(train_graphs, opts.val_frac)
-    val_normals = [g for g in val_part if g.label == 0]
-    _progress(f"calibrating on {len(val_normals)} validation-normal windows")
-    calibration = calibrate_vgae(
-        [vgae_model.score(g, opts.composite_weights, args.seed, opts.score_mode) for g in val_normals],
-        *opts.calibration_quantiles,
-    )
-    _progress(f"scoring {len(test_graphs)} test windows")
-    scored = score_windows(vgae_model, gat_model, calibration, test_graphs, args.seed, opts)
-    fused = evaluate(scored, opts.threshold)
-    gat_only = Metrics.from_pairs(
-        [s.truth for s in scored], [1 if s.gat_prob >= opts.threshold else 0 for s in scored]
-    )
-    train_part, _ = chronological_split(train_graphs, opts.val_frac)
-    n_attacks = sum(1 for g in train_part if g.label == 1)
-    n_normals = len(train_part) - n_attacks
+    train_part, val_part = chronological_split(train_graphs, opts.val_frac)
+    train_attacks = [g for g in train_part if g.label == 1]
+    # run_two_stage's undersampling on these graphs; only its counts are reported
     undersampling = None
-    if n_attacks:
-        keep = min(int(np.ceil(opts.ratio * n_attacks)), n_normals)
-        undersampling = {
-            "requested_ratio": opts.ratio,
-            "achieved_ratio": keep / n_attacks,
-            "normals_kept": keep,
-            "attacks": n_attacks,
-        }
+    if train_attacks:
+        train_normals = [g for g in train_part if g.label == 0]
+        undersampling = undersample(train_normals, train_attacks, opts.ratio).summary()
+    _progress(f"calibrating on validation normals, scoring {len(test_graphs)} test windows")
+    calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, args.seed, opts)
     report = {
         "seed": args.seed,
         "headline_metric": "gat_only",
-        "metrics": {"gat_only": gat_only.to_dict(), "fused": fused.to_dict()},
+        "metrics": metrics,
         "params": {
             "vgae": vgae_count_params(vgae_model.config),
             "gat": gat_count_params(gat_model.config),
@@ -407,19 +394,12 @@ def cmd_report(args) -> int:
     }
     with _output_lock(out_dir):
         _atomic(out_dir / "scores.csv", lambda tmp: write_scores_csv(scored, tmp))
-        _atomic(
-            out_dir / "report.json",
-            lambda tmp: Path(tmp).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n"),
-        )
+        _write_json(out_dir / "report.json", report)
         artifacts = {
             "scores": str(out_dir / "scores.csv"),
             "report": str(out_dir / "report.json"),
         }
-        manifest = _manifest(args, "report", artifacts, report["timings"])
-        _atomic(
-            out_dir / "manifest.json",
-            lambda tmp: Path(tmp).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n"),
-        )
+        _write_json(out_dir / "manifest.json", _manifest(args, "report", artifacts, report["timings"]))
     _emit(report)
     return 0
 

@@ -22,6 +22,7 @@ from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .gat import count_params as gat_count_params
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, derive_seed, glorot_uniform
+from .pipeline import PipelineOptions, chronological_split, score_split, undersample
 from .tensor import Tensor, no_grad
 from .vgae import LatentState, VgaeConfig, VgaeModel, train_vgae
 from .vgae import count_params as vgae_count_params
@@ -154,16 +155,6 @@ def distill_pipeline(
     With ``test_graphs``, the report carries paired teacher/student test
     metrics for the comparison table.
     """
-    from .pipeline import (
-        Metrics,
-        PipelineOptions,
-        calibrate_vgae,
-        chronological_split,
-        evaluate,
-        score_windows,
-        undersample,
-    )
-
     opts = options or PipelineOptions()
     t_start = time.perf_counter()
     teacher_vgae_sum = _param_checksum(teacher_vgae.param_values())
@@ -247,24 +238,11 @@ def distill_pipeline(
     comparison = None
     scored_student = None
     if test_graphs is not None:
-        val_normals = [g for g in val_part if g.label == 0]
-
-        def cal_for(model):
-            return calibrate_vgae(
-                [model.score(g, opts.composite_weights, seed, opts.score_mode) for g in val_normals],
-                *opts.calibration_quantiles,
-            )
-
-        def metric_pair(scored):
-            gat_only = Metrics.from_pairs(
-                [s.truth for s in scored],
-                [1 if s.gat_prob >= opts.threshold else 0 for s in scored],
-            )
-            return {"gat_only": gat_only.to_dict(), "fused": evaluate(scored, opts.threshold).to_dict()}
-
-        scored_teacher = score_windows(teacher_vgae, teacher_gat, cal_for(teacher_vgae), test_graphs, seed, opts)
-        scored_student = score_windows(student_vgae, student_gat, cal_for(student_vgae), test_graphs, seed, opts)
-        comparison = {"teacher": metric_pair(scored_teacher), "student": metric_pair(scored_student)}
+        _, _, teacher_metrics = score_split(teacher_vgae, teacher_gat, val_part, test_graphs, seed, opts)
+        _, scored_student, student_metrics = score_split(
+            student_vgae, student_gat, val_part, test_graphs, seed, opts
+        )
+        comparison = {"teacher": teacher_metrics, "student": student_metrics}
 
     gat_teacher_n = gat_count_params(teacher_gat.config)
     gat_student_n = gat_count_params(student_gat_config)
@@ -283,12 +261,7 @@ def distill_pipeline(
             "vgae_teacher": vgae_count_params(teacher_vgae.config),
             "vgae_student": vgae_count_params(student_vgae_config),
         },
-        "undersampling": {
-            "requested_ratio": opts.ratio,
-            "achieved_ratio": selection.achieved_ratio,
-            "normals_kept": len(selection.selected_normals),
-            "attacks": len(selection.attacks),
-        },
+        "undersampling": selection.summary(),
         "teacher_checksums_unchanged": True,
         "metrics": comparison,
         "training": {

@@ -23,6 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, validate_params
 from .errors import ConfigError, DimensionError, StateError
 from .graphs import WindowGraph
 from .losses import cross_entropy
+from .metrics import Metrics
 from .optim import Adam, Param, check_unique_names, checked_step, derive_seed, glorot_uniform
 from .tensor import Tensor, no_grad
 
@@ -347,13 +348,6 @@ class GatClassifier:
         return cls(GatConfig.from_dict(config), param_values=params)
 
 
-def _binary_f1(truths, preds) -> float:
-    tp = sum(1 for t, p in zip(truths, preds) if t == 1 and p == 1)
-    fp = sum(1 for t, p in zip(truths, preds) if t == 0 and p == 1)
-    fn = sum(1 for t, p in zip(truths, preds) if t == 1 and p == 0)
-    return 2.0 * tp / (2.0 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
-
-
 @dataclass
 class TrainingLog:
     epoch_losses: list[float] = field(default_factory=list)
@@ -431,7 +425,7 @@ def train_supervised(
             with no_grad():
                 probs, _, _ = model.forward(val_batch)
             preds = [1 if p >= 0.5 else 0 for p in probs.values]
-            f1 = _binary_f1(val_truths, preds)
+            f1 = Metrics.from_pairs(val_truths, preds).f1
             log.val_f1.append(f1)
             if f1 > best_f1:
                 best_f1, best_epoch, since_best = f1, epoch, 0

@@ -9,6 +9,7 @@ weights over a window always sum to W-1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -166,6 +167,7 @@ def load_graph_cache(path) -> list[WindowGraph]:
         lineno = 1
         line = fh.readline()
         lineno += 1
+        inf = math.inf  # a local: the edge loop below runs once per edge
         try:
             while line:
                 parts = line.split()
@@ -189,7 +191,10 @@ def load_graph_cache(path) -> list[WindowGraph]:
                     lineno += 1
                     if len(parts) != 4 or parts[0] != "edge":
                         raise ParseError("expected edge record", line=lineno)
-                    src[k], dst[k], wts[k] = int(parts[1]), int(parts[2]), float(parts[3])
+                    weight = float(parts[3])
+                    if not 0.0 < weight < inf:  # prepare_graph takes log(weight)
+                        raise ParseError(f"edge weight must be finite and > 0, got {parts[3]}", line=lineno)
+                    src[k], dst[k], wts[k] = int(parts[1]), int(parts[2]), weight
                 graphs.append(WindowGraph(node_ids, feats, src, dst, wts, label, start))
                 line = fh.readline()
                 lineno += 1

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError, ParseError, StateError
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .gat import count_params as gat_count_params
+from .metrics import Metrics, roc_auc
 from .vgae import CompositeWeights, VgaeConfig, VgaeModel, train_vgae
 from .vgae import count_params as vgae_count_params
 
@@ -35,58 +36,21 @@ class ScoredWindow:
     truth: int
 
 
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @classmethod
-    def from_counts(cls, tp: int, fp: int, tn: int, fn: int) -> "Metrics":
-        total = tp + fp + tn + fn
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
-        return cls((tp + tn) / total if total else 0.0, precision, recall, f1, tp, fp, tn, fn)
-
-    @classmethod
-    def from_pairs(cls, truths, preds) -> "Metrics":
-        tp = fp = tn = fn = 0
-        for t, p in zip(truths, preds):
-            if p == 1:
-                tp, fp = (tp + 1, fp) if t == 1 else (tp, fp + 1)
-            else:
-                fn, tn = (fn + 1, tn) if t == 1 else (fn, tn + 1)
-        return cls.from_counts(tp, fp, tn, fn)
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
-
-
 @dataclass
 class UndersampleResult:
     selected_normals: list
     attacks: list
     requested_ratio: float
     achieved_ratio: float
+
+    def summary(self) -> dict:
+        """The counts a report shows for this selection."""
+        return {
+            "requested_ratio": self.requested_ratio,
+            "achieved_ratio": self.achieved_ratio,
+            "normals_kept": len(self.selected_normals),
+            "attacks": len(self.attacks),
+        }
 
 
 def undersample(ranked_normals, attack_graphs, ratio: float) -> UndersampleResult:
@@ -156,25 +120,14 @@ def evaluate(scored: list[ScoredWindow], threshold: float = 0.5) -> Metrics:
     return Metrics.from_pairs([s.truth for s in scored], preds)
 
 
-def roc_auc(scores, labels) -> float:
-    """Rank-based AUC (Mann-Whitney) with tie correction."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos, neg = int((labels == 1).sum()), int((labels == 0).sum())
-    if pos == 0 or neg == 0:
-        raise StateError("roc_auc needs both classes")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[labels == 1].sum()
-    return float((rank_sum - pos * (pos + 1) / 2.0) / (pos * neg))
+def metrics_block(scored: list[ScoredWindow], threshold: float, with_gat: bool = True) -> dict:
+    """GAT-only and fused metrics side by side; ``gat_only`` is None without a classifier."""
+    fused = evaluate(scored, threshold)
+    gat_only = None
+    if with_gat:
+        preds = [1 if s.gat_prob >= threshold else 0 for s in scored]
+        gat_only = Metrics.from_pairs([s.truth for s in scored], preds).to_dict()
+    return {"gat_only": gat_only, "fused": fused.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -258,6 +211,32 @@ def score_windows(
     return scored
 
 
+def score_split(
+    vgae_model: VgaeModel,
+    gat_model: GatClassifier | None,
+    val_part,
+    test_graphs,
+    seed: int,
+    options: PipelineOptions,
+) -> tuple[VgaeCalibration, list[ScoredWindow], dict]:
+    """The shared end of every run: calibrate, score the test stream, report.
+
+    The VGAE score is calibrated on ``val_part``'s benign windows, the test
+    windows are scored once with the frozen models, and the GAT-only and
+    fused metrics come back as one block.
+    """
+    calibration = calibrate_vgae(
+        [
+            vgae_model.score(g, options.composite_weights, seed, options.score_mode)
+            for g in val_part
+            if g.label == 0
+        ],
+        *options.calibration_quantiles,
+    )
+    scored = score_windows(vgae_model, gat_model, calibration, test_graphs, seed, options)
+    return calibration, scored, metrics_block(scored, options.threshold, gat_model is not None)
+
+
 def run_two_stage(
     train_graphs,
     test_graphs,
@@ -277,7 +256,6 @@ def run_two_stage(
     train_part, val_part = chronological_split(train_graphs, options.val_frac)
     train_normals = [g for g in train_part if g.label == 0]
     train_attacks = [g for g in train_part if g.label == 1]
-    val_normals = [g for g in val_part if g.label == 0]
     if not train_normals:
         raise StateError("no benign windows in the training split")
 
@@ -328,26 +306,9 @@ def run_two_stage(
     else:
         gat_seconds = 0.0
 
-    calibration = calibrate_vgae(
-        [
-            vgae_model.score(g, options.composite_weights, seed, options.score_mode)
-            for g in val_normals
-        ],
-        *options.calibration_quantiles,
-    )
-
     t0 = time.perf_counter()
-    scored = score_windows(vgae_model, gat_model, calibration, test_graphs, seed, options)
+    calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, seed, options)
     score_seconds = time.perf_counter() - t0
-
-    fused_metrics = evaluate(scored, options.threshold)
-    if gat_model is not None:
-        gat_only_metrics = Metrics.from_pairs(
-            [s.truth for s in scored],
-            [1 if s.gat_prob >= options.threshold else 0 for s in scored],
-        )
-    else:
-        gat_only_metrics = None
 
     test_truths = [s.truth for s in scored]
     vgae_block = {}
@@ -372,22 +333,12 @@ def run_two_stage(
             "test_windows": len(test_graphs),
             "test_attack_windows": int(sum(test_truths)),
         },
-        "undersampling": None
-        if selection is None
-        else {
-            "requested_ratio": selection.requested_ratio,
-            "achieved_ratio": selection.achieved_ratio,
-            "normals_kept": len(selection.selected_normals),
-            "attacks": len(selection.attacks),
-        },
+        "undersampling": None if selection is None else selection.summary(),
         "params": {
             "vgae": vgae_count_params(vgae_config),
             "gat": gat_count_params(gat_config) if gat_model is not None else None,
         },
-        "metrics": {
-            "gat_only": gat_only_metrics.to_dict() if gat_only_metrics else None,
-            "fused": fused_metrics.to_dict(),
-        },
+        "metrics": metrics,
         "vgae_separation": vgae_block,
         "fusion_weights": list(options.fusion_weights),
         "threshold": options.threshold,
@@ -425,8 +376,6 @@ def write_scores_csv(scored: list[ScoredWindow], path):
 
 
 def read_scores_csv(path) -> list[ScoredWindow]:
-    from .errors import ParseError
-
     out = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()

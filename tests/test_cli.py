@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from canids.cli import main
+from canids.cli import _output_lock, main
+from canids.errors import StateError
 from canids.graphs import load_graph_cache
 from canids.pipeline import ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
@@ -131,6 +135,18 @@ def test_lock_file_blocks_concurrent_writer(tmp_path, synth_cfg, capsys):
     code, _, _ = run_cli(capsys, "synth", "--config", synth_cfg, "--seed", 1, "--out", out)
     assert code == 0
     assert not (tmp_path / ".canids.lock").exists()
+
+
+def test_lock_error_says_whether_holder_is_running(tmp_path):
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    lock = tmp_path / ".canids.lock"
+    for pid, state in ((os.getpid(), "is still running"), (child.pid, "is not running")):
+        lock.write_text(str(pid))
+        with pytest.raises(StateError, match=f"PID {pid} {state}"):
+            with _output_lock(tmp_path):
+                pass
+        assert lock.read_text() == str(pid)  # never reclaimed
 
 
 @pytest.fixture(scope="module")
@@ -315,3 +331,38 @@ def test_bad_graph_cache_field_is_parse_error(small_run, tmp_path, capsys, prefi
     )
     assert code == 1
     assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
+
+
+@pytest.mark.parametrize("weight", ["0.0", "-1.0", "nan", "inf"])
+def test_bad_edge_weight_is_parse_error(small_run, tmp_path, capsys, weight):
+    bad = tmp_path / "train.cache"
+    lineno = _tamper(
+        small_run / "train.cache", bad, "edge ", lambda line: " ".join(line.split()[:3] + [weight]) + "\n"
+    )
+    code, _, err = run_cli(
+        capsys, "train-vgae", "--graphs", bad, "--preset", "student",
+        "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
+    )
+    assert code == 1
+    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["undersample", "report"])
+def test_non_finite_checkpoint_value_is_parse_error(small_run, tmp_path, capsys, command, value):
+    bad = tmp_path / "vgae.ckpt"
+    lineno = _row_after_param(
+        small_run / "vgae.ckpt", bad, lambda row: " ".join(value for _ in row.split()) + "\n"
+    )
+    if command == "undersample":
+        argv = ["--graphs", small_run / "train.cache", "--out", tmp_path / "stage2.cache"]
+    else:
+        argv = [
+            "--train-graphs", small_run / "train.cache", "--test-graphs", small_run / "test.cache",
+            "--gat", small_run / "gat.ckpt", "--out-dir", tmp_path / "run",
+        ]
+    code, _, err = run_cli(capsys, command, "--vgae", bad, "--seed", 7, *argv)
+    assert code == 1
+    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
+    assert "Traceback" not in err

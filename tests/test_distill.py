@@ -14,7 +14,7 @@ from canids.distill import (
 from canids.errors import ConfigError, DimensionError
 from canids.gat import GatClassifier, GatConfig
 from canids.losses import cross_entropy
-from canids.pipeline import PipelineOptions
+from canids.pipeline import PipelineOptions, run_two_stage
 from canids.tensor import Tensor
 from canids.vgae import LatentState, VgaeConfig, VgaeModel
 from helpers import model_gradient_error
@@ -190,3 +190,18 @@ def test_distill_deterministic(small_distill):
         assert np.array_equal(a.tensor.values, b.tensor.values)
     for a, b in zip(result.student_vgae.params(), again.student_vgae.params()):
         assert np.array_equal(a.tensor.values, b.tensor.values)
+
+
+def test_distill_teacher_metrics_equal_run_two_stage(small_distill, mixed_graphs):
+    # the teachers are the models run_two_stage trained; both runs score the same test stream
+    _, _, _, test_graphs, opts = small_distill
+    run = run_two_stage(
+        mixed_graphs, test_graphs, VgaeConfig.student(), GatConfig.student(), seed=5, options=opts
+    )
+    kd = distill_pipeline(
+        mixed_graphs, run.vgae_model, run.gat_model,
+        VgaeConfig.student(), GatConfig.student(),
+        KdConfig(), seed=5, options=opts, test_graphs=test_graphs,
+    )
+    assert kd.report["metrics"]["teacher"] == run.report["metrics"]
+    assert kd.report["undersampling"] == run.report["undersampling"]

@@ -7,6 +7,7 @@ from canids.errors import ConfigError, DimensionError, StateError
 from canids.gat import (
     GatClassifier,
     GatConfig,
+    GraphBatch,
     count_params,
     gat_layer,
     init_gat_layer,
@@ -15,6 +16,7 @@ from canids.gat import (
     train_supervised,
 )
 from canids.graphs import WindowGraph, build_windows
+from canids.metrics import Metrics
 from canids.optim import seeded_rng
 from canids.tensor import Tensor
 from helpers import model_gradient_error, random_frames
@@ -181,6 +183,22 @@ def test_train_fits_separable_data(mixed_graphs):
     # loss roughly non-increasing: plateaus allowed, no sustained growth
     assert log.epoch_losses[-1] < log.epoch_losses[0]
     assert min(log.epoch_losses) <= log.epoch_losses[0]
+
+
+def test_val_f1_is_metrics_f1(mixed_graphs):
+    graphs, val = mixed_graphs[:50], mixed_graphs[50:110]
+    truths = [g.label for g in val]
+    assert 0 < sum(truths) < len(val)
+    model, log = train_supervised(
+        graphs, [g.label for g in graphs], GatConfig.student(), seed=6, epochs=6,
+        val_graphs=val, val_labels=truths, patience=6,
+    )
+    # the best epoch's parameters are restored, so the model reproduces that epoch's F1
+    with T.no_grad():
+        probs, _, _ = model.forward(GraphBatch.concat(prepare_graph(g) for g in val))
+    preds = [1 if p >= 0.5 else 0 for p in probs.values]
+    assert log.val_f1[log.best_epoch] == Metrics.from_pairs(truths, preds).f1
+    assert log.val_f1[log.best_epoch] == max(log.val_f1)
 
 
 def test_train_same_seed_identical(mixed_graphs):

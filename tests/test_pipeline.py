@@ -238,3 +238,30 @@ def test_score_windows_prepares_each_window_once(mixed_graphs, monkeypatch):
     graphs = mixed_graphs[:12]
     pipeline.score_windows(vgae_model, gat_model, calibration, graphs, 3, QUICK)
     assert calls == [g.window_start_index for g in graphs]
+
+
+def test_report_cli_matches_run_two_stage(mixed_graphs, tmp_path, capsys):
+    import json
+
+    from canids.cli import main
+    from canids.graphs import save_graph_cache
+
+    train = mixed_graphs[: int(len(mixed_graphs) * 0.75)]
+    test = mixed_graphs[int(len(mixed_graphs) * 0.75) :]
+    result = run_two_stage(train, test, VgaeConfig.student(), GatConfig.student(), seed=3, options=QUICK)
+    save_graph_cache(train, tmp_path / "train.cache")
+    save_graph_cache(test, tmp_path / "test.cache")
+    result.vgae_model.save(tmp_path / "vgae.ckpt")
+    result.gat_model.save(tmp_path / "gat.ckpt")
+    code = main([
+        "report", "--train-graphs", str(tmp_path / "train.cache"), "--test-graphs", str(tmp_path / "test.cache"),
+        "--vgae", str(tmp_path / "vgae.ckpt"), "--gat", str(tmp_path / "gat.ckpt"),
+        "--seed", "3", "--out-dir", str(tmp_path / "run"),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["metrics"] == result.report["metrics"]
+    assert report["undersampling"] == result.report["undersampling"]
+    assert report["calibration"] == {"q_mid": result.calibration.q_mid, "q_high": result.calibration.q_high}
+    assert read_scores_csv(tmp_path / "run" / "scores.csv") == result.scored
