@@ -83,7 +83,7 @@ class GraphBatch:
     x: Tensor  # (num_nodes, IN_DIM)
     src: np.ndarray
     dst: np.ndarray
-    log_w: Tensor  # (len(src), 1), added to attention logits
+    log_w: np.ndarray  # (len(src), 1), added to attention logits
     edge_src: np.ndarray
     edge_dst: np.ndarray
     id_buckets: np.ndarray  # can_id modulo bucket count, for the VGAE decoder
@@ -133,7 +133,7 @@ class GraphBatch:
             x=Tensor(np.concatenate([b.x.values for b in batches])),
             src=joined("src", offsets),
             dst=joined("dst", offsets),
-            log_w=Tensor(np.concatenate([b.log_w.values for b in batches])),
+            log_w=joined("log_w"),
             edge_src=joined("edge_src", offsets),
             edge_dst=joined("edge_dst", offsets),
             id_buckets=joined("id_buckets"),
@@ -162,7 +162,7 @@ def prepare_graph(graph: WindowGraph, id_bucket_count: int = 256) -> GraphBatch:
         x=Tensor(graph.node_features),
         src=src,
         dst=dst,
-        log_w=Tensor(np.log(w)[:, None]),
+        log_w=np.log(w)[:, None],
         edge_src=graph.edge_src,
         edge_dst=graph.edge_dst,
         id_buckets=np.asarray(graph.node_ids, dtype=np.int64) % id_bucket_count,
@@ -209,26 +209,12 @@ def gat_layer(
 ) -> Tensor:
     """One attention convolution: ELU(aggregate(alpha * Wh))."""
     n = prep.num_nodes
-    e = len(prep.src)
     wh = (h @ params.weight.tensor).reshape((n, heads, d_head))
-    wh_src = T.gather_rows(wh, prep.src)
-    wh_dst = T.gather_rows(wh, prep.dst)
-    logits = (wh_src * params.att_src.tensor).sum(axis=2) + (
-        wh_dst * params.att_dst.tensor
-    ).sum(axis=2)
-    logits = T.leaky_relu(logits, slope) + prep.log_w  # (e, heads)
-
-    # per-(destination, head) max, detached, for a stable softmax
-    peak = np.full((n, heads), -np.inf)
-    np.maximum.at(peak, prep.dst, logits.values)
-    exp_l = T.exp(logits - peak[prep.dst])
-    denom = T.scatter_add_rows(exp_l, prep.dst, n)
-    alpha = exp_l / T.gather_rows(denom, prep.dst)
+    out, alpha = T.graph_attention(
+        wh, params.att_src.tensor, params.att_dst.tensor, prep.log_w, prep.src, prep.dst, slope
+    )  # (n, heads, d_head)
     if collect_attention is not None:
-        collect_attention.append((alpha.values.copy(), prep.dst.copy(), n))
-
-    msg = wh_src * alpha.reshape((e, heads, 1))
-    out = T.scatter_add_rows(msg, prep.dst, n)  # (n, heads, d_head)
+        collect_attention.append((alpha.copy(), prep.dst.copy(), n))
     if agg == "concat":
         out = out.reshape((n, heads * d_head))
     else:

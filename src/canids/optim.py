@@ -91,12 +91,26 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.tensor.grad
             if g is None:
                 continue
-            self._m[i] = b1 * self._m[i] + (1.0 - b1) * g
-            self._v[i] = b2 * self._v[i] + (1.0 - b2) * (g * g)
-            m_hat = self._m[i] / (1.0 - b1**t)
-            v_hat = self._v[i] / (1.0 - b2**t)
-            p.tensor.values = p.tensor.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # the textbook m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+            # values - lr*m_hat / (sqrt(v_hat) + eps), operation for operation,
+            # in place on the moments and on two fresh buffers
+            step = (1.0 - b1) * g
+            m *= b1
+            m += step
+            denom = g * g
+            denom *= 1.0 - b2
+            v *= b2
+            v += denom
+            np.divide(m, c1, out=step)
+            step *= self.lr
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            # a fresh array each step: param_values() hands out the live arrays
+            p.tensor.values = np.subtract(p.tensor.values, step, out=step)

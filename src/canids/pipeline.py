@@ -105,8 +105,8 @@ def calibrate_vgae(scores, q_lo: float = 0.50, q_hi: float = 0.995) -> VgaeCalib
 
 def fuse(vgae_prob: float, gat_prob: float, w_anomaly: float = 0.15, w_gat: float = 0.85) -> float:
     """Convex score-level fusion of the calibrated anomaly and classifier probabilities."""
-    if abs(w_anomaly + w_gat - 1.0) > 1e-9:
-        raise ConfigError(f"fusion weights must sum to 1, got {w_anomaly} + {w_gat}")
+    if min(w_anomaly, w_gat) < 0.0 or abs(w_anomaly + w_gat - 1.0) > 1e-9:
+        raise ConfigError(f"fusion weights must be non-negative and sum to 1, got {w_anomaly} + {w_gat}")
     if not (0.0 <= vgae_prob <= 1.0 and 0.0 <= gat_prob <= 1.0):
         raise ConfigError("fusion inputs must be probabilities in [0, 1]")
     return w_anomaly * vgae_prob + w_gat * gat_prob
@@ -146,6 +146,9 @@ class PipelineOptions:
     gat_batch: int = 64
     gat_lr: float = 1e-2  # smaller rates stall at the class base rate on these tiny models
     patience: int = 10
+
+    def __post_init__(self):
+        fuse(0.0, 0.0, *self.fusion_weights)  # bad weights fail before any training
 
 
 def chronological_split(graphs, val_frac: float):
@@ -376,6 +379,11 @@ def write_scores_csv(scored: list[ScoredWindow], path):
 
 
 def read_scores_csv(path) -> list[ScoredWindow]:
+    """The rows of a scores file; ParseError naming the line of a malformed row.
+
+    Every field must be numeric, the three probabilities finite and in
+    [0, 1], and ``truth`` and ``predicted`` 0 or 1.
+    """
     out = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -385,15 +393,15 @@ def read_scores_csv(path) -> list[ScoredWindow]:
             parts = line.strip().split(",")
             if len(parts) != 7:
                 raise ParseError("bad scores row", line=lineno)
-            out.append(
-                ScoredWindow(
-                    window_start_index=int(parts[0]),
-                    truth=int(parts[1]),
-                    vgae_score=float(parts[2]),
-                    vgae_prob=float(parts[3]),
-                    gat_prob=float(parts[4]),
-                    fused_prob=float(parts[5]),
-                    predicted=int(parts[6]),
-                )
-            )
+            try:
+                start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
+                vgae_score, vgae_prob, gat_prob, fused_prob = map(float, parts[2:6])
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric field in scores row {line.strip()!r}", line=lineno) from None
+            if truth not in (0, 1) or predicted not in (0, 1):
+                raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {truth} and {predicted}", line=lineno)
+            # NaN fails both comparisons
+            if not all(0.0 <= p <= 1.0 for p in (vgae_prob, gat_prob, fused_prob)):
+                raise ParseError(f"{path}: probabilities must be finite and in [0, 1] in row {line.strip()!r}", line=lineno)
+            out.append(ScoredWindow(start, vgae_score, vgae_prob, gat_prob, fused_prob, predicted, truth))
     return out

@@ -465,6 +465,57 @@ def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
     return _make(out_v, (a,), backward)
 
 
+def graph_attention(wh, att_src, att_dst, log_w, src, dst, slope: float):
+    """Multi-head graph attention over edges src[k] -> dst[k], as one tape op.
+
+    ``wh`` is (n, heads, d) and ``att_src``/``att_dst`` are (heads, d). Edge
+    k's logit per head is leaky_relu(att_src·wh[src[k]] + att_dst·wh[dst[k]])
+    + log_w[k], with ``log_w`` a constant (E, 1) bias; the scores a·wh are
+    taken once per node and gathered per edge. Logits are softmax-normalized
+    over each node's in-edges into alpha, and out[i] is the alpha-weighted
+    sum of wh[src] over the in-edges of i (zero for a node without one).
+    Returns (out (n, heads, d), alpha (E, heads) array); the backward is the
+    closed-form gradient for wh, att_src and att_dst.
+    """
+    wh, att_src, att_dst = as_tensor(wh), as_tensor(att_src), as_tensor(att_dst)
+    x = wh.values
+    if x.ndim != 3 or att_src.shape != x.shape[1:] or att_dst.shape != x.shape[1:]:
+        raise DimensionError(
+            f"graph_attention: expected (n, heads, d) features and (heads, d) attention vectors, "
+            f"got {x.shape}, {att_src.shape}, {att_dst.shape}"
+        )
+    n, heads = x.shape[:2]
+    pre = (x * att_src.values).sum(axis=2)[src] + (x * att_dst.values).sum(axis=2)[dst]
+    positive = pre > 0
+    logits = np.where(positive, pre, slope * pre) + log_w
+    # per-(destination, head) max, constant, for a stable softmax
+    peak = np.full((n, heads), -np.inf)
+    np.maximum.at(peak, dst, logits)
+    exp_l = np.exp(logits - peak[dst])
+    alpha = exp_l / _segment_sum(exp_l, dst, n)[dst]
+    msg = x[src]
+    msg *= alpha[:, :, None]
+    out_v = _segment_sum(msg, dst, n)
+
+    def backward(g):
+        g_dst = g[dst]
+        g_alpha = np.einsum("ehd,ehd->eh", g_dst, x[src])
+        # softmax over each destination's in-edges, then the leaky slope
+        weighted = alpha * g_alpha
+        g_pre = weighted - alpha * _segment_sum(weighted, dst, n)[dst]
+        g_pre[~positive] *= slope
+        g_s_src = _segment_sum(g_pre, src, n)
+        g_s_dst = _segment_sum(g_pre, dst, n)
+        g_x = _segment_sum(g_dst * alpha[:, :, None], src, n)
+        g_x += g_s_src[:, :, None] * att_src.values
+        g_x += g_s_dst[:, :, None] * att_dst.values
+        _accumulate(wh, g_x)
+        _accumulate(att_src, np.einsum("nh,nhd->hd", g_s_src, x))
+        _accumulate(att_dst, np.einsum("nh,nhd->hd", g_s_dst, x))
+
+    return _make(out_v, (wh, att_src, att_dst), backward), alpha
+
+
 def take_per_row(a, cols) -> Tensor:
     """out[i] = a[i, cols[i]] for a 2-d tensor."""
     a = as_tensor(a)

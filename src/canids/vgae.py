@@ -344,11 +344,12 @@ def sample_non_edges(n: int, edge_src, edge_dst, count: int, rng) -> tuple[np.nd
     """Up to ``count`` uniform (i, j) pairs absent from the edge set."""
     if count <= 0 or n * n <= len(edge_src):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    edge_keys = np.asarray(edge_src, dtype=np.int64) * n + np.asarray(edge_dst, dtype=np.int64)
+    present = np.zeros(n * n, dtype=bool)
+    present[np.asarray(edge_src, dtype=np.int64) * n + np.asarray(edge_dst, dtype=np.int64)] = True
     out_s, out_d, got = [], [], 0
     for _ in range(20):
         cand = rng.integers(0, n, size=(2, max(2 * count, 8)))
-        keep = ~np.isin(cand[0] * n + cand[1], edge_keys)
+        keep = ~present[cand[0] * n + cand[1]]
         s, d = cand[0][keep], cand[1][keep]
         take = min(count - got, len(s))
         out_s.append(s[:take])

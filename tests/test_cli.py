@@ -9,7 +9,7 @@ import pytest
 from canids.cli import _output_lock, main
 from canids.errors import StateError
 from canids.graphs import load_graph_cache
-from canids.pipeline import ScoredWindow, write_scores_csv
+from canids.pipeline import SCORES_HEADER, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
 
 SYNTH_CFG = {
@@ -123,6 +123,45 @@ def test_evaluate_matches_hand_computed(tmp_path, capsys):
     ref = confusion_oracle(truths, [1 if f >= 0.5 else 0 for f in fused])
     for key in ("accuracy", "precision", "recall", "f1"):
         assert got[key] == ref[key]
+
+
+GOOD_SCORES_ROW = "300,1,0.5,0.25,0.75,0.675,1"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "300,x,0.5,0.25,0.75,0.675,1",
+        "300,1,0.5,0.25,high,0.675,1",
+        "3e2,1,0.5,0.25,0.75,0.675,1",
+        "300,1,0.5,nan,0.75,0.675,1",
+        "300,1,0.5,0.25,inf,0.675,1",
+        "300,1,0.5,0.25,0.75,1.5,1",
+        "300,1,0.5,-0.25,0.75,0.675,1",
+        "300,7,0.5,0.25,0.75,0.675,1",
+        "300,1,0.5,0.25,0.75,0.675,2",
+    ],
+    ids=[
+        "truth-non-numeric", "prob-non-numeric", "start-non-integer", "prob-nan", "prob-inf",
+        "prob-above-one", "prob-negative", "truth-7", "predicted-2",
+    ],
+)
+def test_bad_scores_row_is_parse_error(tmp_path, capsys, row):
+    p = tmp_path / "scores.csv"
+    p.write_text(f"{SCORES_HEADER}\n{GOOD_SCORES_ROW}\n{row}\n{GOOD_SCORES_ROW}\n")
+    code, out, err = run_cli(capsys, "evaluate", "--scores", p)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("canids-error category=parse") and "line 3:" in lines[0]
+
+
+def test_good_scores_rows_evaluate(tmp_path, capsys):
+    p = tmp_path / "scores.csv"
+    p.write_text(f"{SCORES_HEADER}\n{GOOD_SCORES_ROW}\n300,0,-2.5,0.0,1.0,0.85,1\n")
+    code, out, _ = run_cli(capsys, "evaluate", "--scores", p)
+    assert code == 0
+    assert json.loads(out)["fused"]["precision"] == 0.5
 
 
 def test_lock_file_blocks_concurrent_writer(tmp_path, synth_cfg, capsys):
@@ -346,6 +385,17 @@ def test_bad_edge_weight_is_parse_error(small_run, tmp_path, capsys, weight):
     assert code == 1
     assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
     assert "Traceback" not in err
+
+
+def test_negative_fusion_weight_is_config_error(small_run, tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "report", "--train-graphs", small_run / "train.cache", "--test-graphs", small_run / "test.cache",
+        "--vgae", small_run / "vgae.ckpt", "--gat", small_run / "gat.ckpt", "--seed", 7,
+        "--fusion-weights=-0.5,1.5", "--out-dir", tmp_path / "run",
+    )
+    assert code == 2
+    assert err.startswith("canids-error category=config") and "non-negative" in err
+    assert not (tmp_path / "run" / "scores.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -6,7 +6,7 @@ import pytest
 from canids.errors import DimensionError
 from canids.gradcheck import relative_gradient_error
 from canids.losses import bce, cross_entropy, kl_categorical, kl_gaussian_standard, mse
-from canids.optim import Adam, Param, derive_seed, glorot_uniform, seeded_rng
+from canids.optim import Adam, Param, clip_grad_norm, derive_seed, glorot_uniform, seeded_rng
 from canids.tensor import Tensor
 
 RNG = np.random.Generator(np.random.PCG64(77))
@@ -117,6 +117,42 @@ def test_adam_deterministic_trajectories():
         return p.tensor.values.copy()
 
     assert np.array_equal(run(), run())
+
+
+def reference_adam(values, grads, lr=0.05, b1=0.9, b2=0.999, eps=1e-8):
+    """The textbook update with fresh arrays at every step."""
+    m, v = np.zeros_like(values), np.zeros_like(values)
+    for t, g in enumerate(grads, start=1):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        values = values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return values
+
+
+@pytest.mark.parametrize("clip", [None, 0.5])
+def test_adam_in_place_moments_equal_reference_bitwise(clip):
+    rng = seeded_rng(21)
+    shapes = [(3, 4), (5,), (2, 3, 2)]
+    params = [Param(f"p{i}", Tensor(rng.standard_normal(s), requires_grad=True)) for i, s in enumerate(shapes)]
+    start = [p.tensor.values.copy() for p in params]
+    handed_out = [p.tensor.values for p in params]
+    opt = Adam(params, lr=0.05)
+    applied = [[] for _ in params]
+    for _ in range(5):
+        for p in params:
+            p.tensor.grad = rng.standard_normal(p.tensor.values.shape) * 3.0
+        if clip is not None:
+            clip_grad_norm(params, clip)
+        for seen, p in zip(applied, params):
+            seen.append(p.tensor.grad.copy())
+        opt.step()
+    for p, s, grads in zip(params, start, applied):
+        assert p.tensor.values.tobytes() == reference_adam(s, grads).tobytes()
+    # values are rebound, never updated in place
+    for a, s in zip(handed_out, start):
+        assert a.tobytes() == s.tobytes()
 
 
 def test_seeded_rng_repeatable():

@@ -94,6 +94,12 @@ def test_fuse_validation():
         fuse(1.5, 0.0)
 
 
+def test_fuse_rejects_negative_weight():
+    # weights summing to 1 with one negative would push the fused score out of [0, 1]
+    with pytest.raises(ConfigError, match="non-negative"):
+        fuse(0.7, 0.1, -0.5, 1.5)
+
+
 @given(st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=50, deadline=None)
 def test_fuse_stays_in_unit_interval(a, b):

@@ -66,6 +66,28 @@ def test_clamp_zero_gradient_outside():
     assert list(x.grad) == [0.0, 1.0, 0.0]
 
 
+# four nodes, each with an in-edge; node 1 and node 3 keep a self-loop
+ATT_SRC = np.array([0, 1, 2, 3, 3, 0, 2])
+ATT_DST = np.array([1, 1, 0, 2, 3, 3, 1])
+ATT_LOG_W = np.log([1.0, 2.0, 1.0, 3.0, 1.0, 1.0, 2.0])[:, None]
+
+
+def attention_inputs():
+    """(wh, att_src, att_dst) whose logits take both leaky branches at node 1, per head.
+
+    If every node's in-edges were on one branch, softmax shift invariance
+    would make the att_dst gradient exactly zero and leave finite
+    differences nothing but rounding noise. Logits within 1e-3 of the kink
+    are redrawn too.
+    """
+    while True:
+        wh, att_src, att_dst = rand(4, 2, 3), rand(2, 3), rand(2, 3)
+        pre = (wh * att_src).sum(axis=2)[ATT_SRC] + (wh * att_dst).sum(axis=2)[ATT_DST]
+        node1 = pre[ATT_DST == 1]
+        if (node1 > 0).any(axis=0).all() and (node1 < 0).any(axis=0).all() and np.abs(pre).min() > 1e-3:
+            return [wh, att_src, att_dst]
+
+
 # every differentiable op, checked against central finite differences on
 # 20 random instances each (acceptance criterion, rel error < 1e-4)
 OP_CASES = {
@@ -105,6 +127,10 @@ OP_CASES = {
         lambda a: (T.take_per_row(a, np.array([1, 0, 3])) ** 2).sum(),
         lambda: [rand(3, 4)],
     ),
+    "graph_attention": (
+        lambda wh, a_s, a_d: (T.graph_attention(wh, a_s, a_d, ATT_LOG_W, ATT_SRC, ATT_DST, 0.2)[0] ** 2).sum(),
+        attention_inputs,
+    ),
 }
 
 
@@ -113,6 +139,13 @@ def test_op_gradients_match_finite_differences(name):
     build, make = OP_CASES[name]
     for _ in range(20):
         assert relative_gradient_error(build, make()) < 1e-4
+
+
+def test_graph_attention_shape_error_names_op():
+    with pytest.raises(DimensionError, match="graph_attention"):
+        T.graph_attention(Tensor(rand(4, 6)), Tensor(rand(2, 3)), Tensor(rand(2, 3)), ATT_LOG_W, ATT_SRC, ATT_DST, 0.2)
+    with pytest.raises(DimensionError, match="graph_attention"):
+        T.graph_attention(Tensor(rand(4, 2, 3)), Tensor(rand(3, 2)), Tensor(rand(2, 3)), ATT_LOG_W, ATT_SRC, ATT_DST, 0.2)
 
 
 def test_backward_grad_finite_where_values_finite():

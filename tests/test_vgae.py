@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids.errors import ConfigError, StateError
 from canids.gat import prepare_graph
@@ -216,6 +218,50 @@ def test_sample_non_edges_avoids_edges():
     # complete graph: nothing to sample
     s, d = sample_non_edges(1, np.array([0]), np.array([0]), 5, rng)
     assert len(s) == 0
+
+
+def isin_sample_non_edges(n, edge_src, edge_dst, count, rng):
+    """The sampler's rejection loop with np.isin on every attempt."""
+    if count <= 0 or n * n <= len(edge_src):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    edge_keys = np.asarray(edge_src, dtype=np.int64) * n + np.asarray(edge_dst, dtype=np.int64)
+    out_s, out_d, got = [], [], 0
+    for _ in range(20):
+        cand = rng.integers(0, n, size=(2, max(2 * count, 8)))
+        keep = ~np.isin(cand[0] * n + cand[1], edge_keys)
+        s, d = cand[0][keep], cand[1][keep]
+        take = min(count - got, len(s))
+        out_s.append(s[:take])
+        out_d.append(d[:take])
+        got += take
+        if got >= count:
+            break
+    return np.concatenate(out_s), np.concatenate(out_d)
+
+
+@st.composite
+def edge_sets(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    # a full graph, with or without repeated edges, or any subset
+    chosen = draw(st.one_of(
+        st.just(pairs),
+        st.lists(st.sampled_from(pairs), min_size=len(pairs), max_size=len(pairs) + 3).map(lambda e: pairs + e),
+        st.lists(st.sampled_from(pairs), max_size=3 * len(pairs)),
+    ))
+    src = np.array([i for i, _ in chosen], dtype=np.int64)
+    dst = np.array([j for _, j in chosen], dtype=np.int64)
+    return n, src, dst, draw(st.integers(0, 12)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sets())
+def test_sample_non_edges_equals_isin_reference(case):
+    n, src, dst, count, seed = case
+    got = sample_non_edges(n, src, dst, count, seeded_rng(seed))
+    expected = isin_sample_non_edges(n, src, dst, count, seeded_rng(seed))
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_round_trip(tmp_path, benign_graphs):
