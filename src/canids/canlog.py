@@ -12,8 +12,7 @@ bit-exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigError, ParseError
 
@@ -25,9 +24,12 @@ class Label(enum.IntEnum):
     ATTACK = 1
 
 
-@dataclass(frozen=True)
-class CanFrame:
-    """One parsed CAN message with its ground-truth label."""
+class CanFrame(NamedTuple):
+    """One parsed CAN message with its ground-truth label.
+
+    A named tuple (cheaper to build than a frozen dataclass), so a frame
+    also compares equal to the plain tuple of its fields.
+    """
 
     timestamp: float
     can_id: int
@@ -49,6 +51,9 @@ class CanFrame:
         return self
 
 
+_FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
+
+
 def _parse_hex(field, what, lineno):
     try:
         return int(field, 16)
@@ -56,11 +61,41 @@ def _parse_hex(field, what, lineno):
         raise ParseError(f"non-hex {what} {field!r}", line=lineno) from None
 
 
+def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
+    """Payload bytes of one row, each field a hex number in [0, 0xff].
+
+    A row whose fields are all exactly two hex digits decodes in one
+    ``bytes.fromhex`` call. Those are the rows whose space-joined text has
+    3n-1 characters, none of whose fields is empty (``["abcd", ""]``
+    joins to two valid bytes) and whose text ``fromhex`` turns into n
+    bytes (it skips blanks, so ``["  ", "ab"]`` gives one). Any other row
+    takes the per-field path, which accepts what ``int(field, 16)``
+    accepts and names the line on error.
+    """
+    n = len(fields)
+    text = " ".join(fields)
+    if len(text) == 3 * n - 1 and "" not in fields:
+        try:
+            payload = bytes.fromhex(text)
+        except ValueError:
+            pass
+        else:
+            if len(payload) == n:
+                return tuple(payload)
+    payload = tuple(_parse_hex(b, "payload byte", lineno) for b in fields)
+    if any(b > 255 for b in payload):
+        raise ParseError("payload byte exceeds 0xff", line=lineno)
+    if any(b < 0 for b in payload):
+        raise ParseError("negative payload byte", line=lineno)
+    return payload
+
+
 def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
     """Stream frames from a Car-Hacking layout CSV.
 
     Raises ParseError (carrying the 1-based line number) on malformed rows,
-    on extended (>11-bit) identifiers, and on timestamp regressions.
+    on negative or extended (>11-bit) identifiers, on payload bytes
+    outside [0, 0xff], and on timestamp regressions.
     """
     last_ts = None
     with open(path, "r", encoding="ascii") as fh:
@@ -81,6 +116,8 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
                     f"CAN ID 0x{can_id:x} exceeds 11 bits (extended IDs unsupported)",
                     line=lineno,
                 )
+            if can_id < 0:
+                raise ParseError(f"negative CAN ID {fields[1]!r}", line=lineno)
             try:
                 dlc = int(fields[2])
             except ValueError:
@@ -92,15 +129,10 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
                     f"expected {4 + dlc} fields for DLC {dlc}, got {len(fields)}",
                     line=lineno,
                 )
-            payload = tuple(_parse_hex(b, "payload byte", lineno) for b in fields[3 : 3 + dlc])
-            if any(b > 255 for b in payload):
-                raise ParseError("payload byte exceeds 0xff", line=lineno)
+            payload = _decode_payload(fields[3 : 3 + dlc], lineno)
             flag = fields[3 + dlc]
-            if flag == "R":
-                label = Label.BENIGN
-            elif flag == "T":
-                label = Label.ATTACK
-            else:
+            label = _FLAG_LABELS.get(flag)
+            if label is None:
                 raise ParseError(f"unknown flag {flag!r} (expected R or T)", line=lineno)
             if last_ts is not None and ts < last_ts:
                 raise ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)
@@ -163,11 +195,7 @@ def parse_generic_labeled_csv(
                     f"line {lineno}: payload columns {data_i}..{data_i + dlc - 1} "
                     f"exceed row width {len(fields)}"
                 )
-            payload = tuple(
-                _parse_hex(b, "payload byte", lineno) for b in fields[data_i : data_i + dlc]
-            )
-            if any(b > 255 for b in payload):
-                raise ParseError("payload byte exceeds 0xff", line=lineno)
+            payload = _decode_payload(fields[data_i : data_i + dlc], lineno)
             label = Label.ATTACK if fields[label_i] in attack_markers else Label.BENIGN
             if last_ts is not None and ts < last_ts:
                 raise ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)

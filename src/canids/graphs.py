@@ -63,33 +63,41 @@ def build_windows(
     if not 1 <= stride <= window_size:
         raise ConfigError(f"stride must be in [1, {window_size}], got {stride}")
 
-    buf: list[CanFrame] = []
+    # one record per frame, made as it enters the buffer: at stride 1 each
+    # frame sits in W windows, and its record is all a window reads of it
+    buf: list[tuple[int, int, int, bool]] = []
     start = 0
-    for frame in frames:
-        buf.append(frame)
+    attack = Label.ATTACK
+    for _, can_id, dlc, payload, label in frames:
+        buf.append((can_id, sum(payload), dlc, label == attack))
         if len(buf) == window_size:
             yield _window_to_graph(buf, start, directed)
             del buf[:stride]
             start += stride
 
 
-def _window_to_graph(window: Sequence[CanFrame], start: int, directed: bool) -> WindowGraph:
+def _window_to_graph(
+    window: Sequence[tuple[int, int, int, bool]], start: int, directed: bool
+) -> WindowGraph:
+    """One graph from the (can_id, payload sum, dlc, is attack) records of a window."""
     w = len(window)
     index: dict[int, int] = {}
     counts: list[int] = []
     payload_sum: list[int] = []
     payload_n: list[int] = []
-    for f in window:
-        j = index.get(f.can_id)
+    seq: list[int] = []  # node index of each frame
+    for can_id, psum, dlc, _ in window:
+        j = index.get(can_id)
         if j is None:
             j = len(index)
-            index[f.can_id] = j
+            index[can_id] = j
             counts.append(0)
             payload_sum.append(0)
             payload_n.append(0)
         counts[j] += 1
-        payload_sum[j] += sum(f.payload)
-        payload_n[j] += f.dlc
+        payload_sum[j] += psum
+        payload_n[j] += dlc
+        seq.append(j)
 
     node_ids = list(index.keys())
     n = len(node_ids)
@@ -101,8 +109,7 @@ def _window_to_graph(window: Sequence[CanFrame], start: int, directed: bool) -> 
         feats[j, 2] = mean_payload / 255.0
 
     edge_counts: dict[tuple[int, int], int] = {}
-    for a, b in zip(window[:-1], window[1:]):
-        key = (index[a.can_id], index[b.can_id])
+    for key in zip(seq[:-1], seq[1:]):
         if not directed and key[0] > key[1]:
             key = (key[1], key[0])
         edge_counts[key] = edge_counts.get(key, 0) + 1
@@ -111,7 +118,7 @@ def _window_to_graph(window: Sequence[CanFrame], start: int, directed: bool) -> 
     dst = np.fromiter((k[1] for k in edge_counts), dtype=np.int64, count=len(edge_counts))
     wts = np.fromiter(edge_counts.values(), dtype=np.float64, count=len(edge_counts))
 
-    label = int(any(f.label == Label.ATTACK for f in window))
+    label = int(any(rec[3] for rec in window))
     return WindowGraph(node_ids, feats, src, dst, wts, label, start)
 
 
@@ -147,12 +154,13 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CACHE_MAGIC + "\n")
         for g in graphs:
-            fh.write(f"graph {g.window_start_index} {g.label} {g.num_nodes} {g.num_edges}\n")
-            for j, cid in enumerate(g.node_ids):
-                f0, f1, f2 = (float(v) for v in g.node_features[j])
-                fh.write(f"node {cid} {f0!r} {f1!r} {f2!r}\n")
-            for s, d, w in zip(g.edge_src, g.edge_dst, g.edge_weight):
-                fh.write(f"edge {int(s)} {int(d)} {float(w)!r}\n")
+            # tolist() gives Python ints and floats: one conversion per array, one write per window
+            feats = g.node_features.tolist()
+            edges = zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist())
+            lines = [f"graph {g.window_start_index} {g.label} {g.num_nodes} {g.num_edges}\n"]
+            lines += [f"node {cid} {f0!r} {f1!r} {f2!r}\n" for cid, (f0, f1, f2) in zip(g.node_ids, feats)]
+            lines += [f"edge {s} {d} {w!r}\n" for s, d, w in edges]
+            fh.write("".join(lines))
             n += 1
     return n
 

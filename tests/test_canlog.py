@@ -1,5 +1,13 @@
+"""CSV parsing, the canonical writer, and the frame container.
+
+``per_field_parse_car_hacking_csv`` is the Car-Hacking parser as it was
+before payloads were decoded with one ``bytes.fromhex`` call per row: one
+``int(field, 16)`` per field. The parser must agree with it on every row,
+valid or not, except that negative values are now rejected.
+"""
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canids.canlog import (
@@ -51,12 +59,19 @@ def test_malformed_row_carries_line_number(tmp_path):
         "1.0,0316,1,aa,bb,R",  # payload longer than dlc
         "1.0,0316,1,aa,X",  # unknown flag
         "1.0,800,0,R",  # 0x800 = 2048 exceeds 11 bits
+        "1.0,-7ff,2,-1,aa,R",  # negative id (and byte)
+        "1.0,0316,2,-1,aa,R",  # negative payload byte
+        "1.0,0316,2,aa,1ff,R",  # payload byte exceeds 0xff
+        "1.0,0316,2,abcd,,R",  # right byte count once joined, wrong fields
+        "1.0,0316,2,  ,ab,R",  # a blank field, which bytes.fromhex would skip
+        "1.0,0316,2,ab cd,  ,R",  # a space inside a field, a blank one after it
     ],
 )
 def test_bad_rows_rejected(tmp_path, row):
     p = write_lines(tmp_path, [row])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         list(parse_car_hacking_csv(p))
+    assert err.value.line == 1
 
 
 def test_timestamp_regression_rejected(tmp_path):
@@ -76,6 +91,15 @@ def test_generic_parse_and_column_errors(tmp_path):
         list(parse_generic_labeled_csv(p, {**cmap, "label": 99}))
     with pytest.raises(ConfigError):
         list(parse_generic_labeled_csv(p, {"timestamp": 0, "id": 1}))
+
+
+@pytest.mark.parametrize("byte", ["-1", "1ff", "zz", ""])
+def test_generic_bad_payload_byte_rejected(tmp_path, byte):
+    p = write_lines(tmp_path, ["0.5,316,2,aa,bb,T", f"0.6,316,2,{byte},bb,T"])
+    cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 5}
+    with pytest.raises(ParseError) as err:
+        list(parse_generic_labeled_csv(p, cmap))
+    assert err.value.line == 2
 
 
 def test_generic_custom_markers_and_base(tmp_path):
@@ -136,3 +160,134 @@ def test_parser_outputs_satisfy_frame_invariants(tmp_path_factory, frames):
 def test_format_row_matches_layout():
     row = format_car_hacking_row(CanFrame(1.5, 0x316, 2, (0x0A, 0xFF), Label.ATTACK))
     assert row == "1.5,0316,2,0a,ff,T"
+
+
+def test_frame_is_an_immutable_hashable_record():
+    frame = CanFrame(0.5, 0x316, 2, (1, 2))
+    assert frame._fields == ("timestamp", "can_id", "dlc", "payload", "label")
+    assert frame.label is Label.BENIGN
+    assert frame == CanFrame(0.5, 0x316, 2, (1, 2), Label.BENIGN)
+    assert frame != CanFrame(0.5, 0x316, 2, (1, 3))
+    assert frame == (0.5, 0x316, 2, (1, 2), Label.BENIGN)  # a named tuple
+    assert len({frame, CanFrame(0.5, 0x316, 2, (1, 2))}) == 1
+    with pytest.raises(AttributeError):
+        frame.can_id = 1
+    with pytest.raises(AttributeError):
+        frame.extra = 1
+    assert frame.validate() is frame
+    with pytest.raises(ParseError):
+        CanFrame(0.5, -1, 0, ()).validate()
+    with pytest.raises(ParseError):
+        CanFrame(0.5, 1, 1, (-1,)).validate()
+
+
+def per_field_parse_car_hacking_csv(path):
+    """Reference parser: one ``int(field, 16)`` per payload field.
+
+    Yields (line number, field tuple) pairs; it accepts negative values,
+    which the parser under test rejects.
+    """
+    last_ts = None
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            fields = raw.split(",")
+            if len(fields) < 4:
+                raise ParseError(f"expected at least 4 fields, got {len(fields)}", line=lineno)
+            try:
+                ts = float(fields[0])
+            except ValueError:
+                raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno) from None
+
+            def hex_field(field, what):
+                try:
+                    return int(field, 16)
+                except ValueError:
+                    raise ParseError(f"non-hex {what} {field!r}", line=lineno) from None
+
+            can_id = hex_field(fields[1], "CAN ID")
+            if can_id > 2047:
+                raise ParseError(f"CAN ID 0x{can_id:x} exceeds 11 bits", line=lineno)
+            try:
+                dlc = int(fields[2])
+            except ValueError:
+                raise ParseError(f"bad DLC {fields[2]!r}", line=lineno) from None
+            if not 0 <= dlc <= 8:
+                raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
+            if len(fields) != 4 + dlc:
+                raise ParseError(f"expected {4 + dlc} fields, got {len(fields)}", line=lineno)
+            payload = tuple(hex_field(b, "payload byte") for b in fields[3 : 3 + dlc])
+            if any(b > 255 for b in payload):
+                raise ParseError("payload byte exceeds 0xff", line=lineno)
+            flag = fields[3 + dlc]
+            if flag == "R":
+                label = Label.BENIGN
+            elif flag == "T":
+                label = Label.ATTACK
+            else:
+                raise ParseError(f"unknown flag {flag!r}", line=lineno)
+            if last_ts is not None and ts < last_ts:
+                raise ParseError(f"timestamp {ts} decreases", line=lineno)
+            last_ts = ts
+            yield lineno, (ts, can_id, dlc, payload, label)
+
+
+def run_parser(rows):
+    """(items, line of the ParseError or None) for an iterator of rows."""
+    items = []
+    try:
+        for item in rows:
+            items.append(item)
+    except ParseError as exc:
+        return items, exc.line
+    return items, None
+
+
+MALFORMED_BYTES = [
+    "f", "abc", "0ff", "abcd", "", "0x1f", "+f", " f", "F ", "1_f", "zz", "-1", "-0", "-ff", "1ff",
+    " ", "  ", "a b", "ab cd",  # fromhex skips whitespace, int() only strips it
+]
+two_hex_digits = st.integers(0, 255).flatmap(lambda b: st.sampled_from([f"{b:02x}", f"{b:02X}"]))
+payload_fields = st.integers(0, 8).flatmap(
+    lambda dlc: st.lists(
+        st.one_of(two_hex_digits, two_hex_digits, two_hex_digits, st.sampled_from(MALFORMED_BYTES)),
+        min_size=dlc,
+        max_size=dlc,
+    )
+)
+payload_fields = st.one_of(payload_fields, st.just(["abcd", ""]), st.just(["", "abcd"]))
+csv_row = st.tuples(
+    st.floats(0.0, 10.0, allow_nan=False).map(repr),
+    st.one_of(
+        st.integers(0, 0x7FF).map(lambda i: f"{i:04x}"),
+        st.sampled_from(["-7ff", "-1", "800", "zz", "0x10", ""]),
+    ),
+    payload_fields,
+    st.integers(-1, 1),  # DLC offset from the payload's field count
+    st.sampled_from(["R", "R", "T", "X"]),
+).map(lambda r: ",".join([r[0], r[1], str(len(r[2]) + r[3]), *r[2], r[4]]))
+
+
+@given(st.lists(csv_row, min_size=1, max_size=6))
+@example(["1.0,0316,2,abcd,,R"])
+@example(["1.0,0316,2,  ,ab,R"])
+@example(["1.0,0316,2,ab cd,  ,R"])
+@example(["1.0,0316,2, ab,cd,R", "2.0,0316,2,-1,cd,R"])
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_per_field_reference(tmp_path_factory, rows):
+    p = tmp_path_factory.mktemp("rows") / "log.csv"
+    p.write_text("\n".join(rows) + "\n")
+    expected, expected_error = run_parser(per_field_parse_car_hacking_csv(p))
+    for k, (lineno, fields) in enumerate(expected):
+        if fields[1] < 0 or any(b < 0 for b in fields[3]):  # negative values now end the parse
+            expected, expected_error = expected[:k], lineno
+            break
+    frames, error = run_parser(parse_car_hacking_csv(p))
+    assert error == expected_error
+    assert len(frames) == len(expected)
+    for frame, (_, fields) in zip(frames, expected):
+        assert tuple(frame) == fields
+        assert type(frame.payload) is tuple and all(type(b) is int for b in frame.payload)
+        assert frame.label is fields[4]

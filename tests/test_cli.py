@@ -81,6 +81,19 @@ def test_malformed_log_is_runtime_error(tmp_path, capsys):
     assert "category=parse" in err
 
 
+@pytest.mark.parametrize("row", ["3.0,-7ff,2,aa,bb,R", "3.0,0316,2,-1,aa,R", "3.0,0316,2,aa,1ff,R"])
+def test_out_of_range_log_value_is_parse_error(tmp_path, capsys, row):
+    log = tmp_path / "log.csv"
+    log.write_text(f"1.0,0316,2,aa,bb,R\n2.0,0100,1,7f,T\n{row}\n4.0,0316,2,aa,bb,R\n")
+    out = tmp_path / "g.cache"
+    code, stdout, err = run_cli(capsys, "build-graphs", "--in", log, "--window", 2, "--out", out)
+    assert code == 1 and stdout == ""
+    errors = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(errors) == 1
+    assert errors[0].startswith("canids-error category=parse") and "line 3:" in errors[0]
+    assert not out.exists()
+
+
 def test_ingest_generic_normalizes(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("0.5,316,2,aa,bb,T\n0.6,100,2,7f,01,R\n")

@@ -3,7 +3,7 @@ import pytest
 
 from canids.canlog import CanFrame, Label
 from canids.errors import ConfigError, StateError
-from canids.graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
+from canids.graphs import WindowGraph, build_windows, feature_stats, load_graph_cache, save_graph_cache
 from helpers import brute_force_windows, random_frames
 
 
@@ -101,6 +101,27 @@ def test_oracle_equivalence_on_random_streams():
             assert abs(g.node_features[:, 1].sum() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_stride_one_windows_equal_windows_built_alone(directed):
+    """Nothing carries over from one overlapping window to the next."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    for trial in range(8):
+        alphabet = rng.choice(2048, size=int(rng.integers(1, 12)), replace=False)
+        frames = random_frames(rng, int(rng.integers(2, 160)), alphabet)
+        w = int(rng.integers(2, min(len(frames), 60) + 1))
+        windows = list(build_windows(iter(frames), w, 1, directed))
+        assert len(windows) == len(frames) - w + 1
+        for start, g in enumerate(windows):
+            [alone] = list(build_windows(frames[start : start + w], w, directed=directed))
+            assert g.window_start_index == start and alone.window_start_index == 0
+            assert g.node_ids == alone.node_ids
+            assert g.node_features.tobytes() == alone.node_features.tobytes()
+            for name in ("edge_src", "edge_dst", "edge_weight"):
+                a, b = getattr(g, name), getattr(alone, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert g.label == alone.label
+
+
 def test_determinism_and_first_appearance_order():
     frames = frames_from_ids([7, 3, 7, 9, 3, 7])
     [a] = list(build_windows(iter(frames), 6))
@@ -143,3 +164,33 @@ def test_cache_round_trip(tmp_path, mixed_graphs):
     q = tmp_path / "again.cache"
     save_graph_cache(loaded, q)
     assert p.read_bytes() == q.read_bytes()
+
+
+def test_cache_golden_bytes(tmp_path):
+    """The exact text of a cache: repr floats (17 digits where needed), ints, one record a line."""
+    graphs = [
+        WindowGraph(
+            [0x316, 5],
+            np.array([[0.1 + 0.2, 0.5, 1 / 3], [5 / 2047, 0.5, 0.0]]),
+            np.array([0, 1, 0]),
+            np.array([1, 0, 0]),
+            np.array([2.0, 1.0, 1.0]),
+            1,
+            0,
+        ),
+        WindowGraph([2047], np.array([[1.0, 1.0, 1e-300]]), np.array([0]), np.array([0]), np.array([3.0]), 0, 4),
+    ]
+    p = tmp_path / "golden.cache"
+    assert save_graph_cache(graphs, p) == 2
+    assert p.read_bytes() == (
+        b"canids-graph-cache v1\n"
+        b"graph 0 1 2 3\n"
+        b"node 790 0.30000000000000004 0.5 0.3333333333333333\n"
+        b"node 5 0.002442598925256473 0.5 0.0\n"
+        b"edge 0 1 2.0\n"
+        b"edge 1 0 1.0\n"
+        b"edge 0 0 1.0\n"
+        b"graph 4 0 1 1\n"
+        b"node 2047 1.0 1.0 1e-300\n"
+        b"edge 0 0 3.0\n"
+    )
