@@ -12,9 +12,12 @@ bit-exact.
 from __future__ import annotations
 
 import enum
+import math
+import re
+import sys
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, open_ascii
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -52,13 +55,39 @@ class CanFrame(NamedTuple):
 
 
 _FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
+# below every finite timestamp, so ``last_ts <= ts < inf`` also rejects nan and -inf on the first row
+_BEFORE_FIRST_TS = -sys.float_info.max
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _parse_hex(field, what, lineno):
-    try:
-        return int(field, 16)
-    except ValueError:
-        raise ParseError(f"non-hex {what} {field!r}", line=lineno) from None
+def _digits_of(base: int):
+    """Full-match test for a field of one or more digits of ``base``: no sign, prefix, ``_`` or blank."""
+    return re.compile(f"[{_DIGITS[:base]}]+", re.IGNORECASE).fullmatch
+
+
+_is_hex = _digits_of(16)
+
+
+def _parse_byte(field, lineno):
+    if not _is_hex(field):
+        raise ParseError(f"non-hex payload byte {field!r}", line=lineno)
+    return int(field, 16)
+
+
+def _parse_can_id(field, is_digits, base, lineno):
+    if not is_digits(field):
+        raise ParseError(f"bad CAN ID {field!r}", line=lineno)
+    can_id = int(field, base)
+    if can_id > MAX_STD_ID:
+        raise ParseError(f"CAN ID {field} exceeds 11 bits (extended IDs unsupported)", line=lineno)
+    return can_id
+
+
+def _timestamp_error(ts, last_ts, lineno):
+    """The ParseError for a row whose timestamp failed ``last_ts <= ts < inf``."""
+    if not math.isfinite(ts):
+        return ParseError(f"non-finite timestamp {ts}", line=lineno)
+    return ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)
 
 
 def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
@@ -69,8 +98,8 @@ def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
     3n-1 characters, none of whose fields is empty (``["abcd", ""]``
     joins to two valid bytes) and whose text ``fromhex`` turns into n
     bytes (it skips blanks, so ``["  ", "ab"]`` gives one). Any other row
-    takes the per-field path, which accepts what ``int(field, 16)``
-    accepts and names the line on error.
+    takes the per-field path, which accepts one or more hex digits per
+    field and names the line on error.
     """
     n = len(fields)
     text = " ".join(fields)
@@ -82,11 +111,9 @@ def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
         else:
             if len(payload) == n:
                 return tuple(payload)
-    payload = tuple(_parse_hex(b, "payload byte", lineno) for b in fields)
+    payload = tuple(_parse_byte(b, lineno) for b in fields)
     if any(b > 255 for b in payload):
         raise ParseError("payload byte exceeds 0xff", line=lineno)
-    if any(b < 0 for b in payload):
-        raise ParseError("negative payload byte", line=lineno)
     return payload
 
 
@@ -94,11 +121,13 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
     """Stream frames from a Car-Hacking layout CSV.
 
     Raises ParseError (carrying the 1-based line number) on malformed rows,
-    on negative or extended (>11-bit) identifiers, on payload bytes
-    outside [0, 0xff], and on timestamp regressions.
+    on an ID or payload field that is not all hex digits, on extended
+    (>11-bit) identifiers, on payload bytes above 0xff, on non-finite or
+    decreasing timestamps, and on a non-ASCII byte.
     """
-    last_ts = None
-    with open(path, "r", encoding="ascii") as fh:
+    last_ts, inf = _BEFORE_FIRST_TS, math.inf
+    ids: dict[str, int] = {}  # each distinct ID spelling is checked and converted once
+    with open_ascii(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -110,14 +139,9 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
                 ts = float(fields[0])
             except ValueError:
                 raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno) from None
-            can_id = _parse_hex(fields[1], "CAN ID", lineno)
-            if can_id > MAX_STD_ID:
-                raise ParseError(
-                    f"CAN ID 0x{can_id:x} exceeds 11 bits (extended IDs unsupported)",
-                    line=lineno,
-                )
-            if can_id < 0:
-                raise ParseError(f"negative CAN ID {fields[1]!r}", line=lineno)
+            can_id = ids.get(fields[1])
+            if can_id is None:
+                can_id = ids[fields[1]] = _parse_can_id(fields[1], _is_hex, 16, lineno)
             try:
                 dlc = int(fields[2])
             except ValueError:
@@ -134,8 +158,8 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
             label = _FLAG_LABELS.get(flag)
             if label is None:
                 raise ParseError(f"unknown flag {flag!r} (expected R or T)", line=lineno)
-            if last_ts is not None and ts < last_ts:
-                raise ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)
+            if not last_ts <= ts < inf:
+                raise _timestamp_error(ts, last_ts, lineno)
             last_ts = ts
             yield CanFrame(ts, can_id, dlc, payload, label)
 
@@ -153,16 +177,22 @@ def parse_generic_labeled_csv(
 
     ``column_map`` maps the names in REQUIRED_COLUMNS to 0-based column
     indices; ``data`` is the index of the first payload byte column. Any
-    label cell contained in ``attack_markers`` maps to ATTACK.
+    label cell contained in ``attack_markers`` maps to ATTACK. The ID
+    field holds digits of ``id_base`` only; rows are checked as by
+    parse_car_hacking_csv.
     """
     missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
     if missing:
         raise ConfigError(f"column_map missing entries for {missing}")
+    if not 2 <= id_base <= 36:
+        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
+    is_id = _digits_of(id_base)
     ts_i, id_i, dlc_i = (column_map[k] for k in ("timestamp", "id", "dlc"))
     data_i, label_i = column_map["data"], column_map["label"]
 
-    last_ts = None
-    with open(path, "r", encoding="ascii") as fh:
+    last_ts, inf = _BEFORE_FIRST_TS, math.inf
+    ids: dict[str, int] = {}
+    with open_ascii(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -178,12 +208,9 @@ def parse_generic_labeled_csv(
                 ts = float(fields[ts_i])
             except ValueError:
                 raise ParseError(f"bad timestamp {fields[ts_i]!r}", line=lineno) from None
-            try:
-                can_id = int(fields[id_i], id_base)
-            except ValueError:
-                raise ParseError(f"bad CAN ID {fields[id_i]!r}", line=lineno) from None
-            if can_id > MAX_STD_ID or can_id < 0:
-                raise ParseError(f"CAN ID {can_id} outside 11-bit range", line=lineno)
+            can_id = ids.get(fields[id_i])
+            if can_id is None:
+                can_id = ids[fields[id_i]] = _parse_can_id(fields[id_i], is_id, id_base, lineno)
             try:
                 dlc = int(fields[dlc_i])
             except ValueError:
@@ -197,17 +224,18 @@ def parse_generic_labeled_csv(
                 )
             payload = _decode_payload(fields[data_i : data_i + dlc], lineno)
             label = Label.ATTACK if fields[label_i] in attack_markers else Label.BENIGN
-            if last_ts is not None and ts < last_ts:
-                raise ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)
+            if not last_ts <= ts < inf:
+                raise _timestamp_error(ts, last_ts, lineno)
             last_ts = ts
             yield CanFrame(ts, can_id, dlc, payload, label)
 
 
 def format_car_hacking_row(frame: CanFrame) -> str:
-    parts = [repr(frame.timestamp), f"{frame.can_id:04x}", str(frame.dlc)]
-    parts.extend(f"{b:02x}" for b in frame.payload)
-    parts.append("T" if frame.label == Label.ATTACK else "R")
-    return ",".join(parts)
+    timestamp, can_id, dlc, payload, label = frame
+    flag = "T" if label == Label.ATTACK else "R"
+    if not payload:  # DLC 0: no empty payload field
+        return f"{timestamp!r},{can_id:04x},{dlc},{flag}"
+    return f"{timestamp!r},{can_id:04x},{dlc},{bytes(payload).hex(',')},{flag}"
 
 
 def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
@@ -215,7 +243,6 @@ def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
     n = 0
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for frame in frames:
-            fh.write(format_car_hacking_row(frame))
-            fh.write("\n")
+            fh.write(format_car_hacking_row(frame) + "\n")
             n += 1
     return n

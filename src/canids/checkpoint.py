@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, StateError
+from .errors import ParseError, StateError, open_ascii
 
 MAGIC = "canids-checkpoint v1"
 
@@ -42,7 +42,7 @@ def load_checkpoint(path):
 
     Any malformed record raises ParseError with its line number.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         if fh.readline().strip() != MAGIC:
             raise ParseError(f"{path}: not a canids checkpoint")
         model_line = fh.readline().split(maxsplit=2)
@@ -79,6 +79,8 @@ def load_checkpoint(path):
                 lineno += 1
             else:
                 raise ParseError(f"{path}: truncated checkpoint (no end marker)")
+        except UnicodeDecodeError:
+            raise  # open_ascii names the line
         except ValueError as exc:
             raise ParseError(f"{path}: bad checkpoint record ({exc})", line=lineno) from None
     return kind, config, params

@@ -545,7 +545,7 @@ def _apply_run_config(parser, argv):
     path = _require_file(cfg_path, "run config")
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: run config must be a JSON object")

@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``category`` so the CLI can
 emit a single parsable line and pick the right exit code.
 """
 
+from contextlib import contextmanager
+
 
 class CanidsError(Exception):
     category = "runtime"
@@ -43,3 +45,17 @@ class UsageError(CanidsError):
     """Bad CLI invocation: missing file, malformed flag value."""
 
     category = "usage"
+
+
+@contextmanager
+def open_ascii(path):
+    """``open(path)`` as ASCII text; a non-ASCII byte read inside the block
+    raises ParseError naming the file and the byte's line."""
+    with open(path, "r", encoding="ascii") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder reads ahead in chunks, so find the line from the bytes
+            with open(path, "rb") as raw:
+                line = next((k for k, row in enumerate(raw, start=1) if not row.isascii()), None)
+            raise ParseError(f"{path}: non-ASCII byte", line=line) from None

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .canlog import CanFrame, Label, MAX_STD_ID
-from .errors import ConfigError, ParseError, StateError
+from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
 
@@ -167,7 +167,7 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
 
 def load_graph_cache(path) -> list[WindowGraph]:
     """Read a cache written by save_graph_cache; a malformed record raises ParseError with its line number."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != CACHE_MAGIC:
             raise ParseError(f"{path}: not a graph cache (header {header!r})")
@@ -206,6 +206,8 @@ def load_graph_cache(path) -> list[WindowGraph]:
                 graphs.append(WindowGraph(node_ids, feats, src, dst, wts, label, start))
                 line = fh.readline()
                 lineno += 1
+        except UnicodeDecodeError:
+            raise  # open_ascii names the line
         except ValueError as exc:
             raise ParseError(f"{path}: bad graph cache record ({exc})", line=lineno) from None
     return graphs

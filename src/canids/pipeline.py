@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StateError
+from .errors import ConfigError, ParseError, StateError, open_ascii
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .gat import count_params as gat_count_params
 from .metrics import Metrics, roc_auc
@@ -385,7 +385,7 @@ def read_scores_csv(path) -> list[ScoredWindow]:
     [0, 1], and ``truth`` and ``predicted`` 0 or 1.
     """
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != SCORES_HEADER:
             raise ParseError(f"{path}: unexpected scores header {header!r}")

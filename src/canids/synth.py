@@ -12,6 +12,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import cycle
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +25,8 @@ BENIGN_BYTE_MAX = 119
 SPOOF_BYTE_MIN = 136
 REPLAY_BUFFER_LEN = 100
 DOS_CAN_ID = 0  # lowest ID wins arbitration, so flooding uses 0
+
+_timestamp = itemgetter(0)  # a frame's timestamp, as a sort key
 
 
 class AttackKind(enum.Enum):
@@ -77,10 +81,6 @@ class SynthConfig:
     attacks: tuple[AttackSpec, ...] = field(default_factory=tuple)
 
 
-def _benign_payload(rng, ecu: EcuSpec, lo: int) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.integers(lo, lo + 41, size=ecu.dlc))
-
-
 def _ecu_payload_low(ecu: EcuSpec) -> int:
     # per-ECU byte range [lo, lo+40], always within [0, BENIGN_BYTE_MAX]
     lo_rng = np.random.Generator(np.random.PCG64(ecu.payload_seed))
@@ -108,8 +108,8 @@ def generate_synthetic_log(
         atk.validate(duration)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    events: list[tuple[float, int, CanFrame]] = []
-    seq = 0
+    # generation order; a stable sort on the timestamp alone breaks ties by it
+    frames: list[CanFrame] = []
 
     for ecu in ecus:
         lo = _ecu_payload_low(ecu)
@@ -118,55 +118,53 @@ def generate_synthetic_log(
         base = phase + ecu.period * np.arange(n_emit)
         jitter = rng.uniform(-0.1 * ecu.period, 0.1 * ecu.period, size=n_emit)
         times = np.maximum(base + jitter, 0.0)
-        for t in times:
-            frame = CanFrame(float(t), ecu.can_id, ecu.dlc, _benign_payload(rng, ecu, lo))
-            events.append((frame.timestamp, seq, frame))
-            seq += 1
+        # one (n_emit, dlc) draw takes the same numbers from the stream as n_emit draws of dlc
+        payloads = rng.integers(lo, lo + 41, size=(n_emit, ecu.dlc))
+        frames += [
+            CanFrame(t, ecu.can_id, ecu.dlc, tuple(p))
+            for t, p in zip(times.tolist(), payloads.tolist())
+        ]
 
     for atk in attacks:
         step = 1.0 / atk.injection_rate
         n_inject = int(np.floor(atk.duration * atk.injection_rate))
         base = atk.start_time + step * np.arange(n_inject)
-        times = np.maximum(base + rng.uniform(-0.1 * step, 0.1 * step, size=n_inject), 0.0)
+        times = np.maximum(base + rng.uniform(-0.1 * step, 0.1 * step, size=n_inject), 0.0).tolist()
         if atk.kind == AttackKind.DOS:
-            for t in times:
-                frame = CanFrame(float(t), DOS_CAN_ID, 8, (0,) * 8, Label.ATTACK)
-                events.append((frame.timestamp, seq, frame))
-                seq += 1
+            frames += [CanFrame(t, DOS_CAN_ID, 8, (0,) * 8, Label.ATTACK) for t in times]
         elif atk.kind == AttackKind.FUZZING:
+            # ID, DLC and payload draws interleave frame by frame, so they stay per frame
             for t in times:
                 can_id = int(rng.integers(0, 2048))
                 dlc = int(rng.integers(0, 9))
-                payload = tuple(int(b) for b in rng.integers(0, 256, size=dlc))
-                frame = CanFrame(float(t), can_id, dlc, payload, Label.ATTACK)
-                events.append((frame.timestamp, seq, frame))
-                seq += 1
+                payload = tuple(rng.integers(0, 256, size=dlc).tolist())
+                frames.append(CanFrame(t, can_id, dlc, payload, Label.ATTACK))
         elif atk.kind == AttackKind.SPOOFING:
-            for t in times:
-                payload = tuple(int(b) for b in rng.integers(SPOOF_BYTE_MIN, 256, size=8))
-                frame = CanFrame(float(t), atk.target_id, 8, payload, Label.ATTACK)
-                events.append((frame.timestamp, seq, frame))
-                seq += 1
+            payloads = rng.integers(SPOOF_BYTE_MIN, 256, size=(n_inject, 8)).tolist()
+            frames += [
+                CanFrame(t, atk.target_id, 8, tuple(p), Label.ATTACK)
+                for t, p in zip(times, payloads)
+            ]
         else:  # REPLAY
-            buffer = [
+            recorded = [
                 f
-                for _, _, f in sorted(events, key=lambda e: (e[0], e[1]))
+                for f in frames
                 if f.can_id == atk.target_id
                 and f.label == Label.BENIGN
                 and f.timestamp < atk.start_time
-            ][-REPLAY_BUFFER_LEN:]
+            ]
+            buffer = sorted(recorded, key=_timestamp)[-REPLAY_BUFFER_LEN:]
             if not buffer:
                 raise ConfigError(
                     f"replay: no benign frames of 0x{atk.target_id:x} before t={atk.start_time}"
                 )
-            for k, t in enumerate(times):
-                src = buffer[k % len(buffer)]
-                frame = CanFrame(float(t), src.can_id, src.dlc, src.payload, Label.ATTACK)
-                events.append((frame.timestamp, seq, frame))
-                seq += 1
+            frames += [
+                CanFrame(t, src.can_id, src.dlc, src.payload, Label.ATTACK)
+                for t, src in zip(times, cycle(buffer))
+            ]
 
-    events.sort(key=lambda e: (e[0], e[1]))
-    return [f for _, _, f in events]
+    frames.sort(key=_timestamp)
+    return frames
 
 
 def load_synth_config(path) -> SynthConfig:
@@ -179,7 +177,7 @@ def load_synth_config(path) -> SynthConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     try:
         ecus = tuple(

@@ -12,6 +12,14 @@ from canids.gradcheck import relative_gradient_error
 from canids.tensor import Tensor
 
 
+def per_field_format_car_hacking_row(frame):
+    """Reference Car-Hacking row: one ``f"{b:02x}"`` per payload byte, joined by commas."""
+    parts = [repr(frame.timestamp), f"{frame.can_id:04x}", str(frame.dlc)]
+    parts.extend(f"{b:02x}" for b in frame.payload)
+    parts.append("T" if frame.label == Label.ATTACK else "R")
+    return ",".join(parts)
+
+
 def brute_force_window_graph(window, start_index):
     """Reference construction of one window graph from a frame list.
 

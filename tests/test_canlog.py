@@ -1,10 +1,14 @@
 """CSV parsing, the canonical writer, and the frame container.
 
-``per_field_parse_car_hacking_csv`` is the Car-Hacking parser as it was
-before payloads were decoded with one ``bytes.fromhex`` call per row: one
-``int(field, 16)`` per field. The parser must agree with it on every row,
-valid or not, except that negative values are now rejected.
+``per_field_parse_car_hacking_csv`` is a reference Car-Hacking parser
+that decodes one payload field at a time, each field checked against the
+row grammar (hex digits only) before ``int(field, 16)``. The parser,
+which decodes most payloads in one ``bytes.fromhex`` call, must agree
+with it on every row, valid or not.
 """
+
+import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +23,7 @@ from canids.canlog import (
     write_car_hacking_csv,
 )
 from canids.errors import ConfigError, ParseError
+from helpers import per_field_format_car_hacking_row
 
 
 def write_lines(tmp_path, lines, name="log.csv"):
@@ -65,6 +70,18 @@ def test_malformed_row_carries_line_number(tmp_path):
         "1.0,0316,2,abcd,,R",  # right byte count once joined, wrong fields
         "1.0,0316,2,  ,ab,R",  # a blank field, which bytes.fromhex would skip
         "1.0,0316,2,ab cd,  ,R",  # a space inside a field, a blank one after it
+        "1.0,0x10,0,R",  # prefixes, signs, underscores and blanks are not hex digits
+        "1.0,0X10,0,R",
+        "1.0,+10,0,R",
+        "1.0,1_0,0,R",
+        "1.0, 10,0,R",
+        "1.0,0316,1,0x1,R",
+        "1.0,0316,1,+f,R",
+        "1.0,0316,2,1_f,aa,R",
+        "1.0,0316,2,aa, f,R",
+        "nan,0316,0,R",  # non-finite timestamps
+        "inf,0316,0,R",
+        "-inf,0316,0,R",
     ],
 )
 def test_bad_rows_rejected(tmp_path, row):
@@ -72,6 +89,37 @@ def test_bad_rows_rejected(tmp_path, row):
     with pytest.raises(ParseError) as err:
         list(parse_car_hacking_csv(p))
     assert err.value.line == 1
+
+
+def test_one_to_three_hex_digits_are_a_byte(tmp_path):
+    p = write_lines(tmp_path, ["1.0,316,3,f,0A,0ff,R"])
+    [frame] = list(parse_car_hacking_csv(p))
+    assert frame.can_id == 0x316 and frame.payload == (0x0F, 0x0A, 0xFF)
+
+
+GENERIC_MAP = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 5}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("parser", ["car-hacking", "generic"])
+def test_non_finite_timestamp_rejected(tmp_path, parser, value):
+    # a nan must not switch off the regression check for the row after it
+    p = write_lines(tmp_path, ["5.0,0316,2,aa,bb,R", f"{value},0316,2,aa,bb,R", "1.0,0316,2,aa,bb,R"])
+    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
+    with pytest.raises(ParseError, match="non-finite timestamp") as err:
+        list(frames)
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("parser", ["car-hacking", "generic"])
+def test_non_ascii_byte_names_its_line(tmp_path, parser):
+    rows = [f"{k / 1000!r},0316,2,aa,bb,R" for k in range(5000)]
+    rows[4321] = rows[4321].replace(",R", ",\u00e9R")
+    p = write_lines(tmp_path, rows)
+    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
+    with pytest.raises(ParseError, match="non-ASCII") as err:
+        list(frames)
+    assert err.value.line == 4322 and str(p) in str(err.value)
 
 
 def test_timestamp_regression_rejected(tmp_path):
@@ -93,7 +141,7 @@ def test_generic_parse_and_column_errors(tmp_path):
         list(parse_generic_labeled_csv(p, {"timestamp": 0, "id": 1}))
 
 
-@pytest.mark.parametrize("byte", ["-1", "1ff", "zz", ""])
+@pytest.mark.parametrize("byte", ["-1", "1ff", "zz", "", "0x1", "+f", "1_f"])
 def test_generic_bad_payload_byte_rejected(tmp_path, byte):
     p = write_lines(tmp_path, ["0.5,316,2,aa,bb,T", f"0.6,316,2,{byte},bb,T"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 5}
@@ -110,6 +158,25 @@ def test_generic_custom_markers_and_base(tmp_path):
     )
     assert [f.label for f in frames] == [Label.ATTACK, Label.BENIGN]
     assert frames[0].can_id == 790
+
+
+@pytest.mark.parametrize(
+    "can_id, base", [("0x316", 16), ("0X316", 16), ("+316", 16), ("3_16", 16), ("+790", 10), (" 790", 10), ("31a", 10)]
+)
+def test_generic_id_must_be_digits_of_its_base(tmp_path, can_id, base):
+    p = write_lines(tmp_path, [f"0.5,{can_id},1,ff,T"])
+    cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
+    with pytest.raises(ParseError) as err:
+        list(parse_generic_labeled_csv(p, cmap, id_base=base))
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("base", [0, 1, 37])
+def test_generic_id_base_outside_2_to_36_rejected(tmp_path, base):
+    p = write_lines(tmp_path, ["0.5,316,1,ff,T"])
+    cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
+    with pytest.raises(ConfigError):
+        list(parse_generic_labeled_csv(p, cmap, id_base=base))
 
 
 def test_generic_empty_file(tmp_path):
@@ -160,6 +227,15 @@ def test_parser_outputs_satisfy_frame_invariants(tmp_path_factory, frames):
 def test_format_row_matches_layout():
     row = format_car_hacking_row(CanFrame(1.5, 0x316, 2, (0x0A, 0xFF), Label.ATTACK))
     assert row == "1.5,0316,2,0a,ff,T"
+    assert format_car_hacking_row(CanFrame(0.25, 0x7FF, 0, ())) == "0.25,07ff,0,R"
+
+
+@given(st.lists(frame_strategy, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_format_row_matches_per_field_reference(tmp_path_factory, frames):
+    p = tmp_path_factory.mktemp("rows") / "log.csv"
+    assert write_car_hacking_csv(frames, p) == len(frames)
+    assert p.read_bytes() == "".join(per_field_format_car_hacking_row(f) + "\n" for f in frames).encode()
 
 
 def test_frame_is_an_immutable_hashable_record():
@@ -184,8 +260,8 @@ def test_frame_is_an_immutable_hashable_record():
 def per_field_parse_car_hacking_csv(path):
     """Reference parser: one ``int(field, 16)`` per payload field.
 
-    Yields (line number, field tuple) pairs; it accepts negative values,
-    which the parser under test rejects.
+    Yields (line number, field tuple) pairs. ID and payload fields must be
+    one or more hex digits, and timestamps finite and non-decreasing.
     """
     last_ts = None
     with open(path, "r", encoding="ascii") as fh:
@@ -202,10 +278,9 @@ def per_field_parse_car_hacking_csv(path):
                 raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno) from None
 
             def hex_field(field, what):
-                try:
-                    return int(field, 16)
-                except ValueError:
-                    raise ParseError(f"non-hex {what} {field!r}", line=lineno) from None
+                if re.fullmatch("[0-9a-fA-F]+", field) is None:
+                    raise ParseError(f"non-hex {what} {field!r}", line=lineno)
+                return int(field, 16)
 
             can_id = hex_field(fields[1], "CAN ID")
             if can_id > 2047:
@@ -228,6 +303,8 @@ def per_field_parse_car_hacking_csv(path):
                 label = Label.ATTACK
             else:
                 raise ParseError(f"unknown flag {flag!r}", line=lineno)
+            if not math.isfinite(ts):
+                raise ParseError(f"non-finite timestamp {ts}", line=lineno)
             if last_ts is not None and ts < last_ts:
                 raise ParseError(f"timestamp {ts} decreases", line=lineno)
             last_ts = ts
@@ -248,6 +325,7 @@ def run_parser(rows):
 MALFORMED_BYTES = [
     "f", "abc", "0ff", "abcd", "", "0x1f", "+f", " f", "F ", "1_f", "zz", "-1", "-0", "-ff", "1ff",
     " ", "  ", "a b", "ab cd",  # fromhex skips whitespace, int() only strips it
+    "0X1", "0x", "+0", "f_f", "ff ", "\t1",
 ]
 two_hex_digits = st.integers(0, 255).flatmap(lambda b: st.sampled_from([f"{b:02x}", f"{b:02X}"]))
 payload_fields = st.integers(0, 8).flatmap(
@@ -259,10 +337,14 @@ payload_fields = st.integers(0, 8).flatmap(
 )
 payload_fields = st.one_of(payload_fields, st.just(["abcd", ""]), st.just(["", "abcd"]))
 csv_row = st.tuples(
-    st.floats(0.0, 10.0, allow_nan=False).map(repr),
+    st.one_of(
+        st.floats(0.0, 10.0, allow_nan=False).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "-nan", "Infinity", "1e400"]),
+    ),
     st.one_of(
         st.integers(0, 0x7FF).map(lambda i: f"{i:04x}"),
-        st.sampled_from(["-7ff", "-1", "800", "zz", "0x10", ""]),
+        st.integers(0, 0x7FF).map(lambda i: f"{i:X}"),
+        st.sampled_from(["-7ff", "-1", "+10", "800", "zz", "0x10", "0X10", "1_0", " 10", "10 ", ""]),
     ),
     payload_fields,
     st.integers(-1, 1),  # DLC offset from the payload's field count
@@ -275,15 +357,13 @@ csv_row = st.tuples(
 @example(["1.0,0316,2,  ,ab,R"])
 @example(["1.0,0316,2,ab cd,  ,R"])
 @example(["1.0,0316,2, ab,cd,R", "2.0,0316,2,-1,cd,R"])
+@example(["5.0,0316,0,R", "nan,0316,0,R", "1.0,0316,0,R"])
+@example(["-inf,0316,0,R"])
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_per_field_reference(tmp_path_factory, rows):
     p = tmp_path_factory.mktemp("rows") / "log.csv"
     p.write_text("\n".join(rows) + "\n")
     expected, expected_error = run_parser(per_field_parse_car_hacking_csv(p))
-    for k, (lineno, fields) in enumerate(expected):
-        if fields[1] < 0 or any(b < 0 for b in fields[3]):  # negative values now end the parse
-            expected, expected_error = expected[:k], lineno
-            break
     frames, error = run_parser(parse_car_hacking_csv(p))
     assert error == expected_error
     assert len(frames) == len(expected)

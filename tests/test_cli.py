@@ -429,3 +429,88 @@ def test_non_finite_checkpoint_value_is_parse_error(small_run, tmp_path, capsys,
     assert code == 1
     assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
     assert "Traceback" not in err
+
+
+def _only_parse_error(err, lineno, path):
+    """The stderr of a run that failed on ``path``: one parse line naming the file and line, no traceback."""
+    lines = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith("canids-error category=parse")
+    assert f"line {lineno}:" in lines[0] and str(path) in lines[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["build-graphs", "ingest-generic"])
+def test_non_finite_timestamp_is_parse_error(tmp_path, capsys, command, value):
+    log = tmp_path / "log.csv"
+    # after a nan, 1.0 must not pass as a non-decreasing timestamp either
+    log.write_text(f"5.0,0316,2,aa,bb,R\n6.0,0100,2,7f,00,T\n{value},0316,2,aa,bb,R\n1.0,0316,2,aa,bb,R\n")
+    out = tmp_path / "out"
+    if command == "build-graphs":
+        argv = ["build-graphs", "--in", log, "--window", 2, "--out", out]
+    else:
+        argv = ["ingest", log, "--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=5", "--out", out]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    lines = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(lines) == 1 and lines[0].startswith("canids-error category=parse")
+    assert "line 3:" in lines[0] and "non-finite timestamp" in lines[0]
+    assert not out.exists()
+
+
+def _with_non_ascii(line):
+    return line.rstrip("\n") + "é\n"  # written as two UTF-8 bytes, neither of them ASCII
+
+
+def test_non_ascii_log_is_parse_error(tmp_path, synth_cfg, capsys):
+    log = tmp_path / "log.csv"
+    run_cli(capsys, "synth", "--config", synth_cfg, "--seed", 1, "--out", log)
+    lines = log.read_text().splitlines(keepends=True)
+    lines[4000] = lines[4000].replace(",R", ",éR")  # past the decoder's first read-ahead chunk
+    log.write_text("".join(lines))
+    code, stdout, err = run_cli(capsys, "build-graphs", "--in", log, "--out", tmp_path / "g.cache")
+    assert code == 1 and stdout == ""
+    _only_parse_error(err, 4001, log)
+
+
+def test_non_ascii_graph_cache_is_parse_error(small_run, tmp_path, capsys):
+    bad = tmp_path / "train.cache"
+    lines = (small_run / "train.cache").read_text().splitlines(keepends=True)
+    lines[3000] = _with_non_ascii(lines[3000])
+    bad.write_text("".join(lines))
+    code, _, err = run_cli(
+        capsys, "train-vgae", "--graphs", bad, "--preset", "student",
+        "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
+    )
+    assert code == 1
+    _only_parse_error(err, 3001, bad)
+
+
+def test_non_ascii_checkpoint_is_parse_error(small_run, tmp_path, capsys):
+    bad = tmp_path / "vgae.ckpt"
+    lineno = _row_after_param(small_run / "vgae.ckpt", bad, _with_non_ascii)
+    code, _, err = run_cli(
+        capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", bad,
+        "--ratio", 4, "--seed", 7, "--out", tmp_path / "stage2.cache",
+    )
+    assert code == 1
+    _only_parse_error(err, lineno, bad)
+
+
+def test_non_ascii_scores_file_is_parse_error(tmp_path, capsys):
+    p = tmp_path / "scores.csv"
+    p.write_text(f"{SCORES_HEADER}\n{GOOD_SCORES_ROW}\n{_with_non_ascii(GOOD_SCORES_ROW)}{GOOD_SCORES_ROW}\n")
+    code, out, err = run_cli(capsys, "evaluate", "--scores", p)
+    assert code == 1 and out == ""
+    _only_parse_error(err, 3, p)
+
+
+def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_bytes(b'{"seed": 7\xff}')
+    code, _, err = run_cli(capsys, "synth", "--config", bad, "--seed", 1, "--out", tmp_path / "log.csv")
+    assert code == 2 and err.startswith("canids-error category=config")
+    code, _, err = run_cli(
+        capsys, "train-vgae", "--config", bad, "--graphs", small_run / "train.cache", "--out", tmp_path / "v.ckpt"
+    )
+    assert code == 2 and err.startswith("canids-error category=config")

@@ -1,9 +1,23 @@
+"""The synthetic traffic generator.
+
+``per_frame_generate_synthetic_log`` is the generator as it was written
+first: one ``rng.integers`` call per frame and one sort by (timestamp,
+generation order). The generator, which draws each schedule's payloads
+in one call, must return the same frames for the same seed, Python types
+included, and write the same CSV bytes.
+"""
+
+import hashlib
+
+import numpy as np
 import pytest
 
-from canids.canlog import Label, parse_car_hacking_csv, write_car_hacking_csv
+from canids.canlog import CanFrame, Label, parse_car_hacking_csv, write_car_hacking_csv
 from canids.errors import ConfigError
 from canids.synth import (
     BENIGN_BYTE_MAX,
+    DOS_CAN_ID,
+    REPLAY_BUFFER_LEN,
     SPOOF_BYTE_MIN,
     AttackKind,
     AttackSpec,
@@ -11,6 +25,7 @@ from canids.synth import (
     generate_synthetic_log,
     load_synth_config,
 )
+from helpers import per_field_format_car_hacking_row
 
 TWO_ECUS = [EcuSpec(100, 0.01, 7), EcuSpec(200, 0.01, 8)]
 
@@ -123,3 +138,113 @@ def test_load_synth_config(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_synth_config(bad)
+
+
+def per_frame_generate_synthetic_log(ecus, duration, attacks=(), rng_seed=0):
+    """Reference generator: one draw per frame, sorted by (timestamp, generation order)."""
+    rng = np.random.Generator(np.random.PCG64(rng_seed))
+    events = []
+    seq = 0
+    for ecu in ecus:
+        lo_rng = np.random.Generator(np.random.PCG64(ecu.payload_seed))
+        lo = int(lo_rng.integers(0, BENIGN_BYTE_MAX - 40 + 1))
+        phase = float(rng.uniform(0.0, ecu.period))
+        n_emit = int(np.ceil((duration - phase) / ecu.period)) if phase < duration else 0
+        base = phase + ecu.period * np.arange(n_emit)
+        jitter = rng.uniform(-0.1 * ecu.period, 0.1 * ecu.period, size=n_emit)
+        for t in np.maximum(base + jitter, 0.0):
+            payload = tuple(int(b) for b in rng.integers(lo, lo + 41, size=ecu.dlc))
+            events.append((float(t), seq, CanFrame(float(t), ecu.can_id, ecu.dlc, payload)))
+            seq += 1
+    for atk in attacks:
+        step = 1.0 / atk.injection_rate
+        n_inject = int(np.floor(atk.duration * atk.injection_rate))
+        base = atk.start_time + step * np.arange(n_inject)
+        times = np.maximum(base + rng.uniform(-0.1 * step, 0.1 * step, size=n_inject), 0.0)
+        if atk.kind == AttackKind.REPLAY:
+            buffer = [
+                f
+                for _, _, f in sorted(events, key=lambda e: (e[0], e[1]))
+                if f.can_id == atk.target_id and f.label == Label.BENIGN and f.timestamp < atk.start_time
+            ][-REPLAY_BUFFER_LEN:]
+        for k, t in enumerate(times):
+            if atk.kind == AttackKind.DOS:
+                frame = CanFrame(float(t), DOS_CAN_ID, 8, (0,) * 8, Label.ATTACK)
+            elif atk.kind == AttackKind.FUZZING:
+                can_id = int(rng.integers(0, 2048))
+                dlc = int(rng.integers(0, 9))
+                payload = tuple(int(b) for b in rng.integers(0, 256, size=dlc))
+                frame = CanFrame(float(t), can_id, dlc, payload, Label.ATTACK)
+            elif atk.kind == AttackKind.SPOOFING:
+                payload = tuple(int(b) for b in rng.integers(SPOOF_BYTE_MIN, 256, size=8))
+                frame = CanFrame(float(t), atk.target_id, 8, payload, Label.ATTACK)
+            else:
+                src = buffer[k % len(buffer)]
+                frame = CanFrame(float(t), src.can_id, src.dlc, src.payload, Label.ATTACK)
+            events.append((frame.timestamp, seq, frame))
+            seq += 1
+    events.sort(key=lambda e: (e[0], e[1]))
+    return [f for _, _, f in events]
+
+
+def typed(frames):
+    """Each frame with the Python type of every field and payload byte, so 1 and 1.0 or np.int64(1) differ."""
+    return [(f, tuple(map(type, f)), tuple(map(type, f.payload))) for f in frames]
+
+
+# one ECU per DLC 0-8, odd and even; 0x7FF's period exceeds any log here, so it emits nothing
+EVERY_DLC = [EcuSpec(0x100 + 0x10 * dlc, 0.004 + 0.001 * dlc, 40 + dlc, dlc) for dlc in range(9)]
+SILENT = EcuSpec(0x7FF, 1e9, 99)
+EVERY_ATTACK = [
+    # each burst's first frame clips to t=0.0 half the time: equal timestamps keep generation order
+    *(AttackSpec(AttackKind.SPOOFING, 0.0, 0.01, 1000.0, target_id=ecu.can_id) for ecu in EVERY_DLC),
+    AttackSpec(AttackKind.DOS, 0.2, 0.05, 2000.0),
+    AttackSpec(AttackKind.FUZZING, 0.4, 0.05, 2000.0),
+    AttackSpec(AttackKind.SPOOFING, 0.6, 0.05, 1000.0, target_id=0x130),
+    AttackSpec(AttackKind.REPLAY, 0.9, 0.05, 1000.0, target_id=0x170),
+    AttackSpec(AttackKind.REPLAY, 1.2, 0.05, 1000.0, target_id=0x100),  # replays DLC-0 frames
+    AttackSpec(AttackKind.REPLAY, 0.05, 0.05, 1000.0, target_id=0x180),  # cycles a 3- or 4-frame buffer
+]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2026, (201, 1), (205, 3)])
+def test_generator_matches_per_frame_reference(tmp_path, seed):
+    ecus = [*EVERY_DLC, SILENT]
+    frames = generate_synthetic_log(ecus, 1.5, EVERY_ATTACK, rng_seed=seed)
+    expected = per_frame_generate_synthetic_log(ecus, 1.5, EVERY_ATTACK, rng_seed=seed)
+    assert typed(frames) == typed(expected)
+    assert {f.dlc for f in frames if f.label == Label.BENIGN} == set(range(9))
+    assert {f.label for f in frames} == {Label.BENIGN, Label.ATTACK}
+    assert not any(f.can_id == SILENT.can_id for f in frames)
+    assert len({f.can_id for f in frames if f.timestamp == 0.0}) >= 2
+
+    p = tmp_path / "log.csv"
+    assert write_car_hacking_csv(frames, p) == len(frames)
+    assert p.read_bytes() == "".join(per_field_format_car_hacking_row(f) + "\n" for f in expected).encode()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_replay_of_an_id_two_ecus_send_matches_reference(seed):
+    # the two schedules' frames interleave in time, so the replay buffer must be sorted
+    ecus = [EcuSpec(0x170, 0.01, 1, 3), EcuSpec(0x170, 0.007, 2, 5), EcuSpec(0x100, 0.005, 3)]
+    attacks = [AttackSpec(AttackKind.REPLAY, 0.9, 0.1, 1000.0, target_id=0x170)]
+    frames = generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed)
+    assert typed(frames) == typed(per_frame_generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed))
+    assert {f.dlc for f in frames if f.label == Label.ATTACK} == {3, 5}
+
+
+def test_only_silent_ecu_gives_empty_log():
+    assert generate_synthetic_log([SILENT], 2.0, rng_seed=1) == []
+    assert per_frame_generate_synthetic_log([SILENT], 2.0, rng_seed=1) == []
+
+
+# sha256 of the CSV below as the per-frame generator and row formatter write it; it moves if
+# numpy's PCG64 stream, the draw order or the row layout changes
+GOLDEN_LOG_SHA256 = "5ab3ad0c027f0c3ccb8fac29fbd3bee014d4769fb133b84dd948605416c18962"
+
+
+def test_golden_log_bytes(tmp_path):
+    frames = generate_synthetic_log(EVERY_DLC, 2.0, EVERY_ATTACK, rng_seed=7919)
+    p = tmp_path / "log.csv"
+    write_car_hacking_csv(frames, p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
