@@ -55,6 +55,8 @@ class CanFrame(NamedTuple):
 
 
 _FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
+# builds a CanFrame from its checked fields without the named tuple's generated __new__
+_frame = tuple.__new__
 # below every finite timestamp, so ``last_ts <= ts < inf`` also rejects nan and -inf on the first row
 _BEFORE_FIRST_TS = -sys.float_info.max
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -66,6 +68,27 @@ def _digits_of(base: int):
 
 
 _is_hex = _digits_of(16)
+_DLCS = {str(dlc): dlc for dlc in range(9)}
+# what repr(float) writes: an optional "-", digits with at most one ".", an optional exponent;
+# "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
+_is_decimal = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf").fullmatch
+
+
+def _parse_timestamp(field: str, lineno: int) -> float:
+    """The timestamp of a field that is not plain digits with at most one ``.``."""
+    if not _is_decimal(field):
+        raise ParseError(f"bad timestamp {field!r}", line=lineno)
+    return float(field)
+
+
+def _parse_dlc(field: str, lineno: int) -> int:
+    """The DLC of a field that is not one of "0".."8"."""
+    if not field.isdigit():
+        raise ParseError(f"bad DLC {field!r}", line=lineno)
+    dlc = int(field)
+    if dlc > 8:
+        raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
+    return dlc
 
 
 def _parse_byte(field, lineno):
@@ -121,7 +144,9 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
     """Stream frames from a Car-Hacking layout CSV.
 
     Raises ParseError (carrying the 1-based line number) on malformed rows,
-    on an ID or payload field that is not all hex digits, on extended
+    on a timestamp that is not a decimal in the form ``repr(float)``
+    writes, on a DLC that is not decimal digits, on an ID or payload field
+    that is not all hex digits, on extended
     (>11-bit) identifiers, on payload bytes above 0xff, on non-finite or
     decreasing timestamps, and on a non-ASCII byte.
     """
@@ -135,19 +160,14 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
             fields = raw.split(",")
             if len(fields) < 4:
                 raise ParseError(f"expected at least 4 fields, got {len(fields)}", line=lineno)
-            try:
-                ts = float(fields[0])
-            except ValueError:
-                raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno) from None
+            t = fields[0]
+            ts = float(t) if t.replace(".", "", 1).isdigit() else _parse_timestamp(t, lineno)
             can_id = ids.get(fields[1])
             if can_id is None:
                 can_id = ids[fields[1]] = _parse_can_id(fields[1], _is_hex, 16, lineno)
-            try:
-                dlc = int(fields[2])
-            except ValueError:
-                raise ParseError(f"bad DLC {fields[2]!r}", line=lineno) from None
-            if not 0 <= dlc <= 8:
-                raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
+            dlc = _DLCS.get(fields[2])
+            if dlc is None:
+                dlc = _parse_dlc(fields[2], lineno)
             if len(fields) != 4 + dlc:
                 raise ParseError(
                     f"expected {4 + dlc} fields for DLC {dlc}, got {len(fields)}",
@@ -161,7 +181,7 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
             if not last_ts <= ts < inf:
                 raise _timestamp_error(ts, last_ts, lineno)
             last_ts = ts
-            yield CanFrame(ts, can_id, dlc, payload, label)
+            yield _frame(CanFrame, (ts, can_id, dlc, payload, label))
 
 
 REQUIRED_COLUMNS = ("timestamp", "id", "dlc", "data", "label")
@@ -204,19 +224,14 @@ def parse_generic_labeled_csv(
                     f"line {lineno}: column_map references column "
                     f"{width_needed - 1} but row has {len(fields)} fields"
                 )
-            try:
-                ts = float(fields[ts_i])
-            except ValueError:
-                raise ParseError(f"bad timestamp {fields[ts_i]!r}", line=lineno) from None
+            t = fields[ts_i]
+            ts = float(t) if t.replace(".", "", 1).isdigit() else _parse_timestamp(t, lineno)
             can_id = ids.get(fields[id_i])
             if can_id is None:
                 can_id = ids[fields[id_i]] = _parse_can_id(fields[id_i], is_id, id_base, lineno)
-            try:
-                dlc = int(fields[dlc_i])
-            except ValueError:
-                raise ParseError(f"bad DLC {fields[dlc_i]!r}", line=lineno) from None
-            if not 0 <= dlc <= 8:
-                raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
+            dlc = _DLCS.get(fields[dlc_i])
+            if dlc is None:
+                dlc = _parse_dlc(fields[dlc_i], lineno)
             if len(fields) < data_i + dlc:
                 raise ConfigError(
                     f"line {lineno}: payload columns {data_i}..{data_i + dlc - 1} "
@@ -227,7 +242,7 @@ def parse_generic_labeled_csv(
             if not last_ts <= ts < inf:
                 raise _timestamp_error(ts, last_ts, lineno)
             last_ts = ts
-            yield CanFrame(ts, can_id, dlc, payload, label)
+            yield _frame(CanFrame, (ts, can_id, dlc, payload, label))
 
 
 def format_car_hacking_row(frame: CanFrame) -> str:

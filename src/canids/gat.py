@@ -89,10 +89,26 @@ class GraphBatch:
     id_buckets: np.ndarray  # can_id modulo bucket count, for the VGAE decoder
     graph_index: np.ndarray  # (num_nodes,) batch position of each node's graph
     node_counts: np.ndarray  # (num_graphs,)
+    _src_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _dst_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_graphs(self) -> int:
         return len(self.graphs)
+
+    @property
+    def src_index(self) -> T.SegmentIndex:
+        """``src`` with the segment-sum keys that every attention layer over this batch shares."""
+        if self._src_index is None:
+            self._src_index = T.SegmentIndex(self.src)
+        return self._src_index
+
+    @property
+    def dst_index(self) -> T.SegmentIndex:
+        """``dst`` with the segment-sum keys that every attention layer over this batch shares."""
+        if self._dst_index is None:
+            self._dst_index = T.SegmentIndex(self.dst)
+        return self._dst_index
 
     @property
     def num_nodes(self) -> int:
@@ -211,7 +227,7 @@ def gat_layer(
     n = prep.num_nodes
     wh = (h @ params.weight.tensor).reshape((n, heads, d_head))
     out, alpha = T.graph_attention(
-        wh, params.att_src.tensor, params.att_dst.tensor, prep.log_w, prep.src, prep.dst, slope
+        wh, params.att_src.tensor, params.att_dst.tensor, prep.log_w, prep.src_index, prep.dst_index, slope
     )  # (n, heads, d_head)
     if collect_attention is not None:
         collect_attention.append((alpha.copy(), prep.dst.copy(), n))
@@ -307,7 +323,7 @@ class GatClassifier:
         jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
         # graph-level vectors, exported for projection
         embedding = T.segment_mean(jk, batch.graph_index, batch.node_counts)
-        logits = embedding @ self.head_weight.tensor + self.head_bias.tensor
+        logits = T.linear(embedding, self.head_weight.tensor, self.head_bias.tensor)
         prob = T.softmax(logits, axis=-1)[:, 1]
         return prob, logits, embedding
 

@@ -10,6 +10,7 @@ weights over a window always sum to W-1.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -53,8 +54,10 @@ def build_windows(
 
     The trailing partial window is discarded. ``stride`` defaults to
     ``window_size`` (non-overlapping windows); stride=1 gives the fully
-    overlapped stream used for online scoring. With ``directed=False``
-    transition counts are accumulated on unordered ID pairs instead.
+    overlapped stream used for online scoring; its directed windows are
+    updated one frame at a time (``_stride_one_windows``). With
+    ``directed=False`` transition counts are accumulated on unordered ID
+    pairs instead.
     """
     if window_size < 2:
         raise ConfigError(f"window_size must be >= 2, got {window_size}")
@@ -63,6 +66,9 @@ def build_windows(
     if not 1 <= stride <= window_size:
         raise ConfigError(f"stride must be in [1, {window_size}], got {stride}")
 
+    if stride == 1 and directed:
+        yield from _stride_one_windows(frames, window_size)
+        return
     # one record per frame, made as it enters the buffer: at stride 1 each
     # frame sits in W windows, and its record is all a window reads of it
     buf: list[tuple[int, int, int, bool]] = []
@@ -99,7 +105,18 @@ def _window_to_graph(
         payload_n[j] += dlc
         seq.append(j)
 
-    node_ids = list(index.keys())
+    edge_counts: dict[tuple[int, int], int] = {}
+    for key in zip(seq[:-1], seq[1:]):
+        if not directed and key[0] > key[1]:
+            key = (key[1], key[0])
+        edge_counts[key] = edge_counts.get(key, 0) + 1
+
+    label = int(any(rec[3] for rec in window))
+    return _graph(list(index), counts, payload_sum, payload_n, edge_counts, w, label, start)
+
+
+def _graph(node_ids, counts, payload_sum, payload_n, edge_counts, w, label, start) -> WindowGraph:
+    """A WindowGraph from per-node integer tallies and the {(src, dst): count} edges, in order."""
     n = len(node_ids)
     feats = np.empty((n, 3), dtype=np.float64)
     for j, cid in enumerate(node_ids):
@@ -107,19 +124,66 @@ def _window_to_graph(
         feats[j, 0] = cid / MAX_STD_ID
         feats[j, 1] = counts[j] / w
         feats[j, 2] = mean_payload / 255.0
-
-    edge_counts: dict[tuple[int, int], int] = {}
-    for key in zip(seq[:-1], seq[1:]):
-        if not directed and key[0] > key[1]:
-            key = (key[1], key[0])
-        edge_counts[key] = edge_counts.get(key, 0) + 1
-
     src = np.fromiter((k[0] for k in edge_counts), dtype=np.int64, count=len(edge_counts))
     dst = np.fromiter((k[1] for k in edge_counts), dtype=np.int64, count=len(edge_counts))
     wts = np.fromiter(edge_counts.values(), dtype=np.float64, count=len(edge_counts))
-
-    label = int(any(rec[3] for rec in window))
     return WindowGraph(node_ids, feats, src, dst, wts, label, start)
+
+
+def _stride_one_windows(frames: Iterable[CanFrame], w: int) -> Iterator[WindowGraph]:
+    """Directed stride-1 windows, each updated from the last: one frame enters, the oldest leaves.
+
+    For each CAN ID and each transition (ID a, then ID b) the window keeps
+    the positions where it occurs, oldest first. First-appearance order is
+    then a sort by oldest position, and the tallies are integers, so each
+    window equals the one ``_window_to_graph`` builds from its frames alone.
+    """
+    attack = Label.ATTACK
+    window: deque = deque()  # (can_id, payload sum, dlc, is attack), oldest first
+    ids: dict[int, list] = {}  # can_id -> [positions, payload sum, dlc sum]
+    moves: dict[tuple[int, int], deque] = {}  # (a, b) -> positions of a
+    attacks = 0
+    prev = None
+    for pos, (_, can_id, dlc, payload, label) in enumerate(frames):
+        rec = (can_id, sum(payload), dlc, label == attack)
+        window.append(rec)
+        tally = ids.get(can_id)
+        if tally is None:
+            tally = ids[can_id] = [deque(), 0, 0]
+        tally[0].append(pos)
+        tally[1] += rec[1]
+        tally[2] += dlc
+        if prev is not None:
+            moves.setdefault((prev, can_id), deque()).append(pos - 1)
+        prev = can_id
+        attacks += rec[3]
+        if len(window) < w:
+            continue
+
+        node_ids = sorted(ids, key=lambda cid: ids[cid][0][0])
+        index = {cid: j for j, cid in enumerate(node_ids)}
+        tallies = [ids[cid] for cid in node_ids]
+        edge_counts = {
+            (index[a], index[b]): len(moves[(a, b)]) for a, b in sorted(moves, key=lambda m: moves[m][0])
+        }
+        yield _graph(
+            node_ids, [len(t[0]) for t in tallies], [t[1] for t in tallies], [t[2] for t in tallies],
+            edge_counts, w, int(attacks > 0), pos + 1 - w,
+        )
+
+        old_id, old_sum, old_dlc, old_attack = window.popleft()
+        tally = ids[old_id]
+        tally[0].popleft()
+        if tally[0]:
+            tally[1] -= old_sum
+            tally[2] -= old_dlc
+        else:
+            del ids[old_id]
+        move = (old_id, window[0][0])
+        moves[move].popleft()
+        if not moves[move]:
+            del moves[move]
+        attacks -= old_attack
 
 
 def feature_stats(graphs: Sequence[WindowGraph]) -> dict:

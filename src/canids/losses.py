@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, as_tensor, clamp, log, softmax, take_per_row
+from .tensor import Tensor, _accumulate, _make, _softmax_grad, _softmax_values, as_tensor, clamp, log
 
 PROB_EPS = 1e-7
 
@@ -20,12 +20,26 @@ def _check_same_shape(op, a, b):
 
 
 def bce_terms(pred, target) -> Tensor:
-    """Elementwise binary cross-entropy; ``pred`` holds probabilities."""
+    """Elementwise binary cross-entropy; ``pred`` holds probabilities.
+
+    One op: -(t*log(p) + (1-t)*log(1-p)) with p the clamped ``pred``, and
+    the closed-form backward that the tape composes from clamp, log, mul,
+    sub, add and neg, with the same float work.
+    """
     pred, target = as_tensor(pred), as_tensor(target)
     _check_same_shape("bce", pred, target)
-    p = clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
+    x = pred.values
+    p = np.minimum(np.maximum(x, PROB_EPS), 1.0 - PROB_EPS)
     t = target.values
-    return -(t * log(p) + (1.0 - t) * log(1.0 - p))
+    rest = 1.0 - t
+    out_v = -(t * np.log(p) + rest * np.log(1.0 - p))
+
+    def backward(g):
+        g = -g
+        g_p = (g * t) / p + -((g * rest) / (1.0 - p))
+        _accumulate(pred, g_p * ((x >= PROB_EPS) & (x <= 1.0 - PROB_EPS)))
+
+    return _make(out_v, (pred,), backward)
 
 
 def bce(pred, target) -> Tensor:
@@ -40,7 +54,12 @@ def mse(pred, target) -> Tensor:
 
 
 def cross_entropy_terms(logits, class_index) -> Tensor:
-    """Per-row negative log-likelihood of the given class under softmax(logits)."""
+    """Per-row negative log-likelihood of the given class under softmax(logits).
+
+    One op: -log of the clamped softmax probability of each row's class,
+    with the closed-form backward that the tape composes from softmax,
+    clamp, take_per_row, log and neg, with the same float work.
+    """
     logits = as_tensor(logits)
     if logits.ndim == 1:
         logits = logits.reshape((1, -1))
@@ -51,8 +70,17 @@ def cross_entropy_terms(logits, class_index) -> Tensor:
         )
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
         raise DimensionError("cross_entropy: class index out of range")
-    p = clamp(softmax(logits, axis=1), PROB_EPS, 1.0)
-    return -log(take_per_row(p, idx))
+    rows = np.arange(len(idx))
+    s = _softmax_values(logits.values, 1)
+    picked = np.minimum(np.maximum(s, PROB_EPS), 1.0)[rows, idx]
+    out_v = -np.log(picked)
+
+    def backward(g):
+        g_p = np.zeros_like(s)
+        np.add.at(g_p, (rows, idx), -g / picked)
+        _accumulate(logits, _softmax_grad(s, g_p * ((s >= PROB_EPS) & (s <= 1.0)), 1))
+
+    return _make(out_v, (logits,), backward)
 
 
 def cross_entropy(logits, class_index) -> Tensor:

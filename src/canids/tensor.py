@@ -10,7 +10,6 @@ handled correctly: d(x+x)/dx = 2.
 
 from __future__ import annotations
 
-import contextlib
 import math
 
 import numpy as np
@@ -20,16 +19,23 @@ from .errors import DimensionError
 _grad_enabled = True
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape construction inside the block (frozen-model inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+class no_grad:
+    """Disable tape construction inside the block (frozen-model inference).
+
+    Inside the block an op computes its forward values only: it records no
+    parents and no backward closure, and what only a backward needs (a
+    clamp mask, concat offsets) is computed in the backward itself. The
+    values are the same bits as with the tape on.
+    """
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 class Tensor:
@@ -38,16 +44,16 @@ class Tensor:
     # keep numpy from broadcasting over Tensor operands; defer to __r<op>__
     __array_ufunc__ = None
 
-    def __init__(self, values, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, values, requires_grad=False):
         if isinstance(values, np.ndarray) and values.dtype == np.float64:
             self.values = values
         else:
             self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._backward = _backward
-        self._track = requires_grad or bool(_parents)
+        self._parents = ()
+        self._backward = None
+        self._track = requires_grad
 
     @property
     def shape(self):
@@ -130,7 +136,7 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if type(x) is Tensor else Tensor(x)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -173,10 +179,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+_new_tensor = object.__new__
+
+
 def _make(values, parents, backward):
-    if _grad_enabled and any(p._track for p in parents):
-        return Tensor(values, _parents=tuple(parents), _backward=backward)
-    return Tensor(values)
+    """The Tensor an op returns; it records parents and backward only if the tape tracks an input.
+
+    Built without ``Tensor.__init__``: an op's values are float64 already,
+    and only a numpy scalar (a full reduction, a 0-d ufunc result) needs
+    wrapping as a 0-d array.
+    """
+    t = _new_tensor(Tensor)
+    t.values = values if type(values) is np.ndarray else np.asarray(values, dtype=np.float64)
+    t.grad = None
+    t.requires_grad = False
+    t._parents, t._backward, t._track = (), None, False
+    if _grad_enabled:
+        for p in parents:
+            if p._track:
+                t._parents, t._backward, t._track = parents, backward, True
+                break
+    return t
 
 
 def add(a, b) -> Tensor:
@@ -255,6 +278,27 @@ def matmul(a, b) -> Tensor:
     return _make(out_v, (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a 2-d x and a bias b of w's width, as one op.
+
+    The same float work as ``matmul`` then ``add``, forward and backward.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise DimensionError(f"matmul: incompatible shapes {x.shape} @ {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: bias shape {b.shape} does not match {w.shape[1]} outputs")
+    out_v = x.values @ w.values
+    out_v += b.values
+
+    def backward(g):
+        _accumulate(b, _unbroadcast(g, b.values.shape))
+        _accumulate(x, g @ w.values.T)
+        _accumulate(w, x.values.T @ g)
+
+    return _make(out_v, (x, w, b), backward)
+
+
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
@@ -281,10 +325,9 @@ def concat(tensors, axis=0) -> Tensor:
     if not ts:
         raise DimensionError("concat: empty tensor list")
     out_v = np.concatenate([t.values for t in ts], axis=axis)
-    sizes = [t.values.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
+        offsets = np.cumsum([0] + [t.values.shape[axis] for t in ts])
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
@@ -295,16 +338,13 @@ def concat(tensors, axis=0) -> Tensor:
 
 def tensor_slice(a, key) -> Tensor:
     a = as_tensor(a)
-    out_v = a.values[key]
-    if np.isscalar(out_v) or out_v.ndim == 0:
-        out_v = np.asarray(out_v, dtype=np.float64)
 
     def backward(g):
         gx = np.zeros_like(a.values)
         np.add.at(gx, key, g)
         _accumulate(a, gx)
 
-    return _make(out_v, (a,), backward)
+    return _make(a.values[key], (a,), backward)
 
 
 def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
@@ -321,8 +361,9 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
 
 def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out_v = a.values.mean(axis=axis, keepdims=keepdims)
     n = a.values.size if axis is None else a.values.shape[axis]
+    # the two steps ndarray.mean takes, without its argument handling
+    out_v = np.add.reduce(a.values, axis, keepdims=keepdims) / n
 
     def backward(g):
         if axis is not None and not keepdims:
@@ -361,15 +402,22 @@ def sigmoid(a) -> Tensor:
     return _make(out_v, (a,), backward)
 
 
+def _softmax_values(x: np.ndarray, axis) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(out_v: np.ndarray, g: np.ndarray, axis) -> np.ndarray:
+    """Gradient at the input of a softmax with output ``out_v``, given the output gradient ``g``."""
+    return out_v * (g - (g * out_v).sum(axis=axis, keepdims=True))
+
+
 def softmax(a, axis=-1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_v = e / e.sum(axis=axis, keepdims=True)
+    out_v = _softmax_values(a.values, axis)
 
     def backward(g):
-        dot = (g * out_v).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_v * (g - dot))
+        _accumulate(a, _softmax_grad(out_v, g, axis))
 
     return _make(out_v, (a,), backward)
 
@@ -389,54 +437,110 @@ def elu(a, alpha=1.0) -> Tensor:
     a = as_tensor(a)
     mask = a.values > 0
     # expm1 only sees the non-positive branch; positives would overflow
-    expm1 = alpha * np.expm1(np.minimum(a.values, 0.0))
-    out_v = np.where(mask, a.values, expm1)
+    out_v = np.expm1(np.minimum(a.values, 0.0))
+    if alpha != 1.0:
+        out_v *= alpha
+    np.putmask(out_v, mask, a.values)
 
     def backward(g):
-        _accumulate(a, g * np.where(mask, 1.0, expm1 + alpha))
+        # out_v holds alpha * expm1 wherever the mask is off
+        _accumulate(a, g * np.where(mask, 1.0, out_v + alpha))
 
     return _make(out_v, (a,), backward)
 
 
 def clamp(a, lo, hi) -> Tensor:
     a = as_tensor(a)
-    out_v = np.clip(a.values, lo, hi)
-    mask = (a.values >= lo) & (a.values <= hi)
+    out_v = np.minimum(np.maximum(a.values, lo), hi)
 
     def backward(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * ((a.values >= lo) & (a.values <= hi)))
 
     return _make(out_v, (a,), backward)
 
 
-def _segment_sum(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+def _segment_keys(idx: np.ndarray, width: int) -> np.ndarray:
+    """The np.bincount key of each (row idx[k], column c) entry of a (len(idx), width) array."""
+    return idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
+
+
+class SegmentIndex:
+    """A row index for segment sums, with its bincount keys kept per row width.
+
+    The attention layers over one graph batch, and their backward passes,
+    sum over the same edge ends at the same few widths; one SegmentIndex
+    per edge end builds each key array once.
+    """
+
+    __slots__ = ("idx", "_keys")
+
+    def __init__(self, idx):
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self._keys = {}
+
+    def keys(self, width: int) -> np.ndarray:
+        keys = self._keys.get(width)
+        if keys is None:
+            keys = self._keys[width] = _segment_keys(self.idx, width)
+        return keys
+
+
+def _segment_sum(values: np.ndarray, idx, num_rows: int) -> np.ndarray:
     """out[i] = sum of values[k] over k with idx[k] == i, as np.add.at computes it.
 
     One np.bincount over (row, column) keys: each output entry starts at 0.0
     and takes its terms in k order, so the result equals np.add.at bit for bit.
+    ``idx`` is an int array or a SegmentIndex.
     """
     trailing = values.shape[1:]
     width = math.prod(trailing)
-    keys = idx if width == 1 else (idx[:, None] * width + np.arange(width)).ravel()
+    keys = idx.keys(width) if type(idx) is SegmentIndex else _segment_keys(idx, width)
     out = np.bincount(keys, weights=values.reshape(-1), minlength=num_rows * width)
     return out.reshape((num_rows,) + trailing)
 
 
+def _scatter_sum(values: np.ndarray, idx, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx as int64, _segment_sum(values, idx, num_rows)), with scatter_add_rows's index checks."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.shape != (values.shape[0],):
+        raise DimensionError(
+            f"scatter_add_rows: index shape {idx.shape} does not match {values.shape[0]} rows"
+        )
+    try:
+        # np.bincount rejects a negative index and the reshape a too-large one
+        return idx, _segment_sum(values, idx, num_rows)
+    except ValueError:
+        raise DimensionError(f"scatter_add_rows: index out of range for {num_rows} rows") from None
+
+
 def segment_mean(a, idx, counts) -> Tensor:
-    """Per-segment mean of the rows of ``a``: segment i holds the counts[i] rows with idx == i."""
+    """Per-segment mean of the rows of ``a``: segment i holds the counts[i] rows with idx == i.
+
+    One op with the float work of scatter_add_rows followed by a division
+    by the counts, forward and backward.
+    """
     a = as_tensor(a)
-    counts = np.asarray(counts, dtype=np.float64)
-    return scatter_add_rows(a, idx, len(counts)) / counts.reshape((-1,) + (1,) * (a.ndim - 1))
+    counts = np.asarray(counts, dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
+    idx, sums = _scatter_sum(a.values, idx, len(counts))
+
+    def backward(g):
+        _accumulate(a, (g / counts)[idx])
+
+    return _make(sums / counts, (a,), backward)
+
+
+def _row_index(idx, num_rows: int) -> np.ndarray:
+    """``idx`` as int64, checked to index rows of a ``num_rows``-row array."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+        raise DimensionError(f"gather_rows: index out of range for {num_rows} rows")
+    return idx
 
 
 def gather_rows(a, idx) -> Tensor:
     """out[k] = a[idx[k]] along axis 0."""
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.values.shape[0]):
-        raise DimensionError(
-            f"gather_rows: index out of range for {a.values.shape[0]} rows"
-        )
+    idx = _row_index(idx, a.values.shape[0])
     out_v = a.values[idx]
 
     def backward(g):
@@ -445,19 +549,35 @@ def gather_rows(a, idx) -> Tensor:
     return _make(out_v, (a,), backward)
 
 
+def sigmoid_inner_product(z, src, dst) -> Tensor:
+    """out[k] = sigmoid(z[src[k]] . z[dst[k]]) for a 2-d z, as one op.
+
+    The same float work as ``gather_rows`` twice, ``mul``, ``sum`` over
+    axis 1 and ``sigmoid``, forward and backward; the backward adds the
+    src rows' gradient into z before the dst rows'.
+    """
+    z = as_tensor(z)
+    if z.ndim != 2:
+        raise DimensionError(f"sigmoid_inner_product: expected 2-d rows, got shape {z.shape}")
+    n = z.values.shape[0]
+    src, dst = _row_index(src, n), _row_index(dst, n)
+    if src.shape != dst.shape:
+        raise DimensionError(f"sigmoid_inner_product: {src.shape} sources for {dst.shape} destinations")
+    z_src, z_dst = z.values[src], z.values[dst]
+    out_v = 1.0 / (1.0 + np.exp(-(z_src * z_dst).sum(axis=1)))
+
+    def backward(g):
+        g_dot = (g * out_v * (1.0 - out_v))[:, None]
+        _accumulate(z, _segment_sum(g_dot * z_dst, src, n))
+        _accumulate(z, _segment_sum(g_dot * z_src, dst, n))
+
+    return _make(out_v, (z,), backward)
+
+
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
     """out[i] = sum over k with idx[k]==i of a[k]; out has num_rows rows."""
     a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (a.values.shape[0],):
-        raise DimensionError(
-            f"scatter_add_rows: index shape {idx.shape} does not match {a.values.shape[0]} rows"
-        )
-    try:
-        # np.bincount rejects a negative index and the reshape a too-large one
-        out_v = _segment_sum(a.values, idx, num_rows)
-    except ValueError:
-        raise DimensionError(f"scatter_add_rows: index out of range for {num_rows} rows") from None
+    idx, out_v = _scatter_sum(a.values, idx, num_rows)
 
     def backward(g):
         _accumulate(a, g[idx])
@@ -475,9 +595,13 @@ def graph_attention(wh, att_src, att_dst, log_w, src, dst, slope: float):
     over each node's in-edges into alpha, and out[i] is the alpha-weighted
     sum of wh[src] over the in-edges of i (zero for a node without one).
     Returns (out (n, heads, d), alpha (E, heads) array); the backward is the
-    closed-form gradient for wh, att_src and att_dst.
+    closed-form gradient for wh, att_src and att_dst. ``src`` and ``dst``
+    are int arrays or SegmentIndex objects, whose keys are then reused.
     """
     wh, att_src, att_dst = as_tensor(wh), as_tensor(att_src), as_tensor(att_dst)
+    src_sums = src if type(src) is SegmentIndex else SegmentIndex(src)
+    dst_sums = dst if type(dst) is SegmentIndex else SegmentIndex(dst)
+    src, dst = src_sums.idx, dst_sums.idx
     x = wh.values
     if x.ndim != 3 or att_src.shape != x.shape[1:] or att_dst.shape != x.shape[1:]:
         raise DimensionError(
@@ -492,21 +616,21 @@ def graph_attention(wh, att_src, att_dst, log_w, src, dst, slope: float):
     peak = np.full((n, heads), -np.inf)
     np.maximum.at(peak, dst, logits)
     exp_l = np.exp(logits - peak[dst])
-    alpha = exp_l / _segment_sum(exp_l, dst, n)[dst]
+    alpha = exp_l / _segment_sum(exp_l, dst_sums, n)[dst]
     msg = x[src]
     msg *= alpha[:, :, None]
-    out_v = _segment_sum(msg, dst, n)
+    out_v = _segment_sum(msg, dst_sums, n)
 
     def backward(g):
         g_dst = g[dst]
         g_alpha = np.einsum("ehd,ehd->eh", g_dst, x[src])
         # softmax over each destination's in-edges, then the leaky slope
         weighted = alpha * g_alpha
-        g_pre = weighted - alpha * _segment_sum(weighted, dst, n)[dst]
+        g_pre = weighted - alpha * _segment_sum(weighted, dst_sums, n)[dst]
         g_pre[~positive] *= slope
-        g_s_src = _segment_sum(g_pre, src, n)
-        g_s_dst = _segment_sum(g_pre, dst, n)
-        g_x = _segment_sum(g_dst * alpha[:, :, None], src, n)
+        g_s_src = _segment_sum(g_pre, src_sums, n)
+        g_s_dst = _segment_sum(g_pre, dst_sums, n)
+        g_x = _segment_sum(g_dst * alpha[:, :, None], src_sums, n)
         g_x += g_s_src[:, :, None] * att_src.values
         g_x += g_s_dst[:, :, None] * att_dst.values
         _accumulate(wh, g_x)

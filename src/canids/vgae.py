@@ -102,7 +102,7 @@ class DecodedGraph:
 
     def edge_probabilities(self, src, dst) -> Tensor:
         """sigmoid(z[src] . z[dst]): the inner-product decoder read at the given pairs only."""
-        return T.sigmoid((T.gather_rows(self.z, src) * T.gather_rows(self.z, dst)).sum(axis=1))
+        return T.sigmoid_inner_product(self.z, src, dst)
 
 
 def expected_param_shapes(config: VgaeConfig, in_dim: int = IN_DIM) -> dict[str, tuple]:
@@ -175,8 +175,8 @@ class VgaeModel:
     def param_values(self) -> dict[str, np.ndarray]:
         return {p.name: p.tensor.values for p in self.params()}
 
-    def _lin(self, name: str, x: Tensor) -> Tensor:
-        return x @ self._linear[f"{name}.weight"].tensor + self._linear[f"{name}.bias"].tensor
+    def _lin(self, x: Tensor, weight: str, bias: str) -> Tensor:
+        return T.linear(x, self._linear[weight].tensor, self._linear[bias].tensor)
 
     def prepare(self, graph) -> GraphBatch:
         return as_batch(graph, self.config.id_buckets)
@@ -187,12 +187,9 @@ class VgaeModel:
         The posterior noise of a batch is one draw of (num_nodes, latent_dim),
         which is the per-window draws in batch order.
         """
-        cfg = self.config
-        h = prep.x
-        for layer in self.enc_layers:
-            h = gat_layer(h, prep, layer, cfg.attn_heads, cfg.hidden_channels, 0.2, "concat")
-        mu = self._lin("mu", h)
-        log_sigma = T.clamp(self._lin("log_sigma", h), -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
+        h = self._trunk(prep)
+        mu = self._lin(h, "mu.weight", "mu.bias")
+        log_sigma = T.clamp(self._lin(h, "log_sigma.weight", "log_sigma.bias"), -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
         if training:
             if noise is None:
                 if rng is None:
@@ -203,17 +200,28 @@ class VgaeModel:
             z = mu
         return LatentState(mu=mu, log_sigma=log_sigma, z=z)
 
+    def _trunk(self, prep: GraphBatch) -> Tensor:
+        """The attention stack that both posterior heads read."""
+        cfg = self.config
+        h = prep.x
+        for layer in self.enc_layers:
+            h = gat_layer(h, prep, layer, cfg.attn_heads, cfg.hidden_channels, 0.2, "concat")
+        return h
+
+    def posterior_mean(self, prep: GraphBatch) -> Tensor:
+        """``encode(prep).mu`` alone: the trunk and the mu head, without the log_sigma head."""
+        return self._lin(self._trunk(prep), "mu.weight", "mu.bias")
+
     def decode_adjacency(self, z: Tensor) -> Tensor:
         """Symmetric n x n matrix of edge probabilities sigmoid(z_i . z_j), for the adjacency_l2 ablation."""
         return T.sigmoid(z @ z.T)
 
     def decode_features(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """Single-hidden-layer heads: node features in (0,1) and ID-bucket logits."""
-        lin = self._linear
-        hidden = T.elu(z @ lin["dec_feat.w1"].tensor + lin["dec_feat.b1"].tensor)
-        features = T.sigmoid(hidden @ lin["dec_feat.w2"].tensor + lin["dec_feat.b2"].tensor)
-        hidden_id = T.elu(z @ lin["dec_canid.w1"].tensor + lin["dec_canid.b1"].tensor)
-        id_logits = hidden_id @ lin["dec_canid.w2"].tensor + lin["dec_canid.b2"].tensor
+        hidden = T.elu(self._lin(z, "dec_feat.w1", "dec_feat.b1"))
+        features = T.sigmoid(self._lin(hidden, "dec_feat.w2", "dec_feat.b2"))
+        hidden_id = T.elu(self._lin(z, "dec_canid.w1", "dec_canid.b1"))
+        id_logits = self._lin(hidden_id, "dec_canid.w2", "dec_canid.b2")
         return features, id_logits
 
     def decode(self, z: Tensor) -> DecodedGraph:
@@ -241,8 +249,7 @@ class VgaeModel:
         prep = self.prepare(prep)
         rng = derive_seed(seed, _SEED_NEG_SCORE, prep.graph.window_start_index)
         with no_grad():
-            latent = self.encode(prep, training=False)
-            terms = reconstruction_terms(prep, self.decode(latent.z), [rng])
+            terms = reconstruction_terms(prep, self.decode(self.posterior_mean(prep)), [rng])
         return tuple(t.item() for t in terms)
 
     def composite_error(self, prep, weights: CompositeWeights = CompositeWeights(), seed: int = 0) -> float:
@@ -254,8 +261,7 @@ class VgaeModel:
         prep = self.prepare(prep)
         g = prep.graph
         with no_grad():
-            latent = self.encode(prep, training=False)
-            adj = self.decode_adjacency(latent.z).values
+            adj = self.decode_adjacency(self.posterior_mean(prep)).values
         a = np.zeros((g.num_nodes, g.num_nodes))
         a[g.edge_src, g.edge_dst] = 1.0
         return float(np.linalg.norm(a - adj))
@@ -323,11 +329,13 @@ def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> 
     """
     seg, counts = batch.graph_index, batch.node_counts
     src, dst, edge_seg = [batch.edge_src], [batch.edge_dst], [seg[batch.edge_src]]
-    for k, (g, offset, rng) in enumerate(zip(batch.graphs, batch.node_offsets, neg_rngs)):
+    offset = 0  # row of the window's first node
+    for k, (g, rng) in enumerate(zip(batch.graphs, neg_rngs)):
         neg_src, neg_dst = sample_non_edges(g.num_nodes, g.edge_src, g.edge_dst, len(g.edge_src), rng)
         src.append(neg_src + offset)
         dst.append(neg_dst + offset)
         edge_seg.append(np.full(len(neg_src), k, dtype=np.int64))
+        offset += g.num_nodes
     edge_seg = np.concatenate(edge_seg)
     targets = np.zeros(len(edge_seg))
     targets[: len(batch.edge_src)] = 1.0
@@ -344,20 +352,19 @@ def sample_non_edges(n: int, edge_src, edge_dst, count: int, rng) -> tuple[np.nd
     """Up to ``count`` uniform (i, j) pairs absent from the edge set."""
     if count <= 0 or n * n <= len(edge_src):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # pairs travel as flat cells i * n + j
     present = np.zeros(n * n, dtype=bool)
     present[np.asarray(edge_src, dtype=np.int64) * n + np.asarray(edge_dst, dtype=np.int64)] = True
-    out_s, out_d, got = [], [], 0
+    kept, got = [], 0
     for _ in range(20):
         cand = rng.integers(0, n, size=(2, max(2 * count, 8)))
-        keep = ~present[cand[0] * n + cand[1]]
-        s, d = cand[0][keep], cand[1][keep]
-        take = min(count - got, len(s))
-        out_s.append(s[:take])
-        out_d.append(d[:take])
-        got += take
+        cells = cand[0] * n + cand[1]
+        cells = cells[~present[cells]][: count - got]
+        kept.append(cells)
+        got += len(cells)
         if got >= count:
             break
-    return np.concatenate(out_s), np.concatenate(out_d)
+    return np.divmod(np.concatenate(kept), n)
 
 
 def train_vgae(

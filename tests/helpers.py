@@ -121,3 +121,20 @@ def model_gradient_error(params, build_loss, eps=None):
     if eps is not None:
         return relative_gradient_error(fn, arrays, eps=eps)
     return robust_gradient_error(fn, arrays)
+
+
+def forward_and_gradients(fn, arrays, weight):
+    """fn(*tensors).values and the gradient of sum(fn(*tensors) * weight) with respect to each input."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    (out * weight).sum().backward()
+    return out.values, [t.grad for t in tensors]
+
+
+def assert_same_bits_as_composed(fused, composed, arrays, weight):
+    """A fused op gives the composed tape ops' forward values and gradients, bit for bit."""
+    out, grads = forward_and_gradients(fused, arrays, weight)
+    out_ref, grads_ref = forward_and_gradients(composed, arrays, weight)
+    assert out.shape == out_ref.shape and out.tobytes() == out_ref.tobytes()
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()

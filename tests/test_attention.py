@@ -133,9 +133,9 @@ def test_vgae_encoder_matches_per_edge_oracle(mixed_graphs, monkeypatch, preset,
 
 
 def test_teacher_batch_loss_tape_is_small(mixed_graphs):
-    # one op per attention layer; the per-edge composition built about 150 tape nodes
+    # one op per attention layer and per dense layer; the per-edge composition built about 150 tape nodes
     batch = GraphBatch.concat(prepare_graph(g) for g in mixed_graphs[:16])
     model = GatClassifier(GatConfig.teacher(), seed=1)
     _, logits, _ = model.forward(batch)
     loss = cross_entropy(logits, np.array([g.label for g in batch.graphs]))
-    assert len(T._toposort(loss)) <= 70
+    assert len(T._toposort(loss)) <= 58

@@ -82,6 +82,12 @@ def test_malformed_row_carries_line_number(tmp_path):
         "nan,0316,0,R",  # non-finite timestamps
         "inf,0316,0,R",
         "-inf,0316,0,R",
+        "1_0.5,0316,0,R",  # underscores, blanks and a leading + are not decimal
+        "11.0 ,0316,0,R",  # a blank inside the field (the row's own ends are stripped)
+        "+2,0316,0,R",
+        "1.0,0316, 2 ,aa,bb,R",
+        "1.0,0316,0_2,aa,bb,R",
+        "1.0,0316,+2,aa,bb,R",
     ],
 )
 def test_bad_rows_rejected(tmp_path, row):
@@ -89,6 +95,41 @@ def test_bad_rows_rejected(tmp_path, row):
     with pytest.raises(ParseError) as err:
         list(parse_car_hacking_csv(p))
     assert err.value.line == 1
+
+
+@pytest.mark.parametrize("parser", ["car-hacking", "generic"])
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1_0.5,0316,2,aa,bb,R", "bad timestamp '1_0.5'"),
+        ("11.0 ,0316,2,aa,bb,R", "bad timestamp '11.0 '"),
+        ("+2,0316,2,aa,bb,R", "bad timestamp '+2'"),
+        ("1.0.0,0316,2,aa,bb,R", "bad timestamp '1.0.0'"),
+        ("Infinity,0316,2,aa,bb,R", "bad timestamp 'Infinity'"),
+        ("1.0,0316,+2,aa,bb,R", "bad DLC '+2'"),
+        ("1.0,0316, 2 ,aa,bb,R", "bad DLC ' 2 '"),
+        ("1.0,0316,0_2,aa,bb,R", "bad DLC '0_2'"),
+        ("1.0,0316,-1,aa,bb,R", "bad DLC '-1'"),
+        ("1.0,0316,9,aa,bb,R", "DLC 9 outside [0, 8]"),
+        ("1.0,0316,12,aa,bb,R", "DLC 12 outside [0, 8]"),
+    ],
+)
+def test_timestamp_and_dlc_are_strict_decimals(tmp_path, parser, row, message):
+    p = write_lines(tmp_path, ["0.5,0316,2,aa,bb,R", row])
+    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
+    with pytest.raises(ParseError) as err:
+        list(frames)
+    assert err.value.line == 2 and message in str(err.value)
+
+
+@pytest.mark.parametrize("parser", ["car-hacking", "generic"])
+def test_timestamps_in_repr_form_parse(tmp_path, parser):
+    stamps = [-1.5, -0.0, 0.0, 2.5e-07, 1e-05, 3.0, 1478198376.389427, 1e16, 1.5e300]
+    p = write_lines(tmp_path, [f"{t!r},0316,2,aa,bb,R" for t in stamps] + ["1.5e300,0316,02,aa,bb,R"])
+    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
+    frames = list(frames)
+    assert [f.timestamp for f in frames] == stamps + [1.5e300]
+    assert all(f.dlc == 2 for f in frames)  # "02" is decimal digits too
 
 
 def test_one_to_three_hex_digits_are_a_byte(tmp_path):
@@ -261,7 +302,8 @@ def per_field_parse_car_hacking_csv(path):
     """Reference parser: one ``int(field, 16)`` per payload field.
 
     Yields (line number, field tuple) pairs. ID and payload fields must be
-    one or more hex digits, and timestamps finite and non-decreasing.
+    one or more hex digits, timestamps decimals as ``repr`` writes them,
+    finite and non-decreasing, and the DLC decimal digits.
     """
     last_ts = None
     with open(path, "r", encoding="ascii") as fh:
@@ -272,10 +314,9 @@ def per_field_parse_car_hacking_csv(path):
             fields = raw.split(",")
             if len(fields) < 4:
                 raise ParseError(f"expected at least 4 fields, got {len(fields)}", line=lineno)
-            try:
-                ts = float(fields[0])
-            except ValueError:
-                raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno) from None
+            if re.fullmatch(r"-?([0-9]+(\.[0-9]*)?|\.[0-9]+)(e[-+]?[0-9]+)?|nan|inf|-inf", fields[0]) is None:
+                raise ParseError(f"bad timestamp {fields[0]!r}", line=lineno)
+            ts = float(fields[0])
 
             def hex_field(field, what):
                 if re.fullmatch("[0-9a-fA-F]+", field) is None:
@@ -285,11 +326,10 @@ def per_field_parse_car_hacking_csv(path):
             can_id = hex_field(fields[1], "CAN ID")
             if can_id > 2047:
                 raise ParseError(f"CAN ID 0x{can_id:x} exceeds 11 bits", line=lineno)
-            try:
-                dlc = int(fields[2])
-            except ValueError:
-                raise ParseError(f"bad DLC {fields[2]!r}", line=lineno) from None
-            if not 0 <= dlc <= 8:
+            if re.fullmatch("[0-9]+", fields[2]) is None:
+                raise ParseError(f"bad DLC {fields[2]!r}", line=lineno)
+            dlc = int(fields[2])
+            if dlc > 8:
                 raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
             if len(fields) != 4 + dlc:
                 raise ParseError(f"expected {4 + dlc} fields, got {len(fields)}", line=lineno)
@@ -339,7 +379,7 @@ payload_fields = st.one_of(payload_fields, st.just(["abcd", ""]), st.just(["", "
 csv_row = st.tuples(
     st.one_of(
         st.floats(0.0, 10.0, allow_nan=False).map(repr),
-        st.sampled_from(["nan", "inf", "-inf", "-nan", "Infinity", "1e400"]),
+        st.sampled_from(["nan", "inf", "-inf", "-nan", "Infinity", "1e400", "1_0.5", " 1.0", "+2", "1e-05", "."]),
     ),
     st.one_of(
         st.integers(0, 0x7FF).map(lambda i: f"{i:04x}"),
@@ -349,7 +389,8 @@ csv_row = st.tuples(
     payload_fields,
     st.integers(-1, 1),  # DLC offset from the payload's field count
     st.sampled_from(["R", "R", "T", "X"]),
-).map(lambda r: ",".join([r[0], r[1], str(len(r[2]) + r[3]), *r[2], r[4]]))
+    st.sampled_from(["{}"] * 6 + ["0{}", "+{}", " {}", "{} ", "{}_0"]),  # the DLC field's spelling
+).map(lambda r: ",".join([r[0], r[1], r[5].format(len(r[2]) + r[3]), *r[2], r[4]]))
 
 
 @given(st.lists(csv_row, min_size=1, max_size=6))

@@ -94,6 +94,24 @@ def test_out_of_range_log_value_is_parse_error(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["1_2.5,0316,2,aa,bb,R", "3.0 ,0316,2,aa,bb,R", "+3,0316,2,aa,bb,R", "3.0,0316,+2,aa,bb,R", "3.0,0316, 2 ,aa,bb,R", "3.0,0316,0_2,aa,bb,R"])
+@pytest.mark.parametrize("command", ["build-graphs", "ingest-generic"])
+def test_non_decimal_timestamp_or_dlc_is_parse_error(tmp_path, capsys, command, row):
+    log = tmp_path / "log.csv"
+    log.write_text(f"1.0,0316,2,aa,bb,R\n2.0,0100,2,7f,00,T\n{row}\n4.0,0316,2,aa,bb,R\n")
+    out = tmp_path / "out"
+    if command == "build-graphs":
+        argv = ["build-graphs", "--in", log, "--window", 2, "--out", out]
+    else:
+        argv = ["ingest", log, "--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=5", "--out", out]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 1 and stdout == ""
+    errors = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert errors[0].startswith("canids-error category=parse message=line 3: bad ")
+    assert not out.exists()
+
+
 def test_ingest_generic_normalizes(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("0.5,316,2,aa,bb,T\n0.6,100,2,7f,01,R\n")

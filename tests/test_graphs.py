@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids.canlog import CanFrame, Label
 from canids.errors import ConfigError, StateError
@@ -120,6 +122,35 @@ def test_stride_one_windows_equal_windows_built_alone(directed):
                 a, b = getattr(g, name), getattr(alone, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
             assert g.label == alone.label
+
+
+def assert_same_window(a, b):
+    assert a.node_ids == b.node_ids and a.label == b.label
+    for name in ("node_features", "edge_src", "edge_dst", "edge_weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda k: st.lists(st.integers(0, k - 1), min_size=2, max_size=40)),
+    st.integers(2, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_sliding_stride_one_windows_equal_windows_built_alone(id_positions, w, seed):
+    # few IDs and short windows: first appearances of IDs and of transitions move at almost every step
+    rng = np.random.Generator(np.random.PCG64(seed))
+    frames = [
+        CanFrame(0.001 * i, 0x100 + 7 * k, dlc, tuple(int(b) for b in rng.integers(0, 256, size=dlc)), label)
+        for i, k in enumerate(id_positions)
+        for dlc, label in [(int(rng.integers(0, 9)), Label.ATTACK if rng.uniform() < 0.1 else Label.BENIGN)]
+    ]
+    windows = list(build_windows(iter(frames), w, 1))
+    assert len(windows) == max(len(frames) - w + 1, 0)
+    for start, g in enumerate(windows):
+        [alone] = list(build_windows(frames[start : start + w], w))
+        assert g.window_start_index == start
+        assert_same_window(g, alone)
 
 
 def test_determinism_and_first_appearance_order():

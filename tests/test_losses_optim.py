@@ -5,9 +5,20 @@ import pytest
 
 from canids.errors import DimensionError
 from canids.gradcheck import relative_gradient_error
-from canids.losses import bce, cross_entropy, kl_categorical, kl_gaussian_standard, mse
+from canids import tensor as T
+from canids.losses import (
+    PROB_EPS,
+    bce,
+    bce_terms,
+    cross_entropy,
+    cross_entropy_terms,
+    kl_categorical,
+    kl_gaussian_standard,
+    mse,
+)
 from canids.optim import Adam, Param, clip_grad_norm, derive_seed, glorot_uniform, seeded_rng
 from canids.tensor import Tensor
+from helpers import assert_same_bits_as_composed
 
 RNG = np.random.Generator(np.random.PCG64(77))
 
@@ -72,6 +83,14 @@ LOSS_CASES = {
     "bce": (lambda p: bce(p, np.array([1.0, 0.0, 1.0])), lambda: [np.array([0.3, 0.6, 0.9])]),
     "mse": (lambda p: mse(p, np.zeros((3, 2))), lambda: [rand(3, 2)]),
     "cross_entropy": (lambda l: cross_entropy(l, [2, 0]), lambda: [rand(2, 4)]),
+    "bce_terms": (
+        lambda p: (bce_terms(p, np.array([1.0, 0.0, 0.25])) * np.array([1.0, -2.0, 0.5])).sum(),
+        lambda: [np.array([0.3, 0.6, 0.9]) + rand(3) * 0.05],
+    ),
+    "cross_entropy_terms": (
+        lambda l: (cross_entropy_terms(l, [2, 0, 3]) * np.array([1.0, -2.0, 0.5])).sum(),
+        lambda: [rand(3, 4)],
+    ),
     "kl_gaussian": (lambda m, s: kl_gaussian_standard(m, s), lambda: [rand(3, 2), rand(3, 2)]),
     "kl_categorical": (
         lambda a, b: kl_categorical(a, b),
@@ -171,3 +190,61 @@ def test_glorot_bounds_and_mean():
     # mean of n uniform(-b, b) samples is within 3 sigma of 0
     sigma = bound / math.sqrt(3.0) / math.sqrt(sample.size)
     assert abs(sample.mean()) < 3.0 * sigma
+
+
+# bce_terms and cross_entropy_terms are one op each; they must give the bits
+# of the tape ops they replace, forward and backward, clamped entries included.
+
+
+def composed_bce_terms(pred, target):
+    p = T.clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
+    return -(target * T.log(p) + (1.0 - target) * T.log(1.0 - p))
+
+
+def composed_cross_entropy_terms(logits, class_index):
+    if logits.ndim == 1:
+        logits = logits.reshape((1, -1))
+    p = T.clamp(T.softmax(logits, axis=1), PROB_EPS, 1.0)
+    return -T.log(T.take_per_row(p, np.atleast_1d(class_index)))
+
+
+def test_bce_terms_equal_composed_ops_bitwise():
+    # inside the clamp, on its bounds and beyond them at both ends
+    pred = np.array([0.0, 1e-9, PROB_EPS, 0.3, 0.5, 0.97, 1.0 - PROB_EPS, 1.0 - 1e-9, 1.0])
+    for target in (np.ones(9), np.zeros(9), RNG.uniform(0.0, 1.0, 9)):
+        for _ in range(5):
+            jitter = np.clip(pred + rand(9) * 1e-3 * (pred % 1.0 > 0.01), 0.0, 1.0)
+            assert_same_bits_as_composed(
+                lambda p: bce_terms(p, target), lambda p: composed_bce_terms(p, target), [jitter], rand(9)
+            )
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_cross_entropy_terms_equal_composed_ops_bitwise(rows):
+    for scale in (1.0, 30.0):  # at 30 some probabilities fall below the clamp
+        logits = rand(rows, 6) * scale
+        idx = RNG.integers(0, 6, size=rows)
+        assert_same_bits_as_composed(
+            lambda l: cross_entropy_terms(l, idx),
+            lambda l: composed_cross_entropy_terms(l, idx),
+            [logits],
+            rand(rows),
+        )
+
+
+def test_cross_entropy_terms_of_one_row_vector_bitwise():
+    logits = rand(5) * 20.0
+    assert_same_bits_as_composed(
+        lambda l: cross_entropy_terms(l, 3), lambda l: composed_cross_entropy_terms(l, 3), [logits], rand(1)
+    )
+
+
+def test_fused_loss_errors():
+    with pytest.raises(DimensionError, match=r"bce: shape mismatch \(3,\) vs \(4,\)"):
+        bce_terms(Tensor(rand(3)), np.zeros(4))
+    with pytest.raises(DimensionError, match="cross_entropy: 2 targets for 3 rows"):
+        cross_entropy_terms(Tensor(rand(3, 4)), [0, 1])
+    with pytest.raises(DimensionError, match="cross_entropy: class index out of range"):
+        cross_entropy_terms(Tensor(rand(2, 4)), [0, 4])
+    with pytest.raises(DimensionError, match="cross_entropy: class index out of range"):
+        cross_entropy_terms(Tensor(rand(2, 4)), [-1, 0])

@@ -271,3 +271,49 @@ def test_report_cli_matches_run_two_stage(mixed_graphs, tmp_path, capsys):
     assert report["undersampling"] == result.report["undersampling"]
     assert report["calibration"] == {"q_mid": result.calibration.q_mid, "q_high": result.calibration.q_high}
     assert read_scores_csv(tmp_path / "run" / "scores.csv") == result.scored
+
+
+def _golden_stream():
+    """Student-preset models trained briefly, and the stride-1 windows of a short attacked stream."""
+    from canids import gat, vgae
+    from canids.graphs import build_windows
+    from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
+
+    ecus = [EcuSpec(0x110, 0.002, 11), EcuSpec(0x220, 0.003, 22), EcuSpec(0x330, 0.005, 33), EcuSpec(0x150, 0.011, 55)]
+    train = list(build_windows(generate_synthetic_log(ecus, 4.0, [AttackSpec(AttackKind.DOS, 2.0, 0.2, 3000.0)], rng_seed=61), 100))
+    normals = [g for g in train if g.label == 0][:24]
+    brief = normals + [g for g in train if g.label == 1][:8]
+    vgae_model, _ = vgae.train_vgae(normals, VgaeConfig.student(), 5, epochs=1, batch_size=8)
+    gat_model, _ = gat.train_supervised(brief, [g.label for g in brief], GatConfig.student(), 5, epochs=1, batch_size=8)
+    attacks = [AttackSpec(AttackKind.FUZZING, 0.25, 0.02, 2000.0), AttackSpec(AttackKind.SPOOFING, 0.32, 0.02, 1500.0, target_id=0x220)]
+    stream = list(build_windows(generate_synthetic_log(ecus, 0.4, attacks, rng_seed=62), 100, 1))
+    return vgae_model, gat_model, stream
+
+
+def _sha256_of_params(*models):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for model in models:
+        for name, values in sorted(model.param_values().items()):
+            digest.update(name.encode() + values.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the ScoredWindow rows and of the trained parameters below; they pin every float of
+# training and batch-of-one scoring bit for bit, and move if an op's float work is reordered
+GOLDEN_PARAMS_SHA256 = "ee9ce72f1024687e0bd42bda2a3c51f263351ed84bca10102c58f8d4d36fbdfd"
+GOLDEN_SCORES_SHA256 = "d31d23b83364ae7e14bae1689329e669d5c20ffc8b7f68a8958c066e247a2eaa"
+
+
+def test_golden_stream_scores_and_trained_parameters():
+    import hashlib
+
+    from canids.pipeline import VgaeCalibration, score_windows
+
+    vgae_model, gat_model, stream = _golden_stream()
+    assert len(stream) > 200 and {g.label for g in stream} == {0, 1}
+    rows = [score_windows(vgae_model, gat_model, VgaeCalibration(15.0, 16.5), [g], 9, QUICK)[0] for g in stream]
+    text = "\n".join(repr(r) for r in rows)
+    assert _sha256_of_params(vgae_model, gat_model) == GOLDEN_PARAMS_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCORES_SHA256

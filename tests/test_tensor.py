@@ -7,6 +7,7 @@ from canids import tensor as T
 from canids.errors import DimensionError
 from canids.gradcheck import relative_gradient_error
 from canids.tensor import Tensor, no_grad
+from helpers import assert_same_bits_as_composed
 
 RNG = np.random.Generator(np.random.PCG64(1234))
 
@@ -127,6 +128,15 @@ OP_CASES = {
         lambda a: (T.take_per_row(a, np.array([1, 0, 3])) ** 2).sum(),
         lambda: [rand(3, 4)],
     ),
+    "linear": (lambda x, w, b: (T.linear(x, w, b) ** 2).sum(), lambda: [rand(3, 4), rand(4, 2), rand(2)]),
+    "segment_mean": (
+        lambda a: (T.segment_mean(a, np.array([1, 0, 1, 1, 2]), np.array([1, 3, 1])) ** 2).sum(),
+        lambda: [rand(5, 3)],
+    ),
+    "sigmoid_inner_product": (
+        lambda z: (T.sigmoid_inner_product(z, np.array([0, 2, 2, 1, 3]), np.array([1, 2, 0, 1, 0])) ** 2).sum(),
+        lambda: [rand(4, 3)],
+    ),
     "graph_attention": (
         lambda wh, a_s, a_d: (T.graph_attention(wh, a_s, a_d, ATT_LOG_W, ATT_SRC, ATT_DST, 0.2)[0] ** 2).sum(),
         attention_inputs,
@@ -194,3 +204,101 @@ def test_segment_mean_values_and_gradient():
         assert np.allclose(got[i], x[idx == i].mean(axis=0), rtol=0, atol=1e-15)
     err = relative_gradient_error(lambda a: (T.segment_mean(a, idx, counts) ** 2).sum(), [x])
     assert err < 1e-6
+
+
+# Fused ops against the tape ops they replace: the same forward bits and the
+# same gradient bits, and the same DimensionError messages.
+
+
+def composed_segment_mean(a, idx, counts):
+    counts = np.asarray(counts, dtype=np.float64)
+    return T.scatter_add_rows(a, idx, len(counts)) / counts.reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+def composed_sigmoid_inner_product(z, src, dst):
+    return T.sigmoid((T.gather_rows(z, src) * T.gather_rows(z, dst)).sum(axis=1))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 6])
+def test_linear_equals_matmul_then_add_bitwise(rows):
+    for _ in range(10):
+        x, w, b = rand(rows, 5), rand(5, 7), rand(7)
+        assert_same_bits_as_composed(
+            T.linear, lambda x, w, b: x @ w + b, [x, w, b], rand(rows, 7)
+        )
+
+
+def test_linear_shape_errors():
+    with pytest.raises(DimensionError, match=r"matmul: incompatible shapes \(3, 4\) @ \(5, 2\)"):
+        T.linear(Tensor(rand(3, 4)), Tensor(rand(5, 2)), Tensor(rand(2)))
+    with pytest.raises(DimensionError, match="matmul: incompatible shapes"):
+        T.linear(Tensor(rand(4)), Tensor(rand(4, 2)), Tensor(rand(2)))
+    with pytest.raises(DimensionError, match="linear: bias shape"):
+        T.linear(Tensor(rand(3, 4)), Tensor(rand(4, 2)), Tensor(rand(3, 2)))
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+def test_segment_mean_equals_scatter_then_divide_bitwise(trailing):
+    idx = np.array([1, 0, 1, 1, 2, 3, 3, 0, 1, 3, 1])
+    counts = np.bincount(idx)  # 2, 5, 1 and 3 rows: not all powers of two
+    for _ in range(10):
+        a = rand(len(idx), *trailing) * 1e3
+        assert_same_bits_as_composed(
+            lambda a: T.segment_mean(a, idx, counts),
+            lambda a: composed_segment_mean(a, idx, counts),
+            [a],
+            rand(len(counts), *trailing),
+        )
+
+
+@pytest.mark.parametrize("idx", [[0, -1], [0, 3]])
+@pytest.mark.parametrize("trailing", [(), (2,), (2, 3)])
+def test_segment_mean_index_errors_match_scatter(idx, trailing):
+    a = Tensor(rand(2, *trailing))
+    for fn in (T.segment_mean, composed_segment_mean):
+        with pytest.raises(DimensionError, match="scatter_add_rows: index out of range for 3 rows"):
+            fn(a, np.array(idx), [1, 1, 1])
+        with pytest.raises(DimensionError, match=r"scatter_add_rows: index shape \(3,\) does not match 2 rows"):
+            fn(a, np.array([0, 1, 2]), [1, 1, 1])
+
+
+def test_sigmoid_inner_product_equals_gathered_dot_bitwise():
+    # repeated pairs, self-pairs and both directions of a pair
+    src = np.array([0, 2, 2, 1, 3, 3, 0, 4, 2])
+    dst = np.array([1, 2, 0, 1, 0, 3, 1, 4, 4])
+    for scale in (0.1, 1.0, 10.0):
+        z = rand(5, 4) * scale
+        assert_same_bits_as_composed(
+            lambda z: T.sigmoid_inner_product(z, src, dst),
+            lambda z: composed_sigmoid_inner_product(z, src, dst),
+            [z],
+            rand(len(src)),
+        )
+    # no pairs at all
+    assert_same_bits_as_composed(
+        lambda z: T.sigmoid_inner_product(z, src[:0], dst[:0]),
+        lambda z: composed_sigmoid_inner_product(z, src[:0], dst[:0]),
+        [rand(5, 4)],
+        rand(0),
+    )
+
+
+@pytest.mark.parametrize("src, dst", [([0, 5], [1, 1]), ([0, 1], [-1, 1])])
+def test_sigmoid_inner_product_index_errors_match_gather(src, dst):
+    z = Tensor(rand(5, 3))
+    for fn in (T.sigmoid_inner_product, composed_sigmoid_inner_product):
+        with pytest.raises(DimensionError, match="gather_rows: index out of range for 5 rows"):
+            fn(z, np.array(src), np.array(dst))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+def test_elu_values_and_gradient_bitwise(alpha):
+    # positives, negatives, zeros of both signs and values that overflow expm1
+    x = np.concatenate([rand(3, 5) * 30.0, [[0.0, -0.0, 800.0, -800.0, 1e-300]]])
+    g = rand(*x.shape)
+    t = Tensor(x, requires_grad=True)
+    out = T.elu(t, alpha)
+    (out * g).sum().backward()
+    expm1 = alpha * np.expm1(np.minimum(x, 0.0))
+    assert out.values.tobytes() == np.where(x > 0, x, expm1).tobytes()
+    assert t.grad.tobytes() == (g * np.where(x > 0, 1.0, expm1 + alpha)).tobytes()

@@ -286,3 +286,33 @@ def test_error_components_csv(tmp_path, benign_graphs):
     first = lines[1].split(",")
     e_node, e_neighbor, e_canid, composite = (float(x) for x in first[1:])
     assert composite == combine_errors(CompositeWeights(), e_node, e_neighbor, e_canid)
+
+
+def isolated_node_window():
+    # node 2 has no in-edge and node 3 no edge at all: both get a self-loop
+    rng = np.random.Generator(np.random.PCG64(8))
+    return WindowGraph(
+        [0x110, 0x220, 0x330, 0x3A0], rng.uniform(0, 1, size=(4, 3)),
+        np.array([0, 1, 2, 0]), np.array([1, 0, 1, 0]), np.array([3.0, 1.0, 2.0, 1.0]), 0, 0,
+    )
+
+
+@pytest.mark.parametrize("config", [VgaeConfig.teacher(), VgaeConfig.student()], ids=["teacher", "student"])
+def test_scoring_decodes_the_posterior_mean_of_encode(mixed_graphs, config):
+    model = VgaeModel(config, seed=6)
+    decoded_z = []
+    decode = model.decode
+
+    def capture(z):
+        decoded_z.append(z.values)
+        return decode(z)
+
+    model.decode = capture
+    windows = [isolated_node_window(), one_node_graph(), mixed_graphs[0], mixed_graphs[-1]]
+    for g in windows:
+        prep = model.prepare(g)
+        mu = model.encode(prep).mu.values
+        assert model.posterior_mean(prep).values.tobytes() == mu.tobytes()
+        model.reconstruction_errors(prep, seed=3)
+        assert decoded_z[-1].tobytes() == mu.tobytes()
+    assert len(decoded_z) == len(windows)
