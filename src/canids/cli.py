@@ -24,8 +24,8 @@ from .canlog import parse_car_hacking_csv, parse_generic_labeled_csv, write_car_
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
-from .gat import count_params as gat_count_params
 from .graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
+from .optim import count_params
 from .pipeline import (
     PipelineOptions,
     chronological_split,
@@ -37,7 +37,6 @@ from .pipeline import (
 )
 from .synth import generate_synthetic_log, load_synth_config
 from .vgae import VgaeConfig, VgaeModel, train_vgae
-from .vgae import count_params as vgae_count_params
 
 
 def _progress(msg: str):
@@ -382,8 +381,8 @@ def cmd_report(args) -> int:
         "headline_metric": "gat_only",
         "metrics": metrics,
         "params": {
-            "vgae": vgae_count_params(vgae_model.config),
-            "gat": gat_count_params(gat_model.config),
+            "vgae": count_params(vgae_model.config),
+            "gat": count_params(gat_model.config),
         },
         "undersampling": undersampling,
         "fusion_weights": list(opts.fusion_weights),

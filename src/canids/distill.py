@@ -10,6 +10,7 @@ driven by the student VGAE's own scores.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -19,13 +20,11 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DimensionError
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
-from .gat import count_params as gat_count_params
 from .losses import cross_entropy, kl_categorical
-from .optim import Param, derive_seed, glorot_uniform
+from .optim import Param, count_params, derive_seed, init_params
 from .pipeline import PipelineOptions, chronological_split, score_split, undersample
 from .tensor import Tensor, no_grad
 from .vgae import LatentState, VgaeConfig, VgaeModel, train_vgae
-from .vgae import count_params as vgae_count_params
 
 
 @dataclass(frozen=True)
@@ -73,24 +72,20 @@ class LatentProjection:
     """Learned linear maps from student latent space to the teacher's."""
 
     def __init__(self, student_dim: int, teacher_dim: int, seed: int = 0):
-        rng = derive_seed(seed, 41)
-        self.mu_weight = Param(
-            "proj.mu_weight",
-            Tensor(glorot_uniform(rng, (student_dim, teacher_dim), student_dim, teacher_dim), requires_grad=True),
-        )
-        self.mu_bias = Param("proj.mu_bias", Tensor(np.zeros(teacher_dim), requires_grad=True))
-        self.ls_weight = Param(
-            "proj.ls_weight",
-            Tensor(glorot_uniform(rng, (student_dim, teacher_dim), student_dim, teacher_dim), requires_grad=True),
-        )
-        self.ls_bias = Param("proj.ls_bias", Tensor(np.zeros(teacher_dim), requires_grad=True))
+        self.table = init_params(derive_seed(seed, 41), {
+            "proj.mu_weight": (student_dim, teacher_dim),
+            "proj.mu_bias": (teacher_dim,),
+            "proj.ls_weight": (student_dim, teacher_dim),
+            "proj.ls_bias": (teacher_dim,),
+        })
 
     def params(self) -> list[Param]:
-        return [self.mu_weight, self.mu_bias, self.ls_weight, self.ls_bias]
+        return list(self.table.values())
 
     def apply(self, latent: LatentState) -> tuple[Tensor, Tensor]:
-        mu = latent.mu @ self.mu_weight.tensor + self.mu_bias.tensor
-        log_sigma = latent.log_sigma @ self.ls_weight.tensor + self.ls_bias.tensor
+        t = self.table
+        mu = latent.mu @ t["proj.mu_weight"].tensor + t["proj.mu_bias"].tensor
+        log_sigma = latent.log_sigma @ t["proj.ls_weight"].tensor + t["proj.ls_bias"].tensor
         return mu, log_sigma
 
 
@@ -244,22 +239,17 @@ def distill_pipeline(
         )
         comparison = {"teacher": teacher_metrics, "student": student_metrics}
 
-    gat_teacher_n = gat_count_params(teacher_gat.config)
-    gat_student_n = gat_count_params(student_gat_config)
+    gat_teacher_n = count_params(teacher_gat.config)
+    gat_student_n = count_params(student_gat_config)
     report = {
         "seed": seed,
-        "kd": {
-            "temperature": kd.temperature,
-            "hard_weight": kd.hard_weight,
-            "tau_squared": kd.tau_squared,
-            "reuse_teacher_ranking": kd.reuse_teacher_ranking,
-        },
+        "kd": dataclasses.asdict(kd),
         "params": {
             "gat_teacher": gat_teacher_n,
             "gat_student": gat_student_n,
             "gat_ratio": gat_student_n / gat_teacher_n,
-            "vgae_teacher": vgae_count_params(teacher_vgae.config),
-            "vgae_student": vgae_count_params(student_vgae_config),
+            "vgae_teacher": count_params(teacher_vgae.config),
+            "vgae_student": count_params(student_vgae_config),
         },
         "undersampling": selection.summary(),
         "teacher_checksums_unchanged": True,

@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``category`` so the CLI can
 emit a single parsable line and pick the right exit code.
 """
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -27,6 +29,19 @@ class ConfigError(CanidsError):
     """Invalid configuration or parameter value."""
 
     category = "config"
+
+
+def require_int(name: str, value, least: int):
+    """ConfigError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def require_finite(name: str, value, positive: bool = False):
+    """ConfigError unless ``value`` is a finite real number (not a bool), and > 0 if ``positive``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not math.isfinite(value) or (positive and value <= 0):
+        raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
 
 
 class DimensionError(CanidsError):

@@ -15,16 +15,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint, validate_params
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError, StateError, require_finite, require_int
 from .graphs import WindowGraph
 from .losses import cross_entropy
 from .metrics import Metrics
-from .optim import Adam, Param, check_unique_names, checked_step, derive_seed, glorot_uniform
+from .optim import Adam, Param, ParamModel, checked_step, derive_seed
 from .tensor import Tensor, no_grad
 
 IN_DIM = 3  # [normalized id, frequency, mean payload]
@@ -40,8 +40,9 @@ class GatConfig:
     role: str = "custom"
 
     def __post_init__(self):
-        if self.num_layers < 1 or self.attn_heads < 1 or self.hidden_channels < 1:
-            raise ConfigError("num_layers, attn_heads, hidden_channels must be >= 1")
+        for name in ("num_layers", "attn_heads", "hidden_channels"):
+            require_int(name, getattr(self, name), 1)
+        require_finite("leaky_slope", self.leaky_slope)
         if self.head_agg not in ("average", "concat"):
             raise ConfigError(f"head_agg must be average or concat, got {self.head_agg!r}")
 
@@ -53,19 +54,18 @@ class GatConfig:
     def student(cls) -> "GatConfig":
         return cls(num_layers=2, attn_heads=4, hidden_channels=16, role="student")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "attn_heads": self.attn_heads,
-            "hidden_channels": self.hidden_channels,
-            "head_agg": self.head_agg,
-            "leaky_slope": self.leaky_slope,
-            "role": self.role,
-        }
-
     @classmethod
     def from_dict(cls, d) -> "GatConfig":
         return cls(**d)
+
+    def param_shapes(self) -> dict[str, tuple]:
+        """The classifier's name -> shape table, in init order."""
+        shapes: dict[str, tuple] = {}
+        for layer, (d_in, agg, _) in enumerate(_layer_plan(self)):
+            shapes.update(layer_shapes(f"conv{layer}", d_in, self.attn_heads, self.hidden_channels, agg))
+        shapes["head.weight"] = (jk_width(self), 2)
+        shapes["head.bias"] = (2,)
+        return shapes
 
 
 @dataclass
@@ -192,25 +192,27 @@ def as_batch(graph, id_bucket_count: int = 256) -> GraphBatch:
     return graph if isinstance(graph, GraphBatch) else prepare_graph(graph, id_bucket_count)
 
 
-@dataclass
-class GatLayerParams:
+def layer_shapes(name: str, d_in: int, heads: int, d_head: int, agg: str) -> dict[str, tuple]:
+    """One attention layer's entries of a model's table, in ``GatLayerParams`` order."""
+    return {
+        f"{name}.weight": (d_in, heads * d_head),
+        f"{name}.att_src": (heads, d_head),
+        f"{name}.att_dst": (heads, d_head),
+        f"{name}.bias": (heads * d_head if agg == "concat" else d_head,),
+    }
+
+
+class GatLayerParams(NamedTuple):
+    """One attention layer's parameters, looked up in the table once, at construction."""
+
     weight: Param  # (d_in, heads * d_head)
     att_src: Param  # (heads, d_head)
     att_dst: Param  # (heads, d_head)
     bias: Param  # (heads * d_head,) for concat, (d_head,) for average
 
-    def all(self) -> list[Param]:
-        return [self.weight, self.att_src, self.att_dst, self.bias]
-
-
-def init_gat_layer(rng, name: str, d_in: int, heads: int, d_head: int, agg: str) -> GatLayerParams:
-    d_out = heads * d_head
-    return GatLayerParams(
-        weight=Param(f"{name}.weight", Tensor(glorot_uniform(rng, (d_in, d_out), d_in, d_out), requires_grad=True)),
-        att_src=Param(f"{name}.att_src", Tensor(glorot_uniform(rng, (heads, d_head), d_head, 1), requires_grad=True)),
-        att_dst=Param(f"{name}.att_dst", Tensor(glorot_uniform(rng, (heads, d_head), d_head, 1), requires_grad=True)),
-        bias=Param(f"{name}.bias", Tensor(np.zeros(d_out if agg == "concat" else d_head), requires_grad=True)),
-    )
+    @classmethod
+    def of(cls, table: dict[str, Param], name: str) -> "GatLayerParams":
+        return cls(*(table[f"{name}.{part}"] for part in cls._fields))
 
 
 def gat_layer(
@@ -238,73 +240,30 @@ def gat_layer(
     return T.elu(out + params.bias.tensor)
 
 
-def _layer_plan(config: GatConfig, in_dim: int = IN_DIM) -> list[tuple[int, str]]:
-    """(input width, aggregation) per layer; hidden layers always concat."""
+def _layer_plan(config: GatConfig) -> list[tuple[int, str, int]]:
+    """(input width, aggregation, output width) per layer; hidden layers always concat."""
     plan = []
-    d_in = in_dim
+    d_in = IN_DIM
     for layer in range(config.num_layers):
-        final = layer == config.num_layers - 1
-        agg = config.head_agg if final else "concat"
-        plan.append((d_in, agg))
-        d_in = config.hidden_channels * (config.attn_heads if agg == "concat" else 1)
+        agg = config.head_agg if layer == config.num_layers - 1 else "concat"
+        d_out = config.hidden_channels * (config.attn_heads if agg == "concat" else 1)
+        plan.append((d_in, agg, d_out))
+        d_in = d_out
     return plan
 
 
 def jk_width(config: GatConfig) -> int:
-    return sum(
-        config.hidden_channels * (config.attn_heads if agg == "concat" else 1)
-        for _, agg in _layer_plan(config)
-    )
+    return sum(d_out for _, _, d_out in _layer_plan(config))
 
 
-def expected_param_shapes(config: GatConfig, in_dim: int = IN_DIM) -> dict[str, tuple]:
-    shapes: dict[str, tuple] = {}
-    k, hc = config.attn_heads, config.hidden_channels
-    for layer, (d_in, agg) in enumerate(_layer_plan(config, in_dim)):
-        name = f"conv{layer}"
-        shapes[f"{name}.weight"] = (d_in, k * hc)
-        shapes[f"{name}.att_src"] = (k, hc)
-        shapes[f"{name}.att_dst"] = (k, hc)
-        shapes[f"{name}.bias"] = (k * hc,) if agg == "concat" else (hc,)
-    shapes["head.weight"] = (jk_width(config), 2)
-    shapes["head.bias"] = (2,)
-    return shapes
+class GatClassifier(ParamModel):
+    kind = "gat"
+    config_type = GatConfig
 
-
-def count_params(config: GatConfig, in_dim: int = IN_DIM) -> int:
-    """Exact trainable-scalar count for the instantiated architecture."""
-    return sum(
-        int(np.prod(shape)) for shape in expected_param_shapes(config, in_dim).values()
-    )
-
-
-class GatClassifier:
     def __init__(self, config: GatConfig, seed: int = 0, param_values: dict | None = None):
-        self.config = config
-        rng = derive_seed(seed, 11)
-        self.layers: list[GatLayerParams] = []
-        for layer, (d_in, agg) in enumerate(_layer_plan(config)):
-            self.layers.append(
-                init_gat_layer(rng, f"conv{layer}", d_in, config.attn_heads, config.hidden_channels, agg)
-            )
-        jk = jk_width(config)
-        self.head_weight = Param("head.weight", Tensor(glorot_uniform(rng, (jk, 2), jk, 2), requires_grad=True))
-        self.head_bias = Param("head.bias", Tensor(np.zeros(2), requires_grad=True))
-        check_unique_names(self.params())
-        if param_values is not None:
-            validate_params(param_values, expected_param_shapes(config), "gat")
-            for p in self.params():
-                p.tensor.values = np.array(param_values[p.name], dtype=np.float64)
-
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for layer in self.layers:
-            out.extend(layer.all())
-        out.extend([self.head_weight, self.head_bias])
-        return out
-
-    def param_values(self) -> dict[str, np.ndarray]:
-        return {p.name: p.tensor.values for p in self.params()}
+        super().__init__(config, derive_seed(seed, 11), param_values)
+        plan = _layer_plan(config)
+        self.layers = [(GatLayerParams.of(self.table, f"conv{i}"), agg) for i, (_, agg, _) in enumerate(plan)]
 
     def forward(self, batch: GraphBatch, collect_attention: list | None = None):
         """Per graph of the batch: (attack probability, 2 logits, embedding).
@@ -314,7 +273,7 @@ class GatClassifier:
         cfg = self.config
         h = batch.x
         per_layer = []
-        for layer_params, (_, agg) in zip(self.layers, _layer_plan(cfg)):
+        for layer_params, agg in self.layers:
             h = gat_layer(
                 h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels,
                 cfg.leaky_slope, agg, collect_attention,
@@ -323,7 +282,7 @@ class GatClassifier:
         jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
         # graph-level vectors, exported for projection
         embedding = T.segment_mean(jk, batch.graph_index, batch.node_counts)
-        logits = T.linear(embedding, self.head_weight.tensor, self.head_bias.tensor)
+        logits = T.linear(embedding, self.table["head.weight"].tensor, self.table["head.bias"].tensor)
         prob = T.softmax(logits, axis=-1)[:, 1]
         return prob, logits, embedding
 
@@ -338,16 +297,6 @@ class GatClassifier:
         with no_grad():
             _, _, emb = self.forward(batch)
         return emb.values
-
-    def save(self, path):
-        save_checkpoint(path, "gat", self.config.to_dict(), self.param_values())
-
-    @classmethod
-    def load(cls, path) -> "GatClassifier":
-        kind, config, params = load_checkpoint(path)
-        if kind != "gat":
-            raise StateError(f"{path}: expected a gat checkpoint, found {kind!r}")
-        return cls(GatConfig.from_dict(config), param_values=params)
 
 
 @dataclass

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .checkpoint import load_checkpoint, save_checkpoint, validate_params
+from .errors import ConfigError, ParseError, StateError
 from .tensor import Tensor
 
 
@@ -31,11 +34,76 @@ def glorot_uniform(rng, shape, fan_in, fan_out) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def check_unique_names(params: list[Param]):
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        dup = sorted({n for n in names if names.count(n) > 1})
-        raise ConfigError(f"duplicate parameter names: {dup}")
+def init_params(rng, shapes: dict[str, tuple]) -> dict[str, Param]:
+    """Trainable parameters for a name -> shape table, drawn from ``rng`` in table order.
+
+    A 2-d weight of shape (a, b) is Glorot-uniform with fans (a, b); an
+    attention vector ``*.att_src`` or ``*.att_dst`` of shape (heads, d) is
+    Glorot-uniform with fans (d, 1); a 1-d bias is zeros and draws nothing.
+    """
+    params = {}
+    for name, shape in shapes.items():
+        if len(shape) == 1:
+            values = np.zeros(shape)
+        elif name.endswith((".att_src", ".att_dst")):
+            values = glorot_uniform(rng, shape, shape[1], 1)
+        else:
+            values = glorot_uniform(rng, shape, *shape)
+        params[name] = Param(name, Tensor(values, requires_grad=True))
+    return params
+
+
+def count_params(config) -> int:
+    """Exact trainable-scalar count of the model ``config`` describes, read from its table."""
+    return sum(math.prod(shape) for shape in config.param_shapes().values())
+
+
+class ParamModel:
+    """A checkpointed model whose parameters are one name -> Param table.
+
+    ``config.param_shapes()`` is the table: ``init_params`` builds a new
+    model's parameters from it, and a checkpoint's names and shapes must
+    match it exactly.
+    Subclasses set ``kind``, the checkpoint's model kind, and
+    ``config_type``, whose ``from_dict`` reads the checkpoint's config.
+    """
+
+    kind: str
+    config_type: type
+
+    def __init__(self, config, rng, param_values: dict | None = None):
+        self.config = config
+        shapes = config.param_shapes()
+        if param_values is None:
+            self.table = init_params(rng, shapes)
+        else:
+            # checked before anything is allocated; a loaded model draws no init
+            validate_params(param_values, shapes, self.kind)
+            self.table = {
+                name: Param(name, Tensor(np.array(param_values[name], dtype=np.float64), requires_grad=True))
+                for name in shapes
+            }
+
+    def params(self) -> list[Param]:
+        return list(self.table.values())
+
+    def param_values(self) -> dict[str, np.ndarray]:
+        return {name: p.tensor.values for name, p in self.table.items()}
+
+    def save(self, path):
+        save_checkpoint(path, self.kind, dataclasses.asdict(self.config), self.param_values())
+
+    @classmethod
+    def load(cls, path):
+        """The model a checkpoint holds; a malformed config header is a ParseError naming line 2."""
+        kind, config, values = load_checkpoint(path)
+        if kind != cls.kind:
+            raise StateError(f"{path}: expected a {cls.kind} checkpoint, found {kind!r}")
+        try:
+            config = cls.config_type.from_dict(config)
+        except (TypeError, ConfigError) as exc:
+            raise ParseError(f"{path}: bad {kind} config ({exc})", line=2) from None
+        return cls(config, param_values=values)
 
 
 def clip_grad_norm(params: list[Param], max_norm: float) -> float:

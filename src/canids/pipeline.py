@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StateError, open_ascii
+from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
-from .gat import count_params as gat_count_params
 from .metrics import Metrics, roc_auc
+from .optim import count_params
 from .vgae import CompositeWeights, VgaeConfig, VgaeModel, train_vgae
-from .vgae import count_params as vgae_count_params
 
 
 @dataclass
@@ -148,7 +147,13 @@ class PipelineOptions:
     patience: int = 10
 
     def __post_init__(self):
-        fuse(0.0, 0.0, *self.fusion_weights)  # bad weights fail before any training
+        # bad values fail before any training
+        for name in ("vgae_epochs", "vgae_batch", "gat_epochs", "gat_batch"):
+            require_int(name, getattr(self, name), 1)
+        require_int("patience", self.patience, 0)
+        for name in ("vgae_lr", "gat_lr"):
+            require_finite(name, getattr(self, name), positive=True)
+        fuse(0.0, 0.0, *self.fusion_weights)
 
 
 def chronological_split(graphs, val_frac: float):
@@ -338,8 +343,8 @@ def run_two_stage(
         },
         "undersampling": None if selection is None else selection.summary(),
         "params": {
-            "vgae": vgae_count_params(vgae_config),
-            "gat": gat_count_params(gat_config) if gat_model is not None else None,
+            "vgae": count_params(vgae_config),
+            "gat": count_params(gat_config) if gat_model is not None else None,
         },
         "metrics": metrics,
         "vgae_separation": vgae_block,

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint, validate_params
-from .errors import ConfigError, StateError
-from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, init_gat_layer, IN_DIM
+from .errors import ConfigError, StateError, require_int
+from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, layer_shapes, IN_DIM
 from .losses import bce_terms, cross_entropy_terms, kl_gaussian_standard
-from .optim import Adam, Param, check_unique_names, checked_step, derive_seed, glorot_uniform
+from .optim import Adam, ParamModel, checked_step, derive_seed
 from .tensor import Tensor, no_grad
 
 LOG_SIGMA_CLAMP = 10.0  # keeps KL finite on degenerate one-node graphs
@@ -41,12 +40,10 @@ class VgaeConfig:
     id_buckets: int = 256
 
     def __post_init__(self):
-        if self.num_layers < 2:
-            raise ConfigError("VGAE needs num_layers >= 2 (conv stack plus posterior heads)")
-        if self.latent_dim < 1 or self.attn_heads < 1 or self.hidden_channels < 1:
-            raise ConfigError("latent_dim, attn_heads, hidden_channels must be >= 1")
-        if self.id_buckets < 2:
-            raise ConfigError("id_buckets must be >= 2")
+        require_int("num_layers", self.num_layers, 2)  # conv stack plus posterior heads
+        for name in ("attn_heads", "hidden_channels", "latent_dim"):
+            require_int(name, getattr(self, name), 1)
+        require_int("id_buckets", self.id_buckets, 2)
 
     @classmethod
     def teacher(cls) -> "VgaeConfig":
@@ -56,19 +53,27 @@ class VgaeConfig:
     def student(cls) -> "VgaeConfig":
         return cls(num_layers=2, attn_heads=2, hidden_channels=16, latent_dim=8, role="student")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "attn_heads": self.attn_heads,
-            "hidden_channels": self.hidden_channels,
-            "latent_dim": self.latent_dim,
-            "role": self.role,
-            "id_buckets": self.id_buckets,
-        }
-
     @classmethod
     def from_dict(cls, d) -> "VgaeConfig":
         return cls(**d)
+
+    def param_shapes(self) -> dict[str, tuple]:
+        """The autoencoder's name -> shape table, in init order."""
+        k, hc, lat = self.attn_heads, self.hidden_channels, self.latent_dim
+        shapes: dict[str, tuple] = {}
+        d_in = IN_DIM
+        for layer in range(self.num_layers - 1):
+            shapes.update(layer_shapes(f"enc{layer}", d_in, k, hc, "concat"))
+            d_in = k * hc
+        for head in ("mu", "log_sigma"):
+            shapes[f"{head}.weight"] = (d_in, lat)
+            shapes[f"{head}.bias"] = (lat,)
+        for head, width in (("feat", 3), ("canid", self.id_buckets)):
+            shapes[f"dec_{head}.w1"] = (lat, hc)
+            shapes[f"dec_{head}.b1"] = (hc,)
+            shapes[f"dec_{head}.w2"] = (hc, width)
+            shapes[f"dec_{head}.b2"] = (width,)
+        return shapes
 
 
 @dataclass(frozen=True)
@@ -105,78 +110,16 @@ class DecodedGraph:
         return T.sigmoid_inner_product(self.z, src, dst)
 
 
-def expected_param_shapes(config: VgaeConfig, in_dim: int = IN_DIM) -> dict[str, tuple]:
-    k, hc, lat = config.attn_heads, config.hidden_channels, config.latent_dim
-    shapes: dict[str, tuple] = {}
-    d_in = in_dim
-    for layer in range(config.num_layers - 1):
-        shapes[f"enc{layer}.weight"] = (d_in, k * hc)
-        shapes[f"enc{layer}.att_src"] = (k, hc)
-        shapes[f"enc{layer}.att_dst"] = (k, hc)
-        shapes[f"enc{layer}.bias"] = (k * hc,)
-        d_in = k * hc
-    shapes["mu.weight"] = (d_in, lat)
-    shapes["mu.bias"] = (lat,)
-    shapes["log_sigma.weight"] = (d_in, lat)
-    shapes["log_sigma.bias"] = (lat,)
-    for head, width in (("feat", 3), ("canid", config.id_buckets)):
-        shapes[f"dec_{head}.w1"] = (lat, hc)
-        shapes[f"dec_{head}.b1"] = (hc,)
-        shapes[f"dec_{head}.w2"] = (hc, width)
-        shapes[f"dec_{head}.b2"] = (width,)
-    return shapes
+class VgaeModel(ParamModel):
+    kind = "vgae"
+    config_type = VgaeConfig
 
-
-def count_params(config: VgaeConfig, in_dim: int = IN_DIM) -> int:
-    return sum(int(np.prod(s)) for s in expected_param_shapes(config, in_dim).values())
-
-
-class VgaeModel:
     def __init__(self, config: VgaeConfig, seed: int = 0, param_values: dict | None = None):
-        self.config = config
-        rng = derive_seed(seed, _SEED_INIT)
-        k, hc, lat = config.attn_heads, config.hidden_channels, config.latent_dim
-        self.enc_layers: list[GatLayerParams] = []
-        d_in = IN_DIM
-        for layer in range(config.num_layers - 1):
-            self.enc_layers.append(init_gat_layer(rng, f"enc{layer}", d_in, k, hc, "concat"))
-            d_in = k * hc
-        self._linear = {}
-        for name, (fi, fo) in {
-            "mu": (d_in, lat),
-            "log_sigma": (d_in, lat),
-        }.items():
-            self._linear[f"{name}.weight"] = Param(
-                f"{name}.weight", Tensor(glorot_uniform(rng, (fi, fo), fi, fo), requires_grad=True)
-            )
-            self._linear[f"{name}.bias"] = Param(f"{name}.bias", Tensor(np.zeros(fo), requires_grad=True))
-        for head, width in (("feat", 3), ("canid", config.id_buckets)):
-            self._linear[f"dec_{head}.w1"] = Param(
-                f"dec_{head}.w1", Tensor(glorot_uniform(rng, (lat, hc), lat, hc), requires_grad=True)
-            )
-            self._linear[f"dec_{head}.b1"] = Param(f"dec_{head}.b1", Tensor(np.zeros(hc), requires_grad=True))
-            self._linear[f"dec_{head}.w2"] = Param(
-                f"dec_{head}.w2", Tensor(glorot_uniform(rng, (hc, width), hc, width), requires_grad=True)
-            )
-            self._linear[f"dec_{head}.b2"] = Param(f"dec_{head}.b2", Tensor(np.zeros(width), requires_grad=True))
-        check_unique_names(self.params())
-        if param_values is not None:
-            validate_params(param_values, expected_param_shapes(config), "vgae")
-            for p in self.params():
-                p.tensor.values = np.array(param_values[p.name], dtype=np.float64)
-
-    def params(self) -> list[Param]:
-        out: list[Param] = []
-        for layer in self.enc_layers:
-            out.extend(layer.all())
-        out.extend(self._linear.values())
-        return out
-
-    def param_values(self) -> dict[str, np.ndarray]:
-        return {p.name: p.tensor.values for p in self.params()}
+        super().__init__(config, derive_seed(seed, _SEED_INIT), param_values)
+        self.enc_layers = [GatLayerParams.of(self.table, f"enc{layer}") for layer in range(config.num_layers - 1)]
 
     def _lin(self, x: Tensor, weight: str, bias: str) -> Tensor:
-        return T.linear(x, self._linear[weight].tensor, self._linear[bias].tensor)
+        return T.linear(x, self.table[weight].tensor, self.table[bias].tensor)
 
     def prepare(self, graph) -> GraphBatch:
         return as_batch(graph, self.config.id_buckets)
@@ -297,16 +240,6 @@ class VgaeModel:
             scores = [self.score(g, weights, seed, score_mode) for g in graphs]
         order = sorted(range(len(graphs)), key=lambda i: (-scores[i], raw[i].window_start_index))
         return [graphs[i] for i in order]
-
-    def save(self, path):
-        save_checkpoint(path, "vgae", self.config.to_dict(), self.param_values())
-
-    @classmethod
-    def load(cls, path) -> "VgaeModel":
-        kind, config, params = load_checkpoint(path)
-        if kind != "vgae":
-            raise StateError(f"{path}: expected a vgae checkpoint, found {kind!r}")
-        return cls(VgaeConfig.from_dict(config), param_values=params)
 
 
 def write_error_components_csv(model: VgaeModel, graphs, path, weights: CompositeWeights = CompositeWeights(), seed: int = 0):

@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from canids.distill import KdConfig, LatentProjection, distill_pipeline, kd_classifier_loss, kd_latent_loss
-from canids.gat import GatClassifier, GatConfig, gat_layer, init_gat_layer, prepare_graph
-from canids.gat import count_params as gat_count_params
+from canids.gat import GatClassifier, GatConfig, gat_layer, prepare_graph
 from canids.graphs import build_windows
 from canids.losses import cross_entropy
-from canids.optim import seeded_rng
+from canids.optim import count_params, seeded_rng
 from canids.pipeline import Metrics, fuse, run_two_stage
 from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
 from canids.tensor import Tensor
@@ -27,7 +26,7 @@ from helpers import (
     random_frames,
     robust_gradient_error,
 )
-from test_gat import permute_graph
+from test_gat import init_layer, permute_graph
 
 ECUS = [
     EcuSpec(0x110, 0.002, 11),
@@ -135,9 +134,9 @@ def test_criterion_02_gradient_checks():
     for i in range(20):
         g = small_graphs[i % len(small_graphs)]
         prep = prepare_graph(g)
-        params = init_gat_layer(seeded_rng(i), "l", 3, 2, 3, "concat")
+        params = init_layer(seeded_rng(i), 3, 2, 3, "concat")
         worst = max(worst, model_gradient_error(
-            params.all(),
+            list(params),
             lambda: (gat_layer(Tensor(g.node_features), prep, params, 2, 3, 0.2, "concat") ** 2).mean(),
         ))
 
@@ -262,7 +261,7 @@ def test_criterion_06_undersampling_exactness(benchmark_graphs, teacher_run):
 
 def test_criterion_07_kd_compression(teacher_run, distill_run):
     teacher_result, _ = teacher_run
-    ratio = gat_count_params(GatConfig.student()) / gat_count_params(GatConfig.teacher())
+    ratio = count_params(GatConfig.student()) / count_params(GatConfig.teacher())
     teacher_f1 = distill_run.report["metrics"]["teacher"]["gat_only"]["f1"]
     student_f1 = distill_run.report["metrics"]["student"]["gat_only"]["f1"]
     gap = abs(teacher_f1 - student_f1)

@@ -121,7 +121,7 @@ def test_gat_forward_and_gradients_match_per_edge_oracle(mixed_graphs, monkeypat
 def test_vgae_encoder_matches_per_edge_oracle(mixed_graphs, monkeypatch, preset, batch_name):
     batch = batches(mixed_graphs)[batch_name]
     model = VgaeModel(PRESETS[preset][1], seed=4)
-    params = [p for layer in model.enc_layers for p in layer.all()]
+    params = [p for p in model.params() if p.name.startswith("enc")]
 
     def forward(b, attention):
         latent = model.encode(b)

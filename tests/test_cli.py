@@ -457,6 +457,83 @@ def _only_parse_error(err, lineno, path):
     assert f"line {lineno}:" in lines[0] and str(path) in lines[0]
 
 
+def _edit_config(edit):
+    """A checkpoint-header edit: ``edit`` applied to the parsed config, written back as JSON."""
+    def apply(line):
+        word, kind, config = line.split(maxsplit=2)
+        return f"{word} {kind} {json.dumps(edit(json.loads(config)))}\n"
+
+    return apply
+
+
+BAD_CONFIG_EDITS = {
+    "unknown-key": _edit_config(lambda cfg: {"bogus": 1, **cfg}),
+    "string-int": _edit_config(lambda cfg: {**cfg, "num_layers": str(cfg["num_layers"])}),
+    "not-an-object": _edit_config(lambda cfg: [1, 2]),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, edit",
+    [(kind, edit) for kind in ("gat", "vgae") for edit in BAD_CONFIG_EDITS.values()]
+    + [("gat", _edit_config(lambda cfg: {**cfg, "leaky_slope": "x"}))],
+    ids=[f"{kind}-{name}" for kind in ("gat", "vgae") for name in BAD_CONFIG_EDITS] + ["gat-string-slope"],
+)
+def test_bad_checkpoint_config_is_parse_error(small_run, tmp_path, capsys, kind, edit):
+    bad = tmp_path / f"{kind}.ckpt"
+    lineno = _tamper(small_run / f"{kind}.ckpt", bad, "model ", edit)
+    assert lineno == 2
+    if kind == "gat":
+        argv = ["export-embeddings", "--graphs", small_run / "test.cache", "--gat", bad, "--out", tmp_path / "emb.csv"]
+    else:
+        argv = ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "stage2.cache"]
+    code, _, err = run_cli(capsys, *argv, "--seed", 7)
+    assert code == 1
+    _only_parse_error(err, lineno, bad)
+
+
+BAD_TRAINING_OPTIONS = [
+    ("train-vgae", "vgae_epochs", 0),
+    ("train-vgae", "vgae_batch", 0),
+    ("train-vgae", "vgae_lr", float("nan")),
+    ("train-vgae", "vgae_lr", 0.0),
+    ("train-gat", "gat_epochs", 0),
+    ("train-gat", "gat_batch", -2),
+    ("train-gat", "gat_lr", float("inf")),
+    ("train-gat", "patience", -1),
+]
+# argparse itself rejects a fractional value of an integer flag, so these go by config file only
+FRACTIONAL_INT_OPTIONS = [
+    ("train-vgae", "vgae_epochs", 1.5),
+    ("train-gat", "gat_batch", 2.5),
+    ("train-gat", "patience", 1.5),
+]
+
+
+@pytest.mark.parametrize(
+    "route, command, flag, value",
+    [("flag", *case) for case in BAD_TRAINING_OPTIONS]
+    + [("config", *case) for case in BAD_TRAINING_OPTIONS + FRACTIONAL_INT_OPTIONS],
+)
+def test_bad_training_option_is_config_error(small_run, tmp_path, capsys, route, command, flag, value):
+    out = tmp_path / "model.ckpt"
+    if command == "train-vgae":
+        argv = [command, "--graphs", small_run / "train.cache"]
+    else:
+        argv = [command, "--graphs", small_run / "stage2.cache", "--val-graphs", small_run / "train.cache"]
+    argv += ["--preset", "student", "--seed", 7, "--out", out]
+    if route == "flag":
+        argv.append(f"--{flag.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({flag: value}))
+        argv += ["--config", cfg]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("canids-error category=config") and flag in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["build-graphs", "ingest-generic"])
 def test_non_finite_timestamp_is_parse_error(tmp_path, capsys, command, value):

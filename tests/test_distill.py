@@ -94,10 +94,10 @@ def test_kd_loss_arity_mismatch():
 def test_latent_loss_zero_for_identical_after_projection():
     proj = LatentProjection(3, 3, seed=1)
     eye = np.eye(3)
-    proj.mu_weight.tensor.values = eye.copy()
-    proj.ls_weight.tensor.values = eye.copy()
-    proj.mu_bias.tensor.values = np.zeros(3)
-    proj.ls_bias.tensor.values = np.zeros(3)
+    proj.table["proj.mu_weight"].tensor.values = eye.copy()
+    proj.table["proj.ls_weight"].tensor.values = eye.copy()
+    proj.table["proj.mu_bias"].tensor.values = np.zeros(3)
+    proj.table["proj.ls_bias"].tensor.values = np.zeros(3)
     mu, ls = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(4, 3)) * 0.1)
     student = LatentState(mu=mu, log_sigma=ls, z=mu)
     teacher = LatentState(mu=Tensor(mu.values.copy()), log_sigma=Tensor(ls.values.copy()), z=mu)

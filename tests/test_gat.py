@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,17 @@ from canids.errors import ConfigError, DimensionError, StateError
 from canids.gat import (
     GatClassifier,
     GatConfig,
+    GatLayerParams,
     GraphBatch,
-    count_params,
     gat_layer,
-    init_gat_layer,
     jk_width,
+    layer_shapes,
     prepare_graph,
     train_supervised,
 )
 from canids.graphs import WindowGraph, build_windows
 from canids.metrics import Metrics
-from canids.optim import seeded_rng
+from canids.optim import count_params, init_params, seeded_rng
 from canids.tensor import Tensor
 from helpers import model_gradient_error, random_frames
 
@@ -32,6 +34,11 @@ def make_graph(node_ids, feats, edges, label=0, start=0):
 def random_graph(rng, max_nodes=12):
     frames = random_frames(rng, int(rng.integers(5, 80)), rng.choice(2048, size=max_nodes, replace=False))
     return next(iter(build_windows(iter(frames), len(frames))))
+
+
+def init_layer(rng, d_in, heads, d_head, agg):
+    """One attention layer's parameters, built the way a model builds them."""
+    return GatLayerParams.of(init_params(rng, layer_shapes("l", d_in, heads, d_head, agg)), "l")
 
 
 def permute_graph(g, perm):
@@ -54,7 +61,7 @@ def test_single_self_edge_attention_is_one():
     g = make_graph([5], [[0.1, 1.0, 0.4]], [(0, 0, 1.0)])
     prep = prepare_graph(g)
     rng = seeded_rng(0)
-    params = init_gat_layer(rng, "l", 3, 2, 4, "concat")
+    params = init_layer(rng, 3, 2, 4, "concat")
     attn = []
     out = gat_layer(Tensor(g.node_features), prep, params, 2, 4, 0.2, "concat", attn)
     alpha, dst, n = attn[0]
@@ -91,13 +98,13 @@ def test_layer_gradient_on_random_graph():
     for _ in range(5):
         g = random_graph(rng)
         prep = prepare_graph(g)
-        params = init_gat_layer(seeded_rng(3), "l", 3, 2, 3, "concat")
+        params = init_layer(seeded_rng(3), 3, 2, 3, "concat")
 
         def loss():
             out = gat_layer(Tensor(g.node_features), prep, params, 2, 3, 0.2, "concat")
             return (out**2).mean()
 
-        assert model_gradient_error(params.all(), loss) < 1e-4
+        assert model_gradient_error(list(params), loss) < 1e-4
 
 
 def test_forward_contract(mixed_graphs):
@@ -142,6 +149,16 @@ def test_edge_index_out_of_range_rejected(edge):
     g = make_graph([5, 9], [[0.1, 0.5, 0.2], [0.9, 0.5, 0.3]], [(0, 1, 1.0), (*edge, 1.0)])
     with pytest.raises(DimensionError, match="out of range"):
         prepare_graph(g)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_layers", "2"), ("num_layers", 2.0), ("attn_heads", True), ("hidden_channels", 0),
+     ("leaky_slope", "0.2"), ("leaky_slope", float("nan"))],
+)
+def test_config_field_types_are_checked(field, value):
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(GatConfig.student(), **{field: value})
 
 
 def test_count_params_matches_checkpoint_and_presets(tmp_path):
