@@ -25,12 +25,12 @@ from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError
 from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
 from .graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
-from .optim import count_params
 from .pipeline import (
     PipelineOptions,
     chronological_split,
     metrics_block,
     read_scores_csv,
+    report_fields,
     score_split,
     undersample,
     write_scores_csv,
@@ -370,23 +370,14 @@ def cmd_report(args) -> int:
     train_part, val_part = chronological_split(train_graphs, opts.val_frac)
     train_attacks = [g for g in train_part if g.label == 1]
     # run_two_stage's undersampling on these graphs; only its counts are reported
-    undersampling = None
+    selection = None
     if train_attacks:
         train_normals = [g for g in train_part if g.label == 0]
-        undersampling = undersample(train_normals, train_attacks, opts.ratio).summary()
+        selection = undersample(train_normals, train_attacks, opts.ratio)
     _progress(f"calibrating on validation normals, scoring {len(test_graphs)} test windows")
     calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, args.seed, opts)
     report = {
-        "seed": args.seed,
-        "headline_metric": "gat_only",
-        "metrics": metrics,
-        "params": {
-            "vgae": count_params(vgae_model.config),
-            "gat": count_params(gat_model.config),
-        },
-        "undersampling": undersampling,
-        "fusion_weights": list(opts.fusion_weights),
-        "threshold": opts.threshold,
+        **report_fields(args.seed, metrics, vgae_model.config, gat_model.config, selection, opts),
         "test_windows": len(test_graphs),
         "calibration": {"q_mid": calibration.q_mid, "q_high": calibration.q_high},
         "timings": {"seconds": time.perf_counter() - t0},

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .canlog import CanFrame, Label, MAX_STD_ID
 from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
+_CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 
 
 @dataclass
@@ -230,48 +231,154 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
-    """Read a cache written by save_graph_cache; a malformed record raises ParseError with its line number."""
+    """Read a cache written by save_graph_cache, checking every record.
+
+    The grammar, one record per line (``\\n`` or ``\\r\\n`` line ends)::
+
+        canids-graph-cache v1
+        graph <start> <label> <num_nodes> <num_edges>
+        node <can_id> <f0> <f1> <f2>        x num_nodes of the graph record above
+        edge <src> <dst> <weight>           x num_edges of the graph record above
+
+    A record line starts with its tag and a space: no whitespace before the
+    tag, no tab after it. The fields after the tag are separated by
+    whitespace, and nothing else is on the line. Integers are read as
+    ``int()`` and floats as ``float()`` read them. The values must hold:
+    start, num_nodes and num_edges >= 0; label 0 or 1; can_id in
+    [0, MAX_STD_ID]; features finite; src and dst in [0, num_nodes) of
+    their window; weight finite and > 0. The first line that breaks a rule
+    raises ParseError with its line number; a window cut short by the end of
+    the file names the line after the last.
+
+    Lines are read about 1 MB at a time. Python reads only the ``graph``
+    records; the node and edge records of a chunk are checked and converted
+    column by column, and each window's arrays are slices of its chunk's.
+    """
     with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != CACHE_MAGIC:
             raise ParseError(f"{path}: not a graph cache (header {header!r})")
         graphs: list[WindowGraph] = []
-        lineno = 1
-        line = fh.readline()
-        lineno += 1
-        inf = math.inf  # a local: the edge loop below runs once per edge
-        try:
-            while line:
-                parts = line.split()
-                if len(parts) != 5 or parts[0] != "graph":
-                    raise ParseError(f"expected graph record, got {line.strip()!r}", line=lineno)
-                start, label, n_nodes, n_edges = (int(x) for x in parts[1:])
-                node_ids: list[int] = []
-                feats = np.empty((n_nodes, 3), dtype=np.float64)
-                for j in range(n_nodes):
-                    parts = fh.readline().split()
-                    lineno += 1
-                    if len(parts) != 5 or parts[0] != "node":
-                        raise ParseError("expected node record", line=lineno)
-                    node_ids.append(int(parts[1]))
-                    feats[j] = [float(parts[2]), float(parts[3]), float(parts[4])]
-                src = np.empty(n_edges, dtype=np.int64)
-                dst = np.empty(n_edges, dtype=np.int64)
-                wts = np.empty(n_edges, dtype=np.float64)
-                for k in range(n_edges):
-                    parts = fh.readline().split()
-                    lineno += 1
-                    if len(parts) != 4 or parts[0] != "edge":
-                        raise ParseError("expected edge record", line=lineno)
-                    weight = float(parts[3])
-                    if not 0.0 < weight < inf:  # prepare_graph takes log(weight)
-                        raise ParseError(f"edge weight must be finite and > 0, got {parts[3]}", line=lineno)
-                    src[k], dst[k], wts[k] = int(parts[1]), int(parts[2]), weight
-                graphs.append(WindowGraph(node_ids, feats, src, dst, wts, label, start))
-                line = fh.readline()
-                lineno += 1
-        except UnicodeDecodeError:
-            raise  # open_ascii names the line
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad graph cache record ({exc})", line=lineno) from None
+        lineno = 2  # of lines[0]
+        lines: list[str] = []  # read, not yet decoded: always starts at a graph record
+        while chunk := fh.readlines(_CHUNK_CHARS):
+            lines += chunk
+            used = _decode_windows(lines, lineno, path, graphs)
+            del lines[:used]
+            lineno += used
+        if lines:  # a window cut short by the end of the file
+            _raise_first_bad_line(lines, lineno, path)
     return graphs
+
+
+def _decode_windows(lines: list[str], lineno: int, path, graphs: list[WindowGraph]) -> int:
+    """Append the whole windows at the front of ``lines`` to ``graphs``; returns the lines they span."""
+    heads: list[tuple[int, int, int, int]] = []
+    node_lines: list[str] = []
+    edge_lines: list[str] = []
+    pos, end = 0, len(lines)
+    try:
+        while pos < end:
+            head = _graph_record(lines[pos])
+            edges_at = pos + 1 + head[2]
+            stop = edges_at + head[3]
+            if stop > end:  # the window goes on in the next chunk
+                # check what is here, so that a count too large fails now, not at the end of the file
+                _node_columns(lines[pos + 1 : min(edges_at, end)])
+                _edge_columns(lines[edges_at:end], head[2])
+                break
+            node_lines += lines[pos + 1 : edges_at]
+            edge_lines += lines[edges_at:stop]
+            heads.append(head)
+            pos = stop
+        node_ids, feats = _node_columns(node_lines)
+        src, dst, wts = _edge_columns(edge_lines, np.repeat([h[2] for h in heads], [h[3] for h in heads]))
+    except (ValueError, OverflowError):
+        _raise_first_bad_line(lines, lineno, path)
+    a = b = 0
+    for start, label, n, e in heads:
+        graphs.append(WindowGraph(node_ids[a : a + n], feats[a : a + n], src[b : b + e], dst[b : b + e],
+                                  wts[b : b + e], label, start))
+        a += n
+        b += e
+    return pos
+
+
+def _raise_first_bad_line(lines: list[str], lineno: int, path) -> NoReturn:
+    """Raise ParseError at the first bad line of ``lines`` (numbered from ``lineno``, starting at a
+    graph record), checking one record at a time. A window cut short names the line after the last."""
+    pos = 0
+    try:
+        while pos < len(lines):
+            _, _, n, e = _graph_record(lines[pos])
+            for tag, count in (("node", n), ("edge", e)):
+                for _ in range(count):
+                    pos += 1
+                    if pos == len(lines):
+                        raise ValueError(f"expected {tag} record")
+                    if tag == "node":
+                        _node_columns(lines[pos : pos + 1])
+                    else:
+                        _edge_columns(lines[pos : pos + 1], n)
+            pos += 1
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {exc}", line=lineno + pos) from None
+    raise ParseError(f"{path}: bad graph cache record")  # the column checks are the line checks: not reached
+
+
+def _graph_record(line: str) -> tuple[int, int, int, int]:
+    """(start, label, num_nodes, num_edges) of a graph record; ValueError names the rule it breaks."""
+    parts = line.split()
+    if len(parts) != 5 or not line.startswith("graph "):
+        raise ValueError(f"expected graph record, got {line.strip()!r}")
+    start, label, n, e = map(int, parts[1:])
+    if start < 0 or n < 0 or e < 0:
+        raise ValueError(f"window start, node and edge counts must be >= 0, got {line.strip()!r}")
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return start, label, n, e
+
+
+def _record_fields(lines: list[str], tag: str, width: int) -> list[str]:
+    """The fields after the tags of ``lines``, in order; ValueError unless each line is one record
+    of ``width`` tokens that starts with ``tag`` and a space."""
+    text = "".join(lines)
+    tokens = text.split()
+    k = len(lines)
+    if k and not (
+        len(tokens) == width * k
+        and tokens[::width].count(tag) == k
+        and text.startswith(tag + " ")
+        and text.count("\n" + tag + " ") == k - 1
+    ):
+        raise ValueError(f"expected {tag} record")
+    del tokens[::width]
+    return tokens
+
+
+def _node_columns(lines: list[str]) -> tuple[list[int], np.ndarray]:
+    """The CAN IDs (Python ints) and the (k, 3) features of k node records."""
+    fields = _record_fields(lines, "node", 5)
+    ids = np.array(fields[::4], dtype=np.int64)
+    del fields[::4]
+    feats = np.array(fields, dtype=np.float64).reshape(-1, 3)
+    _require((ids >= 0) & (ids <= MAX_STD_ID), ids, f"node ID must be in [0, {MAX_STD_ID}]")
+    _require(np.isfinite(feats), feats, "node features must be finite")
+    return ids.tolist(), feats
+
+
+def _edge_columns(lines: list[str], window_nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sources, destinations and weights of edge records; ``window_nodes`` is each one's node count."""
+    fields = _record_fields(lines, "edge", 4)
+    src = np.array(fields[::3], dtype=np.int64)
+    dst = np.array(fields[1::3], dtype=np.int64)
+    wts = np.array(fields[2::3], dtype=np.float64)
+    _require((src >= 0) & (src < window_nodes), src, "edge source must be in [0, num_nodes)")
+    _require((dst >= 0) & (dst < window_nodes), dst, "edge destination must be in [0, num_nodes)")
+    _require((wts > 0.0) & (wts < math.inf), wts, "edge weight must be finite and > 0")  # prepare_graph takes log
+    return src, dst, wts
+
+
+def _require(ok: np.ndarray, values: np.ndarray, rule: str):
+    if not ok.all():
+        raise ValueError(f"{rule}, got {values[~ok][0]}")

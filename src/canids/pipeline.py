@@ -245,6 +245,29 @@ def score_split(
     return calibration, scored, metrics_block(scored, options.threshold, gat_model is not None)
 
 
+def report_fields(
+    seed: int,
+    metrics: dict,
+    vgae_config: VgaeConfig,
+    gat_config: GatConfig | None,
+    selection: UndersampleResult | None,
+    options: PipelineOptions,
+) -> dict:
+    """The report.json fields that run_two_stage and the ``report`` command both write."""
+    return {
+        "seed": seed,
+        "headline_metric": "gat_only" if gat_config is not None else "fused",
+        "metrics": metrics,
+        "params": {
+            "vgae": count_params(vgae_config),
+            "gat": count_params(gat_config) if gat_config is not None else None,
+        },
+        "undersampling": selection.summary() if selection is not None else None,
+        "fusion_weights": list(options.fusion_weights),
+        "threshold": options.threshold,
+    }
+
+
 def run_two_stage(
     train_graphs,
     test_graphs,
@@ -331,9 +354,8 @@ def run_two_stage(
         }
 
     report = {
-        "seed": seed,
+        **report_fields(seed, metrics, vgae_config, gat_config if gat_model is not None else None, selection, options),
         "mode": "vgae-only" if vgae_only else "two-stage",
-        "headline_metric": "gat_only" if gat_model is not None else "fused",
         "dataset": {
             "train_windows": len(train_part),
             "train_attack_windows": len(train_attacks),
@@ -341,15 +363,7 @@ def run_two_stage(
             "test_windows": len(test_graphs),
             "test_attack_windows": int(sum(test_truths)),
         },
-        "undersampling": None if selection is None else selection.summary(),
-        "params": {
-            "vgae": count_params(vgae_config),
-            "gat": count_params(gat_config) if gat_model is not None else None,
-        },
-        "metrics": metrics,
         "vgae_separation": vgae_block,
-        "fusion_weights": list(options.fusion_weights),
-        "threshold": options.threshold,
         "training": {
             "vgae_epoch_losses": vgae_losses,
             "gat_epoch_losses": gat_log.epoch_losses if gat_log else [],

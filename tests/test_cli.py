@@ -418,6 +418,37 @@ def test_bad_edge_weight_is_parse_error(small_run, tmp_path, capsys, weight):
     assert "Traceback" not in err
 
 
+def _with_field(index, value):
+    return lambda line: " ".join(line.split()[:index] + [value] + line.split()[index + 1 :]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "prefix, edit, rule",
+    [
+        ("graph ", _with_field(2, "7"), "label must be 0 or 1"),
+        ("node ", _with_field(2, "nan"), "node features must be finite"),
+        ("node ", _with_field(1, "-5"), "node ID must be in"),
+        ("edge ", _with_field(1, "57"), "edge source must be in"),
+    ],
+    ids=["label-7", "nan-feature", "negative-id", "edge-source-57"],
+)
+@pytest.mark.parametrize("command", ["train-vgae", "train-gat"])
+def test_out_of_range_graph_cache_value_is_parse_error(small_run, tmp_path, capsys, command, prefix, edit, rule):
+    bad = tmp_path / "graphs.cache"
+    if command == "train-vgae":
+        lineno = _tamper(small_run / "train.cache", bad, prefix, edit)
+        argv = [command, "--graphs", bad, "--vgae-epochs", 1]
+    else:
+        lineno = _tamper(small_run / "stage2.cache", bad, prefix, edit)
+        argv = [command, "--graphs", bad, "--val-graphs", small_run / "train.cache", "--gat-epochs", 1]
+    out = tmp_path / "model.ckpt"
+    code, _, err = run_cli(capsys, *argv, "--preset", "student", "--seed", 7, "--out", out)
+    assert code == 1
+    _only_parse_error(err, lineno, bad)
+    assert rule in err
+    assert not out.exists()
+
+
 def test_negative_fusion_weight_is_config_error(small_run, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "report", "--train-graphs", small_run / "train.cache", "--test-graphs", small_run / "test.cache",
