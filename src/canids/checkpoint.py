@@ -44,10 +44,10 @@ def load_checkpoint(path):
     """
     with open_ascii(path) as fh:
         if fh.readline().strip() != MAGIC:
-            raise ParseError(f"{path}: not a canids checkpoint")
+            raise ParseError(f"{path}: not a canids checkpoint", line=1)
         model_line = fh.readline().split(maxsplit=2)
         if len(model_line) != 3 or model_line[0] != "model":
-            raise ParseError(f"{path}: missing model header")
+            raise ParseError(f"{path}: missing model header", line=2)
         lineno = 2
         params: dict[str, np.ndarray] = {}
         try:

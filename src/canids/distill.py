@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
-from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
+from .errors import ConfigError, DimensionError, StateError
+from .gat import GatClassifier, GatConfig, prepare_graph
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, count_params, derive_seed, init_params
-from .pipeline import PipelineOptions, chronological_split, score_split, undersample
+from .pipeline import PipelineOptions, chronological_split, score_split, train_stages
 from .tensor import Tensor, no_grad
-from .vgae import LatentState, VgaeConfig, VgaeModel, train_vgae
+from .vgae import LatentState, VgaeConfig, VgaeModel
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class KdConfig:
     temperature: float = 4.0
     hard_weight: float = 0.5  # alpha: balance of ground truth vs teacher signal
     tau_squared: bool = True  # rescale the soft term by tau^2 (off for fidelity runs)
-    reuse_teacher_ranking: bool = False  # ablation: undersample with teacher scores
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -145,10 +144,11 @@ def distill_pipeline(
 
     Stage 1 trains the student VGAE with its ELBO plus (1 - alpha) times
     the latent KL to the teacher; undersampling is then recomputed from
-    the student's scores (or the teacher's, with reuse_teacher_ranking).
-    Stage 2 trains the student GAT under the combined soft/hard loss.
-    With ``test_graphs``, the report carries paired teacher/student test
-    metrics for the comparison table.
+    the student's scores. Stage 2 trains the student GAT under the
+    combined soft/hard loss. A training split without attack windows
+    raises StateError before any training. With ``test_graphs``, the
+    report carries paired teacher/student test metrics for the
+    comparison table.
     """
     opts = options or PipelineOptions()
     t_start = time.perf_counter()
@@ -156,8 +156,8 @@ def distill_pipeline(
     teacher_gat_sum = _param_checksum(teacher_gat.param_values())
 
     train_part, val_part = chronological_split(train_graphs, opts.val_frac)
-    train_normals = [g for g in train_part if g.label == 0]
-    train_attacks = [g for g in train_part if g.label == 1]
+    if not any(g.label == 1 for g in train_part):
+        raise StateError("distill: no attack windows in the training split; stage 2 needs both classes")
 
     projection = LatentProjection(student_vgae_config.latent_dim, teacher_vgae.config.latent_dim, seed=seed)
     # frozen-teacher outputs per window, computed on a batch of one at first use
@@ -178,25 +178,6 @@ def distill_pipeline(
         )
         return (1.0 - kd.hard_weight) * kd_latent_loss(student_latent, teacher, projection, batch)
 
-    t0 = time.perf_counter()
-    student_vgae, vgae_losses = train_vgae(
-        train_normals,
-        student_vgae_config,
-        seed=seed,
-        epochs=opts.vgae_epochs,
-        lr=opts.vgae_lr,
-        batch_size=opts.vgae_batch,
-        extra_loss_fn=latent_hint,
-        extra_params=projection.params(),
-    )
-    vgae_seconds = time.perf_counter() - t0
-
-    ranker = teacher_vgae if kd.reuse_teacher_ranking else student_vgae
-    ranked = ranker.reconstruction_rank(
-        train_normals, opts.composite_weights, seed=seed, score_mode=opts.score_mode
-    )
-    selection = undersample(ranked, train_attacks, opts.ratio)
-
     def kd_loss(model, batch, labels):
         for g in batch.graphs:
             if g.window_start_index not in teacher_logits:
@@ -207,23 +188,10 @@ def distill_pipeline(
         _, s_logits, _ = model.forward(batch)
         return kd_classifier_loss(s_logits, logits_t, labels, kd)
 
-    stage2_graphs = selection.selected_normals + selection.attacks
-    stage2_labels = [g.label for g in stage2_graphs]
-    t0 = time.perf_counter()
-    student_gat, gat_log = train_supervised(
-        stage2_graphs,
-        stage2_labels,
-        student_gat_config,
-        seed=seed,
-        epochs=opts.gat_epochs,
-        batch_size=opts.gat_batch,
-        lr=opts.gat_lr,
-        val_graphs=val_part,
-        val_labels=[g.label for g in val_part],
-        patience=opts.patience,
-        loss_fn=kd_loss,
+    stages = train_stages(
+        train_part, val_part, student_vgae_config, student_gat_config, seed, opts,
+        vgae_extra_loss=latent_hint, vgae_extra_params=projection.params(), gat_loss=kd_loss,
     )
-    gat_seconds = time.perf_counter() - t0
 
     if _param_checksum(teacher_vgae.param_values()) != teacher_vgae_sum:
         raise ConfigError("teacher VGAE parameters changed during distillation")
@@ -234,9 +202,7 @@ def distill_pipeline(
     scored_student = None
     if test_graphs is not None:
         _, _, teacher_metrics = score_split(teacher_vgae, teacher_gat, val_part, test_graphs, seed, opts)
-        _, scored_student, student_metrics = score_split(
-            student_vgae, student_gat, val_part, test_graphs, seed, opts
-        )
+        _, scored_student, student_metrics = score_split(stages.vgae, stages.gat, val_part, test_graphs, seed, opts)
         comparison = {"teacher": teacher_metrics, "student": student_metrics}
 
     gat_teacher_n = count_params(teacher_gat.config)
@@ -251,18 +217,14 @@ def distill_pipeline(
             "vgae_teacher": count_params(teacher_vgae.config),
             "vgae_student": count_params(student_vgae_config),
         },
-        "undersampling": selection.summary(),
+        "undersampling": stages.selection.summary(),
         "teacher_checksums_unchanged": True,
         "metrics": comparison,
         "training": {
-            "vgae_epoch_losses": vgae_losses,
-            "gat_epoch_losses": gat_log.epoch_losses,
-            "gat_val_f1": gat_log.val_f1,
+            "vgae_epoch_losses": stages.vgae_losses,
+            "gat_epoch_losses": stages.gat_log.epoch_losses,
+            "gat_val_f1": stages.gat_log.val_f1,
         },
-        "timings": {
-            "vgae_seconds": vgae_seconds,
-            "gat_seconds": gat_seconds,
-            "total_seconds": time.perf_counter() - t_start,
-        },
+        "timings": {**stages.timings, "total_seconds": time.perf_counter() - t_start},
     }
-    return DistillResult(student_vgae, student_gat, projection, report, scored_student)
+    return DistillResult(stages.vgae, stages.gat, projection, report, scored_student)

@@ -13,7 +13,6 @@ windows runs as one disjoint-union graph (``GraphBatch``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -113,11 +112,6 @@ class GraphBatch:
     @property
     def num_nodes(self) -> int:
         return len(self.graph_index)
-
-    @property
-    def node_offsets(self) -> np.ndarray:
-        """Row of each graph's first node."""
-        return np.cumsum(self.node_counts) - self.node_counts
 
     @property
     def window_starts(self) -> list[int]:
@@ -304,7 +298,6 @@ class TrainingLog:
     epoch_losses: list[float] = field(default_factory=list)
     val_f1: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    seconds: float = 0.0
 
 
 def train_supervised(
@@ -319,22 +312,18 @@ def train_supervised(
     val_labels=None,
     patience: int = 10,
     loss_fn=None,
-    grad_clip: float | None = 5.0,
-    min_epochs: int | None = None,
 ) -> tuple[GatClassifier, TrainingLog]:
     """Train a classifier with Adam on mean per-batch BCE.
 
     Each mini-batch is one GraphBatch and takes one forward and backward
     pass. With a validation set, stops early once validation F1 has not
     improved for ``patience`` epochs and restores the best parameters; the
-    stop is deferred until ``min_epochs`` (default 2*patience) so a model
-    still on its initial plateau is not cut off just before it starts to
-    learn. ``loss_fn(model, batch, labels)`` gives the mean loss over the
-    batch's windows; overriding it is how distillation reuses this loop.
+    stop is deferred until 2*patience epochs have run, so a model still on
+    its initial plateau is not cut off just before it starts to learn.
+    ``loss_fn(model, batch, labels)`` gives the mean loss over the batch's
+    windows; overriding it is how distillation reuses this loop.
     Raises StateError on a non-finite loss or gradient norm.
     """
-    if min_epochs is None:
-        min_epochs = 2 * patience
     labels = np.array([int(l) for l in labels], dtype=np.int64)
     present = set(labels.tolist())
     if present != {0, 1}:
@@ -357,7 +346,6 @@ def train_supervised(
             return cross_entropy(logits, batch_labels)
 
     log = TrainingLog()
-    t0 = time.perf_counter()
     best_f1, best_values, best_epoch, since_best = -1.0, None, -1, 0
     order = np.arange(len(preps))
     for epoch in range(epochs):
@@ -368,7 +356,7 @@ def train_supervised(
             batch = GraphBatch.concat(preps[i] for i in members)
             opt.zero_grad()
             loss = loss_fn(model, batch, labels[members])
-            checked_step(opt, loss, grad_clip, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
+            checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
             total += loss.item() * len(members)
         log.epoch_losses.append(total / len(order))
 
@@ -383,12 +371,11 @@ def train_supervised(
                 best_values = {k: v.copy() for k, v in model.param_values().items()}
             else:
                 since_best += 1
-                if since_best >= patience and epoch + 1 >= min_epochs:
+                if since_best >= patience and epoch + 1 >= 2 * patience:
                     break
 
     if best_values is not None:
         for p in model.params():
             p.tensor.values = best_values[p.name]
         log.best_epoch = best_epoch
-    log.seconds = time.perf_counter() - t0
     return model, log

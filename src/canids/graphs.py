@@ -21,6 +21,7 @@ from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
+_REPEATED_ID = "node ID listed twice in one window"
 
 
 @dataclass
@@ -245,10 +246,11 @@ def load_graph_cache(path) -> list[WindowGraph]:
     whitespace, and nothing else is on the line. Integers are read as
     ``int()`` and floats as ``float()`` read them. The values must hold:
     start, num_nodes and num_edges >= 0; label 0 or 1; can_id in
-    [0, MAX_STD_ID]; features finite; src and dst in [0, num_nodes) of
-    their window; weight finite and > 0. The first line that breaks a rule
-    raises ParseError with its line number; a window cut short by the end of
-    the file names the line after the last.
+    [0, MAX_STD_ID] and not repeated within its window; features finite;
+    src and dst in [0, num_nodes) of their window; weight finite and > 0.
+    The first line that breaks a rule raises ParseError with its line
+    number (a wrong or missing first line is line 1); a window cut short by
+    the end of the file names the line after the last.
 
     Lines are read about 1 MB at a time. Python reads only the ``graph``
     records; the node and edge records of a chunk are checked and converted
@@ -257,7 +259,7 @@ def load_graph_cache(path) -> list[WindowGraph]:
     with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != CACHE_MAGIC:
-            raise ParseError(f"{path}: not a graph cache (header {header!r})")
+            raise ParseError(f"{path}: not a graph cache (header {header!r})", line=1)
         graphs: list[WindowGraph] = []
         lineno = 2  # of lines[0]
         lines: list[str] = []  # read, not yet decoded: always starts at a graph record
@@ -284,14 +286,14 @@ def _decode_windows(lines: list[str], lineno: int, path, graphs: list[WindowGrap
             stop = edges_at + head[3]
             if stop > end:  # the window goes on in the next chunk
                 # check what is here, so that a count too large fails now, not at the end of the file
-                _node_columns(lines[pos + 1 : min(edges_at, end)])
+                _node_columns(lines[pos + 1 : min(edges_at, end)], 0)
                 _edge_columns(lines[edges_at:end], head[2])
                 break
             node_lines += lines[pos + 1 : edges_at]
             edge_lines += lines[edges_at:stop]
             heads.append(head)
             pos = stop
-        node_ids, feats = _node_columns(node_lines)
+        node_ids, feats = _node_columns(node_lines, np.repeat(np.arange(len(heads)), [h[2] for h in heads]))
         src, dst, wts = _edge_columns(edge_lines, np.repeat([h[2] for h in heads], [h[3] for h in heads]))
     except (ValueError, OverflowError):
         _raise_first_bad_line(lines, lineno, path)
@@ -311,13 +313,17 @@ def _raise_first_bad_line(lines: list[str], lineno: int, path) -> NoReturn:
     try:
         while pos < len(lines):
             _, _, n, e = _graph_record(lines[pos])
+            seen: set[int] = set()
             for tag, count in (("node", n), ("edge", e)):
                 for _ in range(count):
                     pos += 1
                     if pos == len(lines):
                         raise ValueError(f"expected {tag} record")
                     if tag == "node":
-                        _node_columns(lines[pos : pos + 1])
+                        (can_id,), _ = _node_columns(lines[pos : pos + 1], 0)
+                        if can_id in seen:
+                            raise ValueError(f"{_REPEATED_ID}, got {can_id}")
+                        seen.add(can_id)
                     else:
                         _edge_columns(lines[pos : pos + 1], n)
             pos += 1
@@ -356,14 +362,16 @@ def _record_fields(lines: list[str], tag: str, width: int) -> list[str]:
     return tokens
 
 
-def _node_columns(lines: list[str]) -> tuple[list[int], np.ndarray]:
-    """The CAN IDs (Python ints) and the (k, 3) features of k node records."""
+def _node_columns(lines: list[str], window) -> tuple[list[int], np.ndarray]:
+    """The CAN IDs (Python ints) and the (k, 3) features of k node records; ``window`` is each one's window."""
     fields = _record_fields(lines, "node", 5)
     ids = np.array(fields[::4], dtype=np.int64)
     del fields[::4]
     feats = np.array(fields, dtype=np.float64).reshape(-1, 3)
     _require((ids >= 0) & (ids <= MAX_STD_ID), ids, f"node ID must be in [0, {MAX_STD_ID}]")
     _require(np.isfinite(feats), feats, "node features must be finite")
+    keys = np.sort(window * (MAX_STD_ID + 1) + ids)  # one key per (window, ID) pair
+    _require(keys[1:] != keys[:-1], keys[1:] % (MAX_STD_ID + 1), _REPEATED_ID)
     return ids.tolist(), feats
 
 

@@ -12,6 +12,8 @@ from .checkpoint import load_checkpoint, save_checkpoint, validate_params
 from .errors import ConfigError, ParseError, StateError
 from .tensor import Tensor
 
+GRAD_CLIP = 5.0  # global gradient-norm bound of every training step
+
 
 @dataclass
 class Param:
@@ -121,8 +123,8 @@ def clip_grad_norm(params: list[Param], max_norm: float) -> float:
     return norm
 
 
-def checked_step(opt: "Adam", loss: Tensor, grad_clip: float | None, where) -> None:
-    """Backward, clip and step, or StateError naming ``where()`` on a non-finite value.
+def checked_step(opt: "Adam", loss: Tensor, where) -> None:
+    """Backward, clip to GRAD_CLIP and step, or StateError naming ``where()`` on a non-finite value.
 
     The loss is checked before backward and the global gradient norm (the
     one clip_grad_norm returns) before the step, so no update applies a
@@ -132,7 +134,7 @@ def checked_step(opt: "Adam", loss: Tensor, grad_clip: float | None, where) -> N
     if not np.isfinite(value):
         raise StateError(f"non-finite loss {value} at {where()}")
     loss.backward()
-    norm = clip_grad_norm(opt.params, np.inf if grad_clip is None else grad_clip)
+    norm = clip_grad_norm(opt.params, GRAD_CLIP)
     if not np.isfinite(norm):
         raise StateError(f"non-finite gradient norm {norm} at {where()}")
     opt.step()

@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int
-from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
+from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
 from .optim import count_params
 from .vgae import CompositeWeights, VgaeConfig, VgaeModel, train_vgae
@@ -268,6 +269,63 @@ def report_fields(
     }
 
 
+class Stages(NamedTuple):
+    """What train_stages trained; the stage-2 fields are None when the split has no attack windows."""
+
+    vgae: VgaeModel
+    vgae_losses: list[float]
+    selection: UndersampleResult | None
+    gat: GatClassifier | None
+    gat_log: TrainingLog | None
+    timings: dict  # {"vgae_seconds", "gat_seconds"}
+
+
+def train_stages(
+    train_part,
+    val_part,
+    vgae_config: VgaeConfig,
+    gat_config: GatConfig,
+    seed: int,
+    options: PipelineOptions,
+    vgae_extra_loss=None,
+    vgae_extra_params=(),
+    gat_loss=None,
+) -> Stages:
+    """Stage 1 on ``train_part``'s benign windows, VGAE-ranked undersampling, then stage 2.
+
+    The GAT trains on the selection with early stopping on ``val_part``.
+    The hooks pass straight through: ``vgae_extra_loss`` and
+    ``vgae_extra_params`` to train_vgae's ``extra_loss_fn`` and
+    ``extra_params``, ``gat_loss`` to train_supervised's ``loss_fn``.
+    """
+    normals = [g for g in train_part if g.label == 0]
+    attacks = [g for g in train_part if g.label == 1]
+    if not normals:
+        raise StateError("no benign windows in the training split")
+    t0 = time.perf_counter()
+    vgae_model, vgae_losses = train_vgae(
+        normals, vgae_config, seed=seed, epochs=options.vgae_epochs, lr=options.vgae_lr,
+        batch_size=options.vgae_batch, extra_loss_fn=vgae_extra_loss, extra_params=vgae_extra_params,
+    )
+    timings = {"vgae_seconds": time.perf_counter() - t0, "gat_seconds": 0.0}
+    if not attacks:
+        return Stages(vgae_model, vgae_losses, None, None, None, timings)
+
+    ranked = vgae_model.reconstruction_rank(
+        normals, options.composite_weights, seed=seed, score_mode=options.score_mode
+    )
+    selection = undersample(ranked, attacks, options.ratio)
+    stage2 = selection.selected_normals + selection.attacks
+    t0 = time.perf_counter()
+    gat_model, gat_log = train_supervised(
+        stage2, [g.label for g in stage2], gat_config, seed=seed,
+        epochs=options.gat_epochs, batch_size=options.gat_batch, lr=options.gat_lr,
+        val_graphs=val_part, val_labels=[g.label for g in val_part], patience=options.patience, loss_fn=gat_loss,
+    )
+    timings["gat_seconds"] = time.perf_counter() - t0
+    return Stages(vgae_model, vgae_losses, selection, gat_model, gat_log, timings)
+
+
 def run_two_stage(
     train_graphs,
     test_graphs,
@@ -285,60 +343,11 @@ def run_two_stage(
     t_run = time.perf_counter()
     train_graphs, test_graphs = list(train_graphs), list(test_graphs)
     train_part, val_part = chronological_split(train_graphs, options.val_frac)
-    train_normals = [g for g in train_part if g.label == 0]
-    train_attacks = [g for g in train_part if g.label == 1]
-    if not train_normals:
-        raise StateError("no benign windows in the training split")
+    stages = train_stages(train_part, val_part, vgae_config, gat_config, seed, options)
+    vgae_only = stages.gat is None
 
     t0 = time.perf_counter()
-    vgae_model, vgae_losses = train_vgae(
-        train_normals,
-        vgae_config,
-        seed=seed,
-        epochs=options.vgae_epochs,
-        lr=options.vgae_lr,
-        batch_size=options.vgae_batch,
-    )
-    vgae_seconds = time.perf_counter() - t0
-
-    normal_scores = [
-        vgae_model.score(g, options.composite_weights, seed, options.score_mode)
-        for g in train_normals
-    ]
-    ranked = vgae_model.reconstruction_rank(
-        train_normals,
-        options.composite_weights,
-        seed=seed,
-        score_mode=options.score_mode,
-        scores=normal_scores,
-    )
-
-    gat_model = None
-    gat_log = None
-    selection = None
-    vgae_only = not train_attacks
-    if not vgae_only:
-        selection = undersample(ranked, train_attacks, options.ratio)
-        stage2 = selection.selected_normals + selection.attacks
-        t0 = time.perf_counter()
-        gat_model, gat_log = train_supervised(
-            stage2,
-            [g.label for g in stage2],
-            gat_config,
-            seed=seed,
-            epochs=options.gat_epochs,
-            batch_size=options.gat_batch,
-            lr=options.gat_lr,
-            val_graphs=val_part,
-            val_labels=[g.label for g in val_part],
-            patience=options.patience,
-        )
-        gat_seconds = time.perf_counter() - t0
-    else:
-        gat_seconds = 0.0
-
-    t0 = time.perf_counter()
-    calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, seed, options)
+    calibration, scored, metrics = score_split(stages.vgae, stages.gat, val_part, test_graphs, seed, options)
     score_seconds = time.perf_counter() - t0
 
     test_truths = [s.truth for s in scored]
@@ -354,34 +363,33 @@ def run_two_stage(
         }
 
     report = {
-        **report_fields(seed, metrics, vgae_config, gat_config if gat_model is not None else None, selection, options),
+        **report_fields(seed, metrics, vgae_config, None if vgae_only else gat_config, stages.selection, options),
         "mode": "vgae-only" if vgae_only else "two-stage",
         "dataset": {
             "train_windows": len(train_part),
-            "train_attack_windows": len(train_attacks),
+            "train_attack_windows": sum(g.label for g in train_part),
             "val_windows": len(val_part),
             "test_windows": len(test_graphs),
             "test_attack_windows": int(sum(test_truths)),
         },
         "vgae_separation": vgae_block,
         "training": {
-            "vgae_epoch_losses": vgae_losses,
-            "gat_epoch_losses": gat_log.epoch_losses if gat_log else [],
-            "gat_val_f1": gat_log.val_f1 if gat_log else [],
+            "vgae_epoch_losses": stages.vgae_losses,
+            "gat_epoch_losses": [] if vgae_only else stages.gat_log.epoch_losses,
+            "gat_val_f1": [] if vgae_only else stages.gat_log.val_f1,
         },
         "lineage": {
             "vgae_train_windows_all_benign": True,  # enforced by train_vgae
-            "undersampled_normals_are_rank_prefix": selection is not None,
+            "undersampled_normals_are_rank_prefix": not vgae_only,
             "test_scored_after_training": True,
         },
         "timings": {
-            "vgae_seconds": vgae_seconds,
-            "gat_seconds": gat_seconds,
+            **stages.timings,
             "score_seconds": score_seconds,
             "total_seconds": time.perf_counter() - t_run,
         },
     }
-    return RunResult(report, scored, vgae_model, gat_model, calibration, selection)
+    return RunResult(report, scored, stages.vgae, stages.gat, calibration, stages.selection)
 
 
 SCORES_HEADER = "window_start_index,truth,vgae_score,vgae_prob,gat_prob,fused_prob,predicted"
@@ -407,7 +415,7 @@ def read_scores_csv(path) -> list[ScoredWindow]:
     with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != SCORES_HEADER:
-            raise ParseError(f"{path}: unexpected scores header {header!r}")
+            raise ParseError(f"{path}: unexpected scores header {header!r}", line=1)
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 7:

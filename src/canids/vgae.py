@@ -155,10 +155,6 @@ class VgaeModel(ParamModel):
         """``encode(prep).mu`` alone: the trunk and the mu head, without the log_sigma head."""
         return self._lin(self._trunk(prep), "mu.weight", "mu.bias")
 
-    def decode_adjacency(self, z: Tensor) -> Tensor:
-        """Symmetric n x n matrix of edge probabilities sigmoid(z_i . z_j), for the adjacency_l2 ablation."""
-        return T.sigmoid(z @ z.T)
-
     def decode_features(self, z: Tensor) -> tuple[Tensor, Tensor]:
         """Single-hidden-layer heads: node features in (0,1) and ID-bucket logits."""
         hidden = T.elu(self._lin(z, "dec_feat.w1", "dec_feat.b1"))
@@ -200,12 +196,17 @@ class VgaeModel(ParamModel):
         return combine_errors(weights, e_node, e_neighbor, e_canid)
 
     def adjacency_l2(self, prep) -> float:
-        """Frobenius norm of (binary adjacency - decoded adjacency), for ablation."""
+        """Frobenius norm of (binary adjacency - decoded adjacency), for ablation.
+
+        The decoded adjacency is the per-edge decoder read at all n x n pairs.
+        """
         prep = self.prepare(prep)
         g = prep.graph
+        n = g.num_nodes
+        rows, cols = np.divmod(np.arange(n * n), n)
         with no_grad():
-            adj = self.decode_adjacency(self.posterior_mean(prep)).values
-        a = np.zeros((g.num_nodes, g.num_nodes))
+            adj = T.sigmoid_inner_product(self.posterior_mean(prep), rows, cols).values.reshape(n, n)
+        a = np.zeros((n, n))
         a[g.edge_src, g.edge_dst] = 1.0
         return float(np.linalg.norm(a - adj))
 
@@ -222,7 +223,6 @@ class VgaeModel(ParamModel):
         weights: CompositeWeights = CompositeWeights(),
         seed: int = 0,
         score_mode: str = "composite",
-        scores=None,
     ):
         """Normal-labeled graphs sorted by descending anomaly score.
 
@@ -236,8 +236,7 @@ class VgaeModel(ParamModel):
         bad = [g.window_start_index for g in raw if g.label != 0]
         if bad:
             raise ConfigError(f"reconstruction_rank expects normal windows; attack at {bad[:5]}")
-        if scores is None:
-            scores = [self.score(g, weights, seed, score_mode) for g in graphs]
+        scores = [self.score(g, weights, seed, score_mode) for g in graphs]
         order = sorted(range(len(graphs)), key=lambda i: (-scores[i], raw[i].window_start_index))
         return [graphs[i] for i in order]
 
@@ -309,7 +308,6 @@ def train_vgae(
     batch_size: int = 32,
     extra_loss_fn=None,
     extra_params=(),
-    grad_clip: float | None = 5.0,
 ) -> tuple[VgaeModel, list[float]]:
     """Stage-1 training on benign windows only; returns per-epoch mean loss.
 
@@ -344,7 +342,7 @@ def train_vgae(
             loss = model.elbo_loss(batch, latent, model.decode(latent.z), neg_rng)
             if extra_loss_fn is not None:
                 loss = loss + extra_loss_fn(batch, latent)
-            checked_step(opt, loss, grad_clip, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
+            checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
             total += loss.item() * batch.num_graphs
         losses.append(total / len(order))
     return model, losses

@@ -162,7 +162,8 @@ def test_concat_offsets_edges_and_graph_index(windows):
     batch = GraphBatch.concat(preps)
     assert batch.num_graphs == 3 and batch.num_nodes == sum(g.num_nodes for g in windows[:3])
     assert batch.node_counts.tolist() == [g.num_nodes for g in windows[:3]]
-    for k, (p, offset) in enumerate(zip(preps, batch.node_offsets)):
+    offsets = np.cumsum(batch.node_counts) - batch.node_counts
+    for k, (p, offset) in enumerate(zip(preps, offsets)):
         rows = np.flatnonzero(batch.graph_index == k)
         assert rows.tolist() == list(range(offset, offset + p.num_nodes))
         own = (batch.graph_index[batch.src] == k)

@@ -631,6 +631,38 @@ def test_non_ascii_scores_file_is_parse_error(tmp_path, capsys):
     _only_parse_error(err, 3, p)
 
 
+# (artifact, edit of its lines, the line the error must name)
+BAD_HEADERS = {
+    "cache-wrong-magic": ("train.cache", lambda lines: ["canids-graph-cache v2\n"] + lines[1:], 1),
+    "cache-no-magic": ("train.cache", lambda lines: lines[1:], 1),
+    "cache-empty": ("train.cache", lambda lines: [], 1),
+    "checkpoint-wrong-magic": ("vgae.ckpt", lambda lines: ["canids-checkpoint v0\n"] + lines[1:], 1),
+    "checkpoint-empty": ("vgae.ckpt", lambda lines: [], 1),
+    "checkpoint-no-model-line": ("vgae.ckpt", lambda lines: lines[:1] + lines[2:], 2),
+    "checkpoint-model-line-cut": ("vgae.ckpt", lambda lines: lines[:1] + ["model vgae\n"] + lines[2:], 2),
+    "scores-wrong-header": ("scores.csv", lambda lines: ["window_start_index,truth\n"] + lines[1:], 1),
+    "scores-empty": ("scores.csv", lambda lines: [], 1),
+}
+
+
+@pytest.mark.parametrize("artifact, edit, lineno", BAD_HEADERS.values(), ids=BAD_HEADERS)
+def test_bad_header_names_its_line(small_run, tmp_path, capsys, artifact, edit, lineno):
+    bad = tmp_path / artifact
+    if artifact == "scores.csv":
+        lines = [f"{SCORES_HEADER}\n", f"{GOOD_SCORES_ROW}\n"]
+    else:
+        lines = (small_run / artifact).read_text().splitlines(keepends=True)
+    bad.write_text("".join(edit(lines)))
+    argv = {
+        "train.cache": ["train-vgae", "--graphs", bad, "--preset", "student", "--out", tmp_path / "v.ckpt"],
+        "vgae.ckpt": ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "s2"],
+        "scores.csv": ["evaluate", "--scores", bad],
+    }[artifact]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    _only_parse_error(err, lineno, bad)
+
+
 def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
     bad = tmp_path / "config.json"
     bad.write_bytes(b'{"seed": 7\xff}')

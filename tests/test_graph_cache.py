@@ -4,8 +4,9 @@
 on every valid cache the two return equal graphs (the same node IDs as
 Python ints, the same array bytes and dtypes, the same labels and starts),
 and on every malformed one both raise ParseError at the same line. The
-rules the bulk loader added on top (value ranges, the tag followed by one
-space) are tested separately.
+rules the bulk loader added on top (value ranges, an ID listed once per
+window, the tag followed by one space, line 1 for a bad header) are tested
+separately, and the mutation sweep carves them out.
 """
 
 import math
@@ -197,6 +198,12 @@ def test_mutated_caches_fail_at_the_reference_line(tmp_path, chunk_chars):
             tokens = lines[i].split()
             if tokens[0] == "graph" and tokens[2] not in ("0", "1"):
                 want = i + 1  # a label outside {0, 1} is a new rule; the reference reads it as a label
+        if lines[:1] != [f"{CACHE_MAGIC}\n"]:
+            want = 1  # the reference names no line for a wrong or missing header
+        if name.startswith("duplicate-"):
+            i = int(name.split("-")[1])
+            if lines[i].startswith("node ") and lines[i + 2].startswith("node "):
+                want = i + 2  # a repeated ID is a new rule: the copy fails, not a record after it
         got = outcome(load_graph_cache, p)
         if isinstance(want, list):
             assert isinstance(got, list), f"{name}: ParseError at line {got}, the reference loads it"
@@ -270,6 +277,8 @@ def test_too_large_count_fails_before_the_rest_is_read(tmp_path, monkeypatch, mi
         (9, "graph\t6 0 1 1", "expected graph record", True),
         (10, "node\t2047 1.0 1.0 1e-300", "expected node record", True),
         (11, "edge\t0 0 5.0", "expected edge record", True),
+        (3, "node 790 0.12506106497313143 0.3333333333333333 0.0", "node ID listed twice in one window", True),
+        (14, "node 0 0.002442598925256473 0.5 -0.0", "node ID listed twice in one window", True),
     ],
 )
 def test_new_rules_name_the_line(tmp_path, chunk_chars, line_index, line, rule, accepted_before):

@@ -317,3 +317,83 @@ def test_golden_stream_scores_and_trained_parameters():
     text = "\n".join(repr(r) for r in rows)
     assert _sha256_of_params(vgae_model, gat_model) == GOLDEN_PARAMS_SHA256
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SCORES_SHA256
+
+
+def _digests(models, rows, report: dict) -> tuple[str, str, str]:
+    """sha256 of the models' parameters, of the ScoredWindow rows, and of the report's JSON
+    without ``timings`` (wall clock) and ``kd`` (the KD config echo)."""
+    import hashlib
+    import json
+
+    kept = {k: v for k, v in report.items() if k not in ("timings", "kd")}
+    return (
+        _sha256_of_params(*models),
+        hashlib.sha256("\n".join(repr(r) for r in rows).encode()).hexdigest(),
+        hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest(),
+    )
+
+
+# (params, scored rows, report) digests of run_two_stage (two-stage and VGAE-only) and of
+# distill_pipeline with test graphs; they pin the orchestration's outputs bit for bit
+GOLDEN_RUNS_SHA256 = {
+    "two-stage": (
+        "bb47d01b3d15335045bcdf47617b18a15591f5a4db84fb04c1bcfbe7ea696017",
+        "ab519fcb52d53f04f54054e536e8aa7bfdeef62c29b1cfde4bb556e6cc0495e3",
+        "2db1bed3aa21a05a639acc36fed507cfc7c004620c2bd94ead0c54cd6366c52c",
+    ),
+    "vgae-only": (
+        "358f33966ddc594aee2ad6266ef8ebb275f4d440278d45adf9e1448122098336",
+        "1317815cb70598bc76e43f69d1c0526cc4ca099e9703a0f758c120c74cab5323",
+        "9143891a492b3398004005a63e71e7b6ab807ed5694d54f703451919cd365579",
+    ),
+    "distill": (
+        "5ae2d727393b96962090c15f9091e0c4c2c6dcfad71a67509bac097df9de9a90",
+        "406b16ba31446b21d6a08dedf644c3de7c1940a86a1350861af601b35e4731b0",
+        "6ac828166dc06649cba21cc5e21c0a91b55d6f5e7a27b33f41ee874ba6ac6193",
+    ),
+}
+
+
+def test_golden_two_stage_and_distill(benign_graphs, mixed_graphs):
+    from types import SimpleNamespace
+
+    from canids.distill import KdConfig, distill_pipeline
+
+    train, test = mixed_graphs[:190], mixed_graphs[190:]
+    opts = PipelineOptions(vgae_epochs=2, gat_epochs=8, patience=2)
+    student = VgaeConfig.student(), GatConfig.student()
+    two = run_two_stage(train, test, *student, seed=21, options=opts)
+    solo = run_two_stage(benign_graphs, test, *student, seed=22, options=opts)
+    kd = distill_pipeline(train, two.vgae_model, two.gat_model, *student, KdConfig(), 23, opts, test)
+    projection = SimpleNamespace(param_values=lambda: {n: p.tensor.values for n, p in kd.projection.table.items()})
+    got = {
+        "two-stage": _digests([two.vgae_model, two.gat_model], two.scored, two.report),
+        "vgae-only": _digests([solo.vgae_model], solo.scored, solo.report),
+        "distill": _digests([kd.student_vgae, kd.student_gat, projection], kd.scored_student, kd.report),
+    }
+    assert (two.report["mode"], solo.report["mode"]) == ("two-stage", "vgae-only")
+    # the report fields that bench/workloads.py reads
+    for report in (two.report, kd.report):
+        assert report["undersampling"]["achieved_ratio"] > 0
+    assert two.report["metrics"]["gat_only"]["f1"] >= 0 and two.report["vgae_separation"]["auc"] >= 0
+    assert kd.report["teacher_checksums_unchanged"] is True
+    assert kd.report["metrics"]["teacher"]["gat_only"] == two.report["metrics"]["gat_only"]
+    assert kd.report["metrics"]["student"]["gat_only"]["f1"] >= 0
+    assert got == GOLDEN_RUNS_SHA256
+
+
+def test_distill_without_attack_windows_fails_before_training(benign_graphs, monkeypatch):
+    from canids import distill, pipeline, vgae
+    from canids.distill import KdConfig, distill_pipeline
+    from canids.gat import GatClassifier
+    from canids.vgae import VgaeModel
+
+    def never(*args, **kwargs):
+        raise AssertionError("train_vgae reached")
+
+    for module in (distill, pipeline, vgae):
+        if getattr(module, "train_vgae", None) is vgae.train_vgae:
+            monkeypatch.setattr(module, "train_vgae", never)
+    teacher = VgaeModel(VgaeConfig.student(), seed=1), GatClassifier(GatConfig.student(), seed=2)
+    with pytest.raises(StateError, match="no attack windows"):
+        distill_pipeline(benign_graphs[:60], *teacher, VgaeConfig.student(), GatConfig.student(), KdConfig(), 3)

@@ -60,20 +60,36 @@ def test_encoder_shape_depends_only_on_node_count(benign_graphs, mixed_graphs):
         assert latent.mu.shape == (g.num_nodes, TINY.latent_dim)
 
 
+def decoded_adjacency(z):
+    """The edge decoder read at every (i, j) pair of z's rows, as an n x n matrix."""
+    n = z.shape[0]
+    rows, cols = np.divmod(np.arange(n * n), n)
+    return DecodedGraph(Tensor(z), None, None).edge_probabilities(rows, cols).values.reshape(n, n)
+
+
 def test_decode_adjacency_contract():
-    model = VgaeModel(TINY, seed=1)
-    z = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    adj = model.decode_adjacency(z).values
+    adj = decoded_adjacency(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert adj[0, 1] == 0.5  # orthogonal latents
-    z = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    adj = model.decode_adjacency(z).values
+    adj = decoded_adjacency(np.array([[1.0, 0.0], [1.0, 0.0]]))
     assert abs(adj[0, 1] - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
 
     rng = np.random.Generator(np.random.PCG64(4))
-    z = Tensor(rng.standard_normal((6, 3)))
-    adj = model.decode_adjacency(z).values
+    adj = decoded_adjacency(rng.standard_normal((6, 3)))
     assert np.max(np.abs(adj - adj.T)) <= 1e-12
     assert np.all((adj > 0) & (adj < 1))
+
+
+@pytest.mark.parametrize("config", [VgaeConfig.teacher(), VgaeConfig.student()], ids=["teacher", "student"])
+def test_adjacency_l2_matches_dense_formula(config, mixed_graphs):
+    """adjacency_l2 reads the per-edge decoder; the dense sigmoid(z @ z.T) is the reference here."""
+    model = VgaeModel(config, seed=3)
+    for g in mixed_graphs[::25] + [one_node_graph()]:
+        prep = model.prepare(g)
+        z = model.posterior_mean(prep).values
+        a = np.zeros((g.num_nodes, g.num_nodes))
+        a[g.edge_src, g.edge_dst] = 1.0
+        want = float(np.linalg.norm(a - 1.0 / (1.0 + np.exp(-(z @ z.T)))))
+        assert abs(model.adjacency_l2(g) - want) <= 1e-12 * want
 
 
 def test_decode_features_contract(benign_graphs):
@@ -177,21 +193,28 @@ def test_score_modes(benign_graphs):
         model.score(g, CompositeWeights(), 1, "nope")
 
 
-def test_reconstruction_rank_semantics(benign_graphs):
+def test_reconstruction_rank_semantics(benign_graphs, monkeypatch):
     model = VgaeModel(TINY, seed=7)
     graphs = benign_graphs[:3]
-    ranked = model.reconstruction_rank(graphs, scores=[0.1, 5.0, 2.0])
+
+    def fixed_scores(*scores):
+        table = {g.window_start_index: s for g, s in zip(graphs, scores)}
+        monkeypatch.setattr(model, "score", lambda g, *args: table[g.window_start_index])
+
+    fixed_scores(0.1, 5.0, 2.0)
+    ranked = model.reconstruction_rank(graphs)
     assert [g.window_start_index for g in ranked] == [
         graphs[1].window_start_index,
         graphs[2].window_start_index,
         graphs[0].window_start_index,
     ]
     # equal scores: stream order preserved
-    ranked = model.reconstruction_rank(graphs, scores=[1.0, 1.0, 1.0])
+    fixed_scores(1.0, 1.0, 1.0)
+    ranked = model.reconstruction_rank(graphs)
     assert ranked == graphs
     # idempotent on a ranked list
-    scores = [model.composite_error(g, seed=1) for g in graphs]
-    once = model.reconstruction_rank(graphs, seed=1, scores=scores)
+    monkeypatch.undo()
+    once = model.reconstruction_rank(graphs, seed=1)
     twice = model.reconstruction_rank(once, seed=1)
     assert once == twice
     with pytest.raises(StateError):
