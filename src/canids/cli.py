@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .canlog import parse_car_hacking_csv, parse_generic_labeled_csv, write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
-from .errors import CanidsError, ConfigError, StateError, UsageError
-from .gat import GatClassifier, GatConfig, prepare_graph, train_supervised
+from .errors import CanidsError, ConfigError, StateError, UsageError, require_int
+from .gat import GatClassifier, GatConfig, prepare_graph
 from .graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     PipelineOptions,
@@ -32,11 +35,14 @@ from .pipeline import (
     read_scores_csv,
     report_fields,
     score_split,
+    select_stage2,
+    train_gat_stage,
+    train_vgae_stage,
     undersample,
     write_scores_csv,
 )
 from .synth import generate_synthetic_log, load_synth_config
-from .vgae import VgaeConfig, VgaeModel, train_vgae
+from .vgae import VgaeConfig, VgaeModel
 
 
 def _progress(msg: str):
@@ -105,20 +111,11 @@ def _write_with_lock(path, write_fn):
         _atomic(path, write_fn)
 
 
-def _preset_vgae(name: str) -> VgaeConfig:
-    if name == "teacher":
-        return VgaeConfig.teacher()
-    if name == "student":
-        return VgaeConfig.student()
-    raise UsageError(f"unknown preset {name!r} (teacher|student)")
-
-
-def _preset_gat(name: str) -> GatConfig:
-    if name == "teacher":
-        return GatConfig.teacher()
-    if name == "student":
-        return GatConfig.student()
-    raise UsageError(f"unknown preset {name!r} (teacher|student)")
+def _preset(config_type, name: str):
+    """``config_type``'s teacher or student preset; a run config's ``preset`` bypasses argparse's choices."""
+    if name not in ("teacher", "student"):
+        raise UsageError(f"unknown preset {name!r} (teacher|student)")
+    return getattr(config_type, name)()
 
 
 def _parse_column_map(text: str) -> dict[str, int]:
@@ -141,34 +138,46 @@ def _parse_fusion_weights(text: str) -> tuple[float, float]:
 
 
 def _options_from_args(args) -> PipelineOptions:
+    """PipelineOptions from every field that has a flag and was given one."""
     kwargs = {}
-    for name in (
-        "val_frac", "ratio", "threshold", "score_mode",
-        "vgae_epochs", "vgae_lr", "vgae_batch",
-        "gat_epochs", "gat_batch", "gat_lr", "patience",
-    ):
-        val = getattr(args, name, None)
+    for f in dataclasses.fields(PipelineOptions):
+        val = getattr(args, f.name, None)
         if val is not None:
-            kwargs[name] = val
-    if getattr(args, "fusion_weights", None) is not None:
-        kwargs["fusion_weights"] = _parse_fusion_weights(args.fusion_weights)
+            kwargs[f.name] = val
+    if "fusion_weights" in kwargs:
+        kwargs["fusion_weights"] = _parse_fusion_weights(kwargs["fusion_weights"])
     return PipelineOptions(**kwargs)
 
 
-def _manifest(args, command: str, artifacts: dict, timings: dict) -> dict:
-    snapshot = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    return {
-        "command": command,
-        "config": snapshot,
-        "seed": args.seed,
-        "artifacts": artifacts,
-        "timings": timings,
-        "versions": {
-            "canids": __version__,
-            "python": sys.version.split()[0],
-            "numpy": __import__("numpy").__version__,
-        },
-    }
+def _write_run(args, out_dir: Path, checkpoints: dict, scored, report: dict, seconds: float):
+    """Under ``out_dir``'s lock: ``<name>.ckpt`` per checkpoint, scores.csv unless ``scored`` is None,
+    report.json and manifest.json."""
+    artifacts = {}
+    with _output_lock(out_dir):
+        for name, model in checkpoints.items():
+            path = out_dir / f"{name}.ckpt"
+            _atomic(path, model.save)
+            artifacts[name.replace("-", "_")] = str(path)
+        if scored is not None:
+            _atomic(out_dir / "scores.csv", lambda tmp: write_scores_csv(scored, tmp))
+            artifacts["scores"] = str(out_dir / "scores.csv")
+        _write_json(out_dir / "report.json", report)
+        artifacts["report"] = str(out_dir / "report.json")
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        _write_json(out_dir / "manifest.json", {
+            "command": args.command,
+            "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
+            "seed": args.seed,
+            "artifacts": artifacts,
+            "timings": {"seconds": seconds},
+            "versions": {
+                "canids": __version__,
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "blas": f"{blas.get('name')} {blas.get('version')}",
+                "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            },
+        })
 
 
 def cmd_synth(args) -> int:
@@ -229,17 +238,15 @@ def cmd_train_vgae(args) -> int:
     graphs = load_graph_cache(cache)
     opts = _options_from_args(args)
     train_part, _ = chronological_split(graphs, opts.val_frac)
-    normals = [g for g in train_part if g.label == 0]
-    _progress(f"stage 1: training {args.preset} VGAE on {len(normals)} benign windows")
+    config = _preset(VgaeConfig, args.preset)
+    benign = sum(1 for g in train_part if g.label == 0)
+    _progress(f"stage 1: training {args.preset} VGAE on {benign} benign windows")
     t0 = time.perf_counter()
-    model, losses = train_vgae(
-        normals, _preset_vgae(args.preset), seed=args.seed,
-        epochs=opts.vgae_epochs, lr=opts.vgae_lr, batch_size=opts.vgae_batch,
-    )
+    model, losses = train_vgae_stage(train_part, config, args.seed, opts)
     _write_with_lock(args.out, model.save)
     _emit({
         "checkpoint": str(args.out),
-        "train_windows": len(normals),
+        "train_windows": benign,
         "epochs": len(losses),
         "first_loss": losses[0],
         "final_loss": losses[-1],
@@ -255,13 +262,8 @@ def cmd_undersample(args) -> int:
     opts = _options_from_args(args)
     model = VgaeModel.load(ckpt)
     train_part, _ = chronological_split(graphs, opts.val_frac)
-    normals = [g for g in train_part if g.label == 0]
-    attacks = [g for g in train_part if g.label == 1]
-    _progress(f"ranking {len(normals)} benign windows by reconstruction error")
-    ranked = model.reconstruction_rank(
-        normals, opts.composite_weights, seed=args.seed, score_mode=opts.score_mode
-    )
-    selection = undersample(ranked, attacks, opts.ratio)
+    _progress("ranking the training split's benign windows by reconstruction error")
+    selection = select_stage2(model, train_part, args.seed, opts)
     stage2 = selection.selected_normals + selection.attacks
     _write_with_lock(args.out, lambda tmp: save_graph_cache(stage2, tmp))
     _emit({"out": str(args.out), **selection.summary()})
@@ -272,18 +274,14 @@ def cmd_train_gat(args) -> int:
     cache = _require_file(args.graphs, "stage-2 graph cache")
     stage2 = load_graph_cache(cache)
     opts = _options_from_args(args)
-    val_graphs = val_labels = None
+    val_part = None
     if args.val_graphs:
         full = load_graph_cache(_require_file(args.val_graphs, "validation graph cache"))
-        _, val_graphs = chronological_split(full, opts.val_frac)
-        val_labels = [g.label for g in val_graphs]
+        _, val_part = chronological_split(full, opts.val_frac)
+    config = _preset(GatConfig, args.preset)
     _progress(f"stage 2: training {args.preset} GAT on {len(stage2)} windows")
     t0 = time.perf_counter()
-    model, log = train_supervised(
-        stage2, [g.label for g in stage2], _preset_gat(args.preset), seed=args.seed,
-        epochs=opts.gat_epochs, batch_size=opts.gat_batch, lr=opts.gat_lr,
-        val_graphs=val_graphs, val_labels=val_labels, patience=opts.patience,
-    )
+    model, log = train_gat_stage(stage2, val_part, config, args.seed, opts)
     _write_with_lock(args.out, model.save)
     _emit({
         "checkpoint": str(args.out),
@@ -313,21 +311,8 @@ def cmd_distill(args) -> int:
         VgaeConfig.student(), GatConfig.student(),
         kd, seed=args.seed, options=opts, test_graphs=test_graphs,
     )
-    with _output_lock(out_dir):
-        _atomic(out_dir / "student-vgae.ckpt", result.student_vgae.save)
-        _atomic(out_dir / "student-gat.ckpt", result.student_gat.save)
-        artifacts = {
-            "student_vgae": str(out_dir / "student-vgae.ckpt"),
-            "student_gat": str(out_dir / "student-gat.ckpt"),
-            "report": str(out_dir / "report.json"),
-        }
-        if result.scored_student is not None:
-            _atomic(out_dir / "scores.csv", lambda tmp: write_scores_csv(result.scored_student, tmp))
-            artifacts["scores"] = str(out_dir / "scores.csv")
-        _write_json(out_dir / "report.json", result.report)
-        _write_json(
-            out_dir / "manifest.json", _manifest(args, "distill", artifacts, {"seconds": time.perf_counter() - t0})
-        )
+    students = {"student-vgae": result.student_vgae, "student-gat": result.student_gat}
+    _write_run(args, out_dir, students, result.scored_student, result.report, time.perf_counter() - t0)
     _emit(result.report)
     return 0
 
@@ -382,14 +367,7 @@ def cmd_report(args) -> int:
         "calibration": {"q_mid": calibration.q_mid, "q_high": calibration.q_high},
         "timings": {"seconds": time.perf_counter() - t0},
     }
-    with _output_lock(out_dir):
-        _atomic(out_dir / "scores.csv", lambda tmp: write_scores_csv(scored, tmp))
-        _write_json(out_dir / "report.json", report)
-        artifacts = {
-            "scores": str(out_dir / "scores.csv"),
-            "report": str(out_dir / "report.json"),
-        }
-        _write_json(out_dir / "manifest.json", _manifest(args, "report", artifacts, report["timings"]))
+    _write_run(args, out_dir, {}, scored, report, report["timings"]["seconds"])
     _emit(report)
     return 0
 
@@ -559,6 +537,8 @@ def main(argv=None) -> int:
     try:
         _apply_run_config(parser, argv)
         args = parser.parse_args(argv)
+        # a run config's seed skips argparse's type
+        require_int("seed", args.seed, 0)
         return args.func(args)
     except CanidsError as exc:
         print(f"canids-error category={exc.category} message={exc}", file=sys.stderr)

@@ -220,11 +220,7 @@ def distill_pipeline(
         "undersampling": stages.selection.summary(),
         "teacher_checksums_unchanged": True,
         "metrics": comparison,
-        "training": {
-            "vgae_epoch_losses": stages.vgae_losses,
-            "gat_epoch_losses": stages.gat_log.epoch_losses,
-            "gat_val_f1": stages.gat_log.val_f1,
-        },
+        "training": stages.training(),
         "timings": {**stages.timings, "total_seconds": time.perf_counter() - t_start},
     }
     return DistillResult(stages.vgae, stages.gat, projection, report, scored_student)

@@ -309,15 +309,14 @@ def train_supervised(
     batch_size: int = 64,
     lr: float = 1e-2,
     val_graphs=None,
-    val_labels=None,
     patience: int = 10,
     loss_fn=None,
 ) -> tuple[GatClassifier, TrainingLog]:
     """Train a classifier with Adam on mean per-batch BCE.
 
     Each mini-batch is one GraphBatch and takes one forward and backward
-    pass. With a validation set, stops early once validation F1 has not
-    improved for ``patience`` epochs and restores the best parameters; the
+    pass. With ``val_graphs``, stops early once F1 against their labels has
+    not improved for ``patience`` epochs and restores the best parameters; the
     stop is deferred until 2*patience epochs have run, so a model still on
     its initial plateau is not cut off just before it starts to learn.
     ``loss_fn(model, batch, labels)`` gives the mean loss over the batch's
@@ -333,7 +332,7 @@ def train_supervised(
     val_batch = None
     if val_graphs is not None:
         val_batch = GraphBatch.concat(as_batch(g) for g in val_graphs)
-        val_truths = [int(l) for l in val_labels]
+        val_truths = [g.label for g in val_graphs]
 
     model = GatClassifier(config, seed=seed)
     opt = Adam(model.params(), lr=lr)

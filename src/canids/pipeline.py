@@ -279,48 +279,68 @@ class Stages(NamedTuple):
     gat_log: TrainingLog | None
     timings: dict  # {"vgae_seconds", "gat_seconds"}
 
+    def training(self) -> dict:
+        """The per-epoch block of a run's report; the GAT lists are empty without stage 2."""
+        log = self.gat_log
+        return {
+            "vgae_epoch_losses": self.vgae_losses,
+            "gat_epoch_losses": [] if log is None else log.epoch_losses,
+            "gat_val_f1": [] if log is None else log.val_f1,
+        }
 
-def train_stages(
-    train_part,
-    val_part,
-    vgae_config: VgaeConfig,
-    gat_config: GatConfig,
-    seed: int,
-    options: PipelineOptions,
-    vgae_extra_loss=None,
-    vgae_extra_params=(),
-    gat_loss=None,
-) -> Stages:
-    """Stage 1 on ``train_part``'s benign windows, VGAE-ranked undersampling, then stage 2.
 
-    The GAT trains on the selection with early stopping on ``val_part``.
-    The hooks pass straight through: ``vgae_extra_loss`` and
-    ``vgae_extra_params`` to train_vgae's ``extra_loss_fn`` and
-    ``extra_params``, ``gat_loss`` to train_supervised's ``loss_fn``.
-    """
+def train_vgae_stage(
+    train_part, vgae_config: VgaeConfig, seed: int, options: PipelineOptions, extra_loss=None, extra_params=()
+) -> tuple[VgaeModel, list[float]]:
+    """Stage 1: the VGAE trained on ``train_part``'s benign windows; the extras go to train_vgae's."""
     normals = [g for g in train_part if g.label == 0]
-    attacks = [g for g in train_part if g.label == 1]
     if not normals:
         raise StateError("no benign windows in the training split")
-    t0 = time.perf_counter()
-    vgae_model, vgae_losses = train_vgae(
+    return train_vgae(
         normals, vgae_config, seed=seed, epochs=options.vgae_epochs, lr=options.vgae_lr,
-        batch_size=options.vgae_batch, extra_loss_fn=vgae_extra_loss, extra_params=vgae_extra_params,
+        batch_size=options.vgae_batch, extra_loss_fn=extra_loss, extra_params=extra_params,
     )
+
+
+def select_stage2(vgae_model: VgaeModel, train_part, seed: int, options: PipelineOptions) -> UndersampleResult:
+    """``train_part``'s benign windows ranked by the VGAE, then undersampled against its attacks."""
+    ranked = vgae_model.reconstruction_rank(
+        [g for g in train_part if g.label == 0], options.composite_weights, seed=seed, score_mode=options.score_mode
+    )
+    return undersample(ranked, [g for g in train_part if g.label == 1], options.ratio)
+
+
+def train_gat_stage(
+    stage2, val_part, gat_config: GatConfig, seed: int, options: PipelineOptions, loss_fn=None
+) -> tuple[GatClassifier, TrainingLog]:
+    """Stage 2: the GAT trained on ``stage2``, early-stopped on ``val_part`` unless it is None."""
+    return train_supervised(
+        stage2, [g.label for g in stage2], gat_config, seed=seed, epochs=options.gat_epochs,
+        batch_size=options.gat_batch, lr=options.gat_lr, val_graphs=val_part, patience=options.patience,
+        loss_fn=loss_fn,
+    )
+
+
+def train_stages(
+    train_part, val_part, vgae_config: VgaeConfig, gat_config: GatConfig, seed: int, options: PipelineOptions,
+    vgae_extra_loss=None, vgae_extra_params=(), gat_loss=None,
+) -> Stages:
+    """The three stage functions in order: train_vgae_stage, select_stage2, train_gat_stage.
+
+    Stage 2 is skipped when ``train_part`` has no attack windows. The
+    hooks go to train_vgae_stage (``vgae_extra_loss``,
+    ``vgae_extra_params``) and train_gat_stage (``gat_loss``).
+    """
+    t0 = time.perf_counter()
+    vgae_model, vgae_losses = train_vgae_stage(train_part, vgae_config, seed, options, vgae_extra_loss, vgae_extra_params)
     timings = {"vgae_seconds": time.perf_counter() - t0, "gat_seconds": 0.0}
-    if not attacks:
+    if not any(g.label == 1 for g in train_part):
         return Stages(vgae_model, vgae_losses, None, None, None, timings)
 
-    ranked = vgae_model.reconstruction_rank(
-        normals, options.composite_weights, seed=seed, score_mode=options.score_mode
-    )
-    selection = undersample(ranked, attacks, options.ratio)
-    stage2 = selection.selected_normals + selection.attacks
+    selection = select_stage2(vgae_model, train_part, seed, options)
     t0 = time.perf_counter()
-    gat_model, gat_log = train_supervised(
-        stage2, [g.label for g in stage2], gat_config, seed=seed,
-        epochs=options.gat_epochs, batch_size=options.gat_batch, lr=options.gat_lr,
-        val_graphs=val_part, val_labels=[g.label for g in val_part], patience=options.patience, loss_fn=gat_loss,
+    gat_model, gat_log = train_gat_stage(
+        selection.selected_normals + selection.attacks, val_part, gat_config, seed, options, gat_loss
     )
     timings["gat_seconds"] = time.perf_counter() - t0
     return Stages(vgae_model, vgae_losses, selection, gat_model, gat_log, timings)
@@ -373,11 +393,7 @@ def run_two_stage(
             "test_attack_windows": int(sum(test_truths)),
         },
         "vgae_separation": vgae_block,
-        "training": {
-            "vgae_epoch_losses": stages.vgae_losses,
-            "gat_epoch_losses": [] if vgae_only else stages.gat_log.epoch_losses,
-            "gat_val_f1": [] if vgae_only else stages.gat_log.val_f1,
-        },
+        "training": stages.training(),
         "lineage": {
             "vgae_train_windows_all_benign": True,  # enforced by train_vgae
             "undersampled_normals_are_rank_prefix": not vgae_only,

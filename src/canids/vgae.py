@@ -232,12 +232,11 @@ class VgaeModel(ParamModel):
         graphs = list(graphs)
         if not graphs:
             raise StateError("reconstruction_rank: empty input")
-        raw = [g.graph if isinstance(g, GraphBatch) else g for g in graphs]
-        bad = [g.window_start_index for g in raw if g.label != 0]
+        bad = [g.window_start_index for g in graphs if g.label != 0]
         if bad:
             raise ConfigError(f"reconstruction_rank expects normal windows; attack at {bad[:5]}")
         scores = [self.score(g, weights, seed, score_mode) for g in graphs]
-        order = sorted(range(len(graphs)), key=lambda i: (-scores[i], raw[i].window_start_index))
+        order = sorted(range(len(graphs)), key=lambda i: (-scores[i], graphs[i].window_start_index))
         return [graphs[i] for i in order]
 
 
@@ -320,8 +319,7 @@ def train_vgae(
     graphs = list(graphs)
     if not graphs:
         raise StateError("train_vgae: no graphs")
-    attacked = [g for g in graphs if (g.graph.label if isinstance(g, GraphBatch) else g.label) != 0]
-    if attacked:
+    if any(g.label != 0 for g in graphs):
         raise ConfigError("train_vgae: attack-labeled windows in training set; stage 1 is normal-only")
     model = VgaeModel(config, seed=seed)
     preps = [model.prepare(g) for g in graphs]

@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread, set before numpy loads: trained bits depend on OpenBLAS's thread count,
+# and the goldens are recorded at the count bench/run.py uses
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
 import sys
 from pathlib import Path
 

@@ -262,7 +262,26 @@ def test_chain_report_and_artifacts(small_run, capsys):
     manifest = json.loads((root / "run" / "manifest.json").read_text())
     assert manifest["seed"] == 7
     assert "scores" in manifest["artifacts"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["versions"]["blas"] == f"{blas['name']} {blas['version']}"
+    assert manifest["versions"]["blas_threads"] == os.environ.get("OPENBLAS_NUM_THREADS")
     assert not (root / "run" / ".canids.lock").exists()
+
+
+def test_cli_chain_equals_train_stages(small_run, tmp_path):
+    from canids.gat import GatConfig
+    from canids.pipeline import PipelineOptions, chronological_split, train_stages
+    from canids.vgae import VgaeConfig
+
+    opts = PipelineOptions(vgae_epochs=6, gat_epochs=20)
+    train_part, val_part = chronological_split(load_graph_cache(small_run / "train.cache"), opts.val_frac)
+    stages = train_stages(train_part, val_part, VgaeConfig.student(), GatConfig.student(), 7, opts)
+    for name, model in (("vgae.ckpt", stages.vgae), ("gat.ckpt", stages.gat)):
+        model.save(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (small_run / name).read_bytes(), name
+    selected = stages.selection.selected_normals + stages.selection.attacks
+    stage2 = load_graph_cache(small_run / "stage2.cache")
+    assert [g.window_start_index for g in stage2] == [g.window_start_index for g in selected]
 
 
 def test_undersample_selects_rank_prefix(small_run, capsys):
@@ -563,6 +582,46 @@ def test_bad_training_option_is_config_error(small_run, tmp_path, capsys, route,
     assert code == 2
     assert err.startswith("canids-error category=config") and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, route, seed",
+    [
+        ("synth", "flag", -1),
+        ("train-vgae", "flag", -1),
+        ("undersample", "flag", -1),
+        ("train-vgae", "config", 1.5),
+        ("build-graphs", "config", 1.5),
+    ],
+)
+def test_bad_seed_is_config_error(small_run, tmp_path, capsys, command, route, seed):
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["--config", small_run / "synth.json"],
+        "build-graphs": ["--in", small_run / "train.csv"],
+        "train-vgae": ["--graphs", small_run / "train.cache", "--preset", "student"],
+        "undersample": ["--graphs", small_run / "train.cache", "--vgae", small_run / "vgae.ckpt"],
+    }[command]
+    argv = [command, *argv, "--out", out]
+    if route == "flag":
+        argv += ["--seed", seed]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        argv += ["--config", cfg]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and not out.exists()
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("command, graphs", [("train-vgae", "train.cache"), ("train-gat", "stage2.cache")])
+def test_unknown_preset_in_run_config_is_usage_error(small_run, tmp_path, capsys, command, graphs):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"preset": "huge"}))
+    out = tmp_path / "model.ckpt"
+    code, _, err = run_cli(capsys, command, "--config", cfg, "--graphs", small_run / graphs, "--out", out)
+    assert code == 2 and not out.exists()
+    assert err.startswith("canids-error category=usage") and "'huge'" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -208,7 +208,7 @@ def test_val_f1_is_metrics_f1(mixed_graphs):
     assert 0 < sum(truths) < len(val)
     model, log = train_supervised(
         graphs, [g.label for g in graphs], GatConfig.student(), seed=6, epochs=6,
-        val_graphs=val, val_labels=truths, patience=6,
+        val_graphs=val, patience=6,
     )
     # the best epoch's parameters are restored, so the model reproduces that epoch's F1
     with T.no_grad():
