@@ -490,6 +490,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_config_value(path, key: str, action, value):
+    """A run-config value checked against its flag's JSON type; a list for a string flag is comma-joined."""
+    if isinstance(action, argparse._StoreTrueAction):
+        ok, kind = isinstance(value, bool), "a boolean"
+    elif action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        ok, kind = isinstance(value, (str, list)), "a string"
+    if not ok:
+        raise ConfigError(f"{path}: run config key {key!r} must be {kind}, got {value!r}")
+    return ",".join(str(v) for v in value) if isinstance(value, list) else value
+
+
 def _apply_run_config(parser, argv):
     """Install a run-config file's values as defaults for one subcommand.
 
@@ -524,9 +539,7 @@ def _apply_run_config(parser, argv):
         dest = key.replace("-", "_")
         if dest in ("help", "run_config", "command", "func") or dest not in actions:
             continue
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        defaults[dest] = value
+        defaults[dest] = _run_config_value(path, key, actions[dest], value)
         actions[dest].required = False
     sp.set_defaults(**defaults)
 

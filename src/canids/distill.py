@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, StateError
+from .errors import ConfigError, DimensionError, StateError, require_finite
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, count_params, derive_seed, init_params
@@ -34,16 +34,14 @@ class KdConfig:
     tau_squared: bool = True  # rescale the soft term by tau^2 (off for fidelity runs)
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        require_finite("temperature", self.temperature, positive=True)
         if not 0.0 <= self.hard_weight <= 1.0:
             raise ConfigError(f"hard_weight must be in [0, 1], got {self.hard_weight}")
 
 
 def soften(logits, temperature: float) -> Tensor:
     """Temperature-scaled softmax; tau=1 is the ordinary distribution."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    require_finite("temperature", temperature, positive=True)
     logits = T.as_tensor(logits)
     return T.softmax(logits / float(temperature), axis=-1)
 

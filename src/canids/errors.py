@@ -44,6 +44,13 @@ def require_finite(name: str, value, positive: bool = False):
         raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
 
 
+def require_probability(name: str, value):
+    """ConfigError unless ``value`` is a finite real number (not a bool) in [0, 1]."""
+    require_finite(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
+
+
 class DimensionError(CanidsError):
     """Tensor shape mismatch; names the op and the offending shapes."""
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int
+from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int, require_probability
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
 from .optim import count_params
@@ -114,6 +114,7 @@ def fuse(vgae_prob: float, gat_prob: float, w_anomaly: float = 0.15, w_gat: floa
 
 def evaluate(scored: list[ScoredWindow], threshold: float = 0.5) -> Metrics:
     """Binary metrics at the given threshold on fused probability; attack is positive."""
+    require_probability("threshold", threshold)
     if not scored:
         raise StateError("evaluate: no scored windows")
     preds = [1 if s.fused_prob >= threshold else 0 for s in scored]
@@ -154,6 +155,7 @@ class PipelineOptions:
         require_int("patience", self.patience, 0)
         for name in ("vgae_lr", "gat_lr"):
             require_finite(name, getattr(self, name), positive=True)
+        require_probability("threshold", self.threshold)
         fuse(0.0, 0.0, *self.fusion_weights)
 
 
@@ -191,30 +193,33 @@ def score_windows(
 ) -> list[ScoredWindow]:
     """Score a stream with frozen models and fuse per the configured weights.
 
-    Each window is prepared once, as a batch of one, and scored alone, so a
-    window's row does not depend on the other windows of the call.
+    Each window is prepared once. The VGAE scores the prepared windows in
+    chunks of at most SCORE_CHUNK (VgaeModel.score_all), and each window's
+    score equals its batch-of-one score bit for bit. The GAT scores one
+    window per call, because the benchmark's teacher hook
+    (``bench/spans.py``, ``Tracer.watch_teacher``) reads a batch of one.
     """
     w_a, w_g = options.fusion_weights
+    preps = [prepare_graph(g, vgae_model.config.id_buckets) for g in graphs]
+    raws = vgae_model.score_all(preps, options.composite_weights, seed, options.score_mode)
     scored = []
-    for g in graphs:
-        batch = prepare_graph(g, vgae_model.config.id_buckets)
-        raw = vgae_model.score(batch, options.composite_weights, seed, options.score_mode)
+    for prep, raw in zip(preps, raws):
         v_prob = calibration(raw)
         if gat_model is not None:
-            g_prob = gat_model.predict_prob(batch)
+            g_prob = gat_model.predict_prob(prep)
             fused = fuse(v_prob, g_prob, w_a, w_g)
         else:
             g_prob = 0.0
             fused = fuse(v_prob, g_prob, 1.0, 0.0)  # VGAE-only anomaly mode
         scored.append(
             ScoredWindow(
-                window_start_index=g.window_start_index,
+                window_start_index=prep.graph.window_start_index,
                 vgae_score=raw,
                 vgae_prob=v_prob,
                 gat_prob=g_prob,
                 fused_prob=fused,
                 predicted=1 if fused >= options.threshold else 0,
-                truth=g.label,
+                truth=prep.graph.label,
             )
         )
     return scored
@@ -235,11 +240,9 @@ def score_split(
     fused metrics come back as one block.
     """
     calibration = calibrate_vgae(
-        [
-            vgae_model.score(g, options.composite_weights, seed, options.score_mode)
-            for g in val_part
-            if g.label == 0
-        ],
+        vgae_model.score_all(
+            [g for g in val_part if g.label == 0], options.composite_weights, seed, options.score_mode
+        ),
         *options.calibration_quantiles,
     )
     scored = score_windows(vgae_model, gat_model, calibration, test_graphs, seed, options)

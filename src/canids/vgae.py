@@ -25,6 +25,7 @@ from .optim import Adam, ParamModel, checked_step, derive_seed
 from .tensor import Tensor, no_grad
 
 LOG_SIGMA_CLAMP = 10.0  # keeps KL finite on degenerate one-node graphs
+SCORE_CHUNK = 64  # windows per batched scoring pass
 
 # stream tags for derived seeds
 _SEED_INIT, _SEED_NOISE, _SEED_NEG_TRAIN, _SEED_SHUFFLE, _SEED_NEG_SCORE = 31, 32, 33, 34, 35
@@ -178,44 +179,76 @@ class VgaeModel(ParamModel):
         )
         return (e_neighbor + e_node + e_canid + kl).mean()
 
+    def error_terms(self, batch, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E_node, E_neighbor, E_CAN_ID) of ``batch`` at inference, each of shape (num_graphs,).
+
+        One posterior_mean -> decode -> reconstruction_terms pass with z = mu,
+        no sampling. Each window's non-edges come from its own stream,
+        derive_seed(seed, _SEED_NEG_SCORE, window_start_index), so a
+        window's entries equal its batch-of-one entries bit for bit.
+        """
+        batch = self.prepare(batch)
+        run = _without_one_row_products(batch)
+        rngs = [derive_seed(seed, _SEED_NEG_SCORE, start) for start in run.window_starts]
+        with no_grad():
+            terms = reconstruction_terms(run, self.decode(self.posterior_mean(run)), rngs)
+        return tuple(t.values[: batch.num_graphs] for t in terms)
+
+    def score_batch(
+        self, batch, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
+    ) -> list[float]:
+        """One anomaly score per window of ``batch``, each equal bit for bit to its batch-of-one score.
+
+        ``composite`` combines error_terms; ``adjacency_l2`` is the Frobenius
+        norm of (binary adjacency - decoded adjacency) per window, for
+        ablation, with the per-edge decoder read at all n x n pairs.
+        """
+        if score_mode == "composite":
+            return [combine_errors(weights, *e) for e in zip(*(t.tolist() for t in self.error_terms(batch, seed)))]
+        if score_mode != "adjacency_l2":
+            raise ConfigError(f"unknown score_mode {score_mode!r}")
+        batch = self.prepare(batch)
+        with no_grad():
+            z = self.posterior_mean(_without_one_row_products(batch)).values
+        scores = []
+        for g, lo in zip(batch.graphs, np.cumsum(batch.node_counts) - batch.node_counts):
+            n = g.num_nodes
+            rows, cols = np.divmod(np.arange(n * n), n)
+            adj = T.sigmoid_inner_product(z[lo : lo + n], rows, cols).values.reshape(n, n)
+            a = np.zeros((n, n))
+            a[g.edge_src, g.edge_dst] = 1.0
+            scores.append(float(np.linalg.norm(a - adj)))
+        return scores
+
+    def score_all(
+        self, graphs, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
+    ) -> list[float]:
+        """score_batch over windows (or their batches of one) in chunks of at most SCORE_CHUNK windows."""
+        preps = [self.prepare(g) for g in graphs]
+        return [
+            s
+            for lo in range(0, len(preps), SCORE_CHUNK)
+            for s in self.score_batch(GraphBatch.concat(preps[lo : lo + SCORE_CHUNK]), weights, seed, score_mode)
+        ]
+
     def reconstruction_errors(self, prep, seed: int) -> tuple[float, float, float]:
-        """(E_node, E_neighbor, E_CAN_ID) of one window at inference (z = mu, no sampling).
+        """(E_node, E_neighbor, E_CAN_ID) of one window: error_terms of a batch of one.
 
         The neighborhood term is the mean BCE of the decoded edge
         probabilities over the window's observed edges plus an equal count
         of non-edges sampled from a per-window stream derived from ``seed``.
         """
-        prep = self.prepare(prep)
-        rng = derive_seed(seed, _SEED_NEG_SCORE, prep.graph.window_start_index)
-        with no_grad():
-            terms = reconstruction_terms(prep, self.decode(self.posterior_mean(prep)), [rng])
-        return tuple(t.item() for t in terms)
+        return tuple(t.item(0) for t in self.error_terms(prep, seed))
 
     def composite_error(self, prep, weights: CompositeWeights = CompositeWeights(), seed: int = 0) -> float:
-        e_node, e_neighbor, e_canid = self.reconstruction_errors(prep, seed)
-        return combine_errors(weights, e_node, e_neighbor, e_canid)
+        return self.score_batch(prep, weights, seed)[0]
 
     def adjacency_l2(self, prep) -> float:
-        """Frobenius norm of (binary adjacency - decoded adjacency), for ablation.
-
-        The decoded adjacency is the per-edge decoder read at all n x n pairs.
-        """
-        prep = self.prepare(prep)
-        g = prep.graph
-        n = g.num_nodes
-        rows, cols = np.divmod(np.arange(n * n), n)
-        with no_grad():
-            adj = T.sigmoid_inner_product(self.posterior_mean(prep), rows, cols).values.reshape(n, n)
-        a = np.zeros((n, n))
-        a[g.edge_src, g.edge_dst] = 1.0
-        return float(np.linalg.norm(a - adj))
+        """Frobenius norm of (binary adjacency - decoded adjacency) of one window, for ablation."""
+        return self.score_batch(prep, score_mode="adjacency_l2")[0]
 
     def score(self, prep, weights: CompositeWeights, seed: int, score_mode: str = "composite") -> float:
-        if score_mode == "composite":
-            return self.composite_error(prep, weights, seed)
-        if score_mode == "adjacency_l2":
-            return self.adjacency_l2(prep)
-        raise ConfigError(f"unknown score_mode {score_mode!r}")
+        return self.score_batch(prep, weights, seed, score_mode)[0]
 
     def reconstruction_rank(
         self,
@@ -235,9 +268,19 @@ class VgaeModel(ParamModel):
         bad = [g.window_start_index for g in graphs if g.label != 0]
         if bad:
             raise ConfigError(f"reconstruction_rank expects normal windows; attack at {bad[:5]}")
-        scores = [self.score(g, weights, seed, score_mode) for g in graphs]
+        scores = self.score_all(graphs, weights, seed, score_mode)
         order = sorted(range(len(graphs)), key=lambda i: (-scores[i], graphs[i].window_start_index))
         return [graphs[i] for i in order]
+
+
+def _without_one_row_products(batch: GraphBatch) -> GraphBatch:
+    """``batch``, or two copies of it when it has a single node row.
+
+    A one-row matmul takes BLAS's gemv path, whose bits differ from the same
+    row inside a gemm; a lone one-node window scored as two copies keeps the
+    bits it gets inside any larger batch. Callers keep the first copy's rows.
+    """
+    return GraphBatch.concat([batch, batch]) if batch.num_nodes == 1 else batch
 
 
 def write_error_components_csv(model: VgaeModel, graphs, path, weights: CompositeWeights = CompositeWeights(), seed: int = 0):

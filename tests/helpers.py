@@ -9,6 +9,7 @@ import numpy as np
 
 from canids.canlog import CanFrame, Label
 from canids.gradcheck import relative_gradient_error
+from canids.graphs import build_windows
 from canids.tensor import Tensor
 
 
@@ -138,3 +139,11 @@ def assert_same_bits_as_composed(fused, composed, arrays, weight):
     assert out.shape == out_ref.shape and out.tobytes() == out_ref.tobytes()
     for g, g_ref in zip(grads, grads_ref):
         assert g.shape == g_ref.shape and g.tobytes() == g_ref.tobytes()
+
+
+def one_id_window(start_index: int):
+    """A window of 100 frames that all carry one CAN ID: a one-node graph, labelled benign."""
+    frames = [CanFrame(0.01 * k, 0x123, 2, (k % 256, 7)) for k in range(100)]
+    window = next(build_windows(frames, 100))
+    window.window_start_index = start_index
+    return window

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from canids.cli import _output_lock, main
-from canids.errors import StateError
+from canids.errors import ConfigError, StateError
 from canids.graphs import load_graph_cache
-from canids.pipeline import SCORES_HEADER, ScoredWindow, write_scores_csv
+from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
 
 SYNTH_CFG = {
@@ -612,6 +612,65 @@ def test_bad_seed_is_config_error(small_run, tmp_path, capsys, command, route, s
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and not out.exists()
     assert err.startswith("canids-error category=config") and err.count("\n") == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "7"])
+def test_bad_threshold_is_config_error(tmp_path, capsys, value):
+    scores = tmp_path / "scores.csv"
+    rows = [ScoredWindow(0, 3.0, 0.5, 0.9, 0.84, 1, 1), ScoredWindow(100, 1.0, 0.0, 0.1, 0.085, 0, 0)]
+    write_scores_csv(rows, scores)
+    code, out, err = run_cli(capsys, "evaluate", "--scores", scores, f"--threshold={value}")
+    assert code == 2 and out == ""
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and "threshold" in err
+    with pytest.raises(ConfigError, match="threshold"):
+        PipelineOptions(threshold=float(value))
+
+
+def test_non_finite_tau_fails_before_training(small_run, tmp_path, capsys):
+    out = tmp_path / "kd"
+    code, _, err = run_cli(
+        capsys, "distill", "--graphs", small_run / "train.cache",
+        "--teacher-vgae", small_run / "vgae.ckpt", "--teacher-gat", small_run / "gat.ckpt",
+        "--tau", "nan", "--seed", 7, "--out-dir", out,
+    )
+    assert code == 2 and not out.exists()
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and "temperature" in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("build-graphs", "window", None),
+        ("build-graphs", "window", {"a": 1}),
+        ("build-graphs", "window", "100"),
+        ("build-graphs", "window", True),
+        ("build-graphs", "stride", [1, 2]),
+        ("build-graphs", "undirected", "no"),
+        ("build-graphs", "undirected", 1),
+        ("build-graphs", "out", 5),
+        ("train-vgae", "vgae-lr", "0.01"),
+        ("train-vgae", "vgae_epochs", False),
+    ],
+)
+def test_wrongly_typed_run_config_value_is_config_error(small_run, tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    inputs = {"build-graphs": ["--in", small_run / "train.csv"], "train-vgae": ["--graphs", small_run / "train.cache"]}
+    code, stdout, err = run_cli(capsys, command, *inputs[command], "--config", cfg, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and repr(key) in err
+
+
+def test_run_config_boolean_equals_flag(small_run, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"undirected": True, "window": 50}))
+    by_file, by_flag = tmp_path / "file.cache", tmp_path / "flag.cache"
+    assert run_cli(capsys, "build-graphs", "--in", small_run / "train.csv", "--config", cfg, "--out", by_file)[0] == 0
+    code, _, _ = run_cli(
+        capsys, "build-graphs", "--in", small_run / "train.csv", "--undirected", "--window", 50, "--out", by_flag
+    )
+    assert code == 0 and by_file.read_bytes() == by_flag.read_bytes()
 
 
 @pytest.mark.parametrize("command, graphs", [("train-vgae", "train.cache"), ("train-gat", "stage2.cache")])

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from canids.pipeline import PipelineOptions, run_two_stage
 from canids.tensor import Tensor
 from canids.vgae import LatentState, VgaeConfig, VgaeModel
 from helpers import model_gradient_error
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import spans  # noqa: E402
 
 RNG = np.random.Generator(np.random.PCG64(31))
 
@@ -52,6 +57,11 @@ def test_soften_rejects_bad_tau():
         KdConfig(temperature=-1.0)
     with pytest.raises(ConfigError):
         KdConfig(hard_weight=1.5)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="temperature"):
+            KdConfig(temperature=tau)
+        with pytest.raises(ConfigError, match="temperature"):
+            soften(np.array([1.0, 0.0]), tau)
 
 
 def test_kd_loss_endpoints_and_linearity():
@@ -205,3 +215,21 @@ def test_distill_teacher_metrics_equal_run_two_stage(small_distill, mixed_graphs
     )
     assert kd.report["metrics"]["teacher"] == run.report["metrics"]
     assert kd.report["undersampling"] == run.report["undersampling"]
+
+
+def test_distill_runs_under_the_benchmark_teacher_hook(small_distill, mixed_graphs):
+    # Tracer.watch_teacher reads args[0].graph, which only a batch of one has:
+    # every teacher encode and forward of a distillation must get one window
+    teacher_vgae, teacher_gat, _, test_graphs, opts = small_distill
+    tracer = spans.Tracer()
+    tracer.watch_teacher(teacher_vgae, teacher_gat)
+    try:
+        result = distill_pipeline(
+            mixed_graphs, teacher_vgae, teacher_gat,
+            VgaeConfig.student(), GatConfig.student(),
+            KdConfig(), seed=5, options=opts, test_graphs=test_graphs,
+        )
+    finally:
+        tracer.unwatch_teacher(teacher_vgae, teacher_gat)
+    assert result.report["metrics"]["teacher"]["gat_only"] is not None
+    assert tracer.summary()["distill.teacher"][2] > 0

@@ -20,7 +20,7 @@ from canids.pipeline import (
     write_scores_csv,
 )
 from canids.vgae import VgaeConfig
-from helpers import confusion_oracle
+from helpers import confusion_oracle, one_id_window
 
 
 def test_undersample_keeps_rank_prefix():
@@ -222,6 +222,7 @@ def test_score_windows_list_equals_one_call_per_window(mixed_graphs):
 
     vgae_model, gat_model, calibration = _scoring_models()
     graphs = mixed_graphs[::5]
+    graphs.insert(len(graphs) // 2, one_id_window(10**6))  # one node: no one-row products alone or in a batch
     together = score_windows(vgae_model, gat_model, calibration, graphs, 3, QUICK)
     alone = [score_windows(vgae_model, gat_model, calibration, [g], 3, QUICK)[0] for g in graphs]
     assert together == alone  # dataclass equality: every float bit for bit

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids.errors import ConfigError, StateError
-from canids.gat import prepare_graph
+from canids.gat import GraphBatch, prepare_graph
 from canids.graphs import WindowGraph
 from canids.optim import count_params, seeded_rng
 from canids.tensor import Tensor
@@ -20,7 +20,7 @@ from canids.vgae import (
     train_vgae,
     write_error_components_csv,
 )
-from helpers import model_gradient_error
+from helpers import model_gradient_error, one_id_window
 
 TINY = VgaeConfig(num_layers=2, attn_heads=2, hidden_channels=4, latent_dim=3, id_buckets=16)
 
@@ -199,7 +199,7 @@ def test_reconstruction_rank_semantics(benign_graphs, monkeypatch):
 
     def fixed_scores(*scores):
         table = {g.window_start_index: s for g, s in zip(graphs, scores)}
-        monkeypatch.setattr(model, "score", lambda g, *args: table[g.window_start_index])
+        monkeypatch.setattr(model, "score_all", lambda gs, *args: [table[g.window_start_index] for g in gs])
 
     fixed_scores(0.1, 5.0, 2.0)
     ranked = model.reconstruction_rank(graphs)
@@ -330,8 +330,26 @@ def test_scoring_decodes_the_posterior_mean_of_encode(mixed_graphs, config):
     windows = [isolated_node_window(), one_node_graph(), mixed_graphs[0], mixed_graphs[-1]]
     for g in windows:
         prep = model.prepare(g)
-        mu = model.encode(prep).mu.values
-        assert model.posterior_mean(prep).values.tobytes() == mu.tobytes()
+        assert model.posterior_mean(prep).values.tobytes() == model.encode(prep).mu.values.tobytes()
+        # a lone one-node window is scored as two copies of itself, so that no product has one row
+        scored = GraphBatch.concat([prep, prep]) if g.num_nodes == 1 else prep
         model.reconstruction_errors(prep, seed=3)
-        assert decoded_z[-1].tobytes() == mu.tobytes()
+        assert decoded_z[-1].tobytes() == model.encode(scored).mu.values.tobytes()
     assert len(decoded_z) == len(windows)
+
+
+@pytest.mark.parametrize("score_mode", ["composite", "adjacency_l2"])
+@pytest.mark.parametrize("config", [VgaeConfig.teacher(), VgaeConfig.student()], ids=["teacher", "student"])
+def test_random_batch_splits_score_each_window_as_alone(mixed_graphs, config, score_mode):
+    model = VgaeModel(config, seed=4)
+    windows = mixed_graphs[::3] + [one_id_window(10**6), isolated_node_window()]
+    alone = [model.score_batch(model.prepare(g), CompositeWeights(), 5, score_mode)[0] for g in windows]
+    rng = np.random.Generator(np.random.PCG64(13))
+    for _ in range(3):
+        order = rng.permutation(len(windows))
+        cuts = np.sort(rng.choice(np.arange(1, len(windows)), size=5, replace=False))
+        for part in np.split(order, cuts):
+            batch = GraphBatch.concat(model.prepare(windows[i]) for i in part)
+            got = model.score_batch(batch, CompositeWeights(), 5, score_mode)
+            assert got == [alone[i] for i in part]  # float equality: bit for bit
+    assert model.score_all(windows, CompositeWeights(), 5, score_mode) == alone
