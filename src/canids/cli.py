@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .canlog import parse_car_hacking_csv, parse_generic_labeled_csv, write_car_hacking_csv
+from .canlog import decode_car_hacking_csv, parse_car_hacking_csv, parse_generic_labeled_csv, write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, require_int
 from .gat import GatClassifier, GatConfig, prepare_graph
-from .graphs import build_windows, feature_stats, load_graph_cache, save_graph_cache
+from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     PipelineOptions,
     chronological_split,
@@ -42,7 +42,7 @@ from .pipeline import (
     write_scores_csv,
 )
 from .synth import generate_synthetic_log, load_synth_config
-from .vgae import VgaeConfig, VgaeModel
+from .vgae import SCORE_MODES, VgaeConfig, VgaeModel
 
 
 def _progress(msg: str):
@@ -109,13 +109,6 @@ def _write_with_lock(path, write_fn):
     path = Path(path)
     with _output_lock(path.parent if path.parent != Path("") else Path(".")):
         _atomic(path, write_fn)
-
-
-def _preset(config_type, name: str):
-    """``config_type``'s teacher or student preset; a run config's ``preset`` bypasses argparse's choices."""
-    if name not in ("teacher", "student"):
-        raise UsageError(f"unknown preset {name!r} (teacher|student)")
-    return getattr(config_type, name)()
 
 
 def _parse_column_map(text: str) -> dict[str, int]:
@@ -223,9 +216,8 @@ def cmd_build_graphs(args) -> int:
     if not 1 <= stride <= args.window:
         raise UsageError(f"--stride must be in [1, {args.window}], got {stride}")
     _progress(f"building window graphs (W={args.window}, stride={stride}) from {path}")
-    graphs = list(
-        build_windows(parse_car_hacking_csv(path), args.window, stride, directed=not args.undirected)
-    )
+    blocks = decode_car_hacking_csv(path)
+    graphs = list(build_block_windows(blocks, args.window, stride, directed=not args.undirected))
     if not graphs:
         raise ConfigError(f"{path}: fewer than {args.window} frames; no windows")
     _write_with_lock(args.out, lambda tmp: save_graph_cache(graphs, tmp))
@@ -238,7 +230,7 @@ def cmd_train_vgae(args) -> int:
     graphs = load_graph_cache(cache)
     opts = _options_from_args(args)
     train_part, _ = chronological_split(graphs, opts.val_frac)
-    config = _preset(VgaeConfig, args.preset)
+    config = getattr(VgaeConfig, args.preset)()
     benign = sum(1 for g in train_part if g.label == 0)
     _progress(f"stage 1: training {args.preset} VGAE on {benign} benign windows")
     t0 = time.perf_counter()
@@ -278,7 +270,7 @@ def cmd_train_gat(args) -> int:
     if args.val_graphs:
         full = load_graph_cache(_require_file(args.val_graphs, "validation graph cache"))
         _, val_part = chronological_split(full, opts.val_frac)
-    config = _preset(GatConfig, args.preset)
+    config = getattr(GatConfig, args.preset)()
     _progress(f"stage 2: training {args.preset} GAT on {len(stage2)} windows")
     t0 = time.perf_counter()
     model, log = train_gat_stage(stage2, val_part, config, args.seed, opts)
@@ -372,8 +364,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and subparsers) whose errors raise UsageError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="canids", description=__doc__)
+    parser = _Parser(prog="canids", description=__doc__)
     parser.add_argument("--version", action="version", version=f"canids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gat-lr", dest="gat_lr", type=float, default=None)
         p.add_argument("--patience", type=int, default=None)
         p.add_argument("--ratio", type=float, default=None, help="normal-to-attack undersampling ratio")
-        p.add_argument("--score-mode", dest="score_mode", choices=["composite", "adjacency_l2"], default=None)
+        p.add_argument("--score-mode", dest="score_mode", choices=SCORE_MODES, default=None)
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--fusion-weights", dest="fusion_weights", default=None, help="anomaly,gat e.g. 0.15,0.85")
 
@@ -491,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_value(path, key: str, action, value):
-    """A run-config value checked against its flag's JSON type; a list for a string flag is comma-joined."""
+    """A run-config value checked against its flag's JSON type and choices; a list for a string flag is
+    comma-joined."""
     if isinstance(action, argparse._StoreTrueAction):
         ok, kind = isinstance(value, bool), "a boolean"
     elif action.type is int:
@@ -502,7 +502,11 @@ def _run_config_value(path, key: str, action, value):
         ok, kind = isinstance(value, (str, list)), "a string"
     if not ok:
         raise ConfigError(f"{path}: run config key {key!r} must be {kind}, got {value!r}")
-    return ",".join(str(v) for v in value) if isinstance(value, list) else value
+    value = ",".join(str(v) for v in value) if isinstance(value, list) else value
+    if action.choices is not None and value not in action.choices:
+        # the same category as argparse's own choices error on the command line
+        raise UsageError(f"{path}: run config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
 
 
 def _apply_run_config(parser, argv):

@@ -9,6 +9,7 @@ weights over a window always sum to W-1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -16,12 +17,14 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, Label, MAX_STD_ID
+from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID
 from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 _REPEATED_ID = "node ID listed twice in one window"
+_FRAMES_PER_BLOCK = 1 << 14  # build_windows hands frames to build_block_windows this many at a time
+_GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
 @dataclass
@@ -59,62 +62,111 @@ def build_windows(
     overlapped stream used for online scoring; its directed windows are
     updated one frame at a time (``_stride_one_windows``). With
     ``directed=False`` transition counts are accumulated on unordered ID
-    pairs instead.
+    pairs instead. Every other window is built by ``build_block_windows``
+    from the frames, taken _FRAMES_PER_BLOCK at a time.
     """
+    stride = _checked_stride(window_size, stride)
+    if stride == 1 and directed:
+        yield from _stride_one_windows(frames, window_size)
+        return
+    yield from build_block_windows(_frame_blocks(frames), window_size, stride, directed)
+
+
+def _frame_blocks(frames: Iterable[CanFrame]) -> Iterator[FrameBlock]:
+    frames = iter(frames)
+    while chunk := list(itertools.islice(frames, _FRAMES_PER_BLOCK)):
+        yield FrameBlock.from_frames(chunk)
+
+
+def _checked_stride(window_size: int, stride: int | None) -> int:
+    """``stride`` (``window_size`` if None), after checking both."""
     if window_size < 2:
         raise ConfigError(f"window_size must be >= 2, got {window_size}")
     if stride is None:
         stride = window_size
     if not 1 <= stride <= window_size:
         raise ConfigError(f"stride must be in [1, {window_size}], got {stride}")
-
-    if stride == 1 and directed:
-        yield from _stride_one_windows(frames, window_size)
-        return
-    # one record per frame, made as it enters the buffer: at stride 1 each
-    # frame sits in W windows, and its record is all a window reads of it
-    buf: list[tuple[int, int, int, bool]] = []
-    start = 0
-    attack = Label.ATTACK
-    for _, can_id, dlc, payload, label in frames:
-        buf.append((can_id, sum(payload), dlc, label == attack))
-        if len(buf) == window_size:
-            yield _window_to_graph(buf, start, directed)
-            del buf[:stride]
-            start += stride
+    return stride
 
 
-def _window_to_graph(
-    window: Sequence[tuple[int, int, int, bool]], start: int, directed: bool
-) -> WindowGraph:
-    """One graph from the (can_id, payload sum, dlc, is attack) records of a window."""
-    w = len(window)
-    index: dict[int, int] = {}
-    counts: list[int] = []
-    payload_sum: list[int] = []
-    payload_n: list[int] = []
-    seq: list[int] = []  # node index of each frame
-    for can_id, psum, dlc, _ in window:
-        j = index.get(can_id)
-        if j is None:
-            j = len(index)
-            index[can_id] = j
-            counts.append(0)
-            payload_sum.append(0)
-            payload_n.append(0)
-        counts[j] += 1
-        payload_sum[j] += psum
-        payload_n[j] += dlc
-        seq.append(j)
+def build_block_windows(
+    blocks: Iterable[FrameBlock],
+    window_size: int,
+    stride: int | None = None,
+    directed: bool = True,
+) -> Iterator[WindowGraph]:
+    """The windows build_windows gives for the frames of consecutive FrameBlocks, built with array ops.
 
-    edge_counts: dict[tuple[int, int], int] = {}
-    for key in zip(seq[:-1], seq[1:]):
-        if not directed and key[0] > key[1]:
-            key = (key[1], key[0])
-        edge_counts[key] = edge_counts.get(key, 0) + 1
+    A window that straddles two blocks is built when the later one comes.
+    A block's windows are built in groups of about _GROUP_FRAMES frame
+    positions (``_group_windows``).
+    """
+    w = window_size
+    stride = _checked_stride(w, stride)
+    group = max(1, _GROUP_FRAMES // w)  # windows per group
+    # can_id, payload sum, DLC and attack flag of each frame from the next window's start on
+    columns = [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0, dtype=bool)]
+    offset = 0  # the frame index of their first frame
+    for block in blocks:
+        new = (block.can_id, block.payload.sum(axis=1, dtype=np.int64), block.dlc, block.attack)
+        columns = [np.concatenate(pair) for pair in zip(columns, new)]
+        count = max(0, (len(columns[0]) - w) // stride + 1)
+        starts = np.arange(count) * stride
+        for at in range(0, count, group):
+            yield from _group_windows(columns, starts[at : at + group], w, directed, offset)
+        columns = [c[count * stride :] for c in columns]
+        offset += count * stride
 
-    label = int(any(rec[3] for rec in window))
-    return _graph(list(index), counts, payload_sum, payload_n, edge_counts, w, label, start)
+
+def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: int) -> list[WindowGraph]:
+    """The windows of ``w`` frames of ``columns`` at ``starts`` (their frame indexes less ``offset``).
+
+    Each (window, CAN ID) pair is one node key and each (window, source
+    node, destination node) pair one edge key. The first position of a key
+    orders the nodes and edges of its window by first appearance, and
+    ``bincount`` over the keys sums the payload bytes and DLCs. Features are
+    computed with the same float operations as ``_graph``, so the bits are
+    the same.
+    """
+    can_id, payload_sum, dlc, attack = columns
+    k = len(starts)
+    frame = (starts[:, None] + np.arange(w)).ravel()  # of each (window, position)
+    window = np.repeat(np.arange(k), w)
+    keys, first, inverse, counts = np.unique(
+        window * (MAX_STD_ID + 1) + can_id[frame], return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)  # nodes by window, then first appearance
+    node = np.empty_like(order)
+    node[order] = np.arange(len(order))
+    node = node[inverse]  # of each (window, position)
+    keys = keys[order]
+    node_ids = keys % (MAX_STD_ID + 1)
+    node_at = np.searchsorted(keys // (MAX_STD_ID + 1), np.arange(k + 1))  # each window's first node
+    payload_n = np.bincount(node, weights=dlc[frame])
+    mean_payload = np.bincount(node, weights=payload_sum[frame])
+    np.divide(mean_payload, payload_n, out=mean_payload, where=payload_n > 0)
+    feats = np.stack([node_ids / MAX_STD_ID, counts[order] / w, mean_payload / 255.0], axis=1)
+
+    local = (node - node_at[window]).reshape(k, w)  # node index within its window
+    src, dst = local[:, :-1], local[:, 1:]
+    if not directed:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+    edge_keys = (window.reshape(k, w)[:, 1:] * w + src) * w + dst
+    edge_keys, first, edge_counts = np.unique(edge_keys, return_index=True, return_counts=True)
+    order = np.argsort(first)  # edges by window, then first appearance
+    edge_keys = edge_keys[order]
+    edge_at = np.searchsorted(edge_keys // (w * w), np.arange(k + 1))
+    edge_src, edge_dst, wts = edge_keys // w % w, edge_keys % w, edge_counts[order].astype(np.float64)
+
+    node_ids = node_ids.tolist()
+    labels = attack[frame].reshape(k, w).any(axis=1).tolist()
+    node_at, edge_at = node_at.tolist(), edge_at.tolist()
+    return [
+        WindowGraph(node_ids[a:b], feats[a:b], edge_src[c:d], edge_dst[c:d], wts[c:d], int(label), offset + start)
+        for a, b, c, d, label, start in zip(
+            node_at, node_at[1:], edge_at, edge_at[1:], labels, starts.tolist()
+        )
+    ]
 
 
 def _graph(node_ids, counts, payload_sum, payload_n, edge_counts, w, label, start) -> WindowGraph:
@@ -138,7 +190,7 @@ def _stride_one_windows(frames: Iterable[CanFrame], w: int) -> Iterator[WindowGr
     For each CAN ID and each transition (ID a, then ID b) the window keeps
     the positions where it occurs, oldest first. First-appearance order is
     then a sort by oldest position, and the tallies are integers, so each
-    window equals the one ``_window_to_graph`` builds from its frames alone.
+    window equals the one ``build_block_windows`` builds from its frames alone.
     """
     attack = Label.ATTACK
     window: deque = deque()  # (can_id, payload sum, dlc, is attack), oldest first

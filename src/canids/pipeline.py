@@ -22,7 +22,7 @@ from .errors import ConfigError, ParseError, StateError, open_ascii, require_fin
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
 from .optim import count_params
-from .vgae import CompositeWeights, VgaeConfig, VgaeModel, train_vgae
+from .vgae import SCORE_MODES, CompositeWeights, VgaeConfig, VgaeModel, train_vgae
 
 
 @dataclass
@@ -157,6 +157,8 @@ class PipelineOptions:
             require_finite(name, getattr(self, name), positive=True)
         require_probability("threshold", self.threshold)
         fuse(0.0, 0.0, *self.fusion_weights)
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score_mode {self.score_mode!r} (expected one of {', '.join(SCORE_MODES)})")
 
 
 def chronological_split(graphs, val_frac: float):

@@ -26,6 +26,7 @@ from .tensor import Tensor, no_grad
 
 LOG_SIGMA_CLAMP = 10.0  # keeps KL finite on degenerate one-node graphs
 SCORE_CHUNK = 64  # windows per batched scoring pass
+SCORE_MODES = ("composite", "adjacency_l2")
 
 # stream tags for derived seeds
 _SEED_INIT, _SEED_NOISE, _SEED_NEG_TRAIN, _SEED_SHUFFLE, _SEED_NEG_SCORE = 31, 32, 33, 34, 35

@@ -9,7 +9,7 @@ import numpy as np
 
 from canids.canlog import CanFrame, Label
 from canids.gradcheck import relative_gradient_error
-from canids.graphs import build_windows
+from canids.graphs import WindowGraph, build_windows
 from canids.tensor import Tensor
 
 
@@ -45,6 +45,59 @@ def brute_force_window_graph(window, start_index):
         edges[key] = edges.get(key, 0) + 1
     label = 1 if any(f.label == Label.ATTACK for f in window) else 0
     return node_ids, np.array(feats, dtype=np.float64), edges, label
+
+
+def loop_window_graph(window, start_index, directed=True):
+    """Bit-level oracle: one WindowGraph built one frame at a time.
+
+    The loop build_windows ran before windows were built with array ops:
+    integer tallies per CAN ID in first-appearance order, a dict of
+    transition counts in first-occurrence order (unordered pairs when not
+    ``directed``), and features from the same float operations
+    (``cid / 2047``, ``count / W``, ``(psum / pn) / 255.0``).
+    """
+    w = len(window)
+    index, counts, payload_sum, payload_n, seq = {}, [], [], [], []
+    for _, can_id, dlc, payload, _ in window:
+        j = index.setdefault(can_id, len(index))
+        if j == len(counts):
+            counts.append(0)
+            payload_sum.append(0)
+            payload_n.append(0)
+        counts[j] += 1
+        payload_sum[j] += sum(payload)
+        payload_n[j] += dlc
+        seq.append(j)
+    edge_counts = {}
+    for key in zip(seq[:-1], seq[1:]):
+        if not directed and key[0] > key[1]:
+            key = (key[1], key[0])
+        edge_counts[key] = edge_counts.get(key, 0) + 1
+    feats = np.empty((len(index), 3), dtype=np.float64)
+    for j, cid in enumerate(index):
+        mean_payload = payload_sum[j] / payload_n[j] if payload_n[j] else 0.0
+        feats[j] = (cid / 2047, counts[j] / w, mean_payload / 255.0)
+    src = np.array([k[0] for k in edge_counts], dtype=np.int64)
+    dst = np.array([k[1] for k in edge_counts], dtype=np.int64)
+    wts = np.array(list(edge_counts.values()), dtype=np.float64)
+    label = int(any(f.label == Label.ATTACK for f in window))
+    return WindowGraph(list(index), feats, src, dst, wts, label, start_index)
+
+
+def loop_windows(frames, window_size, stride, directed=True):
+    return [
+        loop_window_graph(frames[start : start + window_size], start, directed)
+        for start in range(0, len(frames) - window_size + 1, stride)
+    ]
+
+
+def assert_bit_identical(a, b):
+    """Equal node IDs, label and start, and byte-identical arrays of the same dtype and shape."""
+    assert (a.node_ids, a.label, a.window_start_index) == (b.node_ids, b.label, b.window_start_index)
+    assert type(a.label) is type(b.label) is int and type(a.window_start_index) is type(b.window_start_index) is int
+    for name in ("node_features", "edge_src", "edge_dst", "edge_weight"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
 def brute_force_windows(frames, window_size, stride):

@@ -4,26 +4,33 @@
 that decodes one payload field at a time, each field checked against the
 row grammar (hex digits only) before ``int(field, 16)``. The parser,
 which decodes most payloads in one ``bytes.fromhex`` call, must agree
-with it on every row, valid or not.
+with it on every row, valid or not. The block tests shrink
+``decode_car_hacking_csv``'s block size, so that bad lines, timestamp
+checks and windows fall across block boundaries.
 """
 
 import math
+import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canids import canlog, cli
 from canids.canlog import (
     CanFrame,
     Label,
+    decode_car_hacking_csv,
     format_car_hacking_row,
     parse_car_hacking_csv,
     parse_generic_labeled_csv,
     write_car_hacking_csv,
 )
 from canids.errors import ConfigError, ParseError
-from helpers import per_field_format_car_hacking_row
+from canids.graphs import save_graph_cache
+from helpers import loop_windows, per_field_format_car_hacking_row, random_frames
 
 
 def write_lines(tmp_path, lines, name="log.csv"):
@@ -412,3 +419,213 @@ def test_parser_matches_per_field_reference(tmp_path_factory, rows):
         assert tuple(frame) == fields
         assert type(frame.payload) is tuple and all(type(b) is int for b in frame.payload)
         assert frame.label is fields[4]
+
+
+# ---------------------------------------------------------------- column blocks
+
+
+@pytest.fixture(params=[1, 64, 1 << 20], ids=["line-blocks", "64-char-blocks", "default-blocks"])
+def block_chars(request, monkeypatch):
+    """decode_car_hacking_csv's block size: 1 makes every line a block of its own."""
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", request.param)
+    return request.param
+
+
+def canonical_rows(count, seed=0):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [format_car_hacking_row(f) for f in random_frames(rng, count, [0x316, 0x7FF, 0x5, 0x100])]
+
+
+def assert_matches_reference(path):
+    """parse_car_hacking_csv gives the reference's frames and error line; returns that line."""
+    expected, expected_error = run_parser(per_field_parse_car_hacking_csv(path))
+    frames, error = run_parser(parse_car_hacking_csv(path))
+    assert error == expected_error
+    assert [tuple(f) for f in frames] == [fields for _, fields in expected]
+    assert all(type(f.payload) is tuple and f.label is fields[4] for f, (_, fields) in zip(frames, expected))
+    return error
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["{t},0316,9,aa,R", "{t},0316,2,aa,bb,X", "{t},0316,2,aa,zz,R", "{t},0800,0,R", "nan,0316,0,R", "0.0,0316,0,R"],
+)
+def test_bad_line_in_a_later_block(tmp_path, block_chars, bad):
+    rows = canonical_rows(40)
+    rows[33] = bad.format(t=rows[32].split(",")[0])
+    p = write_lines(tmp_path, rows)
+    assert assert_matches_reference(p) == 34
+    if block_chars < 1 << 20:
+        blocks, error = run_parser(decode_car_hacking_csv(p))
+        assert error == 34 and len(blocks) > 1 and sum(len(b.dlc) for b in blocks) == 33
+
+
+def test_timestamp_decreasing_across_block_boundary(tmp_path, monkeypatch):
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", 1)
+    rows = canonical_rows(10)
+    rows[6] = "0.0" + rows[6][rows[6].index(",") :]
+    p = write_lines(tmp_path, rows)
+    with pytest.raises(ParseError, match="decreases") as err:
+        list(parse_car_hacking_csv(p))
+    assert err.value.line == 7 == assert_matches_reference(p)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("crlf", "1.0,0316,2,aa,bb,R\r\n2.5,07ff,0,T\r\n3,0005,8,00,01,02,03,04,05,06,07,R\r\n"),
+        ("blank lines", "1.0,0316,2,aa,bb,R\n\n  \n2.5,07ff,0,T\n\n"),
+        ("exponent", "1e-05,0316,2,aa,bb,R\n2.5e-05,0316,0,R\n"),
+        ("one-digit bytes", "1.0,0316,3,a,0,f,R\n2.0,0316,1,0ff,T\n"),
+        ("long ID", "1.0,00000316,2,aa,bb,R\n2.0,0000000000000007ff,0,T\n"),
+        ("short ID", "1.0,316,2,aa,bb,R\n2.0,5,0,T\n3.0,0,1,AB,R\n"),
+        ("no final newline", "1.0,0316,2,aa,bb,R\n2.0,0316,0,T"),
+        ("negative zero", "-0.0,0316,2,aa,bb,R\n0.0,0316,0,T\n"),
+    ],
+)
+def test_valid_forms_give_the_reference_frames(tmp_path, monkeypatch, name, text):
+    p = tmp_path / "log.csv"
+    p.write_bytes(text.encode("ascii"))
+    fallbacks = []
+    decode_lines = canlog._decode_lines
+    monkeypatch.setattr(canlog, "_decode_lines", lambda *args: fallbacks.append(args) or decode_lines(*args))
+    assert assert_matches_reference(p) is None
+    canonical = name in ("crlf", "exponent", "short ID", "no final newline", "negative zero")
+    assert (not fallbacks) == canonical  # CRLF line ends stay on the array path
+
+
+def test_canonical_block_checks_every_rule(tmp_path):
+    good = "1.5,0316,2,aa,bb,R\n"
+    assert canlog._canonical_block([good], -1.0) is not None
+    for line in [
+        "1.5,0316,2,aa,bb,R ",  # a blank after the flag
+        "1.5,0316,2,aa,bb,",
+        "1.5,0316,2,aa,bb,RR",
+        "1.5,0316,2,aa,b,R",
+        "1.5,0316,2,aa,bbb,R",
+        "1.5,0316,2,a,bbb,R",
+        "1.5,0316,2,aa,bg,R",
+        "1.5,0316,2,aa;bb,R",  # a separator that is not a comma
+        "1.5,0316,9,aa,bb,R",
+        "1.5,0316,02,aa,bb,R",
+        "1.5,0316,3,aa,bb,R",
+        "1.5,0800,2,aa,bb,R",
+        "1.5,00316,2,aa,bb,R",
+        "1.5,,2,aa,bb,R",
+        "1.5,03x6,2,aa,bb,R",
+        ",0316,2,aa,bb,R",
+        ".,0316,2,aa,bb,R",
+        "1.5.1,0316,2,aa,bb,R",
+        "+1.5,0316,2,aa,bb,R",
+        "1E5,0316,2,aa,bb,R",
+        "1e,0316,2,aa,bb,R",
+        "1.5e+,0316,2,aa,bb,R",
+        "e5,0316,2,aa,bb,R",
+        "1-5,0316,2,aa,bb,R",
+        "1e5.5,0316,2,aa,bb,R",
+        "--1.5,0316,2,aa,bb,R",
+        "1_5,0316,2,aa,bb,R",
+        "inf,0316,2,aa,bb,R",
+        "1e309,0316,2,aa,bb,R",  # overflows to inf
+        "1\x005,0316,2,aa,bb,R",
+        "1" * 33 + ",0316,2,aa,bb,R",
+        "0.5,0316,2,aa,bb,R",  # below the block's last_ts
+    ]:
+        assert canlog._canonical_block([line + "\n"], 1.0) is None, line
+        assert canlog._canonical_block([good, line + "\n"], 1.0) is None, line
+
+
+def test_canonical_timestamps_read_as_float_reads_them():
+    rng = np.random.Generator(np.random.PCG64(8))
+    values = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.integers(-30, 31, 400)
+    values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
+    lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
+    assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
+    block = canlog._canonical_block(lines, -math.inf)
+    assert block.timestamp.tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
+
+
+@pytest.mark.parametrize("window, stride, undirected", [(10, 10, False), (40, 37, False), (10, 1, False), (10, 10, True), (7, 1, True)])
+def test_build_graphs_windows_straddle_blocks(tmp_path, capsys, block_chars, window, stride, undirected):
+    rows = canonical_rows(300, seed=4)
+    p = write_lines(tmp_path, rows)
+    frames = [CanFrame(*fields) for _, fields in per_field_parse_car_hacking_csv(p)]
+    expected = tmp_path / "expected.cache"
+    save_graph_cache(loop_windows(frames, window, stride, directed=not undirected), expected)
+    out = tmp_path / "got.cache"
+    argv = ["build-graphs", "--in", str(p), "--window", str(window), "--stride", str(stride), "--out", str(out)]
+    assert cli.main(argv + ["--undirected"] * undirected) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == expected.read_bytes()
+
+
+# ---------------------------------------------------------------- mutation sweep
+
+MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "1_0", "non-ascii")
+
+
+def mutate(rng: random.Random, text: str) -> bytes:
+    """One mutation of a log's text: a cut, a flipped bit, a dropped, copied or blanked line, two
+    swapped fields, or a field replaced by ``nan``, ``1e309`` or ``1_0``, or a non-ASCII byte."""
+    kind = rng.choice(MUTATIONS)
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))].encode()
+    if kind == "flip":
+        data = bytearray(text.encode())
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(data)
+    lines = text.split("\n")[:-1]
+    k = rng.randrange(len(lines))
+    fields = lines[k].split(",")
+    if kind == "drop":
+        del lines[k]
+    elif kind == "copy":
+        lines.insert(rng.randrange(len(lines) + 1), lines[k])
+    elif kind == "blank":
+        lines[k] = ""
+    elif kind == "swap":
+        i, j = rng.sample(range(len(fields)), 2)
+        fields[i], fields[j] = fields[j], fields[i]
+        lines[k] = ",".join(fields)
+    elif kind == "non-ascii":
+        at = rng.randrange(len(lines[k]) + 1)
+        lines[k] = lines[k][:at] + "é" + lines[k][at:]
+    else:
+        fields[rng.randrange(len(fields))] = kind
+        lines[k] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("chars", [256, 1 << 20])
+def test_csv_mutation_sweep(tmp_path, capsys, monkeypatch, chars):
+    """Mutated logs parse as the reference parses them, and build-graphs exits 0 with the loop's windows
+    or ends in one canids-error line, never a traceback."""
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", chars)
+    text = "\n".join(canonical_rows(40, seed=9)) + "\n"
+    rng = random.Random(2026)
+    log, out = tmp_path / "log.csv", tmp_path / "out.cache"
+    for trial in range(200):
+        data = mutate(rng, text)
+        log.write_bytes(data)
+        if data.isascii():
+            error = assert_matches_reference(log)
+        else:  # the reference's ASCII decoding fails on its read-ahead chunk, not at the line
+            error = next(k for k, line in enumerate(data.split(b"\n"), start=1) if not line.isascii())
+            frames, got = run_parser(parse_car_hacking_csv(log))
+            assert got == error
+            log.write_bytes(b"\n".join(data.split(b"\n")[: error - 1]) + b"\n")
+            before, _ = run_parser(per_field_parse_car_hacking_csv(log))
+            assert [tuple(f) for f in frames] == [fields for _, fields in before[: len(frames)]]
+            log.write_bytes(data)
+        out.unlink(missing_ok=True)
+        code = cli.main(["build-graphs", "--in", str(log), "--window", "4", "--stride", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            frames = [CanFrame(*fields) for _, fields in per_field_parse_car_hacking_csv(log)]
+            expected = tmp_path / "expected.cache"
+            save_graph_cache(loop_windows(frames, 4, 3), expected)
+            assert error is None and out.read_bytes() == expected.read_bytes()
+        else:
+            assert code in (1, 2) and "Traceback" not in err, err
+            assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, err
+            assert code == 2 or error is not None or not data.isascii()

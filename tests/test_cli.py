@@ -683,6 +683,56 @@ def test_unknown_preset_in_run_config_is_usage_error(small_run, tmp_path, capsys
     assert err.startswith("canids-error category=usage") and "'huge'" in err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("ingest", {"format": "bogus", "column_map": "timestamp=0,id=1,dlc=2,data=3,label=5"}),
+        ("train-vgae", {"score_mode": "bogus"}),
+        ("train-vgae", {"score-mode": ["composite", "adjacency_l2"]}),
+        ("train-gat", {"preset": "huge"}),
+    ],
+)
+def test_run_config_value_outside_choices_is_usage_error(small_run, tmp_path, capsys, command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    inputs = {"ingest": [small_run / "train.csv"], "train-vgae": ["--graphs", small_run / "train.cache"],
+              "train-gat": ["--graphs", small_run / "stage2.cache"]}
+    code, stdout, err = run_cli(capsys, command, *inputs[command], "--config", cfg, "--out", out)
+    key = next(iter(config))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=usage") and err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{log}", "--format", "bogus"],
+        ["build-graphs", "--in", "{log}", "--window", "abc", "--out", "{out}"],
+        ["build-graphs", "--in", "{log}"],
+        ["train-vgae", "--graphs", "{log}", "--preset", "huge", "--out", "{out}"],
+        ["train-vgae", "--graphs", "{log}", "--score-mode", "bogus", "--out", "{out}"],
+        ["evaluate", "--scores", "{log}", "--threshold", "half"],
+        ["evaluate", "--scores", "{log}", "--bogus"],
+        ["bogus-command"],
+        [],
+    ],
+)
+def test_argparse_errors_are_usage_errors(tmp_path, capsys, argv):
+    log, out = tmp_path / "log.csv", tmp_path / "out"
+    log.write_text("1.0,0316,2,aa,bb,R\n")
+    code, stdout, err = run_cli(capsys, *(a.format(log=log, out=out) for a in argv))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=usage message=canids") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["build-graphs", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0 and capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["build-graphs", "ingest-generic"])
 def test_non_finite_timestamp_is_parse_error(tmp_path, capsys, command, value):

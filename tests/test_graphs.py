@@ -3,10 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.canlog import CanFrame, Label
+from canids import graphs
+from canids.canlog import CanFrame, FrameBlock, Label
 from canids.errors import ConfigError, StateError
-from canids.graphs import WindowGraph, build_windows, feature_stats, load_graph_cache, save_graph_cache
-from helpers import brute_force_windows, random_frames
+from canids.graphs import (
+    WindowGraph,
+    build_block_windows,
+    build_windows,
+    feature_stats,
+    load_graph_cache,
+    save_graph_cache,
+)
+from helpers import assert_bit_identical, brute_force_windows, loop_windows, random_frames
 
 
 def frames_from_ids(ids, label_at=()):
@@ -225,3 +233,46 @@ def test_cache_golden_bytes(tmp_path):
         b"node 2047 1.0 1.0 1e-300\n"
         b"edge 0 0 3.0\n"
     )
+
+
+def test_block_builder_equals_loop_oracle_bit_for_bit():
+    """build_windows, and build_block_windows over blocks of random sizes, give the loop's windows exactly."""
+    rng = np.random.Generator(np.random.PCG64(14))
+    for trial in range(40):
+        length = int(rng.integers(0, 260))
+        alphabet = rng.choice(2048, size=int(rng.integers(1, 24)), replace=False)
+        frames = random_frames(rng, length, alphabet)
+        w = int(rng.integers(2, 50))
+        cuts = np.sort(rng.integers(0, length + 1, size=int(rng.integers(0, 6))))
+        blocks = [FrameBlock.from_frames(frames[a:b]) for a, b in zip([0, *cuts], [*cuts, length])]
+        for stride in sorted({1, 2, w, int(rng.integers(1, w + 1))}):
+            for directed in (True, False):
+                expected = loop_windows(frames, w, stride, directed)
+                for got in (
+                    list(build_windows(iter(frames), w, stride, directed)),
+                    list(build_block_windows(iter(blocks), w, stride, directed)),
+                ):
+                    assert len(got) == len(expected)
+                    for g, ref in zip(got, expected):
+                        assert_bit_identical(g, ref)
+                        assert g.edge_weight.sum() == w - 1
+
+
+def test_block_builder_groups_windows(monkeypatch):
+    """Windows built in several groups of one block equal the loop's."""
+    monkeypatch.setattr(graphs, "_GROUP_FRAMES", 7)
+    rng = np.random.Generator(np.random.PCG64(3))
+    frames = random_frames(rng, 120, rng.choice(2048, size=9, replace=False))
+    for stride, directed in ((1, True), (1, False), (3, True), (5, False)):
+        got = list(build_block_windows([FrameBlock.from_frames(frames)], 5, stride, directed))
+        expected = loop_windows(frames, 5, stride, directed)
+        assert len(got) == len(expected)
+        for g, ref in zip(got, expected):
+            assert_bit_identical(g, ref)
+
+
+def test_block_builder_checks_window_and_stride():
+    block = FrameBlock.from_frames(frames_from_ids([1, 2, 3]))
+    for w, stride in ((1, None), (3, 0), (3, 4)):
+        with pytest.raises(ConfigError):
+            list(build_block_windows([block], w, stride))

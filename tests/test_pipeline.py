@@ -384,6 +384,24 @@ def test_golden_two_stage_and_distill(benign_graphs, mixed_graphs):
     assert got == GOLDEN_RUNS_SHA256
 
 
+def test_unknown_score_mode_fails_before_training(mixed_graphs, monkeypatch):
+    from canids import distill, pipeline, vgae
+
+    def never(*args, **kwargs):
+        raise AssertionError("train_vgae reached")
+
+    for module in (distill, pipeline, vgae):
+        if getattr(module, "train_vgae", None) is vgae.train_vgae:
+            monkeypatch.setattr(module, "train_vgae", never)
+    with pytest.raises(ConfigError, match="score_mode 'bogus'"):
+        run_two_stage(
+            mixed_graphs[:80], mixed_graphs[80:100], VgaeConfig.student(), GatConfig.student(), 3,
+            PipelineOptions(score_mode="bogus"),
+        )
+    for mode in ("composite", "adjacency_l2"):
+        assert PipelineOptions(score_mode=mode).score_mode == mode
+
+
 def test_distill_without_attack_windows_fails_before_training(benign_graphs, monkeypatch):
     from canids import distill, pipeline, vgae
     from canids.distill import KdConfig, distill_pipeline
