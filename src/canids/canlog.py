@@ -14,7 +14,9 @@ from __future__ import annotations
 import enum
 import math
 import re
+import struct
 import sys
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -52,28 +54,37 @@ class CanFrame(NamedTuple):
             raise ParseError(
                 f"payload length {len(self.payload)} does not match dlc {self.dlc}"
             )
-        if any(not 0 <= b <= 255 for b in self.payload):
+        if self.payload and not (min(self.payload) >= 0 and max(self.payload) <= 255):
             raise ParseError("payload byte outside [0, 255]")
         return self
 
 
 _FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
+_LABELS = np.array(list(Label), dtype=object)  # indexed by the attack flag
 # builds a CanFrame from its checked fields without the named tuple's generated __new__
 _frame = tuple.__new__
 # below every finite timestamp, so ``last_ts <= ts < inf`` also rejects nan and -inf on the first row
 _BEFORE_FIRST_TS = -sys.float_info.max
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads whole lines about this many characters at a time
-_PAD = "\0" * 32  # around a block's text, so that every field window lies inside it; also the longest array-path timestamp
-_NEWLINE, _COMMA, _PLUS, _ZERO, _R, _T = b"\n,+0RT"
-_HEX = np.full(256, -1, dtype=np.int16)  # the value of a hex digit's byte, -1 for any other byte
+_BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads about this many characters at a time
+_MAX_TIMESTAMP = 32  # the most characters of a canonical timestamp
+_TAIL = "\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
+_NEWLINE, _COMMA, _SLASH, _PLUS, _MINUS, _E = b"\n,/+-e"
+# lookup tables indexed by a byte: the value of a hex digit, of a DLC digit and of a flag; -1 for any
+# other byte
+_HEX = np.full(256, -1, dtype=np.int16)
 _HEX[list(b"0123456789abcdefABCDEF")] = [*range(16), *range(10, 16)]
+_DLC_OF = np.full(256, -1, dtype=np.int64)
+_DLC_OF[list(b"012345678")] = range(9)
+_FLAG_OF = np.full(256, -1, dtype=np.int8)
+_FLAG_OF[list(b"RT")] = [0, 1]
 # the byte that two hex digits spell, indexed by their characters read as a little-endian uint16; -1 if
 # either is not a hex digit
 _BYTE_OF_DIGITS = np.where((_HEX[:, None] >= 0) & (_HEX >= 0), _HEX * 16 + _HEX[:, None], -1).ravel()
 _BYTE_SLOTS = np.arange(8)
 _ID_SLOTS = np.arange(4)
-_ID_WEIGHTS = 16 ** np.arange(3, -1, -1)
+_ID_WEIGHTS = np.array([[16 ** (n - 1 - j) if j < n else 0 for j in range(4)] for n in range(5)])  # by ID length
+_TIMESTAMP_SLOTS = np.arange(_MAX_TIMESTAMP, dtype=np.uint8)
 
 
 def _digits_of(base: int):
@@ -154,6 +165,15 @@ def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
     return payload
 
 
+def checked_frame(position: int, frame) -> CanFrame:
+    """``frame`` as a CanFrame; ParseError naming its ``position`` unless its ID, DLC and payload
+    bytes are in range."""
+    try:
+        return _frame(CanFrame, frame).validate()
+    except ParseError as exc:
+        raise ParseError(f"frame {position}: {exc}") from None
+
+
 class FrameBlock(NamedTuple):
     """Consecutive frames as columns, one entry per frame."""
 
@@ -164,20 +184,33 @@ class FrameBlock(NamedTuple):
     attack: np.ndarray  # (n,) bool
 
     @classmethod
-    def from_frames(cls, frames: Sequence[CanFrame]) -> "FrameBlock":
+    def from_frames(cls, frames: Sequence[CanFrame], first: int = 0) -> "FrameBlock":
+        """The columns of ``frames``. A frame whose ID, DLC or payload is out of range raises the
+        ParseError of ``checked_frame`` at its position, counted from ``first``."""
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
+        can_id = np.array(can_id, dtype=np.int64)
         dlc = np.array(dlc, dtype=np.int64)
+        sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(dlc))
+        try:
+            data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
+        except ValueError:  # a byte outside [0, 255]
+            data = None
+        if data is None or not ((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc <= 8) & (sizes == dlc)).all():
+            for position, frame in enumerate(frames, start=first):
+                checked_frame(position, frame)
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
-        payload[_BYTE_SLOTS < dlc[:, None]] = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
+        payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        return cls(np.array(ts, dtype=np.float64), np.array(can_id, dtype=np.int64), dlc, payload, attack)
+        return cls(np.array(ts, dtype=np.float64), can_id, dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
-        labels = (Label.BENIGN, Label.ATTACK)
-        rows = map(tuple, self.payload.tolist())
-        columns = (c.tolist() for c in (self.timestamp, self.can_id, self.dlc))
-        for ts, can_id, dlc, row, attack in zip(*columns, rows, self.attack.tolist()):
-            yield _frame(CanFrame, (ts, can_id, dlc, row if dlc == 8 else row[:dlc], labels[attack]))
+        payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
+        dlc = self.dlc.tolist()
+        for i in np.flatnonzero(self.dlc < 8).tolist():
+            payloads[i] = payloads[i][: dlc[i]]
+        labels = _LABELS[self.attack.view(np.uint8)].tolist()
+        columns = (self.timestamp.tolist(), self.can_id.tolist(), dlc, payloads, labels)
+        return map(_frame, repeat(CanFrame), zip(*columns))
 
 
 def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
@@ -198,104 +231,154 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
 def decode_car_hacking_csv(path) -> Iterator[FrameBlock]:
     """The frames of a Car-Hacking layout CSV as FrameBlocks, rows checked as by parse_car_hacking_csv.
 
-    Whole lines are read about 1 MB at a time. A block whose every line is
-    canonical (``_canonical_block``) is decoded and checked column by
-    column; any other block goes through the line loop
-    (``_decode_lines``), which reads the rarer valid forms and names the
-    first bad line. The rows before a bad row are yielded as one block
-    before its ParseError; a non-ASCII byte raises before the rows of its
-    block.
+    The file is read about 1 MB at a time, each read cut after its last line
+    end (the rest starts the next block). The canonical lines of a block
+    (``_canonical_lines``) are decoded and checked column by column; only its
+    other lines go through the line loop (``_decode_lines``), which reads
+    the rarer valid forms and names the first bad line. The rows before a
+    bad row are yielded as one block before its ParseError; a non-ASCII byte
+    raises before the rows of its block.
     """
-    last_ts, lineno = _BEFORE_FIRST_TS, 1
+    last_ts, lineno, rest = _BEFORE_FIRST_TS, 1, ""
     with open_ascii(path) as fh:
-        while lines := fh.readlines(_BLOCK_CHARS):
-            error = None
-            block = _canonical_block(lines, last_ts)
-            if block is None:
-                block, error = _decode_lines(lines, lineno, last_ts)
+        while True:
+            chunk = fh.read(_BLOCK_CHARS)
+            rest += chunk
+            if not chunk and rest and not rest.endswith("\n"):
+                rest += "\n"  # the last line of the file
+            cut = rest.rfind("\n") + 1
+            if not cut:
+                if not chunk:
+                    return
+                continue
+            text, rest = rest[:cut], rest[cut:]
+            block, error, lines = _decode_block(text, lineno, last_ts)
             if len(block.dlc):
                 last_ts = float(block.timestamp[-1])
                 yield block
             if error is not None:
                 raise error
-            lineno += len(lines)
+            lineno += lines
 
 
-def _canonical_block(lines: list[str], last_ts: float) -> FrameBlock | None:
-    """The frames of ``lines`` if every line is canonical, else None.
+def _decode_block(text: str, lineno: int, last_ts: float) -> tuple[FrameBlock, ParseError | None, int]:
+    """The frames of the lines of ``text`` (each ending in a newline, numbered from ``lineno``) up to
+    the first bad one, the ParseError of that line (None if there is none), and the number of lines.
+
+    The frames of the line loop are put in among the canonical lines' in line
+    order, and then every timestamp is checked against the one before.
+    """
+    block, canonical, ends = _canonical_lines(text, last_ts)
+    odd = np.flatnonzero(~canonical)
+    if not len(odd):
+        return block, None, len(ends)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lines = [text[a:b] for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
+    at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
+    rows = odd[at]  # the lines whose frames the line loop read
+    for column, values in zip(block, FrameBlock.from_frames(frames)):
+        column[rows] = values
+    keep = canonical
+    keep[rows] = True
+    if error is not None:
+        keep[error.line - lineno :] = False
+    kept = np.flatnonzero(keep)
+    block = FrameBlock(*(column[kept] for column in block))
+    ts = block.timestamp
+    before = np.concatenate(([last_ts], ts[:-1]))
+    bad = np.flatnonzero(~((before <= ts) & (ts < math.inf)))
+    if len(bad):
+        k = bad[0]
+        error = _timestamp_error(float(ts[k]), float(before[k]), lineno + int(kept[k]))
+        block = FrameBlock(*(column[:k] for column in block))
+    return block, error, len(ends)
+
+
+def _canonical_lines(text: str, last_ts: float) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
+    """The canonical lines of ``text``, every line of which ends in a newline: a FrameBlock with one
+    row per line, whose rows of the canonical lines hold their frames; the mask of those lines; and
+    the offset of each line's newline in ``text``.
 
     A canonical line is ``timestamp,ID,DLC,B0,...,B{DLC-1},flag``: a
     timestamp of 1 to 32 characters in the form ``repr(float)`` writes,
-    finite and not below ``last_ts`` or the line before; an ID of one to
-    four hex digits up to 0x7ff; a DLC of one digit 0-8; DLC payload fields
-    of exactly two hex digits; and the flag ``R`` or ``T``, with no blanks.
-    Every rule is checked with array operations over the whole block, each
-    field read from a fixed-width window of the text at its line's commas.
+    finite and not below the timestamp of the line before (``last_ts`` for
+    the first line; none after a line whose timestamp is not of this form);
+    an ID of one to four hex digits up to 0x7ff; a DLC of one digit 0-8; DLC
+    payload fields of exactly two hex digits; and the flag ``R`` or ``T``,
+    with no blanks. Every rule is checked with array operations over all the
+    lines, each field read from a fixed-width window of the text after the
+    field before it.
     """
-    text = "".join(lines)
-    if not text.endswith("\n"):  # the last line of the file
-        text += "\n"
-    b = np.frombuffer(f"{_PAD}{text}{_PAD}".encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer((text + _TAIL).encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(b == _NEWLINE)  # one per line
-    starts = np.concatenate(([len(_PAD)], ends[:-1] + 1))
-    commas = np.flatnonzero(b == _COMMA)
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
-    if not ((per_line >= 3) & (per_line <= 11)).all():
-        return None
-    first = np.cumsum(per_line) - per_line  # each line's first comma in ``commas``
-    c0, c1, c2 = commas[first], commas[first + 1], commas[first + 2]
-    dlc = b[c1 + 1].astype(np.int64) - _ZERO
-    if not ((c2 - c1 == 2) & (dlc >= 0) & (per_line == dlc + 3)).all():  # so the DLC is at most 8
-        return None
-    # payload and flag: DLC slots of two hex digits and a comma, then the flag and the line end. The
-    # line's other DLC commas can then only be the slots' third characters.
-    last = c2 + 3 * dlc
-    flag = b[last + 1]
-    digits = _windows(b, 24)[c2 + 1].reshape(-1, 8, 3)[:, :, :2]
-    values = _BYTE_OF_DIGITS.take(digits.copy().view("<u2")[:, :, 0])
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # each field from a window after the field before it. On a line with fewer fields, or one past the
+    # line's end, some field breaks its rule.
+    head = _windows(b, _MAX_TIMESTAMP + 1)[starts]
+    width = (head == _COMMA).argmax(axis=1)  # the timestamp's, up to the first comma: 0 if none is in reach
+    # the ID: one to four hex digits and a comma. Four digits (what the writer writes) are read as two
+    # pairs, other IDs one digit at a time.
+    c0 = starts + width
+    window = _windows(b, 5)[c0 + 1]
+    pairs = _BYTE_OF_DIGITS.take(np.ndarray((len(window), 2), "<u2", window, strides=(5, 2)))
+    can_id = pairs[:, 0].astype(np.int64) * 256 + pairs[:, 1]
+    id_len = np.full(len(window), 4)
+    ok = (window[:, 4] == _COMMA) & (pairs[:, 0] >= 0) & (pairs[:, 1] >= 0)
+    other = np.flatnonzero(~ok)
+    if len(other):
+        id_len[other] = n = (window[other] == _COMMA).argmax(axis=1)
+        digits = _HEX.take(window[other, :4])
+        can_id[other] = np.einsum("ij,ij->i", digits, _ID_WEIGHTS[n])
+        ok[other] = (n > 0) & ((digits >= 0) | (_ID_SLOTS >= n[:, None])).all(axis=1)
+    ok &= can_id <= MAX_STD_ID
+    # the DLC digit and a comma; DLC slots of two hex digits (read as one little-endian uint16) and a
+    # comma; the flag and the line end
+    c1 = c0 + 1 + id_len
+    dlc = _DLC_OF[b[c1 + 1]]
+    slots = _windows(b, 24)[c1 + 3]
+    values = _BYTE_OF_DIGITS.take(np.ndarray((len(slots), 8), "<u2", slots, strides=(24, 3)))
     used = _BYTE_SLOTS < dlc[:, None]
-    if not ((ends == last + 2) & ((flag == _R) | (flag == _T)) & ((values >= 0) | ~used).all(axis=1)).all():
-        return None
+    last = c1 + 2 + 3 * dlc
+    flag = _FLAG_OF[b[last + 1]]
+    ok &= (dlc >= 0) & (b[c1 + 2] == _COMMA) & (flag >= 0) & (ends == last + 2)
+    ok &= _rows_all(((values >= 0) & (slots[:, 2::3] == _COMMA)) | ~used)
     payload = np.where(used, values, 0).astype(np.uint8)
-    # the ID: one to four hex digits, read from the four characters before its comma
-    id_len = c1 - c0 - 1
-    in_id = _ID_SLOTS >= 4 - id_len[:, None]
-    digits = _HEX.take(_windows(b, 4)[c1 - 4])
-    can_id = np.where(in_id, digits, 0) @ _ID_WEIGHTS
-    if not ((id_len >= 1) & (id_len <= 4) & ((digits >= 0) | ~in_id).all(axis=1) & (can_id <= MAX_STD_ID)).all():
-        return None
-    # the timestamp: the characters before the first comma, NUL-padded. Of strings of digits, ".", "e",
-    # "+" and "-" that do not start with "+", numpy's float conversion (float()'s) takes exactly those
-    # that _is_decimal matches, and raises on the rest.
-    width = c0 - starts
-    span = int(width.max())
-    if width.min() < 1 or span > len(_PAD):
-        return None
-    chars = _windows(b, span)[starts]
-    pad = np.arange(span) >= width[:, None]
-    ok = ((chars - _ZERO) < 10) | pad
-    for char in b".e+-":
-        ok |= chars == char
-    if not (ok.all() and (chars[:, 0] != _PLUS).all()):
-        return None
-    chars[pad] = 0
+    # the timestamp, NUL-padded: digits, ".", "e", "+" and "-", not starting with "+". Of such strings,
+    # numpy's float conversion (float()'s) takes exactly those that _is_decimal matches, and raises on
+    # the rest.
+    span = max(int(width.max()), 1)
+    c = head[:, :span] * (_TIMESTAMP_SLOTS[:span] < width.astype(np.uint8)[:, None])
+    decimal = _rows_all(((c - np.uint8(_MINUS) <= 12) & (c != _SLASH)) | (c == _PLUS) | (c == _E) | (c == 0))
+    decimal &= (c[:, 0] != 0) & (c[:, 0] != _PLUS)
+    if "\0" in text:  # a NUL in a timestamp would end it early
+        decimal[np.searchsorted(ends, np.flatnonzero(b[: len(text)] == 0))] = False
+    strings = c.view(f"S{span}").ravel()
+    strings[~decimal] = b"0"
     try:
-        ts = chars.view(f"S{span}").ravel().astype(np.float64)
-    except ValueError:
-        return None
-    if not (np.isfinite(ts[-1]) and ts[0] >= last_ts and (ts[1:] >= ts[:-1]).all()):
-        return None
-    return FrameBlock(ts, can_id, dlc, payload, flag == _T)
+        ts = strings.astype(np.float64)
+    except ValueError:  # a line's timestamp is not a decimal, which makes the block's read stop there
+        ts = np.array([float(s) if _is_decimal(s.decode()) else -math.inf for s in strings.tolist()])
+    ts[~decimal] = -math.inf
+    ok &= np.isfinite(ts) & (ts >= np.concatenate(([last_ts], ts[:-1])))
+    return FrameBlock(ts, can_id, dlc, payload, flag == 1), ok, ends
 
 
-def _decode_lines(lines: list[str], lineno: int, last_ts: float) -> tuple[FrameBlock, ParseError | None]:
-    """The frames of ``lines`` (numbered from ``lineno``) up to the first bad one, read one line at a
-    time, and the ParseError of that line (None if there is none)."""
+def _rows_all(ok: np.ndarray) -> np.ndarray:
+    """``ok.all(axis=1)``, taking one reduction over the whole array when every entry holds."""
+    return np.ones(len(ok), dtype=bool) if ok.all() else ok.all(axis=1)
+
+
+def _decode_lines(lines: list[str], linenos: list[int]) -> tuple[list[int], list[tuple], ParseError | None]:
+    """Read ``lines`` (numbered ``linenos``) one at a time up to the first bad one: the indexes of the
+    lines that hold a frame, their frames, and the ParseError of the bad line (None if there is none).
+
+    Each line is read on its own: timestamps are not compared across lines.
+    """
+    at: list[int] = []
     frames: list[tuple] = []
-    inf = math.inf
     ids: dict[str, int] = {}  # each distinct ID spelling is checked and converted once
     try:
-        for lineno, raw in enumerate(lines, start=lineno):
+        for k, (lineno, raw) in enumerate(zip(linenos, lines)):
             raw = raw.strip()
             if not raw:
                 continue
@@ -320,13 +403,11 @@ def _decode_lines(lines: list[str], lineno: int, last_ts: float) -> tuple[FrameB
             label = _FLAG_LABELS.get(flag)
             if label is None:
                 raise ParseError(f"unknown flag {flag!r} (expected R or T)", line=lineno)
-            if not last_ts <= ts < inf:
-                raise _timestamp_error(ts, last_ts, lineno)
-            last_ts = ts
             frames.append((ts, can_id, dlc, payload, label))
+            at.append(k)
     except ParseError as exc:
-        return FrameBlock.from_frames(frames), exc
-    return FrameBlock.from_frames(frames), None
+        return at, frames, exc
+    return at, frames, None
 
 
 REQUIRED_COLUMNS = ("timestamp", "id", "dlc", "data", "label")

@@ -32,8 +32,8 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name} {dims}".rstrip() + "\n")
             rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in rows:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in rows.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
         fh.write("end\n")
 
 

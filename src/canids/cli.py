@@ -371,7 +371,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``command`` only: parse_args reads no
+    other subcommand's arguments, and ``canids --help`` lists each subcommand by its help."""
     parser = _Parser(prog="canids", description=__doc__)
     parser.add_argument("--version", action="version", version=f"canids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -379,8 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.canids_subparsers = subparsers
 
     def add_command(name, **kw):
+        """The subparser of ``name`` if it is ``command``, else None."""
         p = sub.add_parser(name, **kw)
         subparsers[name] = p
+        if name != command:
+            return None
         if name != "synth":  # synth's --config is the traffic generator config
             p.add_argument(
                 "--config", dest="run_config", default=None,
@@ -407,86 +412,91 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--fusion-weights", dest="fusion_weights", default=None, help="anomaly,gat e.g. 0.15,0.85")
 
-    p = add_command("synth", help="generate a labeled synthetic CAN log")
-    p.add_argument("--config", required=True, help="JSON generator config")
-    common(p)
-    p.set_defaults(func=cmd_synth)
+    if p := add_command("synth", help="generate a labeled synthetic CAN log"):
+        p.add_argument("--config", required=True, help="JSON generator config")
+        common(p)
+        p.set_defaults(func=cmd_synth)
 
-    p = add_command("ingest", help="parse a CAN log and emit the canonical CSV layout")
-    p.add_argument("path")
-    p.add_argument("--format", choices=["car-hacking", "generic"], default="car-hacking")
-    p.add_argument("--column-map", dest="column_map", help="ts=0,id=1,dlc=2,data=3,label=11")
-    p.add_argument("--attack-markers", dest="attack_markers", default="T,1")
-    p.add_argument("--id-base", dest="id_base", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="optional normalized output CSV")
-    p.set_defaults(func=cmd_ingest)
+    if p := add_command("ingest", help="parse a CAN log and emit the canonical CSV layout"):
+        p.add_argument("path")
+        p.add_argument("--format", choices=["car-hacking", "generic"], default="car-hacking")
+        p.add_argument("--column-map", dest="column_map", help="ts=0,id=1,dlc=2,data=3,label=11")
+        p.add_argument("--attack-markers", dest="attack_markers", default="T,1")
+        p.add_argument("--id-base", dest="id_base", type=int, default=16)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None, help="optional normalized output CSV")
+        p.set_defaults(func=cmd_ingest)
 
-    p = add_command("build-graphs", help="turn a log into a window-graph cache")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--window", type=int, default=100)
-    p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--undirected", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_build_graphs)
+    if p := add_command("build-graphs", help="turn a log into a window-graph cache"):
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--window", type=int, default=100)
+        p.add_argument("--stride", type=int, default=None)
+        p.add_argument("--undirected", action="store_true")
+        common(p)
+        p.set_defaults(func=cmd_build_graphs)
 
-    p = add_command("train-vgae", help="stage 1: train the autoencoder on benign windows")
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
-    training_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_train_vgae)
+    if p := add_command("train-vgae", help="stage 1: train the autoencoder on benign windows"):
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
+        training_flags(p)
+        common(p)
+        p.set_defaults(func=cmd_train_vgae)
 
-    p = add_command("undersample", help="select hardest normals at the target ratio")
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--vgae", required=True)
-    training_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_undersample)
+    if p := add_command("undersample", help="select hardest normals at the target ratio"):
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--vgae", required=True)
+        training_flags(p)
+        common(p)
+        p.set_defaults(func=cmd_undersample)
 
-    p = add_command("train-gat", help="stage 2: train the classifier on the selected set")
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--val-graphs", dest="val_graphs", help="full training cache for validation split")
-    p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
-    training_flags(p)
-    common(p)
-    p.set_defaults(func=cmd_train_gat)
+    if p := add_command("train-gat", help="stage 2: train the classifier on the selected set"):
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--val-graphs", dest="val_graphs", help="full training cache for validation split")
+        p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
+        training_flags(p)
+        common(p)
+        p.set_defaults(func=cmd_train_gat)
 
-    p = add_command("distill", help="re-run both stages with students learning from teachers")
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--test-graphs", dest="test_graphs")
-    p.add_argument("--teacher-vgae", dest="teacher_vgae", required=True)
-    p.add_argument("--teacher-gat", dest="teacher_gat", required=True)
-    p.add_argument("--tau", type=float, default=4.0)
-    p.add_argument("--alpha", type=float, default=0.5)
-    training_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_distill)
+    if p := add_command("distill", help="re-run both stages with students learning from teachers"):
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--test-graphs", dest="test_graphs")
+        p.add_argument("--teacher-vgae", dest="teacher_vgae", required=True)
+        p.add_argument("--teacher-gat", dest="teacher_gat", required=True)
+        p.add_argument("--tau", type=float, default=4.0)
+        p.add_argument("--alpha", type=float, default=0.5)
+        training_flags(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", dest="out_dir", required=True)
+        p.set_defaults(func=cmd_distill)
 
-    p = add_command("evaluate", help="metrics from a scores.csv")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_evaluate)
+    if p := add_command("evaluate", help="metrics from a scores.csv"):
+        p.add_argument("--scores", required=True)
+        p.add_argument("--threshold", type=float, default=0.5)
+        p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_evaluate)
 
-    p = add_command("export-embeddings", help="graph-level embeddings as CSV for projection tools")
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--gat", required=True)
-    common(p)
-    p.set_defaults(func=cmd_export_embeddings)
+    if p := add_command("export-embeddings", help="graph-level embeddings as CSV for projection tools"):
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--gat", required=True)
+        common(p)
+        p.set_defaults(func=cmd_export_embeddings)
 
-    p = add_command("report", help="calibrate, score the test stream, and write scores + report")
-    p.add_argument("--train-graphs", dest="train_graphs", required=True)
-    p.add_argument("--test-graphs", dest="test_graphs", required=True)
-    p.add_argument("--vgae", required=True)
-    p.add_argument("--gat", required=True)
-    training_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(func=cmd_report)
+    if p := add_command("report", help="calibrate, score the test stream, and write scores + report"):
+        p.add_argument("--train-graphs", dest="train_graphs", required=True)
+        p.add_argument("--test-graphs", dest="test_graphs", required=True)
+        p.add_argument("--vgae", required=True)
+        p.add_argument("--gat", required=True)
+        training_flags(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out-dir", dest="out_dir", required=True)
+        p.set_defaults(func=cmd_report)
 
     return parser
+
+
+def _invoked_command(argv) -> str | None:
+    """The subcommand an argument list names: its first token that is not an option."""
+    return next((tok for tok in argv if not tok.startswith("-")), None)
 
 
 def _run_config_value(path, key: str, action, value):
@@ -516,7 +526,7 @@ def _apply_run_config(parser, argv):
     built-in defaults. Keys are flag names with dashes or underscores;
     values must carry their JSON type (numbers as numbers).
     """
-    cmd = next((tok for tok in argv if not tok.startswith("-")), None)
+    cmd = _invoked_command(argv)
     if cmd == "synth" or cmd not in parser.canids_subparsers:
         return
     cfg_path = None
@@ -550,7 +560,7 @@ def _apply_run_config(parser, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(_invoked_command(argv))
     try:
         _apply_run_config(parser, argv)
         args = parser.parse_args(argv)

@@ -17,12 +17,13 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID
+from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame
 from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 _REPEATED_ID = "node ID listed twice in one window"
+_NODE_RECORD, _EDGE_RECORD = "node %d %r %r %r\n", "edge %d %d %r\n"  # %r writes a float as repr does
 _FRAMES_PER_BLOCK = 1 << 14  # build_windows hands frames to build_block_windows this many at a time
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
@@ -63,7 +64,8 @@ def build_windows(
     updated one frame at a time (``_stride_one_windows``). With
     ``directed=False`` transition counts are accumulated on unordered ID
     pairs instead. Every other window is built by ``build_block_windows``
-    from the frames, taken _FRAMES_PER_BLOCK at a time.
+    from the frames, taken _FRAMES_PER_BLOCK at a time. A frame whose ID,
+    DLC or payload is out of range raises ParseError naming its position.
     """
     stride = _checked_stride(window_size, stride)
     if stride == 1 and directed:
@@ -74,8 +76,11 @@ def build_windows(
 
 def _frame_blocks(frames: Iterable[CanFrame]) -> Iterator[FrameBlock]:
     frames = iter(frames)
-    while chunk := list(itertools.islice(frames, _FRAMES_PER_BLOCK)):
-        yield FrameBlock.from_frames(chunk)
+    for first in itertools.count(0, _FRAMES_PER_BLOCK):
+        chunk = list(itertools.islice(frames, _FRAMES_PER_BLOCK))
+        if not chunk:
+            return
+        yield FrameBlock.from_frames(chunk, first)
 
 
 def _checked_stride(window_size: int, stride: int | None) -> int:
@@ -198,7 +203,8 @@ def _stride_one_windows(frames: Iterable[CanFrame], w: int) -> Iterator[WindowGr
     moves: dict[tuple[int, int], deque] = {}  # (a, b) -> positions of a
     attacks = 0
     prev = None
-    for pos, (_, can_id, dlc, payload, label) in enumerate(frames):
+    for pos, frame in enumerate(frames):
+        _, can_id, dlc, payload, label = checked_frame(pos, frame)
         rec = (can_id, sum(payload), dlc, label == attack)
         window.append(rec)
         tally = ids.get(can_id)
@@ -268,19 +274,21 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
         node <can_id> <feat0> <feat1> <feat2>     x num_nodes
         edge <src> <dst> <weight>                 x num_edges
     """
-    n = 0
+    count = 0
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CACHE_MAGIC + "\n")
         for g in graphs:
-            # tolist() gives Python ints and floats: one conversion per array, one write per window
-            feats = g.node_features.tolist()
-            edges = zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist())
-            lines = [f"graph {g.window_start_index} {g.label} {g.num_nodes} {g.num_edges}\n"]
-            lines += [f"node {cid} {f0!r} {f1!r} {f2!r}\n" for cid, (f0, f1, f2) in zip(g.node_ids, feats)]
-            lines += [f"edge {s} {d} {w!r}\n" for s, d, w in edges]
-            fh.write("".join(lines))
-            n += 1
-    return n
+            # each record's numbers in one list of Python ints and floats, written with one % call
+            n, e = g.num_nodes, g.num_edges
+            nodes = [0] * (4 * n)
+            nodes[::4] = g.node_ids
+            nodes[1::4], nodes[2::4], nodes[3::4] = g.node_features.T.tolist()
+            edges = [0] * (3 * e)
+            edges[::3], edges[1::3], edges[2::3] = g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist()
+            fh.write(f"graph {g.window_start_index} {g.label} {n} {e}\n" + _NODE_RECORD * n % tuple(nodes)
+                     + _EDGE_RECORD * e % tuple(edges))
+            count += 1
+    return count
 
 
 def load_graph_cache(path) -> list[WindowGraph]:

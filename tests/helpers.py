@@ -5,6 +5,8 @@ they recount everything with plain dicts so the real implementations have
 something honest to disagree with.
 """
 
+import json
+
 import numpy as np
 
 from canids.canlog import CanFrame, Label
@@ -19,6 +21,21 @@ def per_field_format_car_hacking_row(frame):
     parts.extend(f"{b:02x}" for b in frame.payload)
     parts.append("T" if frame.label == Label.ATTACK else "R")
     return ",".join(parts)
+
+
+def per_value_save_checkpoint(path, kind, config, params):
+    """Reference checkpoint writer: one ``repr(float(v))`` per numpy value."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("canids-checkpoint v1\n")
+        fh.write(f"model {kind} {json.dumps(config, sort_keys=True)}\n")
+        for name, arr in params.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            dims = " ".join(str(d) for d in arr.shape)
+            fh.write(f"param {name} {dims}".rstrip() + "\n")
+            rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
+            for row in rows:
+                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        fh.write("end\n")
 
 
 def brute_force_window_graph(window, start_index):

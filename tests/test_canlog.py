@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from canids import canlog, cli
 from canids.canlog import (
     CanFrame,
+    FrameBlock,
     Label,
     decode_car_hacking_csv,
     format_car_hacking_row,
@@ -305,6 +306,16 @@ def test_frame_is_an_immutable_hashable_record():
         CanFrame(0.5, 1, 1, (-1,)).validate()
 
 
+@given(st.lists(frame_strategy, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_frame_block_gives_back_its_frames(frames):
+    got = list(FrameBlock.from_frames(frames).frames())
+    assert got == frames
+    for frame, fields in zip(got, frames):
+        assert type(frame) is CanFrame and type(frame.payload) is tuple and frame.label is fields.label
+        assert type(frame.timestamp) is float and all(type(v) is int for v in frame[1:3] + frame.payload)
+
+
 def per_field_parse_car_hacking_csv(path):
     """Reference parser: one ``int(field, 16)`` per payload field.
 
@@ -494,9 +505,64 @@ def test_valid_forms_give_the_reference_frames(tmp_path, monkeypatch, name, text
     assert (not fallbacks) == canonical  # CRLF line ends stay on the array path
 
 
+def oddly_written(rng: random.Random, row: str) -> str:
+    """``row`` in one of the valid forms that are not canonical: a byte of one or three digits, a
+    five-digit ID, blanks around the row or a CRLF line end (the line end is text-mode translated)."""
+    fields = row.split(",")
+    kind = rng.choice(["byte", "id", "blanks", "crlf"] if fields[2] != "0" else ["id", "blanks", "crlf"])
+    if kind == "byte":
+        k = rng.randrange(3, len(fields) - 1)
+        fields[k] = fields[k][1] if fields[k][0] == "0" else "0" + fields[k]
+    elif kind == "id":
+        fields[1] = "0" + fields[1]
+    row = ",".join(fields)
+    return {"blanks": f"  {row} ", "crlf": row + "\r"}.get(kind, row)
+
+
+BAD_ROWS = ["{t},0316,9,aa,R", "{t},0316,2,aa,bb,X", "{t},0316,2,aa,zz,R", "{t},0800,0,R", "{t},00316,2,1ff,bb,R",
+            "nan,0316,0,R", "1e309,0316,0,R", "0.0,0316,0,R", "0.0,00316,0,R", "{t}", "1.5.1,0316,0,R"]
+
+
+@pytest.mark.parametrize("seed", range(len(BAD_ROWS) + 2))
+def test_odd_and_bad_lines_anywhere_give_the_reference_frames(tmp_path, block_chars, seed):
+    """Odd but valid lines, blank lines and one bad line (BAD_ROWS[seed], none past its end) at
+    random rows of a canonical log."""
+    rng = random.Random(seed)
+    rows = canonical_rows(120, seed=seed)
+    for k in rng.sample(range(len(rows)), 12):
+        rows[k] = oddly_written(rng, rows[k])
+    for k in sorted(rng.sample(range(len(rows)), 3), reverse=True):
+        rows.insert(k, rng.choice(["", "  "]))
+    if seed < len(BAD_ROWS):
+        k = rng.randrange(1, len(rows))
+        rows[k] = BAD_ROWS[seed].format(t=rows[k - 1].split(",")[0].strip() or "1e9")
+    p = write_lines(tmp_path, rows)
+    error = assert_matches_reference(p)
+    assert (error is None) == (seed >= len(BAD_ROWS))
+
+
+def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
+    rows = canonical_rows(40)
+    fields = rows[17].split(",")
+    rows[17] = ",".join([fields[0], "0" + fields[1], *fields[2:]])  # a five-digit ID
+    p = write_lines(tmp_path, rows)
+    seen = []
+    decode_lines = canlog._decode_lines
+    monkeypatch.setattr(canlog, "_decode_lines", lambda *args: seen.append(args) or decode_lines(*args))
+    assert assert_matches_reference(p) is None
+    assert seen == [([rows[17]], [18])]
+
+
+def canonical_mask(lines, last_ts):
+    """_canonical_lines's mask over ``lines`` and the frames of its canonical lines."""
+    block, canonical, _ = canlog._canonical_lines("".join(lines), last_ts)
+    return canonical.tolist(), list(FrameBlock(*(column[canonical] for column in block)).frames())
+
+
 def test_canonical_block_checks_every_rule(tmp_path):
     good = "1.5,0316,2,aa,bb,R\n"
-    assert canlog._canonical_block([good], -1.0) is not None
+    good_frame = CanFrame(1.5, 0x316, 2, (0xAA, 0xBB), Label.BENIGN)
+    assert canonical_mask([good], -1.0) == ([True], [good_frame])
     for line in [
         "1.5,0316,2,aa,bb,R ",  # a blank after the flag
         "1.5,0316,2,aa,bb,",
@@ -528,11 +594,12 @@ def test_canonical_block_checks_every_rule(tmp_path):
         "inf,0316,2,aa,bb,R",
         "1e309,0316,2,aa,bb,R",  # overflows to inf
         "1\x005,0316,2,aa,bb,R",
+        "1.5\x00,0316,2,aa,bb,R",  # a NUL at the end of the timestamp
         "1" * 33 + ",0316,2,aa,bb,R",
         "0.5,0316,2,aa,bb,R",  # below the block's last_ts
     ]:
-        assert canlog._canonical_block([line + "\n"], 1.0) is None, line
-        assert canlog._canonical_block([good, line + "\n"], 1.0) is None, line
+        assert canonical_mask([line + "\n"], 1.0) == ([False], []), line
+        assert canonical_mask([good, line + "\n"], 1.0) == ([True, False], [good_frame]), line
 
 
 def test_canonical_timestamps_read_as_float_reads_them():
@@ -541,8 +608,22 @@ def test_canonical_timestamps_read_as_float_reads_them():
     values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
     lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
     assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
-    block = canlog._canonical_block(lines, -math.inf)
+    block, canonical, _ = canlog._canonical_lines("".join(lines), -math.inf)
+    assert canonical.all()
     assert block.timestamp.tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
+
+
+@given(st.text(alphabet="0123456789.e+-", min_size=1, max_size=34))
+@example("1e")
+@example("1e309")
+@example("-0.0")
+@settings(max_examples=300, deadline=None)
+def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
+    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n", -math.inf)
+    decimal = canlog._is_decimal(stamp) is not None and len(stamp) <= 32
+    assert canonical[0] == (decimal and math.isfinite(float(stamp)))
+    if canonical[0]:
+        assert block.timestamp.tobytes() == np.float64(float(stamp)).tobytes()
 
 
 @pytest.mark.parametrize("window, stride, undirected", [(10, 10, False), (40, 37, False), (10, 1, False), (10, 10, True), (7, 1, True)])

@@ -1,0 +1,38 @@
+"""The checkpoint writer against the per-value reference writer in helpers."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from canids.checkpoint import load_checkpoint, save_checkpoint
+from canids.gat import GatClassifier, GatConfig
+from canids.vgae import VgaeConfig, VgaeModel
+from helpers import per_value_save_checkpoint
+
+
+@pytest.mark.parametrize("preset", ["teacher", "student"])
+@pytest.mark.parametrize("model_type, config_type", [(GatClassifier, GatConfig), (VgaeModel, VgaeConfig)])
+def test_model_checkpoints_match_the_reference_bytes(tmp_path, model_type, config_type, preset):
+    model = model_type(getattr(config_type, preset)(), seed=3)
+    got, expected = tmp_path / "got.ckpt", tmp_path / "expected.ckpt"
+    model.save(got)
+    per_value_save_checkpoint(expected, model.kind, dataclasses.asdict(model.config), model.param_values())
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_every_shape_and_awkward_value_matches_the_reference_bytes(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(5))
+    params = {
+        "scalar": np.float64(-0.0),
+        "row": np.array([5e-324, -1.7976931348623157e308, 0.1, 1e16, 1.0, -2.5e-07]),
+        "matrix": rng.standard_normal((4, 3)),
+        "cube": rng.standard_normal((2, 3, 2)) * 10.0 ** rng.integers(-30, 30, (2, 3, 2)),
+        "ints": np.arange(6).reshape(2, 3),
+    }
+    got, expected = tmp_path / "got.ckpt", tmp_path / "expected.ckpt"
+    save_checkpoint(got, "demo", {"a": 1}, params)
+    per_value_save_checkpoint(expected, "demo", {"a": 1}, params)
+    assert got.read_bytes() == expected.read_bytes()
+    _, _, loaded = load_checkpoint(got)
+    assert all(np.asarray(params[k], dtype=np.float64).tobytes() == loaded[k].tobytes() for k in params)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from canids import graphs
 from canids.canlog import CanFrame, FrameBlock, Label
-from canids.errors import ConfigError, StateError
+from canids.errors import ConfigError, ParseError, StateError
 from canids.graphs import (
     WindowGraph,
     build_block_windows,
@@ -276,3 +276,22 @@ def test_block_builder_checks_window_and_stride():
     for w, stride in ((1, None), (3, 0), (3, 4)):
         with pytest.raises(ConfigError):
             list(build_block_windows([block], w, stride))
+
+
+@pytest.mark.parametrize("stride", [5, 1], ids=["block-path", "stride-one-path"])
+@pytest.mark.parametrize(
+    "can_id, dlc, payload, message",
+    [
+        (5000, 2, (1, 2), "can_id 5000 outside 11-bit range"),
+        (0x10, 9, (1,) * 9, r"dlc 9 outside \[0, 8\]"),
+        (0x10, 2, (1, 2, 3), "payload length 3 does not match dlc 2"),
+        (0x10, 2, (1, 300), r"payload byte outside \[0, 255\]"),
+    ],
+    ids=["id", "dlc", "payload-length", "byte"],
+)
+def test_frames_out_of_range_rejected_with_their_position(monkeypatch, stride, can_id, dlc, payload, message):
+    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 4)  # the bad frame is in the second block
+    frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
+    frames[7] = CanFrame(0.07, can_id, dlc, payload)
+    with pytest.raises(ParseError, match=f"^frame 7: {message}$"):
+        list(build_windows(frames, 5, stride))
