@@ -10,16 +10,16 @@ import numpy as np
 
 from canids import tensor as T
 from canids.gradcheck import relative_gradient_error
-from canids.losses import bce
-from canids.optim import Adam, Param, seeded_rng
+from canids.losses import bce_terms
+from canids.optim import Adam, Param
 from canids.tensor import Tensor
 
 # forward + backward through a tiny attention-ish expression
-rng = seeded_rng(0)
+rng = np.random.default_rng(0)
 x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
 w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
 scores = T.softmax(x @ w, axis=1)
-loss = bce(scores[:, 1], np.array([1.0, 0.0, 1.0, 0.0]))
+loss = bce_terms(scores[:, 1], np.array([1.0, 0.0, 1.0, 0.0])).mean()
 loss.backward()
 print("loss:", loss.item())
 print("dloss/dw:\n", w.grad)
@@ -31,7 +31,7 @@ print("\nd(a+a)/da =", a.grad[0], "(gradients accumulate, never overwrite)")
 
 # independent check: central finite differences vs the tape
 err = relative_gradient_error(
-    lambda xx, ww: bce(T.softmax(xx @ ww, axis=1)[:, 1], np.array([1.0, 0.0, 1.0, 0.0])),
+    lambda xx, ww: bce_terms(T.softmax(xx @ ww, axis=1)[:, 1], np.array([1.0, 0.0, 1.0, 0.0])).mean(),
     [x.values.copy(), w.values.copy()],
 )
 print(f"\nfinite-difference disagreement: {err:.2e}")

@@ -11,7 +11,7 @@ import numpy as np
 from canids.graphs import build_windows
 from canids.pipeline import roc_auc
 from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
-from canids.vgae import CompositeWeights, VgaeConfig, train_vgae, write_error_components_csv
+from canids.vgae import CompositeWeights, VgaeConfig, train_vgae
 
 ecus = [EcuSpec(0x110, 0.004, 1), EcuSpec(0x220, 0.008, 2), EcuSpec(0x330, 0.015, 3)]
 attacks = [
@@ -27,7 +27,7 @@ model, losses = train_vgae(benign[:150], VgaeConfig.student(), seed=11, epochs=3
 print(f"ELBO mean loss: {losses[0]:.3f} -> {losses[-1]:.3f} over {len(losses)} epochs")
 
 weights = CompositeWeights()  # alpha=1.0, beta=20.0, gamma=0.3
-scores = [model.composite_error(g, weights, seed=11) for g in graphs]
+scores = model.score_batch(graphs, weights, seed=11)
 labels = [g.label for g in graphs]
 att = [s for s, l in zip(scores, labels) if l == 1]
 ben = [s for s, l in zip(scores, labels) if l == 0]
@@ -38,5 +38,8 @@ print(f"ROC-AUC: {roc_auc(scores, labels):.4f}")
 ranked = model.reconstruction_rank(benign, weights, seed=11)
 print("hardest benign windows:", [g.window_start_index for g in ranked[:5]])
 
-write_error_components_csv(model, graphs, "demo_scores.csv", weights, seed=11)
-print("wrote demo_scores.csv (per-window error components for distribution plots)")
+# the three error terms behind the score of one benign and one attack window
+for g in (benign[0], next(g for g in graphs if g.label == 1)):
+    e_node, e_neighbor, e_canid = (t[0] for t in model.error_terms(g, seed=11))
+    print(f"window {g.window_start_index} (label {g.label}): "
+          f"E_node {e_node:.4f}  E_neighbor {e_neighbor:.4f}  E_CAN_ID {e_canid:.4f}")

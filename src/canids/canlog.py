@@ -430,6 +430,9 @@ def parse_generic_labeled_csv(
     missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
     if missing:
         raise ConfigError(f"column_map missing entries for {missing}")
+    negative = {name: i for name, i in column_map.items() if i < 0}
+    if negative:
+        raise ConfigError(f"column_map indices must be >= 0, got {negative}")
     if not 2 <= id_base <= 36:
         raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
     is_id = _digits_of(id_base)

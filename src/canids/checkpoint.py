@@ -31,7 +31,7 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]
             arr = np.asarray(arr, dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name} {dims}".rstrip() + "\n")
-            rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
+            rows = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])) if arr.ndim > 1 else arr.reshape(1, -1)
             for row in rows.tolist():
                 fh.write(" ".join(map(repr, row)) + "\n")
         fh.write("end\n")
@@ -61,6 +61,8 @@ def load_checkpoint(path):
                 if len(parts) < 2 or parts[0] != "param":
                     raise ParseError(f"{path}: expected param record, got {line.strip()!r}", line=lineno)
                 name = parts[1]
+                if name in params:
+                    raise ParseError(f"{path}: param {name} listed twice", line=lineno)
                 shape = tuple(int(d) for d in parts[2:])
                 # one line per leading row; 1-d and scalar params are a single line
                 n_lines = shape[0] if len(shape) > 1 else 1

@@ -118,7 +118,7 @@ def _parse_column_map(text: str) -> dict[str, int]:
             name, idx = part.split("=")
             out[name.strip()] = int(idx)
     except ValueError:
-        raise UsageError(f"bad --column-map {text!r}; expected ts=0,id=1,dlc=2,data=3,label=11") from None
+        raise UsageError(f"bad --column-map {text!r}; expected timestamp=0,id=1,dlc=2,data=3,label=11") from None
     return out
 
 
@@ -420,7 +420,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if p := add_command("ingest", help="parse a CAN log and emit the canonical CSV layout"):
         p.add_argument("path")
         p.add_argument("--format", choices=["car-hacking", "generic"], default="car-hacking")
-        p.add_argument("--column-map", dest="column_map", help="ts=0,id=1,dlc=2,data=3,label=11")
+        p.add_argument("--column-map", dest="column_map", help="timestamp=0,id=1,dlc=2,data=3,label=11")
         p.add_argument("--attack-markers", dest="attack_markers", default="T,1")
         p.add_argument("--id-base", dest="id_base", type=int, default=16)
         p.add_argument("--seed", type=int, default=0)

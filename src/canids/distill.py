@@ -31,7 +31,6 @@ from .vgae import LatentState, VgaeConfig, VgaeModel
 class KdConfig:
     temperature: float = 4.0
     hard_weight: float = 0.5  # alpha: balance of ground truth vs teacher signal
-    tau_squared: bool = True  # rescale the soft term by tau^2 (off for fidelity runs)
 
     def __post_init__(self):
         require_finite("temperature", self.temperature, positive=True)
@@ -60,9 +59,7 @@ def kd_classifier_loss(student_logits, teacher_logits, hard_label, cfg: KdConfig
     a, tau = cfg.hard_weight, cfg.temperature
     hard = cross_entropy(student_logits, hard_label)
     soft = kl_categorical(soften(student_logits, tau), soften(teacher_logits.detach(), tau))
-    if cfg.tau_squared:
-        soft = (tau * tau) * soft
-    return a * hard + (1.0 - a) * soft
+    return a * hard + (1.0 - a) * ((tau * tau) * soft)
 
 
 class LatentProjection:
@@ -166,7 +163,7 @@ def distill_pipeline(
         for g in batch.graphs:
             if g.window_start_index not in teacher_latents:
                 with no_grad():
-                    latent = teacher_vgae.encode(teacher_vgae.prepare(g))
+                    latent = teacher_vgae.encode(prepare_graph(g))
                 teacher_latents[g.window_start_index] = (latent.mu.values, latent.log_sigma.values)
         cached = [teacher_latents[g.window_start_index] for g in batch.graphs]
         teacher = LatentState(

@@ -85,7 +85,7 @@ class GraphBatch:
     log_w: np.ndarray  # (len(src), 1), added to attention logits
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    id_buckets: np.ndarray  # can_id modulo bucket count, for the VGAE decoder
+    node_ids: np.ndarray  # (num_nodes,) int64 CAN IDs
     graph_index: np.ndarray  # (num_nodes,) batch position of each node's graph
     node_counts: np.ndarray  # (num_graphs,)
     _src_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
@@ -146,13 +146,13 @@ class GraphBatch:
             log_w=joined("log_w"),
             edge_src=joined("edge_src", offsets),
             edge_dst=joined("edge_dst", offsets),
-            id_buckets=joined("id_buckets"),
+            node_ids=joined("node_ids"),
             graph_index=joined("graph_index", firsts),
             node_counts=joined("node_counts"),
         )
 
 
-def prepare_graph(graph: WindowGraph, id_bucket_count: int = 256) -> GraphBatch:
+def prepare_graph(graph: WindowGraph) -> GraphBatch:
     """One window as a batch of one."""
     n = graph.num_nodes
     if n == 0:
@@ -175,15 +175,15 @@ def prepare_graph(graph: WindowGraph, id_bucket_count: int = 256) -> GraphBatch:
         log_w=np.log(w)[:, None],
         edge_src=graph.edge_src,
         edge_dst=graph.edge_dst,
-        id_buckets=np.asarray(graph.node_ids, dtype=np.int64) % id_bucket_count,
+        node_ids=np.asarray(graph.node_ids, dtype=np.int64),
         graph_index=np.zeros(n, dtype=np.int64),
         node_counts=np.array([n], dtype=np.int64),
     )
 
 
-def as_batch(graph, id_bucket_count: int = 256) -> GraphBatch:
+def as_batch(graph) -> GraphBatch:
     """A GraphBatch passes through; a WindowGraph becomes a batch of one."""
-    return graph if isinstance(graph, GraphBatch) else prepare_graph(graph, id_bucket_count)
+    return graph if isinstance(graph, GraphBatch) else prepare_graph(graph)
 
 
 def layer_shapes(name: str, d_in: int, heads: int, d_head: int, agg: str) -> dict[str, tuple]:

@@ -42,17 +42,6 @@ def bce_terms(pred, target) -> Tensor:
     return _make(out_v, (pred,), backward)
 
 
-def bce(pred, target) -> Tensor:
-    """Mean binary cross-entropy; ``pred`` holds probabilities."""
-    return bce_terms(pred, target).mean()
-
-
-def mse(pred, target) -> Tensor:
-    pred, target = as_tensor(pred), as_tensor(target)
-    _check_same_shape("mse", pred, target)
-    return ((pred - target.values) ** 2).mean()
-
-
 def cross_entropy_terms(logits, class_index) -> Tensor:
     """Per-row negative log-likelihood of the given class under softmax(logits).
 

@@ -21,11 +21,6 @@ class Param:
     tensor: Tensor
 
 
-def seeded_rng(seed) -> np.random.Generator:
-    """Deterministic generator; the same seed always yields the same stream."""
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def derive_seed(root_seed: int, *components: int) -> np.random.Generator:
     """Independent deterministic stream keyed on (root_seed, components)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([root_seed, *components])))

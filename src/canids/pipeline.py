@@ -195,15 +195,15 @@ def score_windows(
 ) -> list[ScoredWindow]:
     """Score a stream with frozen models and fuse per the configured weights.
 
-    Each window is prepared once. The VGAE scores the prepared windows in
-    chunks of at most SCORE_CHUNK (VgaeModel.score_all), and each window's
-    score equals its batch-of-one score bit for bit. The GAT scores one
+    Each window is prepared once and serves both models. VgaeModel.score_batch
+    scores the prepared windows, each equal bit for bit to its batch-of-one
+    score, in GraphBatches of at most SCORE_CHUNK. The GAT scores one
     window per call, because the benchmark's teacher hook
     (``bench/spans.py``, ``Tracer.watch_teacher``) reads a batch of one.
     """
     w_a, w_g = options.fusion_weights
-    preps = [prepare_graph(g, vgae_model.config.id_buckets) for g in graphs]
-    raws = vgae_model.score_all(preps, options.composite_weights, seed, options.score_mode)
+    preps = [prepare_graph(g) for g in graphs]
+    raws = vgae_model.score_batch(preps, options.composite_weights, seed, options.score_mode)
     scored = []
     for prep, raw in zip(preps, raws):
         v_prob = calibration(raw)
@@ -242,7 +242,7 @@ def score_split(
     fused metrics come back as one block.
     """
     calibration = calibrate_vgae(
-        vgae_model.score_all(
+        vgae_model.score_batch(
             [g for g in val_part if g.label == 0], options.composite_weights, seed, options.score_mode
         ),
         *options.calibration_quantiles,

@@ -123,9 +123,6 @@ class VgaeModel(ParamModel):
     def _lin(self, x: Tensor, weight: str, bias: str) -> Tensor:
         return T.linear(x, self.table[weight].tensor, self.table[bias].tensor)
 
-    def prepare(self, graph) -> GraphBatch:
-        return as_batch(graph, self.config.id_buckets)
-
     def encode(self, prep: GraphBatch, training: bool = False, rng=None, noise=None) -> LatentState:
         """Posterior parameters for every node; z is sampled only in training.
 
@@ -188,7 +185,7 @@ class VgaeModel(ParamModel):
         derive_seed(seed, _SEED_NEG_SCORE, window_start_index), so a
         window's entries equal its batch-of-one entries bit for bit.
         """
-        batch = self.prepare(batch)
+        batch = as_batch(batch)
         run = _without_one_row_products(batch)
         rngs = [derive_seed(seed, _SEED_NEG_SCORE, start) for start in run.window_starts]
         with no_grad():
@@ -196,60 +193,39 @@ class VgaeModel(ParamModel):
         return tuple(t.values[: batch.num_graphs] for t in terms)
 
     def score_batch(
-        self, batch, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
-    ) -> list[float]:
-        """One anomaly score per window of ``batch``, each equal bit for bit to its batch-of-one score.
-
-        ``composite`` combines error_terms; ``adjacency_l2`` is the Frobenius
-        norm of (binary adjacency - decoded adjacency) per window, for
-        ablation, with the per-edge decoder read at all n x n pairs.
-        """
-        if score_mode == "composite":
-            return [combine_errors(weights, *e) for e in zip(*(t.tolist() for t in self.error_terms(batch, seed)))]
-        if score_mode != "adjacency_l2":
-            raise ConfigError(f"unknown score_mode {score_mode!r}")
-        batch = self.prepare(batch)
-        with no_grad():
-            z = self.posterior_mean(_without_one_row_products(batch)).values
-        scores = []
-        for g, lo in zip(batch.graphs, np.cumsum(batch.node_counts) - batch.node_counts):
-            n = g.num_nodes
-            rows, cols = np.divmod(np.arange(n * n), n)
-            adj = T.sigmoid_inner_product(z[lo : lo + n], rows, cols).values.reshape(n, n)
-            a = np.zeros((n, n))
-            a[g.edge_src, g.edge_dst] = 1.0
-            scores.append(float(np.linalg.norm(a - adj)))
-        return scores
-
-    def score_all(
         self, graphs, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
     ) -> list[float]:
-        """score_batch over windows (or their batches of one) in chunks of at most SCORE_CHUNK windows."""
-        preps = [self.prepare(g) for g in graphs]
-        return [
-            s
-            for lo in range(0, len(preps), SCORE_CHUNK)
-            for s in self.score_batch(GraphBatch.concat(preps[lo : lo + SCORE_CHUNK]), weights, seed, score_mode)
-        ]
+        """One anomaly score per window of ``graphs``, each equal bit for bit to its batch-of-one score.
 
-    def reconstruction_errors(self, prep, seed: int) -> tuple[float, float, float]:
-        """(E_node, E_neighbor, E_CAN_ID) of one window: error_terms of a batch of one.
-
-        The neighborhood term is the mean BCE of the decoded edge
-        probabilities over the window's observed edges plus an equal count
-        of non-edges sampled from a per-window stream derived from ``seed``.
+        ``graphs`` holds windows or their prepared batches of one, scored in
+        GraphBatches of at most SCORE_CHUNK windows. ``composite`` combines
+        error_terms; ``adjacency_l2`` is the Frobenius norm of (binary
+        adjacency - decoded adjacency) per window, for ablation, with the
+        per-edge decoder read at all n x n pairs.
         """
-        return tuple(t.item(0) for t in self.error_terms(prep, seed))
-
-    def composite_error(self, prep, weights: CompositeWeights = CompositeWeights(), seed: int = 0) -> float:
-        return self.score_batch(prep, weights, seed)[0]
-
-    def adjacency_l2(self, prep) -> float:
-        """Frobenius norm of (binary adjacency - decoded adjacency) of one window, for ablation."""
-        return self.score_batch(prep, score_mode="adjacency_l2")[0]
+        if score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score_mode {score_mode!r}")
+        preps = [as_batch(g) for g in graphs]
+        scores = []
+        for lo in range(0, len(preps), SCORE_CHUNK):
+            batch = GraphBatch.concat(preps[lo : lo + SCORE_CHUNK])
+            if score_mode == "composite":
+                terms = self.error_terms(batch, seed)
+                scores += [combine_errors(weights, *e) for e in zip(*(t.tolist() for t in terms))]
+                continue
+            with no_grad():
+                z = self.posterior_mean(_without_one_row_products(batch)).values
+            for g, row in zip(batch.graphs, np.cumsum(batch.node_counts) - batch.node_counts):
+                n = g.num_nodes
+                rows, cols = np.divmod(np.arange(n * n), n)
+                adj = T.sigmoid_inner_product(z[row : row + n], rows, cols).values.reshape(n, n)
+                a = np.zeros((n, n))
+                a[g.edge_src, g.edge_dst] = 1.0
+                scores.append(float(np.linalg.norm(a - adj)))
+        return scores
 
     def score(self, prep, weights: CompositeWeights, seed: int, score_mode: str = "composite") -> float:
-        return self.score_batch(prep, weights, seed, score_mode)[0]
+        return self.score_batch([prep], weights, seed, score_mode)[0]
 
     def reconstruction_rank(
         self,
@@ -269,7 +245,7 @@ class VgaeModel(ParamModel):
         bad = [g.window_start_index for g in graphs if g.label != 0]
         if bad:
             raise ConfigError(f"reconstruction_rank expects normal windows; attack at {bad[:5]}")
-        scores = self.score_all(graphs, weights, seed, score_mode)
+        scores = self.score_batch(graphs, weights, seed, score_mode)
         order = sorted(range(len(graphs)), key=lambda i: (-scores[i], graphs[i].window_start_index))
         return [graphs[i] for i in order]
 
@@ -282,16 +258,6 @@ def _without_one_row_products(batch: GraphBatch) -> GraphBatch:
     bits it gets inside any larger batch. Callers keep the first copy's rows.
     """
     return GraphBatch.concat([batch, batch]) if batch.num_nodes == 1 else batch
-
-
-def write_error_components_csv(model: VgaeModel, graphs, path, weights: CompositeWeights = CompositeWeights(), seed: int = 0):
-    """Per-window error breakdown for score-distribution analysis."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("window_start_index,e_node,e_neighbor,e_can_id,composite\n")
-        for g in graphs:
-            e_node, e_neighbor, e_canid = model.reconstruction_errors(g, seed)
-            composite = combine_errors(weights, e_node, e_neighbor, e_canid)
-            fh.write(f"{g.window_start_index},{e_node!r},{e_neighbor!r},{e_canid!r},{composite!r}\n")
 
 
 def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> tuple[Tensor, Tensor, Tensor]:
@@ -319,7 +285,8 @@ def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> 
         bce_terms(probs, targets), edge_seg, np.bincount(edge_seg, minlength=batch.num_graphs)
     )
     e_node = T.segment_mean(((decoded.features - batch.x.values) ** 2).mean(axis=1), seg, counts)
-    e_canid = T.segment_mean(cross_entropy_terms(decoded.id_logits, batch.id_buckets), seg, counts)
+    buckets = batch.node_ids % decoded.id_logits.shape[1]  # the ID decoder's classes
+    e_canid = T.segment_mean(cross_entropy_terms(decoded.id_logits, buckets), seg, counts)
     return e_node, e_neighbor, e_canid
 
 
@@ -366,7 +333,7 @@ def train_vgae(
     if any(g.label != 0 for g in graphs):
         raise ConfigError("train_vgae: attack-labeled windows in training set; stage 1 is normal-only")
     model = VgaeModel(config, seed=seed)
-    preps = [model.prepare(g) for g in graphs]
+    preps = [as_batch(g) for g in graphs]
     opt = Adam(list(model.params()) + list(extra_params), lr=lr)
     noise_rng = derive_seed(seed, _SEED_NOISE)
     neg_rng = derive_seed(seed, _SEED_NEG_TRAIN)

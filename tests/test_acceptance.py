@@ -14,7 +14,7 @@ from canids.distill import KdConfig, LatentProjection, distill_pipeline, kd_clas
 from canids.gat import GatClassifier, GatConfig, gat_layer, prepare_graph
 from canids.graphs import build_windows
 from canids.losses import cross_entropy
-from canids.optim import count_params, seeded_rng
+from canids.optim import count_params
 from canids.pipeline import Metrics, fuse, run_two_stage
 from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
 from canids.tensor import Tensor
@@ -134,7 +134,7 @@ def test_criterion_02_gradient_checks():
     for i in range(20):
         g = small_graphs[i % len(small_graphs)]
         prep = prepare_graph(g)
-        params = init_layer(seeded_rng(i), 3, 2, 3, "concat")
+        params = init_layer(np.random.default_rng(i), 3, 2, 3, "concat")
         worst = max(worst, model_gradient_error(
             list(params),
             lambda: (gat_layer(Tensor(g.node_features), prep, params, 2, 3, 0.2, "concat") ** 2).mean(),
@@ -144,16 +144,16 @@ def test_criterion_02_gradient_checks():
     for i in range(20):
         g = small_graphs[i % len(small_graphs)]
         model = VgaeModel(tiny_vgae, seed=i)
-        prep = model.prepare(g)
+        prep = prepare_graph(g)
 
         def encoder_loss():
             latent = model.encode(prep)
             return (latent.mu**2).mean() + (latent.log_sigma**2).mean()
 
         def elbo():
-            noise = seeded_rng(1000 + i).standard_normal((g.num_nodes, tiny_vgae.latent_dim))
+            noise = np.random.default_rng(1000 + i).standard_normal((g.num_nodes, tiny_vgae.latent_dim))
             latent = model.encode(prep, training=True, noise=noise)
-            return model.elbo_loss(prep, latent, model.decode(latent.z), seeded_rng(2000 + i))
+            return model.elbo_loss(prep, latent, model.decode(latent.z), np.random.default_rng(2000 + i))
 
         worst = max(worst, model_gradient_error(model.params(), encoder_loss))
         worst = max(worst, model_gradient_error(model.params(), elbo))
@@ -291,8 +291,8 @@ def test_criterion_09_composite_weighting(teacher_run, benchmark_graphs):
     result, _ = teacher_run
     _, test = benchmark_graphs
     g = test[0]
-    base = result.vgae_model.composite_error(g, CompositeWeights(beta=20.0), seed=SEED)
-    bumped = result.vgae_model.composite_error(g, CompositeWeights(beta=21.0), seed=SEED)
+    base = result.vgae_model.score(g, CompositeWeights(beta=20.0), SEED)
+    bumped = result.vgae_model.score(g, CompositeWeights(beta=21.0), SEED)
     ok = exact and bumped > base
     report_line(
         "crit-09 composite-weighting", ok,

@@ -15,7 +15,6 @@ from canids.errors import StateError
 from canids.gat import GatClassifier, GatConfig, GraphBatch, prepare_graph, train_supervised
 from canids.graphs import build_windows
 from canids.losses import cross_entropy
-from canids.optim import seeded_rng
 from canids.synth import EcuSpec, generate_synthetic_log
 from canids.tensor import Tensor, no_grad
 from canids.vgae import LatentState, VgaeConfig, VgaeModel, train_vgae
@@ -96,16 +95,16 @@ def test_kd_classifier_loss_batch_equals_mean_of_singles(windows, preset):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_vgae_elbo_batch_equals_mean_of_singles(benign_graphs, preset):
     model = VgaeModel(getattr(VgaeConfig, preset)(), seed=6)
-    preps = [model.prepare(g) for g in benign_graphs[:8]]
+    preps = [prepare_graph(g) for g in benign_graphs[:8]]
     batch = GraphBatch.concat(preps)
 
     def batched():
         # one noise draw and one negative stream for the whole batch
-        latent = model.encode(batch, training=True, rng=seeded_rng(1))
-        return model.elbo_loss(batch, latent, model.decode(latent.z), seeded_rng(2))
+        latent = model.encode(batch, training=True, rng=np.random.default_rng(1))
+        return model.elbo_loss(batch, latent, model.decode(latent.z), np.random.default_rng(2))
 
     def per_window():
-        noise_rng, neg_rng = seeded_rng(1), seeded_rng(2)
+        noise_rng, neg_rng = np.random.default_rng(1), np.random.default_rng(2)
 
         def term(_, prep):
             latent = model.encode(prep, training=True, rng=noise_rng)
@@ -122,9 +121,9 @@ def test_latent_hint_batch_equals_mean_of_singles(benign_graphs, preset):
     student = VgaeModel(getattr(VgaeConfig, preset)(), seed=8)
     projection = LatentProjection(student.config.latent_dim, teacher.config.latent_dim, seed=9)
     graphs = benign_graphs[10:18]
-    preps = [student.prepare(g) for g in graphs]
+    preps = [prepare_graph(g) for g in graphs]
     with no_grad():
-        teacher_latents = [teacher.encode(teacher.prepare(g)) for g in graphs]
+        teacher_latents = [teacher.encode(prepare_graph(g)) for g in graphs]
     joined = LatentState(
         mu=Tensor(np.concatenate([t.mu.values for t in teacher_latents])),
         log_sigma=Tensor(np.concatenate([t.log_sigma.values for t in teacher_latents])),
@@ -194,12 +193,12 @@ def test_batched_gradient_checks(small_batch):
         worst = max(worst, model_gradient_error(gat.params(), lambda: cross_entropy(gat.forward(batch)[1], labels)))
 
         vgae = VgaeModel(tiny_vgae, seed=i)
-        vbatch = GraphBatch.concat(vgae.prepare(g) for g in small_batch)
-        noise = seeded_rng(1000 + i).standard_normal((vbatch.num_nodes, tiny_vgae.latent_dim))
+        vbatch = GraphBatch.concat(prepare_graph(g) for g in small_batch)
+        noise = np.random.default_rng(1000 + i).standard_normal((vbatch.num_nodes, tiny_vgae.latent_dim))
 
         def elbo():
             latent = vgae.encode(vbatch, training=True, noise=noise)
-            return vgae.elbo_loss(vbatch, latent, vgae.decode(latent.z), seeded_rng(2000 + i))
+            return vgae.elbo_loss(vbatch, latent, vgae.decode(latent.z), np.random.default_rng(2000 + i))
 
         worst = max(worst, model_gradient_error(vgae.params(), elbo))
 

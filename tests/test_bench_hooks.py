@@ -108,5 +108,4 @@ def test_teacher_calls_get_a_batch_of_one_with_its_graph():
     g = WindowGraph([1, 2], np.array([[0.1, 0.5, 0.2], [0.3, 0.5, 0.1]]), np.array([0]), np.array([1]),
                     np.array([1.0]), 0, 0)
     assert prepare_graph(g).graph is g
-    assert VgaeModel(vgae.VgaeConfig.student()).prepare(g).graph is g
     assert isinstance(prepare_graph(g), gat.GraphBatch)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from canids.checkpoint import load_checkpoint, save_checkpoint
+from canids.errors import ParseError
 from canids.gat import GatClassifier, GatConfig
 from canids.vgae import VgaeConfig, VgaeModel
 from helpers import per_value_save_checkpoint
@@ -36,3 +37,21 @@ def test_every_shape_and_awkward_value_matches_the_reference_bytes(tmp_path):
     assert got.read_bytes() == expected.read_bytes()
     _, _, loaded = load_checkpoint(got)
     assert all(np.asarray(params[k], dtype=np.float64).tobytes() == loaded[k].tobytes() for k in params)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2), (3, 0), (0,), ()])
+def test_empty_and_scalar_shapes_round_trip(tmp_path, shape):
+    path = tmp_path / "empty.ckpt"
+    save_checkpoint(path, "demo", {}, {"w": np.zeros(shape), "b": np.array([1.5])})
+    _, _, loaded = load_checkpoint(path)
+    assert loaded["w"].shape == shape and loaded["b"].tolist() == [1.5]
+
+
+def test_repeated_param_record_is_parse_error(tmp_path):
+    path = tmp_path / "twice.ckpt"
+    save_checkpoint(path, "demo", {}, {"w": np.array([[1.0, 2.0]]), "b": np.array([0.5])})
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[-1] == "end\n"
+    path.write_text("".join(lines[:-1] + ["param w 1 2\n", "9.0 9.0\n", "end\n"]))
+    with pytest.raises(ParseError, match=rf"^line {len(lines)}: .*param w listed twice"):
+        load_checkpoint(path)

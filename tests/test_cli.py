@@ -1,4 +1,5 @@
 import json
+import random
 import os
 import subprocess
 import sys
@@ -6,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from canids.cli import _output_lock, main
+from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
-from canids.graphs import load_graph_cache
+from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
 
@@ -127,6 +128,31 @@ def test_ingest_generic_normalizes(tmp_path, capsys):
         "frames": 2, "attack_frames": 1, "distinct_ids": 2, "out": str(out),
     }
     assert out.read_text() == "0.5,0316,2,aa,bb,T\n0.6,0100,2,7f,01,R\n"
+
+
+def test_ingest_generic_documented_column_map_example_works(tmp_path, capsys):
+    ingest = build_parser("ingest").canids_subparsers["ingest"]
+    example = next(a.help for a in ingest._actions if a.dest == "column_map")
+    raw = tmp_path / "raw.csv"
+    raw.write_text("0.5,316,2,aa,bb,0,0,0,0,0,0,T\n0.6,100,8,7f,01,02,03,04,05,06,07,R\n")
+    code, _, err = run_cli(capsys, "ingest", raw, "--format", "generic", "--column-map", "nonsense")
+    assert code == 2 and err.rstrip().endswith(f"expected {example}")
+    out = tmp_path / "norm.csv"
+    code, stdout, _ = run_cli(capsys, "ingest", raw, "--format", "generic", "--column-map", example, "--out", out)
+    assert code == 0 and json.loads(stdout)["frames"] == 2
+    assert out.read_text() == "0.5,0316,2,aa,bb,T\n0.6,0100,8,7f,01,02,03,04,05,06,07,R\n"
+
+
+@pytest.mark.parametrize("column_map", ["timestamp=0,id=1,dlc=2,data=-1,label=5", "timestamp=0,id=-5,dlc=2,data=3,label=5"])
+def test_ingest_generic_negative_column_index_is_config_error(tmp_path, capsys, column_map):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("1.0,316,2,aa,bb,R\n")
+    out = tmp_path / "norm.csv"
+    code, stdout, err = run_cli(capsys, "ingest", raw, "--format", "generic", "--column-map", column_map, "--out", out)
+    assert code == 2 and stdout == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(errors) == 1 and errors[0].startswith("canids-error category=config") and ">= 0" in errors[0]
+    assert not out.exists()
 
 
 def test_ingest_car_hacking_summary(tmp_path, synth_cfg, capsys):
@@ -840,3 +866,76 @@ def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
         capsys, "train-vgae", "--config", bad, "--graphs", small_run / "train.cache", "--out", tmp_path / "v.ckpt"
     )
     assert code == 2 and err.startswith("canids-error category=config")
+
+
+# ---------------------------------------------------------------- checkpoint and scores mutation sweep
+
+ARTIFACT_MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "-inf", "1_0", "é", "")
+
+
+def mutate_artifact(rng: random.Random, text: str, kind: str, sep: str) -> bytes:
+    """One mutation of a checkpoint's or scores file's text: a cut, a flipped bit, a dropped, copied or
+    blanked line, two swapped ``sep``-separated fields, a repeated ``param`` record, or a field replaced
+    by ``nan``, ``1e309``, ``-inf``, ``1_0``, ``é`` or nothing."""
+    if kind == "truncate":
+        return text[: rng.randrange(len(text))].encode()
+    if kind == "flip":
+        data = bytearray(text.encode())
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(data)
+    lines = text.split("\n")[:-1]
+    k = rng.randrange(len(lines))
+    fields = lines[k].split(sep)
+    if kind == "param":  # a whole record again, before another record or the end marker
+        heads = [i for i, line in enumerate(lines) if line.startswith("param ") or line == "end"]
+        at = rng.randrange(len(heads) - 1)
+        record = lines[heads[at] : heads[at + 1]]
+        to = rng.choice(heads[at + 1 :])
+        lines[to:to] = record
+    elif kind == "drop":
+        del lines[k]
+    elif kind == "copy":
+        lines.insert(rng.randrange(len(lines) + 1), lines[k])
+    elif kind == "blank":
+        lines[k] = ""
+    elif kind == "swap" and len(fields) > 1:
+        i, j = rng.sample(range(len(fields)), 2)
+        fields[i], fields[j] = fields[j], fields[i]
+        lines[k] = sep.join(fields)
+    elif kind != "swap":
+        fields[rng.randrange(len(fields))] = kind
+        lines[k] = sep.join(fields)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def test_checkpoint_and_scores_mutation_sweep(small_run, tmp_path, capsys):
+    """Every mutant of a VGAE checkpoint, a GAT checkpoint and a scores file exits 0, or 1 or 2 with one
+    canids-error line and no traceback, in undersample, export-embeddings and evaluate."""
+    cache = tmp_path / "few.cache"
+    save_graph_cache(load_graph_cache(small_run / "train.cache")[:60], cache)
+    scores = tmp_path / "scores.csv"
+    write_scores_csv([ScoredWindow(i * 100, 0.5 * i, i / 9, 1 - i / 9, 0.5, i % 2, i // 5) for i in range(10)], scores)
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    commands = {
+        "vgae.ckpt": (" ", ["undersample", "--graphs", cache, "--vgae", bad, "--ratio", 4, "--out", out]),
+        "gat.ckpt": (" ", ["export-embeddings", "--graphs", cache, "--gat", bad, "--out", out]),
+        "scores.csv": (",", ["evaluate", "--scores", bad]),
+    }
+    rng = random.Random(2026)
+    exits = []
+    for artifact, (sep, argv) in commands.items():
+        text = (scores if artifact == "scores.csv" else small_run / artifact).read_text()
+        bad.write_text(text)
+        assert run_cli(capsys, *argv)[0] == 0, artifact
+        kinds = ARTIFACT_MUTATIONS + (("param",) if artifact.endswith(".ckpt") else ())
+        for kind in kinds * 4:
+            bad.write_bytes(mutate_artifact(rng, text, kind, sep))
+            out.unlink(missing_ok=True)
+            code, _, err = run_cli(capsys, *argv)
+            exits.append(code)
+            assert code == 1 or kind != "param"  # a repeated record is never read past
+            if code != 0:
+                assert code in (1, 2) and "Traceback" not in err, (artifact, kind, err)
+                assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, (artifact, kind, err)
+                assert not out.exists()
+    assert len(exits) == 152 and 0 in exits and 1 in exits

@@ -15,7 +15,7 @@ from canids.distill import (
 )
 from canids.errors import ConfigError, DimensionError
 from canids.gat import GatClassifier, GatConfig
-from canids.losses import cross_entropy
+from canids.losses import cross_entropy, kl_categorical
 from canids.pipeline import PipelineOptions, run_two_stage
 from canids.tensor import Tensor
 from canids.vgae import LatentState, VgaeConfig, VgaeModel
@@ -86,14 +86,12 @@ def test_kd_loss_nonnegative_random():
         assert v >= -1e-12
 
 
-def test_kd_loss_tau_squared_flag():
+def test_kd_loss_scales_soft_term_by_tau_sq():
     s = np.array([1.2, -0.4])
     t = np.array([0.8, 0.1])
-    cfg_on = KdConfig(hard_weight=0.0, temperature=4.0)
-    cfg_off = KdConfig(hard_weight=0.0, temperature=4.0, tau_squared=False)
-    on = kd_classifier_loss(s, t, 0, cfg_on).item()
-    off = kd_classifier_loss(s, t, 0, cfg_off).item()
-    assert abs(on - 16.0 * off) < 1e-12
+    on = kd_classifier_loss(s, t, 0, KdConfig(hard_weight=0.0, temperature=4.0)).item()
+    soft = kl_categorical(soften(s, 4.0), soften(t, 4.0)).item()
+    assert abs(on - 16.0 * soft) < 1e-12
 
 
 def test_kd_loss_arity_mismatch():

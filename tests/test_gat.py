@@ -19,7 +19,7 @@ from canids.gat import (
 )
 from canids.graphs import WindowGraph, build_windows
 from canids.metrics import Metrics
-from canids.optim import count_params, init_params, seeded_rng
+from canids.optim import count_params, init_params
 from canids.tensor import Tensor
 from helpers import model_gradient_error, random_frames
 
@@ -60,7 +60,7 @@ def permute_graph(g, perm):
 def test_single_self_edge_attention_is_one():
     g = make_graph([5], [[0.1, 1.0, 0.4]], [(0, 0, 1.0)])
     prep = prepare_graph(g)
-    rng = seeded_rng(0)
+    rng = np.random.default_rng(0)
     params = init_layer(rng, 3, 2, 4, "concat")
     attn = []
     out = gat_layer(Tensor(g.node_features), prep, params, 2, 4, 0.2, "concat", attn)
@@ -98,7 +98,7 @@ def test_layer_gradient_on_random_graph():
     for _ in range(5):
         g = random_graph(rng)
         prep = prepare_graph(g)
-        params = init_layer(seeded_rng(3), 3, 2, 3, "concat")
+        params = init_layer(np.random.default_rng(3), 3, 2, 3, "concat")
 
         def loss():
             out = gat_layer(Tensor(g.node_features), prep, params, 2, 3, 0.2, "concat")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from canids.errors import ConfigError, StateError
 from canids.gat import GraphBatch, prepare_graph
 from canids.graphs import WindowGraph
-from canids.optim import count_params, seeded_rng
+from canids.optim import count_params
 from canids.tensor import Tensor
 from canids.vgae import (
     CompositeWeights,
@@ -18,7 +18,6 @@ from canids.vgae import (
     combine_errors,
     sample_non_edges,
     train_vgae,
-    write_error_components_csv,
 )
 from helpers import model_gradient_error, one_id_window
 
@@ -33,22 +32,22 @@ def one_node_graph():
 
 def test_encode_shapes_one_node():
     model = VgaeModel(TINY, seed=1)
-    latent = model.encode(model.prepare(one_node_graph()))
+    latent = model.encode(prepare_graph(one_node_graph()))
     assert latent.mu.shape == (1, 3)
     assert latent.log_sigma.shape == (1, 3)
 
 
 def test_inference_z_equals_mu(benign_graphs):
     model = VgaeModel(TINY, seed=1)
-    latent = model.encode(model.prepare(benign_graphs[0]))
+    latent = model.encode(prepare_graph(benign_graphs[0]))
     assert np.array_equal(latent.z.values, latent.mu.values)
 
 
 def test_training_sample_deterministic(benign_graphs):
     model = VgaeModel(TINY, seed=1)
-    prep = model.prepare(benign_graphs[0])
-    za = model.encode(prep, training=True, rng=seeded_rng(3)).z.values
-    zb = model.encode(prep, training=True, rng=seeded_rng(3)).z.values
+    prep = prepare_graph(benign_graphs[0])
+    za = model.encode(prep, training=True, rng=np.random.default_rng(3)).z.values
+    zb = model.encode(prep, training=True, rng=np.random.default_rng(3)).z.values
     assert np.array_equal(za, zb)
     assert not np.array_equal(za, model.encode(prep).z.values)
 
@@ -56,7 +55,7 @@ def test_training_sample_deterministic(benign_graphs):
 def test_encoder_shape_depends_only_on_node_count(benign_graphs, mixed_graphs):
     model = VgaeModel(TINY, seed=2)
     for g in [benign_graphs[0], mixed_graphs[0], mixed_graphs[-1]]:
-        latent = model.encode(model.prepare(g))
+        latent = model.encode(prepare_graph(g))
         assert latent.mu.shape == (g.num_nodes, TINY.latent_dim)
 
 
@@ -84,17 +83,17 @@ def test_adjacency_l2_matches_dense_formula(config, mixed_graphs):
     """adjacency_l2 reads the per-edge decoder; the dense sigmoid(z @ z.T) is the reference here."""
     model = VgaeModel(config, seed=3)
     for g in mixed_graphs[::25] + [one_node_graph()]:
-        prep = model.prepare(g)
+        prep = prepare_graph(g)
         z = model.posterior_mean(prep).values
         a = np.zeros((g.num_nodes, g.num_nodes))
         a[g.edge_src, g.edge_dst] = 1.0
         want = float(np.linalg.norm(a - 1.0 / (1.0 + np.exp(-(z @ z.T)))))
-        assert abs(model.adjacency_l2(g) - want) <= 1e-12 * want
+        assert abs(model.score(g, CompositeWeights(), 0, "adjacency_l2") - want) <= 1e-12 * want
 
 
 def test_decode_features_contract(benign_graphs):
     model = VgaeModel(VgaeConfig(2, 2, 16, 8, id_buckets=256), seed=1)
-    prep = model.prepare(benign_graphs[0])
+    prep = prepare_graph(benign_graphs[0])
     latent = model.encode(prep)
     feats, id_logits = model.decode_features(latent.z)
     n = benign_graphs[0].num_nodes
@@ -118,38 +117,38 @@ def test_elbo_near_zero_for_perfect_reconstruction():
         0,
     )
     model = VgaeModel(VgaeConfig(2, 2, 4, 3, id_buckets=16), seed=1)
-    prep = model.prepare(g)
+    prep = prepare_graph(g)
     n = 2
     z = np.array([[20.0, 0.0, 0.0], [-20.0, 0.0, 0.0]])
     id_logits = np.full((n, 16), -1000.0)
-    id_logits[np.arange(n), prep.id_buckets] = 1000.0
+    id_logits[np.arange(n), prep.node_ids % 16] = 1000.0
     decoded = DecodedGraph(Tensor(z), Tensor(g.node_features.copy()), Tensor(id_logits))
     latent = type(model.encode(prep))(
         mu=Tensor(np.zeros((n, 3))), log_sigma=Tensor(np.zeros((n, 3))), z=Tensor(z)
     )
-    loss = model.elbo_loss(prep, latent, decoded, seeded_rng(0)).item()
+    loss = model.elbo_loss(prep, latent, decoded, np.random.default_rng(0)).item()
     assert 0.0 <= loss < 1e-5
 
 
 def test_elbo_finite_on_random_init(mixed_graphs):
     big = max(mixed_graphs, key=lambda g: g.num_nodes)
     model = VgaeModel(VgaeConfig.student(), seed=3)
-    prep = model.prepare(big)
-    latent = model.encode(prep, training=True, rng=seeded_rng(1))
-    loss = model.elbo_loss(prep, latent, model.decode(latent.z), seeded_rng(2))
+    prep = prepare_graph(big)
+    latent = model.encode(prep, training=True, rng=np.random.default_rng(1))
+    loss = model.elbo_loss(prep, latent, model.decode(latent.z), np.random.default_rng(2))
     assert np.isfinite(loss.item())
 
 
 def test_elbo_gradients_on_five_node_graphs(benign_graphs):
     five = next(g for g in benign_graphs if g.num_nodes >= 3)
     model = VgaeModel(TINY, seed=4)
-    prep = model.prepare(five)
-    noise_rng = seeded_rng(5)
+    prep = prepare_graph(five)
+    noise_rng = np.random.default_rng(5)
 
     def loss():
-        noise = seeded_rng(6).standard_normal((five.num_nodes, TINY.latent_dim))
+        noise = np.random.default_rng(6).standard_normal((five.num_nodes, TINY.latent_dim))
         latent = model.encode(prep, training=True, noise=noise)
-        return model.elbo_loss(prep, latent, model.decode(latent.z), seeded_rng(7))
+        return model.elbo_loss(prep, latent, model.decode(latent.z), np.random.default_rng(7))
 
     assert model_gradient_error(model.params(), loss) < 1e-4
 
@@ -174,21 +173,22 @@ def test_composite_weighting_exact():
         CompositeWeights(alpha=-0.1)
 
 
-def test_composite_error_deterministic_and_monotone_in_beta(benign_graphs):
+def test_composite_score_deterministic_and_monotone_in_beta(benign_graphs):
     model = VgaeModel(TINY, seed=6)
     g = benign_graphs[0]
-    a = model.composite_error(g, CompositeWeights(), seed=9)
-    b = model.composite_error(g, CompositeWeights(), seed=9)
+    a = model.score(g, CompositeWeights(), 9)
+    b = model.score(g, CompositeWeights(), 9)
     assert a == b and a >= 0.0
-    higher = model.composite_error(g, CompositeWeights(beta=25.0), seed=9)
+    assert a == combine_errors(CompositeWeights(), *(t[0] for t in model.error_terms(g, 9)))
+    higher = model.score(g, CompositeWeights(beta=25.0), 9)
     assert higher > a  # E_neighbor is a BCE, always > 0
-    assert model.composite_error(g, CompositeWeights(0.0, 0.0, 0.0), seed=9) == 0.0
+    assert model.score(g, CompositeWeights(0.0, 0.0, 0.0), 9) == 0.0
 
 
 def test_score_modes(benign_graphs):
     model = VgaeModel(TINY, seed=6)
     g = benign_graphs[0]
-    assert model.score(g, CompositeWeights(), 1, "adjacency_l2") == model.adjacency_l2(g)
+    assert model.score(g, CompositeWeights(), 1, "adjacency_l2") == model.score_batch([g], score_mode="adjacency_l2")[0]
     with pytest.raises(ConfigError):
         model.score(g, CompositeWeights(), 1, "nope")
 
@@ -199,7 +199,7 @@ def test_reconstruction_rank_semantics(benign_graphs, monkeypatch):
 
     def fixed_scores(*scores):
         table = {g.window_start_index: s for g, s in zip(graphs, scores)}
-        monkeypatch.setattr(model, "score_all", lambda gs, *args: [table[g.window_start_index] for g in gs])
+        monkeypatch.setattr(model, "score_batch", lambda gs, *args: [table[g.window_start_index] for g in gs])
 
     fixed_scores(0.1, 5.0, 2.0)
     ranked = model.reconstruction_rank(graphs)
@@ -229,7 +229,7 @@ def test_reconstruction_rank_rejects_attacks(mixed_graphs):
 
 
 def test_sample_non_edges_avoids_edges():
-    rng = seeded_rng(8)
+    rng = np.random.default_rng(8)
     src = np.array([0, 1, 2])
     dst = np.array([1, 2, 0])
     s, d = sample_non_edges(4, src, dst, 6, rng)
@@ -279,8 +279,8 @@ def edge_sets(draw):
 @given(edge_sets())
 def test_sample_non_edges_equals_isin_reference(case):
     n, src, dst, count, seed = case
-    got = sample_non_edges(n, src, dst, count, seeded_rng(seed))
-    expected = isin_sample_non_edges(n, src, dst, count, seeded_rng(seed))
+    got = sample_non_edges(n, src, dst, count, np.random.default_rng(seed))
+    expected = isin_sample_non_edges(n, src, dst, count, np.random.default_rng(seed))
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -291,20 +291,8 @@ def test_checkpoint_round_trip(tmp_path, benign_graphs):
     model.save(p)
     clone = VgaeModel.load(p)
     g = benign_graphs[0]
-    assert model.composite_error(g, seed=3) == clone.composite_error(g, seed=3)
+    assert model.score(g, CompositeWeights(), 3) == clone.score(g, CompositeWeights(), 3)
     assert count_params(TINY) == sum(v.size for v in clone.param_values().values())
-
-
-def test_error_components_csv(tmp_path, benign_graphs):
-    model = VgaeModel(TINY, seed=9)
-    p = tmp_path / "errors.csv"
-    write_error_components_csv(model, benign_graphs[:4], p, seed=2)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "window_start_index,e_node,e_neighbor,e_can_id,composite"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    e_node, e_neighbor, e_canid, composite = (float(x) for x in first[1:])
-    assert composite == combine_errors(CompositeWeights(), e_node, e_neighbor, e_canid)
 
 
 def isolated_node_window():
@@ -329,11 +317,11 @@ def test_scoring_decodes_the_posterior_mean_of_encode(mixed_graphs, config):
     model.decode = capture
     windows = [isolated_node_window(), one_node_graph(), mixed_graphs[0], mixed_graphs[-1]]
     for g in windows:
-        prep = model.prepare(g)
+        prep = prepare_graph(g)
         assert model.posterior_mean(prep).values.tobytes() == model.encode(prep).mu.values.tobytes()
         # a lone one-node window is scored as two copies of itself, so that no product has one row
         scored = GraphBatch.concat([prep, prep]) if g.num_nodes == 1 else prep
-        model.reconstruction_errors(prep, seed=3)
+        model.error_terms(prep, seed=3)
         assert decoded_z[-1].tobytes() == model.encode(scored).mu.values.tobytes()
     assert len(decoded_z) == len(windows)
 
@@ -343,13 +331,13 @@ def test_scoring_decodes_the_posterior_mean_of_encode(mixed_graphs, config):
 def test_random_batch_splits_score_each_window_as_alone(mixed_graphs, config, score_mode):
     model = VgaeModel(config, seed=4)
     windows = mixed_graphs[::3] + [one_id_window(10**6), isolated_node_window()]
-    alone = [model.score_batch(model.prepare(g), CompositeWeights(), 5, score_mode)[0] for g in windows]
+    alone = [model.score(g, CompositeWeights(), 5, score_mode) for g in windows]
     rng = np.random.Generator(np.random.PCG64(13))
     for _ in range(3):
         order = rng.permutation(len(windows))
         cuts = np.sort(rng.choice(np.arange(1, len(windows)), size=5, replace=False))
         for part in np.split(order, cuts):
-            batch = GraphBatch.concat(model.prepare(windows[i]) for i in part)
-            got = model.score_batch(batch, CompositeWeights(), 5, score_mode)
+            batch = GraphBatch.concat(prepare_graph(windows[i]) for i in part)
+            got = model.score_batch([batch], CompositeWeights(), 5, score_mode)
             assert got == [alone[i] for i in part]  # float equality: bit for bit
-    assert model.score_all(windows, CompositeWeights(), 5, score_mode) == alone
+    assert model.score_batch(windows, CompositeWeights(), 5, score_mode) == alone
