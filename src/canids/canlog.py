@@ -12,6 +12,7 @@ bit-exact.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 import struct
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .errors import ConfigError, ParseError, open_ascii
+from .errors import ConfigError, ParseError, non_ascii_error, open_ascii
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -66,9 +67,9 @@ _frame = tuple.__new__
 # below every finite timestamp, so ``last_ts <= ts < inf`` also rejects nan and -inf on the first row
 _BEFORE_FIRST_TS = -sys.float_info.max
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads about this many characters at a time
+_BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads this many bytes at a time
 _MAX_TIMESTAMP = 32  # the most characters of a canonical timestamp
-_TAIL = "\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
+_TAIL = b"\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
 _NEWLINE, _COMMA, _SLASH, _PLUS, _MINUS, _E = b"\n,/+-e"
 # lookup tables indexed by a byte: the value of a hex digit, of a DLC digit and of a flag; -1 for any
 # other byte
@@ -96,7 +97,8 @@ _is_hex = _digits_of(16)
 _DLCS = {str(dlc): dlc for dlc in range(9)}
 # what repr(float) writes: an optional "-", digits with at most one ".", an optional exponent;
 # "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
-_is_decimal = re.compile(r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf").fullmatch
+DECIMAL = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
+_is_decimal = re.compile(DECIMAL).fullmatch
 
 
 def _parse_timestamp(field: str, lineno: int) -> float:
@@ -231,38 +233,54 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
 def decode_car_hacking_csv(path) -> Iterator[FrameBlock]:
     """The frames of a Car-Hacking layout CSV as FrameBlocks, rows checked as by parse_car_hacking_csv.
 
-    The file is read about 1 MB at a time, each read cut after its last line
-    end (the rest starts the next block). The canonical lines of a block
-    (``_canonical_lines``) are decoded and checked column by column; only its
-    other lines go through the line loop (``_decode_lines``), which reads
-    the rarer valid forms and names the first bad line. The rows before a
-    bad row are yielded as one block before its ParseError; a non-ASCII byte
-    raises before the rows of its block.
+    The file is read as bytes, about 1 MB at a time (``_ascii_reads``), each
+    read cut after its last line end (the rest starts the next block). The
+    canonical lines of a block (``_canonical_lines``) are decoded and checked
+    column by column; only its other lines are decoded to text, for the line
+    loop (``_decode_lines``), which reads the rarer valid forms and names the
+    first bad line. The rows before a bad row are yielded as one block before
+    its ParseError; a non-ASCII byte raises before the rows of its block.
     """
-    last_ts, lineno, rest = _BEFORE_FIRST_TS, 1, ""
-    with open_ascii(path) as fh:
-        while True:
-            chunk = fh.read(_BLOCK_CHARS)
-            rest += chunk
-            if not chunk and rest and not rest.endswith("\n"):
-                rest += "\n"  # the last line of the file
-            cut = rest.rfind("\n") + 1
-            if not cut:
-                if not chunk:
-                    return
-                continue
-            text, rest = rest[:cut], rest[cut:]
-            block, error, lines = _decode_block(text, lineno, last_ts)
-            if len(block.dlc):
-                last_ts = float(block.timestamp[-1])
-                yield block
-            if error is not None:
-                raise error
-            lineno += lines
+    last_ts, lineno, rest = _BEFORE_FIRST_TS, 1, b""
+    for chunk in itertools.chain(_ascii_reads(path), [None]):
+        if chunk is None:  # the end of the file
+            if not rest:
+                return
+            chunk = b"\n"  # ends the last line
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        if not cut:
+            continue
+        text, rest = rest[:cut], rest[cut:]
+        block, error, lines = _decode_block(text, lineno, last_ts)
+        if len(block.dlc):
+            last_ts = float(block.timestamp[-1])
+            yield block
+        if error is not None:
+            raise error
+        lineno += lines
 
 
-def _decode_block(text: str, lineno: int, last_ts: float) -> tuple[FrameBlock, ParseError | None, int]:
-    """The frames of the lines of ``text`` (each ending in a newline, numbered from ``lineno``) up to
+def _ascii_reads(path) -> Iterator[bytes]:
+    """The bytes of the file at ``path``, _BLOCK_CHARS at a time, with ``\\r\\n`` and ``\\r`` line ends
+    read as ``\\n``, as text mode reads them. A read that holds a non-ASCII byte raises the ParseError
+    of ``non_ascii_error`` instead."""
+    cr = b""  # a read's last byte if it is "\r": the next read may start with its "\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BLOCK_CHARS):
+            if not chunk.isascii():
+                raise non_ascii_error(path)
+            chunk = cr + chunk
+            cr = chunk[-1:] if chunk.endswith(b"\r") else b""
+            if b"\r" in chunk:
+                chunk = chunk[: len(chunk) - len(cr)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            yield chunk
+    if cr:
+        yield b"\n"
+
+
+def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock, ParseError | None, int]:
+    """The frames of the ASCII lines of ``text`` (each ending in a newline, numbered from ``lineno``) up to
     the first bad one, the ParseError of that line (None if there is none), and the number of lines.
 
     The frames of the line loop are put in among the canonical lines' in line
@@ -273,7 +291,7 @@ def _decode_block(text: str, lineno: int, last_ts: float) -> tuple[FrameBlock, P
     if not len(odd):
         return block, None, len(ends)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    lines = [text[a:b] for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
+    lines = [text[a:b].decode("ascii") for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
     at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
     rows = odd[at]  # the lines whose frames the line loop read
     for column, values in zip(block, FrameBlock.from_frames(frames)):
@@ -294,7 +312,7 @@ def _decode_block(text: str, lineno: int, last_ts: float) -> tuple[FrameBlock, P
     return block, error, len(ends)
 
 
-def _canonical_lines(text: str, last_ts: float) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
+def _canonical_lines(text: bytes, last_ts: float) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
     """The canonical lines of ``text``, every line of which ends in a newline: a FrameBlock with one
     row per line, whose rows of the canonical lines hold their frames; the mask of those lines; and
     the offset of each line's newline in ``text``.
@@ -309,7 +327,7 @@ def _canonical_lines(text: str, last_ts: float) -> tuple[FrameBlock, np.ndarray,
     lines, each field read from a fixed-width window of the text after the
     field before it.
     """
-    b = np.frombuffer((text + _TAIL).encode("ascii"), dtype=np.uint8)
+    b = np.frombuffer(text + _TAIL, dtype=np.uint8)
     ends = np.flatnonzero(b == _NEWLINE)  # one per line
     starts = np.concatenate(([0], ends[:-1] + 1))
     # each field from a window after the field before it. On a line with fewer fields, or one past the
@@ -350,7 +368,7 @@ def _canonical_lines(text: str, last_ts: float) -> tuple[FrameBlock, np.ndarray,
     c = head[:, :span] * (_TIMESTAMP_SLOTS[:span] < width.astype(np.uint8)[:, None])
     decimal = _rows_all(((c - np.uint8(_MINUS) <= 12) & (c != _SLASH)) | (c == _PLUS) | (c == _E) | (c == 0))
     decimal &= (c[:, 0] != 0) & (c[:, 0] != _PLUS)
-    if "\0" in text:  # a NUL in a timestamp would end it early
+    if b"\0" in text:  # a NUL in a timestamp would end it early
         decimal[np.searchsorted(ends, np.flatnonzero(b[: len(text)] == 0))] = False
     strings = c.view(f"S{span}").ravel()
     strings[~decimal] = b"0"

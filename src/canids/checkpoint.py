@@ -15,12 +15,18 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
+from .canlog import DECIMAL
 from .errors import ParseError, StateError, open_ascii
 
 MAGIC = "canids-checkpoint v1"
+# the characters of a value row of finite floats: digits, ".", "-", "e", blanks, and "+" only right after
+# "e". float() reads a value of these characters only in the form repr writes it.
+_is_plain_row = re.compile(r"[-.0-9e\s]*+(?:(?<=e)\+[-.0-9e\s]*+)*+").fullmatch
+_is_decimal = re.compile(DECIMAL).fullmatch
 
 
 def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]):
@@ -40,7 +46,9 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]
 def load_checkpoint(path):
     """Returns (kind, config dict, ordered {name: float64 array}).
 
-    Any malformed record raises ParseError with its line number.
+    Shape dimensions are plain decimal digits and values are floats in the
+    form repr writes them (no sign but "-", no "_", no blank inside). Any
+    malformed record raises ParseError with its line number.
     """
     with open_ascii(path) as fh:
         if fh.readline().strip() != MAGIC:
@@ -63,6 +71,8 @@ def load_checkpoint(path):
                 name = parts[1]
                 if name in params:
                     raise ParseError(f"{path}: param {name} listed twice", line=lineno)
+                if not all(map(str.isdigit, parts[2:])):
+                    raise ParseError(f"{path}: param {name} has a bad shape {' '.join(parts[2:])!r}", line=lineno)
                 shape = tuple(int(d) for d in parts[2:])
                 # one line per leading row; 1-d and scalar params are a single line
                 n_lines = shape[0] if len(shape) > 1 else 1
@@ -70,7 +80,11 @@ def load_checkpoint(path):
                 rows = []
                 for _ in range(n_lines):
                     lineno += 1
-                    row = [float(v) for v in fh.readline().split()]
+                    row = fh.readline()
+                    if not (_is_plain_row(row) or all(map(_is_decimal, row.split()))):
+                        raise ParseError(f"{path}: param {name} has a value that is not a float as repr writes it",
+                                         line=lineno)
+                    row = [float(v) for v in row.split()]
                     if len(row) != width:
                         raise ParseError(f"{path}: param {name} row has {len(row)} values, expected {width}", line=lineno)
                     if not all(map(math.isfinite, row)):

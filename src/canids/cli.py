@@ -371,17 +371,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of ``command`` only: parse_args reads no
-    other subcommand's arguments, and ``canids --help`` lists each subcommand by its help."""
+COMMANDS = ("synth", "ingest", "build-graphs", "train-vgae", "undersample", "train-gat", "distill", "evaluate",
+            "export-embeddings", "report")
+
+
+def build_parser(command: str | None = None, alone: bool = True) -> argparse.ArgumentParser:
+    """The parser with the arguments of ``command`` only, so that parse_args reads no other
+    subcommand's arguments. When ``command`` is one of COMMANDS and ``alone`` holds, its subparser is
+    the only one; otherwise every subcommand has one, and ``canids --help`` lists each by its help."""
     parser = _Parser(prog="canids", description=__doc__)
     parser.add_argument("--version", action="version", version=f"canids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
     parser.canids_subparsers = subparsers
+    alone = alone and command in COMMANDS
 
     def add_command(name, **kw):
         """The subparser of ``name`` if it is ``command``, else None."""
+        if alone and name != command:
+            return None
         p = sub.add_parser(name, **kw)
         subparsers[name] = p
         if name != command:
@@ -547,20 +555,23 @@ def _apply_run_config(parser, argv):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: run config must be a JSON object")
     sp = parser.canids_subparsers[cmd]
-    actions = {a.dest: a for a in sp._actions}
+    # each action by its dest and by its flag's name (``in`` for ``--in``, whose dest is ``infile``)
+    actions = {name.lstrip("-").replace("-", "_"): a for a in sp._actions for name in (a.dest, *a.option_strings)}
     defaults = {}
     for key, value in raw.items():
-        dest = key.replace("-", "_")
-        if dest in ("help", "run_config", "command", "func") or dest not in actions:
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "run_config", "command", "func"):
             continue
-        defaults[dest] = _run_config_value(path, key, actions[dest], value)
-        actions[dest].required = False
+        defaults[action.dest] = _run_config_value(path, key, action, value)
+        action.required = False
     sp.set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(_invoked_command(argv))
+    command = _invoked_command(argv)
+    # with an option before the subcommand (``-h``, an unknown flag) the top-level parser reads it
+    parser = build_parser(command, alone=argv[:1] == [command])
     try:
         _apply_run_config(parser, argv)
         args = parser.parse_args(argv)

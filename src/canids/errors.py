@@ -72,12 +72,19 @@ class UsageError(CanidsError):
 @contextmanager
 def open_ascii(path):
     """``open(path)`` as ASCII text; a non-ASCII byte read inside the block
-    raises ParseError naming the file and the byte's line."""
+    raises the ParseError of ``non_ascii_error``."""
     with open(path, "r", encoding="ascii") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
-            # the decoder reads ahead in chunks, so find the line from the bytes
-            with open(path, "rb") as raw:
-                line = next((k for k, row in enumerate(raw, start=1) if not row.isascii()), None)
-            raise ParseError(f"{path}: non-ASCII byte", line=line) from None
+            raise non_ascii_error(path) from None
+
+
+def non_ascii_error(path) -> ParseError:
+    """The ParseError of a file with a non-ASCII byte, naming the file and the first line that holds one.
+
+    Decoders read ahead, so the line is found from the file's bytes.
+    """
+    with open(path, "rb") as raw:
+        line = next((k for k, row in enumerate(raw, start=1) if not row.isascii()), None)
+    return ParseError(f"{path}: non-ASCII byte", line=line)

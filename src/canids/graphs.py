@@ -113,14 +113,23 @@ def build_block_windows(
     columns = [np.empty(0, dtype=np.int64)] * 3 + [np.empty(0, dtype=bool)]
     offset = 0  # the frame index of their first frame
     for block in blocks:
-        new = (block.can_id, block.payload.sum(axis=1, dtype=np.int64), block.dlc, block.attack)
+        new = (block.can_id, _payload_sums(block.payload), block.dlc, block.attack)
         columns = [np.concatenate(pair) for pair in zip(columns, new)]
         count = max(0, (len(columns[0]) - w) // stride + 1)
-        starts = np.arange(count) * stride
         for at in range(0, count, group):
-            yield from _group_windows(columns, starts[at : at + group], w, directed, offset)
+            starts = np.arange(at, min(at + group, count)) * stride
+            yield from _group_windows(columns, starts, w, directed, offset)
         columns = [c[count * stride :] for c in columns]
         offset += count * stride
+
+
+def _payload_sums(payload: np.ndarray) -> np.ndarray:
+    """The byte sum of each row of an (n, 8) uint8 payload, as int64, by adding its columns: exact, and
+    faster than ``payload.sum(axis=1)``, which reduces each 8-byte row on its own."""
+    total = payload[:, 0].astype(np.int64)
+    for column in payload.T[1:]:
+        total += column
+    return total
 
 
 def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: int) -> list[WindowGraph]:

@@ -11,6 +11,7 @@ the end.
 
 from __future__ import annotations
 
+import re
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -18,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .canlog import DECIMAL
 from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int, require_probability
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
@@ -105,7 +107,7 @@ def calibrate_vgae(scores, q_lo: float = 0.50, q_hi: float = 0.995) -> VgaeCalib
 
 def fuse(vgae_prob: float, gat_prob: float, w_anomaly: float = 0.15, w_gat: float = 0.85) -> float:
     """Convex score-level fusion of the calibrated anomaly and classifier probabilities."""
-    if min(w_anomaly, w_gat) < 0.0 or abs(w_anomaly + w_gat - 1.0) > 1e-9:
+    if not (min(w_anomaly, w_gat) >= 0.0 and abs(w_anomaly + w_gat - 1.0) <= 1e-9):  # nan fails both
         raise ConfigError(f"fusion weights must be non-negative and sum to 1, got {w_anomaly} + {w_gat}")
     if not (0.0 <= vgae_prob <= 1.0 and 0.0 <= gat_prob <= 1.0):
         raise ConfigError("fusion inputs must be probabilities in [0, 1]")
@@ -153,6 +155,9 @@ class PipelineOptions:
         for name in ("vgae_epochs", "vgae_batch", "gat_epochs", "gat_batch"):
             require_int(name, getattr(self, name), 1)
         require_int("patience", self.patience, 0)
+        if not 0.0 < self.val_frac < 1.0:
+            raise ConfigError(f"val_frac must be in (0, 1), got {self.val_frac}")
+        require_finite("ratio", self.ratio, positive=True)
         for name in ("vgae_lr", "gat_lr"):
             require_finite(name, getattr(self, name), positive=True)
         require_probability("threshold", self.threshold)
@@ -426,11 +431,19 @@ def write_scores_csv(scored: list[ScoredWindow], path):
             )
 
 
-def read_scores_csv(path) -> list[ScoredWindow]:
-    """The rows of a scores file; ParseError naming the line of a malformed row.
+# a row as write_scores_csv writes it: the window start and truth, four floats as repr writes them, and
+# the prediction
+_is_scores_row = re.compile(rf"[0-9]+,[0-9]+(?:,(?:{DECIMAL})){{4}},[0-9]+").fullmatch
 
-    Every field must be numeric, the three probabilities finite and in
-    [0, 1], and ``truth`` and ``predicted`` 0 or 1.
+
+def read_scores_csv(path) -> list[ScoredWindow]:
+    """The rows of a scores file; ParseError naming the file and the line of a malformed row.
+
+    Every field must be a number in the form write_scores_csv writes it:
+    the window start, ``truth`` and ``predicted`` plain decimal digits, the
+    scores floats as repr writes them, with no blank inside a row. The three
+    probabilities must be finite and in [0, 1], and ``truth`` and
+    ``predicted`` 0 or 1.
     """
     out = []
     with open_ascii(path) as fh:
@@ -438,18 +451,18 @@ def read_scores_csv(path) -> list[ScoredWindow]:
         if header != SCORES_HEADER:
             raise ParseError(f"{path}: unexpected scores header {header!r}", line=1)
         for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
+            line = line.rstrip("\n")
+            parts = line.split(",")
             if len(parts) != 7:
-                raise ParseError("bad scores row", line=lineno)
-            try:
-                start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
-                vgae_score, vgae_prob, gat_prob, fused_prob = map(float, parts[2:6])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric field in scores row {line.strip()!r}", line=lineno) from None
+                raise ParseError(f"{path}: bad scores row {line!r}", line=lineno)
+            if not _is_scores_row(line):
+                raise ParseError(f"{path}: non-numeric field in scores row {line!r}", line=lineno)
+            start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
+            vgae_score, vgae_prob, gat_prob, fused_prob = map(float, parts[2:6])
             if truth not in (0, 1) or predicted not in (0, 1):
                 raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {truth} and {predicted}", line=lineno)
             # NaN fails both comparisons
             if not all(0.0 <= p <= 1.0 for p in (vgae_prob, gat_prob, fused_prob)):
-                raise ParseError(f"{path}: probabilities must be finite and in [0, 1] in row {line.strip()!r}", line=lineno)
+                raise ParseError(f"{path}: probabilities must be finite and in [0, 1] in row {line!r}", line=lineno)
             out.append(ScoredWindow(start, vgae_score, vgae_prob, gat_prob, fused_prob, predicted, truth))
     return out

@@ -433,18 +433,16 @@ def leaky_relu(a, slope=0.2) -> Tensor:
     return _make(out_v, (a,), backward)
 
 
-def elu(a, alpha=1.0) -> Tensor:
+def elu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.values > 0
-    # expm1 only sees the non-positive branch; positives would overflow
+    # expm1 only sees the non-positive part, where positives would overflow. Adding max(x, -0.0) leaves
+    # each non-positive part as it is, -0.0 included.
     out_v = np.expm1(np.minimum(a.values, 0.0))
-    if alpha != 1.0:
-        out_v *= alpha
-    np.putmask(out_v, mask, a.values)
+    out_v += np.maximum(a.values, -0.0)
 
     def backward(g):
-        # out_v holds alpha * expm1 wherever the mask is off
-        _accumulate(a, g * np.where(mask, 1.0, out_v + alpha))
+        # 1 where x > 0, which is where out_v > 0; expm1(x) + 1, at most 1, elsewhere
+        _accumulate(a, g * np.minimum(out_v + 1.0, 1.0))
 
     return _make(out_v, (a,), backward)
 

@@ -471,6 +471,31 @@ def test_bad_line_in_a_later_block(tmp_path, block_chars, bad):
         assert error == 34 and len(blocks) > 1 and sum(len(b.dlc) for b in blocks) == 33
 
 
+@pytest.mark.parametrize("chars", [1, 64])
+@pytest.mark.parametrize("shift", [-2, -1, 0], ids=["before-cut", "across-cut", "after-cut"])
+def test_non_ascii_byte_around_a_block_cut(tmp_path, capsys, monkeypatch, chars, shift):
+    """A two-byte character that ends before the third read's cut, straddles it or starts after it: the
+    rows before its block are read, then build-graphs names its line."""
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", chars)
+    data = ("\n".join(canonical_rows(12)) + "\n").encode()
+    at = 3 * 64 + shift
+    data = data[:at] + "é".encode() + data[at:]
+    p = tmp_path / "log.csv"
+    p.write_bytes(data)
+    line = data[:at].count(b"\n") + 1
+    frames, error = run_parser(parse_car_hacking_csv(p))
+    assert error == line
+    ascii_part = tmp_path / "before.csv"
+    ascii_part.write_bytes(b"".join(data.splitlines(keepends=True)[: line - 1]))
+    before, _ = run_parser(per_field_parse_car_hacking_csv(ascii_part))
+    assert [tuple(f) for f in frames] == [fields for _, fields in before[: len(frames)]]
+    out = tmp_path / "out.cache"
+    assert cli.main(["build-graphs", "--in", str(p), "--window", "2", "--out", str(out)]) == 1
+    errors = [row for row in capsys.readouterr().err.splitlines() if row.startswith("canids-error")]
+    assert errors == [f"canids-error category=parse message=line {line}: {p}: non-ASCII byte"]
+    assert not out.exists()
+
+
 def test_timestamp_decreasing_across_block_boundary(tmp_path, monkeypatch):
     monkeypatch.setattr(canlog, "_BLOCK_CHARS", 1)
     rows = canonical_rows(10)
@@ -555,7 +580,7 @@ def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
 
 def canonical_mask(lines, last_ts):
     """_canonical_lines's mask over ``lines`` and the frames of its canonical lines."""
-    block, canonical, _ = canlog._canonical_lines("".join(lines), last_ts)
+    block, canonical, _ = canlog._canonical_lines("".join(lines).encode(), last_ts)
     return canonical.tolist(), list(FrameBlock(*(column[canonical] for column in block)).frames())
 
 
@@ -608,7 +633,7 @@ def test_canonical_timestamps_read_as_float_reads_them():
     values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
     lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
     assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
-    block, canonical, _ = canlog._canonical_lines("".join(lines), -math.inf)
+    block, canonical, _ = canlog._canonical_lines("".join(lines).encode(), -math.inf)
     assert canonical.all()
     assert block.timestamp.tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
 
@@ -619,7 +644,7 @@ def test_canonical_timestamps_read_as_float_reads_them():
 @example("-0.0")
 @settings(max_examples=300, deadline=None)
 def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
-    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n", -math.inf)
+    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode(), -math.inf)
     decimal = canlog._is_decimal(stamp) is not None and len(stamp) <= 32
     assert canonical[0] == (decimal and math.isfinite(float(stamp)))
     if canonical[0]:

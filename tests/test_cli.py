@@ -1,13 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
+import math
 import random
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canids.cli import _output_lock, build_parser, main
+from canids.cli import COMMANDS, _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
@@ -64,6 +71,15 @@ def test_build_graphs_window_too_small_is_usage_error(tmp_path, synth_cfg, capsy
     )
     assert code == 2
     assert "canids-error category=usage" in err
+
+
+@pytest.mark.parametrize("window", [10**5, 10**30])  # the second does not fit an int64
+def test_build_graphs_window_longer_than_the_log_is_config_error(tmp_path, capsys, window):
+    log, out = tmp_path / "log.csv", tmp_path / "g.cache"
+    log.write_text("".join(f"{k / 10!r},0316,2,aa,bb,R\n" for k in range(50)))
+    code, stdout, err = run_cli(capsys, "build-graphs", "--in", log, "--window", window, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.endswith(f"canids-error category=config message={log}: fewer than {window} frames; no windows\n")
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
@@ -759,6 +775,28 @@ def test_help_and_version_exit_0(capsys, argv):
     assert exit_.value.code == 0 and capsys.readouterr().out
 
 
+# stdout, stderr and exit code of each argument list, as the parser that built all ten subparsers on
+# every call gave them
+GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN_HELP, ids=lambda case: " ".join(case["argv"]) or "no arguments")
+def test_help_version_and_usage_errors_match_golden_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text at the terminal's width
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_build_parser_builds_only_the_invoked_subparser():
+    assert list(build_parser("build-graphs").canids_subparsers) == ["build-graphs"]
+    for command, alone in ((None, True), ("bogus", True), ("build-graphs", False)):
+        assert list(build_parser(command, alone).canids_subparsers) == list(COMMANDS)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("command", ["build-graphs", "ingest-generic"])
 def test_non_finite_timestamp_is_parse_error(tmp_path, capsys, command, value):
@@ -870,13 +908,13 @@ def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
 
 # ---------------------------------------------------------------- checkpoint and scores mutation sweep
 
-ARTIFACT_MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "-inf", "1_0", "é", "")
+ARTIFACT_MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "-inf", "1_0", "+1", "é", "")
 
 
 def mutate_artifact(rng: random.Random, text: str, kind: str, sep: str) -> bytes:
     """One mutation of a checkpoint's or scores file's text: a cut, a flipped bit, a dropped, copied or
     blanked line, two swapped ``sep``-separated fields, a repeated ``param`` record, or a field replaced
-    by ``nan``, ``1e309``, ``-inf``, ``1_0``, ``é`` or nothing."""
+    by ``nan``, ``1e309``, ``-inf``, ``1_0``, ``+1``, ``é`` or nothing."""
     if kind == "truncate":
         return text[: rng.randrange(len(text))].encode()
     if kind == "flip":
@@ -933,9 +971,110 @@ def test_checkpoint_and_scores_mutation_sweep(small_run, tmp_path, capsys):
             out.unlink(missing_ok=True)
             code, _, err = run_cli(capsys, *argv)
             exits.append(code)
-            assert code == 1 or kind != "param"  # a repeated record is never read past
+            # a repeated record is never read past; the writers write no "_" and no "+" sign
+            assert code == 1 or kind not in ("param", "1_0", "+1"), (artifact, kind, err)
             if code != 0:
                 assert code in (1, 2) and "Traceback" not in err, (artifact, kind, err)
                 assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, (artifact, kind, err)
                 assert not out.exists()
-    assert len(exits) == 152 and 0 in exits and 1 in exits
+                assert str(bad) in err or kind not in ("truncate", "blank"), (artifact, kind, err)
+    assert len(exits) == 164 and 0 in exits and 1 in exits
+
+
+# ---------------------------------------------------------------- run-config property test
+
+# flags whose range has an upper end below 10**30, or excludes zero; every numeric flag rejects negatives
+BOUNDED_INTS = {"window", "stride", "id_base"}
+AT_MOST_ONE = {"val_frac", "threshold", "alpha"}
+ABOVE_ZERO = {"val_frac", "vgae_lr", "gat_lr", "ratio", "tau"}
+NUMBER_STRINGS = st.sampled_from(["nan", "inf", "100", "0.5", "1e309", "-1", ""]) | st.text(max_size=6)
+OBJECTS = st.dictionaries(st.text(max_size=3), st.integers() | st.none(), max_size=2)
+NOT_A_NUMBER = st.none() | st.booleans() | NUMBER_STRINGS | st.lists(st.integers(), max_size=3) | OBJECTS
+NEGATIVE_INTS = st.integers(max_value=-1) | st.just(-(10**30))
+NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+
+
+def bad_value(action) -> st.SearchStrategy:
+    """Values of a run-config key that its subcommand must reject: a wrong JSON type for the flag, or a
+    number outside the flag's range."""
+    name = action.dest
+    if isinstance(action, argparse._StoreTrueAction):
+        return st.none() | st.integers() | st.floats() | NUMBER_STRINGS | st.lists(st.booleans(), max_size=2) | OBJECTS
+    if action.type is int:
+        big = st.just(10**30) if name in BOUNDED_INTS else st.nothing()
+        return NOT_A_NUMBER | st.floats() | st.just(-0.0) | NEGATIVE_INTS | big
+    if action.type is float:
+        big = st.just(10**30) if name in AT_MOST_ONE else st.nothing()
+        zero = st.sampled_from([0, 0.0, -0.0]) if name in ABOVE_ZERO else st.nothing()
+        return NOT_A_NUMBER | NON_FINITE | NEGATIVE_INTS | st.floats(max_value=-1e-300) | big | zero
+    wrong_type = st.none() | st.booleans() | st.integers() | st.floats() | OBJECTS
+    if action.choices is not None:
+        return wrong_type | st.text(max_size=8).filter(lambda s: s not in action.choices)
+    if name == "fusion_weights":
+        return wrong_type | st.sampled_from(["nan,1", "1,nan", "inf,0", "1e309,0", "-0.5,1.5", "0.5", "1,0,0", "a,b"])
+    return wrong_type  # a path or a string that only the flag itself reads
+
+
+def config_text(values: dict) -> str:
+    """``values`` as a JSON object, with infinities written ``1e309`` and ``-1e309``."""
+    def text(value):
+        if isinstance(value, float) and math.isinf(value):
+            return "1e309" if value > 0 else "-1e309"
+        return json.dumps(value)
+
+    return "{" + ", ".join(f"{json.dumps(key)}: {text(value)}" for key, value in values.items()) + "}"
+
+
+@pytest.fixture(scope="module")
+def run_inputs(small_run):
+    """Valid arguments of every subcommand that takes a run config, each with the path it writes."""
+    root = small_run
+    generic = root / "generic.csv"
+    generic.write_text("".join(f"{k / 10!r},316,2,aa,bb,x,x,x,x,x,x,R\n" for k in range(20)))
+    scores = root / "property-scores.csv"
+    write_scores_csv([ScoredWindow(i * 100, 0.5 * i, i / 9, 1 - i / 9, 0.5, i % 2, i // 5) for i in range(10)], scores)
+    inputs = {
+        "ingest": [generic, "--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=11"],
+        "build-graphs": ["--in", root / "train.csv"],
+        "train-vgae": ["--graphs", root / "train.cache"],
+        "undersample": ["--graphs", root / "train.cache", "--vgae", root / "vgae.ckpt"],
+        "train-gat": ["--graphs", root / "stage2.cache"],
+        "distill": ["--graphs", root / "train.cache", "--teacher-vgae", root / "vgae.ckpt",
+                    "--teacher-gat", root / "gat.ckpt"],
+        "evaluate": ["--scores", scores],
+        "export-embeddings": ["--graphs", root / "train.cache", "--gat", root / "gat.ckpt"],
+        "report": ["--train-graphs", root / "train.cache", "--test-graphs", root / "test.cache",
+                   "--vgae", root / "vgae.ckpt", "--gat", root / "gat.ckpt"],
+    }
+    runs = {}
+    for command, argv in inputs.items():
+        out = root / f"property-{command}.out"
+        flag = {"distill": "--out-dir", "report": "--out-dir", "evaluate": None}.get(command, "--out")
+        runs[command] = ([command, *map(str, argv), *((flag, str(out)) if flag else ())], out)
+    return runs
+
+
+# synth takes no run config: its --config is the traffic generator's
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
+def test_bad_run_config_values_fail_with_one_error_line(run_inputs, command):
+    argv, out = run_inputs[command]
+    flags = [a for a in build_parser(command).canids_subparsers[command]._actions
+             if a.option_strings and a.dest not in ("help", "run_config")]
+    cfg = out.with_suffix(".json")
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def check(data):
+        chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique_by=lambda a: a.dest))
+        values = {a.option_strings[0][2:] if data.draw(st.booleans()) else a.dest: data.draw(bad_value(a))
+                  for a in chosen}
+        cfg.write_text(config_text(values))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--config", str(cfg)])
+        err = stderr.getvalue()
+        assert code in (1, 2) and stdout.getvalue() == "" and not out.exists(), (values, err)
+        errors = [line for line in err.splitlines() if line.startswith("canids-error category=")]
+        assert "Traceback" not in err and len(errors) == 1, (values, err)
+
+    check()

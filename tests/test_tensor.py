@@ -291,14 +291,27 @@ def test_sigmoid_inner_product_index_errors_match_gather(src, dst):
             fn(z, np.array(src), np.array(dst))
 
 
-@pytest.mark.parametrize("alpha", [1.0, 0.5])
-def test_elu_values_and_gradient_bitwise(alpha):
-    # positives, negatives, zeros of both signs and values that overflow expm1
-    x = np.concatenate([rand(3, 5) * 30.0, [[0.0, -0.0, 800.0, -800.0, 1e-300]]])
-    g = rand(*x.shape)
+def masked_elu(x, g):
+    """ELU and its input gradient in the masked form: the oracle of tensor.elu."""
+    mask = x > 0
+    out = np.expm1(np.minimum(x, 0.0))
+    np.putmask(out, mask, x)
+    return out, g * np.where(mask, 1.0, out + 1.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_elu_values_and_gradient_match_the_masked_form_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    # zeros of both signs, subnormals, values that overflow expm1, nan and infinities among random ones
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, 800.0, -800.0, 1e308, -1e308,
+               np.nan, -np.nan, np.inf, -np.inf]
+    x = np.concatenate([rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200), special])
+    x = rng.permutation(x).reshape(-1, 5)
+    g = rng.standard_normal(x.shape)
     t = Tensor(x, requires_grad=True)
-    out = T.elu(t, alpha)
-    (out * g).sum().backward()
-    expm1 = alpha * np.expm1(np.minimum(x, 0.0))
-    assert out.values.tobytes() == np.where(x > 0, x, expm1).tobytes()
-    assert t.grad.tobytes() == (g * np.where(x > 0, 1.0, expm1 + alpha)).tobytes()
+    out = T.elu(t)
+    with np.errstate(over="ignore"):  # the loss out * g overflows at 1e308; its gradient is g
+        (out * g).sum().backward()
+    want_out, want_grad = masked_elu(x, g)
+    assert out.values.tobytes() == want_out.tobytes()
+    assert t.grad.tobytes() == want_grad.tobytes()
