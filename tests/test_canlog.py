@@ -496,6 +496,16 @@ def test_non_ascii_byte_around_a_block_cut(tmp_path, capsys, monkeypatch, chars,
     assert not out.exists()
 
 
+def test_cr_and_crlf_line_ends_across_block_cuts(tmp_path, block_chars):
+    """``\\r``, ``\\r\\n`` and ``\\r\\r\\n`` line ends, a ``\\r\\n`` cut by a read and a final ``\\r`` are read as
+    text mode reads them, as ``\\n``: the bad last line is line 16."""
+    rows = canonical_rows(12)
+    ends = ["\r", "\r\n", "\n", "\r\r\n"] * 3
+    p = tmp_path / "log.csv"
+    p.write_bytes(("".join(row + end for row, end in zip(rows, ends)) + "x\r").encode())
+    assert assert_matches_reference(p) == 16
+
+
 def test_timestamp_decreasing_across_block_boundary(tmp_path, monkeypatch):
     monkeypatch.setattr(canlog, "_BLOCK_CHARS", 1)
     rows = canonical_rows(10)
