@@ -96,8 +96,9 @@ def _digits_of(base: int):
 _is_hex = _digits_of(16)
 _DLCS = {str(dlc): dlc for dlc in range(9)}
 # what repr(float) writes: an optional "-", digits with at most one ".", an optional exponent;
+# each string matches one way only, so a failing match does not backtrack over its digits.
 # "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
-DECIMAL = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
+DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
 _is_decimal = re.compile(DECIMAL).fullmatch
 
 

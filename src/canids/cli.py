@@ -371,24 +371,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-COMMANDS = ("synth", "ingest", "build-graphs", "train-vgae", "undersample", "train-gat", "distill", "evaluate",
-            "export-embeddings", "report")
-
-
-def build_parser(command: str | None = None, alone: bool = True) -> argparse.ArgumentParser:
-    """The parser with the arguments of ``command`` only, so that parse_args reads no other
-    subcommand's arguments. When ``command`` is one of COMMANDS and ``alone`` holds, its subparser is
-    the only one; otherwise every subcommand has one, and ``canids --help`` lists each by its help."""
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the argument list ``argv``. When ``argv`` starts with a subcommand's name, that
+    subcommand's subparser is the only one, so that parse_args reads no other subcommand's arguments;
+    otherwise (help, version, no or an unknown subcommand, an option before it) every subcommand has one,
+    and ``canids --help`` lists each by its help."""
+    command = _invoked_command(argv)
+    only = command if argv and argv[0] == command else None
     parser = _Parser(prog="canids", description=__doc__)
     parser.add_argument("--version", action="version", version=f"canids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
     parser.canids_subparsers = subparsers
-    alone = alone and command in COMMANDS
 
     def add_command(name, **kw):
         """The subparser of ``name`` if it is ``command``, else None."""
-        if alone and name != command:
+        if only is not None and name != only:
             return None
         p = sub.add_parser(name, **kw)
         subparsers[name] = p
@@ -499,6 +497,8 @@ def build_parser(command: str | None = None, alone: bool = True) -> argparse.Arg
         p.add_argument("--out-dir", dest="out_dir", required=True)
         p.set_defaults(func=cmd_report)
 
+    if not subparsers:  # an unknown subcommand: argparse's error lists every one
+        return build_parser()
     return parser
 
 
@@ -569,9 +569,7 @@ def _apply_run_config(parser, argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = _invoked_command(argv)
-    # with an option before the subcommand (``-h``, an unknown flag) the top-level parser reads it
-    parser = build_parser(command, alone=argv[:1] == [command])
+    parser = build_parser(argv)
     try:
         _apply_run_config(parser, argv)
         args = parser.parse_args(argv)

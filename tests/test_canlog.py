@@ -9,15 +9,20 @@ with it on every row, valid or not. The block tests shrink
 checks and windows fall across block boundaries.
 """
 
+import importlib
 import math
+import pkgutil
 import random
 import re
+import time
+from re import _constants, _parser
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import canids
 from canids import canlog, cli
 from canids.canlog import (
     CanFrame,
@@ -659,6 +664,41 @@ def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
     assert canonical[0] == (decimal and math.isfinite(float(stamp)))
     if canonical[0]:
         assert block.timestamp.tobytes() == np.float64(float(stamp)).tobytes()
+
+
+def test_a_long_malformed_decimal_fails_without_backtracking():
+    # a grammar that matches a run of digits more than one way takes quadratic time to reject it: ~10 s
+    # for a 20,000-digit field
+    field = "1" * 20_000
+    start = time.perf_counter()
+    assert canlog._is_decimal(field) and not canlog._is_decimal(field + "x")
+    assert not canlog._is_decimal(f"{field}e{field}x") and not canlog._is_decimal(f"{field}.{field}-")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_module_patterns_use_no_syntax_newer_than_python_3_10():
+    """pyproject.toml allows Python 3.10, whose re rejects possessive quantifiers and atomic groups."""
+    newer = {_constants.POSSESSIVE_REPEAT, _constants.ATOMIC_GROUP}
+
+    def ops(item):
+        if isinstance(item, _parser.SubPattern):
+            for op, arg in item:
+                yield op
+                yield from ops(arg)
+        elif isinstance(item, (tuple, list)):
+            for part in item:
+                yield from ops(part)
+
+    patterns = {}
+    for info in pkgutil.iter_modules(canids.__path__):
+        module = importlib.import_module(f"canids.{info.name}")
+        for name, value in vars(module).items():
+            value = getattr(value, "__self__", value)
+            if isinstance(value, re.Pattern):
+                patterns[f"{info.name}.{name}"] = value
+    assert {"canlog._is_decimal", "checkpoint._is_plain_row", "pipeline._is_scores_row"} <= patterns.keys()
+    for name, pattern in patterns.items():
+        assert newer.isdisjoint(ops(_parser.parse(pattern.pattern, pattern.flags))), name
 
 
 @pytest.mark.parametrize("window, stride, undirected", [(10, 10, False), (40, 37, False), (10, 1, False), (10, 10, True), (7, 1, True)])

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.cli import COMMANDS, _output_lock, build_parser, main
+from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
 
+COMMANDS = list(build_parser().canids_subparsers)
 SYNTH_CFG = {
     "duration": 60.0,
     "ecus": [
@@ -147,7 +148,7 @@ def test_ingest_generic_normalizes(tmp_path, capsys):
 
 
 def test_ingest_generic_documented_column_map_example_works(tmp_path, capsys):
-    ingest = build_parser("ingest").canids_subparsers["ingest"]
+    ingest = build_parser(["ingest"]).canids_subparsers["ingest"]
     example = next(a.help for a in ingest._actions if a.dest == "column_map")
     raw = tmp_path / "raw.csv"
     raw.write_text("0.5,316,2,aa,bb,0,0,0,0,0,0,T\n0.6,100,8,7f,01,02,03,04,05,06,07,R\n")
@@ -792,9 +793,10 @@ def test_help_version_and_usage_errors_match_golden_text(capsys, monkeypatch, ca
 
 
 def test_build_parser_builds_only_the_invoked_subparser():
-    assert list(build_parser("build-graphs").canids_subparsers) == ["build-graphs"]
-    for command, alone in ((None, True), ("bogus", True), ("build-graphs", False)):
-        assert list(build_parser(command, alone).canids_subparsers) == list(COMMANDS)
+    assert list(build_parser(["build-graphs", "--in", "x"]).canids_subparsers) == ["build-graphs"]
+    assert len(COMMANDS) == 10
+    for argv in ([], ["--help"], ["--version"], ["bogus"], ["-x", "build-graphs"]):
+        assert list(build_parser(argv).canids_subparsers) == COMMANDS
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -1058,7 +1060,7 @@ def run_inputs(small_run):
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
 def test_bad_run_config_values_fail_with_one_error_line(run_inputs, command):
     argv, out = run_inputs[command]
-    flags = [a for a in build_parser(command).canids_subparsers[command]._actions
+    flags = [a for a in build_parser([command]).canids_subparsers[command]._actions
              if a.option_strings and a.dest not in ("help", "run_config")]
     cfg = out.with_suffix(".json")
 
