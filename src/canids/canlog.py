@@ -432,6 +432,20 @@ def _decode_lines(lines: list[str], linenos: list[int]) -> tuple[list[int], list
 REQUIRED_COLUMNS = ("timestamp", "id", "dlc", "data", "label")
 
 
+def check_generic_options(column_map: Mapping[str, int] | None, id_base: int):
+    """ConfigError unless ``column_map`` (if given) maps every name in REQUIRED_COLUMNS to an index >= 0
+    and ``id_base`` is in [2, 36]."""
+    if column_map is not None:
+        missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
+        if missing:
+            raise ConfigError(f"column_map missing entries for {missing}")
+        negative = {name: i for name, i in column_map.items() if i < 0}
+        if negative:
+            raise ConfigError(f"column_map indices must be >= 0, got {negative}")
+    if not 2 <= id_base <= 36:
+        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
+
+
 def parse_generic_labeled_csv(
     path,
     column_map: Mapping[str, int],
@@ -446,14 +460,7 @@ def parse_generic_labeled_csv(
     field holds digits of ``id_base`` only; rows are checked as by
     parse_car_hacking_csv.
     """
-    missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
-    if missing:
-        raise ConfigError(f"column_map missing entries for {missing}")
-    negative = {name: i for name, i in column_map.items() if i < 0}
-    if negative:
-        raise ConfigError(f"column_map indices must be >= 0, got {negative}")
-    if not 2 <= id_base <= 36:
-        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
+    check_generic_options(column_map, id_base)
     is_id = _digits_of(id_base)
     ts_i, id_i, dlc_i = (column_map[k] for k in ("timestamp", "id", "dlc"))
     data_i, label_i = column_map["data"], column_map["label"]

@@ -19,11 +19,13 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .canlog import decode_car_hacking_csv, parse_car_hacking_csv, parse_generic_labeled_csv, write_car_hacking_csv
+from .canlog import check_generic_options, decode_car_hacking_csv, parse_car_hacking_csv, parse_generic_labeled_csv
+from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, require_int
 from .gat import GatClassifier, GatConfig, prepare_graph
@@ -186,15 +188,16 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     path = _require_file(args.path, "input log")
+    # checked whatever the format, so that no generic-format option is silently ignored
+    column_map = _parse_column_map(args.column_map) if args.column_map else None
+    check_generic_options(column_map, args.id_base)
     if args.format == "car-hacking":
         frames = parse_car_hacking_csv(path)
+    elif column_map is None:
+        raise UsageError("generic format requires --column-map")
     else:
-        if not args.column_map:
-            raise UsageError("generic format requires --column-map")
         markers = frozenset(args.attack_markers.split(","))
-        frames = parse_generic_labeled_csv(
-            path, _parse_column_map(args.column_map), attack_markers=markers, id_base=args.id_base
-        )
+        frames = parse_generic_labeled_csv(path, column_map, attack_markers=markers, id_base=args.id_base)
     frames = list(frames)
     summary = {
         "frames": len(frames),
@@ -371,134 +374,95 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The parser for the argument list ``argv``. When ``argv`` starts with a subcommand's name, that
-    subcommand's subparser is the only one, so that parse_args reads no other subcommand's arguments;
-    otherwise (help, version, no or an unknown subcommand, an option before it) every subcommand has one,
-    and ``canids --help`` lists each by its help."""
+# a subcommand: its function, its help, and its options in help order as (flag, add_argument keywords)
+Command = NamedTuple("Command", [("func", Callable[[argparse.Namespace], int]), ("help", str), ("options", tuple)])
+REQUIRED = {"required": True}
+SEED = (("--seed", {"type": int, "default": 0}),)
+COMMON = (("--seed", {"type": int, "default": 0, "help": "root of all randomness"}),
+          ("--out", {"required": True, "help": "output path"}))
+PRESET = ("--preset", {"choices": ["teacher", "student"], "default": "teacher"})
+TRAINING = (
+    ("--val-frac", {"type": float}),
+    ("--vgae-epochs", {"type": int}),
+    ("--vgae-lr", {"type": float}),
+    ("--vgae-batch", {"type": int}),
+    ("--gat-epochs", {"type": int}),
+    ("--gat-batch", {"type": int}),
+    ("--gat-lr", {"type": float}),
+    ("--patience", {"type": int}),
+    ("--ratio", {"type": float, "help": "normal-to-attack undersampling ratio"}),
+    ("--score-mode", {"choices": SCORE_MODES}),
+    ("--threshold", {"type": float}),
+    ("--fusion-weights", {"help": "anomaly,gat e.g. 0.15,0.85"}),
+)
+# every subcommand but synth, whose --config is the traffic generator config, takes a run config first
+RUN_CONFIG = ("--config", {"dest": "run_config",
+                           "help": "JSON run config supplying defaults for any flag of this subcommand"})
+
+COMMANDS = {
+    "synth": Command(cmd_synth, "generate a labeled synthetic CAN log", (
+        ("--config", {"required": True, "help": "JSON generator config"}), *COMMON)),
+    "ingest": Command(cmd_ingest, "parse a CAN log and emit the canonical CSV layout", (
+        ("path", {}),
+        ("--format", {"choices": ["car-hacking", "generic"], "default": "car-hacking"}),
+        ("--column-map", {"help": "timestamp=0,id=1,dlc=2,data=3,label=11"}),
+        ("--attack-markers", {"default": "T,1"}),
+        ("--id-base", {"type": int, "default": 16}),
+        *SEED, ("--out", {"help": "optional normalized output CSV"}))),
+    "build-graphs": Command(cmd_build_graphs, "turn a log into a window-graph cache", (
+        ("--in", {"dest": "infile", "required": True}),
+        ("--window", {"type": int, "default": 100}),
+        ("--stride", {"type": int}), ("--undirected", {"action": "store_true"}),
+        *COMMON)),
+    "train-vgae": Command(cmd_train_vgae, "stage 1: train the autoencoder on benign windows", (
+        ("--graphs", REQUIRED), PRESET, *TRAINING, *COMMON)),
+    "undersample": Command(cmd_undersample, "select hardest normals at the target ratio", (
+        ("--graphs", REQUIRED), ("--vgae", REQUIRED), *TRAINING, *COMMON)),
+    "train-gat": Command(cmd_train_gat, "stage 2: train the classifier on the selected set", (
+        ("--graphs", REQUIRED), ("--val-graphs", {"help": "full training cache for validation split"}), PRESET,
+        *TRAINING, *COMMON)),
+    "distill": Command(cmd_distill, "re-run both stages with students learning from teachers", (
+        ("--graphs", REQUIRED), ("--test-graphs", {}), ("--teacher-vgae", REQUIRED), ("--teacher-gat", REQUIRED),
+        ("--tau", {"type": float, "default": KdConfig.temperature}),
+        ("--alpha", {"type": float, "default": KdConfig.hard_weight}),
+        *TRAINING, *SEED, ("--out-dir", REQUIRED))),
+    "evaluate": Command(cmd_evaluate, "metrics from a scores.csv", (
+        ("--scores", REQUIRED), ("--threshold", {"type": float, "default": PipelineOptions.threshold}), *SEED)),
+    "export-embeddings": Command(cmd_export_embeddings, "graph-level embeddings as CSV for projection tools", (
+        ("--graphs", REQUIRED), ("--gat", REQUIRED), *COMMON)),
+    "report": Command(cmd_report, "calibrate, score the test stream, and write scores + report", (
+        ("--train-graphs", REQUIRED), ("--test-graphs", REQUIRED), ("--vgae", REQUIRED), ("--gat", REQUIRED),
+        *TRAINING, *SEED, ("--out-dir", REQUIRED))),
+}
+
+
+def option_dest(flag: str, keywords: dict) -> str:
+    """An option's attribute, as argparse derives it: ``infile`` for ``--in``, ``val_frac`` for ``--val-frac``."""
+    return keywords.get("dest", flag.lstrip("-").replace("-", "_"))
+
+
+def build_parser(argv=(), defaults=None) -> argparse.ArgumentParser:
+    """The parser for the argument list ``argv``, with ``defaults`` (by dest) as the invoked subcommand's
+    defaults; an option given one is optional. When ``argv`` starts with a subcommand's name, that subcommand's
+    subparser is the only one, so that parse_args reads no other subcommand's arguments; otherwise (help,
+    version, no or an unknown subcommand, an option before it) every subcommand has one, listed by ``--help``."""
     command = _invoked_command(argv)
-    only = command if argv and argv[0] == command else None
-    parser = _Parser(prog="canids", description=__doc__)
+    only = command if argv and argv[0] == command and command in COMMANDS else None
+    defaults = defaults or {}
+    parser = _Parser(prog="canids", description=__doc__, allow_abbrev=False)
     parser.add_argument("--version", action="version", version=f"canids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
-    parser.canids_subparsers = subparsers
-
-    def add_command(name, **kw):
-        """The subparser of ``name`` if it is ``command``, else None."""
+    for name, (func, help_, options) in COMMANDS.items():
         if only is not None and name != only:
-            return None
-        p = sub.add_parser(name, **kw)
-        subparsers[name] = p
+            continue
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
         if name != command:
-            return None
-        if name != "synth":  # synth's --config is the traffic generator config
-            p.add_argument(
-                "--config", dest="run_config", default=None,
-                help="JSON run config supplying defaults for any flag of this subcommand",
-            )
-        return p
-
-    def common(p, out=True):
-        p.add_argument("--seed", type=int, default=0, help="root of all randomness")
-        if out:
-            p.add_argument("--out", required=True, help="output path")
-
-    def training_flags(p):
-        p.add_argument("--val-frac", dest="val_frac", type=float, default=None)
-        p.add_argument("--vgae-epochs", dest="vgae_epochs", type=int, default=None)
-        p.add_argument("--vgae-lr", dest="vgae_lr", type=float, default=None)
-        p.add_argument("--vgae-batch", dest="vgae_batch", type=int, default=None)
-        p.add_argument("--gat-epochs", dest="gat_epochs", type=int, default=None)
-        p.add_argument("--gat-batch", dest="gat_batch", type=int, default=None)
-        p.add_argument("--gat-lr", dest="gat_lr", type=float, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--ratio", type=float, default=None, help="normal-to-attack undersampling ratio")
-        p.add_argument("--score-mode", dest="score_mode", choices=SCORE_MODES, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        p.add_argument("--fusion-weights", dest="fusion_weights", default=None, help="anomaly,gat e.g. 0.15,0.85")
-
-    if p := add_command("synth", help="generate a labeled synthetic CAN log"):
-        p.add_argument("--config", required=True, help="JSON generator config")
-        common(p)
-        p.set_defaults(func=cmd_synth)
-
-    if p := add_command("ingest", help="parse a CAN log and emit the canonical CSV layout"):
-        p.add_argument("path")
-        p.add_argument("--format", choices=["car-hacking", "generic"], default="car-hacking")
-        p.add_argument("--column-map", dest="column_map", help="timestamp=0,id=1,dlc=2,data=3,label=11")
-        p.add_argument("--attack-markers", dest="attack_markers", default="T,1")
-        p.add_argument("--id-base", dest="id_base", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="optional normalized output CSV")
-        p.set_defaults(func=cmd_ingest)
-
-    if p := add_command("build-graphs", help="turn a log into a window-graph cache"):
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--window", type=int, default=100)
-        p.add_argument("--stride", type=int, default=None)
-        p.add_argument("--undirected", action="store_true")
-        common(p)
-        p.set_defaults(func=cmd_build_graphs)
-
-    if p := add_command("train-vgae", help="stage 1: train the autoencoder on benign windows"):
-        p.add_argument("--graphs", required=True)
-        p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
-        training_flags(p)
-        common(p)
-        p.set_defaults(func=cmd_train_vgae)
-
-    if p := add_command("undersample", help="select hardest normals at the target ratio"):
-        p.add_argument("--graphs", required=True)
-        p.add_argument("--vgae", required=True)
-        training_flags(p)
-        common(p)
-        p.set_defaults(func=cmd_undersample)
-
-    if p := add_command("train-gat", help="stage 2: train the classifier on the selected set"):
-        p.add_argument("--graphs", required=True)
-        p.add_argument("--val-graphs", dest="val_graphs", help="full training cache for validation split")
-        p.add_argument("--preset", choices=["teacher", "student"], default="teacher")
-        training_flags(p)
-        common(p)
-        p.set_defaults(func=cmd_train_gat)
-
-    if p := add_command("distill", help="re-run both stages with students learning from teachers"):
-        p.add_argument("--graphs", required=True)
-        p.add_argument("--test-graphs", dest="test_graphs")
-        p.add_argument("--teacher-vgae", dest="teacher_vgae", required=True)
-        p.add_argument("--teacher-gat", dest="teacher_gat", required=True)
-        p.add_argument("--tau", type=float, default=4.0)
-        p.add_argument("--alpha", type=float, default=0.5)
-        training_flags(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", dest="out_dir", required=True)
-        p.set_defaults(func=cmd_distill)
-
-    if p := add_command("evaluate", help="metrics from a scores.csv"):
-        p.add_argument("--scores", required=True)
-        p.add_argument("--threshold", type=float, default=0.5)
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(func=cmd_evaluate)
-
-    if p := add_command("export-embeddings", help="graph-level embeddings as CSV for projection tools"):
-        p.add_argument("--graphs", required=True)
-        p.add_argument("--gat", required=True)
-        common(p)
-        p.set_defaults(func=cmd_export_embeddings)
-
-    if p := add_command("report", help="calibrate, score the test stream, and write scores + report"):
-        p.add_argument("--train-graphs", dest="train_graphs", required=True)
-        p.add_argument("--test-graphs", dest="test_graphs", required=True)
-        p.add_argument("--vgae", required=True)
-        p.add_argument("--gat", required=True)
-        training_flags(p)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out-dir", dest="out_dir", required=True)
-        p.set_defaults(func=cmd_report)
-
-    if not subparsers:  # an unknown subcommand: argparse's error lists every one
-        return build_parser()
+            continue
+        for flag, keywords in options if name == "synth" else (RUN_CONFIG, *options):
+            action = p.add_argument(flag, **keywords)
+            if action.dest in defaults:
+                action.default, action.required = defaults[action.dest], False
+        p.set_defaults(func=func)
     return parser
 
 
@@ -507,46 +471,46 @@ def _invoked_command(argv) -> str | None:
     return next((tok for tok in argv if not tok.startswith("-")), None)
 
 
-def _run_config_value(path, key: str, action, value):
+def _run_config_value(path, key: str, keywords: dict, value):
     """A run-config value checked against its flag's JSON type and choices; a list for a string flag is
     comma-joined."""
-    if isinstance(action, argparse._StoreTrueAction):
+    if keywords.get("action") == "store_true":
         ok, kind = isinstance(value, bool), "a boolean"
-    elif action.type is int:
+    elif keywords.get("type") is int:
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif action.type is float:
+    elif keywords.get("type") is float:
         ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
     else:
         ok, kind = isinstance(value, (str, list)), "a string"
     if not ok:
         raise ConfigError(f"{path}: run config key {key!r} must be {kind}, got {value!r}")
     value = ",".join(str(v) for v in value) if isinstance(value, list) else value
-    if action.choices is not None and value not in action.choices:
+    if (choices := keywords.get("choices")) is not None and value not in choices:
         # the same category as argparse's own choices error on the command line
-        raise UsageError(f"{path}: run config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+        raise UsageError(f"{path}: run config key {key!r} must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
-def _apply_run_config(parser, argv):
-    """Install a run-config file's values as defaults for one subcommand.
+def _run_config_defaults(argv) -> dict:
+    """The defaults, by dest, that the run-config file of ``argv``'s last ``--config`` (the one argparse
+    records) gives the invoked subcommand.
 
     Precedence stays: explicit flags beat the file, the file beats the
-    built-in defaults. Keys are flag names with dashes or underscores;
-    values must carry their JSON type (numbers as numbers).
+    built-in defaults. Keys are flag names with dashes or underscores, or
+    dests (``infile`` for ``--in``); values must carry their JSON type
+    (numbers as numbers).
     """
     cmd = _invoked_command(argv)
-    if cmd == "synth" or cmd not in parser.canids_subparsers:
-        return
+    if cmd == "synth" or cmd not in COMMANDS:
+        return {}
     cfg_path = None
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
             cfg_path = argv[i + 1]
-            break
-        if tok.startswith("--config="):
+        elif tok.startswith("--config="):
             cfg_path = tok.split("=", 1)[1]
-            break
     if cfg_path is None:
-        return
+        return {}
     path = _require_file(cfg_path, "run config")
     try:
         raw = json.loads(path.read_text())
@@ -554,25 +518,19 @@ def _apply_run_config(parser, argv):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: run config must be a JSON object")
-    sp = parser.canids_subparsers[cmd]
-    # each action by its dest and by its flag's name (``in`` for ``--in``, whose dest is ``infile``)
-    actions = {name.lstrip("-").replace("-", "_"): a for a in sp._actions for name in (a.dest, *a.option_strings)}
+    options = {name: option for option in COMMANDS[cmd].options
+               for name in (option[0].lstrip("-").replace("-", "_"), option_dest(*option))}
     defaults = {}
     for key, value in raw.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None or action.dest in ("help", "run_config", "command", "func"):
-            continue
-        defaults[action.dest] = _run_config_value(path, key, action, value)
-        action.required = False
-    sp.set_defaults(**defaults)
+        if (option := options.get(key.replace("-", "_"))) is not None:
+            defaults[option_dest(*option)] = _run_config_value(path, key, option[1], value)
+    return defaults
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv)
     try:
-        _apply_run_config(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser(argv, _run_config_defaults(argv)).parse_args(argv)
         # a run config's seed skips argparse's type
         require_int("seed", args.seed, 0)
         return args.func(args)

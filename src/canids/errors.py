@@ -38,9 +38,13 @@ def require_int(name: str, value, least: int):
 
 
 def require_finite(name: str, value, positive: bool = False):
-    """ConfigError unless ``value`` is a finite real number (not a bool), and > 0 if ``positive``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not math.isfinite(value) or (positive and value <= 0):
+    """ConfigError unless ``value`` is a finite real number (not a bool) that a float can hold, and > 0 if
+    ``positive``."""
+    try:
+        finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite or (positive and value <= 0):
         raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
 
 

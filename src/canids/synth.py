@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .canlog import CanFrame, Label
-from .errors import ConfigError
+from .errors import ConfigError, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
 SPOOF_BYTE_MIN = 136
@@ -170,6 +170,9 @@ def generate_synthetic_log(
 def load_synth_config(path) -> SynthConfig:
     """Read a generator config from a JSON file.
 
+    Numbers must be JSON numbers: integers (not booleans) for the IDs, seeds and DLC, finite numbers
+    for the times and rates.
+
     Schema: {"duration": float,
              "ecus": [{"can_id", "period", "payload_seed", "dlc"?}, ...],
              "attacks": [{"kind", "start", "duration", "rate", "target_id"?}, ...]}
@@ -179,22 +182,36 @@ def load_synth_config(path) -> SynthConfig:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+
+    def integer(where, value):
+        require_int(f"{path}: {where}", value, 0)
+        return value
+
+    def number(where, value):
+        require_finite(f"{path}: {where}", value)
+        return float(value)
+
     try:
         ecus = tuple(
-            EcuSpec(int(e["can_id"]), float(e["period"]), int(e["payload_seed"]), int(e.get("dlc", 8)))
-            for e in raw["ecus"]
+            EcuSpec(
+                integer(f"ecus[{i}].can_id", e["can_id"]),
+                number(f"ecus[{i}].period", e["period"]),
+                integer(f"ecus[{i}].payload_seed", e["payload_seed"]),
+                integer(f"ecus[{i}].dlc", e.get("dlc", 8)),
+            )
+            for i, e in enumerate(raw["ecus"])
         )
         attacks = tuple(
             AttackSpec(
                 AttackKind(a["kind"]),
-                float(a["start"]),
-                float(a["duration"]),
-                float(a["rate"]),
-                int(a["target_id"]) if a.get("target_id") is not None else None,
+                number(f"attacks[{i}].start", a["start"]),
+                number(f"attacks[{i}].duration", a["duration"]),
+                number(f"attacks[{i}].rate", a["rate"]),
+                integer(f"attacks[{i}].target_id", a["target_id"]) if a.get("target_id") is not None else None,
             )
-            for a in raw.get("attacks", [])
+            for i, a in enumerate(raw.get("attacks", []))
         )
-        duration = float(raw["duration"])
+        duration = number("duration", raw["duration"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: bad generator config ({exc})") from None
     return SynthConfig(ecus=ecus, duration=duration, attacks=attacks)

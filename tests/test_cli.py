@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -14,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canids import cli
 from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
 
-COMMANDS = list(build_parser().canids_subparsers)
+COMMANDS = list(cli.COMMANDS)
 SYNTH_CFG = {
     "duration": 60.0,
     "ecus": [
@@ -62,6 +62,30 @@ def test_synth_deterministic(tmp_path, synth_cfg, capsys):
     c = tmp_path / "c.csv"
     run_cli(capsys, "synth", "--config", synth_cfg, "--seed", 8, "--out", c)
     assert a.read_bytes() != c.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"duration": "1_0", "ecus": [{"can_id": "2_56", "period": "1_0e-2", "payload_seed": True}]},
+        {"duration": "60"},
+        {"duration": float("nan")},
+        {"duration": 10**400},
+        {"ecus": [{"can_id": 256.0, "period": 0.004, "payload_seed": 1}]},
+        {"ecus": [{"can_id": 256, "period": "0.004", "payload_seed": 1}]},
+        {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": True}]},
+        {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": -1}]},
+        {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": 1, "dlc": False}]},
+        {"attacks": [{"kind": "dos", "start": "8", "duration": 1.5, "rate": 800.0}]},
+        {"attacks": [{"kind": "spoofing", "start": 8.0, "duration": 1.5, "rate": 800.0, "target_id": "256"}]},
+    ],
+)
+def test_synth_config_numbers_must_be_json_numbers(tmp_path, capsys, edit):
+    cfg, out = tmp_path / "synth.json", tmp_path / "log.csv"
+    cfg.write_text(json.dumps({**SYNTH_CFG, **edit}))
+    code, stdout, err = run_cli(capsys, "synth", "--config", cfg, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and str(cfg) in err
 
 
 def test_build_graphs_window_too_small_is_usage_error(tmp_path, synth_cfg, capsys):
@@ -148,8 +172,7 @@ def test_ingest_generic_normalizes(tmp_path, capsys):
 
 
 def test_ingest_generic_documented_column_map_example_works(tmp_path, capsys):
-    ingest = build_parser(["ingest"]).canids_subparsers["ingest"]
-    example = next(a.help for a in ingest._actions if a.dest == "column_map")
+    example = next(keywords["help"] for flag, keywords in cli.COMMANDS["ingest"].options if flag == "--column-map")
     raw = tmp_path / "raw.csv"
     raw.write_text("0.5,316,2,aa,bb,0,0,0,0,0,0,T\n0.6,100,8,7f,01,02,03,04,05,06,07,R\n")
     code, _, err = run_cli(capsys, "ingest", raw, "--format", "generic", "--column-map", "nonsense")
@@ -179,6 +202,28 @@ def test_ingest_car_hacking_summary(tmp_path, synth_cfg, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["frames"] > 0 and summary["attack_frames"] > 0
+
+
+@pytest.mark.parametrize(
+    "route, value",
+    [
+        ("config", {"id_base": -1, "column_map": "x"}),
+        ("config", {"id_base": 37}),
+        ("config", {"column_map": "timestamp=0,id=1"}),
+        ("flag", ["--id-base", "1"]),
+        ("flag", ["--column-map", "timestamp=0,id=-1,dlc=2,data=3,label=5"]),
+        ("flag", ["--column-map", "nonsense"]),
+    ],
+)
+def test_ingest_generic_options_are_checked_with_either_format(tmp_path, capsys, route, value):
+    log, out = tmp_path / "log.csv", tmp_path / "norm.csv"
+    log.write_text("1.0,0316,2,aa,bb,R\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(value))
+    options = ["--config", cfg] if route == "config" else value
+    code, stdout, err = run_cli(capsys, "ingest", log, "--format", "car-hacking", *options, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists() and "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("canids-error category=")]) == 1
 
 
 def test_evaluate_matches_hand_computed(tmp_path, capsys):
@@ -747,6 +792,23 @@ def test_run_config_value_outside_choices_is_usage_error(small_run, tmp_path, ca
     assert err.startswith("canids-error category=usage") and err.count("\n") == 1 and repr(key) in err
 
 
+def test_last_run_config_is_the_one_applied_and_recorded(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    write_scores_csv([ScoredWindow(0, 3.0, 0.5, 0.9, 0.84, 1, 1), ScoredWindow(100, 1.0, 0.0, 0.1, 0.085, 0, 0)],
+                     scores)
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"threshold": "x"}))
+    good.write_text(json.dumps({"threshold": 0.95}))
+    argv = ["evaluate", "--scores", str(scores), "--config", str(bad), f"--config={good}"]
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(stdout)["threshold"] == 0.95
+    args = build_parser(argv, cli._run_config_defaults(argv)).parse_args(argv)
+    assert (args.run_config, args.threshold) == (str(good), 0.95)
+    code, stdout, err = run_cli(capsys, "evaluate", "--scores", scores, "--config", good, "--config", bad)
+    assert code == 2 and stdout == ""
+    assert err.startswith("canids-error category=config") and err.count("\n") == 1 and str(bad) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -759,6 +821,8 @@ def test_run_config_value_outside_choices_is_usage_error(small_run, tmp_path, ca
         ["evaluate", "--scores", "{log}", "--bogus"],
         ["bogus-command"],
         [],
+        ["evaluate", "--scores", "{log}", "--conf", "{log}"],  # an abbreviation is not the flag
+        ["evaluate", "--scores", "{log}", "--thresh", "0.5"],
     ],
 )
 def test_argparse_errors_are_usage_errors(tmp_path, capsys, argv):
@@ -793,10 +857,11 @@ def test_help_version_and_usage_errors_match_golden_text(capsys, monkeypatch, ca
 
 
 def test_build_parser_builds_only_the_invoked_subparser():
-    assert list(build_parser(["build-graphs", "--in", "x"]).canids_subparsers) == ["build-graphs"]
+    # the usage line lists the subcommands the parser has
+    assert "{build-graphs}" in build_parser(["build-graphs", "--in", "x"]).format_usage()
     assert len(COMMANDS) == 10
     for argv in ([], ["--help"], ["--version"], ["bogus"], ["-x", "build-graphs"]):
-        assert list(build_parser(argv).canids_subparsers) == COMMANDS
+        assert "{" + ",".join(COMMANDS) + "}" in build_parser(argv).format_usage()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -996,22 +1061,22 @@ NEGATIVE_INTS = st.integers(max_value=-1) | st.just(-(10**30))
 NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
 
 
-def bad_value(action) -> st.SearchStrategy:
+def bad_value(flag: str, keywords: dict) -> st.SearchStrategy:
     """Values of a run-config key that its subcommand must reject: a wrong JSON type for the flag, or a
     number outside the flag's range."""
-    name = action.dest
-    if isinstance(action, argparse._StoreTrueAction):
+    name, choices = cli.option_dest(flag, keywords), keywords.get("choices")
+    if keywords.get("action") == "store_true":
         return st.none() | st.integers() | st.floats() | NUMBER_STRINGS | st.lists(st.booleans(), max_size=2) | OBJECTS
-    if action.type is int:
+    if keywords.get("type") is int:
         big = st.just(10**30) if name in BOUNDED_INTS else st.nothing()
         return NOT_A_NUMBER | st.floats() | st.just(-0.0) | NEGATIVE_INTS | big
-    if action.type is float:
+    if keywords.get("type") is float:
         big = st.just(10**30) if name in AT_MOST_ONE else st.nothing()
         zero = st.sampled_from([0, 0.0, -0.0]) if name in ABOVE_ZERO else st.nothing()
-        return NOT_A_NUMBER | NON_FINITE | NEGATIVE_INTS | st.floats(max_value=-1e-300) | big | zero
+        return NOT_A_NUMBER | NON_FINITE | st.just(10**400) | NEGATIVE_INTS | st.floats(max_value=-1e-300) | big | zero
     wrong_type = st.none() | st.booleans() | st.integers() | st.floats() | OBJECTS
-    if action.choices is not None:
-        return wrong_type | st.text(max_size=8).filter(lambda s: s not in action.choices)
+    if choices is not None:
+        return wrong_type | st.text(max_size=8).filter(lambda s: s not in choices)
     if name == "fusion_weights":
         return wrong_type | st.sampled_from(["nan,1", "1,nan", "inf,0", "1e309,0", "-0.5,1.5", "0.5", "1,0,0", "a,b"])
     return wrong_type  # a path or a string that only the flag itself reads
@@ -1029,7 +1094,8 @@ def config_text(values: dict) -> str:
 
 @pytest.fixture(scope="module")
 def run_inputs(small_run):
-    """Valid arguments of every subcommand that takes a run config, each with the path it writes."""
+    """Valid arguments of every subcommand that takes a run config, each with the path it writes; ingest
+    with each format."""
     root = small_run
     generic = root / "generic.csv"
     generic.write_text("".join(f"{k / 10!r},316,2,aa,bb,x,x,x,x,x,x,R\n" for k in range(20)))
@@ -1037,6 +1103,7 @@ def run_inputs(small_run):
     write_scores_csv([ScoredWindow(i * 100, 0.5 * i, i / 9, 1 - i / 9, 0.5, i % 2, i // 5) for i in range(10)], scores)
     inputs = {
         "ingest": [generic, "--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=11"],
+        "ingest-car-hacking": [root / "train.csv", "--format", "car-hacking"],
         "build-graphs": ["--in", root / "train.csv"],
         "train-vgae": ["--graphs", root / "train.cache"],
         "undersample": ["--graphs", root / "train.cache", "--vgae", root / "vgae.ckpt"],
@@ -1049,27 +1116,26 @@ def run_inputs(small_run):
                    "--vgae", root / "vgae.ckpt", "--gat", root / "gat.ckpt"],
     }
     runs = {}
-    for command, argv in inputs.items():
-        out = root / f"property-{command}.out"
+    for name, argv in inputs.items():
+        command, out = name.removesuffix("-car-hacking"), root / f"property-{name}.out"
         flag = {"distill": "--out-dir", "report": "--out-dir", "evaluate": None}.get(command, "--out")
-        runs[command] = ([command, *map(str, argv), *((flag, str(out)) if flag else ())], out)
+        runs[name] = ([command, *map(str, argv), *((flag, str(out)) if flag else ())], out)
     return runs
 
 
 # synth takes no run config: its --config is the traffic generator's
-@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "synth"] + ["ingest-car-hacking"])
 def test_bad_run_config_values_fail_with_one_error_line(run_inputs, command):
     argv, out = run_inputs[command]
-    flags = [a for a in build_parser([command]).canids_subparsers[command]._actions
-             if a.option_strings and a.dest not in ("help", "run_config")]
+    flags = [option for option in cli.COMMANDS[argv[0]].options if option[0].startswith("--")]
     cfg = out.with_suffix(".json")
 
     @given(st.data())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def check(data):
-        chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique_by=lambda a: a.dest))
-        values = {a.option_strings[0][2:] if data.draw(st.booleans()) else a.dest: data.draw(bad_value(a))
-                  for a in chosen}
+        chosen = data.draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique_by=lambda o: o[0]))
+        values = {flag[2:] if data.draw(st.booleans()) else cli.option_dest(flag, keywords):
+                  data.draw(bad_value(flag, keywords)) for flag, keywords in chosen}
         cfg.write_text(config_text(values))
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
