@@ -381,20 +381,14 @@ SEED = (("--seed", {"type": int, "default": 0}),)
 COMMON = (("--seed", {"type": int, "default": 0, "help": "root of all randomness"}),
           ("--out", {"required": True, "help": "output path"}))
 PRESET = ("--preset", {"choices": ["teacher", "student"], "default": "teacher"})
-TRAINING = (
-    ("--val-frac", {"type": float}),
-    ("--vgae-epochs", {"type": int}),
-    ("--vgae-lr", {"type": float}),
-    ("--vgae-batch", {"type": int}),
-    ("--gat-epochs", {"type": int}),
-    ("--gat-batch", {"type": int}),
-    ("--gat-lr", {"type": float}),
-    ("--patience", {"type": int}),
-    ("--ratio", {"type": float, "help": "normal-to-attack undersampling ratio"}),
-    ("--score-mode", {"choices": SCORE_MODES}),
-    ("--threshold", {"type": float}),
-    ("--fusion-weights", {"help": "anomaly,gat e.g. 0.15,0.85"}),
-)
+# the PipelineOptions flags, grouped by the stage function that reads them
+VAL_FRAC = (("--val-frac", {"type": float}),)
+VGAE_TRAINING = (("--vgae-epochs", {"type": int}), ("--vgae-lr", {"type": float}), ("--vgae-batch", {"type": int}))
+GAT_TRAINING = (("--gat-epochs", {"type": int}), ("--gat-batch", {"type": int}), ("--gat-lr", {"type": float}),
+                ("--patience", {"type": int}))
+SELECTION = (("--ratio", {"type": float, "help": "normal-to-attack undersampling ratio"}),
+             ("--score-mode", {"choices": SCORE_MODES}))
+SCORING = (("--threshold", {"type": float}), ("--fusion-weights", {"help": "anomaly,gat e.g. 0.15,0.85"}))
 # every subcommand but synth, whose --config is the traffic generator config, takes a run config first
 RUN_CONFIG = ("--config", {"dest": "run_config",
                            "help": "JSON run config supplying defaults for any flag of this subcommand"})
@@ -415,24 +409,24 @@ COMMANDS = {
         ("--stride", {"type": int}), ("--undirected", {"action": "store_true"}),
         *COMMON)),
     "train-vgae": Command(cmd_train_vgae, "stage 1: train the autoencoder on benign windows", (
-        ("--graphs", REQUIRED), PRESET, *TRAINING, *COMMON)),
+        ("--graphs", REQUIRED), PRESET, *VAL_FRAC, *VGAE_TRAINING, *COMMON)),
     "undersample": Command(cmd_undersample, "select hardest normals at the target ratio", (
-        ("--graphs", REQUIRED), ("--vgae", REQUIRED), *TRAINING, *COMMON)),
+        ("--graphs", REQUIRED), ("--vgae", REQUIRED), *VAL_FRAC, *SELECTION, *COMMON)),
     "train-gat": Command(cmd_train_gat, "stage 2: train the classifier on the selected set", (
         ("--graphs", REQUIRED), ("--val-graphs", {"help": "full training cache for validation split"}), PRESET,
-        *TRAINING, *COMMON)),
+        *VAL_FRAC, *GAT_TRAINING, *COMMON)),
     "distill": Command(cmd_distill, "re-run both stages with students learning from teachers", (
         ("--graphs", REQUIRED), ("--test-graphs", {}), ("--teacher-vgae", REQUIRED), ("--teacher-gat", REQUIRED),
         ("--tau", {"type": float, "default": KdConfig.temperature}),
         ("--alpha", {"type": float, "default": KdConfig.hard_weight}),
-        *TRAINING, *SEED, ("--out-dir", REQUIRED))),
+        *VAL_FRAC, *VGAE_TRAINING, *GAT_TRAINING, *SELECTION, *SCORING, *SEED, ("--out-dir", REQUIRED))),
     "evaluate": Command(cmd_evaluate, "metrics from a scores.csv", (
         ("--scores", REQUIRED), ("--threshold", {"type": float, "default": PipelineOptions.threshold}), *SEED)),
     "export-embeddings": Command(cmd_export_embeddings, "graph-level embeddings as CSV for projection tools", (
         ("--graphs", REQUIRED), ("--gat", REQUIRED), *COMMON)),
     "report": Command(cmd_report, "calibrate, score the test stream, and write scores + report", (
         ("--train-graphs", REQUIRED), ("--test-graphs", REQUIRED), ("--vgae", REQUIRED), ("--gat", REQUIRED),
-        *TRAINING, *SEED, ("--out-dir", REQUIRED))),
+        *VAL_FRAC, *SELECTION, *SCORING, *SEED, ("--out-dir", REQUIRED))),
 }
 
 

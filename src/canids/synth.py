@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, Label
+from .canlog import MAX_STD_ID, CanFrame, Label
 from .errors import ConfigError, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
@@ -51,6 +51,8 @@ class AttackSpec:
             raise ConfigError(f"{self.kind.value}: injection_rate must be > 0")
         if self.kind in (AttackKind.SPOOFING, AttackKind.REPLAY) and self.target_id is None:
             raise ConfigError(f"{self.kind.value} requires target_id")
+        if self.target_id is not None and not 0 <= self.target_id <= MAX_STD_ID:
+            raise ConfigError(f"{self.kind.value}: target_id {self.target_id} outside 11-bit range")
         if self.start_time < 0 or self.start_time + self.duration > log_duration:
             raise ConfigError(
                 f"{self.kind.value}: window [{self.start_time}, "
@@ -69,8 +71,10 @@ class EcuSpec:
     def validate(self) -> "EcuSpec":
         if self.period <= 0:
             raise ConfigError(f"ECU 0x{self.can_id:x}: period must be > 0")
-        if not 0 <= self.can_id <= 2047:
+        if not 0 <= self.can_id <= MAX_STD_ID:
             raise ConfigError(f"ECU ID {self.can_id} outside 11-bit range")
+        if not 0 <= self.dlc <= 8:
+            raise ConfigError(f"ECU 0x{self.can_id:x}: dlc {self.dlc} outside [0, 8]")
         return self
 
 
@@ -171,7 +175,7 @@ def load_synth_config(path) -> SynthConfig:
     """Read a generator config from a JSON file.
 
     Numbers must be JSON numbers: integers (not booleans) for the IDs, seeds and DLC, finite numbers
-    for the times and rates.
+    for the times and rates. Each ECU and attack is validated here, so that its error names the file.
 
     Schema: {"duration": float,
              "ecus": [{"can_id", "period", "payload_seed", "dlc"?}, ...],
@@ -184,11 +188,11 @@ def load_synth_config(path) -> SynthConfig:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
     def integer(where, value):
-        require_int(f"{path}: {where}", value, 0)
+        require_int(where, value, 0)
         return value
 
     def number(where, value):
-        require_finite(f"{path}: {where}", value)
+        require_finite(where, value)
         return float(value)
 
     try:
@@ -198,7 +202,7 @@ def load_synth_config(path) -> SynthConfig:
                 number(f"ecus[{i}].period", e["period"]),
                 integer(f"ecus[{i}].payload_seed", e["payload_seed"]),
                 integer(f"ecus[{i}].dlc", e.get("dlc", 8)),
-            )
+            ).validate()
             for i, e in enumerate(raw["ecus"])
         )
         attacks = tuple(
@@ -212,6 +216,10 @@ def load_synth_config(path) -> SynthConfig:
             for i, a in enumerate(raw.get("attacks", []))
         )
         duration = number("duration", raw["duration"])
+        for attack in attacks:
+            attack.validate(duration)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: bad generator config ({exc})") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return SynthConfig(ecus=ecus, duration=duration, attacks=attacks)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -78,6 +79,9 @@ def test_synth_deterministic(tmp_path, synth_cfg, capsys):
         {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": 1, "dlc": False}]},
         {"attacks": [{"kind": "dos", "start": "8", "duration": 1.5, "rate": 800.0}]},
         {"attacks": [{"kind": "spoofing", "start": 8.0, "duration": 1.5, "rate": 800.0, "target_id": "256"}]},
+        # numbers out of a CAN frame's range
+        {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": 1, "dlc": 12}]},
+        {"attacks": [{"kind": "spoofing", "start": 8.0, "duration": 1.5, "rate": 800.0, "target_id": 5000}]},
     ],
 )
 def test_synth_config_numbers_must_be_json_numbers(tmp_path, capsys, edit):
@@ -775,8 +779,8 @@ def test_unknown_preset_in_run_config_is_usage_error(small_run, tmp_path, capsys
     "command, config",
     [
         ("ingest", {"format": "bogus", "column_map": "timestamp=0,id=1,dlc=2,data=3,label=5"}),
-        ("train-vgae", {"score_mode": "bogus"}),
-        ("train-vgae", {"score-mode": ["composite", "adjacency_l2"]}),
+        ("undersample", {"score_mode": "bogus"}),
+        ("undersample", {"score-mode": ["composite", "adjacency_l2"]}),
         ("train-gat", {"preset": "huge"}),
     ],
 )
@@ -784,12 +788,46 @@ def test_run_config_value_outside_choices_is_usage_error(small_run, tmp_path, ca
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    inputs = {"ingest": [small_run / "train.csv"], "train-vgae": ["--graphs", small_run / "train.cache"],
+    inputs = {"ingest": [small_run / "train.csv"],
+              "undersample": ["--graphs", small_run / "train.cache", "--vgae", small_run / "vgae.ckpt"],
               "train-gat": ["--graphs", small_run / "stage2.cache"]}
     code, stdout, err = run_cli(capsys, command, *inputs[command], "--config", cfg, "--out", out)
     key = next(iter(config))
     assert code == 2 and stdout == "" and not out.exists()
     assert err.startswith("canids-error category=usage") and err.count("\n") == 1 and repr(key) in err
+
+
+PIPELINE_FLAGS = [flag for flag, keywords in cli.COMMANDS["distill"].options
+                  if cli.option_dest(flag, keywords) in {f.name for f in dataclasses.fields(PipelineOptions)}]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, (_, _, options) in cli.COMMANDS.items()
+     for flag in PIPELINE_FLAGS if flag not in {option[0] for option in options}],
+)
+def test_pipeline_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, command, flag):
+    """A pipeline option is declared only by the subcommands whose stages read it; elsewhere it is an
+    unrecognized argument, rejected before any input file is read."""
+    argv, absent = [command], tmp_path / "absent"  # the value of every required argument
+    for name, keywords in cli.COMMANDS[command].options:
+        if not name.startswith("--"):
+            argv.append(absent)
+        elif keywords.get("required"):
+            argv += [name, absent]
+    code, stdout, err = run_cli(capsys, *argv, f"{flag}=1")
+    assert code == 2 and stdout == "" and not any(tmp_path.iterdir())
+    assert err == f"canids-error category=usage message=canids: unrecognized arguments: {flag}=1\n"
+
+
+def test_run_config_key_of_an_undeclared_option_is_skipped(small_run, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"gat_epochs": 3}))
+    argv = ["train-vgae", "--graphs", small_run / "train.cache", "--preset", "student", "--seed", 7,
+            "--vgae-epochs", 2]
+    assert run_cli(capsys, *argv, "--out", tmp_path / "plain.ckpt")[0] == 0
+    assert run_cli(capsys, *argv, "--config", cfg, "--out", tmp_path / "configured.ckpt")[0] == 0
+    assert (tmp_path / "configured.ckpt").read_bytes() == (tmp_path / "plain.ckpt").read_bytes()
 
 
 def test_last_run_config_is_the_one_applied_and_recorded(tmp_path, capsys):
@@ -840,8 +878,26 @@ def test_help_and_version_exit_0(capsys, argv):
     assert exit_.value.code == 0 and capsys.readouterr().out
 
 
-# stdout, stderr and exit code of each argument list, as the parser that built all ten subparsers on
-# every call gave them
+# stdout, stderr and exit code of each argument list at COLUMNS=80. To re-record cases after a deliberate
+# change of their text, run this from the repository root with each changed case's argument list; the
+# other entries stay byte-identical:
+#
+#   COLUMNS=80 PYTHONPATH=src python - 'train-vgae --help' 'report --help' <<'EOF'
+#   import contextlib, io, json, sys
+#   from canids.cli import main
+#   path = "tests/golden_cli_help.json"
+#   cases = json.load(open(path))
+#   for case in cases:
+#       if " ".join(case["argv"]) in sys.argv[1:]:
+#           out, err = io.StringIO(), io.StringIO()
+#           with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+#               try:
+#                   code = main(case["argv"])
+#               except SystemExit as exc:
+#                   code = exc.code
+#           case.update(code=code, stdout=out.getvalue(), stderr=err.getvalue())
+#   open(path, "w").write(json.dumps(cases, indent=1))
+#   EOF
 GOLDEN_HELP = json.loads((Path(__file__).parent / "golden_cli_help.json").read_text())
 
 

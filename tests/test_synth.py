@@ -99,11 +99,17 @@ def test_replay_reemits_recorded_payloads():
         AttackSpec(AttackKind.DOS, 1.0, 0.0, 100.0),
         AttackSpec(AttackKind.DOS, 1.0, 1.0, 0.0),
         AttackSpec(AttackKind.SPOOFING, 1.0, 1.0, 100.0),  # no target
+        AttackSpec(AttackKind.SPOOFING, 1.0, 1.0, 100.0, target_id=5000),  # beyond 11 bits
     ],
 )
 def test_invalid_attack_specs(atk):
     with pytest.raises(ConfigError):
         generate_synthetic_log(TWO_ECUS, 10.0, [atk], rng_seed=1)
+
+
+def test_ecu_dlc_outside_0_to_8_rejected():
+    with pytest.raises(ConfigError, match=r"dlc 12 outside \[0, 8\]"):
+        generate_synthetic_log([EcuSpec(100, 0.01, 7, dlc=12)], 10.0, rng_seed=1)
 
 
 def test_no_ecus_rejected():
