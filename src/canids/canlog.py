@@ -285,43 +285,42 @@ def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock,
     the first bad one, the ParseError of that line (None if there is none), and the number of lines.
 
     The frames of the line loop are put in among the canonical lines' in line
-    order, and then every timestamp is checked against the one before.
+    order, and then every timestamp is checked, once: finite and not below the
+    one before (``last_ts`` for the first).
     """
-    block, canonical, ends = _canonical_lines(text, last_ts)
-    odd = np.flatnonzero(~canonical)
-    if not len(odd):
-        return block, None, len(ends)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lines = [text[a:b].decode("ascii") for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
-    at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
-    rows = odd[at]  # the lines whose frames the line loop read
-    for column, values in zip(block, FrameBlock.from_frames(frames)):
-        column[rows] = values
-    keep = canonical
-    keep[rows] = True
-    if error is not None:
-        keep[error.line - lineno :] = False
-    kept = np.flatnonzero(keep)
-    block = FrameBlock(*(column[kept] for column in block))
+    block, keep, ends = _canonical_lines(text)
+    odd = np.flatnonzero(~keep)
+    error = None
+    if len(odd):
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        lines = [text[a:b].decode("ascii") for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
+        at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
+        rows = odd[at]  # the lines whose frames the line loop read
+        for column, values in zip(block, FrameBlock.from_frames(frames)):
+            column[rows] = values
+        keep[rows] = True
+        if error is not None:
+            keep[error.line - lineno :] = False
+        kept = np.flatnonzero(keep)
+        block = FrameBlock(*(column[kept] for column in block))
     ts = block.timestamp
     before = np.concatenate(([last_ts], ts[:-1]))
     bad = np.flatnonzero(~((before <= ts) & (ts < math.inf)))
     if len(bad):
         k = bad[0]
-        error = _timestamp_error(float(ts[k]), float(before[k]), lineno + int(kept[k]))
+        error = _timestamp_error(float(ts[k]), float(before[k]), lineno + int(np.flatnonzero(keep)[k]))
         block = FrameBlock(*(column[:k] for column in block))
     return block, error, len(ends)
 
 
-def _canonical_lines(text: bytes, last_ts: float) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
+def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
     """The canonical lines of ``text``, every line of which ends in a newline: a FrameBlock with one
     row per line, whose rows of the canonical lines hold their frames; the mask of those lines; and
     the offset of each line's newline in ``text``.
 
     A canonical line is ``timestamp,ID,DLC,B0,...,B{DLC-1},flag``: a
-    timestamp of 1 to 32 characters in the form ``repr(float)`` writes,
-    finite and not below the timestamp of the line before (``last_ts`` for
-    the first line; none after a line whose timestamp is not of this form);
+    timestamp of 1 to 32 characters in the form ``repr(float)`` writes (its
+    order and finiteness are ``_decode_block``'s to check);
     an ID of one to four hex digits up to 0x7ff; a DLC of one digit 0-8; DLC
     payload fields of exactly two hex digits; and the flag ``R`` or ``T``,
     with no blanks. Every rule is checked with array operations over all the
@@ -375,11 +374,11 @@ def _canonical_lines(text: bytes, last_ts: float) -> tuple[FrameBlock, np.ndarra
     strings[~decimal] = b"0"
     try:
         ts = strings.astype(np.float64)
-    except ValueError:  # a line's timestamp is not a decimal, which makes the block's read stop there
-        ts = np.array([float(s) if _is_decimal(s.decode()) else -math.inf for s in strings.tolist()])
-    ts[~decimal] = -math.inf
-    ok &= np.isfinite(ts) & (ts >= np.concatenate(([last_ts], ts[:-1])))
-    return FrameBlock(ts, can_id, dlc, payload, flag == 1), ok, ends
+    except ValueError:  # some line's timestamp is not a decimal: that line is left to the line loop
+        decimal &= [_is_decimal(s.decode()) is not None for s in strings.tolist()]
+        strings[~decimal] = b"0"
+        ts = strings.astype(np.float64)
+    return FrameBlock(ts, can_id, dlc, payload, flag == 1), ok & decimal, ends
 
 
 def _rows_all(ok: np.ndarray) -> np.ndarray:

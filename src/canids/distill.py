@@ -78,18 +78,16 @@ class LatentProjection:
 
     def apply(self, latent: LatentState) -> tuple[Tensor, Tensor]:
         t = self.table
-        mu = latent.mu @ t["proj.mu_weight"].tensor + t["proj.mu_bias"].tensor
-        log_sigma = latent.log_sigma @ t["proj.ls_weight"].tensor + t["proj.ls_bias"].tensor
+        mu = T.linear(latent.mu, t["proj.mu_weight"].tensor, t["proj.mu_bias"].tensor)
+        log_sigma = T.linear(latent.log_sigma, t["proj.ls_weight"].tensor, t["proj.ls_bias"].tensor)
         return mu, log_sigma
 
 
 def kd_latent_loss(
-    student_latent: LatentState, teacher_latent: LatentState, projection: LatentProjection, batch=None
+    student_latent: LatentState, teacher_latent: LatentState, projection: LatentProjection, batch
 ) -> Tensor:
-    """Per-node KL(projected student Gaussian || teacher Gaussian), node-averaged.
-
-    With a GraphBatch, averaged over each window's nodes, then over windows.
-    """
+    """Per-node KL(projected student Gaussian || teacher Gaussian), averaged over each window's nodes
+    of the GraphBatch ``batch``, then over its windows."""
     if student_latent.mu.shape[0] != teacher_latent.mu.shape[0]:
         raise DimensionError(
             f"kd_latent_loss: node counts differ "
@@ -102,8 +100,6 @@ def kd_latent_loss(
     var_ratio = T.exp(2.0 * (ls_s - ls_t))
     delta = (mu_s - mu_t) ** 2 * T.exp(-2.0 * ls_t)
     per_node = (ls_t - ls_s + 0.5 * (var_ratio + delta) - 0.5).sum(axis=1)
-    if batch is None:
-        return per_node.mean()
     return T.segment_mean(per_node, batch.graph_index, batch.node_counts).mean()
 
 

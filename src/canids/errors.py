@@ -32,20 +32,22 @@ class ConfigError(CanidsError):
 
 
 def require_int(name: str, value, least: int):
-    """ConfigError unless ``value`` is an integer (not a bool) of at least ``least``."""
+    """``value``; ConfigError unless it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
 
 
-def require_finite(name: str, value, positive: bool = False):
-    """ConfigError unless ``value`` is a finite real number (not a bool) that a float can hold, and > 0 if
-    ``positive``."""
+def require_finite(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; ConfigError unless it is a finite real number (not a bool) that a float can
+    hold, and > 0 if ``positive``."""
     try:
         finite = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite or (positive and value <= 0):
         raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+    return float(value)
 
 
 def require_probability(name: str, value):

@@ -53,10 +53,6 @@ class GatConfig:
     def student(cls) -> "GatConfig":
         return cls(num_layers=2, attn_heads=4, hidden_channels=16, role="student")
 
-    @classmethod
-    def from_dict(cls, d) -> "GatConfig":
-        return cls(**d)
-
     def param_shapes(self) -> dict[str, tuple]:
         """The classifier's name -> shape table, in init order."""
         shapes: dict[str, tuple] = {}
@@ -217,16 +213,13 @@ def gat_layer(
     d_head: int,
     slope: float,
     agg: str = "concat",
-    collect_attention: list | None = None,
 ) -> Tensor:
     """One attention convolution: ELU(aggregate(alpha * Wh))."""
     n = prep.num_nodes
     wh = (h @ params.weight.tensor).reshape((n, heads, d_head))
-    out, alpha = T.graph_attention(
+    out, _ = T.graph_attention(
         wh, params.att_src.tensor, params.att_dst.tensor, prep.log_w, prep.src_index, prep.dst_index, slope
     )  # (n, heads, d_head)
-    if collect_attention is not None:
-        collect_attention.append((alpha.copy(), prep.dst.copy(), n))
     if agg == "concat":
         out = out.reshape((n, heads * d_head))
     else:
@@ -259,7 +252,7 @@ class GatClassifier(ParamModel):
         plan = _layer_plan(config)
         self.layers = [(GatLayerParams.of(self.table, f"conv{i}"), agg) for i, (_, agg, _) in enumerate(plan)]
 
-    def forward(self, batch: GraphBatch, collect_attention: list | None = None):
+    def forward(self, batch: GraphBatch):
         """Per graph of the batch: (attack probability, 2 logits, embedding).
 
         Shapes (num_graphs,), (num_graphs, 2) and (num_graphs, jk_width).
@@ -268,10 +261,7 @@ class GatClassifier(ParamModel):
         h = batch.x
         per_layer = []
         for layer_params, agg in self.layers:
-            h = gat_layer(
-                h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels,
-                cfg.leaky_slope, agg, collect_attention,
-            )
+            h = gat_layer(h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels, cfg.leaky_slope, agg)
             per_layer.append(h)
         jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
         # graph-level vectors, exported for projection

@@ -13,6 +13,7 @@ from .errors import ConfigError, ParseError, StateError
 from .tensor import Tensor
 
 GRAD_CLIP = 5.0  # global gradient-norm bound of every training step
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator floor
 
 
 @dataclass
@@ -62,7 +63,7 @@ class ParamModel:
     model's parameters from it, and a checkpoint's names and shapes must
     match it exactly.
     Subclasses set ``kind``, the checkpoint's model kind, and
-    ``config_type``, whose ``from_dict`` reads the checkpoint's config.
+    ``config_type``, the dataclass that the checkpoint's config fields build.
     """
 
     kind: str
@@ -97,7 +98,7 @@ class ParamModel:
         if kind != cls.kind:
             raise StateError(f"{path}: expected a {cls.kind} checkpoint, found {kind!r}")
         try:
-            config = cls.config_type.from_dict(config)
+            config = cls.config_type(**config)
         except (TypeError, ConfigError) as exc:
             raise ParseError(f"{path}: bad {kind} config ({exc})", line=2) from None
         return cls(config, param_values=values)
@@ -138,12 +139,9 @@ def checked_step(opt: "Adam", loss: Tensor, where) -> None:
 class Adam:
     """Standard Adam with bias correction; state is one moment pair per param."""
 
-    def __init__(self, params: list[Param], lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: list[Param], lr=1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.tensor.values) for p in params]
         self._v = [np.zeros_like(p.tensor.values) for p in params]
@@ -155,7 +153,7 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1.0 - b1**t, 1.0 - b2**t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.tensor.grad
@@ -175,7 +173,7 @@ class Adam:
             step *= self.lr
             np.divide(v, c2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             step /= denom
             # a fresh array each step: param_values() hands out the live arrays
             p.tensor.values = np.subtract(p.tensor.values, step, out=step)

@@ -70,8 +70,8 @@ def undersample(ranked_normals, attack_graphs, ratio: float) -> UndersampleResul
             "undersample: no attack windows in the training split; "
             "skip undersampling and run the VGAE-only anomaly mode"
         )
-    want = int(np.ceil(ratio * len(attack_graphs)))
-    keep = min(want, len(ranked_normals))
+    want = ratio * len(attack_graphs)  # compared before int(): a huge ratio keeps every normal
+    keep = len(ranked_normals) if want >= len(ranked_normals) else int(np.ceil(want))
     return UndersampleResult(
         selected_normals=ranked_normals[:keep],
         attacks=attack_graphs,

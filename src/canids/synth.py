@@ -105,8 +105,7 @@ def generate_synthetic_log(
     """
     if not ecu_schedule:
         raise ConfigError("need at least one ECU")
-    ecus = [EcuSpec(*e) if isinstance(e, tuple) else e for e in ecu_schedule]
-    for ecu in ecus:
+    for ecu in ecu_schedule:
         ecu.validate()
     for atk in attacks:
         atk.validate(duration)
@@ -115,7 +114,7 @@ def generate_synthetic_log(
     # generation order; a stable sort on the timestamp alone breaks ties by it
     frames: list[CanFrame] = []
 
-    for ecu in ecus:
+    for ecu in ecu_schedule:
         lo = _ecu_payload_low(ecu)
         phase = float(rng.uniform(0.0, ecu.period))
         n_emit = int(np.ceil((duration - phase) / ecu.period)) if phase < duration else 0
@@ -187,35 +186,27 @@ def load_synth_config(path) -> SynthConfig:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
-    def integer(where, value):
-        require_int(where, value, 0)
-        return value
-
-    def number(where, value):
-        require_finite(where, value)
-        return float(value)
-
     try:
         ecus = tuple(
             EcuSpec(
-                integer(f"ecus[{i}].can_id", e["can_id"]),
-                number(f"ecus[{i}].period", e["period"]),
-                integer(f"ecus[{i}].payload_seed", e["payload_seed"]),
-                integer(f"ecus[{i}].dlc", e.get("dlc", 8)),
+                require_int(f"ecus[{i}].can_id", e["can_id"], 0),
+                require_finite(f"ecus[{i}].period", e["period"]),
+                require_int(f"ecus[{i}].payload_seed", e["payload_seed"], 0),
+                require_int(f"ecus[{i}].dlc", e.get("dlc", 8), 0),
             ).validate()
             for i, e in enumerate(raw["ecus"])
         )
         attacks = tuple(
             AttackSpec(
                 AttackKind(a["kind"]),
-                number(f"attacks[{i}].start", a["start"]),
-                number(f"attacks[{i}].duration", a["duration"]),
-                number(f"attacks[{i}].rate", a["rate"]),
-                integer(f"attacks[{i}].target_id", a["target_id"]) if a.get("target_id") is not None else None,
+                require_finite(f"attacks[{i}].start", a["start"]),
+                require_finite(f"attacks[{i}].duration", a["duration"]),
+                require_finite(f"attacks[{i}].rate", a["rate"]),
+                require_int(f"attacks[{i}].target_id", a["target_id"], 0) if a.get("target_id") is not None else None,
             )
             for i, a in enumerate(raw.get("attacks", []))
         )
-        duration = number("duration", raw["duration"])
+        duration = require_finite("duration", raw["duration"])
         for attack in attacks:
             attack.validate(duration)
     except (KeyError, ValueError, TypeError) as exc:

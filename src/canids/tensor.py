@@ -39,18 +39,18 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward", "_track")
+    __slots__ = ("values", "grad", "_parents", "_backward", "_track")
 
     # keep numpy from broadcasting over Tensor operands; defer to __r<op>__
     __array_ufunc__ = None
 
     def __init__(self, values, requires_grad=False):
+        """``requires_grad=True`` makes a leaf whose gradient backward() accumulates in ``grad``."""
         if isinstance(values, np.ndarray) and values.dtype == np.float64:
             self.values = values
         else:
             self.values = np.asarray(values, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
         self._track = requires_grad
@@ -73,7 +73,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.values.shape}, requires_grad={self._track})"
 
     def backward(self, grad=None):
         if grad is None:
@@ -192,7 +192,6 @@ def _make(values, parents, backward):
     t = _new_tensor(Tensor)
     t.values = values if type(values) is np.ndarray else np.asarray(values, dtype=np.float64)
     t.grad = None
-    t.requires_grad = False
     t._parents, t._backward, t._track = (), None, False
     if _grad_enabled:
         for p in parents:

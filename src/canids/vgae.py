@@ -55,10 +55,6 @@ class VgaeConfig:
     def student(cls) -> "VgaeConfig":
         return cls(num_layers=2, attn_heads=2, hidden_channels=16, latent_dim=8, role="student")
 
-    @classmethod
-    def from_dict(cls, d) -> "VgaeConfig":
-        return cls(**d)
-
     def param_shapes(self) -> dict[str, tuple]:
         """The autoencoder's name -> shape table, in init order."""
         k, hc, lat = self.attn_heads, self.hidden_channels, self.latent_dim
@@ -101,17 +97,6 @@ class LatentState:
     z: Tensor
 
 
-@dataclass
-class DecodedGraph:
-    z: Tensor  # (n, latent_dim); edges are decoded from it pair by pair
-    features: Tensor  # (n, 3) in (0, 1)
-    id_logits: Tensor  # (n, id_buckets)
-
-    def edge_probabilities(self, src, dst) -> Tensor:
-        """sigmoid(z[src] . z[dst]): the inner-product decoder read at the given pairs only."""
-        return T.sigmoid_inner_product(self.z, src, dst)
-
-
 class VgaeModel(ParamModel):
     kind = "vgae"
     config_type = VgaeConfig
@@ -123,7 +108,7 @@ class VgaeModel(ParamModel):
     def _lin(self, x: Tensor, weight: str, bias: str) -> Tensor:
         return T.linear(x, self.table[weight].tensor, self.table[bias].tensor)
 
-    def encode(self, prep: GraphBatch, training: bool = False, rng=None, noise=None) -> LatentState:
+    def encode(self, prep: GraphBatch, training: bool = False, rng=None) -> LatentState:
         """Posterior parameters for every node; z is sampled only in training.
 
         The posterior noise of a batch is one draw of (num_nodes, latent_dim),
@@ -133,11 +118,9 @@ class VgaeModel(ParamModel):
         mu = self._lin(h, "mu.weight", "mu.bias")
         log_sigma = T.clamp(self._lin(h, "log_sigma.weight", "log_sigma.bias"), -LOG_SIGMA_CLAMP, LOG_SIGMA_CLAMP)
         if training:
-            if noise is None:
-                if rng is None:
-                    raise StateError("training-mode encode needs an rng for the posterior sample")
-                noise = rng.standard_normal(mu.shape)
-            z = mu + T.exp(log_sigma) * noise
+            if rng is None:
+                raise StateError("training-mode encode needs an rng for the posterior sample")
+            z = mu + T.exp(log_sigma) * rng.standard_normal(mu.shape)
         else:
             z = mu
         return LatentState(mu=mu, log_sigma=log_sigma, z=z)
@@ -154,24 +137,20 @@ class VgaeModel(ParamModel):
         """``encode(prep).mu`` alone: the trunk and the mu head, without the log_sigma head."""
         return self._lin(self._trunk(prep), "mu.weight", "mu.bias")
 
-    def decode_features(self, z: Tensor) -> tuple[Tensor, Tensor]:
-        """Single-hidden-layer heads: node features in (0,1) and ID-bucket logits."""
+    def decode(self, z: Tensor) -> tuple[Tensor, Tensor]:
+        """The single-hidden-layer heads: (n, 3) node features in (0, 1) and (n, id_buckets) ID logits."""
         hidden = T.elu(self._lin(z, "dec_feat.w1", "dec_feat.b1"))
         features = T.sigmoid(self._lin(hidden, "dec_feat.w2", "dec_feat.b2"))
         hidden_id = T.elu(self._lin(z, "dec_canid.w1", "dec_canid.b1"))
         id_logits = self._lin(hidden_id, "dec_canid.w2", "dec_canid.b2")
         return features, id_logits
 
-    def decode(self, z: Tensor) -> DecodedGraph:
-        features, id_logits = self.decode_features(z)
-        return DecodedGraph(z, features, id_logits)
-
-    def elbo_loss(self, prep: GraphBatch, latent: LatentState, decoded: DecodedGraph, neg_rng) -> Tensor:
+    def elbo_loss(self, prep: GraphBatch, latent: LatentState, decoded, neg_rng) -> Tensor:
         """Mean over the batch's windows of edge BCE + feature MSE + ID CE + KL/n.
 
-        Each window's negative edges are drawn from ``neg_rng`` in batch order.
+        ``decoded`` is decode(latent.z); each window's non-edges come from ``neg_rng`` in batch order.
         """
-        e_node, e_neighbor, e_canid = reconstruction_terms(prep, decoded, itertools.repeat(neg_rng))
+        e_node, e_neighbor, e_canid = reconstruction_terms(prep, latent.z, decoded, itertools.repeat(neg_rng))
         kl = T.segment_mean(
             kl_gaussian_standard(latent.mu, latent.log_sigma, axis=1), prep.graph_index, prep.node_counts
         )
@@ -189,7 +168,8 @@ class VgaeModel(ParamModel):
         run = _without_one_row_products(batch)
         rngs = [derive_seed(seed, _SEED_NEG_SCORE, start) for start in run.window_starts]
         with no_grad():
-            terms = reconstruction_terms(run, self.decode(self.posterior_mean(run)), rngs)
+            z = self.posterior_mean(run)
+            terms = reconstruction_terms(run, z, self.decode(z), rngs)
         return tuple(t.values[: batch.num_graphs] for t in terms)
 
     def score_batch(
@@ -260,14 +240,16 @@ def _without_one_row_products(batch: GraphBatch) -> GraphBatch:
     return GraphBatch.concat([batch, batch]) if batch.num_nodes == 1 else batch
 
 
-def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> tuple[Tensor, Tensor, Tensor]:
+def reconstruction_terms(batch: GraphBatch, z: Tensor, decoded, neg_rngs) -> tuple[Tensor, Tensor, Tensor]:
     """Per-window (E_node, E_neighbor, E_CAN_ID) of a batch, each of shape (num_graphs,).
 
-    E_node is the feature MSE and E_CAN_ID the ID-bucket cross-entropy, both
-    averaged over the window's nodes. E_neighbor is the BCE of the decoded
-    edge probabilities averaged over the window's observed edges and as many
-    non-edges, drawn from the window's entry of ``neg_rngs`` in batch order.
+    ``decoded`` is ``VgaeModel.decode(z)``. E_node is the feature MSE and
+    E_CAN_ID the ID-bucket cross-entropy, both averaged over the window's
+    nodes. E_neighbor is the BCE of the edge probabilities sigmoid(z[i] . z[j])
+    averaged over the window's observed edges and as many non-edges, drawn
+    from the window's entry of ``neg_rngs`` in batch order.
     """
+    features, id_logits = decoded
     seg, counts = batch.graph_index, batch.node_counts
     src, dst, edge_seg = [batch.edge_src], [batch.edge_dst], [seg[batch.edge_src]]
     offset = 0  # row of the window's first node
@@ -280,13 +262,13 @@ def reconstruction_terms(batch: GraphBatch, decoded: DecodedGraph, neg_rngs) -> 
     edge_seg = np.concatenate(edge_seg)
     targets = np.zeros(len(edge_seg))
     targets[: len(batch.edge_src)] = 1.0
-    probs = decoded.edge_probabilities(np.concatenate(src), np.concatenate(dst))
+    probs = T.sigmoid_inner_product(z, np.concatenate(src), np.concatenate(dst))
     e_neighbor = T.segment_mean(
         bce_terms(probs, targets), edge_seg, np.bincount(edge_seg, minlength=batch.num_graphs)
     )
-    e_node = T.segment_mean(((decoded.features - batch.x.values) ** 2).mean(axis=1), seg, counts)
-    buckets = batch.node_ids % decoded.id_logits.shape[1]  # the ID decoder's classes
-    e_canid = T.segment_mean(cross_entropy_terms(decoded.id_logits, buckets), seg, counts)
+    e_node = T.segment_mean(((features - batch.x.values) ** 2).mean(axis=1), seg, counts)
+    buckets = batch.node_ids % id_logits.shape[1]  # the ID decoder's classes
+    e_canid = T.segment_mean(cross_entropy_terms(id_logits, buckets), seg, counts)
     return e_node, e_neighbor, e_canid
 
 

@@ -9,7 +9,9 @@ import json
 
 import numpy as np
 
+from canids import tensor as T
 from canids.canlog import CanFrame, Label
+from canids.gat import prepare_graph
 from canids.gradcheck import relative_gradient_error
 from canids.graphs import WindowGraph, build_windows
 from canids.tensor import Tensor
@@ -217,3 +219,23 @@ def one_id_window(start_index: int):
     window = next(build_windows(frames, 100))
     window.window_start_index = start_index
     return window
+
+
+def record_attention(monkeypatch) -> list:
+    """Patch ``tensor.graph_attention`` to append each call's (alpha, dst, n) to the returned list."""
+    calls = []
+    graph_attention = T.graph_attention
+
+    def recorded(wh, att_src, att_dst, log_w, src, dst, slope):
+        out, alpha = graph_attention(wh, att_src, att_dst, log_w, src, dst, slope)
+        calls.append((alpha.copy(), np.array(getattr(dst, "idx", dst)), wh.shape[0]))
+        return out, alpha
+
+    monkeypatch.setattr(T, "graph_attention", recorded)
+    return calls
+
+
+def batch_of_one(num_nodes: int):
+    """A GraphBatch of one edgeless window of ``num_nodes`` nodes."""
+    none = np.empty(0, dtype=np.int64)
+    return prepare_graph(WindowGraph(list(range(num_nodes)), np.zeros((num_nodes, 3)), none, none, np.empty(0), 0, 0))

@@ -23,7 +23,9 @@ from helpers import (
     brute_force_windows,
     confusion_oracle,
     model_gradient_error,
+    batch_of_one,
     random_frames,
+    record_attention,
     robust_gradient_error,
 )
 from test_gat import init_layer, permute_graph
@@ -151,8 +153,7 @@ def test_criterion_02_gradient_checks():
             return (latent.mu**2).mean() + (latent.log_sigma**2).mean()
 
         def elbo():
-            noise = np.random.default_rng(1000 + i).standard_normal((g.num_nodes, tiny_vgae.latent_dim))
-            latent = model.encode(prep, training=True, noise=noise)
+            latent = model.encode(prep, training=True, rng=np.random.default_rng(1000 + i))
             return model.elbo_loss(prep, latent, model.decode(latent.z), np.random.default_rng(2000 + i))
 
         worst = max(worst, model_gradient_error(model.params(), encoder_loss))
@@ -171,6 +172,7 @@ def test_criterion_02_gradient_checks():
         worst = max(worst, model_gradient_error(model.params(), gat_loss))
 
     # composite: KD losses
+    four_nodes = batch_of_one(4)
     for i in range(20):
         gen = np.random.Generator(np.random.PCG64(3000 + i))
         s, t = gen.normal(size=2), gen.normal(size=2)
@@ -183,7 +185,7 @@ def test_criterion_02_gradient_checks():
         student = LatentState(Tensor(gen.normal(size=(4, 2))), Tensor(gen.normal(size=(4, 2)) * 0.2), None)
         teacher = LatentState(Tensor(gen.normal(size=(4, 3))), Tensor(gen.normal(size=(4, 3)) * 0.2), None)
         worst = max(worst, model_gradient_error(
-            proj.params(), lambda: kd_latent_loss(student, teacher, proj)
+            proj.params(), lambda: kd_latent_loss(student, teacher, proj, four_nodes)
         ))
 
     elapsed = time.perf_counter() - t0
@@ -194,18 +196,19 @@ def test_criterion_02_gradient_checks():
     )
 
 
-def test_criterion_03_attention_and_permutation():
+def test_criterion_03_attention_and_permutation(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(31337))
     model = GatClassifier(GatConfig(num_layers=3, attn_heads=2, hidden_channels=4), seed=5)
     worst_sum, worst_perm = 0.0, 0.0
+    attn = record_attention(monkeypatch)
     for _ in range(100):
         length = int(rng.integers(10, 120))
         alphabet = rng.choice(2048, size=int(rng.integers(2, 16)), replace=False)
         frames = random_frames(rng, length, alphabet)
         g = next(iter(build_windows(iter(frames), length)))
         prep = prepare_graph(g)
-        attn = []
-        base, _, _ = model.forward(prep, collect_attention=attn)
+        attn.clear()
+        base, _, _ = model.forward(prep)
         for alpha, dst, n in attn:
             sums = np.zeros((n, alpha.shape[1]))
             np.add.at(sums, dst, alpha)

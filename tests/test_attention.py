@@ -6,6 +6,7 @@ its closed-form backward must agree with the tape's to rounding.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,15 +17,17 @@ from canids.graphs import WindowGraph
 from canids.losses import cross_entropy
 from canids.tensor import Tensor
 from canids.vgae import VgaeConfig, VgaeModel
+from helpers import record_attention
 
 
-def per_edge_gat_layer(h, prep, params, heads, d_head, slope, agg="concat", collect_attention=None):
+def per_edge_gat_layer(h, prep, params, heads, d_head, slope, agg="concat", attention=None):
     """Reference attention convolution composed of per-edge tape ops.
 
     The form ``gat.gat_layer`` had before attention became the single
     ``tensor.graph_attention`` op: per-edge logits from gathered
     (E, heads, d) features, and the segment softmax and message sum as
-    separate ops, each differentiated by the tape.
+    separate ops, each differentiated by the tape. Each call appends
+    (alpha, dst, n) to ``attention``, as ``helpers.record_attention`` does.
     """
     n = prep.num_nodes
     e = len(prep.src)
@@ -38,8 +41,8 @@ def per_edge_gat_layer(h, prep, params, heads, d_head, slope, agg="concat", coll
     exp_l = T.exp(logits - peak[prep.dst])
     denom = T.scatter_add_rows(exp_l, prep.dst, n)
     alpha = exp_l / T.gather_rows(denom, prep.dst)
-    if collect_attention is not None:
-        collect_attention.append((alpha.values.copy(), prep.dst.copy(), n))
+    if attention is not None:
+        attention.append((alpha.values.copy(), prep.dst.copy(), n))
     msg = wh_src * alpha.reshape((e, heads, 1))
     out = T.scatter_add_rows(msg, prep.dst, n)
     out = out.reshape((n, heads * d_head)) if agg == "concat" else out.mean(axis=1)
@@ -70,19 +73,24 @@ def batches(mixed_graphs):
     }
 
 
-def run(forward, params, batch, layer_fn, monkeypatch, module):
-    """Outputs, per-layer alphas and gradients of params and node features."""
-    monkeypatch.setattr(module, "gat_layer", layer_fn)
-    x = Tensor(batch.x.values.copy(), requires_grad=True)
-    batch = dataclasses.replace(batch, x=x)
-    for p in params:
-        p.tensor.zero_grad()
-    attention = []
-    out = forward(batch, attention)
-    (out * out).sum().backward()
+def run(forward, params, batch, oracle, monkeypatch, module):
+    """Outputs, per-layer alphas and gradients of params and node features, through ``gat.gat_layer``
+    or, with ``oracle``, through ``per_edge_gat_layer`` in its place."""
+    with monkeypatch.context() as patch:
+        if oracle:
+            attention = []
+            patch.setattr(module, "gat_layer", functools.partial(per_edge_gat_layer, attention=attention))
+        else:
+            attention = record_attention(patch)
+        x = Tensor(batch.x.values.copy(), requires_grad=True)
+        batch = dataclasses.replace(batch, x=x)
+        for p in params:
+            p.tensor.zero_grad()
+        out = forward(batch)
+        (out * out).sum().backward()
     grads = {p.name: p.tensor.grad.copy() for p in params}
     grads["h"] = x.grad.copy()
-    return out.values.copy(), [a for a, _, _ in attention], grads
+    return out.values.copy(), [alpha for alpha, _, _ in attention], grads
 
 
 def assert_equivalent(fused, oracle):
@@ -108,11 +116,11 @@ def test_gat_forward_and_gradients_match_per_edge_oracle(mixed_graphs, monkeypat
     batch = batches(mixed_graphs)[batch_name]
     model = GatClassifier(PRESETS[preset][0], seed=3)
 
-    def forward(b, attention):
-        return model.forward(b, collect_attention=attention)[1]
+    def forward(b):
+        return model.forward(b)[1]
 
-    fused = run(forward, model.params(), batch, gat.gat_layer, monkeypatch, gat)
-    oracle = run(forward, model.params(), batch, per_edge_gat_layer, monkeypatch, gat)
+    fused = run(forward, model.params(), batch, False, monkeypatch, gat)
+    oracle = run(forward, model.params(), batch, True, monkeypatch, gat)
     assert_equivalent(fused, oracle)
 
 
@@ -123,12 +131,12 @@ def test_vgae_encoder_matches_per_edge_oracle(mixed_graphs, monkeypatch, preset,
     model = VgaeModel(PRESETS[preset][1], seed=4)
     params = [p for p in model.params() if p.name.startswith("enc")]
 
-    def forward(b, attention):
+    def forward(b):
         latent = model.encode(b)
         return T.concat([latent.mu, latent.log_sigma], axis=1)
 
-    fused = run(forward, params, batch, gat.gat_layer, monkeypatch, vgae)
-    oracle = run(forward, params, batch, per_edge_gat_layer, monkeypatch, vgae)
+    fused = run(forward, params, batch, False, monkeypatch, vgae)
+    oracle = run(forward, params, batch, True, monkeypatch, vgae)
     assert_equivalent(fused, oracle)
 
 

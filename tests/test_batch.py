@@ -137,7 +137,7 @@ def test_latent_hint_batch_equals_mean_of_singles(benign_graphs, preset):
 
     def per_window():
         return mean_of_singles(
-            preps, lambda i, p: kd_latent_loss(student.encode(p), teacher_latents[i], projection)
+            preps, lambda i, p: kd_latent_loss(student.encode(p), teacher_latents[i], projection, p)
         )
 
     assert_equivalent(params, batched, per_window)
@@ -194,10 +194,9 @@ def test_batched_gradient_checks(small_batch):
 
         vgae = VgaeModel(tiny_vgae, seed=i)
         vbatch = GraphBatch.concat(prepare_graph(g) for g in small_batch)
-        noise = np.random.default_rng(1000 + i).standard_normal((vbatch.num_nodes, tiny_vgae.latent_dim))
 
         def elbo():
-            latent = vgae.encode(vbatch, training=True, noise=noise)
+            latent = vgae.encode(vbatch, training=True, rng=np.random.default_rng(1000 + i))
             return vgae.elbo_loss(vbatch, latent, vgae.decode(latent.z), np.random.default_rng(2000 + i))
 
         worst = max(worst, model_gradient_error(vgae.params(), elbo))

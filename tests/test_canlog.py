@@ -521,6 +521,30 @@ def test_timestamp_decreasing_across_block_boundary(tmp_path, monkeypatch):
     assert err.value.line == 7 == assert_matches_reference(p)
 
 
+@pytest.mark.parametrize("odd", [False, True], ids=["canonical-lines", "an-odd-line"])
+@pytest.mark.parametrize(
+    "stamp, message",
+    [
+        ("0.5", "timestamp 0.5 decreases (previous 1.5)"),
+        ("1e999", "non-finite timestamp inf"),
+        ("-1e999", "non-finite timestamp -inf"),
+        ("nan", "non-finite timestamp nan"),
+        ("1.0.0", "bad timestamp '1.0.0'"),
+    ],
+)
+def test_each_timestamp_rule_names_its_line(tmp_path, block_chars, odd, stamp, message):
+    """The third row breaks one timestamp rule, after only canonical lines or after an odd line that the
+    line loop reads. With one-line blocks the row is the first of its block, checked against the last
+    timestamp of the block before."""
+    second = "1.5,316,2,aa,bb,R" if odd else "1.5,0316,2,aa,bb,R"  # a three-digit ID is odd
+    p = write_lines(tmp_path, ["1.0,0316,2,aa,bb,R", second, f"{stamp},0316,2,aa,bb,R", "2.0,0316,2,aa,bb,R"])
+    frames, error = run_parser(parse_car_hacking_csv(p))
+    assert [f.timestamp for f in frames] == [1.0, 1.5] and error == 3 == assert_matches_reference(p)
+    with pytest.raises(ParseError) as err:
+        list(parse_car_hacking_csv(p))
+    assert str(err.value) == f"line 3: {message}"
+
+
 @pytest.mark.parametrize(
     "name, text",
     [
@@ -593,16 +617,16 @@ def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
     assert seen == [([rows[17]], [18])]
 
 
-def canonical_mask(lines, last_ts):
+def canonical_mask(lines):
     """_canonical_lines's mask over ``lines`` and the frames of its canonical lines."""
-    block, canonical, _ = canlog._canonical_lines("".join(lines).encode(), last_ts)
+    block, canonical, _ = canlog._canonical_lines("".join(lines).encode())
     return canonical.tolist(), list(FrameBlock(*(column[canonical] for column in block)).frames())
 
 
 def test_canonical_block_checks_every_rule(tmp_path):
     good = "1.5,0316,2,aa,bb,R\n"
     good_frame = CanFrame(1.5, 0x316, 2, (0xAA, 0xBB), Label.BENIGN)
-    assert canonical_mask([good], -1.0) == ([True], [good_frame])
+    assert canonical_mask([good]) == ([True], [good_frame])
     for line in [
         "1.5,0316,2,aa,bb,R ",  # a blank after the flag
         "1.5,0316,2,aa,bb,",
@@ -632,14 +656,12 @@ def test_canonical_block_checks_every_rule(tmp_path):
         "--1.5,0316,2,aa,bb,R",
         "1_5,0316,2,aa,bb,R",
         "inf,0316,2,aa,bb,R",
-        "1e309,0316,2,aa,bb,R",  # overflows to inf
         "1\x005,0316,2,aa,bb,R",
         "1.5\x00,0316,2,aa,bb,R",  # a NUL at the end of the timestamp
         "1" * 33 + ",0316,2,aa,bb,R",
-        "0.5,0316,2,aa,bb,R",  # below the block's last_ts
     ]:
-        assert canonical_mask([line + "\n"], 1.0) == ([False], []), line
-        assert canonical_mask([good, line + "\n"], 1.0) == ([True, False], [good_frame]), line
+        assert canonical_mask([line + "\n"]) == ([False], []), line
+        assert canonical_mask([good, line + "\n"]) == ([True, False], [good_frame]), line
 
 
 def test_canonical_timestamps_read_as_float_reads_them():
@@ -648,7 +670,7 @@ def test_canonical_timestamps_read_as_float_reads_them():
     values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
     lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
     assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
-    block, canonical, _ = canlog._canonical_lines("".join(lines).encode(), -math.inf)
+    block, canonical, _ = canlog._canonical_lines("".join(lines).encode())
     assert canonical.all()
     assert block.timestamp.tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
 
@@ -659,9 +681,9 @@ def test_canonical_timestamps_read_as_float_reads_them():
 @example("-0.0")
 @settings(max_examples=300, deadline=None)
 def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
-    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode(), -math.inf)
-    decimal = canlog._is_decimal(stamp) is not None and len(stamp) <= 32
-    assert canonical[0] == (decimal and math.isfinite(float(stamp)))
+    """Order and finiteness are checked after this, once per block (``test_each_timestamp_rule_...``)."""
+    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode())
+    assert canonical[0] == (canlog._is_decimal(stamp) is not None and len(stamp) <= 32)
     if canonical[0]:
         assert block.timestamp.tobytes() == np.float64(float(stamp)).tobytes()
 

@@ -393,6 +393,19 @@ def test_undersample_selects_rank_prefix(small_run, capsys):
     assert got_normals == expected
 
 
+def test_undersample_with_a_huge_ratio_keeps_every_benign_window(small_run, tmp_path, capsys):
+    out = tmp_path / "stage2.cache"
+    code, _, err = run_cli(
+        capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", small_run / "vgae.ckpt",
+        "--ratio", "1e308", "--seed", 7, "--out", out,
+    )
+    assert code == 0 and "Traceback" not in err
+    full = load_graph_cache(small_run / "train.cache")
+    train_part = full[: int(round(len(full) * 0.8))]
+    benign = sorted(g.window_start_index for g in train_part if g.label == 0)
+    assert sorted(g.window_start_index for g in load_graph_cache(out) if g.label == 0) == benign
+
+
 def test_export_embeddings(small_run, capsys):
     root = small_run
     code = main([

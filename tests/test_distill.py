@@ -19,7 +19,7 @@ from canids.losses import cross_entropy, kl_categorical
 from canids.pipeline import PipelineOptions, run_two_stage
 from canids.tensor import Tensor
 from canids.vgae import LatentState, VgaeConfig, VgaeModel
-from helpers import model_gradient_error
+from helpers import batch_of_one, model_gradient_error
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import spans  # noqa: E402
@@ -109,7 +109,7 @@ def test_latent_loss_zero_for_identical_after_projection():
     mu, ls = Tensor(RNG.normal(size=(4, 3))), Tensor(RNG.normal(size=(4, 3)) * 0.1)
     student = LatentState(mu=mu, log_sigma=ls, z=mu)
     teacher = LatentState(mu=Tensor(mu.values.copy()), log_sigma=Tensor(ls.values.copy()), z=mu)
-    assert abs(kd_latent_loss(student, teacher, proj).item()) < 1e-12
+    assert abs(kd_latent_loss(student, teacher, proj, batch_of_one(4)).item()) < 1e-12
 
 
 def test_latent_loss_nonnegative_and_node_mismatch():
@@ -121,11 +121,11 @@ def test_latent_loss_nonnegative_and_node_mismatch():
         teacher = LatentState(
             mu=Tensor(RNG.normal(size=(5, 3))), log_sigma=Tensor(RNG.normal(size=(5, 3)) * 0.3), z=None
         )
-        assert kd_latent_loss(student, teacher, proj).item() >= -1e-12
+        assert kd_latent_loss(student, teacher, proj, batch_of_one(5)).item() >= -1e-12
     bad = LatentState(mu=Tensor(np.zeros((4, 3))), log_sigma=Tensor(np.zeros((4, 3))), z=None)
     good = LatentState(mu=Tensor(np.zeros((5, 2))), log_sigma=Tensor(np.zeros((5, 2))), z=None)
     with pytest.raises(DimensionError):
-        kd_latent_loss(good, bad, proj)
+        kd_latent_loss(good, bad, proj, batch_of_one(5))
 
 
 def test_latent_loss_gradient_through_projection():
@@ -136,7 +136,8 @@ def test_latent_loss_gradient_through_projection():
     teacher = LatentState(
         mu=Tensor(RNG.normal(size=(4, 3))), log_sigma=Tensor(RNG.normal(size=(4, 3)) * 0.2), z=None
     )
-    err = model_gradient_error(proj.params(), lambda: kd_latent_loss(student, teacher, proj))
+    batch = batch_of_one(4)
+    err = model_gradient_error(proj.params(), lambda: kd_latent_loss(student, teacher, proj, batch))
     assert err < 1e-4
 
 

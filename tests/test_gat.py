@@ -21,7 +21,7 @@ from canids.graphs import WindowGraph, build_windows
 from canids.metrics import Metrics
 from canids.optim import count_params, init_params
 from canids.tensor import Tensor
-from helpers import model_gradient_error, random_frames
+from helpers import model_gradient_error, random_frames, record_attention
 
 
 def make_graph(node_ids, feats, edges, label=0, start=0):
@@ -57,13 +57,13 @@ def permute_graph(g, perm):
     )
 
 
-def test_single_self_edge_attention_is_one():
+def test_single_self_edge_attention_is_one(monkeypatch):
     g = make_graph([5], [[0.1, 1.0, 0.4]], [(0, 0, 1.0)])
     prep = prepare_graph(g)
     rng = np.random.default_rng(0)
     params = init_layer(rng, 3, 2, 4, "concat")
-    attn = []
-    out = gat_layer(Tensor(g.node_features), prep, params, 2, 4, 0.2, "concat", attn)
+    attn = record_attention(monkeypatch)
+    out = gat_layer(Tensor(g.node_features), prep, params, 2, 4, 0.2, "concat")
     alpha, dst, n = attn[0]
     assert np.allclose(alpha, 1.0)
     # softmax of a singleton is 1, so the output is ELU(W h + bias)
@@ -71,14 +71,15 @@ def test_single_self_edge_attention_is_one():
     assert np.allclose(out.values, np.where(wh > 0, wh, np.expm1(wh)))
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(5))
+    attn = record_attention(monkeypatch)
     for _ in range(10):
         g = random_graph(rng)
         prep = prepare_graph(g)
         model = GatClassifier(GatConfig(num_layers=3, attn_heads=2, hidden_channels=4), seed=1)
-        attn = []
-        model.forward(prep, collect_attention=attn)
+        attn.clear()
+        model.forward(prep)
         assert len(attn) == 3
         for alpha, dst, n in attn:
             sums = np.zeros((n, alpha.shape[1]))

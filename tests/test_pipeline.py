@@ -38,6 +38,13 @@ def test_undersample_clamps_when_few_normals():
     assert sel.achieved_ratio == 3.0
 
 
+def test_undersample_ratio_whose_product_overflows_keeps_every_normal():
+    # 1e308 * 100 attacks is inf, which int() cannot take
+    sel = undersample([f"n{i}" for i in range(300)], [f"a{i}" for i in range(100)], 1e308)
+    assert len(sel.selected_normals) == 300
+    assert sel.achieved_ratio == 3.0
+
+
 def test_undersample_size_formula():
     rng = np.random.Generator(np.random.PCG64(3))
     for _ in range(50):
