@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -32,6 +31,7 @@ from .gat import GatClassifier, GatConfig, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     PipelineOptions,
+    Timings,
     chronological_split,
     metrics_block,
     read_scores_csv,
@@ -144,9 +144,9 @@ def _options_from_args(args) -> PipelineOptions:
     return PipelineOptions(**kwargs)
 
 
-def _write_run(args, out_dir: Path, checkpoints: dict, scored, report: dict, seconds: float):
+def _write_run(args, out_dir: Path, checkpoints: dict, scored, report: dict):
     """Under ``out_dir``'s lock: ``<name>.ckpt`` per checkpoint, scores.csv unless ``scored`` is None,
-    report.json and manifest.json."""
+    report.json and manifest.json, which repeats the report's ``timings``."""
     artifacts = {}
     with _output_lock(out_dir):
         for name, model in checkpoints.items():
@@ -164,7 +164,7 @@ def _write_run(args, out_dir: Path, checkpoints: dict, scored, report: dict, sec
             "config": {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None},
             "seed": args.seed,
             "artifacts": artifacts,
-            "timings": {"seconds": seconds},
+            "timings": report["timings"],
             "versions": {
                 "canids": __version__,
                 "python": sys.version.split()[0],
@@ -229,15 +229,15 @@ def cmd_build_graphs(args) -> int:
 
 
 def cmd_train_vgae(args) -> int:
-    cache = _require_file(args.graphs, "graph cache")
-    graphs = load_graph_cache(cache)
+    graphs = load_graph_cache(_require_file(args.graphs, "graph cache"))
     opts = _options_from_args(args)
     train_part, _ = chronological_split(graphs, opts.val_frac)
     config = getattr(VgaeConfig, args.preset)()
     benign = sum(1 for g in train_part if g.label == 0)
     _progress(f"stage 1: training {args.preset} VGAE on {benign} benign windows")
-    t0 = time.perf_counter()
-    model, losses = train_vgae_stage(train_part, config, args.seed, opts)
+    timings = Timings()
+    with timings.stage("vgae"):
+        model, losses = train_vgae_stage(train_part, config, args.seed, opts)
     _write_with_lock(args.out, model.save)
     _emit({
         "checkpoint": str(args.out),
@@ -245,7 +245,7 @@ def cmd_train_vgae(args) -> int:
         "epochs": len(losses),
         "first_loss": losses[0],
         "final_loss": losses[-1],
-        "seconds": time.perf_counter() - t0,
+        "timings": timings.block(),
     })
     return 0
 
@@ -266,8 +266,9 @@ def cmd_undersample(args) -> int:
 
 
 def cmd_train_gat(args) -> int:
-    cache = _require_file(args.graphs, "stage-2 graph cache")
-    stage2 = load_graph_cache(cache)
+    if args.val_frac is not None and not args.val_graphs:
+        raise UsageError("--val-frac splits the --val-graphs cache; it needs --val-graphs")
+    stage2 = load_graph_cache(_require_file(args.graphs, "stage-2 graph cache"))
     opts = _options_from_args(args)
     val_part = None
     if args.val_graphs:
@@ -275,39 +276,37 @@ def cmd_train_gat(args) -> int:
         _, val_part = chronological_split(full, opts.val_frac)
     config = getattr(GatConfig, args.preset)()
     _progress(f"stage 2: training {args.preset} GAT on {len(stage2)} windows")
-    t0 = time.perf_counter()
-    model, log = train_gat_stage(stage2, val_part, config, args.seed, opts)
+    timings = Timings()
+    with timings.stage("gat"):
+        model, log = train_gat_stage(stage2, val_part, config, args.seed, opts)
     _write_with_lock(args.out, model.save)
     _emit({
         "checkpoint": str(args.out),
         "epochs_run": len(log.epoch_losses),
         "final_loss": log.epoch_losses[-1],
         "best_val_f1": max(log.val_f1) if log.val_f1 else None,
-        "seconds": time.perf_counter() - t0,
+        "timings": timings.block(),
     })
     return 0
 
 
 def cmd_distill(args) -> int:
-    train_cache = _require_file(args.graphs, "training graph cache")
+    train_graphs = load_graph_cache(_require_file(args.graphs, "training graph cache"))
     teacher_vgae = VgaeModel.load(_require_file(args.teacher_vgae, "teacher VGAE checkpoint"))
     teacher_gat = GatClassifier.load(_require_file(args.teacher_gat, "teacher GAT checkpoint"))
-    train_graphs = load_graph_cache(train_cache)
     test_graphs = None
     if args.test_graphs:
         test_graphs = load_graph_cache(_require_file(args.test_graphs, "test graph cache"))
     kd = KdConfig(temperature=args.tau, hard_weight=args.alpha)
     opts = _options_from_args(args)
-    out_dir = Path(args.out_dir)
     _progress(f"distilling students (tau={args.tau}, alpha={args.alpha}, seed={args.seed})")
-    t0 = time.perf_counter()
     result = distill_pipeline(
         train_graphs, teacher_vgae, teacher_gat,
         VgaeConfig.student(), GatConfig.student(),
         kd, seed=args.seed, options=opts, test_graphs=test_graphs,
     )
     students = {"student-vgae": result.student_vgae, "student-gat": result.student_gat}
-    _write_run(args, out_dir, students, result.scored_student, result.report, time.perf_counter() - t0)
+    _write_run(args, Path(args.out_dir), students, result.scored_student, result.report)
     _emit(result.report)
     return 0
 
@@ -344,8 +343,7 @@ def cmd_report(args) -> int:
     vgae_model = VgaeModel.load(_require_file(args.vgae, "VGAE checkpoint"))
     gat_model = GatClassifier.load(_require_file(args.gat, "GAT checkpoint"))
     opts = _options_from_args(args)
-    out_dir = Path(args.out_dir)
-    t0 = time.perf_counter()
+    timings = Timings()
 
     train_part, val_part = chronological_split(train_graphs, opts.val_frac)
     train_attacks = [g for g in train_part if g.label == 1]
@@ -355,14 +353,15 @@ def cmd_report(args) -> int:
         train_normals = [g for g in train_part if g.label == 0]
         selection = undersample(train_normals, train_attacks, opts.ratio)
     _progress(f"calibrating on validation normals, scoring {len(test_graphs)} test windows")
-    calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, args.seed, opts)
+    with timings.stage("score"):
+        calibration, scored, metrics = score_split(vgae_model, gat_model, val_part, test_graphs, args.seed, opts)
     report = {
         **report_fields(args.seed, metrics, vgae_model.config, gat_model.config, selection, opts),
         "test_windows": len(test_graphs),
         "calibration": {"q_mid": calibration.q_mid, "q_high": calibration.q_high},
-        "timings": {"seconds": time.perf_counter() - t0},
+        "timings": timings.block(),
     }
-    _write_run(args, out_dir, {}, scored, report, report["timings"]["seconds"])
+    _write_run(args, Path(args.out_dir), {}, scored, report)
     _emit(report)
     return 0
 

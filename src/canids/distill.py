@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import ConfigError, DimensionError, StateError, require_finite
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, count_params, derive_seed, init_params
-from .pipeline import PipelineOptions, chronological_split, score_split, train_stages
+from .pipeline import PipelineOptions, Timings, chronological_split, score_split, train_stages
 from .tensor import Tensor, no_grad
 from .vgae import LatentState, VgaeConfig, VgaeModel
 
@@ -142,7 +141,7 @@ def distill_pipeline(
     comparison table.
     """
     opts = options or PipelineOptions()
-    t_start = time.perf_counter()
+    timings = Timings()
     teacher_vgae_sum = _param_checksum(teacher_vgae.param_values())
     teacher_gat_sum = _param_checksum(teacher_gat.param_values())
 
@@ -180,7 +179,7 @@ def distill_pipeline(
         return kd_classifier_loss(s_logits, logits_t, labels, kd)
 
     stages = train_stages(
-        train_part, val_part, student_vgae_config, student_gat_config, seed, opts,
+        train_part, val_part, student_vgae_config, student_gat_config, seed, opts, timings,
         vgae_extra_loss=latent_hint, vgae_extra_params=projection.params(), gat_loss=kd_loss,
     )
 
@@ -192,8 +191,11 @@ def distill_pipeline(
     comparison = None
     scored_student = None
     if test_graphs is not None:
-        _, _, teacher_metrics = score_split(teacher_vgae, teacher_gat, val_part, test_graphs, seed, opts)
-        _, scored_student, student_metrics = score_split(stages.vgae, stages.gat, val_part, test_graphs, seed, opts)
+        with timings.stage("score"):
+            _, _, teacher_metrics = score_split(teacher_vgae, teacher_gat, val_part, test_graphs, seed, opts)
+            _, scored_student, student_metrics = score_split(
+                stages.vgae, stages.gat, val_part, test_graphs, seed, opts
+            )
         comparison = {"teacher": teacher_metrics, "student": student_metrics}
 
     gat_teacher_n = count_params(teacher_gat.config)
@@ -212,6 +214,6 @@ def distill_pipeline(
         "teacher_checksums_unchanged": True,
         "metrics": comparison,
         "training": stages.training(),
-        "timings": {**stages.timings, "total_seconds": time.perf_counter() - t_start},
+        "timings": timings.block(),
     }
     return DistillResult(stages.vgae, stages.gat, projection, report, scored_student)

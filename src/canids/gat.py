@@ -182,6 +182,30 @@ def as_batch(graph) -> GraphBatch:
     return graph if isinstance(graph, GraphBatch) else prepare_graph(graph)
 
 
+def train_epochs(graphs, params, epochs: int, batch_size: int, lr: float, shuffle_rng, batch_loss):
+    """The epoch loop of both trainers: Adam over ``params``, yielding each epoch's mean loss.
+
+    Each epoch shuffles the windows with ``shuffle_rng`` and steps once per
+    GraphBatch of ``batch_size`` on ``batch_loss(batch, members)``, the mean
+    over its windows at positions ``members`` of ``graphs``. Leaving the loop
+    stops training. Raises StateError on a non-finite loss or gradient norm.
+    """
+    preps = [as_batch(g) for g in graphs]
+    opt = Adam(list(params), lr=lr)
+    order = np.arange(len(preps))
+    for epoch in range(epochs):
+        shuffle_rng.shuffle(order)
+        total = 0.0
+        for step, lo in enumerate(range(0, len(order), batch_size)):
+            members = order[lo : lo + batch_size]
+            batch = GraphBatch.concat(preps[i] for i in members)
+            opt.zero_grad()
+            loss = batch_loss(batch, members)
+            checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
+            total += loss.item() * len(members)
+        yield total / len(order)
+
+
 def layer_shapes(name: str, d_in: int, heads: int, d_head: int, agg: str) -> dict[str, tuple]:
     """One attention layer's entries of a model's table, in ``GatLayerParams`` order."""
     return {
@@ -302,31 +326,25 @@ def train_supervised(
     patience: int = 10,
     loss_fn=None,
 ) -> tuple[GatClassifier, TrainingLog]:
-    """Train a classifier with Adam on mean per-batch BCE.
+    """Train a classifier on mean per-batch BCE through train_epochs.
 
-    Each mini-batch is one GraphBatch and takes one forward and backward
-    pass. With ``val_graphs``, stops early once F1 against their labels has
-    not improved for ``patience`` epochs and restores the best parameters; the
+    With ``val_graphs``, stops early once F1 against their labels has not
+    improved for ``patience`` epochs and restores the best parameters; the
     stop is deferred until 2*patience epochs have run, so a model still on
     its initial plateau is not cut off just before it starts to learn.
     ``loss_fn(model, batch, labels)`` gives the mean loss over the batch's
     windows; overriding it is how distillation reuses this loop.
-    Raises StateError on a non-finite loss or gradient norm.
     """
     labels = np.array([int(l) for l in labels], dtype=np.int64)
     present = set(labels.tolist())
     if present != {0, 1}:
         missing = sorted({0, 1} - present)
         raise ConfigError(f"training data lacks class(es) {missing}; need both labels")
-    preps = [as_batch(g) for g in graphs]
-    val_batch = None
     if val_graphs is not None:
         val_batch = GraphBatch.concat(as_batch(g) for g in val_graphs)
         val_truths = [g.label for g in val_graphs]
 
     model = GatClassifier(config, seed=seed)
-    opt = Adam(model.params(), lr=lr)
-    shuffle_rng = derive_seed(seed, 12)
     if loss_fn is None:
         # BCE of the attack probability, evaluated on the 2-logit softmax via
         # cross-entropy: identical objective, bounded gradients (p - onehot)
@@ -334,37 +352,24 @@ def train_supervised(
             _, logits, _ = mdl.forward(batch)
             return cross_entropy(logits, batch_labels)
 
-    log = TrainingLog()
-    best_f1, best_values, best_epoch, since_best = -1.0, None, -1, 0
-    order = np.arange(len(preps))
-    for epoch in range(epochs):
-        shuffle_rng.shuffle(order)
-        total = 0.0
-        for step, lo in enumerate(range(0, len(order), batch_size)):
-            members = order[lo : lo + batch_size]
-            batch = GraphBatch.concat(preps[i] for i in members)
-            opt.zero_grad()
-            loss = loss_fn(model, batch, labels[members])
-            checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
-            total += loss.item() * len(members)
-        log.epoch_losses.append(total / len(order))
-
-        if val_batch is not None:
-            with no_grad():
-                probs, _, _ = model.forward(val_batch)
-            preds = [1 if p >= 0.5 else 0 for p in probs.values]
-            f1 = Metrics.from_pairs(val_truths, preds).f1
-            log.val_f1.append(f1)
-            if f1 > best_f1:
-                best_f1, best_epoch, since_best = f1, epoch, 0
-                best_values = {k: v.copy() for k, v in model.param_values().items()}
-            else:
-                since_best += 1
-                if since_best >= patience and epoch + 1 >= 2 * patience:
-                    break
+    log, best_values = TrainingLog(), None
+    losses = train_epochs(
+        graphs, model.params(), epochs, batch_size, lr, derive_seed(seed, 12),
+        lambda batch, members: loss_fn(model, batch, labels[members]),
+    )
+    for epoch, loss in enumerate(losses):
+        log.epoch_losses.append(loss)
+        if val_graphs is None:
+            continue
+        with no_grad():
+            probs, _, _ = model.forward(val_batch)
+        log.val_f1.append(Metrics.from_pairs(val_truths, [1 if p >= 0.5 else 0 for p in probs.values]).f1)
+        if log.val_f1[-1] > max(log.val_f1[:-1], default=-1.0):
+            log.best_epoch, best_values = epoch, {k: v.copy() for k, v in model.param_values().items()}
+        elif epoch - log.best_epoch >= patience and epoch + 1 >= 2 * patience:
+            break
 
     if best_values is not None:
         for p in model.params():
             p.tensor.values = best_values[p.name]
-        log.best_epoch = best_epoch
     return model, log

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,7 @@ class Metrics:
         return cls.from_counts(tp, fp, tn, fn)
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
+        return dataclasses.asdict(self)
 
 
 def roc_auc(scores, labels) -> float:

@@ -11,6 +11,7 @@ the end.
 
 from __future__ import annotations
 
+import contextlib
 import re
 import time
 import warnings
@@ -61,7 +62,7 @@ def undersample(ranked_normals, attack_graphs, ratio: float) -> UndersampleResul
     ``ranked_normals`` must already be sorted hardest-first (the output of
     reconstruction_rank); the kept normals are exactly its prefix.
     """
-    if ratio <= 0:
+    if not ratio > 0:  # NaN fails it too
         raise ConfigError(f"undersample ratio must be > 0, got {ratio}")
     ranked_normals = list(ranked_normals)
     attack_graphs = list(attack_graphs)
@@ -279,6 +280,24 @@ def report_fields(
     }
 
 
+class Timings(dict):
+    """``<stage>_seconds`` of each stage run under ``stage(name)``; the package's one reader of the clock."""
+
+    def __init__(self):
+        super().__init__()
+        self.start = time.perf_counter()
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        start = time.perf_counter()
+        yield
+        self[f"{name}_seconds"] = time.perf_counter() - start
+
+    def block(self) -> dict:
+        """A run's ``timings`` entry: the stages that ran, and ``total_seconds`` since the Timings was made."""
+        return {**self, "total_seconds": time.perf_counter() - self.start}
+
+
 class Stages(NamedTuple):
     """What train_stages trained; the stage-2 fields are None when the split has no attack windows."""
 
@@ -287,16 +306,11 @@ class Stages(NamedTuple):
     selection: UndersampleResult | None
     gat: GatClassifier | None
     gat_log: TrainingLog | None
-    timings: dict  # {"vgae_seconds", "gat_seconds"}
 
     def training(self) -> dict:
         """The per-epoch block of a run's report; the GAT lists are empty without stage 2."""
-        log = self.gat_log
-        return {
-            "vgae_epoch_losses": self.vgae_losses,
-            "gat_epoch_losses": [] if log is None else log.epoch_losses,
-            "gat_val_f1": [] if log is None else log.val_f1,
-        }
+        log = self.gat_log or TrainingLog()
+        return {"vgae_epoch_losses": self.vgae_losses, "gat_epoch_losses": log.epoch_losses, "gat_val_f1": log.val_f1}
 
 
 def train_vgae_stage(
@@ -333,27 +347,26 @@ def train_gat_stage(
 
 def train_stages(
     train_part, val_part, vgae_config: VgaeConfig, gat_config: GatConfig, seed: int, options: PipelineOptions,
-    vgae_extra_loss=None, vgae_extra_params=(), gat_loss=None,
+    timings: Timings, vgae_extra_loss=None, vgae_extra_params=(), gat_loss=None,
 ) -> Stages:
     """The three stage functions in order: train_vgae_stage, select_stage2, train_gat_stage.
 
-    Stage 2 is skipped when ``train_part`` has no attack windows. The
-    hooks go to train_vgae_stage (``vgae_extra_loss``,
+    Each is timed in ``timings`` as the stage ``vgae``, ``select`` or
+    ``gat``. Stage 2 is skipped when ``train_part`` has no attack windows.
+    The hooks go to train_vgae_stage (``vgae_extra_loss``,
     ``vgae_extra_params``) and train_gat_stage (``gat_loss``).
     """
-    t0 = time.perf_counter()
-    vgae_model, vgae_losses = train_vgae_stage(train_part, vgae_config, seed, options, vgae_extra_loss, vgae_extra_params)
-    timings = {"vgae_seconds": time.perf_counter() - t0, "gat_seconds": 0.0}
+    with timings.stage("vgae"):
+        vgae, losses = train_vgae_stage(train_part, vgae_config, seed, options, vgae_extra_loss, vgae_extra_params)
     if not any(g.label == 1 for g in train_part):
-        return Stages(vgae_model, vgae_losses, None, None, None, timings)
+        return Stages(vgae, losses, None, None, None)
 
-    selection = select_stage2(vgae_model, train_part, seed, options)
-    t0 = time.perf_counter()
-    gat_model, gat_log = train_gat_stage(
-        selection.selected_normals + selection.attacks, val_part, gat_config, seed, options, gat_loss
-    )
-    timings["gat_seconds"] = time.perf_counter() - t0
-    return Stages(vgae_model, vgae_losses, selection, gat_model, gat_log, timings)
+    with timings.stage("select"):
+        selection = select_stage2(vgae, train_part, seed, options)
+    with timings.stage("gat"):
+        stage2 = selection.selected_normals + selection.attacks
+        gat, gat_log = train_gat_stage(stage2, val_part, gat_config, seed, options, gat_loss)
+    return Stages(vgae, losses, selection, gat, gat_log)
 
 
 def run_two_stage(
@@ -370,15 +383,13 @@ def run_two_stage(
     no attack windows. The returned report carries GAT-only and fused
     metrics side by side; GAT-only is the headline.
     """
-    t_run = time.perf_counter()
+    timings = Timings()
     train_graphs, test_graphs = list(train_graphs), list(test_graphs)
     train_part, val_part = chronological_split(train_graphs, options.val_frac)
-    stages = train_stages(train_part, val_part, vgae_config, gat_config, seed, options)
+    stages = train_stages(train_part, val_part, vgae_config, gat_config, seed, options, timings)
     vgae_only = stages.gat is None
-
-    t0 = time.perf_counter()
-    calibration, scored, metrics = score_split(stages.vgae, stages.gat, val_part, test_graphs, seed, options)
-    score_seconds = time.perf_counter() - t0
+    with timings.stage("score"):
+        calibration, scored, metrics = score_split(stages.vgae, stages.gat, val_part, test_graphs, seed, options)
 
     test_truths = [s.truth for s in scored]
     vgae_block = {}
@@ -409,11 +420,7 @@ def run_two_stage(
             "undersampled_normals_are_rank_prefix": not vgae_only,
             "test_scored_after_training": True,
         },
-        "timings": {
-            **stages.timings,
-            "score_seconds": score_seconds,
-            "total_seconds": time.perf_counter() - t_run,
-        },
+        "timings": timings.block(),
     }
     return RunResult(report, scored, stages.vgae, stages.gat, calibration, stages.selection)
 

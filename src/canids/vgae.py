@@ -19,9 +19,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, StateError, require_int
-from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, layer_shapes, IN_DIM
+from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, layer_shapes, train_epochs, IN_DIM
 from .losses import bce_terms, cross_entropy_terms, kl_gaussian_standard
-from .optim import Adam, ParamModel, checked_step, derive_seed
+from .optim import ParamModel, derive_seed
 from .tensor import Tensor, no_grad
 
 LOG_SIGMA_CLAMP = 10.0  # keeps KL finite on degenerate one-node graphs
@@ -145,11 +145,12 @@ class VgaeModel(ParamModel):
         id_logits = self._lin(hidden_id, "dec_canid.w2", "dec_canid.b2")
         return features, id_logits
 
-    def elbo_loss(self, prep: GraphBatch, latent: LatentState, decoded, neg_rng) -> Tensor:
-        """Mean over the batch's windows of edge BCE + feature MSE + ID CE + KL/n.
+    def elbo_loss(self, prep: GraphBatch, latent: LatentState, neg_rng) -> Tensor:
+        """Mean over the batch's windows of edge BCE + feature MSE + ID CE + KL/n, decoding ``latent.z``.
 
-        ``decoded`` is decode(latent.z); each window's non-edges come from ``neg_rng`` in batch order.
+        Each window's non-edges come from ``neg_rng`` in batch order.
         """
+        decoded = self.decode(latent.z)
         e_node, e_neighbor, e_canid = reconstruction_terms(prep, latent.z, decoded, itertools.repeat(neg_rng))
         kl = T.segment_mean(
             kl_gaussian_standard(latent.mu, latent.log_sigma, axis=1), prep.graph_index, prep.node_counts
@@ -301,13 +302,11 @@ def train_vgae(
     extra_loss_fn=None,
     extra_params=(),
 ) -> tuple[VgaeModel, list[float]]:
-    """Stage-1 training on benign windows only; returns per-epoch mean loss.
+    """Stage-1 training on benign windows only, through train_epochs; returns per-epoch mean loss.
 
-    Each mini-batch is one GraphBatch and takes one forward and backward
-    pass. ``extra_loss_fn(batch, latent) -> Tensor`` hooks distillation
-    terms into the objective as a mean over the batch's windows; any
-    parameters it owns go in ``extra_params``. Raises StateError on a
-    non-finite loss or gradient norm.
+    ``extra_loss_fn(batch, latent) -> Tensor`` hooks distillation terms
+    into the objective as a mean over the batch's windows; any parameters
+    it owns go in ``extra_params``.
     """
     graphs = list(graphs)
     if not graphs:
@@ -315,25 +314,14 @@ def train_vgae(
     if any(g.label != 0 for g in graphs):
         raise ConfigError("train_vgae: attack-labeled windows in training set; stage 1 is normal-only")
     model = VgaeModel(config, seed=seed)
-    preps = [as_batch(g) for g in graphs]
-    opt = Adam(list(model.params()) + list(extra_params), lr=lr)
     noise_rng = derive_seed(seed, _SEED_NOISE)
     neg_rng = derive_seed(seed, _SEED_NEG_TRAIN)
-    shuffle_rng = derive_seed(seed, _SEED_SHUFFLE)
 
-    losses: list[float] = []
-    order = np.arange(len(preps))
-    for epoch in range(epochs):
-        shuffle_rng.shuffle(order)
-        total = 0.0
-        for step, lo in enumerate(range(0, len(order), batch_size)):
-            batch = GraphBatch.concat(preps[i] for i in order[lo : lo + batch_size])
-            opt.zero_grad()
-            latent = model.encode(batch, training=True, rng=noise_rng)
-            loss = model.elbo_loss(batch, latent, model.decode(latent.z), neg_rng)
-            if extra_loss_fn is not None:
-                loss = loss + extra_loss_fn(batch, latent)
-            checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
-            total += loss.item() * batch.num_graphs
-        losses.append(total / len(order))
-    return model, losses
+    def batch_loss(batch, _members):
+        latent = model.encode(batch, training=True, rng=noise_rng)
+        loss = model.elbo_loss(batch, latent, neg_rng)
+        return loss if extra_loss_fn is None else loss + extra_loss_fn(batch, latent)
+
+    shuffle_rng = derive_seed(seed, _SEED_SHUFFLE)
+    losses = train_epochs(graphs, [*model.params(), *extra_params], epochs, batch_size, lr, shuffle_rng, batch_loss)
+    return model, list(losses)

@@ -362,12 +362,12 @@ def test_chain_report_and_artifacts(small_run, capsys):
 
 def test_cli_chain_equals_train_stages(small_run, tmp_path):
     from canids.gat import GatConfig
-    from canids.pipeline import PipelineOptions, chronological_split, train_stages
+    from canids.pipeline import PipelineOptions, Timings, chronological_split, train_stages
     from canids.vgae import VgaeConfig
 
     opts = PipelineOptions(vgae_epochs=6, gat_epochs=20)
     train_part, val_part = chronological_split(load_graph_cache(small_run / "train.cache"), opts.val_frac)
-    stages = train_stages(train_part, val_part, VgaeConfig.student(), GatConfig.student(), 7, opts)
+    stages = train_stages(train_part, val_part, VgaeConfig.student(), GatConfig.student(), 7, opts, Timings())
     for name, model in (("vgae.ckpt", stages.vgae), ("gat.ckpt", stages.gat)):
         model.save(tmp_path / name)
         assert (tmp_path / name).read_bytes() == (small_run / name).read_bytes(), name
@@ -831,6 +831,66 @@ def test_pipeline_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsy
     code, stdout, err = run_cli(capsys, *argv, f"{flag}=1")
     assert code == 2 and stdout == "" and not any(tmp_path.iterdir())
     assert err == f"canids-error category=usage message=canids: unrecognized arguments: {flag}=1\n"
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_train_gat_val_frac_without_val_graphs_is_usage_error(small_run, tmp_path, capsys, route):
+    """train-gat's --val-frac only splits the --val-graphs cache; without that cache it is refused, not
+    silently ignored."""
+    out, cfg = tmp_path / "gat.ckpt", tmp_path / "run.json"
+    cfg.write_text(json.dumps({"val_frac": 0.5}))
+    given = ["--val-frac", 0.5] if route == "flag" else ["--config", cfg]
+    code, stdout, err = run_cli(
+        capsys, "train-gat", "--graphs", small_run / "stage2.cache", "--preset", "student", "--seed", 7,
+        "--gat-epochs", 1, *given, "--out", out,
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=usage") and "--val-graphs" in err and len(err.splitlines()) == 1
+
+
+def test_every_run_fills_one_timings_schema(small_run, tmp_path, capsys):
+    """run_two_stage, distill_pipeline, report.json and manifest.json of report and distill, and the stdout
+    of train-vgae and train-gat all time a run as {"<stage>_seconds", "total_seconds"}, with a key for each
+    stage that ran and no other; a manifest repeats its report's block."""
+    from canids.distill import KdConfig, distill_pipeline
+    from canids.gat import GatClassifier, GatConfig
+    from canids.pipeline import run_two_stage
+    from canids.vgae import VgaeConfig, VgaeModel
+
+    root = small_run
+    train, test = load_graph_cache(root / "train.cache"), load_graph_cache(root / "test.cache")
+    opts, student = PipelineOptions(vgae_epochs=1, gat_epochs=1), (VgaeConfig.student(), GatConfig.student())
+    teacher = VgaeModel.load(root / "vgae.ckpt"), GatClassifier.load(root / "gat.ckpt")
+    benign = [g for g in train if g.label == 0]
+    blocks = {
+        "run_two_stage": (run_two_stage(train, test, *student, 7, opts), "vgae select gat score"),
+        "run_two_stage vgae-only": (run_two_stage(benign, test, *student, 7, opts), "vgae score"),
+        "distill_pipeline": (distill_pipeline(train, *teacher, *student, KdConfig(), 7, opts), "vgae select gat"),
+    }
+    blocks = {name: (result.report["timings"], stages) for name, (result, stages) in blocks.items()}
+    brief = ["--preset", "student", "--seed", 7, "--vgae-epochs", 1]
+    code, out, _ = run_cli(capsys, "train-vgae", "--graphs", root / "train.cache", *brief, "--out", tmp_path / "v")
+    assert code == 0
+    blocks["train-vgae stdout"] = (json.loads(out)["timings"], "vgae")
+    code, out, _ = run_cli(capsys, "train-gat", "--graphs", root / "stage2.cache", "--preset", "student",
+                           "--seed", 7, "--gat-epochs", 1, "--out", tmp_path / "g")
+    assert code == 0
+    blocks["train-gat stdout"] = (json.loads(out)["timings"], "gat")
+    graphs = ["--test-graphs", root / "test.cache", "--seed", 7]
+    assert run_cli(capsys, "report", "--train-graphs", root / "train.cache", *graphs, "--vgae", root / "vgae.ckpt",
+                   "--gat", root / "gat.ckpt", "--out-dir", tmp_path / "report")[0] == 0
+    assert run_cli(capsys, "distill", "--graphs", root / "train.cache", *graphs, "--teacher-vgae", root / "vgae.ckpt",
+                   "--teacher-gat", root / "gat.ckpt", "--vgae-epochs", 1, "--gat-epochs", 1,
+                   "--out-dir", tmp_path / "distill")[0] == 0
+    for command, stages in (("report", "score"), ("distill", "vgae select gat score")):
+        report = json.loads((tmp_path / command / "report.json").read_text())
+        assert json.loads((tmp_path / command / "manifest.json").read_text())["timings"] == report["timings"]
+        blocks[f"{command} report.json"] = (report["timings"], stages)
+    for name, (block, stages) in blocks.items():
+        stage_keys = [f"{stage}_seconds" for stage in stages.split()]
+        assert set(block) == {*stage_keys, "total_seconds"}, name
+        assert all(type(v) is float and v >= 0.0 for v in block.values()), name
+        assert sum(block[key] for key in stage_keys) <= block["total_seconds"], name
 
 
 def test_run_config_key_of_an_undeclared_option_is_skipped(small_run, tmp_path, capsys):

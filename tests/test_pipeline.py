@@ -60,6 +60,8 @@ def test_undersample_errors():
         undersample(["n"], [], 4.0)
     with pytest.raises(ConfigError):
         undersample(["n"], ["a"], 0.0)
+    with pytest.raises(ConfigError, match="ratio must be > 0, got nan"):
+        undersample(["n"], ["a"], float("nan"))
 
 
 def test_calibration_endpoints_and_monotonicity():

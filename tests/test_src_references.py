@@ -54,3 +54,44 @@ def test_every_definition_is_named_outside_the_tests():
         if all(where == path and first <= line <= last for where, line in found.get(name, []))
     ]
     assert unused == [], "defined in src/canids but named nowhere in src/, bench/ or demos/"
+
+
+# (module, top-level definition) that alone may hold each kind of call: one clock for every timings block,
+# and one epoch loop for both trainers
+SOLE_OWNERS = {
+    "clock read": ("pipeline", "Timings"),
+    "checked_step call": ("gat", "train_epochs"),
+    "shuffle": ("gat", "train_epochs"),
+}
+CLOCK_READS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
+
+
+def _kind(node):
+    """Which SOLE_OWNERS kind an AST node is, or None."""
+    name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+    if name in CLOCK_READS or (name == "time" and isinstance(node, ast.Attribute)):
+        return "clock read"
+    if isinstance(node, ast.Call):
+        called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if called == "checked_step":
+            return "checked_step call"
+        if called in ("shuffle", "permutation"):
+            return "shuffle"
+    return None
+
+
+def test_clock_reads_steps_and_shuffles_have_one_owner_each():
+    """Only ``pipeline.Timings`` reads the clock, and only ``gat.train_epochs`` calls ``checked_step`` and
+    shuffles, so that every run has one timings path and both trainers one epoch loop."""
+    seen = {kind: set() for kind in SOLE_OWNERS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tops = [(node.lineno, node.end_lineno, getattr(node, "name", None)) for node in tree.body]
+        for node in ast.walk(tree):
+            kind = _kind(node)
+            if kind is not None:
+                owner = next(name for first, last, name in tops if first <= node.lineno <= last)
+                seen[kind].add((path.stem, owner, node.lineno))
+    for kind, (module, owner) in SOLE_OWNERS.items():
+        owners = {(m, o) for m, o, _ in seen[kind]}
+        assert owners == {(module, owner)}, f"{kind} outside {module}.{owner}: {sorted(seen[kind])}"
