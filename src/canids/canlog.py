@@ -70,7 +70,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads this many bytes at a time
 _MAX_TIMESTAMP = 32  # the most characters of a canonical timestamp
 _TAIL = b"\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
-_NEWLINE, _COMMA, _SLASH, _PLUS, _MINUS, _E = b"\n,/+-e"
+_NEWLINE, _COMMA, _DOT, _ZERO, _PLUS, _MINUS, _E = b"\n,.0+-e"
 # lookup tables indexed by a byte: the value of a hex digit, of a DLC digit and of a flag; -1 for any
 # other byte
 _HEX = np.full(256, -1, dtype=np.int16)
@@ -102,11 +102,11 @@ DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
 _is_decimal = re.compile(DECIMAL).fullmatch
 
 
-def _parse_timestamp(field: str, lineno: int) -> float:
-    """The timestamp of a field that is not plain digits with at most one ``.``."""
-    if not _is_decimal(field):
+def _timestamp_text(field: str, lineno: int) -> str:
+    """``field``, after checking that it is a timestamp in the form ``repr(float)`` writes."""
+    if not (field.replace(".", "", 1).isdigit() or _is_decimal(field)):
         raise ParseError(f"bad timestamp {field!r}", line=lineno)
-    return float(field)
+    return field
 
 
 def _parse_dlc(field: str, lineno: int) -> int:
@@ -178,9 +178,16 @@ def checked_frame(position: int, frame) -> CanFrame:
 
 
 class FrameBlock(NamedTuple):
-    """Consecutive frames as columns, one entry per frame."""
+    """Consecutive frames as columns, one entry per frame.
 
-    timestamp: np.ndarray  # (n,) float64
+    A block that ``decode_car_hacking_csv`` read holds each timestamp as the
+    decimal text of its field (bytes, numpy dtype ``S``): the order check
+    compares that text and casts only the rows it cannot clear, and
+    ``frames()`` casts the column, as ``float()`` reads it. A block made
+    by ``from_frames`` holds the frames' float timestamps.
+    """
+
+    timestamp: np.ndarray  # (n,) float64, or the decimal text of each (dtype S)
     can_id: np.ndarray  # (n,) int64
     dlc: np.ndarray  # (n,) int64
     payload: np.ndarray  # (n, 8) uint8, zero past each frame's DLC
@@ -204,7 +211,8 @@ class FrameBlock(NamedTuple):
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        return cls(np.array(ts, dtype=np.float64), can_id, dlc, payload, attack)
+        # float64 for frames' float timestamps, dtype S for the text that _decode_lines keeps
+        return cls(np.array(ts), can_id, dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
         payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
@@ -212,7 +220,7 @@ class FrameBlock(NamedTuple):
         for i in np.flatnonzero(self.dlc < 8).tolist():
             payloads[i] = payloads[i][: dlc[i]]
         labels = _LABELS[self.attack.view(np.uint8)].tolist()
-        columns = (self.timestamp.tolist(), self.can_id.tolist(), dlc, payloads, labels)
+        columns = (self.timestamp.astype(np.float64).tolist(), self.can_id.tolist(), dlc, payloads, labels)
         return map(_frame, repeat(CanFrame), zip(*columns))
 
 
@@ -288,7 +296,7 @@ def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock,
     order, and then every timestamp is checked, once: finite and not below the
     one before (``last_ts`` for the first).
     """
-    block, keep, ends = _canonical_lines(text)
+    block, point, keep, ends = _canonical_lines(text)
     odd = np.flatnonzero(~keep)
     error = None
     if len(odd):
@@ -296,31 +304,65 @@ def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock,
         lines = [text[a:b].decode("ascii") for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
         at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
         rows = odd[at]  # the lines whose frames the line loop read
-        for column, values in zip(block, FrameBlock.from_frames(frames)):
+        read = FrameBlock.from_frames(frames)
+        width = max(block.timestamp.itemsize, read.timestamp.itemsize)  # a line-loop timestamp may be longer
+        block = block._replace(timestamp=block.timestamp.astype(f"S{width}"))
+        for column, values in zip(block, read):
             column[rows] = values
         keep[rows] = True
         if error is not None:
             keep[error.line - lineno :] = False
         kept = np.flatnonzero(keep)
-        block = FrameBlock(*(column[kept] for column in block))
+        block, point = FrameBlock(*(column[kept] for column in block)), point[kept]
     ts = block.timestamp
-    before = np.concatenate(([last_ts], ts[:-1]))
-    bad = np.flatnonzero(~((before <= ts) & (ts < math.inf)))
-    if len(bad):
-        k = bad[0]
-        error = _timestamp_error(float(ts[k]), float(before[k]), lineno + int(np.flatnonzero(keep)[k]))
+    k = _first_disorder(ts, point, last_ts)
+    if k < len(ts):
+        before = float(ts[k - 1]) if k else last_ts
+        error = _timestamp_error(float(ts[k]), before, lineno + int(np.flatnonzero(keep)[k]))
         block = FrameBlock(*(column[:k] for column in block))
     return block, error, len(ends)
 
 
-def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
+def _first_disorder(ts: np.ndarray, point: np.ndarray, last_ts: float) -> int:
+    """The index of the first of the decimal texts ``ts`` whose value is not finite or is below the one
+    before (``last_ts`` for the first); ``len(ts)`` if there is none.
+
+    The rows that ``_byte_ordered`` clears need no cast; only the others are
+    read as floats, with the row before each.
+    """
+    rows = np.flatnonzero(~_byte_ordered(ts, point))
+    value = ts[rows].astype(np.float64)
+    before = np.where(rows > 0, ts[rows - 1].astype(np.float64), last_ts)
+    bad = rows[~((before <= value) & (value < math.inf))]
+    return int(bad[0]) if len(bad) else len(ts)
+
+
+def _byte_ordered(ts: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Whether each decimal text of ``ts`` is shown, by its bytes alone, to be finite and not below the
+    text before it (never for the first).
+
+    ``point`` is the offset of the ``.`` of a plain decimal (digits and one
+    ``.``, at most 32 characters) and -1 for any other text. Two plain
+    decimals with their ``.`` at the same offset compare as their NUL-padded
+    bytes do: the digits before the ``.`` are integers of the same length,
+    and a shorter fraction pads with NULs, below every digit. As a correctly
+    rounded conversion is monotone, their floats are then in order too, and
+    a plain decimal of at most 32 characters is finite.
+    """
+    ordered = np.zeros(len(ts), dtype=bool)
+    ordered[1:] = (point[1:] >= 0) & (point[1:] == point[:-1]) & (ts[1:] >= ts[:-1])
+    return ordered
+
+
+def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray, np.ndarray]:
     """The canonical lines of ``text``, every line of which ends in a newline: a FrameBlock with one
-    row per line, whose rows of the canonical lines hold their frames; the mask of those lines; and
-    the offset of each line's newline in ``text``.
+    row per line, whose rows of the canonical lines hold their frames; the offset of the ``.`` of each
+    canonical line's timestamp if that is a plain decimal (``_byte_ordered``), else -1; the mask of the
+    canonical lines; and the offset of each line's newline in ``text``.
 
     A canonical line is ``timestamp,ID,DLC,B0,...,B{DLC-1},flag``: a
-    timestamp of 1 to 32 characters in the form ``repr(float)`` writes (its
-    order and finiteness are ``_decode_block``'s to check);
+    timestamp of 1 to 32 characters in the form ``repr(float)`` writes, kept
+    as its text (its order and finiteness are ``_decode_block``'s to check);
     an ID of one to four hex digits up to 0x7ff; a DLC of one digit 0-8; DLC
     payload fields of exactly two hex digits; and the flag ``R`` or ``T``,
     with no blanks. Every rule is checked with array operations over all the
@@ -361,24 +403,27 @@ def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray]:
     ok &= (dlc >= 0) & (b[c1 + 2] == _COMMA) & (flag >= 0) & (ends == last + 2)
     ok &= _rows_all(((values >= 0) & (slots[:, 2::3] == _COMMA)) | ~used)
     payload = np.where(used, values, 0).astype(np.uint8)
-    # the timestamp, NUL-padded: digits, ".", "e", "+" and "-", not starting with "+". Of such strings,
-    # numpy's float conversion (float()'s) takes exactly those that _is_decimal matches, and raises on
-    # the rest.
+    # the timestamp, NUL-padded. A plain one (digits and at most one ".") is a decimal if it has a digit;
+    # one that also holds "e", "+" or "-" is matched against the full grammar on its own
     span = max(int(width.max()), 1)
     c = head[:, :span] * (_TIMESTAMP_SLOTS[:span] < width.astype(np.uint8)[:, None])
-    decimal = _rows_all(((c - np.uint8(_MINUS) <= 12) & (c != _SLASH)) | (c == _PLUS) | (c == _E) | (c == 0))
-    decimal &= (c[:, 0] != 0) & (c[:, 0] != _PLUS)
+    row, column = np.divmod(np.flatnonzero(c == _DOT), span)
+    dots = np.bincount(row, minlength=len(c))
+    plain = _rows_all((c - np.uint8(_ZERO) <= 9) | (c == _DOT) | (c == 0)) & (dots <= 1)
+    decimal = plain & (width > dots)
+    strings = c.view(f"S{span}").ravel()
+    matched = np.flatnonzero(~plain)
+    if len(matched):
+        rest = c[matched]
+        matched = matched[_rows_all((rest - np.uint8(_MINUS) <= 12) | (rest == _PLUS) | (rest == _E) | (rest == 0))]
+        decimal[matched] = [_is_decimal(s.decode()) is not None for s in strings[matched].tolist()]
     if b"\0" in text:  # a NUL in a timestamp would end it early
         decimal[np.searchsorted(ends, np.flatnonzero(b[: len(text)] == 0))] = False
-    strings = c.view(f"S{span}").ravel()
-    strings[~decimal] = b"0"
-    try:
-        ts = strings.astype(np.float64)
-    except ValueError:  # some line's timestamp is not a decimal: that line is left to the line loop
-        decimal &= [_is_decimal(s.decode()) is not None for s in strings.tolist()]
-        strings[~decimal] = b"0"
-        ts = strings.astype(np.float64)
-    return FrameBlock(ts, can_id, dlc, payload, flag == 1), ok & decimal, ends
+    ok &= decimal
+    point = np.full(len(c), -1)
+    point[row] = column
+    point[~(ok & plain & (dots == 1))] = -1
+    return FrameBlock(strings, can_id, dlc, payload, flag == 1), point, ok, ends
 
 
 def _rows_all(ok: np.ndarray) -> np.ndarray:
@@ -390,7 +435,8 @@ def _decode_lines(lines: list[str], linenos: list[int]) -> tuple[list[int], list
     """Read ``lines`` (numbered ``linenos``) one at a time up to the first bad one: the indexes of the
     lines that hold a frame, their frames, and the ParseError of the bad line (None if there is none).
 
-    Each line is read on its own: timestamps are not compared across lines.
+    Each line is read on its own: a frame's timestamp is the text of its field, as bytes, and
+    timestamps are not compared across lines.
     """
     at: list[int] = []
     frames: list[tuple] = []
@@ -403,8 +449,7 @@ def _decode_lines(lines: list[str], linenos: list[int]) -> tuple[list[int], list
             fields = raw.split(",")
             if len(fields) < 4:
                 raise ParseError(f"expected at least 4 fields, got {len(fields)}", line=lineno)
-            t = fields[0]
-            ts = float(t) if t.replace(".", "", 1).isdigit() else _parse_timestamp(t, lineno)
+            ts = _timestamp_text(fields[0], lineno).encode()
             can_id = ids.get(fields[1])
             if can_id is None:
                 can_id = ids[fields[1]] = _parse_can_id(fields[1], _is_hex, 16, lineno)
@@ -478,8 +523,7 @@ def parse_generic_labeled_csv(
                     f"line {lineno}: column_map references column "
                     f"{width_needed - 1} but row has {len(fields)} fields"
                 )
-            t = fields[ts_i]
-            ts = float(t) if t.replace(".", "", 1).isdigit() else _parse_timestamp(t, lineno)
+            ts = float(_timestamp_text(fields[ts_i], lineno))
             can_id = ids.get(fields[id_i])
             if can_id is None:
                 can_id = ids[fields[id_i]] = _parse_can_id(fields[id_i], is_id, id_base, lineno)

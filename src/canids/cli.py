@@ -64,7 +64,10 @@ def _require_file(path, what: str) -> Path:
 
 @contextlib.contextmanager
 def _output_lock(directory: Path):
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # it, or a directory above it, is a file
+        raise UsageError(f"output directory {directory} is not a directory") from None
     lock = directory / ".canids.lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -98,9 +101,19 @@ def _lock_holder(lock: Path) -> str:
 
 
 def _atomic(path: Path, write_fn):
+    """``write_fn`` writes a temp file beside ``path``, which is then renamed to ``path``. If either step
+    fails, the temp file is removed."""
     tmp = path.with_name(f".tmp-{path.name}")
-    write_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        write_fn(tmp)
+        try:
+            os.replace(tmp, path)
+        except IsADirectoryError:
+            raise UsageError(f"output path {path} is a directory") from None
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_json(path: Path, obj):
@@ -109,6 +122,8 @@ def _write_json(path: Path, obj):
 
 def _write_with_lock(path, write_fn):
     path = Path(path)
+    if not path.name:  # "", "." or "/"
+        raise UsageError(f"output path {str(path)!r} is a directory")
     with _output_lock(path.parent if path.parent != Path("") else Path(".")):
         _atomic(path, write_fn)
 
@@ -219,12 +234,15 @@ def cmd_build_graphs(args) -> int:
     if not 1 <= stride <= args.window:
         raise UsageError(f"--stride must be in [1, {args.window}], got {stride}")
     _progress(f"building window graphs (W={args.window}, stride={stride}) from {path}")
-    blocks = decode_car_hacking_csv(path)
-    graphs = list(build_block_windows(blocks, args.window, stride, directed=not args.undirected))
+    timings = Timings()
+    with timings.stage("build"):  # decoding and window building, interleaved block by block
+        blocks = decode_car_hacking_csv(path)
+        graphs = list(build_block_windows(blocks, args.window, stride, directed=not args.undirected))
     if not graphs:
         raise ConfigError(f"{path}: fewer than {args.window} frames; no windows")
-    _write_with_lock(args.out, lambda tmp: save_graph_cache(graphs, tmp))
-    _emit(feature_stats(graphs))
+    with timings.stage("write"):
+        _write_with_lock(args.out, lambda tmp: save_graph_cache(graphs, tmp))
+    _emit({**feature_stats(graphs), "timings": timings.block()})
     return 0
 
 
@@ -258,10 +276,13 @@ def cmd_undersample(args) -> int:
     model = VgaeModel.load(ckpt)
     train_part, _ = chronological_split(graphs, opts.val_frac)
     _progress("ranking the training split's benign windows by reconstruction error")
-    selection = select_stage2(model, train_part, args.seed, opts)
+    timings = Timings()
+    with timings.stage("select"):
+        selection = select_stage2(model, train_part, args.seed, opts)
     stage2 = selection.selected_normals + selection.attacks
-    _write_with_lock(args.out, lambda tmp: save_graph_cache(stage2, tmp))
-    _emit({"out": str(args.out), **selection.summary()})
+    with timings.stage("write"):
+        _write_with_lock(args.out, lambda tmp: save_graph_cache(stage2, tmp))
+    _emit({"out": str(args.out), **selection.summary(), "timings": timings.block()})
     return 0
 
 

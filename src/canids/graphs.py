@@ -23,7 +23,7 @@ from .errors import ConfigError, ParseError, StateError, open_ascii
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 _REPEATED_ID = "node ID listed twice in one window"
-_NODE_RECORD, _EDGE_RECORD = "node %d %r %r %r\n", "edge %d %d %r\n"  # %r writes a float as repr does
+_NODE_RECORD, _EDGE_RECORD = "node %d %s %s %s\n", "edge %d %d %s\n"  # each %s the repr of a float
 _FRAMES_PER_BLOCK = 1 << 14  # build_windows hands frames to build_block_windows this many at a time
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
@@ -277,27 +277,38 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
 def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
     """Write graphs to the line-oriented cache format. Returns graph count.
 
-    Format (floats via repr, reload is bit-exact):
+    Format (floats via repr, reload is bit-exact; ``_float_texts`` formats each distinct float once):
         canids-graph-cache v1
         graph <window_start_index> <label> <num_nodes> <num_edges>
         node <can_id> <feat0> <feat1> <feat2>     x num_nodes
         edge <src> <dst> <weight>                 x num_edges
     """
-    count = 0
+    graphs = list(graphs)
+    texts = _float_texts([part for g in graphs for part in (g.node_features.ravel(), g.edge_weight)])
+    at = 0  # the index in texts of the next graph's first feature
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CACHE_MAGIC + "\n")
         for g in graphs:
-            # each record's numbers in one list of Python ints and floats, written with one % call
+            # each record's fields in one list of ints and float texts, written with one % call
             n, e = g.num_nodes, g.num_edges
             nodes = [0] * (4 * n)
             nodes[::4] = g.node_ids
-            nodes[1::4], nodes[2::4], nodes[3::4] = g.node_features.T.tolist()
+            nodes[1::4], nodes[2::4], nodes[3::4] = (texts[at + k : at + 3 * n : 3] for k in range(3))
+            at += 3 * n
             edges = [0] * (3 * e)
-            edges[::3], edges[1::3], edges[2::3] = g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist()
+            edges[::3], edges[1::3], edges[2::3] = g.edge_src.tolist(), g.edge_dst.tolist(), texts[at : at + e]
+            at += e
             fh.write(f"graph {g.window_start_index} {g.label} {n} {e}\n" + _NODE_RECORD * n % tuple(nodes)
                      + _EDGE_RECORD * e % tuple(edges))
-            count += 1
-    return count
+    return len(graphs)
+
+
+def _float_texts(parts: list[np.ndarray]) -> list[str]:
+    """The ``repr`` of each float of ``parts``, in order, formatting each distinct bit pattern once: most
+    features and weights of a cache repeat. Keyed on the bits, so 0.0 and -0.0 keep their own texts."""
+    bits = np.concatenate([np.empty(0), *parts], dtype=np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse].tolist()
 
 
 def load_graph_cache(path) -> list[WindowGraph]:

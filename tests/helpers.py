@@ -25,6 +25,19 @@ def per_field_format_car_hacking_row(frame):
     return ",".join(parts)
 
 
+def per_value_save_graph_cache(graphs, path):
+    """Reference graph-cache writer: one ``%r`` per float, as save_graph_cache formatted each before it
+    formatted each distinct float once."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("canids-graph-cache v1\n")
+        for g in graphs:
+            fh.write("graph %d %d %d %d\n" % (g.window_start_index, g.label, g.num_nodes, g.num_edges))
+            for can_id, (f0, f1, f2) in zip(g.node_ids, g.node_features.tolist()):
+                fh.write("node %d %r %r %r\n" % (can_id, f0, f1, f2))
+            for src, dst, weight in zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist()):
+                fh.write("edge %d %d %r\n" % (src, dst, weight))
+
+
 def per_value_save_checkpoint(path, kind, config, params):
     """Reference checkpoint writer: one ``repr(float(v))`` per numpy value."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:

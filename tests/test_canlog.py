@@ -619,7 +619,7 @@ def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
 
 def canonical_mask(lines):
     """_canonical_lines's mask over ``lines`` and the frames of its canonical lines."""
-    block, canonical, _ = canlog._canonical_lines("".join(lines).encode())
+    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode())
     return canonical.tolist(), list(FrameBlock(*(column[canonical] for column in block)).frames())
 
 
@@ -670,22 +670,90 @@ def test_canonical_timestamps_read_as_float_reads_them():
     values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
     lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
     assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
-    block, canonical, _ = canlog._canonical_lines("".join(lines).encode())
+    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode())
     assert canonical.all()
-    assert block.timestamp.tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
+    assert block.timestamp.tolist() == [line.split(",")[0].encode() for line in lines]  # kept as text
+    stamps = [frame.timestamp for frame in block.frames()]
+    assert np.array(stamps).tobytes() == np.array([float(line.split(",")[0]) for line in lines]).tobytes()
 
 
 @given(st.text(alphabet="0123456789.e+-", min_size=1, max_size=34))
 @example("1e")
 @example("1e309")
 @example("-0.0")
+@example("5.")
+@example(".")
 @settings(max_examples=300, deadline=None)
 def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
-    """Order and finiteness are checked after this, once per block (``test_each_timestamp_rule_...``)."""
-    block, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode())
+    """Order and finiteness are checked after this, once per block (``test_each_timestamp_rule_...``).
+    The ``.`` of a timestamp of digits and one ``.`` is marked for the byte compare."""
+    block, point, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode())
     assert canonical[0] == (canlog._is_decimal(stamp) is not None and len(stamp) <= 32)
     if canonical[0]:
-        assert block.timestamp.tobytes() == np.float64(float(stamp)).tobytes()
+        assert block.timestamp[0] == stamp.encode()
+        (frame,) = block.frames()
+        assert np.float64(frame.timestamp).tobytes() == np.float64(float(stamp)).tobytes()
+    plain = canonical[0] and stamp.count(".") == 1 and stamp.replace(".", "").isdigit()
+    assert point[0] == (stamp.index(".") if plain else -1)
+
+
+def plain_decimal(whole: int, most: int = 32):
+    """Digits and one ``.`` with ``whole`` digits before it, at most ``most`` characters; few distinct
+    digits, so that pairs often share a prefix."""
+    return st.tuples(st.text("0159", min_size=whole, max_size=whole), st.text("0159", max_size=most - 1 - whole)).map(
+        ".".join
+    )
+
+
+decimal_pairs = st.one_of(
+    st.integers(1, 20).flatmap(lambda whole: st.tuples(plain_decimal(whole), plain_decimal(whole))),  # one "." offset
+    st.tuples(st.integers(1, 20).flatmap(plain_decimal), st.integers(1, 20).flatmap(plain_decimal)),
+    st.integers(1, 12).flatmap(lambda whole: plain_decimal(whole, 24)).flatmap(  # trailing or leading zeros
+        lambda a: st.tuples(st.just(a), st.integers(1, 8).flatmap(lambda k: st.sampled_from([a + "0" * k, "0" * k + a])))
+    ),
+)
+
+
+@given(decimal_pairs, st.booleans())
+@example(("9.99", "10.0"), False)
+@example(("1.5", "1.50"), True)
+@example(("0" * 31 + ".", "9" * 31 + "."), True)
+@settings(max_examples=500, deadline=None)
+def test_byte_compare_clears_no_pair_that_float_orders_the_other_way(pair, swap):
+    """Two plain decimals of at most 32 characters: the byte compare clears the second exactly when the
+    two have their "." at one offset and their bytes are in order, and then float() orders them so too.
+    Either way the order check gives float()'s verdict."""
+    a, b = pair[::-1] if swap else pair
+    block, point, canonical, _ = canlog._canonical_lines(f"{a},0316,0,R\n{b},0316,0,R\n".encode())
+    assert canonical.all() and point.tolist() == [a.index("."), b.index(".")]
+    cleared = canlog._byte_ordered(block.timestamp, point)
+    assert cleared.tolist() == [False, a.index(".") == b.index(".") and a.encode() <= b.encode()]
+    if cleared[1]:
+        assert float(a) <= float(b)
+    verdict = canlog._first_disorder(block.timestamp, point, canlog._BEFORE_FIRST_TS)
+    assert verdict == (1 if float(b) < float(a) else 2)
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        ("9.99", "10.0"), ("10.0", "9.99"),  # the "." moves
+        ("09.5", "9.50"), ("9.50", "09.5"), ("0.5", ".5"), ("5", "5.0"), ("5.0", "5"),
+        ("1.50", "1.5"), ("1.5", "1.4"),  # the bytes decrease
+        ("1e-05", "2e-05"), ("2e-05", "1e-05"), ("1.0", "1e0"), ("1e1", "9.0"), ("9.0", "1e1"),  # exponents
+        ("-1.0", "-1.5"), ("-1.5", "-1.0"), ("-0.0", "0.0"), ("0.0", "-0.0"), ("-1.0", "1.0"),  # signs
+    ],
+)
+def test_rows_the_byte_compare_cannot_clear_get_the_float_verdict(before, after):
+    """Neither row is cleared by its bytes (the first has no row before it in its block), and the order
+    check gives float()'s verdict, also when ``before`` ended the block before."""
+    block, point, canonical, _ = canlog._canonical_lines(f"{before},0316,0,R\n{after},0316,0,R\n".encode())
+    assert canonical.all()
+    assert not canlog._byte_ordered(block.timestamp, point).any()
+    verdict = canlog._first_disorder(block.timestamp, point, canlog._BEFORE_FIRST_TS)
+    assert verdict == (1 if float(after) < float(before) else 2)
+    # the first row against the one before it, in the block before
+    assert canlog._first_disorder(block.timestamp[1:], point[1:], float(before)) == verdict - 1
 
 
 def test_a_long_malformed_decimal_fails_without_backtracking():

@@ -119,6 +119,44 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     assert "category=usage" in err
 
 
+@pytest.mark.parametrize("kind", ["a directory", "below a file", "two below a file"])
+def test_an_output_path_that_cannot_be_written_is_usage_error(small_run, tmp_path, capsys, kind):
+    """An --out that is a directory, or that lies below a regular file, ends in one usage line, exit code
+    2 and no temp file, also for train-vgae, whose output is written after training."""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("")
+    out = {"a directory": tmp_path / "adir", "below a file": tmp_path / "afile" / "v.out",
+           "two below a file": tmp_path / "afile" / "sub" / "v.out"}[kind]
+    for argv in (["build-graphs", "--in", small_run / "train.csv", "--window", 100],
+                 ["train-vgae", "--graphs", small_run / "train.cache", "--preset", "student", "--vgae-epochs", 1]):
+        code, stdout, err = run_cli(capsys, *argv, "--out", out)
+        assert code == 2 and stdout == "" and "Traceback" not in err, err
+        assert err.splitlines()[-1].startswith("canids-error category=usage message=output ")
+        assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+
+
+@pytest.mark.parametrize("out", ["", "."])
+def test_an_output_path_without_a_name_is_usage_error(small_run, tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, "build-graphs", "--in", small_run / "train.csv", "--window", 100, "--out", out)
+    assert code == 2 and stdout == "" and "Traceback" not in err, err
+    assert err.splitlines()[-1].startswith("canids-error category=usage message=output path ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    from canids.cli import _atomic
+
+    def fail(tmp):
+        Path(tmp).write_text("partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic(tmp_path / "out.cache", fail)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_malformed_log_is_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0,0316,8,nope\n")
@@ -850,7 +888,7 @@ def test_train_gat_val_frac_without_val_graphs_is_usage_error(small_run, tmp_pat
 
 def test_every_run_fills_one_timings_schema(small_run, tmp_path, capsys):
     """run_two_stage, distill_pipeline, report.json and manifest.json of report and distill, and the stdout
-    of train-vgae and train-gat all time a run as {"<stage>_seconds", "total_seconds"}, with a key for each
+    of build-graphs, train-vgae, undersample and train-gat all time a run as {"<stage>_seconds", "total_seconds"}, with a key for each
     stage that ran and no other; a manifest repeats its report's block."""
     from canids.distill import KdConfig, distill_pipeline
     from canids.gat import GatClassifier, GatConfig
@@ -876,6 +914,13 @@ def test_every_run_fills_one_timings_schema(small_run, tmp_path, capsys):
                            "--seed", 7, "--gat-epochs", 1, "--out", tmp_path / "g")
     assert code == 0
     blocks["train-gat stdout"] = (json.loads(out)["timings"], "gat")
+    code, out, _ = run_cli(capsys, "build-graphs", "--in", root / "train.csv", "--window", 100, "--out", tmp_path / "c")
+    assert code == 0 and json.loads(out)["num_graphs"] == len(train)
+    blocks["build-graphs stdout"] = (json.loads(out)["timings"], "build write")
+    code, out, _ = run_cli(capsys, "undersample", "--graphs", root / "train.cache", "--vgae", root / "vgae.ckpt",
+                           "--seed", 7, "--out", tmp_path / "s")
+    assert code == 0
+    blocks["undersample stdout"] = (json.loads(out)["timings"], "select write")
     graphs = ["--test-graphs", root / "test.cache", "--seed", 7]
     assert run_cli(capsys, "report", "--train-graphs", root / "train.cache", *graphs, "--vgae", root / "vgae.ckpt",
                    "--gat", root / "gat.ckpt", "--out-dir", tmp_path / "report")[0] == 0

@@ -15,10 +15,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canids import graphs
 from canids.errors import ParseError, open_ascii
 from canids.graphs import CACHE_MAGIC, WindowGraph, build_windows, load_graph_cache, save_graph_cache
+from helpers import per_value_save_graph_cache
 
 
 def reference_load_graph_cache(path) -> list[WindowGraph]:
@@ -306,3 +309,53 @@ def test_memory_peak_close_to_reference(tmp_path, mixed_frames):
             tracemalloc.stop()
     assert peaks["bulk"] <= 1.5 * peaks["reference"], peaks
     assert_same_graphs(loaded["bulk"], loaded["reference"])
+
+
+# ---------------------------------------------------------------- the writer
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308, 1e16,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1.0]
+
+
+@st.composite
+def cache_graphs(draw):
+    """A few windows whose features and weights are drawn from one small pool of finite floats, so that
+    windows share values; the pool mixes 0.0 and -0.0, subnormals, 1e16 and the largest floats."""
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+                         min_size=1, max_size=8))
+
+    def floats(k):
+        return draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+
+    windows = []
+    for start in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 4))
+        e = draw(st.integers(0, 5)) if n else 0
+        ends = st.lists(st.integers(0, n - 1), min_size=e, max_size=e) if n else st.just([])
+        windows.append(WindowGraph(
+            node_ids=draw(st.lists(st.integers(0, 2047), min_size=n, max_size=n, unique=True)),
+            node_features=np.array(floats(3 * n), dtype=np.float64).reshape(n, 3),
+            edge_src=np.array(draw(ends), dtype=np.int64),
+            edge_dst=np.array(draw(ends), dtype=np.int64),
+            edge_weight=np.array(floats(e), dtype=np.float64),
+            label=draw(st.integers(0, 1)),
+            window_start_index=10 * start,
+        ))
+    return windows
+
+
+@given(cache_graphs())
+@settings(max_examples=200, deadline=None)
+def test_writer_writes_the_bytes_of_a_per_value_repr_writer(tmp_path_factory, windows):
+    root = tmp_path_factory.mktemp("writer")
+    assert save_graph_cache(iter(windows), root / "got.cache") == len(windows)
+    per_value_save_graph_cache(windows, root / "want.cache")
+    assert (root / "got.cache").read_bytes() == (root / "want.cache").read_bytes()
+
+
+def test_zero_and_negative_zero_keep_their_own_text(tmp_path):
+    window = WindowGraph([1, 2], np.array([[0.0, -0.0, 0.0], [-0.0, 5e-324, -0.0]]), np.array([0, 1]),
+                         np.array([1, 0]), np.array([-0.0, 0.0]), 0, 0)
+    save_graph_cache([window], tmp_path / "z.cache")
+    assert (tmp_path / "z.cache").read_text().splitlines()[1:] == [
+        "graph 0 0 2 2", "node 1 0.0 -0.0 0.0", "node 2 -0.0 5e-324 -0.0", "edge 0 1 -0.0", "edge 1 0 0.0"]
