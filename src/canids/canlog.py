@@ -4,9 +4,9 @@ The canonical on-disk layout is the Car-Hacking one:
 
     timestamp,ID(hex),DLC,DATA0,...,DATA{DLC-1},flag
 
-with flag ``R`` for benign traffic and ``T`` for injected frames. Floats
-are written with ``repr`` so a generate/serialize/parse round trip is
-bit-exact.
+with flag ``R`` for benign traffic and ``T`` for injected frames.
+Timestamps are written as ``repr(float(t))``, so a generate/serialize/parse
+round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import re
 import struct
 import sys
@@ -70,7 +71,7 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads this many bytes at a time
 _MAX_TIMESTAMP = 32  # the most characters of a canonical timestamp
 _TAIL = b"\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
-_NEWLINE, _COMMA, _DOT, _ZERO, _PLUS, _MINUS, _E = b"\n,.0+-e"
+_NEWLINE, _COMMA, _DOT, _ZERO, _PLUS, _MINUS, _E, _R, _T = b"\n,.0+-eRT"
 # lookup tables indexed by a byte: the value of a hex digit, of a DLC digit and of a flag; -1 for any
 # other byte
 _HEX = np.full(256, -1, dtype=np.int16)
@@ -86,6 +87,12 @@ _BYTE_SLOTS = np.arange(8)
 _ID_SLOTS = np.arange(4)
 _ID_WEIGHTS = np.array([[16 ** (n - 1 - j) if j < n else 0 for j in range(4)] for n in range(5)])  # by ID length
 _TIMESTAMP_SLOTS = np.arange(_MAX_TIMESTAMP, dtype=np.uint8)
+_WRITE_BLOCK = 1 << 14  # write_car_hacking_csv formats this many frames at a time
+_ROW_TAIL = 34  # the most characters of a row after its timestamp: ",IIII,D,", eight "xx," and "F\n"
+_ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
+# the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
+_ID_TEXT = np.frombuffer(b"".join(b"%04x" % i for i in range(MAX_STD_ID + 1)), dtype=np.uint8).reshape(-1, 4)
+_FIELD_TEXT = np.frombuffer(b"".join(b"%02x," % i for i in range(256)), dtype=np.uint8).reshape(-1, 3)
 
 
 def _digits_of(base: int):
@@ -543,19 +550,68 @@ def parse_generic_labeled_csv(
             yield _frame(CanFrame, (ts, can_id, dlc, payload, label))
 
 
-def format_car_hacking_row(frame: CanFrame) -> str:
-    timestamp, can_id, dlc, payload, label = frame
-    flag = "T" if label == Label.ATTACK else "R"
-    if not payload:  # DLC 0: no empty payload field
-        return f"{timestamp!r},{can_id:04x},{dlc},{flag}"
-    return f"{timestamp!r},{can_id:04x},{dlc},{bytes(payload).hex(',')},{flag}"
-
-
 def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
-    """Serialize frames to the canonical layout. Returns the row count."""
+    """Serialize frames to the canonical layout, in the order given. Returns the row count.
+
+    Each timestamp is written as ``repr(float(t))``. The frames are taken
+    _WRITE_BLOCK at a time as a FrameBlock, whose rows are built with
+    array operations and written at once. A frame whose ID, DLC or payload
+    is out of range raises the ParseError of ``checked_frame``, and one
+    whose timestamp is not a finite number a ParseError too, each naming
+    the frame's position in ``frames``; the blocks before its own are
+    written first, and within a block the IDs, DLCs and payloads are
+    checked before the timestamps. Row order is the caller's to keep.
+    """
+    frames = iter(frames)
     n = 0
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for frame in frames:
-            fh.write(format_car_hacking_row(frame) + "\n")
-            n += 1
+    with open(path, "wb") as fh:
+        while chunk := list(itertools.islice(frames, _WRITE_BLOCK)):
+            block = FrameBlock.from_frames(chunk, n)
+            fh.write(_block_rows(block, _float_timestamps(block.timestamp, chunk, n)))
+            n += len(chunk)
     return n
+
+
+def _block_rows(block: FrameBlock, ts: np.ndarray) -> bytes:
+    """The CSV rows of the frames of ``block``, whose timestamps are ``ts``.
+
+    Each row is its timestamp's text, NUL-padded to the longest, then the
+    rest of the row in _ROW_TAIL characters, NUL-padded past its newline;
+    no row holds a NUL, so the rows are the bytes that are not NUL.
+    """
+    texts = np.array(list(map(float.__repr__, ts.tolist())), dtype=np.bytes_)  # repr without its dispatch
+    n = len(ts)
+    tail = np.zeros((n, _ROW_TAIL), dtype=np.uint8)
+    tail[:, [0, 5, 7]] = _COMMA
+    tail[:, 1:5] = _ID_TEXT.take(block.can_id, axis=0)
+    tail[:, 6] = block.dlc + _ZERO
+    tail[:, 8:32] = _FIELD_TEXT.take(block.payload, axis=0).reshape(n, 24)
+    flag = 8 + 3 * block.dlc  # the column of each row's flag, after its DLC payload fields
+    rows = np.arange(n)
+    tail[rows, flag] = np.where(block.attack, _T, _R)
+    tail[rows, flag + 1] = _NEWLINE
+    tail[_ROW_TAIL_SLOTS > flag[:, None] + 1] = 0
+    text = np.concatenate((texts.view(np.uint8).reshape(n, -1), tail), axis=1)
+    return text[text != 0].tobytes()
+
+
+def _float_timestamps(column: np.ndarray, frames: Sequence[CanFrame], first: int) -> np.ndarray:
+    """The timestamp ``column`` of ``frames``, counted from ``first``, as float64; ParseError naming the
+    first frame whose timestamp is not a finite number (text and None are not numbers)."""
+    if column.dtype.kind in "biuf" and column.ndim == 1:
+        ts = column.astype(np.float64)
+    else:  # text, or objects such as None or an int too wide for int64: read from each frame
+        ts = np.array([_real(frame[0]) for frame in frames], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(ts))
+    if len(bad):
+        k = int(bad[0])
+        raise ParseError(f"frame {first + k}: timestamp {frames[k][0]!r} is not a finite number")
+    return ts
+
+
+def _real(value) -> float:
+    """``float(value)`` for a real number that a float can hold, else nan."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:
+        return math.nan

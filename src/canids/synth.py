@@ -12,21 +12,17 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from itertools import cycle
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .canlog import MAX_STD_ID, CanFrame, Label
+from .canlog import MAX_STD_ID, CanFrame, FrameBlock
 from .errors import ConfigError, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
 SPOOF_BYTE_MIN = 136
 REPLAY_BUFFER_LEN = 100
 DOS_CAN_ID = 0  # lowest ID wins arbitration, so flooding uses 0
-
-_timestamp = itemgetter(0)  # a frame's timestamp, as a sort key
 
 
 class AttackKind(enum.Enum):
@@ -111,8 +107,7 @@ def generate_synthetic_log(
         atk.validate(duration)
 
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    # generation order; a stable sort on the timestamp alone breaks ties by it
-    frames: list[CanFrame] = []
+    parts: list[FrameBlock] = []  # in generation order; a stable sort on the timestamp breaks ties by it
 
     for ecu in ecu_schedule:
         lo = _ecu_payload_low(ecu)
@@ -120,54 +115,62 @@ def generate_synthetic_log(
         n_emit = int(np.ceil((duration - phase) / ecu.period)) if phase < duration else 0
         base = phase + ecu.period * np.arange(n_emit)
         jitter = rng.uniform(-0.1 * ecu.period, 0.1 * ecu.period, size=n_emit)
-        times = np.maximum(base + jitter, 0.0)
+        payload = np.zeros((n_emit, 8), dtype=np.uint8)
         # one (n_emit, dlc) draw takes the same numbers from the stream as n_emit draws of dlc
-        payloads = rng.integers(lo, lo + 41, size=(n_emit, ecu.dlc))
-        frames += [
-            CanFrame(t, ecu.can_id, ecu.dlc, tuple(p))
-            for t, p in zip(times.tolist(), payloads.tolist())
-        ]
+        payload[:, : ecu.dlc] = rng.integers(lo, lo + 41, size=(n_emit, ecu.dlc))
+        parts.append(_part(np.maximum(base + jitter, 0.0), ecu.can_id, ecu.dlc, payload, False))
 
     for atk in attacks:
         step = 1.0 / atk.injection_rate
         n_inject = int(np.floor(atk.duration * atk.injection_rate))
         base = atk.start_time + step * np.arange(n_inject)
-        times = np.maximum(base + rng.uniform(-0.1 * step, 0.1 * step, size=n_inject), 0.0).tolist()
+        times = np.maximum(base + rng.uniform(-0.1 * step, 0.1 * step, size=n_inject), 0.0)
         if atk.kind == AttackKind.DOS:
-            frames += [CanFrame(t, DOS_CAN_ID, 8, (0,) * 8, Label.ATTACK) for t in times]
+            parts.append(_part(times, DOS_CAN_ID, 8, np.zeros((n_inject, 8), dtype=np.uint8), True))
         elif atk.kind == AttackKind.FUZZING:
             # ID, DLC and payload draws interleave frame by frame, so they stay per frame
-            for t in times:
-                can_id = int(rng.integers(0, 2048))
-                dlc = int(rng.integers(0, 9))
-                payload = tuple(rng.integers(0, 256, size=dlc).tolist())
-                frames.append(CanFrame(t, can_id, dlc, payload, Label.ATTACK))
+            can_id = np.zeros(n_inject, dtype=np.int64)
+            dlc = np.zeros(n_inject, dtype=np.int64)
+            payload = np.zeros((n_inject, 8), dtype=np.uint8)
+            for k in range(n_inject):
+                can_id[k] = rng.integers(0, 2048)
+                dlc[k] = n = int(rng.integers(0, 9))
+                payload[k, :n] = rng.integers(0, 256, size=n)
+            parts.append(_part(times, can_id, dlc, payload, True))
         elif atk.kind == AttackKind.SPOOFING:
-            payloads = rng.integers(SPOOF_BYTE_MIN, 256, size=(n_inject, 8)).tolist()
-            frames += [
-                CanFrame(t, atk.target_id, 8, tuple(p), Label.ATTACK)
-                for t, p in zip(times, payloads)
-            ]
+            payload = rng.integers(SPOOF_BYTE_MIN, 256, size=(n_inject, 8)).astype(np.uint8)
+            parts.append(_part(times, atk.target_id, 8, payload, True))
         else:  # REPLAY
-            recorded = [
-                f
-                for f in frames
-                if f.can_id == atk.target_id
-                and f.label == Label.BENIGN
-                and f.timestamp < atk.start_time
-            ]
-            buffer = sorted(recorded, key=_timestamp)[-REPLAY_BUFFER_LEN:]
-            if not buffer:
+            sent = _concat(parts)
+            recorded = np.flatnonzero((sent.can_id == atk.target_id) & ~sent.attack & (sent.timestamp < atk.start_time))
+            buffer = recorded[np.argsort(sent.timestamp[recorded], kind="stable")][-REPLAY_BUFFER_LEN:]
+            if not len(buffer):
                 raise ConfigError(
                     f"replay: no benign frames of 0x{atk.target_id:x} before t={atk.start_time}"
                 )
-            frames += [
-                CanFrame(t, src.can_id, src.dlc, src.payload, Label.ATTACK)
-                for t, src in zip(times, cycle(buffer))
-            ]
+            src = buffer[np.arange(n_inject) % len(buffer)]
+            parts.append(_part(times, sent.can_id[src], sent.dlc[src], sent.payload[src], True))
 
-    frames.sort(key=_timestamp)
-    return frames
+    log = _concat(parts)
+    order = np.argsort(log.timestamp, kind="stable")
+    return list(FrameBlock(*(column[order] for column in log)).frames())
+
+
+def _part(times: np.ndarray, can_id, dlc, payload: np.ndarray, attack: bool) -> FrameBlock:
+    """The frames sent at ``times``, each column given per frame or as one value for all."""
+    n = len(times)
+    return FrameBlock(
+        times,
+        np.broadcast_to(np.asarray(can_id, dtype=np.int64), n),
+        np.broadcast_to(np.asarray(dlc, dtype=np.int64), n),
+        payload,
+        np.full(n, attack),
+    )
+
+
+def _concat(parts: Sequence[FrameBlock]) -> FrameBlock:
+    """One block of the frames of ``parts``, in order."""
+    return FrameBlock(*map(np.concatenate, zip(*parts)))
 
 
 def load_synth_config(path) -> SynthConfig:

@@ -274,7 +274,13 @@ def reconstruction_terms(batch: GraphBatch, z: Tensor, decoded, neg_rngs) -> tup
 
 
 def sample_non_edges(n: int, edge_src, edge_dst, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Up to ``count`` uniform (i, j) pairs absent from the edge set."""
+    """Up to ``count`` uniform (i, j) pairs absent from the edge set, self-pairs included.
+
+    Pairs are drawn with replacement, so a window with fewer non-edge cells
+    than ``count`` repeats them: asked for as many pairs as its 19 edges,
+    a 5-node window draws 19 pairs from its 6 non-edge cells. Fewer than
+    ``count`` come back only when 20 rounds of draws do not find them.
+    """
     if count <= 0 or n * n <= len(edge_src):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # pairs travel as flat cells i * n + j

@@ -29,7 +29,6 @@ from canids.canlog import (
     FrameBlock,
     Label,
     decode_car_hacking_csv,
-    format_car_hacking_row,
     parse_car_hacking_csv,
     parse_generic_labeled_csv,
     write_car_hacking_csv,
@@ -278,10 +277,60 @@ def test_parser_outputs_satisfy_frame_invariants(tmp_path_factory, frames):
         assert len(frame.payload) == frame.dlc
 
 
-def test_format_row_matches_layout():
-    row = format_car_hacking_row(CanFrame(1.5, 0x316, 2, (0x0A, 0xFF), Label.ATTACK))
-    assert row == "1.5,0316,2,0a,ff,T"
-    assert format_car_hacking_row(CanFrame(0.25, 0x7FF, 0, ())) == "0.25,07ff,0,R"
+def test_format_row_matches_layout(tmp_path):
+    frames = [CanFrame(1.5, 0x316, 2, (0x0A, 0xFF), Label.ATTACK), CanFrame(0.25, 0x7FF, 0, ())]
+    p = tmp_path / "log.csv"
+    assert write_car_hacking_csv(frames, p) == 2
+    assert p.read_bytes() == b"1.5,0316,2,0a,ff,T\n0.25,07ff,0,R\n"
+
+
+def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
+    cut = canlog._WRITE_BLOCK
+    frames = random_frames(np.random.Generator(np.random.PCG64(5)), cut + 2, [0x5, 0x316, 0x7FF])
+    frames[cut - 2 : cut + 2] = [
+        CanFrame(1e-05, 0x7FF, 0, ()),
+        CanFrame(5e-324, 0x0, 0, (), Label.ATTACK),
+        CanFrame(1e16, 0x100, 0, ()),
+        CanFrame(2.5e-310, 0x316, 8, (0xFF,) * 8, Label.ATTACK),
+    ]
+    p = tmp_path / "log.csv"
+    assert write_car_hacking_csv(frames, p) == cut + 2
+    written = p.read_bytes()
+    assert written.splitlines()[cut - 2 :] == [
+        b"1e-05,07ff,0,R",
+        b"5e-324,0000,0,T",
+        b"1e+16,0100,0,R",
+        b"2.5e-310,0316,8,ff,ff,ff,ff,ff,ff,ff,ff,T",
+    ]
+    assert written == "".join(per_field_format_car_hacking_row(f) + "\n" for f in frames).encode()
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [
+        (CanFrame(0.0, 0x800, 0, ()), "frame 5: can_id 2048 outside 11-bit range"),
+        (CanFrame(0.0, 1, 8, (1, 2)), "frame 5: payload length 2 does not match dlc 8"),
+        (CanFrame(0.0, 1, 1, (256,)), r"frame 5: payload byte outside \[0, 255\]"),
+        (CanFrame(math.nan, 1, 0, ()), "frame 5: timestamp nan is not a finite number"),
+        (CanFrame(None, 1, 0, ()), "frame 5: timestamp None is not a finite number"),
+        (CanFrame("1.5", 1, 0, ()), "frame 5: timestamp '1.5' is not a finite number"),
+        (CanFrame(10**400, 1, 0, ()), "frame 5: timestamp 1000+ is not a finite number"),
+        (CanFrame(np.float64(1.5), 1, 0, ()), None),
+    ],
+    ids=["id-0x800", "dlc-8-two-bytes", "byte-256", "nan", "none", "text", "huge-int", "numpy-scalar"],
+)
+def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, error):
+    """A frame the reader would reject raises the ParseError of its position, counted across blocks."""
+    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 2)  # frame 5 is the second of the third block
+    frames = [CanFrame(0.0, 1, 0, ())] * 5 + [last]
+    p = tmp_path / "log.csv"
+    if error is not None:
+        with pytest.raises(ParseError, match=error):
+            write_car_hacking_csv(frames, p)
+        return
+    assert write_car_hacking_csv(frames, p) == 6
+    assert p.read_bytes().splitlines()[-1] == b"1.5,0001,0,R"
+    assert list(parse_car_hacking_csv(p)) == frames
 
 
 @given(st.lists(frame_strategy, max_size=40))
@@ -449,7 +498,7 @@ def block_chars(request, monkeypatch):
 
 def canonical_rows(count, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return [format_car_hacking_row(f) for f in random_frames(rng, count, [0x316, 0x7FF, 0x5, 0x100])]
+    return [per_field_format_car_hacking_row(f) for f in random_frames(rng, count, [0x316, 0x7FF, 0x5, 0x100])]
 
 
 def assert_matches_reference(path):

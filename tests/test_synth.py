@@ -3,8 +3,10 @@
 ``per_frame_generate_synthetic_log`` is the generator as it was written
 first: one ``rng.integers`` call per frame and one sort by (timestamp,
 generation order). The generator, which draws each schedule's payloads
-in one call, must return the same frames for the same seed, Python types
-included, and write the same CSV bytes.
+in one call into frame columns and merges them with one stable argsort,
+must return the same frames for the same seed, Python types included,
+and ``write_car_hacking_csv`` must write them as the per-field row
+formatter does.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from canids import canlog
 from canids.canlog import CanFrame, Label, parse_car_hacking_csv, write_car_hacking_csv
 from canids.errors import ConfigError
 from canids.synth import (
@@ -213,12 +216,21 @@ EVERY_ATTACK = [
 ]
 
 
-@pytest.mark.parametrize("seed", [0, 3, 2026, (201, 1), (205, 3)])
-def test_generator_matches_per_frame_reference(tmp_path, seed):
+# with a 15,200-frame DoS burst the log spans two of write_car_hacking_csv's blocks
+TWO_BLOCKS = [*EVERY_ATTACK, AttackSpec(AttackKind.DOS, 1.3, 0.19, 80000.0)]
+
+
+@pytest.mark.parametrize(
+    "seed, attacks",
+    [*((seed, EVERY_ATTACK) for seed in [0, 3, 2026, (201, 1), (205, 3)]), (11, TWO_BLOCKS)],
+    ids=["0", "3", "2026", "seed3", "seed4", "two-blocks"],
+)
+def test_generator_matches_per_frame_reference(tmp_path, seed, attacks):
     ecus = [*EVERY_DLC, SILENT]
-    frames = generate_synthetic_log(ecus, 1.5, EVERY_ATTACK, rng_seed=seed)
-    expected = per_frame_generate_synthetic_log(ecus, 1.5, EVERY_ATTACK, rng_seed=seed)
+    frames = generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed)
+    expected = per_frame_generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed)
     assert typed(frames) == typed(expected)
+    assert (len(frames) > canlog._WRITE_BLOCK) == (attacks is TWO_BLOCKS)
     assert {f.dlc for f in frames if f.label == Label.BENIGN} == set(range(9))
     assert {f.label for f in frames} == {Label.BENIGN, Label.ATTACK}
     assert not any(f.can_id == SILENT.can_id for f in frames)
