@@ -13,7 +13,7 @@ ecus = [EcuSpec(0x110, 0.005, 1), EcuSpec(0x220, 0.010, 2), EcuSpec(0x330, 0.020
 attacks = [AttackSpec(AttackKind.DOS, 5.0, 1.0, 1000.0)]
 frames = generate_synthetic_log(ecus, 12.0, attacks, rng_seed=7)
 
-graphs = list(build_windows(iter(frames), window_size=100))
+graphs = list(build_windows(frames, window_size=100))
 print("dataset:", feature_stats(graphs))
 
 benign = next(g for g in graphs if g.label == 0)

@@ -19,7 +19,7 @@ attacks = [
     AttackSpec(AttackKind.FUZZING, 45.0, 2.0, 500.0),
 ]
 frames = generate_synthetic_log(ecus, 60.0, attacks, rng_seed=11)
-graphs = list(build_windows(iter(frames), 100))
+graphs = list(build_windows(frames, 100))
 benign = [g for g in graphs if g.label == 0]
 print(f"{len(graphs)} windows, {len(graphs) - len(benign)} with attacks")
 

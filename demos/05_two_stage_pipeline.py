@@ -29,8 +29,8 @@ test_attacks = [
     AttackSpec(AttackKind.FUZZING, 25.0, 1.5, 500.0),
 ]
 
-train = list(build_windows(iter(generate_synthetic_log(ecus, 110.0, train_attacks, rng_seed=21)), 100))
-test = list(build_windows(iter(generate_synthetic_log(ecus, 35.0, test_attacks, rng_seed=22)), 100))
+train = list(build_windows(generate_synthetic_log(ecus, 110.0, train_attacks, rng_seed=21), 100))
+test = list(build_windows(generate_synthetic_log(ecus, 35.0, test_attacks, rng_seed=22), 100))
 print(f"train {len(train)} windows / test {len(test)} windows")
 
 options = PipelineOptions(vgae_epochs=25, gat_epochs=30)

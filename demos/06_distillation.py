@@ -26,8 +26,8 @@ test_attacks = [
     AttackSpec(AttackKind.DOS, 10.0, 1.5, 900.0),
     AttackSpec(AttackKind.FUZZING, 25.0, 1.5, 500.0),
 ]
-train = list(build_windows(iter(generate_synthetic_log(ecus, 110.0, train_attacks, rng_seed=21)), 100))
-test = list(build_windows(iter(generate_synthetic_log(ecus, 35.0, test_attacks, rng_seed=22)), 100))
+train = list(build_windows(generate_synthetic_log(ecus, 110.0, train_attacks, rng_seed=21), 100))
+test = list(build_windows(generate_synthetic_log(ecus, 35.0, test_attacks, rng_seed=22), 100))
 
 options = PipelineOptions(vgae_epochs=25, gat_epochs=30)
 print("training teachers...")

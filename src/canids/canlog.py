@@ -48,6 +48,12 @@ class CanFrame(NamedTuple):
     label: Label = Label.BENIGN
 
     def validate(self):
+        for name, value in (("can_id", self.can_id), ("dlc", self.dlc)):
+            if not isinstance(value, _INTS):
+                raise ParseError(f"{name} {value!r} is not an integer")
+        odd = [b for b in self.payload if not isinstance(b, _INTS)]
+        if odd:
+            raise ParseError(f"payload byte {odd[0]!r} is not an integer")
         if not 0 <= self.can_id <= MAX_STD_ID:
             raise ParseError(f"can_id {self.can_id} outside 11-bit range")
         if not 0 <= self.dlc <= 8:
@@ -61,6 +67,7 @@ class CanFrame(NamedTuple):
         return self
 
 
+_INTS = (int, np.integer)  # the types of an ID, a DLC and a payload byte
 _FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
 _LABELS = np.array(list(Label), dtype=object)  # indexed by the attack flag
 # builds a CanFrame from its checked fields without the named tuple's generated __new__
@@ -202,24 +209,30 @@ class FrameBlock(NamedTuple):
 
     @classmethod
     def from_frames(cls, frames: Sequence[CanFrame], first: int = 0) -> "FrameBlock":
-        """The columns of ``frames``. A frame whose ID, DLC or payload is out of range raises the
-        ParseError of ``checked_frame`` at its position, counted from ``first``."""
+        """The columns of ``frames``. A frame whose ID, DLC or payload bytes are not integers in range
+        raises the ParseError of ``checked_frame`` at its position, counted from ``first``."""
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
-        can_id = np.array(can_id, dtype=np.int64)
-        dlc = np.array(dlc, dtype=np.int64)
+        can_id, dlc = np.array(can_id), np.array(dlc)  # an integer dtype only if every value is an integer
         sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(dlc))
         try:
             data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
-        except ValueError:  # a byte outside [0, 255]
+        except (TypeError, ValueError):  # a byte that is not an integer, or one outside [0, 255]
             data = None
-        if data is None or not ((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc <= 8) & (sizes == dlc)).all():
+        if data is None or not (
+            can_id.dtype.kind in "biu" and dlc.dtype.kind in "biu" and _in_range(can_id, dlc) and (sizes == dlc).all()
+        ):
             for position, frame in enumerate(frames, start=first):
                 checked_frame(position, frame)
+        can_id, dlc = can_id.astype(np.int64), dlc.astype(np.int64)
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        # float64 for frames' float timestamps, dtype S for the text that _decode_lines keeps
-        return cls(np.array(ts), can_id, dlc, payload, attack)
+        # float64 for frames' float timestamps, dtype S for the text that _decode_lines keeps; any other
+        # values (None, other text, ints too wide for int64) as they are, for the writer's error message
+        stamps = np.array(ts)
+        if stamps.dtype.kind not in "biufS" or stamps.ndim != 1:
+            stamps = np.fromiter(ts, dtype=object, count=len(ts))
+        return cls(stamps, can_id, dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
         payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
@@ -229,6 +242,69 @@ class FrameBlock(NamedTuple):
         labels = _LABELS[self.attack.view(np.uint8)].tolist()
         columns = (self.timestamp.astype(np.float64).tolist(), self.can_id.tolist(), dlc, payloads, labels)
         return map(_frame, repeat(CanFrame), zip(*columns))
+
+
+def _in_range(can_id: np.ndarray, dlc: np.ndarray) -> bool:
+    """Whether every ID of ``can_id`` has 11 bits and every DLC of ``dlc`` is in [0, 8]."""
+    return bool(((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc >= 0) & (dlc <= 8)).all())
+
+
+class FrameLog(Sequence[CanFrame]):
+    """A read-only sequence of the frames of one FrameBlock (float timestamps), which it keeps as columns.
+
+    ``len`` reads the block. Indexing, slicing and iteration build the
+    frames with ``FrameBlock.frames()`` on first use and keep them; a slice
+    is a list. A log equals the list of its frames, and ``list(log)`` is
+    that plain list. ``frame_blocks`` hands the writer and ``build_windows``
+    slices of the columns, so neither builds the frames.
+    """
+
+    def __init__(self, block: FrameBlock):
+        self.block = block
+        self._frames: list[CanFrame] | None = None
+
+    def __len__(self) -> int:
+        return len(self.block.dlc)
+
+    def _list(self) -> list[CanFrame]:
+        if self._frames is None:
+            self._frames = list(self.block.frames())
+        return self._frames
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator[CanFrame]:
+        return iter(self._list())
+
+    def __eq__(self, other) -> bool:  # and so unhashable, as a list is
+        return self._list() == (other._list() if isinstance(other, FrameLog) else other)
+
+
+def frame_blocks(frames: Iterable[CanFrame], size: int) -> Iterator[tuple[int, FrameBlock]]:
+    """The frames of ``frames`` as consecutive FrameBlocks of ``size`` frames (the last may have fewer),
+    each with the position of its first frame.
+
+    A FrameLog's blocks are slices of its columns; any other frames are
+    taken ``size`` at a time and read with ``FrameBlock.from_frames``. A
+    frame whose ID, DLC or payload bytes are not integers in range raises
+    the ParseError of ``checked_frame`` at its position, before its block
+    is yielded.
+    """
+    if isinstance(frames, FrameLog):
+        for first in range(0, len(frames), size):
+            block = FrameBlock(*(column[first : first + size] for column in frames.block))
+            if not _in_range(block.can_id, block.dlc):
+                for position, frame in enumerate(block.frames(), start=first):
+                    checked_frame(position, frame)
+            yield first, block
+        return
+    frames = iter(frames)
+    for first in itertools.count(0, size):
+        chunk = list(itertools.islice(frames, size))
+        if not chunk:
+            return
+        yield first, FrameBlock.from_frames(chunk, first)
 
 
 def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
@@ -554,22 +630,21 @@ def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
     """Serialize frames to the canonical layout, in the order given. Returns the row count.
 
     Each timestamp is written as ``repr(float(t))``. The frames are taken
-    _WRITE_BLOCK at a time as a FrameBlock, whose rows are built with
-    array operations and written at once. A frame whose ID, DLC or payload
-    is out of range raises the ParseError of ``checked_frame``, and one
+    _WRITE_BLOCK at a time as the FrameBlocks of ``frame_blocks`` (a
+    FrameLog's columns as they are), whose rows are built with array
+    operations and written at once. A frame whose ID, DLC or payload bytes
+    are not integers in range raises the ParseError of ``checked_frame``, and one
     whose timestamp is not a finite number a ParseError too, each naming
     the frame's position in ``frames``; the blocks before its own are
     written first, and within a block the IDs, DLCs and payloads are
     checked before the timestamps. Row order is the caller's to keep.
     """
-    frames = iter(frames)
-    n = 0
+    rows = 0
     with open(path, "wb") as fh:
-        while chunk := list(itertools.islice(frames, _WRITE_BLOCK)):
-            block = FrameBlock.from_frames(chunk, n)
-            fh.write(_block_rows(block, _float_timestamps(block.timestamp, chunk, n)))
-            n += len(chunk)
-    return n
+        for first, block in frame_blocks(frames, _WRITE_BLOCK):
+            fh.write(_block_rows(block, _float_timestamps(block.timestamp, first)))
+            rows = first + len(block.dlc)
+    return rows
 
 
 def _block_rows(block: FrameBlock, ts: np.ndarray) -> bytes:
@@ -595,17 +670,18 @@ def _block_rows(block: FrameBlock, ts: np.ndarray) -> bytes:
     return text[text != 0].tobytes()
 
 
-def _float_timestamps(column: np.ndarray, frames: Sequence[CanFrame], first: int) -> np.ndarray:
-    """The timestamp ``column`` of ``frames``, counted from ``first``, as float64; ParseError naming the
-    first frame whose timestamp is not a finite number (text and None are not numbers)."""
-    if column.dtype.kind in "biuf" and column.ndim == 1:
+def _float_timestamps(column: np.ndarray, first: int) -> np.ndarray:
+    """The timestamp ``column`` of a FrameBlock whose first frame is at position ``first``, as float64;
+    ParseError naming the first frame whose timestamp is not a finite number (text and None are not
+    numbers)."""
+    if column.dtype.kind in "biuf":
         ts = column.astype(np.float64)
-    else:  # text, or objects such as None or an int too wide for int64: read from each frame
-        ts = np.array([_real(frame[0]) for frame in frames], dtype=np.float64)
+    else:  # text, or objects such as None or an int too wide for int64
+        ts = np.array([_real(value) for value in column.tolist()], dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(ts))
     if len(bad):
         k = int(bad[0])
-        raise ParseError(f"frame {first + k}: timestamp {frames[k][0]!r} is not a finite number")
+        raise ParseError(f"frame {first + k}: timestamp {column[k : k + 1].tolist()[0]!r} is not a finite number")
     return ts
 
 

@@ -196,7 +196,7 @@ def cmd_synth(args) -> int:
     _progress(f"synthesizing {cfg.duration}s of traffic from {len(cfg.ecus)} ECUs, seed {args.seed}")
     frames = generate_synthetic_log(cfg.ecus, cfg.duration, cfg.attacks, rng_seed=args.seed)
     _write_with_lock(args.out, lambda tmp: write_car_hacking_csv(frames, tmp))
-    attacks = sum(1 for f in frames if f.label == 1)
+    attacks = int(frames.block.attack.sum())
     _emit({"frames": len(frames), "attack_frames": attacks, "out": str(args.out)})
     return 0
 

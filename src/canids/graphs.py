@@ -9,7 +9,6 @@ weights over a window always sum to W-1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame
+from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
 from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
@@ -64,23 +63,16 @@ def build_windows(
     updated one frame at a time (``_stride_one_windows``). With
     ``directed=False`` transition counts are accumulated on unordered ID
     pairs instead. Every other window is built by ``build_block_windows``
-    from the frames, taken _FRAMES_PER_BLOCK at a time. A frame whose ID,
-    DLC or payload is out of range raises ParseError naming its position.
+    from the ``frame_blocks`` of _FRAMES_PER_BLOCK frames, the columns of a
+    FrameLog as they are. A frame whose ID, DLC or payload bytes are not
+    integers in range raises ParseError naming its position.
     """
     stride = _checked_stride(window_size, stride)
     if stride == 1 and directed:
         yield from _stride_one_windows(frames, window_size)
         return
-    yield from build_block_windows(_frame_blocks(frames), window_size, stride, directed)
-
-
-def _frame_blocks(frames: Iterable[CanFrame]) -> Iterator[FrameBlock]:
-    frames = iter(frames)
-    for first in itertools.count(0, _FRAMES_PER_BLOCK):
-        chunk = list(itertools.islice(frames, _FRAMES_PER_BLOCK))
-        if not chunk:
-            return
-        yield FrameBlock.from_frames(chunk, first)
+    blocks = (block for _, block in frame_blocks(frames, _FRAMES_PER_BLOCK))
+    yield from build_block_windows(blocks, window_size, stride, directed)
 
 
 def _checked_stride(window_size: int, stride: int | None) -> int:
@@ -214,7 +206,8 @@ def _stride_one_windows(frames: Iterable[CanFrame], w: int) -> Iterator[WindowGr
     prev = None
     for pos, frame in enumerate(frames):
         _, can_id, dlc, payload, label = checked_frame(pos, frame)
-        rec = (can_id, sum(payload), dlc, label == attack)
+        can_id, dlc = int(can_id), int(dlc)  # a numpy int would wrap in the sums and be kept as a node ID
+        rec = (can_id, sum(bytes(payload)), dlc, label == attack)
         window.append(rec)
         tally = ids.get(can_id)
         if tally is None:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canlog import MAX_STD_ID, CanFrame, FrameBlock
+from .canlog import MAX_STD_ID, FrameBlock, FrameLog
 from .errors import ConfigError, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
@@ -92,12 +92,13 @@ def generate_synthetic_log(
     duration: float,
     attacks: Sequence[AttackSpec] = (),
     rng_seed: int = 0,
-) -> list[CanFrame]:
-    """Produce a labeled frame list, deterministic for a given seed.
+) -> FrameLog:
+    """Produce a labeled frame log, deterministic for a given seed.
 
     Injected frames carry Label.ATTACK; everything emitted by the periodic
     schedules is BENIGN. Frames are returned sorted by timestamp with a
-    stable generation-order tie break.
+    stable generation-order tie break, as a FrameLog: the log's columns,
+    built into frames only when they are first read.
     """
     if not ecu_schedule:
         raise ConfigError("need at least one ECU")
@@ -153,7 +154,7 @@ def generate_synthetic_log(
 
     log = _concat(parts)
     order = np.argsort(log.timestamp, kind="stable")
-    return list(FrameBlock(*(column[order] for column in log)).frames())
+    return FrameLog(FrameBlock(*(column[order] for column in log)))
 
 
 def _part(times: np.ndarray, can_id, dlc, payload: np.ndarray, attack: bool) -> FrameBlock:

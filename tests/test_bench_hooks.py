@@ -22,7 +22,7 @@ sys.path.insert(0, str(BENCH))
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from canids import gat, pipeline, vgae  # noqa: E402
+from canids import gat, graphs, pipeline, synth, vgae  # noqa: E402
 from canids.distill import DistillResult  # noqa: E402
 from canids.gat import GatClassifier, prepare_graph  # noqa: E402
 from canids.graphs import WindowGraph  # noqa: E402
@@ -109,3 +109,19 @@ def test_teacher_calls_get_a_batch_of_one_with_its_graph():
                     np.array([1.0]), 0, 0)
     assert prepare_graph(g).graph is g
     assert isinstance(prepare_graph(g), gat.GraphBatch)
+
+
+def test_a_generated_log_serves_what_the_workloads_do_with_one():
+    """len, [-1].timestamp, [a:b] slices and iteration reading .label, as on the list of its frames."""
+    log = synth.generate_synthetic_log(
+        workloads.ECUS, workloads.STREAM_LOG_S, workloads.STREAM_ATTACKS, rng_seed=(201, 3)
+    )
+    frames = list(log)
+    windows = list(graphs.build_windows(log, workloads.WINDOW))
+    assert len(log) == len(frames) > 2 * workloads.WINDOW and log[-1].timestamp == frames[-1].timestamp
+    assert workloads.log_shape(log, windows) == workloads.log_shape(frames, windows)
+    assert workloads.log_shape(log, windows)["attack_frames"] > 0
+    start = workloads.SAMPLE_EVERY
+    assert log[start : start + workloads.WINDOW] == frames[start : start + workloads.WINDOW]
+    [window] = graphs.build_windows(log[start : start + workloads.WINDOW], workloads.WINDOW)
+    assert window.node_ids == next(graphs.build_windows(frames[start:], workloads.WINDOW)).node_ids

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canids
-from canids import canlog, cli
+from canids import canlog, cli, graphs
 from canids.canlog import (
     CanFrame,
     FrameBlock,
@@ -34,8 +34,8 @@ from canids.canlog import (
     write_car_hacking_csv,
 )
 from canids.errors import ConfigError, ParseError
-from canids.graphs import save_graph_cache
-from helpers import loop_windows, per_field_format_car_hacking_row, random_frames
+from canids.graphs import build_windows, save_graph_cache
+from helpers import assert_bit_identical, loop_windows, per_field_format_car_hacking_row, random_frames
 
 
 def write_lines(tmp_path, lines, name="log.csv"):
@@ -331,6 +331,47 @@ def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, e
     assert write_car_hacking_csv(frames, p) == 6
     assert p.read_bytes().splitlines()[-1] == b"1.5,0001,0,R"
     assert list(parse_car_hacking_csv(p)) == frames
+
+
+@pytest.mark.parametrize("sink", ["writer", "stride-W", "stride-1"])
+@pytest.mark.parametrize(
+    "frame, message",
+    [
+        (CanFrame(0.07, 1.5, 0, ()), "can_id 1.5 is not an integer"),
+        (CanFrame(0.07, 1, 2.0, (1, 2)), "dlc 2.0 is not an integer"),
+        (CanFrame(0.07, 1, 1, (1.5,)), "payload byte 1.5 is not an integer"),
+        (CanFrame(0.07, 1, 2, (1, "a")), "payload byte 'a' is not an integer"),
+    ],
+    ids=["id-float", "dlc-float", "byte-float", "byte-text"],
+)
+def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, sink, frame, message):
+    """An ID, DLC or payload byte that is not an int raises the ParseError of its position on every path."""
+    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 4)
+    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 4)  # the bad frame is in the second block
+    frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
+    frames[7] = frame
+    run = {
+        "writer": lambda: write_car_hacking_csv(frames, tmp_path / "log.csv"),
+        "stride-W": lambda: list(build_windows(frames, 5)),
+        "stride-1": lambda: list(build_windows(frames, 5, 1)),
+    }[sink]
+    with pytest.raises(ParseError, match=f"^frame 7: {re.escape(message)}$"):
+        run()
+
+
+def test_numpy_integer_fields_read_as_ints(tmp_path):
+    """Numpy ints are written and windowed as the Python ints they hold, though they would wrap in a sum."""
+    frames = [CanFrame(0.5, np.int64(0x316), np.int32(2), (np.uint8(0x0A), 0xFF)), CanFrame(1.0, 1, np.int8(0), ())]
+    p = tmp_path / "log.csv"
+    assert write_car_hacking_csv(frames, p) == 2
+    assert p.read_bytes() == b"0.5,0316,2,0a,ff,R\n1.0,0001,0,R\n"
+    frames = [CanFrame(0.1 * k, np.int64(0x316 + k % 2), np.int8(8), (np.uint8(200),) * 8) for k in range(40)]
+    python_ints = [CanFrame(f.timestamp, int(f.can_id), 8, (200,) * 8) for f in frames]
+    for stride in (None, 1):
+        [window] = build_windows(frames, 40, stride)
+        [expected] = build_windows(python_ints, 40, stride)
+        assert_bit_identical(window, expected)
+        assert [type(i) for i in window.node_ids] == [int, int]
 
 
 @given(st.lists(frame_strategy, max_size=40))

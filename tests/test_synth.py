@@ -6,17 +6,22 @@ generation order). The generator, which draws each schedule's payloads
 in one call into frame columns and merges them with one stable argsort,
 must return the same frames for the same seed, Python types included,
 and ``write_car_hacking_csv`` must write them as the per-field row
-formatter does.
+formatter does. The generator returns a ``FrameLog``; the writer and
+``build_windows`` must read it as they read the list of its frames,
+without building those frames.
 """
 
 import hashlib
+import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from canids import canlog
-from canids.canlog import CanFrame, Label, parse_car_hacking_csv, write_car_hacking_csv
-from canids.errors import ConfigError
+from canids import canlog, graphs
+from canids.canlog import CanFrame, FrameBlock, FrameLog, Label, parse_car_hacking_csv, write_car_hacking_csv
+from canids.errors import ConfigError, ParseError
+from canids.graphs import build_windows
 from canids.synth import (
     BENIGN_BYTE_MAX,
     DOS_CAN_ID,
@@ -266,3 +271,114 @@ def test_golden_log_bytes(tmp_path):
     p = tmp_path / "log.csv"
     write_car_hacking_csv(frames, p)
     assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
+
+
+# FrameLog: the generator's columns, which the writer and build_windows read without building frames
+
+
+def window_key(g):
+    """A window's node IDs, label, start and the bytes of its arrays."""
+    arrays = (g.node_features, g.edge_src, g.edge_dst, g.edge_weight)
+    return g.node_ids, g.label, g.window_start_index, *(a.tobytes() for a in arrays)
+
+
+def sinks(tmp_path):
+    """Name -> function of a frame sequence: the bytes the writer writes, or the keys of its windows."""
+
+    def written(frames):
+        p = tmp_path / "log.csv"
+        write_car_hacking_csv(frames, p)
+        return p.read_bytes()
+
+    def windows(stride, directed):
+        return lambda frames: [window_key(g) for g in build_windows(frames, 100, stride, directed)]
+
+    return {
+        "writer": written,
+        "stride-W": windows(None, True),
+        "stride-7-undirected": windows(7, False),
+        "stride-1": windows(1, True),
+    }
+
+
+def outcome(run):
+    """("ok", what ``run()`` returns), or ("error", the message of the ParseError it raises)."""
+    try:
+        return "ok", run()
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize(
+    "ecus, attacks", [([*EVERY_DLC, SILENT], TWO_BLOCKS), ([SILENT], ())], ids=["two-blocks", "empty"]
+)
+def test_frame_log_writes_and_windows_as_its_frame_list(tmp_path, ecus, attacks):
+    log = generate_synthetic_log(ecus, 1.5, attacks, rng_seed=11)
+    frames = list(log)
+    assert type(frames) is list and type(log) is FrameLog
+    assert (len(log) > canlog._WRITE_BLOCK) == bool(attacks) and (len(log) == 0) == (not attacks)
+    for name, sink in sinks(tmp_path).items():
+        assert sink(log) == sink(frames), name
+
+
+def test_frame_log_is_a_sequence_of_its_frames():
+    log = generate_synthetic_log(TWO_ECUS, 3.0, [AttackSpec(AttackKind.DOS, 1.0, 0.5, 500.0)], rng_seed=9)
+    frames = list(log)
+    assert isinstance(log, Sequence) and len(log) == len(frames) > 500
+    assert log[-1] == frames[-1] and log[-len(log)] == frames[0] and log[250] == frames[250]
+    assert log[3:40] == frames[3:40] and type(log[3:40]) is list and log[::-7] == frames[::-7]
+    assert [f for f in log] == frames and list(reversed(log)) == frames[::-1]
+    assert frames[17] in log and CanFrame(-1.0, 1, 0, ()) not in log
+    assert log == frames and frames == log and not log != frames
+    assert log != frames[:-1] and log != [] and log != tuple(frames)
+    assert log == generate_synthetic_log(TWO_ECUS, 3.0, [AttackSpec(AttackKind.DOS, 1.0, 0.5, 500.0)], rng_seed=9)
+    assert generate_synthetic_log([SILENT], 2.0, rng_seed=1) == [] == list(generate_synthetic_log([SILENT], 2.0))
+    with pytest.raises(IndexError):
+        log[len(log)]
+    with pytest.raises(TypeError):
+        hash(log)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("can_id", 0x800, "frame 150: can_id 2048 outside 11-bit range"),
+        ("dlc", 9, "frame 150: dlc 9 outside [0, 8]"),
+        ("timestamp", math.nan, "frame 150: timestamp nan is not a finite number"),
+    ],
+    ids=["id-0x800", "dlc-9", "nan"],
+)
+def test_bad_frame_log_fails_as_its_frame_list(tmp_path, monkeypatch, column, value, message):
+    """Through the writer and build_windows, a log's bad frame raises the ParseError its list raises."""
+    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 64)
+    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 64)  # frame 150 is in the third block
+    block = generate_synthetic_log(TWO_ECUS, 3.0, rng_seed=9).block
+    getattr(block, column)[150] = value
+    frames = list(FrameLog(block))
+    results = {
+        name: (outcome(lambda: sink(FrameLog(block))), outcome(lambda: sink(frames)))
+        for name, sink in sinks(tmp_path).items()
+    }
+    assert all(from_log == from_list for from_log, from_list in results.values()), results
+    assert results["writer"][0] == ("error", message)
+    assert results["stride-W"][0][0] == ("ok" if column == "timestamp" else "error")
+
+
+def test_writer_and_block_windows_read_a_logs_columns(tmp_path, monkeypatch):
+    """Only the directed stride-1 path and the sequence protocol build a FrameLog's frames, once."""
+    built = []
+    frames_of = FrameBlock.frames
+
+    def counted(block):
+        built.append(len(block.dlc))
+        return frames_of(block)
+
+    monkeypatch.setattr(FrameBlock, "frames", counted)
+    log = generate_synthetic_log([*EVERY_DLC, SILENT], 1.5, TWO_BLOCKS, rng_seed=11)
+    assert write_car_hacking_csv(log, tmp_path / "log.csv") == len(log)
+    for stride, directed in ((None, True), (7, False), (7, True), (1, False)):
+        assert list(build_windows(log, 100, stride, directed))
+    assert built == []
+    assert len(list(build_windows(log, 100, 1))) == len(log) - 99
+    assert log[0] == list(log)[0] and log[-1] in log
+    assert built == [len(log)]
