@@ -94,7 +94,7 @@ _BYTE_SLOTS = np.arange(8)
 _ID_SLOTS = np.arange(4)
 _ID_WEIGHTS = np.array([[16 ** (n - 1 - j) if j < n else 0 for j in range(4)] for n in range(5)])  # by ID length
 _TIMESTAMP_SLOTS = np.arange(_MAX_TIMESTAMP, dtype=np.uint8)
-_WRITE_BLOCK = 1 << 14  # write_car_hacking_csv formats this many frames at a time
+_BLOCK_FRAMES = 1 << 14  # frame_blocks hands the writer and build_windows this many frames at a time
 _ROW_TAIL = 34  # the most characters of a row after its timestamp: ",IIII,D,", eight "xx," and "F\n"
 _ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
 # the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
@@ -123,11 +123,21 @@ def _timestamp_text(field: str, lineno: int) -> str:
     return field
 
 
+def _read_int(field: str, base: int, name: str, lineno: int) -> int:
+    """``int(field, base)`` of a field of digits of ``base``; ParseError naming the line if it has more
+    digits than ``int`` converts (``sys.get_int_max_str_digits()``, 4300 by default, in a base that is
+    not a power of 2)."""
+    try:
+        return int(field, base)
+    except ValueError:
+        raise ParseError(f"{name} of {len(field)} digits is longer than int() reads", line=lineno) from None
+
+
 def _parse_dlc(field: str, lineno: int) -> int:
     """The DLC of a field that is not one of "0".."8"."""
     if not field.isdigit():
         raise ParseError(f"bad DLC {field!r}", line=lineno)
-    dlc = int(field)
+    dlc = _read_int(field, 10, "DLC", lineno)
     if dlc > 8:
         raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
     return dlc
@@ -142,7 +152,7 @@ def _parse_byte(field, lineno):
 def _parse_can_id(field, is_digits, base, lineno):
     if not is_digits(field):
         raise ParseError(f"bad CAN ID {field!r}", line=lineno)
-    can_id = int(field, base)
+    can_id = _read_int(field, base, "CAN ID", lineno)
     if can_id > MAX_STD_ID:
         raise ParseError(f"CAN ID {field} exceeds 11 bits (extended IDs unsupported)", line=lineno)
     return can_id
@@ -218,9 +228,7 @@ class FrameBlock(NamedTuple):
             data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
         except (TypeError, ValueError):  # a byte that is not an integer, or one outside [0, 255]
             data = None
-        if data is None or not (
-            can_id.dtype.kind in "biu" and dlc.dtype.kind in "biu" and _in_range(can_id, dlc) and (sizes == dlc).all()
-        ):
+        if data is None or not (_ids_and_dlcs_ok(can_id, dlc) and (sizes == dlc).all()):
             for position, frame in enumerate(frames, start=first):
                 checked_frame(position, frame)
         can_id, dlc = can_id.astype(np.int64), dlc.astype(np.int64)
@@ -244,13 +252,31 @@ class FrameBlock(NamedTuple):
         return map(_frame, repeat(CanFrame), zip(*columns))
 
 
-def _in_range(can_id: np.ndarray, dlc: np.ndarray) -> bool:
-    """Whether every ID of ``can_id`` has 11 bits and every DLC of ``dlc`` is in [0, 8]."""
-    return bool(((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc >= 0) & (dlc <= 8)).all())
+def _ids_and_dlcs_ok(can_id: np.ndarray, dlc: np.ndarray) -> bool:
+    """Whether ``can_id`` and ``dlc`` have an integer dtype, every ID has 11 bits and every DLC is in [0, 8]."""
+    return (
+        can_id.dtype.kind in "biu"
+        and dlc.dtype.kind in "biu"
+        and bool(((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc >= 0) & (dlc <= 8)).all())
+    )
+
+
+# the dtype of each FrameLog column that must have one; the ID and DLC columns are checked frame by frame
+_LOG_DTYPES = {"timestamp": np.dtype(np.float64), "payload": np.dtype(np.uint8), "attack": np.dtype(bool)}
+# the bits past each DLC of a frame's eight payload bytes read as one little-endian uint64
+_PAST_DLC = np.array([(1 << 64) - (1 << 8 * dlc) for dlc in range(9)], dtype="<u8")
 
 
 class FrameLog(Sequence[CanFrame]):
     """A read-only sequence of the frames of one FrameBlock (float timestamps), which it keeps as columns.
+
+    The block is checked once, here, and is not to be changed after. Its
+    columns must be arrays of one entry per frame: the timestamps float64,
+    the payload (n, 8) uint8 and the attack flags bool, or a ParseError
+    names the column. Then each ID and DLC must be an integer in range,
+    or the ParseError of ``checked_frame`` names the first frame whose ID
+    or DLC is not, as it would in the list of the log's frames; the log
+    keeps them as int64. A payload byte past its frame's DLC must be zero.
 
     ``len`` reads the block. Indexing, slicing and iteration build the
     frames with ``FrameBlock.frames()`` on first use and keep them; a slice
@@ -260,6 +286,19 @@ class FrameLog(Sequence[CanFrame]):
     """
 
     def __init__(self, block: FrameBlock):
+        _check_log_columns(block)
+        if not _ids_and_dlcs_ok(block.can_id, block.dlc):
+            for position, (can_id, dlc) in enumerate(zip(block.can_id.tolist(), block.dlc.tolist())):
+                # zero bytes to match an integer DLC: checked_frame raises only at a bad ID or DLC
+                zeros = (0,) * min(dlc, 8) if isinstance(dlc, _INTS) else ()
+                checked_frame(position, (0.0, can_id, dlc, zeros, Label.BENIGN))
+        # int64 as from_frames makes them; no copy of the int64 columns that synth makes
+        can_id, dlc = (column.astype(np.int64, copy=False) for column in (block.can_id, block.dlc))
+        block = block._replace(can_id=can_id, dlc=dlc)
+        stray = np.ascontiguousarray(block.payload).view("<u8")[:, 0] & _PAST_DLC[block.dlc]
+        if stray.any():
+            k = int(np.flatnonzero(stray)[0])
+            raise ParseError(f"payload column: frame {k} has a nonzero byte past its dlc {block.dlc[k]}")
         self.block = block
         self._frames: list[CanFrame] | None = None
 
@@ -281,23 +320,34 @@ class FrameLog(Sequence[CanFrame]):
         return self._list() == (other._list() if isinstance(other, FrameLog) else other)
 
 
-def frame_blocks(frames: Iterable[CanFrame], size: int) -> Iterator[tuple[int, FrameBlock]]:
-    """The frames of ``frames`` as consecutive FrameBlocks of ``size`` frames (the last may have fewer),
-    each with the position of its first frame.
+def _check_log_columns(block: FrameBlock):
+    """ParseError naming the first column of ``block`` that is not an array of one entry per frame (the
+    DLC column's length), (n, 8) for the payload, with its ``_LOG_DTYPES`` dtype."""
+    dlc = block.dlc
+    n = len(dlc) if isinstance(dlc, np.ndarray) and dlc.ndim == 1 else "n"  # "n": no shape matches
+    for name in ("dlc", "timestamp", "can_id", "payload", "attack"):
+        column, dtype = getattr(block, name), _LOG_DTYPES.get(name)
+        shape = (n, 8) if name == "payload" else (n,)
+        if not (isinstance(column, np.ndarray) and column.shape == shape and (dtype is None or column.dtype == dtype)):
+            want = f"{dtype}, shape {shape}" if dtype is not None else f"shape {shape}"
+            got = f"{column.dtype}, shape {column.shape}" if isinstance(column, np.ndarray) else type(column).__name__
+            raise ParseError(f"{name} column: want {want}; got {got}")
 
-    A FrameLog's blocks are slices of its columns; any other frames are
-    taken ``size`` at a time and read with ``FrameBlock.from_frames``. A
-    frame whose ID, DLC or payload bytes are not integers in range raises
-    the ParseError of ``checked_frame`` at its position, before its block
-    is yielded.
+
+def frame_blocks(frames: Iterable[CanFrame]) -> Iterator[tuple[int, FrameBlock]]:
+    """The frames of ``frames`` as consecutive FrameBlocks of _BLOCK_FRAMES frames (the last may have
+    fewer), each with the position of its first frame.
+
+    A FrameLog's blocks are slices of its columns, which it checked when it
+    was made. Any other frames are taken _BLOCK_FRAMES at a time and read
+    with ``FrameBlock.from_frames``: a frame whose ID, DLC or payload bytes
+    are not integers in range raises the ParseError of ``checked_frame`` at
+    its position, before its block is yielded.
     """
+    size = _BLOCK_FRAMES
     if isinstance(frames, FrameLog):
         for first in range(0, len(frames), size):
-            block = FrameBlock(*(column[first : first + size] for column in frames.block))
-            if not _in_range(block.can_id, block.dlc):
-                for position, frame in enumerate(block.frames(), start=first):
-                    checked_frame(position, frame)
-            yield first, block
+            yield first, FrameBlock(*(column[first : first + size] for column in frames.block))
         return
     frames = iter(frames)
     for first in itertools.count(0, size):
@@ -630,9 +680,9 @@ def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
     """Serialize frames to the canonical layout, in the order given. Returns the row count.
 
     Each timestamp is written as ``repr(float(t))``. The frames are taken
-    _WRITE_BLOCK at a time as the FrameBlocks of ``frame_blocks`` (a
-    FrameLog's columns as they are), whose rows are built with array
-    operations and written at once. A frame whose ID, DLC or payload bytes
+    as the FrameBlocks of ``frame_blocks`` (a FrameLog's columns as they
+    are), whose rows are built with array operations and written at once.
+    A frame whose ID, DLC or payload bytes
     are not integers in range raises the ParseError of ``checked_frame``, and one
     whose timestamp is not a finite number a ParseError too, each naming
     the frame's position in ``frames``; the blocks before its own are
@@ -641,7 +691,7 @@ def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
     """
     rows = 0
     with open(path, "wb") as fh:
-        for first, block in frame_blocks(frames, _WRITE_BLOCK):
+        for first, block in frame_blocks(frames):
             fh.write(_block_rows(block, _float_timestamps(block.timestamp, first)))
             rows = first + len(block.dlc)
     return rows

@@ -99,7 +99,7 @@ def load_checkpoint(path):
                 raise ParseError(f"{path}: truncated checkpoint (no end marker)")
         except UnicodeDecodeError:
             raise  # open_ascii names the line
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: a model config nested too deep for json
             raise ParseError(f"{path}: bad checkpoint record ({exc})", line=lineno) from None
     return kind, config, params
 

@@ -26,7 +26,7 @@ from . import __version__
 from .canlog import check_generic_options, decode_car_hacking_csv, parse_car_hacking_csv, parse_generic_labeled_csv
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
-from .errors import CanidsError, ConfigError, StateError, UsageError, require_int
+from .errors import CanidsError, ConfigError, StateError, UsageError, read_json, require_int
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
@@ -526,10 +526,7 @@ def _run_config_defaults(argv) -> dict:
     if cfg_path is None:
         return {}
     path = _require_file(cfg_path, "run config")
-    try:
-        raw = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: run config must be a JSON object")
     options = {name: option for option in COMMANDS[cmd].options

@@ -4,6 +4,7 @@ Every error carries a short machine-readable ``category`` so the CLI can
 emit a single parsable line and pick the right exit code.
 """
 
+import json
 import math
 import numbers
 from contextlib import contextmanager
@@ -29,6 +30,16 @@ class ConfigError(CanidsError):
     """Invalid configuration or parameter value."""
 
     category = "config"
+
+
+def read_json(path):
+    """The JSON value of the UTF-8 file at ``path``; ConfigError naming the file if that is not JSON,
+    is nested too deep for the parser, or holds an integer of more digits than ``int`` converts."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
 def require_int(name: str, value, least: int):

@@ -23,7 +23,6 @@ CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 _REPEATED_ID = "node ID listed twice in one window"
 _NODE_RECORD, _EDGE_RECORD = "node %d %s %s %s\n", "edge %d %d %s\n"  # each %s the repr of a float
-_FRAMES_PER_BLOCK = 1 << 14  # build_windows hands frames to build_block_windows this many at a time
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
@@ -63,15 +62,15 @@ def build_windows(
     updated one frame at a time (``_stride_one_windows``). With
     ``directed=False`` transition counts are accumulated on unordered ID
     pairs instead. Every other window is built by ``build_block_windows``
-    from the ``frame_blocks`` of _FRAMES_PER_BLOCK frames, the columns of a
-    FrameLog as they are. A frame whose ID, DLC or payload bytes are not
+    from the ``frame_blocks`` of ``frames``, the columns of a FrameLog as
+    they are. A frame whose ID, DLC or payload bytes are not
     integers in range raises ParseError naming its position.
     """
     stride = _checked_stride(window_size, stride)
     if stride == 1 and directed:
         yield from _stride_one_windows(frames, window_size)
         return
-    blocks = (block for _, block in frame_blocks(frames, _FRAMES_PER_BLOCK))
+    blocks = (block for _, block in frame_blocks(frames))
     yield from build_block_windows(blocks, window_size, stride, directed)
 
 

@@ -464,7 +464,10 @@ def read_scores_csv(path) -> list[ScoredWindow]:
                 raise ParseError(f"{path}: bad scores row {line!r}", line=lineno)
             if not _is_scores_row(line):
                 raise ParseError(f"{path}: non-numeric field in scores row {line!r}", line=lineno)
-            start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
+            try:
+                start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
+            except ValueError:  # a field of more digits than int() converts (sys.get_int_max_str_digits())
+                raise ParseError(f"{path}: integer field longer than int() reads in scores row", line=lineno) from None
             vgae_score, vgae_prob, gat_prob, fused_prob = map(float, parts[2:6])
             if truth not in (0, 1) or predicted not in (0, 1):
                 raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {truth} and {predicted}", line=lineno)

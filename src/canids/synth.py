@@ -10,19 +10,19 @@ come from a provably disjoint distribution.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .canlog import MAX_STD_ID, FrameBlock, FrameLog
-from .errors import ConfigError, require_finite, require_int
+from .errors import ConfigError, read_json, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
 SPOOF_BYTE_MIN = 136
 REPLAY_BUFFER_LEN = 100
 DOS_CAN_ID = 0  # lowest ID wins arbitration, so flooding uses 0
+_MAX_FRAMES = np.iinfo(np.intp).max // 8  # the frames whose float64 timestamps numpy can size as one array
 
 
 class AttackKind(enum.Enum):
@@ -99,6 +99,12 @@ def generate_synthetic_log(
     schedules is BENIGN. Frames are returned sorted by timestamp with a
     stable generation-order tie break, as a FrameLog: the log's columns,
     built into frames only when they are first read.
+
+    Each schedule's and each burst's frame count is bounded from the config
+    before any draw: a schedule sends at most about ``duration / period``
+    frames and a burst ``duration * rate``. A count that is not finite, or
+    that no array can hold, is a ConfigError naming its ECU or attack; a
+    MemoryError while generating is a ConfigError giving the total count.
     """
     if not ecu_schedule:
         raise ConfigError("need at least one ECU")
@@ -106,7 +112,22 @@ def generate_synthetic_log(
         ecu.validate()
     for atk in attacks:
         atk.validate(duration)
+    counts = [(f"ECU 0x{ecu.can_id:x}", duration / ecu.period) for ecu in ecu_schedule]
+    counts += [(atk.kind.value, atk.duration * atk.injection_rate) for atk in attacks]
+    for name, count in counts:
+        if not count < _MAX_FRAMES:  # also inf and nan
+            raise ConfigError(f"{name}: {count:.3g} frames, more than an array can hold")
+    try:
+        return FrameLog(_merged_frames(ecu_schedule, duration, attacks, rng_seed))
+    except MemoryError:
+        total = sum(max(count, 0.0) for _, count in counts)
+        raise ConfigError(f"the log of about {total:,.0f} frames does not fit in memory") from None
 
+
+def _merged_frames(
+    ecu_schedule: Sequence[EcuSpec], duration: float, attacks: Sequence[AttackSpec], rng_seed: int
+) -> FrameBlock:
+    """The frames of generate_synthetic_log's log, drawn and merged into one block."""
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     parts: list[FrameBlock] = []  # in generation order; a stable sort on the timestamp breaks ties by it
 
@@ -154,7 +175,7 @@ def generate_synthetic_log(
 
     log = _concat(parts)
     order = np.argsort(log.timestamp, kind="stable")
-    return FrameLog(FrameBlock(*(column[order] for column in log)))
+    return FrameBlock(*(column[order] for column in log))
 
 
 def _part(times: np.ndarray, can_id, dlc, payload: np.ndarray, attack: bool) -> FrameBlock:
@@ -184,12 +205,7 @@ def load_synth_config(path) -> SynthConfig:
              "ecus": [{"can_id", "period", "payload_seed", "dlc"?}, ...],
              "attacks": [{"kind", "start", "duration", "rate", "target_id"?}, ...]}
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-
+    raw = read_json(path)
     try:
         ecus = tuple(
             EcuSpec(

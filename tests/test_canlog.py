@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canids
-from canids import canlog, cli, graphs
+from canids import canlog, cli
 from canids.canlog import (
     CanFrame,
     FrameBlock,
@@ -285,7 +285,7 @@ def test_format_row_matches_layout(tmp_path):
 
 
 def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
-    cut = canlog._WRITE_BLOCK
+    cut = canlog._BLOCK_FRAMES
     frames = random_frames(np.random.Generator(np.random.PCG64(5)), cut + 2, [0x5, 0x316, 0x7FF])
     frames[cut - 2 : cut + 2] = [
         CanFrame(1e-05, 0x7FF, 0, ()),
@@ -321,7 +321,7 @@ def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
 )
 def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, error):
     """A frame the reader would reject raises the ParseError of its position, counted across blocks."""
-    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 2)  # frame 5 is the second of the third block
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 2)  # frame 5 is the second of the third block
     frames = [CanFrame(0.0, 1, 0, ())] * 5 + [last]
     p = tmp_path / "log.csv"
     if error is not None:
@@ -346,8 +346,7 @@ def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, e
 )
 def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, sink, frame, message):
     """An ID, DLC or payload byte that is not an int raises the ParseError of its position on every path."""
-    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 4)
-    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 4)  # the bad frame is in the second block
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 4)  # the bad frame is in the second block
     frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
     frames[7] = frame
     run = {

@@ -685,6 +685,71 @@ def test_bad_checkpoint_config_is_parse_error(small_run, tmp_path, capsys, kind,
     _only_parse_error(err, lineno, bad)
 
 
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # deeper than the json parser's recursion reaches
+HUGE_INT = "1" * 5000  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        ("synth", DEEP_JSON),
+        ("synth", json.dumps(SYNTH_CFG).replace("60.0", HUGE_INT)),
+        ("run-config", DEEP_JSON),
+        ("run-config", f'{{"threshold": {HUGE_INT}}}'),
+        ("checkpoint", DEEP_JSON),
+    ],
+    ids=["synth-deep", "synth-huge-int", "run-config-deep", "run-config-huge-int", "checkpoint-deep"],
+)
+def test_unreadable_json_ends_in_its_readers_error(small_run, tmp_path, capsys, reader, text):
+    """JSON nested too deep for the parser, or holding an integer longer than int() reads: a config is a
+    config error naming the file (exit 2), a checkpoint's model line a parse error at line 2 (exit 1)."""
+    bad = tmp_path / "bad"
+    if reader == "checkpoint":
+        _tamper(small_run / "gat.ckpt", bad, "model ", lambda line: f"model gat {text}\n")
+        argv = ["export-embeddings", "--graphs", small_run / "test.cache", "--gat", bad, "--out", tmp_path / "emb.csv"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        _only_parse_error(err, 2, bad)
+        return
+    bad.write_text(text)
+    if reader == "synth":
+        argv = ["synth", "--config", bad, "--out", tmp_path / "log.csv"]
+    else:
+        argv = ["evaluate", "--scores", tmp_path / "scores.csv", "--config", bad]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith(f"canids-error category=config message={bad}: invalid JSON") and err.count("\n") == 1
+
+
+LONG_DLC = "0" * 5000 + "8"  # DLC 8, in more digits than int() converts: the row goes to the line loop
+GENERIC = ["--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=4", "--id-base", "10"]
+
+
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,0316,{LONG_DLC},{'00,' * 8}R\n", ["build-graphs", "--window", 2]),
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,0316,{LONG_DLC},{'00,' * 8}R\n", ["ingest"]),
+        ("log.csv", f"0.0,790,1,ff,T\n0.1,{HUGE_INT},1,ff,T\n", ["ingest", *GENERIC]),
+        ("scores.csv", f"{SCORES_HEADER}\n{HUGE_INT},0,0.5,0.5,0.5,0.5,0\n", ["evaluate"]),
+    ],
+    ids=["build-graphs-dlc", "ingest-dlc", "generic-id-base-10", "scores-window-start"],
+)
+def test_integer_field_longer_than_int_reads_is_parse_error(tmp_path, capsys, name, text, argv):
+    """A decimal field of more digits than int() converts is the reader's ParseError at its line."""
+    p = tmp_path / name
+    p.write_text(text)
+    flag = {"build-graphs": "--in", "ingest": None, "evaluate": "--scores"}[argv[0]]
+    where = [flag, p] if flag else [p]
+    out = ["--out", tmp_path / "out"] if argv[0] == "build-graphs" else []
+    code, _, err = run_cli(capsys, argv[0], *where, *argv[1:], *out)
+    assert code == 1
+    lines = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith("canids-error category=parse message=line 2: ")
+    assert name != "scores.csv" or str(p) in lines[0]
+
+
 BAD_TRAINING_OPTIONS = [
     ("train-vgae", "vgae_epochs", 0),
     ("train-vgae", "vgae_batch", 0),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids import graphs
+from canids import canlog, graphs
 from canids.canlog import CanFrame, FrameBlock, Label
 from canids.errors import ConfigError, ParseError, StateError
 from canids.graphs import (
@@ -290,7 +290,7 @@ def test_block_builder_checks_window_and_stride():
     ids=["id", "dlc", "payload-length", "byte"],
 )
 def test_frames_out_of_range_rejected_with_their_position(monkeypatch, stride, can_id, dlc, payload, message):
-    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 4)  # the bad frame is in the second block
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 4)  # the bad frame is in the second block
     frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
     frames[7] = CanFrame(0.07, can_id, dlc, payload)
     with pytest.raises(ParseError, match=f"^frame 7: {message}$"):

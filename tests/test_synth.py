@@ -13,12 +13,13 @@ without building those frames.
 
 import hashlib
 import math
+import re
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from canids import canlog, graphs
+from canids import canlog, synth
 from canids.canlog import CanFrame, FrameBlock, FrameLog, Label, parse_car_hacking_csv, write_car_hacking_csv
 from canids.errors import ConfigError, ParseError
 from canids.graphs import build_windows
@@ -125,6 +126,31 @@ def test_no_ecus_rejected():
         generate_synthetic_log([], 10.0, rng_seed=1)
 
 
+@pytest.mark.parametrize(
+    "ecus, duration, attacks, message",
+    [
+        (TWO_ECUS, 10.0, [AttackSpec(AttackKind.DOS, 1.0, 0.5, 1e308)], "dos: 5e+307 frames"),
+        (TWO_ECUS, 10.0, [AttackSpec(AttackKind.FUZZING, 1.0, 5.0, 1e308)], "fuzzing: inf frames"),
+        ([TWO_ECUS[0], EcuSpec(0x7F0, 1e-300, 1)], 10.0, [], "ECU 0x7f0: 1e+301 frames"),
+        (TWO_ECUS, 1e300, [], "ECU 0x64: 1e+302 frames"),
+    ],
+    ids=["dos-rate-1e308", "fuzzing-inf", "period-1e-300", "duration-1e300"],
+)
+def test_frame_count_beyond_an_array_rejected_before_any_draw(ecus, duration, attacks, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}, more than an array can hold$"):
+        generate_synthetic_log(ecus, duration, attacks, rng_seed=1)
+
+
+def test_memory_error_while_generating_gives_the_frame_count(monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(synth, "_part", out_of_memory)
+    dos = AttackSpec(AttackKind.DOS, 1.0, 0.5, 1e9)
+    with pytest.raises(ConfigError, match="^the log of about 500,002,000 frames does not fit in memory$"):
+        generate_synthetic_log(TWO_ECUS, 10.0, [dos], rng_seed=1)
+
+
 def test_serialize_round_trip(tmp_path):
     atk = AttackSpec(AttackKind.DOS, 1.0, 0.5, 500.0)
     frames = generate_synthetic_log(TWO_ECUS, 3.0, [atk], rng_seed=9)
@@ -221,7 +247,7 @@ EVERY_ATTACK = [
 ]
 
 
-# with a 15,200-frame DoS burst the log spans two of write_car_hacking_csv's blocks
+# with a 15,200-frame DoS burst the log spans two of frame_blocks' blocks
 TWO_BLOCKS = [*EVERY_ATTACK, AttackSpec(AttackKind.DOS, 1.3, 0.19, 80000.0)]
 
 
@@ -235,7 +261,7 @@ def test_generator_matches_per_frame_reference(tmp_path, seed, attacks):
     frames = generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed)
     expected = per_frame_generate_synthetic_log(ecus, 1.5, attacks, rng_seed=seed)
     assert typed(frames) == typed(expected)
-    assert (len(frames) > canlog._WRITE_BLOCK) == (attacks is TWO_BLOCKS)
+    assert (len(frames) > canlog._BLOCK_FRAMES) == (attacks is TWO_BLOCKS)
     assert {f.dlc for f in frames if f.label == Label.BENIGN} == set(range(9))
     assert {f.label for f in frames} == {Label.BENIGN, Label.ATTACK}
     assert not any(f.can_id == SILENT.can_id for f in frames)
@@ -316,7 +342,7 @@ def test_frame_log_writes_and_windows_as_its_frame_list(tmp_path, ecus, attacks)
     log = generate_synthetic_log(ecus, 1.5, attacks, rng_seed=11)
     frames = list(log)
     assert type(frames) is list and type(log) is FrameLog
-    assert (len(log) > canlog._WRITE_BLOCK) == bool(attacks) and (len(log) == 0) == (not attacks)
+    assert (len(log) > canlog._BLOCK_FRAMES) == bool(attacks) and (len(log) == 0) == (not attacks)
     for name, sink in sinks(tmp_path).items():
         assert sink(log) == sink(frames), name
 
@@ -349,36 +375,113 @@ def test_frame_log_is_a_sequence_of_its_frames():
     ids=["id-0x800", "dlc-9", "nan"],
 )
 def test_bad_frame_log_fails_as_its_frame_list(tmp_path, monkeypatch, column, value, message):
-    """Through the writer and build_windows, a log's bad frame raises the ParseError its list raises."""
-    monkeypatch.setattr(canlog, "_WRITE_BLOCK", 64)
-    monkeypatch.setattr(graphs, "_FRAMES_PER_BLOCK", 64)  # frame 150 is in the third block
+    """A bad ID or DLC raises when the log is made, with the ParseError that writing its frame list
+    raises; a bad timestamp raises through the writer, as for the list, counted across blocks."""
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 64)  # frame 150 is in the third block
     block = generate_synthetic_log(TWO_ECUS, 3.0, rng_seed=9).block
-    getattr(block, column)[150] = value
     frames = list(FrameLog(block))
-    results = {
-        name: (outcome(lambda: sink(FrameLog(block))), outcome(lambda: sink(frames)))
-        for name, sink in sinks(tmp_path).items()
-    }
-    assert all(from_log == from_list for from_log, from_list in results.values()), results
-    assert results["writer"][0] == ("error", message)
-    assert results["stride-W"][0][0] == ("ok" if column == "timestamp" else "error")
+    getattr(block, column)[150] = value
+    frames[150] = frames[150]._replace(**{column: value})
+    from_list = {name: outcome(lambda: sink(frames)) for name, sink in sinks(tmp_path).items()}
+    assert from_list["writer"] == ("error", message)
+    if column != "timestamp":
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            FrameLog(block)
+        return
+    assert from_list["stride-W"][0] == "ok"
+    assert {name: outcome(lambda: sink(FrameLog(block))) for name, sink in sinks(tmp_path).items()} == from_list
+
+
+def frame_list(block):
+    """The frames of a block's columns, as ``FrameBlock.frames()`` builds them but with no cast: each
+    payload cut to its DLC when that is an int."""
+    rows = block.payload.tolist()
+    return [
+        CanFrame(t, can_id, dlc, tuple(row[:dlc] if isinstance(dlc, int) else row), Label(int(attack)))
+        for t, can_id, dlc, row, attack in zip(*(c.tolist() for c in block[:3]), rows, block.attack.tolist())
+    ]
+
+
+def with_value(array, k, value, dtype=None):
+    """A copy of ``array`` (as ``dtype`` if given) with ``value`` at ``k``."""
+    array = array.astype(dtype or array.dtype)
+    array[k] = value
+    return array
+
+
+BAD_LOG_COLUMNS = {
+    "id-float-1.5": ("can_id", lambda c: with_value(c, 7, 1.5, float), "frame 0: can_id 256.0 is not an integer"),
+    "id-float-1.0": ("can_id", lambda c: np.full(len(c), 1.0), "frame 0: can_id 1.0 is not an integer"),
+    "id-object-1.5": ("can_id", lambda c: with_value(c, 7, 1.5, object), "frame 7: can_id 1.5 is not an integer"),
+    "dlc-float": ("dlc", lambda c: c.astype(float), "frame 0: dlc 2.0 is not an integer"),
+    "id-0x800": ("can_id", lambda c: with_value(c, 7, 0x800), "frame 7: can_id 2048 outside 11-bit range"),
+    "id-negative": ("can_id", lambda c: with_value(c, 7, -1), "frame 7: can_id -1 outside 11-bit range"),
+    "dlc-9": ("dlc", lambda c: with_value(c, 7, 9), "frame 7: dlc 9 outside [0, 8]"),
+    "payload-int64-300": (
+        "payload",
+        lambda c: with_value(c, 7, 300, np.int64),
+        "payload column: want uint8, shape (20, 8); got int64, shape (20, 8)",
+    ),
+    "payload-n-3": (
+        "payload", lambda c: c[:, :3], "payload column: want uint8, shape (20, 8); got uint8, shape (20, 3)"
+    ),
+    "payload-past-dlc": (
+        "payload", lambda c: with_value(c, (7, 5), 1), "payload column: frame 7 has a nonzero byte past its dlc 2"
+    ),
+    "attack-int": ("attack", lambda c: c.astype(int), "attack column: want bool, shape (20,); got int64, shape (20,)"),
+    "timestamp-list": ("timestamp", list, "timestamp column: want float64, shape (20,); got list"),
+    "dlc-short": ("dlc", lambda c: c[1:], "timestamp column: want float64, shape (19,); got float64, shape (20,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LOG_COLUMNS))
+def test_bad_frame_log_raises_when_made(tmp_path, case):
+    """A bad column raises at ``FrameLog(...)``: a bad ID or DLC with the ParseError that writing the
+    log's frame list raises, any other with a ParseError naming the column."""
+    column, bad, message = BAD_LOG_COLUMNS[case]
+    block = FrameBlock.from_frames([CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)])
+    block = block._replace(**{column: bad(getattr(block, column))})
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        FrameLog(block)
+    if message.startswith("frame"):
+        assert outcome(lambda: sinks(tmp_path)["writer"](frame_list(block))) == ("error", message)
+
+
+def test_frame_log_keeps_ids_and_dlcs_as_int64(tmp_path):
+    """Integer columns of any dtype, or objects that are all ints in range, are the log's int64 columns."""
+    frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
+    block = FrameBlock.from_frames(frames)
+    for can_id, dlc in (
+        (block.can_id.astype(np.uint16), block.dlc.astype(np.int8)),
+        (block.can_id.astype(object), block.dlc),
+    ):
+        log = FrameLog(block._replace(can_id=can_id, dlc=dlc))
+        assert log.block.can_id.dtype == log.block.dlc.dtype == np.int64
+        assert log == frames and sinks(tmp_path)["writer"](log) == sinks(tmp_path)["writer"](frames)
 
 
 def test_writer_and_block_windows_read_a_logs_columns(tmp_path, monkeypatch):
-    """Only the directed stride-1 path and the sequence protocol build a FrameLog's frames, once."""
-    built = []
-    frames_of = FrameBlock.frames
+    """Only the directed stride-1 path and the sequence protocol build a FrameLog's frames, once, and
+    only making the log checks its IDs and DLCs."""
+    built, checked = [], []
+    frames_of, ids_and_dlcs_ok = FrameBlock.frames, canlog._ids_and_dlcs_ok
 
     def counted(block):
         built.append(len(block.dlc))
         return frames_of(block)
 
+    def counted_check(can_id, dlc):
+        checked.append(len(dlc))
+        return ids_and_dlcs_ok(can_id, dlc)
+
     monkeypatch.setattr(FrameBlock, "frames", counted)
+    monkeypatch.setattr(canlog, "_ids_and_dlcs_ok", counted_check)
     log = generate_synthetic_log([*EVERY_DLC, SILENT], 1.5, TWO_BLOCKS, rng_seed=11)
+    assert checked == [len(log)] and len(log) > canlog._BLOCK_FRAMES
     assert write_car_hacking_csv(log, tmp_path / "log.csv") == len(log)
     for stride, directed in ((None, True), (7, False), (7, True), (1, False)):
         assert list(build_windows(log, 100, stride, directed))
     assert built == []
     assert len(list(build_windows(log, 100, 1))) == len(log) - 99
     assert log[0] == list(log)[0] and log[-1] in log
-    assert built == [len(log)]
+    assert built == [len(log)] and checked == [len(log)]
