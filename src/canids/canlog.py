@@ -12,6 +12,7 @@ round trip is bit-exact.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import numbers
@@ -19,12 +20,12 @@ import re
 import struct
 import sys
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .errors import ConfigError, ParseError, non_ascii_error, open_ascii
+from .errors import CanidsError, ConfigError, ParseError, non_ascii_error
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -68,14 +69,13 @@ class CanFrame(NamedTuple):
 
 
 _INTS = (int, np.integer)  # the types of an ID, a DLC and a payload byte
-_FLAG_LABELS = {"R": Label.BENIGN, "T": Label.ATTACK}
 _LABELS = np.array(list(Label), dtype=object)  # indexed by the attack flag
 # builds a CanFrame from its checked fields without the named tuple's generated __new__
 _frame = tuple.__new__
-# below every finite timestamp, so ``last_ts <= ts < inf`` also rejects nan and -inf on the first row
+# below every finite timestamp, so ``before <= ts < inf`` also rejects nan and -inf on the first row
 _BEFORE_FIRST_TS = -sys.float_info.max
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_BLOCK_CHARS = 1 << 20  # decode_car_hacking_csv reads this many bytes at a time
+_BLOCK_CHARS = 1 << 20  # the CSV decoders read this many bytes at a time
 _MAX_TIMESTAMP = 32  # the most characters of a canonical timestamp
 _TAIL = b"\0" * 64  # after a block's text: the farthest that the field windows of a line reach past its start
 _NEWLINE, _COMMA, _DOT, _ZERO, _PLUS, _MINUS, _E, _R, _T = b"\n,.0+-eRT"
@@ -100,6 +100,7 @@ _ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
 # the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
 _ID_TEXT = np.frombuffer(b"".join(b"%04x" % i for i in range(MAX_STD_ID + 1)), dtype=np.uint8).reshape(-1, 4)
 _FIELD_TEXT = np.frombuffer(b"".join(b"%02x," % i for i in range(256)), dtype=np.uint8).reshape(-1, 3)
+_QUOTED = 128  # the longest text that an error message quotes whole: longer than any field or row the writers write
 
 
 def _digits_of(base: int):
@@ -116,11 +117,11 @@ DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
 _is_decimal = re.compile(DECIMAL).fullmatch
 
 
-def _timestamp_text(field: str, lineno: int) -> str:
-    """``field``, after checking that it is a timestamp in the form ``repr(float)`` writes."""
-    if not (field.replace(".", "", 1).isdigit() or _is_decimal(field)):
-        raise ParseError(f"bad timestamp {field!r}", line=lineno)
-    return field
+def quoted(text: str, marks: bool = True) -> str:
+    """``text`` as an error message shows a field or row of a file: its repr (the text itself if not
+    ``marks``), or, if it is longer than _QUOTED characters, that of its first _QUOTED // 2 and its length."""
+    show = repr if marks else str
+    return show(text) if len(text) <= _QUOTED else f"{show(text[: _QUOTED // 2])}... ({len(text)} characters)"
 
 
 def _read_int(field: str, base: int, name: str, lineno: int) -> int:
@@ -136,25 +137,19 @@ def _read_int(field: str, base: int, name: str, lineno: int) -> int:
 def _parse_dlc(field: str, lineno: int) -> int:
     """The DLC of a field that is not one of "0".."8"."""
     if not field.isdigit():
-        raise ParseError(f"bad DLC {field!r}", line=lineno)
+        raise ParseError(f"bad DLC {quoted(field)}", line=lineno)
     dlc = _read_int(field, 10, "DLC", lineno)
     if dlc > 8:
-        raise ParseError(f"DLC {dlc} outside [0, 8]", line=lineno)
+        raise ParseError(f"DLC {quoted(str(dlc), marks=False)} outside [0, 8]", line=lineno)
     return dlc
 
 
-def _parse_byte(field, lineno):
-    if not _is_hex(field):
-        raise ParseError(f"non-hex payload byte {field!r}", line=lineno)
-    return int(field, 16)
-
-
-def _parse_can_id(field, is_digits, base, lineno):
-    if not is_digits(field):
-        raise ParseError(f"bad CAN ID {field!r}", line=lineno)
+def _parse_can_id(field, base, lineno):
+    if not _digits_of(base)(field):
+        raise ParseError(f"bad CAN ID {quoted(field)}", line=lineno)
     can_id = _read_int(field, base, "CAN ID", lineno)
     if can_id > MAX_STD_ID:
-        raise ParseError(f"CAN ID {field} exceeds 11 bits (extended IDs unsupported)", line=lineno)
+        raise ParseError(f"CAN ID {quoted(field, marks=False)} exceeds 11 bits (extended IDs unsupported)", line=lineno)
     return can_id
 
 
@@ -165,31 +160,15 @@ def _timestamp_error(ts, last_ts, lineno):
     return ParseError(f"timestamp {ts} decreases (previous {last_ts})", line=lineno)
 
 
-def _decode_payload(fields: list[str], lineno: int) -> tuple[int, ...]:
-    """Payload bytes of one row, each field a hex number in [0, 0xff].
-
-    A row whose fields are all exactly two hex digits decodes in one
-    ``bytes.fromhex`` call. Those are the rows whose space-joined text has
-    3n-1 characters, none of whose fields is empty (``["abcd", ""]``
-    joins to two valid bytes) and whose text ``fromhex`` turns into n
-    bytes (it skips blanks, so ``["  ", "ab"]`` gives one). Any other row
-    takes the per-field path, which accepts one or more hex digits per
-    field and names the line on error.
-    """
-    n = len(fields)
-    text = " ".join(fields)
-    if len(text) == 3 * n - 1 and "" not in fields:
-        try:
-            payload = bytes.fromhex(text)
-        except ValueError:
-            pass
-        else:
-            if len(payload) == n:
-                return tuple(payload)
-    payload = tuple(_parse_byte(b, lineno) for b in fields)
+def _decode_payload(fields: list[str], lineno: int) -> bytes:
+    """Payload bytes of one row, each field one or more hex digits with a value up to 0xff."""
+    for field in fields:
+        if not _is_hex(field):
+            raise ParseError(f"non-hex payload byte {quoted(field)}", line=lineno)
+    payload = [int(field, 16) for field in fields]
     if any(b > 255 for b in payload):
         raise ParseError("payload byte exceeds 0xff", line=lineno)
-    return payload
+    return bytes(payload)
 
 
 def checked_frame(position: int, frame) -> CanFrame:
@@ -204,11 +183,12 @@ def checked_frame(position: int, frame) -> CanFrame:
 class FrameBlock(NamedTuple):
     """Consecutive frames as columns, one entry per frame.
 
-    A block that ``decode_car_hacking_csv`` read holds each timestamp as the
-    decimal text of its field (bytes, numpy dtype ``S``): the order check
-    compares that text and casts only the rows it cannot clear, and
-    ``frames()`` casts the column, as ``float()`` reads it. A block made
-    by ``from_frames`` holds the frames' float timestamps.
+    A block that the Car-Hacking decoder read holds each timestamp as
+    decimal text (bytes, numpy dtype ``S``): a canonical line's field, or
+    the repr of the float the line loop read. The order check compares that
+    text and casts only the rows it cannot clear, and ``frames()`` casts the
+    column, as ``float()`` reads it. A block of the generic decoder, and one
+    made by ``from_frames``, hold float timestamps.
     """
 
     timestamp: np.ndarray  # (n,) float64, or the decimal text of each (dtype S)
@@ -235,10 +215,10 @@ class FrameBlock(NamedTuple):
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        # float64 for frames' float timestamps, dtype S for the text that _decode_lines keeps; any other
-        # values (None, other text, ints too wide for int64) as they are, for the writer's error message
+        # float64 for frames' float timestamps; any other values (None, text, ints too wide for int64) as
+        # they are, for the writer's error message
         stamps = np.array(ts)
-        if stamps.dtype.kind not in "biufS" or stamps.ndim != 1:
+        if stamps.dtype.kind not in "biuf" or stamps.ndim != 1:
             stamps = np.fromiter(ts, dtype=object, count=len(ts))
         return cls(stamps, can_id, dlc, payload, attack)
 
@@ -280,9 +260,9 @@ class FrameLog(Sequence[CanFrame]):
 
     ``len`` reads the block. Indexing, slicing and iteration build the
     frames with ``FrameBlock.frames()`` on first use and keep them; a slice
-    is a list. A log equals the list of its frames, and ``list(log)`` is
-    that plain list. ``frame_blocks`` hands the writer and ``build_windows``
-    slices of the columns, so neither builds the frames.
+    is a list, and so is ``list(log)``. ``frame_blocks`` hands the writer
+    and ``build_windows`` slices of the columns, so neither builds the
+    frames.
     """
 
     def __init__(self, block: FrameBlock):
@@ -300,24 +280,19 @@ class FrameLog(Sequence[CanFrame]):
             k = int(np.flatnonzero(stray)[0])
             raise ParseError(f"payload column: frame {k} has a nonzero byte past its dlc {block.dlc[k]}")
         self.block = block
-        self._frames: list[CanFrame] | None = None
 
     def __len__(self) -> int:
         return len(self.block.dlc)
 
-    def _list(self) -> list[CanFrame]:
-        if self._frames is None:
-            self._frames = list(self.block.frames())
-        return self._frames
+    @functools.cached_property
+    def _frames(self) -> list[CanFrame]:
+        return list(self.block.frames())
 
     def __getitem__(self, index):
-        return self._list()[index]
+        return self._frames[index]
 
     def __iter__(self) -> Iterator[CanFrame]:
-        return iter(self._list())
-
-    def __eq__(self, other) -> bool:  # and so unhashable, as a list is
-        return self._list() == (other._list() if isinstance(other, FrameLog) else other)
+        return iter(self._frames)
 
 
 def _check_log_columns(block: FrameBlock):
@@ -357,6 +332,30 @@ def frame_blocks(frames: Iterable[CanFrame]) -> Iterator[tuple[int, FrameBlock]]
         yield first, FrameBlock.from_frames(chunk, first)
 
 
+class _Layout(NamedTuple):
+    """Where the fields of one CSV layout are, and the rules in which layouts differ: ``_decode_lines`` reads
+    every row through one."""
+
+    columns: tuple[int, int, int, int, int]  # of the timestamp, ID, DLC, first payload byte and label (-1: the last)
+    least: int  # the fewest fields of a row
+    widths: Sequence[tuple[int, int]]  # the fewest and most fields of a row, by its DLC
+    width_error: Callable[[int, int | None, int], CanidsError]  # of n fields (DLC None: too few), at a line
+    id_base: int
+    labels: Mapping[str, bool]  # whether a label field marks an attack
+    other_label: bool | None  # whether any other label field does; None: it is an error
+
+
+def _car_hacking_width_error(n: int, dlc: int | None, lineno: int) -> ParseError:
+    if dlc is None:
+        return ParseError(f"expected at least 4 fields, got {n}", line=lineno)
+    return ParseError(f"expected {4 + dlc} fields for DLC {dlc}, got {n}", line=lineno)
+
+
+# the flag, R or T, is the last field; the one layout whose canonical lines _canonical_lines reads
+_CAR_HACKING = _Layout((0, 1, 2, 3, -1), 4, [(4 + k, 4 + k) for k in range(9)], _car_hacking_width_error, 16,
+                       {"R": False, "T": True}, None)
+
+
 def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
     """Stream frames from a Car-Hacking layout CSV.
 
@@ -373,28 +372,87 @@ def parse_car_hacking_csv(path) -> Iterator[CanFrame]:
 
 
 def decode_car_hacking_csv(path) -> Iterator[FrameBlock]:
-    """The frames of a Car-Hacking layout CSV as FrameBlocks, rows checked as by parse_car_hacking_csv.
+    """The frames of parse_car_hacking_csv as the FrameBlocks of ``_decode_csv``: the canonical lines of a
+    block (``_canonical_lines``) are decoded and checked column by column, only the others in the line loop."""
+    return _decode_csv(path, _CAR_HACKING)
 
-    The file is read as bytes, about 1 MB at a time (``_ascii_reads``), each
-    read cut after its last line end (the rest starts the next block). The
-    canonical lines of a block (``_canonical_lines``) are decoded and checked
-    column by column; only its other lines are decoded to text, for the line
-    loop (``_decode_lines``), which reads the rarer valid forms and names the
-    first bad line. The rows before a bad row are yielded as one block before
-    its ParseError; a non-ASCII byte raises before the rows of its block.
+
+REQUIRED_COLUMNS = ("timestamp", "id", "dlc", "data", "label")
+
+
+def check_generic_options(column_map: Mapping[str, int] | None, id_base: int):
+    """ConfigError unless ``column_map`` (if given) maps every name in REQUIRED_COLUMNS to an index >= 0
+    and ``id_base`` is in [2, 36]."""
+    if column_map is not None:
+        missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
+        if missing:
+            raise ConfigError(f"column_map missing entries for {missing}")
+        negative = {name: i for name, i in column_map.items() if i < 0}
+        if negative:
+            raise ConfigError(f"column_map indices must be >= 0, got {negative}")
+    if not 2 <= id_base <= 36:
+        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
+
+
+def parse_generic_labeled_csv(
+    path, column_map: Mapping[str, int], attack_markers: frozenset[str] = frozenset({"T", "1"}), id_base: int = 16
+) -> Iterator[CanFrame]:
+    """Stream frames from an arbitrary labeled CSV layout.
+
+    ``column_map`` maps the names in REQUIRED_COLUMNS to 0-based column
+    indices; ``data`` is the index of the first payload byte column. Any
+    label cell contained in ``attack_markers`` maps to ATTACK. The ID
+    field holds digits of ``id_base`` only; rows are checked as by
+    parse_car_hacking_csv, but a row too narrow for its columns or its
+    payload is a ConfigError. The frames come from ``decode_generic_labeled_csv``.
     """
-    last_ts, lineno, rest = _BEFORE_FIRST_TS, 1, b""
-    for chunk in itertools.chain(_ascii_reads(path), [None]):
-        if chunk is None:  # the end of the file
-            if not rest:
-                return
-            chunk = b"\n"  # ends the last line
-        rest += chunk
-        cut = rest.rfind(b"\n") + 1
-        if not cut:
-            continue
-        text, rest = rest[:cut], rest[cut:]
-        block, error, lines = _decode_block(text, lineno, last_ts)
+    for block in decode_generic_labeled_csv(path, column_map, attack_markers, id_base):
+        yield from block.frames()
+
+
+def decode_generic_labeled_csv(
+    path, column_map: Mapping[str, int], attack_markers: frozenset[str] = frozenset({"T", "1"}), id_base: int = 16
+) -> Iterator[FrameBlock]:
+    """The frames of parse_generic_labeled_csv as the FrameBlocks of ``_decode_csv``, every line read by the
+    line loop."""
+    check_generic_options(column_map, id_base)
+    columns = ts, can_id, dlc, data, label = tuple(column_map[name] for name in REQUIRED_COLUMNS)
+    least = max(ts, can_id, dlc, label) + 1
+
+    def width_error(n: int, row_dlc: int | None, lineno: int) -> ConfigError:
+        if row_dlc is None:
+            return ConfigError(f"column_map references column {least - 1} but row has {n} fields", line=lineno)
+        return ConfigError(f"payload columns {data}..{data + row_dlc - 1} exceed row width {n}", line=lineno)
+
+    widths, labels = [(data + k, sys.maxsize) for k in range(9)], dict.fromkeys(attack_markers, True)
+    return _decode_csv(path, _Layout(columns, least, widths, width_error, id_base, labels, False))
+
+
+def read_frame_log(blocks: Iterable[FrameBlock]) -> FrameLog:
+    """The frames of decoded ``blocks`` as one FrameLog, each timestamp text read as ``float()`` reads it."""
+    return FrameLog(concat(block._replace(timestamp=block.timestamp.astype(np.float64)) for block in blocks))
+
+
+def concat(blocks: Iterable[FrameBlock]) -> FrameBlock:
+    """One block of the frames of ``blocks`` (float timestamps), in order; no frames if there are none."""
+    return FrameBlock(*map(np.concatenate, zip(_no_frames(0), *blocks)))
+
+
+def _no_frames(n: int) -> FrameBlock:
+    """A block of ``n`` rows of zeros, which hold no frame yet."""
+    return FrameBlock(
+        np.zeros(n), np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 8), dtype=np.uint8),
+        np.zeros(n, dtype=bool),
+    )
+
+
+def _decode_csv(path, layout: _Layout) -> Iterator[FrameBlock]:
+    """The frames of a CSV file of ``layout`` as FrameBlocks, one for each block of ``_ascii_blocks``, read by
+    ``_decode_block``. The rows before a bad row are yielded as one block before its error; a non-ASCII
+    byte raises before the rows of its block."""
+    last_ts, lineno = _BEFORE_FIRST_TS, 1
+    for text in _ascii_blocks(path):
+        block, error, lines = _decode_block(text, lineno, last_ts, layout)
         if len(block.dlc):
             last_ts = float(block.timestamp[-1])
             yield block
@@ -403,11 +461,12 @@ def decode_car_hacking_csv(path) -> Iterator[FrameBlock]:
         lineno += lines
 
 
-def _ascii_reads(path) -> Iterator[bytes]:
-    """The bytes of the file at ``path``, _BLOCK_CHARS at a time, with ``\\r\\n`` and ``\\r`` line ends
-    read as ``\\n``, as text mode reads them. A read that holds a non-ASCII byte raises the ParseError
-    of ``non_ascii_error`` instead."""
-    cr = b""  # a read's last byte if it is "\r": the next read may start with its "\n"
+def _ascii_blocks(path) -> Iterator[bytes]:
+    """The lines of the file at ``path``, each ending in ``\\n``, read _BLOCK_CHARS bytes at a time and cut
+    after the last line end of each read (the rest starts the next block). ``\\r\\n`` and ``\\r`` line ends
+    are read as ``\\n``, as text mode reads them, and a last line without one gets one. A read that holds a
+    non-ASCII byte raises the ParseError of ``non_ascii_error`` instead."""
+    rest, cr = b"", b""  # the text after the last line end; a read's last "\r", whose "\n" may start the next read
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK_CHARS):
             if not chunk.isascii():
@@ -416,30 +475,37 @@ def _ascii_reads(path) -> Iterator[bytes]:
             cr = chunk[-1:] if chunk.endswith(b"\r") else b""
             if b"\r" in chunk:
                 chunk = chunk[: len(chunk) - len(cr)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            yield chunk
-    if cr:
-        yield b"\n"
+            rest += chunk
+            cut = rest.rfind(b"\n") + 1
+            if cut:
+                yield rest[:cut]
+                rest = rest[cut:]
+    if rest or cr:
+        yield rest + b"\n"
 
 
-def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock, ParseError | None, int]:
+def _decode_block(
+    text: bytes, lineno: int, last_ts: float, layout: _Layout
+) -> tuple[FrameBlock, CanidsError | None, int]:
     """The frames of the ASCII lines of ``text`` (each ending in a newline, numbered from ``lineno``) up to
-    the first bad one, the ParseError of that line (None if there is none), and the number of lines.
+    the first bad one, the error of that line (None if there is none), and the number of lines.
 
     The frames of the line loop are put in among the canonical lines' in line
-    order, and then every timestamp is checked, once: finite and not below the
-    one before (``last_ts`` for the first).
+    order (a layout with no canonical lines keeps the loop's float
+    timestamps), and then every timestamp is checked, once: finite and not
+    below the one before (``last_ts`` for the first).
     """
-    block, point, keep, ends = _canonical_lines(text)
+    if layout is _CAR_HACKING:
+        block, point, keep, _ = _canonical_lines(text)
+    else:  # no canonical lines
+        n = text.count(b"\n")
+        block, point, keep = _no_frames(n), np.full(n, -1), np.zeros(n, dtype=bool)
     odd = np.flatnonzero(~keep)
     error = None
     if len(odd):
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        lines = [text[a:b].decode("ascii") for a, b in zip(starts[odd].tolist(), ends[odd].tolist())]
-        at, frames, error = _decode_lines(lines, (odd + lineno).tolist())
-        rows = odd[at]  # the lines whose frames the line loop read
-        read = FrameBlock.from_frames(frames)
-        width = max(block.timestamp.itemsize, read.timestamp.itemsize)  # a line-loop timestamp may be longer
-        block = block._replace(timestamp=block.timestamp.astype(f"S{width}"))
+        rows, read, error = _decode_lines(text.decode("ascii").split("\n"), odd.tolist(), lineno, layout)
+        if block.timestamp.dtype.kind == "S":  # a float goes in as its repr, the text that float() reads back
+            block = block._replace(timestamp=block.timestamp.astype(f"S{_MAX_TIMESTAMP}"))
         for column, values in zip(block, read):
             column[rows] = values
         keep[rows] = True
@@ -453,12 +519,12 @@ def _decode_block(text: bytes, lineno: int, last_ts: float) -> tuple[FrameBlock,
         before = float(ts[k - 1]) if k else last_ts
         error = _timestamp_error(float(ts[k]), before, lineno + int(np.flatnonzero(keep)[k]))
         block = FrameBlock(*(column[:k] for column in block))
-    return block, error, len(ends)
+    return block, error, len(keep)
 
 
 def _first_disorder(ts: np.ndarray, point: np.ndarray, last_ts: float) -> int:
-    """The index of the first of the decimal texts ``ts`` whose value is not finite or is below the one
-    before (``last_ts`` for the first); ``len(ts)`` if there is none.
+    """The index of the first of the timestamps ``ts`` (decimal texts, or floats) whose value is not finite
+    or is below the one before (``last_ts`` for the first); ``len(ts)`` if there is none.
 
     The rows that ``_byte_ordered`` clears need no cast; only the others are
     read as floats, with the row before each.
@@ -564,116 +630,63 @@ def _rows_all(ok: np.ndarray) -> np.ndarray:
     return np.ones(len(ok), dtype=bool) if ok.all() else ok.all(axis=1)
 
 
-def _decode_lines(lines: list[str], linenos: list[int]) -> tuple[list[int], list[tuple], ParseError | None]:
-    """Read ``lines`` (numbered ``linenos``) one at a time up to the first bad one: the indexes of the
-    lines that hold a frame, their frames, and the ParseError of the bad line (None if there is none).
-
-    Each line is read on its own: a frame's timestamp is the text of its field, as bytes, and
-    timestamps are not compared across lines.
-    """
-    at: list[int] = []
-    frames: list[tuple] = []
+def _decode_lines(
+    lines: list[str], odd: list[int], lineno: int, layout: _Layout
+) -> tuple[np.ndarray, FrameBlock, CanidsError | None]:
+    """Read the lines ``odd`` of ``lines`` (the first numbered ``lineno``) one at a time through ``layout``
+    up to the first bad one: the indexes of the lines that hold a frame, their frames (float timestamps),
+    and the error of the bad line (None if there is none). Timestamps are not compared across lines."""
+    (ts_i, id_i, dlc_i, data_i, label_i), least, widths, width_error, id_base, labels, other_label = layout
+    at, stamps, can_ids, dlcs, payloads, attacks = [], [], [], [], [], []  # of each frame, and its line's index
     ids: dict[str, int] = {}  # each distinct ID spelling is checked and converted once
+    error = None
     try:
-        for k, (lineno, raw) in enumerate(zip(linenos, lines)):
-            raw = raw.strip()
+        for k in odd:
+            raw = lines[k].strip()
             if not raw:
                 continue
             fields = raw.split(",")
-            if len(fields) < 4:
-                raise ParseError(f"expected at least 4 fields, got {len(fields)}", line=lineno)
-            ts = _timestamp_text(fields[0], lineno).encode()
-            can_id = ids.get(fields[1])
-            if can_id is None:
-                can_id = ids[fields[1]] = _parse_can_id(fields[1], _is_hex, 16, lineno)
-            dlc = _DLCS.get(fields[2])
-            if dlc is None:
-                dlc = _parse_dlc(fields[2], lineno)
-            if len(fields) != 4 + dlc:
-                raise ParseError(
-                    f"expected {4 + dlc} fields for DLC {dlc}, got {len(fields)}",
-                    line=lineno,
-                )
-            payload = _decode_payload(fields[3 : 3 + dlc], lineno)
-            flag = fields[3 + dlc]
-            label = _FLAG_LABELS.get(flag)
-            if label is None:
-                raise ParseError(f"unknown flag {flag!r} (expected R or T)", line=lineno)
-            frames.append((ts, can_id, dlc, payload, label))
-            at.append(k)
-    except ParseError as exc:
-        return at, frames, exc
-    return at, frames, None
-
-
-REQUIRED_COLUMNS = ("timestamp", "id", "dlc", "data", "label")
-
-
-def check_generic_options(column_map: Mapping[str, int] | None, id_base: int):
-    """ConfigError unless ``column_map`` (if given) maps every name in REQUIRED_COLUMNS to an index >= 0
-    and ``id_base`` is in [2, 36]."""
-    if column_map is not None:
-        missing = [name for name in REQUIRED_COLUMNS if name not in column_map]
-        if missing:
-            raise ConfigError(f"column_map missing entries for {missing}")
-        negative = {name: i for name, i in column_map.items() if i < 0}
-        if negative:
-            raise ConfigError(f"column_map indices must be >= 0, got {negative}")
-    if not 2 <= id_base <= 36:
-        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
-
-
-def parse_generic_labeled_csv(
-    path,
-    column_map: Mapping[str, int],
-    attack_markers: frozenset[str] = frozenset({"T", "1"}),
-    id_base: int = 16,
-) -> Iterator[CanFrame]:
-    """Stream frames from an arbitrary labeled CSV layout.
-
-    ``column_map`` maps the names in REQUIRED_COLUMNS to 0-based column
-    indices; ``data`` is the index of the first payload byte column. Any
-    label cell contained in ``attack_markers`` maps to ATTACK. The ID
-    field holds digits of ``id_base`` only; rows are checked as by
-    parse_car_hacking_csv.
-    """
-    check_generic_options(column_map, id_base)
-    is_id = _digits_of(id_base)
-    ts_i, id_i, dlc_i = (column_map[k] for k in ("timestamp", "id", "dlc"))
-    data_i, label_i = column_map["data"], column_map["label"]
-
-    last_ts, inf = _BEFORE_FIRST_TS, math.inf
-    ids: dict[str, int] = {}
-    with open_ascii(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            fields = raw.split(",")
-            width_needed = max(ts_i, id_i, dlc_i, label_i) + 1
-            if len(fields) < width_needed:
-                raise ConfigError(
-                    f"line {lineno}: column_map references column "
-                    f"{width_needed - 1} but row has {len(fields)} fields"
-                )
-            ts = float(_timestamp_text(fields[ts_i], lineno))
+            n = len(fields)
+            if n < least:
+                raise width_error(n, None, lineno + k)
+            stamp = fields[ts_i]
+            if not (stamp.replace(".", "", 1).isdigit() or _is_decimal(stamp)):
+                raise ParseError(f"bad timestamp {quoted(stamp)}", line=lineno + k)
             can_id = ids.get(fields[id_i])
             if can_id is None:
-                can_id = ids[fields[id_i]] = _parse_can_id(fields[id_i], is_id, id_base, lineno)
+                can_id = ids[fields[id_i]] = _parse_can_id(fields[id_i], id_base, lineno + k)
             dlc = _DLCS.get(fields[dlc_i])
             if dlc is None:
-                dlc = _parse_dlc(fields[dlc_i], lineno)
-            if len(fields) < data_i + dlc:
-                raise ConfigError(
-                    f"line {lineno}: payload columns {data_i}..{data_i + dlc - 1} "
-                    f"exceed row width {len(fields)}"
-                )
-            payload = _decode_payload(fields[data_i : data_i + dlc], lineno)
-            label = Label.ATTACK if fields[label_i] in attack_markers else Label.BENIGN
-            if not last_ts <= ts < inf:
-                raise _timestamp_error(ts, last_ts, lineno)
-            last_ts = ts
-            yield _frame(CanFrame, (ts, can_id, dlc, payload, label))
+                dlc = _parse_dlc(fields[dlc_i], lineno + k)
+            fewest, most = widths[dlc]
+            if not fewest <= n <= most:
+                raise width_error(n, dlc, lineno + k)
+            # fields of exactly two hex digits each in one call: a space-joined text of 3 * dlc - 1 characters
+            # with no empty field (["abcd", ""] joins to two bytes) that gives dlc bytes (fromhex skips blanks)
+            data = fields[data_i : data_i + dlc]
+            text = " ".join(data)
+            try:
+                payload = bytes.fromhex(text) if len(text) == 3 * dlc - 1 and "" not in data else None
+            except ValueError:
+                payload = None
+            if payload is None or len(payload) != dlc:
+                payload = _decode_payload(data, lineno + k)
+            attack = labels.get(fields[label_i], other_label)
+            if attack is None:  # the Car-Hacking flag
+                raise ParseError(f"unknown flag {quoted(fields[label_i])} (expected R or T)", line=lineno + k)
+            at.append(k)
+            stamps.append(float(stamp))
+            can_ids.append(can_id)
+            dlcs.append(dlc)
+            payloads.append(payload)
+            attacks.append(attack)
+    except CanidsError as exc:
+        error = exc
+    dlc = np.array(dlcs, dtype=np.int64)
+    payload = np.zeros((len(dlc), 8), dtype=np.uint8)
+    payload[_BYTE_SLOTS < dlc[:, None]] = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    block = FrameBlock(np.array(stamps), np.array(can_ids, dtype=np.int64), dlc, payload, np.array(attacks, dtype=bool))
+    return np.array(at, dtype=np.int64), block, error
 
 
 def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .canlog import check_generic_options, decode_car_hacking_csv, parse_car_hacking_csv, parse_generic_labeled_csv
+from .canlog import check_generic_options, decode_car_hacking_csv, decode_generic_labeled_csv, read_frame_log
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, read_json, require_int
@@ -207,20 +207,19 @@ def cmd_ingest(args) -> int:
     column_map = _parse_column_map(args.column_map) if args.column_map else None
     check_generic_options(column_map, args.id_base)
     if args.format == "car-hacking":
-        frames = parse_car_hacking_csv(path)
+        blocks = decode_car_hacking_csv(path)
     elif column_map is None:
         raise UsageError("generic format requires --column-map")
     else:
-        markers = frozenset(args.attack_markers.split(","))
-        frames = parse_generic_labeled_csv(path, column_map, attack_markers=markers, id_base=args.id_base)
-    frames = list(frames)
+        blocks = decode_generic_labeled_csv(path, column_map, frozenset(args.attack_markers.split(",")), args.id_base)
+    log = read_frame_log(blocks)
     summary = {
-        "frames": len(frames),
-        "attack_frames": sum(1 for f in frames if f.label == 1),
-        "distinct_ids": len({f.can_id for f in frames}),
+        "frames": len(log),
+        "attack_frames": int(log.block.attack.sum()),
+        "distinct_ids": len(np.unique(log.block.can_id)),
     }
     if args.out:
-        _write_with_lock(args.out, lambda tmp: write_car_hacking_csv(frames, tmp))
+        _write_with_lock(args.out, lambda tmp: write_car_hacking_csv(log, tmp))
         summary["out"] = str(args.out)
     _emit(summary)
     return 0

@@ -11,19 +11,21 @@ from contextlib import contextmanager
 
 
 class CanidsError(Exception):
+    """An error with its category and, for one found in a file, the 1-based ``line`` its message starts with."""
+
     category = "runtime"
-
-
-class ParseError(CanidsError):
-    """Malformed input data (bad CSV row, bad cache record)."""
-
-    category = "parse"
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ParseError(CanidsError):
+    """Malformed input data (bad CSV row, bad cache record)."""
+
+    category = "parse"
 
 
 class ConfigError(CanidsError):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canlog import DECIMAL
+from .canlog import DECIMAL, quoted
 from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int, require_probability
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
@@ -456,14 +456,14 @@ def read_scores_csv(path) -> list[ScoredWindow]:
     with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != SCORES_HEADER:
-            raise ParseError(f"{path}: unexpected scores header {header!r}", line=1)
+            raise ParseError(f"{path}: unexpected scores header {quoted(header)}", line=1)
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             parts = line.split(",")
             if len(parts) != 7:
-                raise ParseError(f"{path}: bad scores row {line!r}", line=lineno)
+                raise ParseError(f"{path}: bad scores row {quoted(line)}", line=lineno)
             if not _is_scores_row(line):
-                raise ParseError(f"{path}: non-numeric field in scores row {line!r}", line=lineno)
+                raise ParseError(f"{path}: non-numeric field in scores row {quoted(line)}", line=lineno)
             try:
                 start, truth, predicted = int(parts[0]), int(parts[1]), int(parts[6])
             except ValueError:  # a field of more digits than int() converts (sys.get_int_max_str_digits())
@@ -473,6 +473,7 @@ def read_scores_csv(path) -> list[ScoredWindow]:
                 raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {truth} and {predicted}", line=lineno)
             # NaN fails both comparisons
             if not all(0.0 <= p <= 1.0 for p in (vgae_prob, gat_prob, fused_prob)):
-                raise ParseError(f"{path}: probabilities must be finite and in [0, 1] in row {line!r}", line=lineno)
+                message = f"probabilities must be finite and in [0, 1] in row {quoted(line)}"
+                raise ParseError(f"{path}: {message}", line=lineno)
             out.append(ScoredWindow(start, vgae_score, vgae_prob, gat_prob, fused_prob, predicted, truth))
     return out

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .canlog import MAX_STD_ID, FrameBlock, FrameLog
+from .canlog import MAX_STD_ID, FrameBlock, FrameLog, concat
 from .errors import ConfigError, read_json, require_finite, require_int
 
 BENIGN_BYTE_MAX = 119
@@ -163,7 +163,7 @@ def _merged_frames(
             payload = rng.integers(SPOOF_BYTE_MIN, 256, size=(n_inject, 8)).astype(np.uint8)
             parts.append(_part(times, atk.target_id, 8, payload, True))
         else:  # REPLAY
-            sent = _concat(parts)
+            sent = concat(parts)
             recorded = np.flatnonzero((sent.can_id == atk.target_id) & ~sent.attack & (sent.timestamp < atk.start_time))
             buffer = recorded[np.argsort(sent.timestamp[recorded], kind="stable")][-REPLAY_BUFFER_LEN:]
             if not len(buffer):
@@ -173,7 +173,7 @@ def _merged_frames(
             src = buffer[np.arange(n_inject) % len(buffer)]
             parts.append(_part(times, sent.can_id[src], sent.dlc[src], sent.payload[src], True))
 
-    log = _concat(parts)
+    log = concat(parts)
     order = np.argsort(log.timestamp, kind="stable")
     return FrameBlock(*(column[order] for column in log))
 
@@ -188,11 +188,6 @@ def _part(times: np.ndarray, can_id, dlc, payload: np.ndarray, attack: bool) -> 
         payload,
         np.full(n, attack),
     )
-
-
-def _concat(parts: Sequence[FrameBlock]) -> FrameBlock:
-    """One block of the frames of ``parts``, in order."""
-    return FrameBlock(*map(np.concatenate, zip(*parts)))
 
 
 def load_synth_config(path) -> SynthConfig:

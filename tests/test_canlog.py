@@ -14,7 +14,9 @@ import math
 import pkgutil
 import random
 import re
+import sys
 import time
+from pathlib import Path
 from re import _constants, _parser
 
 import numpy as np
@@ -33,8 +35,9 @@ from canids.canlog import (
     parse_generic_labeled_csv,
     write_car_hacking_csv,
 )
-from canids.errors import ConfigError, ParseError
+from canids.errors import CanidsError, ConfigError, ParseError
 from canids.graphs import build_windows, save_graph_cache
+from canids.synth import generate_synthetic_log
 from helpers import assert_bit_identical, loop_windows, per_field_format_car_hacking_row, random_frames
 
 
@@ -703,7 +706,7 @@ def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
     decode_lines = canlog._decode_lines
     monkeypatch.setattr(canlog, "_decode_lines", lambda *args: seen.append(args) or decode_lines(*args))
     assert assert_matches_reference(p) is None
-    assert seen == [([rows[17]], [18])]
+    assert [(lines[odd[0]], odd) for lines, odd, *_ in seen] == [(rows[17], [17])]
 
 
 def canonical_mask(lines):
@@ -964,3 +967,73 @@ def test_csv_mutation_sweep(tmp_path, capsys, monkeypatch, chars):
             assert code in (1, 2) and "Traceback" not in err, err
             assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, err
             assert code == 2 or error is not None or not data.isascii()
+
+
+# ---------------------------------------------------------------- one row loop for both layouts
+
+GENERIC_RELAID = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 11}
+# the Car-Hacking messages of rules the generic layout does not share: its row width and its flag
+CAR_HACKING_ONLY = ("expected ", "unknown flag ")
+
+
+def relaid(data: bytes) -> bytes:
+    """A Car-Hacking log's rows in the generic layout GENERIC_RELAID: the payload in eight columns from
+    column 3 (padded with ``x``), the flag in column 11. A line of fewer than four fields stays as it is."""
+    rows = []
+    for line in data.split(b"\n"):
+        fields = line.split(b",")
+        if len(fields) >= 4:
+            payload = fields[3:-1]
+            line = b",".join(fields[:3] + payload + [b"x"] * (8 - len(payload)) + fields[-1:])
+        rows.append(line)
+    return b"\n".join(rows)
+
+
+def test_seed_201_log_relaid_as_generic_gives_the_same_frames(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    log = generate_synthetic_log(workloads.ECUS, workloads.TRAIN_LOG_S, workloads.TRAIN_ATTACKS, rng_seed=(201, 1))
+    p, g = tmp_path / "log.csv", tmp_path / "generic.csv"
+    write_car_hacking_csv(log, p)
+    g.write_bytes(relaid(p.read_bytes()))
+    assert len(g.read_bytes()) > canlog._BLOCK_CHARS  # the generic text takes two blocks
+    frames = list(parse_car_hacking_csv(p))
+    assert len(frames) == 22_358 and frames == list(log)
+    assert list(parse_generic_labeled_csv(g, GENERIC_RELAID)) == frames
+
+
+@pytest.mark.parametrize("chars", [64, 1 << 20])
+def test_both_layouts_name_the_same_line_and_message(tmp_path, monkeypatch, chars):
+    """Mutated logs and their generic re-layout: each reader gives the frames before its first bad row,
+    and wherever the Car-Hacking error comes from a rule both layouts share (timestamp, ID, DLC, payload
+    byte, order, non-ASCII byte) the generic reader names the same line with the same message."""
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", chars)
+    text = "\n".join(canonical_rows(40, seed=9)) + "\n"
+    rng = random.Random(26)
+    log = tmp_path / "log.csv"  # one path for both layouts, which a non-ASCII error names
+    shared = set()
+    for _ in range(300):
+        data = mutate(rng, text)
+        log.write_bytes(data)
+        expected, error = run_parser_with_message(parse_car_hacking_csv(log))
+        log.write_bytes(relaid(data))
+        frames, generic_error = run_parser_with_message(parse_generic_labeled_csv(log, GENERIC_RELAID))
+        assert frames[: len(expected)] == expected[: len(frames)]
+        if error is None or not error[1].startswith(CAR_HACKING_ONLY, len(f"line {error[0]}: ")):
+            assert generic_error == error
+            # the rows before a non-ASCII byte's block, whose cuts fall on other lines in the wider layout
+            assert len(frames) == len(expected) or error[1].endswith("non-ASCII byte")
+            shared.add(error and re.sub(r"'.*'|[-\w.+/]*\d[-\w.+/]*", "#", error[1]))  # the rule, not its values
+    assert len(shared) >= 10  # no error, and the errors of most shared rules
+
+
+def run_parser_with_message(rows):
+    """(items, (line, message) of the error or None) for an iterator of rows."""
+    items = []
+    try:
+        for item in rows:
+            items.append(item)
+    except CanidsError as exc:
+        return items, (exc.line, str(exc))
+    return items, None

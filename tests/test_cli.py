@@ -750,6 +750,36 @@ def test_integer_field_longer_than_int_reads_is_parse_error(tmp_path, capsys, na
     assert name != "scores.csv" or str(p) in lines[0]
 
 
+LONG_ID = "1" * 5000  # hex digits, which int() reads at any length: the ID is read, then found too wide
+CAR_HACKING_MAP = ["--format", "generic", "--column-map", "timestamp=0,id=1,dlc=2,data=3,label=5"]
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, shown",
+    [
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,{LONG_ID},2,aa,bb,R\n", ["ingest"], "CAN ID 1111"),
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,{LONG_ID},2,aa,bb,R\n", ["ingest", *CAR_HACKING_MAP], "CAN ID 1111"),
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,0316,{'9' * 300},aa,bb,R\n", ["ingest"], "DLC 9999"),
+        ("log.csv", f"0.0,0316,2,aa,bb,R\n0.1,0316,{'x' * 300},aa,bb,R\n", ["build-graphs"], "bad DLC 'xxxx"),
+        ("scores.csv", f"{SCORES_HEADER}\n{'x' * 10_000}\n", ["evaluate"], "bad scores row 'xxxx"),
+        ("scores.csv", f"{SCORES_HEADER}\n0,0,{'x' * 9_990},0.5,0.5,0.5,0\n", ["evaluate"], "scores row '0,0,xxxx"),
+    ],
+    ids=["car-hacking-id", "generic-id", "dlc", "build-graphs-dlc", "scores-row", "scores-field"],
+)
+def test_error_lines_cut_a_long_field_and_give_its_length(tmp_path, capsys, name, text, argv, shown):
+    """A field or row longer than the quote bound is shown by its head and its length: one short line."""
+    p = tmp_path / name
+    p.write_text(text)
+    flag = {"build-graphs": "--in", "ingest": None, "evaluate": "--scores"}[argv[0]]
+    where = [flag, p] if flag else [p]
+    out = ["--out", tmp_path / "out", "--window", 2] if argv[0] == "build-graphs" else []
+    code, _, err = run_cli(capsys, argv[0], *where, *argv[1:], *out)
+    [line] = [line for line in err.splitlines() if line.startswith("canids-error")]
+    length = len(text.splitlines()[1]) if name == "scores.csv" else 300 if "DLC" in shown else 5000
+    assert code == 1 and line.startswith("canids-error category=parse message=line 2: ")
+    assert shown in line and f"... ({length} characters)" in line and len(line.encode()) < 300, line
+
+
 BAD_TRAINING_OPTIONS = [
     ("train-vgae", "vgae_epochs", 0),
     ("train-vgae", "vgae_batch", 0),

@@ -1,10 +1,11 @@
-"""Every module-level function and class of ``canids`` has a caller outside the tests.
+"""Every module-level function and class of ``canids``, and every public method of its frame types, has a
+caller outside the tests.
 
 A definition counts as used when its name appears in ``src/``, ``bench/`` or
 ``demos/`` outside the definition itself, as a name or as a string literal that
-is exactly the name (``bench/spans.py`` patches functions by name). The
-re-exports in ``canids/__init__.py`` do not count, and neither do the tests:
-code that only tests reach is dead code.
+is exactly the name (``bench/spans.py`` patches functions by name); a method
+only as an attribute (``.name``). The re-exports in ``canids/__init__.py`` do
+not count, and neither do the tests: code that only tests reach is dead code.
 """
 
 import ast
@@ -13,27 +14,40 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "canids"
+METHOD_CLASSES = {"CanFrame", "FrameBlock", "FrameLog"}  # whose public methods are checked too
+
+
+def _span(node):
+    return min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno
 
 
 def definitions():
-    """(name, module path, first line, last line) of each top-level function and class of the package."""
+    """(qualified name, name, module path, first line, last line, whether a method) of each top-level function
+    and class of the package and each public non-dunder method of the METHOD_CLASSES."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield node.name, path, first, node.end_lineno
+            if isinstance(node, (*functions, ast.ClassDef)):
+                yield node.name, node.name, path, *_span(node), False
+            if isinstance(node, ast.ClassDef) and node.name in METHOD_CLASSES:
+                for method in node.body:
+                    if isinstance(method, functions) and not method.name.startswith("_"):
+                        yield f"{node.name}.{method.name}", method.name, path, *_span(method), True
 
 
 def references():
-    """name -> [(path, line)] of every name token and identifier-like string literal outside the tests."""
+    """name -> [(path, line, whether an attribute)] of every name token and identifier-like string literal
+    outside the tests."""
     found = {}
     for folder in ("src", "bench", "demos"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path == PACKAGE / "__init__.py":
                 continue
             with open(path, "rb") as fh:
+                before = None  # the token before
                 for tok in tokenize.tokenize(fh.readline):
-                    name = tok.string
+                    name, attribute = tok.string, before is not None and before.string == "."
+                    before = tok
                     if tok.type == tokenize.STRING:
                         try:
                             name = ast.literal_eval(tok.string)
@@ -42,26 +56,30 @@ def references():
                     elif tok.type != tokenize.NAME:
                         continue
                     if isinstance(name, str) and name.isidentifier():
-                        found.setdefault(name, []).append((path, tok.start[0]))
+                        found.setdefault(name, []).append((path, tok.start[0], attribute))
     return found
 
 
 def test_every_definition_is_named_outside_the_tests():
     found = references()
     unused = [
-        f"{path.stem}.{name}"
-        for name, path, first, last in definitions()
-        if all(where == path and first <= line <= last for where, line in found.get(name, []))
+        f"{path.stem}.{qualified}"
+        for qualified, name, path, first, last, method in definitions()
+        if all(
+            (where == path and first <= line <= last) or (method and not attribute)
+            for where, line, attribute in found.get(name, [])
+        )
     ]
     assert unused == [], "defined in src/canids but named nowhere in src/, bench/ or demos/"
 
 
 # (module, top-level definition) that alone may hold each kind of call: one clock for every timings block,
-# and one epoch loop for both trainers
+# one epoch loop for both trainers, and one timestamp-order check for every CSV layout
 SOLE_OWNERS = {
     "clock read": ("pipeline", "Timings"),
     "checked_step call": ("gat", "train_epochs"),
     "shuffle": ("gat", "train_epochs"),
+    "timestamp error call": ("canlog", "_decode_block"),
 }
 CLOCK_READS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
 
@@ -77,12 +95,15 @@ def _kind(node):
             return "checked_step call"
         if called in ("shuffle", "permutation"):
             return "shuffle"
+        if called == "_timestamp_error":
+            return "timestamp error call"
     return None
 
 
-def test_clock_reads_steps_and_shuffles_have_one_owner_each():
-    """Only ``pipeline.Timings`` reads the clock, and only ``gat.train_epochs`` calls ``checked_step`` and
-    shuffles, so that every run has one timings path and both trainers one epoch loop."""
+def test_clock_reads_steps_shuffles_and_timestamp_errors_have_one_owner_each():
+    """Only ``pipeline.Timings`` reads the clock, only ``gat.train_epochs`` calls ``checked_step`` and
+    shuffles, and only ``canlog._decode_block`` calls ``_timestamp_error``, so that every run has one
+    timings path, both trainers one epoch loop, and both CSV layouts one timestamp-order check."""
     seen = {kind: set() for kind in SOLE_OWNERS}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
