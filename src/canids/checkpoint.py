@@ -19,7 +19,7 @@ import re
 
 import numpy as np
 
-from .canlog import _is_decimal
+from .canlog import _is_decimal, quoted
 from .errors import ParseError, StateError, open_ascii
 
 MAGIC = "canids-checkpoint v1"
@@ -69,12 +69,14 @@ def load_checkpoint(path):
                 if parts == ["end"]:
                     break
                 if len(parts) < 2 or parts[0] != "param":
-                    raise ParseError(f"{path}: expected param record, got {line.strip()!r}", line=lineno)
+                    raise ParseError(f"{path}: expected param record, got {quoted(line.strip())}", line=lineno)
                 name = parts[1]
+                shown = quoted(name, marks=False)
                 if name in params:
-                    raise ParseError(f"{path}: param {name} listed twice", line=lineno)
+                    raise ParseError(f"{path}: param {shown} listed twice", line=lineno)
                 if not all(map(str.isdigit, parts[2:])):
-                    raise ParseError(f"{path}: param {name} has a bad shape {' '.join(parts[2:])!r}", line=lineno)
+                    shape_text = quoted(" ".join(parts[2:]))
+                    raise ParseError(f"{path}: param {shown} has a bad shape {shape_text}", line=lineno)
                 shape = tuple(int(d) for d in parts[2:])
                 # one line per leading row; 1-d and scalar params are a single line
                 n_lines = shape[0] if len(shape) > 1 else 1
@@ -84,13 +86,15 @@ def load_checkpoint(path):
                     lineno += 1
                     row = fh.readline()
                     if not (_is_plain_row(row) or all(map(_is_decimal, row.split()))):
-                        raise ParseError(f"{path}: param {name} has a value that is not a float as repr writes it",
+                        raise ParseError(f"{path}: param {shown} has a value that is not a float as repr writes it",
                                          line=lineno)
                     row = [float(v) for v in row.split()]
                     if len(row) != width:
-                        raise ParseError(f"{path}: param {name} row has {len(row)} values, expected {width}", line=lineno)
+                        expected = quoted(str(width), marks=False)
+                        raise ParseError(f"{path}: param {shown} row has {len(row)} values, expected {expected}",
+                                         line=lineno)
                     if not all(map(math.isfinite, row)):
-                        raise ParseError(f"{path}: param {name} has a non-finite value", line=lineno)
+                        raise ParseError(f"{path}: param {shown} has a non-finite value", line=lineno)
                     rows.append(row)
                 params[name] = np.array(rows, dtype=np.float64).reshape(shape)
                 line = fh.readline()
@@ -109,6 +113,7 @@ def validate_params(params: dict[str, np.ndarray], expected: dict[str, tuple], k
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
     if missing or extra:
+        missing, extra = ("[" + ", ".join(map(quoted, names)) + "]" for names in (missing, extra))
         raise StateError(f"{kind} checkpoint mismatch: missing={missing} unexpected={extra}")
     for name, shape in expected.items():
         if tuple(params[name].shape) != tuple(shape):

@@ -194,10 +194,13 @@ def cmd_synth(args) -> int:
     cfg_path = _require_file(args.config, "generator config")
     cfg = load_synth_config(cfg_path)
     _progress(f"synthesizing {cfg.duration}s of traffic from {len(cfg.ecus)} ECUs, seed {args.seed}")
-    frames = generate_synthetic_log(cfg.ecus, cfg.duration, cfg.attacks, rng_seed=args.seed)
-    _write_with_lock(args.out, lambda tmp: write_car_hacking_csv(frames, tmp))
+    timings = Timings()
+    with timings.stage("generate"):
+        frames = generate_synthetic_log(cfg.ecus, cfg.duration, cfg.attacks, rng_seed=args.seed)
+    with timings.stage("write"):
+        _write_with_lock(args.out, lambda tmp: write_car_hacking_csv(frames, tmp))
     attacks = int(frames.block.attack.sum())
-    _emit({"frames": len(frames), "attack_frames": attacks, "out": str(args.out)})
+    _emit({"frames": len(frames), "attack_frames": attacks, "out": str(args.out), "timings": timings.block()})
     return 0
 
 

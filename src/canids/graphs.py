@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
+from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks, quoted
 from .errors import ConfigError, ParseError, StateError, open_ascii
 
 CACHE_MAGIC = "canids-graph-cache v1"
@@ -331,7 +331,7 @@ def load_graph_cache(path) -> list[WindowGraph]:
     with open_ascii(path) as fh:
         header = fh.readline().strip()
         if header != CACHE_MAGIC:
-            raise ParseError(f"{path}: not a graph cache (header {header!r})", line=1)
+            raise ParseError(f"{path}: not a graph cache (header {quoted(header)})", line=1)
         graphs: list[WindowGraph] = []
         lineno = 2  # of lines[0]
         lines: list[str] = []  # read, not yet decoded: always starts at a graph record
@@ -400,20 +400,29 @@ def _raise_first_bad_line(lines: list[str], lineno: int, path) -> NoReturn:
                         _edge_columns(lines[pos : pos + 1], n)
             pos += 1
     except (ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {exc}", line=lineno + pos) from None
+        message = _shown(exc, lines[pos] if pos < len(lines) else "")  # past the end: a window cut short
+        raise ParseError(f"{path}: {message}", line=lineno + pos) from None
     raise ParseError(f"{path}: bad graph cache record")  # the column checks are the line checks: not reached
+
+
+def _shown(exc: Exception, line: str) -> str:
+    """The message of ``exc``, raised reading ``line``, with the token of the line that it quotes after its
+    first ": " (as int() and float() quote the text they cannot read) shown as canlog.quoted shows it."""
+    head, sep, tail = str(exc).partition(": ")
+    token = next((t for t in line.split() if tail and repr(t).startswith(tail)), None)
+    return f"{head}: {quoted(token)}" if sep and token is not None else str(exc)
 
 
 def _graph_record(line: str) -> tuple[int, int, int, int]:
     """(start, label, num_nodes, num_edges) of a graph record; ValueError names the rule it breaks."""
     parts = line.split()
     if len(parts) != 5 or not line.startswith("graph "):
-        raise ValueError(f"expected graph record, got {line.strip()!r}")
+        raise ValueError(f"expected graph record, got {quoted(line.strip())}")
     start, label, n, e = map(int, parts[1:])
     if start < 0 or n < 0 or e < 0:
-        raise ValueError(f"window start, node and edge counts must be >= 0, got {line.strip()!r}")
+        raise ValueError(f"window start, node and edge counts must be >= 0, got {quoted(line.strip())}")
     if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
+        raise ValueError(f"label must be 0 or 1, got {quoted(str(label), marks=False)}")
     return start, label, n, e
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .canlog import quoted
 from .checkpoint import load_checkpoint, save_checkpoint, validate_params
 from .errors import ConfigError, ParseError, StateError
 from .tensor import Tensor
@@ -96,11 +97,11 @@ class ParamModel:
         """The model a checkpoint holds; a malformed config header is a ParseError naming line 2."""
         kind, config, values = load_checkpoint(path)
         if kind != cls.kind:
-            raise StateError(f"{path}: expected a {cls.kind} checkpoint, found {kind!r}")
+            raise StateError(f"{path}: expected a {cls.kind} checkpoint, found {quoted(kind)}")
         try:
             config = cls.config_type(**config)
         except (TypeError, ConfigError) as exc:
-            raise ParseError(f"{path}: bad {kind} config ({exc})", line=2) from None
+            raise ParseError(f"{path}: bad {kind} config ({quoted(str(exc), marks=False)})", line=2) from None
         return cls(config, param_values=values)
 
 

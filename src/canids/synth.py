@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import canlog
 from .canlog import MAX_STD_ID, FrameBlock, FrameLog, concat
 from .errors import ConfigError, read_json, require_finite, require_int
 
@@ -150,15 +151,7 @@ def _merged_frames(
         if atk.kind == AttackKind.DOS:
             parts.append(_part(times, DOS_CAN_ID, 8, np.zeros((n_inject, 8), dtype=np.uint8), True))
         elif atk.kind == AttackKind.FUZZING:
-            # ID, DLC and payload draws interleave frame by frame, so they stay per frame
-            can_id = np.zeros(n_inject, dtype=np.int64)
-            dlc = np.zeros(n_inject, dtype=np.int64)
-            payload = np.zeros((n_inject, 8), dtype=np.uint8)
-            for k in range(n_inject):
-                can_id[k] = rng.integers(0, 2048)
-                dlc[k] = n = int(rng.integers(0, 9))
-                payload[k, :n] = rng.integers(0, 256, size=n)
-            parts.append(_part(times, can_id, dlc, payload, True))
+            parts.append(_part(times, *_fuzzing_draws(rng, n_inject), True))
         elif atk.kind == AttackKind.SPOOFING:
             payload = rng.integers(SPOOF_BYTE_MIN, 256, size=(n_inject, 8)).astype(np.uint8)
             parts.append(_part(times, atk.target_id, 8, payload, True))
@@ -176,6 +169,58 @@ def _merged_frames(
     log = concat(parts)
     order = np.argsort(log.timestamp, kind="stable")
     return FrameBlock(*(column[order] for column in log))
+
+
+def _fuzzing_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ID, DLC and payload columns of ``n`` fuzzing frames, and ``rng`` left where it stands after
+
+        for each frame: can_id = rng.integers(0, 2048); dlc = rng.integers(0, 9)
+                        payload = rng.integers(0, 256, size=dlc)
+
+    numpy's ``Generator.integers`` maps one 32-bit stream word ``u`` to each value below a bound
+    ``b < 2**32`` by Lemire's method (Lemire, "Fast Random Integer Generation in an Interval", ACM
+    TOMACS 2019): the value is ``(u * b) >> 32``, and ``u`` is rejected for the next word while
+    ``(u * b) mod 2**32 < 2**32 mod b``. So the ID is ``u >> 21`` and a payload byte ``u >> 24``, with
+    no rejection, and the DLC is ``(u * 9) >> 32`` unless ``(u * 9) mod 2**32 < 4``.
+
+    The frames go in chunks of at most canlog._BLOCK_FRAMES. For each, the raw words are drawn in
+    one ``integers(0, 2**32, dtype=np.uint64)`` call, 10 per frame (a frame without a rejection uses
+    at most 10), and mapped; then the bit generator's saved state, which holds PCG64's buffered
+    32-bit half, is restored and exactly the words the chunk's complete frames used are drawn again.
+    The frames whose words ran out go to the next chunk; a draw that completes none is doubled.
+    """
+    can_id, dlc = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    payload = np.zeros((n, 8), dtype=np.uint8)
+    done = stalls = 0
+    while done < n:
+        m = min(n - done, canlog._BLOCK_FRAMES)
+        state = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=(10 * m) << stalls, dtype=np.uint64)
+        size = len(words)
+        scaled = words * 9
+        # dlc_at[p]: where the DLC of a frame that starts at p is drawn, the first accepted word after p
+        accepted = np.arange(size + 1)
+        accepted[:-1][(scaled & 0xFFFFFFFF) < 4] = size
+        dlc_at = np.minimum.accumulate(accepted[::-1])[-2::-1]
+        frame_dlc = (scaled[np.minimum(dlc_at, size - 1)] >> 32).astype(np.int64)
+        end = dlc_at + 1 + frame_dlc  # where the next frame starts; past size if this one does not fit
+        fits = np.append(end <= size, False)
+        # the starts 0, end[0], end[end[0]], ...: the next 2**b are the first 2**b moved on by 2**b frames
+        start, jump = np.zeros(1, dtype=np.int64), np.append(np.minimum(end, size), size)
+        while len(start) < m:
+            start, jump = np.append(start, jump[start]), jump[jump]
+        start = start[:m][fits[start[:m]]]
+        k = len(start)
+        rng.bit_generator.state = state
+        rng.integers(0, 2**32, size=end[start[-1]] if k else 0, dtype=np.uint64)
+        stalls = 0 if k else stalls + 1
+        frames = slice(done, done + k)
+        can_id[frames] = words[start] >> 21
+        dlc[frames] = frame_dlc[start]
+        byte_at = np.minimum(dlc_at[start, None] + np.arange(1, 9), size - 1)
+        payload[frames] = np.where(np.arange(8) < dlc[frames, None], words[byte_at] >> 24, 0)
+        done += k
+    return can_id, dlc, payload
 
 
 def _part(times: np.ndarray, can_id, dlc, payload: np.ndarray, attack: bool) -> FrameBlock:

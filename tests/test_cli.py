@@ -780,6 +780,75 @@ def test_error_lines_cut_a_long_field_and_give_its_length(tmp_path, capsys, name
     assert shown in line and f"... ({length} characters)" in line and len(line.encode()) < 300, line
 
 
+
+CACHE_HEAD = "canids-graph-cache v1\n"
+# name -> (graph cache or checkpoint, the file around a text x, the character x repeats, the line for x of 3)
+LONG_TEXT_CASES = {
+    "cache-header": ("cache", lambda x, ckpt: f"{x}\n", "h", "line 1: {p}: not a graph cache (header 'hhh')"),
+    "graph-record": (
+        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0 {x}\n", "g",
+        "line 2: {p}: expected graph record, got 'graph 0 0 1 0 ggg'",
+    ),
+    "graph-counts": (
+        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 -1 {x}\n", "9",
+        "line 2: {p}: window start, node and edge counts must be >= 0, got 'graph 0 0 -1 999'",
+    ),
+    "graph-label": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 {x} 0 0\n", "7",
+                    "line 2: {p}: label must be 0 or 1, got 777"),
+    "graph-int": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph {x} 0 0 0\n", "g",
+                  "line 2: {p}: invalid literal for int() with base 10: 'ggg'"),
+    "node-id": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0\nnode {x} 0.5 0.5 0.5\n", "n",
+                "line 3: {p}: invalid literal for int() with base 10: 'nnn'"),
+    "node-feature": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0\nnode 1 {x} 0.5 0.5\n", "n",
+                     "line 3: {p}: could not convert string to float: 'nnn'"),
+    "edge-weight": (
+        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 2 1\nnode 1 0 0 0\nnode 2 0 0 0\nedge 0 1 {x}\n", "e",
+        "line 5: {p}: could not convert string to float: 'eee'",
+    ),
+    "param-record": ("ckpt", lambda x, ckpt: f"{ckpt[0]}{x} 1\n1.0\nend\n", "p",
+                     "line 3: {p}: expected param record, got 'ppp 1'"),
+    "param-shape": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param w {x}\n1.0\nend\n", "p",
+                    "line 3: {p}: param w has a bad shape 'ppp'"),
+    "param-twice": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\n1.0\nparam {x} 1\n1.0\nend\n", "p",
+                    "line 5: {p}: param ppp listed twice"),
+    "param-width": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param w 1 {x}\n1.0\nend\n", "9",
+                    "line 4: {p}: param w row has 1 values, expected 999"),
+    "param-nan": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\nnan\nend\n", "p",
+                  "line 4: {p}: param ppp has a non-finite value"),
+    "model-kind": ("ckpt", lambda x, ckpt: f"canids-checkpoint v1\nmodel {x} {{}}\n{ckpt[1]}", "m",
+                   "{p}: expected a vgae checkpoint, found 'mmm'"),
+    "model-config": (
+        "ckpt", lambda x, ckpt: f'canids-checkpoint v1\nmodel vgae {{"{x}": 1}}\n{ckpt[1]}', "m",
+        "line 2: {p}: bad vgae config (VgaeConfig.__init__() got an unexpected keyword argument 'mmm')",
+    ),
+    "extra-param": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\n1.0\n{ckpt[1]}", "e",
+                    "vgae checkpoint mismatch: missing=[] unexpected=['eee']"),
+}
+
+
+@pytest.mark.parametrize("size", [3, 4000])
+@pytest.mark.parametrize("case", list(LONG_TEXT_CASES))
+def test_cache_and_checkpoint_errors_cut_a_long_text(small_run, tmp_path, capsys, case, size):
+    """A graph cache or VGAE checkpoint that quotes a long header, record, name, shape or number gives one
+    line under 300 bytes that cuts the text and gives its length; with a 3-character text the line is
+    the one the readers gave before they bounded the text."""
+    kind, make, char, short = LONG_TEXT_CASES[case]
+    magic, model, params = (small_run / "vgae.ckpt").read_text().split("\n", 2)
+    p = tmp_path / f"bad.{kind}"
+    p.write_text(make(char * size, (f"{magic}\n{model}\n", params)))
+    if kind == "cache":
+        argv = ["train-vgae", "--graphs", p, "--preset", "student", "--vgae-epochs", 1]
+    else:
+        argv = ["undersample", "--graphs", small_run / "train.cache", "--vgae", p]
+    code, _, err = run_cli(capsys, *argv, "--out", tmp_path / "out")
+    [line] = [line for line in err.splitlines() if line.startswith("canids-error")]
+    category = "state" if case in ("model-kind", "extra-param") else "parse"
+    assert code == 1 and line.startswith(f"canids-error category={category} message="), line
+    if size == 3:
+        assert line == f"canids-error category={category} message={short.format(p=p)}"
+    else:
+        assert "characters)" in line and len(line.encode()) < 300, line
+
 BAD_TRAINING_OPTIONS = [
     ("train-vgae", "vgae_epochs", 0),
     ("train-vgae", "vgae_batch", 0),
@@ -983,8 +1052,8 @@ def test_train_gat_val_frac_without_val_graphs_is_usage_error(small_run, tmp_pat
 
 def test_every_run_fills_one_timings_schema(small_run, tmp_path, capsys):
     """run_two_stage, distill_pipeline, report.json and manifest.json of report and distill, and the stdout
-    of build-graphs, train-vgae, undersample and train-gat all time a run as {"<stage>_seconds", "total_seconds"}, with a key for each
-    stage that ran and no other; a manifest repeats its report's block."""
+    of synth, build-graphs, train-vgae, undersample and train-gat all time a run as {"<stage>_seconds",
+    "total_seconds"}, with a key for each stage that ran and no other; a manifest repeats its report's block."""
     from canids.distill import KdConfig, distill_pipeline
     from canids.gat import GatClassifier, GatConfig
     from canids.pipeline import run_two_stage
@@ -1012,6 +1081,9 @@ def test_every_run_fills_one_timings_schema(small_run, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build-graphs", "--in", root / "train.csv", "--window", 100, "--out", tmp_path / "c")
     assert code == 0 and json.loads(out)["num_graphs"] == len(train)
     blocks["build-graphs stdout"] = (json.loads(out)["timings"], "build write")
+    code, out, _ = run_cli(capsys, "synth", "--config", root / "synth.json", "--seed", 7, "--out", tmp_path / "l")
+    assert code == 0 and (tmp_path / "l").read_bytes() == (root / "train.csv").read_bytes()
+    blocks["synth stdout"] = (json.loads(out)["timings"], "generate write")
     code, out, _ = run_cli(capsys, "undersample", "--graphs", root / "train.cache", "--vgae", root / "vgae.ckpt",
                            "--seed", 7, "--out", tmp_path / "s")
     assert code == 0

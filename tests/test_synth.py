@@ -299,6 +299,110 @@ def test_golden_log_bytes(tmp_path):
     assert hashlib.sha256(p.read_bytes()).hexdigest() == GOLDEN_LOG_SHA256
 
 
+# fuzzing bursts: _fuzzing_draws against the per-frame integers calls it replaces
+
+
+def per_frame_fuzzing(rng, n):
+    """A fuzzing burst's ID, DLC and payload columns, drawn frame by frame."""
+    can_id, dlc, payload = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.zeros((n, 8), np.uint8)
+    for k in range(n):
+        can_id[k] = rng.integers(0, 2048)
+        dlc[k] = size = int(rng.integers(0, 9))
+        payload[k, :size] = rng.integers(0, 256, size=size)
+    return can_id, dlc, payload
+
+
+def assert_draws_as_per_frame(make_rng, n):
+    """_fuzzing_draws gives the per-frame columns, dtypes included, and leaves the generator where
+    the per-frame calls leave it."""
+    expected_rng, rng = make_rng(), make_rng()
+    expected = per_frame_fuzzing(expected_rng, n)
+    for column, want in zip(synth._fuzzing_draws(rng, n), expected):
+        assert column.dtype == want.dtype and np.array_equal(column, want)
+    # 32-bit draws first, so that a buffered half left behind shows
+    after = [[*r.integers(0, 2**32, size=3, dtype=np.uint64).tolist(), r.random()] for r in (rng, expected_rng)]
+    assert after[0] == after[1]
+
+
+CHUNKS = {"chunk-1": 1, "chunk-2": 2, "chunk-7": 7, "chunk-default": canlog._BLOCK_FRAMES}
+
+
+@pytest.mark.parametrize("chunk", list(CHUNKS))
+@pytest.mark.parametrize("drawn", [0, 1], ids=["after-even-words", "after-odd-words"])
+@pytest.mark.parametrize("n", [0, 1, 2, 5000])
+def test_fuzzing_draws_match_per_frame_draws(monkeypatch, chunk, drawn, n):
+    """An odd number of 32-bit words drawn before leaves half of a PCG64 output buffered in its state."""
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", CHUNKS[chunk])
+
+    def make_rng():
+        rng = np.random.Generator(np.random.PCG64(201 + n))
+        rng.integers(0, 2**32, size=drawn, dtype=np.uint64)
+        return rng
+
+    assert_draws_as_per_frame(make_rng, n)
+
+
+def untempered(word):
+    """The MT19937 state word that its output tempering turns into ``word``."""
+    for shift, mask in ((-18, 0xFFFFFFFF), (15, 0xEFC60000), (7, 0x9D2C5680), (-11, 0xFFFFFFFF)):
+        x = word
+        for _ in range(32):
+            x = word ^ ((x << shift if shift > 0 else x >> -shift) & mask)
+        word = x
+    return word
+
+
+def chosen_words_rng(words):
+    """A Generator whose first 32-bit words are ``words``: an MT19937 at position 0 of its state."""
+    key = np.random.Generator(np.random.PCG64(5)).integers(0, 2**32, size=624, dtype=np.uint32)
+    key[: len(words)] = [untempered(w) for w in words]
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bits)
+
+
+# integers(0, 9) rejects a word u for the next while (u * 9) mod 2**32 < 2**32 mod 9 = 4
+REJECTED = [u for j in range(9) for r in range(4) if ((j << 32) | r) % 9 == 0 for u in [((j << 32) | r) // 9]]
+
+
+def fuzzing_words(frames):
+    """The words that draw ``frames``, each (rejected DLC words before its DLC, DLC), as the frame
+    count, an ID word and payload words that give 0x5A, 0x5B, ..."""
+    words = []
+    for k, (rejections, dlc) in enumerate(frames):
+        words.append((k * 0x2AB) % 2048 << 21 | 0x1FFFFF)
+        words += [REJECTED[(k + j) % len(REJECTED)] for j in range(rejections)]
+        words.append(((dlc << 32) + (1 << 31)) // 9)  # mid-bucket, so accepted
+        words += [(0x5A + b) << 24 | 0xABCDE for b in range(dlc)]
+    return words
+
+
+REJECTION_LAYOUTS = {
+    # the burst's first DLC word is rejected, and the frame takes 11 words, more than one frame's draw
+    "first": [(1, 8), (0, 3), (0, 0), (1, 0)],
+    # frames 2 and 4 of 6 are rejected once and three times, mid-chunk for every chunk size
+    "mid-chunk": [(0, 5), (0, 8), (1, 2), (0, 0), (3, 7), (0, 1)],
+    # with 2 frames a chunk, the first draw is 20 words: frame 0 takes 18, frame 1's rejected DLC is word 19
+    "chunk-last-word": [(8, 8), (1, 4), (0, 6), (2, 8), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("chunk", list(CHUNKS))
+@pytest.mark.parametrize("layout", list(REJECTION_LAYOUTS))
+def test_fuzzing_draws_skip_rejected_dlc_words_as_integers_does(monkeypatch, layout, chunk):
+    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", CHUNKS[chunk])
+    frames = REJECTION_LAYOUTS[layout]
+    words = fuzzing_words(frames)
+    assert all((u * 9) % 2**32 < 4 for u in REJECTED) and len(REJECTED) == 4
+    assert list(chosen_words_rng(words).integers(0, 2**32, size=len(words), dtype=np.uint64)) == words
+    if layout == "chunk-last-word":
+        assert words[19] in REJECTED and words[18] >> 21 == 0x2AB
+    can_id, dlc, payload = synth._fuzzing_draws(chosen_words_rng(words), len(frames))
+    assert dlc.tolist() == [d for _, d in frames]
+    assert [bytes(row[:d]) for row, d in zip(payload, dlc)] == [bytes(range(0x5A, 0x5A + d)) for _, d in frames]
+    assert_draws_as_per_frame(lambda: chosen_words_rng(words), len(frames))
+
+
 # FrameLog: the generator's columns, which the writer and build_windows read without building frames
 
 
