@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .errors import CanidsError, ConfigError, ParseError, non_ascii_error
+from .errors import CanidsError, ConfigError, ParseError, non_ascii_error, quoted
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -100,7 +100,6 @@ _ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
 # the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
 _ID_TEXT = np.frombuffer(b"".join(b"%04x" % i for i in range(MAX_STD_ID + 1)), dtype=np.uint8).reshape(-1, 4)
 _FIELD_TEXT = np.frombuffer(b"".join(b"%02x," % i for i in range(256)), dtype=np.uint8).reshape(-1, 3)
-_QUOTED = 128  # the longest text that an error message quotes whole: longer than any field or row the writers write
 
 
 def _digits_of(base: int):
@@ -115,13 +114,6 @@ _DLCS = {str(dlc): dlc for dlc in range(9)}
 # "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
 DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
 _is_decimal = re.compile(DECIMAL).fullmatch
-
-
-def quoted(text: str, marks: bool = True) -> str:
-    """``text`` as an error message shows a field or row of a file: its repr (the text itself if not
-    ``marks``), or, if it is longer than _QUOTED characters, that of its first _QUOTED // 2 and its length."""
-    show = repr if marks else str
-    return show(text) if len(text) <= _QUOTED else f"{show(text[: _QUOTED // 2])}... ({len(text)} characters)"
 
 
 def _read_int(field: str, base: int, name: str, lineno: int) -> int:
@@ -389,9 +381,9 @@ def check_generic_options(column_map: Mapping[str, int] | None, id_base: int):
             raise ConfigError(f"column_map missing entries for {missing}")
         negative = {name: i for name, i in column_map.items() if i < 0}
         if negative:
-            raise ConfigError(f"column_map indices must be >= 0, got {negative}")
+            raise ConfigError(f"column_map indices must be >= 0, got {quoted(str(negative), marks=False)}")
     if not 2 <= id_base <= 36:
-        raise ConfigError(f"id_base must be in [2, 36], got {id_base}")
+        raise ConfigError(f"id_base must be in [2, 36], got {quoted(str(id_base), marks=False)}")
 
 
 def parse_generic_labeled_csv(

@@ -19,10 +19,11 @@ import re
 
 import numpy as np
 
-from .canlog import _is_decimal, quoted
-from .errors import ParseError, StateError, open_ascii
+from .canlog import _is_decimal
+from .errors import ParseError, StateError, open_ascii, quoted
 
 MAGIC = "canids-checkpoint v1"
+_LISTED = 3  # the most missing, and the most unexpected, param names that a mismatch names
 # the characters of a value row of finite floats: digits, ".", "-", "e", blanks, and "+" only right after
 # "e". float() reads a value of these characters only in the form repr writes it. A row is split at its
 # "+" signs one way only, so a failing match backtracks over each character at most once. This check
@@ -113,7 +114,7 @@ def validate_params(params: dict[str, np.ndarray], expected: dict[str, tuple], k
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
     if missing or extra:
-        missing, extra = ("[" + ", ".join(map(quoted, names)) + "]" for names in (missing, extra))
+        missing, extra = map(_listed, (missing, extra))
         raise StateError(f"{kind} checkpoint mismatch: missing={missing} unexpected={extra}")
     for name, shape in expected.items():
         if tuple(params[name].shape) != tuple(shape):
@@ -121,3 +122,9 @@ def validate_params(params: dict[str, np.ndarray], expected: dict[str, tuple], k
                 f"{kind} checkpoint: param {name} has shape {params[name].shape}, "
                 f"expected {tuple(shape)}"
             )
+
+
+def _listed(names: list[str]) -> str:
+    """``names`` as a mismatch shows them: all of them, or the first _LISTED and how many there are."""
+    shown = ", ".join(map(quoted, names[:_LISTED]))
+    return f"[{shown}]" if len(names) <= _LISTED else f"[{shown}, ...] ({len(names)} names)"

@@ -26,7 +26,7 @@ from . import __version__
 from .canlog import check_generic_options, decode_car_hacking_csv, decode_generic_labeled_csv, read_frame_log
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
-from .errors import CanidsError, ConfigError, StateError, UsageError, read_json, require_int
+from .errors import CanidsError, ConfigError, StateError, UsageError, quoted, quoted_value, read_json, require_int
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
@@ -135,7 +135,7 @@ def _parse_column_map(text: str) -> dict[str, int]:
             name, idx = part.split("=")
             out[name.strip()] = int(idx)
     except ValueError:
-        raise UsageError(f"bad --column-map {text!r}; expected timestamp=0,id=1,dlc=2,data=3,label=11") from None
+        raise UsageError(f"bad --column-map {quoted(text)}; expected timestamp=0,id=1,dlc=2,data=3,label=11") from None
     return out
 
 
@@ -143,7 +143,7 @@ def _parse_fusion_weights(text: str) -> tuple[float, float]:
     try:
         w_a, w_g = (float(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad --fusion-weights {text!r}; expected like 0.15,0.85") from None
+        raise UsageError(f"bad --fusion-weights {quoted(text)}; expected like 0.15,0.85") from None
     return w_a, w_g
 
 
@@ -231,17 +231,18 @@ def cmd_ingest(args) -> int:
 def cmd_build_graphs(args) -> int:
     path = _require_file(args.infile, "input log")
     if args.window < 2:
-        raise UsageError(f"--window must be >= 2, got {args.window}")
+        raise UsageError(f"--window must be >= 2, got {quoted(str(args.window), marks=False)}")
     stride = args.stride if args.stride is not None else args.window
     if not 1 <= stride <= args.window:
-        raise UsageError(f"--stride must be in [1, {args.window}], got {stride}")
+        window, stride = (quoted(str(n), marks=False) for n in (args.window, stride))
+        raise UsageError(f"--stride must be in [1, {window}], got {stride}")
     _progress(f"building window graphs (W={args.window}, stride={stride}) from {path}")
     timings = Timings()
     with timings.stage("build"):  # decoding and window building, interleaved block by block
         blocks = decode_car_hacking_csv(path)
         graphs = list(build_block_windows(blocks, args.window, stride, directed=not args.undirected))
     if not graphs:
-        raise ConfigError(f"{path}: fewer than {args.window} frames; no windows")
+        raise ConfigError(f"{path}: fewer than {quoted(str(args.window), marks=False)} frames; no windows")
     with timings.stage("write"):
         _write_with_lock(args.out, lambda tmp: save_graph_cache(graphs, tmp))
     _emit({**feature_stats(graphs), "timings": timings.block()})
@@ -499,11 +500,13 @@ def _run_config_value(path, key: str, keywords: dict, value):
     else:
         ok, kind = isinstance(value, (str, list)), "a string"
     if not ok:
-        raise ConfigError(f"{path}: run config key {key!r} must be {kind}, got {value!r}")
+        raise ConfigError(f"{path}: run config key {key!r} must be {kind}, got {quoted_value(value)}")
     value = ",".join(str(v) for v in value) if isinstance(value, list) else value
     if (choices := keywords.get("choices")) is not None and value not in choices:
         # the same category as argparse's own choices error on the command line
-        raise UsageError(f"{path}: run config key {key!r} must be one of {', '.join(choices)}, got {value!r}")
+        raise UsageError(
+            f"{path}: run config key {key!r} must be one of {', '.join(choices)}, got {quoted_value(value)}"
+        )
     return value
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, StateError, require_finite
+from .errors import ConfigError, DimensionError, StateError, quoted, require_finite
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, count_params, derive_seed, init_params
@@ -34,7 +34,7 @@ class KdConfig:
     def __post_init__(self):
         require_finite("temperature", self.temperature, positive=True)
         if not 0.0 <= self.hard_weight <= 1.0:
-            raise ConfigError(f"hard_weight must be in [0, 1], got {self.hard_weight}")
+            raise ConfigError(f"hard_weight must be in [0, 1], got {quoted(str(self.hard_weight), marks=False)}")
 
 
 def soften(logits, temperature: float) -> Tensor:

@@ -44,10 +44,26 @@ def read_json(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
+_QUOTED = 128  # the longest text that an error message quotes whole: longer than any field or row the writers write
+
+
+def quoted(text: str, marks: bool = True) -> str:
+    """``text`` as an error message shows a field or row of a file: its repr (the text itself if not
+    ``marks``), or, if it is longer than _QUOTED characters, that of its first _QUOTED // 2 and its length."""
+    show = repr if marks else str
+    return show(text) if len(text) <= _QUOTED else f"{show(text[: _QUOTED // 2])}... ({len(text)} characters)"
+
+
+def quoted_value(value) -> str:
+    """``repr(value)`` of a value given from outside, cut short as ``quoted`` cuts a text: a string as
+    ``quoted`` shows it, any other value's repr as ``quoted`` shows it without marks."""
+    return quoted(value) if isinstance(value, str) else quoted(repr(value), marks=False)
+
+
 def require_int(name: str, value, least: int):
     """``value``; ConfigError unless it is an integer (not a bool) of at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ConfigError(f"{name} must be an int >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an int >= {least}, got {quoted_value(value)}")
     return value
 
 
@@ -59,7 +75,7 @@ def require_finite(name: str, value, positive: bool = False) -> float:
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite or (positive and value <= 0):
-        raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number{' > 0' if positive else ''}, got {quoted_value(value)}")
     return float(value)
 
 
@@ -67,7 +83,7 @@ def require_probability(name: str, value):
     """ConfigError unless ``value`` is a finite real number (not a bool) in [0, 1]."""
     require_finite(name, value)
     if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be a finite number in [0, 1], got {value!r}")
+        raise ConfigError(f"{name} must be a finite number in [0, 1], got {quoted_value(value)}")
 
 
 class DimensionError(CanidsError):

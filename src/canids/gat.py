@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, StateError, require_finite, require_int
+from .errors import ConfigError, DimensionError, StateError, quoted_value, require_finite, require_int
 from .graphs import WindowGraph
 from .losses import cross_entropy
 from .metrics import Metrics
@@ -43,7 +43,7 @@ class GatConfig:
             require_int(name, getattr(self, name), 1)
         require_finite("leaky_slope", self.leaky_slope)
         if self.head_agg not in ("average", "concat"):
-            raise ConfigError(f"head_agg must be average or concat, got {self.head_agg!r}")
+            raise ConfigError(f"head_agg must be average or concat, got {quoted_value(self.head_agg)}")
 
     @classmethod
     def teacher(cls) -> "GatConfig":

@@ -9,6 +9,7 @@ weights over a window always sum to W-1.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks, quoted
-from .errors import ConfigError, ParseError, StateError, open_ascii
+from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
+from .errors import ConfigError, ParseError, StateError, open_ascii, quoted
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
@@ -77,10 +78,11 @@ def build_windows(
 def _checked_stride(window_size: int, stride: int | None) -> int:
     """``stride`` (``window_size`` if None), after checking both."""
     if window_size < 2:
-        raise ConfigError(f"window_size must be >= 2, got {window_size}")
+        raise ConfigError(f"window_size must be >= 2, got {quoted(str(window_size), marks=False)}")
     if stride is None:
         stride = window_size
     if not 1 <= stride <= window_size:
+        window_size, stride = (quoted(str(n), marks=False) for n in (window_size, stride))
         raise ConfigError(f"stride must be in [1, {window_size}], got {stride}")
     return stride
 
@@ -407,7 +409,7 @@ def _raise_first_bad_line(lines: list[str], lineno: int, path) -> NoReturn:
 
 def _shown(exc: Exception, line: str) -> str:
     """The message of ``exc``, raised reading ``line``, with the token of the line that it quotes after its
-    first ": " (as int() and float() quote the text they cannot read) shown as canlog.quoted shows it."""
+    first ": " (as int() and float() quote the text they cannot read) shown as errors.quoted shows it."""
     head, sep, tail = str(exc).partition(": ")
     token = next((t for t in line.split() if tail and repr(t).startswith(tail)), None)
     return f"{head}: {quoted(token)}" if sep and token is not None else str(exc)
@@ -426,9 +428,9 @@ def _graph_record(line: str) -> tuple[int, int, int, int]:
     return start, label, n, e
 
 
-def _record_fields(lines: list[str], tag: str, width: int) -> list[str]:
-    """The fields after the tags of ``lines``, in order; ValueError unless each line is one record
-    of ``width`` tokens that starts with ``tag`` and a space."""
+def _record_tokens(lines: list[str], tag: str, width: int) -> list[str]:
+    """The tokens of ``lines``, in order, so that field ``c`` of each record is ``tokens[c::width]``;
+    ValueError unless each line is one record of ``width`` tokens that starts with ``tag`` and a space."""
     text = "".join(lines)
     tokens = text.split()
     k = len(lines)
@@ -439,16 +441,18 @@ def _record_fields(lines: list[str], tag: str, width: int) -> list[str]:
         and text.count("\n" + tag + " ") == k - 1
     ):
         raise ValueError(f"expected {tag} record")
-    del tokens[::width]
     return tokens
 
 
 def _node_columns(lines: list[str], window) -> tuple[list[int], np.ndarray]:
     """The CAN IDs (Python ints) and the (k, 3) features of k node records; ``window`` is each one's window."""
-    fields = _record_fields(lines, "node", 5)
-    ids = np.array(fields[::4], dtype=np.int64)
-    del fields[::4]
-    feats = np.array(fields, dtype=np.float64).reshape(-1, 3)
+    ints, id_feats, _ = _number_tables()
+    tokens = _record_tokens(lines, "node", 5)
+    ids = _column(tokens[1::5], ints, np.int64)
+    feats = np.empty((len(ids), 3))
+    feats[:, 0] = _column(tokens[2::5], id_feats, np.float64)
+    feats[:, 1] = np.array(tokens[3::5], dtype=np.float64)
+    feats[:, 2] = np.array(tokens[4::5], dtype=np.float64)
     _require((ids >= 0) & (ids <= MAX_STD_ID), ids, f"node ID must be in [0, {MAX_STD_ID}]")
     _require(np.isfinite(feats), feats, "node features must be finite")
     keys = np.sort(window * (MAX_STD_ID + 1) + ids)  # one key per (window, ID) pair
@@ -458,14 +462,36 @@ def _node_columns(lines: list[str], window) -> tuple[list[int], np.ndarray]:
 
 def _edge_columns(lines: list[str], window_nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sources, destinations and weights of edge records; ``window_nodes`` is each one's node count."""
-    fields = _record_fields(lines, "edge", 4)
-    src = np.array(fields[::3], dtype=np.int64)
-    dst = np.array(fields[1::3], dtype=np.int64)
-    wts = np.array(fields[2::3], dtype=np.float64)
+    ints, _, counts = _number_tables()
+    tokens = _record_tokens(lines, "edge", 4)
+    src = _column(tokens[1::4], ints, np.int64)
+    dst = _column(tokens[2::4], ints, np.int64)
+    wts = _column(tokens[3::4], counts, np.float64)
     _require((src >= 0) & (src < window_nodes), src, "edge source must be in [0, num_nodes)")
     _require((dst >= 0) & (dst < window_nodes), dst, "edge destination must be in [0, num_nodes)")
     _require((wts > 0.0) & (wts < math.inf), wts, "edge weight must be finite and > 0")  # prepare_graph takes log
     return src, dst, wts
+
+
+@functools.cache
+def _number_tables() -> tuple[dict[str, int], dict[str, float], dict[str, float]]:
+    """Number texts that save_graph_cache always spells one way, each with its value: ``str(i)`` of every
+    11-bit CAN ID, which also covers every node index (below its window's count of distinct IDs); the
+    ``repr`` of each ID feature ``i / MAX_STD_ID``; and the text of each integral edge count up to
+    MAX_STD_ID. Built on the first load, as they take a few ms."""
+    ids = range(MAX_STD_ID + 1)
+    return ({str(i): i for i in ids}, {repr(i / MAX_STD_ID): i / MAX_STD_ID for i in ids},
+            {f"{k}.0": float(k) for k in ids[1:]})
+
+
+def _column(texts: list[str], table: dict, dtype) -> np.ndarray:
+    """``np.array(texts, dtype=dtype)``, looked up in ``table`` when it holds every text. A table's value is
+    the one its text converts to, so only the time changes; a text it lacks sends the column through
+    ``np.array``, which reads or rejects it as before."""
+    try:
+        return np.fromiter(map(table.__getitem__, texts), dtype=dtype, count=len(texts))
+    except KeyError:
+        return np.array(texts, dtype=dtype)
 
 
 def _require(ok: np.ndarray, values: np.ndarray, rule: str):

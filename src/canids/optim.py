@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canlog import quoted
 from .checkpoint import load_checkpoint, save_checkpoint, validate_params
-from .errors import ConfigError, ParseError, StateError
+from .errors import ConfigError, ParseError, StateError, quoted
 from .tensor import Tensor
 
 GRAD_CLIP = 5.0  # global gradient-norm bound of every training step

@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canlog import DECIMAL, quoted
-from .errors import ConfigError, ParseError, StateError, open_ascii, require_finite, require_int, require_probability
+from .canlog import DECIMAL
+from .errors import ConfigError, ParseError, StateError, open_ascii, quoted, quoted_value
+from .errors import require_finite, require_int, require_probability
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
 from .optim import count_params
@@ -63,7 +64,7 @@ def undersample(ranked_normals, attack_graphs, ratio: float) -> UndersampleResul
     reconstruction_rank); the kept normals are exactly its prefix.
     """
     if not ratio > 0:  # NaN fails it too
-        raise ConfigError(f"undersample ratio must be > 0, got {ratio}")
+        raise ConfigError(f"undersample ratio must be > 0, got {quoted(str(ratio), marks=False)}")
     ranked_normals = list(ranked_normals)
     attack_graphs = list(attack_graphs)
     if not attack_graphs:
@@ -109,6 +110,7 @@ def calibrate_vgae(scores, q_lo: float = 0.50, q_hi: float = 0.995) -> VgaeCalib
 def fuse(vgae_prob: float, gat_prob: float, w_anomaly: float = 0.15, w_gat: float = 0.85) -> float:
     """Convex score-level fusion of the calibrated anomaly and classifier probabilities."""
     if not (min(w_anomaly, w_gat) >= 0.0 and abs(w_anomaly + w_gat - 1.0) <= 1e-9):  # nan fails both
+        w_anomaly, w_gat = (quoted(str(w), marks=False) for w in (w_anomaly, w_gat))
         raise ConfigError(f"fusion weights must be non-negative and sum to 1, got {w_anomaly} + {w_gat}")
     if not (0.0 <= vgae_prob <= 1.0 and 0.0 <= gat_prob <= 1.0):
         raise ConfigError("fusion inputs must be probabilities in [0, 1]")
@@ -157,14 +159,15 @@ class PipelineOptions:
             require_int(name, getattr(self, name), 1)
         require_int("patience", self.patience, 0)
         if not 0.0 < self.val_frac < 1.0:
-            raise ConfigError(f"val_frac must be in (0, 1), got {self.val_frac}")
+            raise ConfigError(f"val_frac must be in (0, 1), got {quoted(str(self.val_frac), marks=False)}")
         require_finite("ratio", self.ratio, positive=True)
         for name in ("vgae_lr", "gat_lr"):
             require_finite(name, getattr(self, name), positive=True)
         require_probability("threshold", self.threshold)
         fuse(0.0, 0.0, *self.fusion_weights)
         if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score_mode {self.score_mode!r} (expected one of {', '.join(SCORE_MODES)})")
+            mode = quoted_value(self.score_mode)
+            raise ConfigError(f"unknown score_mode {mode} (expected one of {', '.join(SCORE_MODES)})")
 
 
 def chronological_split(graphs, val_frac: float):
@@ -175,7 +178,7 @@ def chronological_split(graphs, val_frac: float):
     """
     graphs = list(graphs)
     if not 0.0 < val_frac < 1.0:
-        raise ConfigError(f"val_frac must be in (0, 1), got {val_frac}")
+        raise ConfigError(f"val_frac must be in (0, 1), got {quoted(str(val_frac), marks=False)}")
     cut = int(round(len(graphs) * (1.0 - val_frac)))
     cut = max(1, min(cut, len(graphs) - 1))
     return graphs[:cut], graphs[cut:]
@@ -470,7 +473,8 @@ def read_scores_csv(path) -> list[ScoredWindow]:
                 raise ParseError(f"{path}: integer field longer than int() reads in scores row", line=lineno) from None
             vgae_score, vgae_prob, gat_prob, fused_prob = map(float, parts[2:6])
             if truth not in (0, 1) or predicted not in (0, 1):
-                raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {truth} and {predicted}", line=lineno)
+                got = " and ".join(quoted(str(v), marks=False) for v in (truth, predicted))
+                raise ParseError(f"{path}: truth and predicted must be 0 or 1, got {got}", line=lineno)
             # NaN fails both comparisons
             if not all(0.0 <= p <= 1.0 for p in (vgae_prob, gat_prob, fused_prob)):
                 message = f"probabilities must be finite and in [0, 1] in row {quoted(line)}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, StateError, require_int
+from .errors import ConfigError, StateError, quoted_value, require_int
 from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, layer_shapes, train_epochs, IN_DIM
 from .losses import bce_terms, cross_entropy_terms, kl_gaussian_standard
 from .optim import ParamModel, derive_seed
@@ -185,7 +185,7 @@ class VgaeModel(ParamModel):
         per-edge decoder read at all n x n pairs.
         """
         if score_mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score_mode {score_mode!r}")
+            raise ConfigError(f"unknown score_mode {quoted_value(score_mode)}")
         preps = [as_batch(g) for g in graphs]
         scores = []
         for lo in range(0, len(preps), SCORE_CHUNK):

@@ -1400,26 +1400,31 @@ OBJECTS = st.dictionaries(st.text(max_size=3), st.integers() | st.none(), max_si
 NOT_A_NUMBER = st.none() | st.booleans() | NUMBER_STRINGS | st.lists(st.integers(), max_size=3) | OBJECTS
 NEGATIVE_INTS = st.integers(max_value=-1) | st.just(-(10**30))
 NON_FINITE = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+LONG_TEXT = st.just("x" * 5000)  # an error line quotes it cut short, as CUT_X
+CUT_X = f"{'x' * 64!r}... (5000 characters)"
 
 
 def bad_value(flag: str, keywords: dict) -> st.SearchStrategy:
     """Values of a run-config key that its subcommand must reject: a wrong JSON type for the flag, or a
-    number outside the flag's range."""
+    number outside the flag's range; an oversized string for any flag that does not take a string."""
     name, choices = cli.option_dest(flag, keywords), keywords.get("choices")
     if keywords.get("action") == "store_true":
-        return st.none() | st.integers() | st.floats() | NUMBER_STRINGS | st.lists(st.booleans(), max_size=2) | OBJECTS
+        return (st.none() | st.integers() | st.floats() | NUMBER_STRINGS | st.lists(st.booleans(), max_size=2) | OBJECTS
+                | LONG_TEXT)
     if keywords.get("type") is int:
         big = st.just(10**30) if name in BOUNDED_INTS else st.nothing()
-        return NOT_A_NUMBER | st.floats() | st.just(-0.0) | NEGATIVE_INTS | big
+        return NOT_A_NUMBER | st.floats() | st.just(-0.0) | NEGATIVE_INTS | big | LONG_TEXT
     if keywords.get("type") is float:
         big = st.just(10**30) if name in AT_MOST_ONE else st.nothing()
         zero = st.sampled_from([0, 0.0, -0.0]) if name in ABOVE_ZERO else st.nothing()
-        return NOT_A_NUMBER | NON_FINITE | st.just(10**400) | NEGATIVE_INTS | st.floats(max_value=-1e-300) | big | zero
+        return (NOT_A_NUMBER | NON_FINITE | st.just(10**400) | NEGATIVE_INTS | st.floats(max_value=-1e-300) | big | zero
+                | LONG_TEXT)
     wrong_type = st.none() | st.booleans() | st.integers() | st.floats() | OBJECTS
     if choices is not None:
-        return wrong_type | st.text(max_size=8).filter(lambda s: s not in choices)
+        return wrong_type | st.text(max_size=8).filter(lambda s: s not in choices) | LONG_TEXT
     if name == "fusion_weights":
-        return wrong_type | st.sampled_from(["nan,1", "1,nan", "inf,0", "1e309,0", "-0.5,1.5", "0.5", "1,0,0", "a,b"])
+        bad = st.sampled_from(["nan,1", "1,nan", "inf,0", "1e309,0", "-0.5,1.5", "0.5", "1,0,0", "a,b"]) | LONG_TEXT
+        return wrong_type | bad
     return wrong_type  # a path or a string that only the flag itself reads
 
 
@@ -1485,5 +1490,55 @@ def test_bad_run_config_values_fail_with_one_error_line(run_inputs, command):
         assert code in (1, 2) and stdout.getvalue() == "" and not out.exists(), (values, err)
         errors = [line for line in err.splitlines() if line.startswith("canids-error category=")]
         assert "Traceback" not in err and len(errors) == 1, (values, err)
+        assert all(len(line.encode()) < 300 for line in err.splitlines()), (values, err)
 
     check()
+
+
+def test_long_run_config_value_is_cut_short(run_inputs, capsys):
+    argv, out = run_inputs["undersample"]
+    cfg = out.with_suffix(".json")
+    cfg.write_text(json.dumps({"ratio": "x" * 5000}))
+    code, stdout, err = run_cli(capsys, *argv, "--config", cfg)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"canids-error category=config message={cfg}: run config key 'ratio' must be a number, got {CUT_X}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("ingest", "--column-map", "x" * 5000, f"usage message=bad --column-map {CUT_X}; "),
+        ("report", "--fusion-weights", "x" * 5000, f"usage message=bad --fusion-weights {CUT_X}; "),
+        # int() reads at most 4,300 digits: argparse itself rejects a longer --window
+        ("build-graphs", "--window", "9" * 4000,
+         f"config message={{path}}: fewer than {'9' * 64}... (4000 characters) frames"),
+    ],
+    ids=["column-map", "fusion-weights", "window"],
+)
+def test_long_flag_value_is_cut_short(run_inputs, capsys, command, flag, value, message):
+    argv, out = run_inputs[command]
+    code, stdout, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2 and stdout == "" and not out.exists()
+    [line] = [line for line in err.splitlines() if line.startswith("canids-error")]
+    log = argv[argv.index("--in") + 1] if "--in" in argv else None  # the one message that names a file
+    assert line.startswith("canids-error category=" + message.format(path=log)) and len(line.encode()) < 300, line
+
+
+def test_long_synth_config_value_is_cut_short(tmp_path, capsys):
+    cfg, out = tmp_path / "synth.json", tmp_path / "log.csv"
+    cfg.write_text(json.dumps({**SYNTH_CFG, "ecus": [{"can_id": 256, "period": "x" * 5000, "payload_seed": 1}]}))
+    code, stdout, err = run_cli(capsys, "synth", "--config", cfg, "--out", out)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("canids-error category=config") and "... (5000 characters)" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 300, err
+
+
+def test_checkpoint_mismatch_names_a_few_params_and_counts_them(small_run, tmp_path, capsys):
+    magic, model, params = (small_run / "vgae.ckpt").read_text().split("\n", 2)
+    p = tmp_path / "extra.ckpt"
+    p.write_text(f"{magic}\n{model}\n" + "".join(f"param x{i} 1\n1.0\n" for i in range(2000)) + params)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", p, "--out", out)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == ("canids-error category=state message=vgae checkpoint mismatch: missing=[] "
+                   "unexpected=['x0', 'x1', 'x10', ...] (2000 names)\n")

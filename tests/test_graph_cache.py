@@ -359,3 +359,75 @@ def test_zero_and_negative_zero_keep_their_own_text(tmp_path):
     save_graph_cache([window], tmp_path / "z.cache")
     assert (tmp_path / "z.cache").read_text().splitlines()[1:] == [
         "graph 0 0 2 2", "node 1 0.0 -0.0 0.0", "node 2 -0.0 5e-324 -0.0", "edge 0 1 -0.0", "edge 1 0 0.0"]
+
+
+# ---------------------------------------------------------------- the reader's number tables
+
+# texts that the writer never writes for an ID, a node index or an edge count, and so that the tables lack;
+# each converts (or fails to) as np.array converts it
+ODD_TEXTS = ["05", "+5", "1_0", "2048", "1e0", "3.00", "-0.0", "2048.0", "-0", "x1", "nan", "0.0", "1.5"]
+
+
+@st.composite
+def table_texts(draw, table: dict):
+    """A text of ``table``, or one that the tables lack: an odd text, or a key of ``table`` with one digit changed."""
+    keys = list(table)
+    key = keys[draw(st.integers(0, len(keys) - 1))]
+    kind = draw(st.sampled_from(["table"] * 8 + ["odd", "digit"]))
+    if kind == "odd":
+        return draw(st.sampled_from(ODD_TEXTS))
+    digits = [k for k, c in enumerate(key) if c.isdigit()]
+    if kind == "digit" and digits:
+        at = draw(st.sampled_from(digits))
+        return key[:at] + draw(st.sampled_from("0123456789")) + key[at + 1 :]
+    return key
+
+
+@st.composite
+def table_caches(draw):
+    """A cache text whose IDs, node indexes, ID features and edge weights mix texts of the reader's tables
+    with texts that they lack."""
+    ints, id_feats, counts = graphs._number_tables()
+    lines = [CACHE_MAGIC]
+    for start in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 4))
+        e = draw(st.integers(0, 4)) if n else 0
+        lines.append(f"graph {10 * start} {draw(st.integers(0, 1))} {n} {e}")
+        indexes = {str(i): i for i in range(n)}
+        for _ in range(n):
+            lines.append(f"node {draw(table_texts(ints))} {draw(table_texts(id_feats))} 0.25 0.5")
+        for _ in range(e):
+            lines.append(f"edge {draw(table_texts(indexes))} {draw(table_texts(indexes))} "
+                         f"{draw(table_texts(counts))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_number_tables_hold_what_their_texts_convert_to():
+    for table, dtype in zip(graphs._number_tables(), (np.int64, np.float64, np.float64)):
+        got = np.array(list(table.values()), dtype=dtype)
+        assert np.array(list(table), dtype=dtype).tobytes() == got.tobytes()
+
+
+@given(table_caches(), st.sampled_from(CHUNKS))
+@settings(max_examples=300, deadline=None)
+def test_tables_change_no_loaded_graph_and_no_error(tmp_path_factory, text, chunk):
+    """Loading with the reader's number tables and with empty tables gives the same graphs, or the same
+    ParseError at the same line."""
+    p = tmp_path_factory.mktemp("tables") / "g.cache"
+    p.write_text(text)
+
+    def load():
+        try:
+            return load_graph_cache(p)
+        except ParseError as exc:
+            return str(exc), exc.line
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK_CHARS", chunk)
+        with_tables = load()
+        mp.setattr(graphs, "_number_tables", lambda: ({}, {}, {}))
+        without = load()
+    if isinstance(without, tuple):
+        assert with_tables == without
+    else:
+        assert_same_graphs(with_tables, without)
