@@ -396,6 +396,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
 
+    def parse_args(self, args=None, namespace=None):
+        try:
+            return super().parse_args(args, namespace)
+        except UsageError as exc:
+            raise UsageError(_cut_values(str(exc), sys.argv[1:] if args is None else args)) from None
+
+
+def _cut_values(message: str, argv) -> str:
+    """argparse's ``message`` with each command-line value it echoes, by its repr or as it is, cut short as
+    ``quoted`` cuts a field. A value is a whole token or the text after the ``=`` of one."""
+    values = {part for tok in argv for part in (tok, tok.partition("=")[2])}
+    for value in sorted(values, key=len, reverse=True):
+        if quoted(value, marks=False) != value:
+            message = message.replace(repr(value), quoted(value)).replace(value, quoted(value, marks=False))
+    return message
+
 
 # a subcommand: its function, its help, and its options in help order as (flag, add_argument keywords)
 Command = NamedTuple("Command", [("func", Callable[[argparse.Namespace], int]), ("help", str), ("options", tuple)])

@@ -5,10 +5,11 @@ frame). Per head, attention logits over a node's in-neighbors are
 softmax-normalized and used to mix the neighbors' projected features.
 Edge multiplicity enters as a +log(weight) bias on the attention logit,
 so repeated transitions attract proportionally more attention. Hidden
-layers concatenate heads; the final layer aggregates per config. Every
-layer output is concatenated per node (jumping knowledge), mean-pooled
-over each graph's nodes, and fed to a 2-logit softmax head. A batch of
-windows runs as one disjoint-union graph (``GraphBatch``).
+layers concatenate heads; the final layer aggregates per config. The
+readout is jumping knowledge: each layer's output is mean-pooled over each
+graph's nodes, and the pooled vectors of all layers are concatenated and
+fed to a 2-logit softmax head. A batch of windows runs as one
+disjoint-union graph (``GraphBatch``).
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ class GraphBatch:
     node_counts: np.ndarray  # (num_graphs,)
     _src_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
     _dst_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _graph_segments: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_graphs(self) -> int:
@@ -104,6 +106,13 @@ class GraphBatch:
         if self._dst_index is None:
             self._dst_index = T.SegmentIndex(self.dst)
         return self._dst_index
+
+    @property
+    def graph_segments(self) -> T.SegmentIndex:
+        """``graph_index`` with the segment-sum keys that the readout's per-layer pooling shares."""
+        if self._graph_segments is None:
+            self._graph_segments = T.SegmentIndex(self.graph_index)
+        return self._graph_segments
 
     @property
     def num_nodes(self) -> int:
@@ -287,9 +296,9 @@ class GatClassifier(ParamModel):
         for layer_params, agg in self.layers:
             h = gat_layer(h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels, cfg.leaky_slope, agg)
             per_layer.append(h)
-        jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
-        # graph-level vectors, exported for projection
-        embedding = T.segment_mean(jk, batch.graph_index, batch.node_counts)
+        # graph-level vectors, exported for projection: mean pooling commutes with the jumping-knowledge
+        # concatenation entry for entry, so each layer is pooled and the pooled rows are concatenated
+        embedding = T.segment_mean_concat(per_layer, batch.graph_segments, batch.node_counts)
         logits = T.linear(embedding, self.table["head.weight"].tensor, self.table["head.bias"].tensor)
         prob = T.softmax(logits, axis=-1)[:, 1]
         return prob, logits, embedding

@@ -55,14 +55,11 @@ def roc_auc(scores, labels) -> float:
     if pos == 0 or neg == 0:
         raise StateError("roc_auc needs both classes")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of equal sorted scores, positions first..last, shares the rank 0.5 * (first + last) + 1
+    first = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    last = np.append(first[1:], len(scores)) - 1
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - pos * (pos + 1) / 2.0) / (pos * neg))

@@ -497,15 +497,18 @@ def _segment_sum(values: np.ndarray, idx, num_rows: int) -> np.ndarray:
 
 
 def _scatter_sum(values: np.ndarray, idx, num_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx as int64, _segment_sum(values, idx, num_rows)), with scatter_add_rows's index checks."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != (values.shape[0],):
+    """(idx as int64, _segment_sum(values, idx, num_rows)), with scatter_add_rows's index checks.
+
+    ``idx`` is an int array or a SegmentIndex, whose keys are then reused.
+    """
+    index = idx if type(idx) is SegmentIndex else SegmentIndex(idx)
+    if index.idx.shape != (values.shape[0],):
         raise DimensionError(
-            f"scatter_add_rows: index shape {idx.shape} does not match {values.shape[0]} rows"
+            f"scatter_add_rows: index shape {index.idx.shape} does not match {values.shape[0]} rows"
         )
     try:
         # np.bincount rejects a negative index and the reshape a too-large one
-        return idx, _segment_sum(values, idx, num_rows)
+        return index.idx, _segment_sum(values, index, num_rows)
     except ValueError:
         raise DimensionError(f"scatter_add_rows: index out of range for {num_rows} rows") from None
 
@@ -514,7 +517,8 @@ def segment_mean(a, idx, counts) -> Tensor:
     """Per-segment mean of the rows of ``a``: segment i holds the counts[i] rows with idx == i.
 
     One op with the float work of scatter_add_rows followed by a division
-    by the counts, forward and backward.
+    by the counts, forward and backward. ``idx`` is an int array or a
+    SegmentIndex.
     """
     a = as_tensor(a)
     counts = np.asarray(counts, dtype=np.float64).reshape((-1,) + (1,) * (a.ndim - 1))
@@ -524,6 +528,31 @@ def segment_mean(a, idx, counts) -> Tensor:
         _accumulate(a, (g / counts)[idx])
 
     return _make(sums / counts, (a,), backward)
+
+
+def segment_mean_concat(tensors, idx, counts) -> Tensor:
+    """The segment means of several 2-d tensors over the same rows, side by side along axis 1.
+
+    One op with the float work of ``concat`` over each tensor's
+    ``segment_mean``, forward and backward. ``idx`` is an int array or a
+    SegmentIndex, whose keys the tensors of one width share.
+    """
+    ts = [as_tensor(t) for t in tensors]
+    if not ts or any(t.ndim != 2 for t in ts):
+        raise DimensionError(f"segment_mean_concat: expected 2-d tensors, got shapes {[t.shape for t in ts]}")
+    counts = np.asarray(counts, dtype=np.float64).reshape(-1, 1)
+    index = idx if type(idx) is SegmentIndex else SegmentIndex(idx)
+    out_v = np.concatenate([_scatter_sum(t.values, index, len(counts))[1] for t in ts], axis=1) / counts
+
+    def backward(g):
+        g = (g / counts)[index.idx]
+        lo = 0
+        for t in ts:
+            hi = lo + t.values.shape[1]
+            _accumulate(t, g[:, lo:hi])
+            lo = hi
+
+    return _make(out_v, tuple(ts), backward)
 
 
 def _row_index(idx, num_rows: int) -> np.ndarray:

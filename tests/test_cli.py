@@ -1524,6 +1524,42 @@ def test_long_flag_value_is_cut_short(run_inputs, capsys, command, flag, value, 
     assert line.startswith("canids-error category=" + message.format(path=log)) and len(line.encode()) < 300, line
 
 
+@pytest.mark.parametrize(
+    "command, args, message",
+    [
+        ("build-graphs", ["--window", "x" * 3000],
+         f"canids build-graphs: argument --window: invalid int value: {'x' * 64!r}... (3000 characters)"),
+        ("build-graphs", ["--window=" + "x" * 3000],
+         f"canids build-graphs: argument --window: invalid int value: {'x' * 64!r}... (3000 characters)"),
+        # a flag that undersample lacks: argparse echoes the rest of the command line as it is
+        ("undersample", ["--fusion-weights", "x" * 5000],
+         f"canids: unrecognized arguments: --fusion-weights {'x' * 64}... (5000 characters)"),
+        ("undersample", ["--fusion-weights=" + "x" * 5000],
+         f"canids: unrecognized arguments: --fusion-weights={'x' * 47}... (5017 characters)"),
+    ],
+    ids=["invalid-int", "invalid-int-joined", "unrecognized", "unrecognized-joined"],
+)
+def test_long_value_in_argparse_message_is_cut_short(run_inputs, capsys, command, args, message):
+    argv, out = run_inputs[command]
+    code, stdout, err = run_cli(capsys, *argv, *args)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"canids-error category=usage message={message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, prefix",
+    [("train-vgae", "--preset", "canids train-vgae: argument --preset"), (None, None, "canids: argument command")],
+    ids=["preset", "subcommand"],
+)
+def test_long_invalid_choice_is_cut_short(run_inputs, capsys, command, flag, prefix):
+    argv = [*run_inputs[command][0], flag] if command else []
+    code, stdout, err = run_cli(capsys, *argv, "x" * 3000)
+    assert code == 2 and stdout == ""
+    # the list of choices after the value is argparse's own text, which differs between Python versions
+    assert err.startswith(f"canids-error category=usage message={prefix}: invalid choice: {'x' * 64!r}... (3000 characters)")
+    assert err.count("\n") == 1 and "x" * 65 not in err, err
+
+
 def test_long_synth_config_value_is_cut_short(tmp_path, capsys):
     cfg, out = tmp_path / "synth.json", tmp_path / "log.csv"
     cfg.write_text(json.dumps({**SYNTH_CFG, "ecus": [{"can_id": 256, "period": "x" * 5000, "payload_seed": 1}]}))

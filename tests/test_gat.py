@@ -21,7 +21,7 @@ from canids.graphs import WindowGraph, build_windows
 from canids.metrics import Metrics
 from canids.optim import count_params, init_params
 from canids.tensor import Tensor
-from helpers import model_gradient_error, random_frames, record_attention
+from helpers import model_gradient_error, one_id_window, random_frames, record_attention
 
 
 def make_graph(node_ids, feats, edges, label=0, start=0):
@@ -245,3 +245,50 @@ def test_gradient_through_full_stack(mixed_graphs):
         return cross_entropy(logits, 1)
 
     assert model_gradient_error(model.params(), loss) < 1e-4
+
+
+def concat_then_pool_forward(model, batch):
+    """``forward`` with the readout's first formulation: every layer's output concatenated per node
+    into one (nodes, jk_width) array, then mean-pooled per window."""
+    cfg = model.config
+    h, per_layer = batch.x, []
+    for layer_params, agg in model.layers:
+        h = gat_layer(h, batch, layer_params, cfg.attn_heads, cfg.hidden_channels, cfg.leaky_slope, agg)
+        per_layer.append(h)
+    jk = per_layer[0] if len(per_layer) == 1 else T.concat(per_layer, axis=1)
+    embedding = T.segment_mean(jk, batch.graph_index, batch.node_counts)
+    logits = T.linear(embedding, model.table["head.weight"].tensor, model.table["head.bias"].tensor)
+    return T.softmax(logits, axis=-1)[:, 1], logits, embedding
+
+
+READOUT_CONFIGS = {
+    "teacher": GatConfig.teacher(),
+    "student": GatConfig.student(),
+    "concat": GatConfig(num_layers=3, attn_heads=2, hidden_channels=4, head_agg="concat"),
+    "one-layer": GatConfig(num_layers=1, attn_heads=3, hidden_channels=2),
+}
+
+
+@pytest.mark.parametrize("name", READOUT_CONFIGS)
+def test_per_layer_pooling_equals_concat_then_pool_bitwise(mixed_graphs, name):
+    config = READOUT_CONFIGS[name]
+    isolated = make_graph([5, 9, 12], [[0.1, 0.5, 0.2], [0.9, 0.5, 0.3], [0.4, 0.1, 0.8]], [(1, 0, 3.0)])
+    edgeless = make_graph([7], [[0.3, 0.2, 0.6]], [])
+    graphs = [mixed_graphs[0], one_id_window(100), isolated, *mixed_graphs[3:40:9], edgeless]
+    batch = GraphBatch.concat(prepare_graph(g) for g in graphs)
+    # one-node windows, and nodes whose only attention edge is the added self-loop
+    assert (batch.node_counts == 1).sum() == 2 and len(batch.src) > len(batch.edge_src)
+    model = GatClassifier(config, seed=5)
+    rng = np.random.default_rng(9)
+    weights = [rng.normal(size=(batch.num_graphs,) + shape) for shape in ((), (2,), (jk_width(config),))]
+    results = []
+    for forward in (model.forward, lambda b: concat_then_pool_forward(model, b)):
+        for p in model.params():
+            p.tensor.zero_grad()
+        outputs = forward(batch)
+        sum((out * w).sum() for out, w in zip(outputs, weights)).backward()
+        results.append([out.values for out in outputs] + [p.tensor.grad for p in model.params()])
+    got, want = results
+    assert len(got) == len(want) == 3 + len(model.params())
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

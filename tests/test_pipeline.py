@@ -159,6 +159,37 @@ def test_roc_auc():
         roc_auc([0.5], [1])
 
 
+def looped_roc_auc(scores, labels) -> float:
+    """roc_auc with its tied ranks assigned run by run in a Python loop, as first written."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    pos, neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[labels == 1].sum()
+    return float((rank_sum - pos * (pos + 1) / 2.0) / (pos * neg))
+
+
+@pytest.mark.parametrize("decimals", [None, 2, 1, 0])
+def test_roc_auc_equals_looped_ranks_bitwise(decimals):
+    rng = np.random.default_rng(17)
+    for size in (2, 3, 10, 501):
+        for _ in range(20):
+            scores = rng.normal(size=size)
+            if decimals is not None:  # rounding makes runs of tied scores
+                scores = np.round(scores, decimals)
+            labels = rng.permutation(np.arange(size) % 2)
+            got, want = roc_auc(scores, labels), looped_roc_auc(scores, labels)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_chronological_split():
     graphs = list(range(10))
     train, val = chronological_split(graphs, 0.2)

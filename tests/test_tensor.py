@@ -133,6 +133,10 @@ OP_CASES = {
         lambda a: (T.segment_mean(a, np.array([1, 0, 1, 1, 2]), np.array([1, 3, 1])) ** 2).sum(),
         lambda: [rand(5, 3)],
     ),
+    "segment_mean_concat": (
+        lambda a, b: (T.segment_mean_concat([a, b], np.array([1, 0, 1, 1, 2]), np.array([1, 3, 1])) ** 2).sum(),
+        lambda: [rand(5, 3), rand(5, 2)],
+    ),
     "sigmoid_inner_product": (
         lambda z: (T.sigmoid_inner_product(z, np.array([0, 2, 2, 1, 3]), np.array([1, 2, 0, 1, 0])) ** 2).sum(),
         lambda: [rand(4, 3)],
@@ -256,10 +260,54 @@ def test_segment_mean_equals_scatter_then_divide_bitwise(trailing):
 def test_segment_mean_index_errors_match_scatter(idx, trailing):
     a = Tensor(rand(2, *trailing))
     for fn in (T.segment_mean, composed_segment_mean):
+        for index in (np.array, T.SegmentIndex):
+            with pytest.raises(DimensionError, match="scatter_add_rows: index out of range for 3 rows"):
+                fn(a, index(idx), [1, 1, 1])
+            with pytest.raises(DimensionError, match=r"scatter_add_rows: index shape \(3,\) does not match 2 rows"):
+                fn(a, index([0, 1, 2]), [1, 1, 1])
+
+
+def test_segment_mean_over_a_segment_index_equals_over_its_array_bitwise():
+    idx = np.array([1, 0, 1, 1, 2, 3, 3, 0, 1, 3, 1])
+    counts = np.bincount(idx)
+    index = T.SegmentIndex(idx)
+    # the index's keys are built at the first call of each width and reused after
+    for trailing in [(3,), (2, 3), (3,), ()]:
+        a = rand(len(idx), *trailing) * 1e3
+        assert_same_bits_as_composed(
+            lambda a: T.segment_mean(a, index, counts),
+            lambda a: T.segment_mean(a, idx, counts),
+            [a],
+            rand(len(counts), *trailing),
+        )
+    assert sorted(index._keys) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("widths", [(3,), (4, 1, 3), (2, 2)])
+def test_segment_mean_concat_equals_concat_of_segment_means_bitwise(widths):
+    idx = np.array([1, 0, 1, 1, 2, 3, 3, 0, 1, 3, 1])
+    counts = np.bincount(idx)
+    for index in (idx, T.SegmentIndex(idx)):
+        for _ in range(5):
+            arrays = [rand(len(idx), w) * 1e3 for w in widths]
+            assert_same_bits_as_composed(
+                lambda *ts: T.segment_mean_concat(ts, index, counts),
+                lambda *ts: T.concat([T.segment_mean(t, idx, counts) for t in ts], axis=1),
+                arrays,
+                rand(len(counts), sum(widths)),
+            )
+
+
+def test_segment_mean_concat_errors():
+    a = Tensor(rand(2, 3))
+    for index in (np.array, T.SegmentIndex):
         with pytest.raises(DimensionError, match="scatter_add_rows: index out of range for 3 rows"):
-            fn(a, np.array(idx), [1, 1, 1])
+            T.segment_mean_concat([a, a], index([0, 3]), [1, 1, 1])
         with pytest.raises(DimensionError, match=r"scatter_add_rows: index shape \(3,\) does not match 2 rows"):
-            fn(a, np.array([0, 1, 2]), [1, 1, 1])
+            T.segment_mean_concat([a], index([0, 1, 2]), [1, 1, 1])
+    for tensors in ([], [a, Tensor(rand(2))]):
+        with pytest.raises(DimensionError, match="segment_mean_concat: expected 2-d tensors"):
+            T.segment_mean_concat(tensors, np.array([0, 1]), [1, 1])
 
 
 def test_sigmoid_inner_product_equals_gathered_dot_bitwise():
