@@ -9,7 +9,7 @@ replay re-emits previously recorded frames.
 
 from collections import Counter
 
-from canids.canlog import Label, parse_generic_labeled_csv, write_car_hacking_csv
+from canids.canlog import Label, decode_generic_labeled_csv, read_frame_log, write_car_hacking_csv
 from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
 
 ecus = [
@@ -44,12 +44,12 @@ print(f"\nmean payload byte on 0x220:  benign {sum(by_label[Label.BENIGN]) / len
 write_car_hacking_csv(frames, "demo_traffic.csv")
 print("\nwrote demo_traffic.csv (canonical timestamp,ID,DLC,DATA...,flag layout)")
 
-# other public datasets lay their columns out in other ways; parse_generic_labeled_csv reads a layout from
-# its column map, here with the label first and the ID in decimal
+# other public datasets lay their columns out in other ways; decode_generic_labeled_csv reads a layout from
+# its column map, here with the label first and the ID in decimal, and read_frame_log makes its blocks one log
 with open("demo_traffic_generic.csv", "w") as fh:
     for f in frames:
         fields = [str(int(f.label)), repr(f.timestamp), str(f.can_id), str(f.dlc), *(f"{b:02x}" for b in f.payload)]
         fh.write(",".join(fields) + "\n")
 column_map = {"label": 0, "timestamp": 1, "id": 2, "dlc": 3, "data": 4}
-again = list(parse_generic_labeled_csv("demo_traffic_generic.csv", column_map, frozenset({"1"}), id_base=10))
-print(f"wrote demo_traffic_generic.csv and read back {len(again)} frames, the same: {again == list(frames)}")
+again = read_frame_log(decode_generic_labeled_csv("demo_traffic_generic.csv", column_map, frozenset({"1"}), id_base=10))
+print(f"wrote demo_traffic_generic.csv and read back {len(again)} frames, the same: {list(again) == list(frames)}")

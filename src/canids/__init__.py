@@ -11,7 +11,6 @@ from .canlog import (
     CanFrame,
     Label,
     parse_car_hacking_csv,
-    parse_generic_labeled_csv,
     write_car_hacking_csv,
 )
 from .distill import KdConfig, LatentProjection, distill_pipeline, kd_classifier_loss, kd_latent_loss, soften

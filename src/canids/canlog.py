@@ -15,7 +15,6 @@ import enum
 import functools
 import itertools
 import math
-import numbers
 import re
 import struct
 import sys
@@ -94,7 +93,7 @@ _BYTE_SLOTS = np.arange(8)
 _ID_SLOTS = np.arange(4)
 _ID_WEIGHTS = np.array([[16 ** (n - 1 - j) if j < n else 0 for j in range(4)] for n in range(5)])  # by ID length
 _TIMESTAMP_SLOTS = np.arange(_MAX_TIMESTAMP, dtype=np.uint8)
-_BLOCK_FRAMES = 1 << 14  # frame_blocks hands the writer and build_windows this many frames at a time
+_BLOCK_FRAMES = 1 << 14  # the writer and frame_blocks take this many frames at a time
 _ROW_TAIL = 34  # the most characters of a row after its timestamp: ",IIII,D,", eight "xx," and "F\n"
 _ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
 # the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
@@ -179,8 +178,9 @@ class FrameBlock(NamedTuple):
     decimal text (bytes, numpy dtype ``S``): a canonical line's field, or
     the repr of the float the line loop read. The order check compares that
     text and casts only the rows it cannot clear, and ``frames()`` casts the
-    column, as ``float()`` reads it. A block of the generic decoder, and one
-    made by ``from_frames``, hold float timestamps.
+    column, as ``float()`` reads it. A block of the generic decoder holds
+    float timestamps, and so does one that ``from_frames`` makes of frames
+    with float timestamps.
     """
 
     timestamp: np.ndarray  # (n,) float64, or the decimal text of each (dtype S)
@@ -191,8 +191,9 @@ class FrameBlock(NamedTuple):
 
     @classmethod
     def from_frames(cls, frames: Sequence[CanFrame], first: int = 0) -> "FrameBlock":
-        """The columns of ``frames``. A frame whose ID, DLC or payload bytes are not integers in range
-        raises the ParseError of ``checked_frame`` at its position, counted from ``first``."""
+        """The columns of ``frames``, the timestamps as ``np.array`` reads them (float64 if they are floats). A
+        frame whose ID, DLC or payload bytes are not integers in range raises the ParseError of
+        ``checked_frame`` at its position, counted from ``first``."""
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
         can_id, dlc = np.array(can_id), np.array(dlc)  # an integer dtype only if every value is an integer
         sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(dlc))
@@ -207,12 +208,7 @@ class FrameBlock(NamedTuple):
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        # float64 for frames' float timestamps; any other values (None, text, ints too wide for int64) as
-        # they are, for the writer's error message
-        stamps = np.array(ts)
-        if stamps.dtype.kind not in "biuf" or stamps.ndim != 1:
-            stamps = np.fromiter(ts, dtype=object, count=len(ts))
-        return cls(stamps, can_id, dlc, payload, attack)
+        return cls(np.array(ts), can_id, dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
         payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
@@ -248,13 +244,15 @@ class FrameLog(Sequence[CanFrame]):
     names the column. Then each ID and DLC must be an integer in range,
     or the ParseError of ``checked_frame`` names the first frame whose ID
     or DLC is not, as it would in the list of the log's frames; the log
-    keeps them as int64. A payload byte past its frame's DLC must be zero.
+    keeps them as int64. A payload byte past its frame's DLC must be zero,
+    and every timestamp a finite number, or a ParseError names the first
+    frame that breaks the rule.
 
     ``len`` reads the block. Indexing, slicing and iteration build the
     frames with ``FrameBlock.frames()`` on first use and keep them; a slice
-    is a list, and so is ``list(log)``. ``frame_blocks`` hands the writer
-    and ``build_windows`` slices of the columns, so neither builds the
-    frames.
+    is a list, and so is ``list(log)``. ``write_car_hacking_csv`` and the
+    ``frame_blocks`` of ``build_windows`` read slices of the columns, so
+    neither builds the frames.
     """
 
     def __init__(self, block: FrameBlock):
@@ -271,6 +269,10 @@ class FrameLog(Sequence[CanFrame]):
         if stray.any():
             k = int(np.flatnonzero(stray)[0])
             raise ParseError(f"payload column: frame {k} has a nonzero byte past its dlc {block.dlc[k]}")
+        bad = np.flatnonzero(~np.isfinite(block.timestamp))
+        if len(bad):
+            k = int(bad[0])
+            raise ParseError(f"frame {k}: timestamp {block.timestamp[k].tolist()!r} is not a finite number")
         self.block = block
 
     def __len__(self) -> int:
@@ -386,27 +388,19 @@ def check_generic_options(column_map: Mapping[str, int] | None, id_base: int):
         raise ConfigError(f"id_base must be in [2, 36], got {quoted(str(id_base), marks=False)}")
 
 
-def parse_generic_labeled_csv(
+def decode_generic_labeled_csv(
     path, column_map: Mapping[str, int], attack_markers: frozenset[str] = frozenset({"T", "1"}), id_base: int = 16
-) -> Iterator[CanFrame]:
-    """Stream frames from an arbitrary labeled CSV layout.
+) -> Iterator[FrameBlock]:
+    """Stream the frames of an arbitrary labeled CSV layout as the FrameBlocks of ``_decode_csv``, every line
+    read by the line loop; ``read_frame_log`` makes them one FrameLog.
 
     ``column_map`` maps the names in REQUIRED_COLUMNS to 0-based column
     indices; ``data`` is the index of the first payload byte column. Any
     label cell contained in ``attack_markers`` maps to ATTACK. The ID
     field holds digits of ``id_base`` only; rows are checked as by
     parse_car_hacking_csv, but a row too narrow for its columns or its
-    payload is a ConfigError. The frames come from ``decode_generic_labeled_csv``.
+    payload is a ConfigError.
     """
-    for block in decode_generic_labeled_csv(path, column_map, attack_markers, id_base):
-        yield from block.frames()
-
-
-def decode_generic_labeled_csv(
-    path, column_map: Mapping[str, int], attack_markers: frozenset[str] = frozenset({"T", "1"}), id_base: int = 16
-) -> Iterator[FrameBlock]:
-    """The frames of parse_generic_labeled_csv as the FrameBlocks of ``_decode_csv``, every line read by the
-    line loop."""
     check_generic_options(column_map, id_base)
     columns = ts, can_id, dlc, data, label = tuple(column_map[name] for name in REQUIRED_COLUMNS)
     least = max(ts, can_id, dlc, label) + 1
@@ -681,36 +675,29 @@ def _decode_lines(
     return np.array(at, dtype=np.int64), block, error
 
 
-def write_car_hacking_csv(frames: Iterable[CanFrame], path) -> int:
-    """Serialize frames to the canonical layout, in the order given. Returns the row count.
+def write_car_hacking_csv(log: FrameLog, path) -> int:
+    """Serialize the frames of ``log`` to the canonical layout, in order. Returns the row count.
 
-    Each timestamp is written as ``repr(float(t))``. The frames are taken
-    as the FrameBlocks of ``frame_blocks`` (a FrameLog's columns as they
-    are), whose rows are built with array operations and written at once.
-    A frame whose ID, DLC or payload bytes
-    are not integers in range raises the ParseError of ``checked_frame``, and one
-    whose timestamp is not a finite number a ParseError too, each naming
-    the frame's position in ``frames``; the blocks before its own are
-    written first, and within a block the IDs, DLCs and payloads are
-    checked before the timestamps. Row order is the caller's to keep.
+    Each timestamp is written as ``repr(float(t))``. The rows of each
+    _BLOCK_FRAMES frames of the log's columns, which it checked when it was
+    made, are built with array operations and written at once.
     """
-    rows = 0
     with open(path, "wb") as fh:
-        for first, block in frame_blocks(frames):
-            fh.write(_block_rows(block, _float_timestamps(block.timestamp, first)))
-            rows = first + len(block.dlc)
-    return rows
+        for first in range(0, len(log), _BLOCK_FRAMES):
+            fh.write(_block_rows(FrameBlock(*(column[first : first + _BLOCK_FRAMES] for column in log.block))))
+    return len(log)
 
 
-def _block_rows(block: FrameBlock, ts: np.ndarray) -> bytes:
-    """The CSV rows of the frames of ``block``, whose timestamps are ``ts``.
+def _block_rows(block: FrameBlock) -> bytes:
+    """The CSV rows of the frames of ``block``, whose timestamps are float64.
 
     Each row is its timestamp's text, NUL-padded to the longest, then the
     rest of the row in _ROW_TAIL characters, NUL-padded past its newline;
     no row holds a NUL, so the rows are the bytes that are not NUL.
     """
-    texts = np.array(list(map(float.__repr__, ts.tolist())), dtype=np.bytes_)  # repr without its dispatch
-    n = len(ts)
+    # repr without its dispatch
+    texts = np.array(list(map(float.__repr__, block.timestamp.tolist())), dtype=np.bytes_)
+    n = len(texts)
     tail = np.zeros((n, _ROW_TAIL), dtype=np.uint8)
     tail[:, [0, 5, 7]] = _COMMA
     tail[:, 1:5] = _ID_TEXT.take(block.can_id, axis=0)
@@ -723,26 +710,3 @@ def _block_rows(block: FrameBlock, ts: np.ndarray) -> bytes:
     tail[_ROW_TAIL_SLOTS > flag[:, None] + 1] = 0
     text = np.concatenate((texts.view(np.uint8).reshape(n, -1), tail), axis=1)
     return text[text != 0].tobytes()
-
-
-def _float_timestamps(column: np.ndarray, first: int) -> np.ndarray:
-    """The timestamp ``column`` of a FrameBlock whose first frame is at position ``first``, as float64;
-    ParseError naming the first frame whose timestamp is not a finite number (text and None are not
-    numbers)."""
-    if column.dtype.kind in "biuf":
-        ts = column.astype(np.float64)
-    else:  # text, or objects such as None or an int too wide for int64
-        ts = np.array([_real(value) for value in column.tolist()], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(ts))
-    if len(bad):
-        k = int(bad[0])
-        raise ParseError(f"frame {first + k}: timestamp {column[k : k + 1].tolist()[0]!r} is not a finite number")
-    return ts
-
-
-def _real(value) -> float:
-    """``float(value)`` for a real number that a float can hold, else nan."""
-    try:
-        return float(value) if isinstance(value, numbers.Real) else math.nan
-    except OverflowError:
-        return math.nan

@@ -27,7 +27,7 @@ from .canlog import check_generic_options, decode_car_hacking_csv, decode_generi
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, quoted, quoted_value, read_json, require_int
-from .gat import GatClassifier, GatConfig, prepare_graph
+from .gat import GatClassifier, GatConfig, jk_width, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     PipelineOptions,
@@ -348,12 +348,9 @@ def cmd_export_embeddings(args) -> int:
 
     def write(tmp):
         with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            width = None
+            fh.write("window_start_index,label," + ",".join(f"e{i}" for i in range(jk_width(model.config))) + "\n")
             for g in graphs:
                 emb = model.embed(prepare_graph(g))[0]
-                if width is None:
-                    width = len(emb)
-                    fh.write("window_start_index,label," + ",".join(f"e{i}" for i in range(width)) + "\n")
                 fh.write(f"{g.window_start_index},{g.label}," + ",".join(repr(float(v)) for v in emb) + "\n")
 
     _write_with_lock(args.out, write)

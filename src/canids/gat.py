@@ -14,6 +14,7 @@ disjoint-union graph (``GraphBatch``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -85,34 +86,25 @@ class GraphBatch:
     node_ids: np.ndarray  # (num_nodes,) int64 CAN IDs
     graph_index: np.ndarray  # (num_nodes,) batch position of each node's graph
     node_counts: np.ndarray  # (num_graphs,)
-    _src_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
-    _dst_index: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
-    _graph_segments: T.SegmentIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_graphs(self) -> int:
         return len(self.graphs)
 
-    @property
+    @functools.cached_property
     def src_index(self) -> T.SegmentIndex:
         """``src`` with the segment-sum keys that every attention layer over this batch shares."""
-        if self._src_index is None:
-            self._src_index = T.SegmentIndex(self.src)
-        return self._src_index
+        return T.SegmentIndex(self.src)
 
-    @property
+    @functools.cached_property
     def dst_index(self) -> T.SegmentIndex:
         """``dst`` with the segment-sum keys that every attention layer over this batch shares."""
-        if self._dst_index is None:
-            self._dst_index = T.SegmentIndex(self.dst)
-        return self._dst_index
+        return T.SegmentIndex(self.dst)
 
-    @property
+    @functools.cached_property
     def graph_segments(self) -> T.SegmentIndex:
         """``graph_index`` with the segment-sum keys that the readout's per-layer pooling shares."""
-        if self._graph_segments is None:
-            self._graph_segments = T.SegmentIndex(self.graph_index)
-        return self._graph_segments
+        return T.SegmentIndex(self.graph_index)
 
     @property
     def num_nodes(self) -> int:

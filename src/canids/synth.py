@@ -101,12 +101,15 @@ def generate_synthetic_log(
     stable generation-order tie break, as a FrameLog: the log's columns,
     built into frames only when they are first read.
 
-    Each schedule's and each burst's frame count is bounded from the config
-    before any draw: a schedule sends at most about ``duration / period``
-    frames and a burst ``duration * rate``. A count that is not finite, or
-    that no array can hold, is a ConfigError naming its ECU or attack; a
-    MemoryError while generating is a ConfigError giving the total count.
+    A duration that is not > 0 is a ConfigError. Each schedule's and each
+    burst's frame count is bounded from the config before any draw: a
+    schedule sends at most about ``duration / period`` frames and a burst
+    ``duration * rate``. A count that is not finite, or that no array can
+    hold, is a ConfigError naming its ECU or attack; a MemoryError while
+    generating is a ConfigError giving the total count.
     """
+    if not duration > 0:  # also nan
+        raise ConfigError(f"duration must be > 0, got {duration}")
     if not ecu_schedule:
         raise ConfigError("need at least one ECU")
     for ecu in ecu_schedule:
@@ -239,7 +242,8 @@ def load_synth_config(path) -> SynthConfig:
     """Read a generator config from a JSON file.
 
     Numbers must be JSON numbers: integers (not booleans) for the IDs, seeds and DLC, finite numbers
-    for the times and rates. Each ECU and attack is validated here, so that its error names the file.
+    for the times and rates, and the log's duration > 0. Each ECU and attack is validated here, so that
+    its error names the file.
 
     Schema: {"duration": float,
              "ecus": [{"can_id", "period", "payload_seed", "dlc"?}, ...],
@@ -266,7 +270,7 @@ def load_synth_config(path) -> SynthConfig:
             )
             for i, a in enumerate(raw.get("attacks", []))
         )
-        duration = require_finite("duration", raw["duration"])
+        duration = require_finite("duration", raw["duration"], positive=True)
         for attack in attacks:
             attack.validate(duration)
     except (KeyError, ValueError, TypeError) as exc:

@@ -88,14 +88,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -105,12 +99,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -129,10 +117,6 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def as_tensor(x) -> Tensor:

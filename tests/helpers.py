@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from canids import tensor as T
-from canids.canlog import CanFrame, Label
+from canids.canlog import CanFrame, FrameBlock, FrameLog, Label
 from canids.gat import prepare_graph
 from canids.gradcheck import relative_gradient_error
 from canids.graphs import WindowGraph, build_windows
@@ -156,6 +156,11 @@ def confusion_oracle(truths, preds):
         "tp": tp, "fp": fp, "tn": tn, "fn": fn,
         "accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1,
     }
+
+
+def log_of(frames):
+    """The FrameLog of a list of frames, which the writer takes."""
+    return FrameLog(FrameBlock.from_frames(frames))
 
 
 def random_frames(rng, length, id_alphabet):

@@ -6,6 +6,8 @@ at both model presets. The finite-difference checks of the acceptance
 suite are repeated here on batched losses with the same tolerance.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def loss_and_grads(params, build):
 
 def mean_of_singles(preps, term):
     """(1/N) * sum of term(i, batch of one i): the objective of the per-window loop."""
-    return sum(term(i, prep) for i, prep in enumerate(preps)) / float(len(preps))
+    return functools.reduce(T.add, (term(i, prep) for i, prep in enumerate(preps))) / float(len(preps))
 
 
 def assert_equivalent(params, batched, per_window):

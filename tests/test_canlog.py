@@ -31,14 +31,15 @@ from canids.canlog import (
     FrameBlock,
     Label,
     decode_car_hacking_csv,
+    decode_generic_labeled_csv,
     parse_car_hacking_csv,
-    parse_generic_labeled_csv,
+    read_frame_log,
     write_car_hacking_csv,
 )
 from canids.errors import CanidsError, ConfigError, ParseError
 from canids.graphs import build_windows, save_graph_cache
 from canids.synth import generate_synthetic_log
-from helpers import assert_bit_identical, loop_windows, per_field_format_car_hacking_row, random_frames
+from helpers import assert_bit_identical, log_of, loop_windows, per_field_format_car_hacking_row, random_frames
 
 
 def write_lines(tmp_path, lines, name="log.csv"):
@@ -131,9 +132,8 @@ def test_bad_rows_rejected(tmp_path, row):
 )
 def test_timestamp_and_dlc_are_strict_decimals(tmp_path, parser, row, message):
     p = write_lines(tmp_path, ["0.5,0316,2,aa,bb,R", row])
-    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
     with pytest.raises(ParseError) as err:
-        list(frames)
+        read_frames(parser, p)
     assert err.value.line == 2 and message in str(err.value)
 
 
@@ -141,8 +141,7 @@ def test_timestamp_and_dlc_are_strict_decimals(tmp_path, parser, row, message):
 def test_timestamps_in_repr_form_parse(tmp_path, parser):
     stamps = [-1.5, -0.0, 0.0, 2.5e-07, 1e-05, 3.0, 1478198376.389427, 1e16, 1.5e300]
     p = write_lines(tmp_path, [f"{t!r},0316,2,aa,bb,R" for t in stamps] + ["1.5e300,0316,02,aa,bb,R"])
-    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
-    frames = list(frames)
+    frames = read_frames(parser, p)
     assert [f.timestamp for f in frames] == stamps + [1.5e300]
     assert all(f.dlc == 2 for f in frames)  # "02" is decimal digits too
 
@@ -156,14 +155,23 @@ def test_one_to_three_hex_digits_are_a_byte(tmp_path):
 GENERIC_MAP = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 5}
 
 
+def read_generic(path, column_map, *args, **kwargs):
+    """The frames of the FrameLog of a generic-layout log."""
+    return list(read_frame_log(decode_generic_labeled_csv(path, column_map, *args, **kwargs)))
+
+
+def read_frames(parser, path):
+    """The frames of a Car-Hacking log, or of one in GENERIC_MAP's layout."""
+    return list(parse_car_hacking_csv(path)) if parser == "car-hacking" else read_generic(path, GENERIC_MAP)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("parser", ["car-hacking", "generic"])
 def test_non_finite_timestamp_rejected(tmp_path, parser, value):
     # a nan must not switch off the regression check for the row after it
     p = write_lines(tmp_path, ["5.0,0316,2,aa,bb,R", f"{value},0316,2,aa,bb,R", "1.0,0316,2,aa,bb,R"])
-    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
     with pytest.raises(ParseError, match="non-finite timestamp") as err:
-        list(frames)
+        read_frames(parser, p)
     assert err.value.line == 2
 
 
@@ -172,9 +180,8 @@ def test_non_ascii_byte_names_its_line(tmp_path, parser):
     rows = [f"{k / 1000!r},0316,2,aa,bb,R" for k in range(5000)]
     rows[4321] = rows[4321].replace(",R", ",\u00e9R")
     p = write_lines(tmp_path, rows)
-    frames = parse_car_hacking_csv(p) if parser == "car-hacking" else parse_generic_labeled_csv(p, GENERIC_MAP)
     with pytest.raises(ParseError, match="non-ASCII") as err:
-        list(frames)
+        read_frames(parser, p)
     assert err.value.line == 4322 and str(p) in str(err.value)
 
 
@@ -188,13 +195,13 @@ def test_timestamp_regression_rejected(tmp_path):
 def test_generic_parse_and_column_errors(tmp_path):
     p = write_lines(tmp_path, ["0.5,316,2,aa,bb,x,x,x,x,x,x,T"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 11}
-    [frame] = list(parse_generic_labeled_csv(p, cmap))
+    [frame] = read_generic(p, cmap)
     assert frame.can_id == 0x316 and frame.label == Label.ATTACK
 
     with pytest.raises(ConfigError):
-        list(parse_generic_labeled_csv(p, {**cmap, "label": 99}))
+        read_generic(p, {**cmap, "label": 99})
     with pytest.raises(ConfigError):
-        list(parse_generic_labeled_csv(p, {"timestamp": 0, "id": 1}))
+        read_generic(p, {"timestamp": 0, "id": 1})
 
 
 @pytest.mark.parametrize("byte", ["-1", "1ff", "zz", "", "0x1", "+f", "1_f"])
@@ -202,16 +209,14 @@ def test_generic_bad_payload_byte_rejected(tmp_path, byte):
     p = write_lines(tmp_path, ["0.5,316,2,aa,bb,T", f"0.6,316,2,{byte},bb,T"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 5}
     with pytest.raises(ParseError) as err:
-        list(parse_generic_labeled_csv(p, cmap))
+        read_generic(p, cmap)
     assert err.value.line == 2
 
 
 def test_generic_custom_markers_and_base(tmp_path):
     p = write_lines(tmp_path, ["0.5,790,1,ff,attack", "0.6,790,1,7f,normal"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
-    frames = list(
-        parse_generic_labeled_csv(p, cmap, attack_markers=frozenset({"attack"}), id_base=10)
-    )
+    frames = read_generic(p, cmap, attack_markers=frozenset({"attack"}), id_base=10)
     assert [f.label for f in frames] == [Label.ATTACK, Label.BENIGN]
     assert frames[0].can_id == 790
 
@@ -223,7 +228,7 @@ def test_generic_id_must_be_digits_of_its_base(tmp_path, can_id, base):
     p = write_lines(tmp_path, [f"0.5,{can_id},1,ff,T"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
     with pytest.raises(ParseError) as err:
-        list(parse_generic_labeled_csv(p, cmap, id_base=base))
+        read_generic(p, cmap, id_base=base)
     assert err.value.line == 1
 
 
@@ -232,13 +237,13 @@ def test_generic_id_base_outside_2_to_36_rejected(tmp_path, base):
     p = write_lines(tmp_path, ["0.5,316,1,ff,T"])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
     with pytest.raises(ConfigError):
-        list(parse_generic_labeled_csv(p, cmap, id_base=base))
+        read_generic(p, cmap, id_base=base)
 
 
 def test_generic_empty_file(tmp_path):
     p = write_lines(tmp_path, [])
     cmap = {"timestamp": 0, "id": 1, "dlc": 2, "data": 3, "label": 4}
-    assert list(parse_generic_labeled_csv(p, cmap)) == []
+    assert read_generic(p, cmap) == []
 
 
 def test_round_trip_write_parse(tmp_path):
@@ -248,7 +253,7 @@ def test_round_trip_write_parse(tmp_path):
         CanFrame(1478198376.389427, 790, 8, (5, 33, 104, 9, 33, 33, 0, 111), Label.BENIGN),
     ]
     p = tmp_path / "out.csv"
-    assert write_car_hacking_csv(frames, p) == 3
+    assert write_car_hacking_csv(log_of(frames), p) == 3
     assert list(parse_car_hacking_csv(p)) == frames
 
 
@@ -273,7 +278,7 @@ frame_strategy = st.builds(
 def test_parser_outputs_satisfy_frame_invariants(tmp_path_factory, frames):
     frames.sort(key=lambda f: f.timestamp)
     p = tmp_path_factory.mktemp("fuzz") / "log.csv"
-    write_car_hacking_csv(frames, p)
+    write_car_hacking_csv(log_of(frames), p)
     for frame in parse_car_hacking_csv(p):
         frame.validate()
         assert 0 <= frame.can_id <= 2047
@@ -283,7 +288,7 @@ def test_parser_outputs_satisfy_frame_invariants(tmp_path_factory, frames):
 def test_format_row_matches_layout(tmp_path):
     frames = [CanFrame(1.5, 0x316, 2, (0x0A, 0xFF), Label.ATTACK), CanFrame(0.25, 0x7FF, 0, ())]
     p = tmp_path / "log.csv"
-    assert write_car_hacking_csv(frames, p) == 2
+    assert write_car_hacking_csv(log_of(frames), p) == 2
     assert p.read_bytes() == b"1.5,0316,2,0a,ff,T\n0.25,07ff,0,R\n"
 
 
@@ -297,7 +302,7 @@ def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
         CanFrame(2.5e-310, 0x316, 8, (0xFF,) * 8, Label.ATTACK),
     ]
     p = tmp_path / "log.csv"
-    assert write_car_hacking_csv(frames, p) == cut + 2
+    assert write_car_hacking_csv(log_of(frames), p) == cut + 2
     written = p.read_bytes()
     assert written.splitlines()[cut - 2 :] == [
         b"1e-05,07ff,0,R",
@@ -315,23 +320,25 @@ def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
         (CanFrame(0.0, 1, 8, (1, 2)), "frame 5: payload length 2 does not match dlc 8"),
         (CanFrame(0.0, 1, 1, (256,)), r"frame 5: payload byte outside \[0, 255\]"),
         (CanFrame(math.nan, 1, 0, ()), "frame 5: timestamp nan is not a finite number"),
-        (CanFrame(None, 1, 0, ()), "frame 5: timestamp None is not a finite number"),
-        (CanFrame("1.5", 1, 0, ()), "frame 5: timestamp '1.5' is not a finite number"),
-        (CanFrame(10**400, 1, 0, ()), "frame 5: timestamp 1000+ is not a finite number"),
+        (CanFrame(None, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
+        (CanFrame("1.5", 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got <U32, shape \(6,\)"),
+        (CanFrame(10**400, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
         (CanFrame(np.float64(1.5), 1, 0, ()), None),
     ],
     ids=["id-0x800", "dlc-8-two-bytes", "byte-256", "nan", "none", "text", "huge-int", "numpy-scalar"],
 )
 def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, error):
-    """A frame the reader would reject raises the ParseError of its position, counted across blocks."""
+    """The writer takes a FrameLog, and a frame the reader would reject makes none: a bad ID, DLC, payload
+    byte or float timestamp raises the ParseError of its position, and a timestamp that is not a float the
+    ParseError of the timestamp column."""
     monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 2)  # frame 5 is the second of the third block
     frames = [CanFrame(0.0, 1, 0, ())] * 5 + [last]
     p = tmp_path / "log.csv"
     if error is not None:
-        with pytest.raises(ParseError, match=error):
-            write_car_hacking_csv(frames, p)
+        with pytest.raises(ParseError, match=f"^{error}$"):
+            log_of(frames)
         return
-    assert write_car_hacking_csv(frames, p) == 6
+    assert write_car_hacking_csv(log_of(frames), p) == 6
     assert p.read_bytes().splitlines()[-1] == b"1.5,0001,0,R"
     assert list(parse_car_hacking_csv(p)) == frames
 
@@ -353,7 +360,7 @@ def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, 
     frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
     frames[7] = frame
     run = {
-        "writer": lambda: write_car_hacking_csv(frames, tmp_path / "log.csv"),
+        "writer": lambda: write_car_hacking_csv(log_of(frames), tmp_path / "log.csv"),
         "stride-W": lambda: list(build_windows(frames, 5)),
         "stride-1": lambda: list(build_windows(frames, 5, 1)),
     }[sink]
@@ -365,7 +372,7 @@ def test_numpy_integer_fields_read_as_ints(tmp_path):
     """Numpy ints are written and windowed as the Python ints they hold, though they would wrap in a sum."""
     frames = [CanFrame(0.5, np.int64(0x316), np.int32(2), (np.uint8(0x0A), 0xFF)), CanFrame(1.0, 1, np.int8(0), ())]
     p = tmp_path / "log.csv"
-    assert write_car_hacking_csv(frames, p) == 2
+    assert write_car_hacking_csv(log_of(frames), p) == 2
     assert p.read_bytes() == b"0.5,0316,2,0a,ff,R\n1.0,0001,0,R\n"
     frames = [CanFrame(0.1 * k, np.int64(0x316 + k % 2), np.int8(8), (np.uint8(200),) * 8) for k in range(40)]
     python_ints = [CanFrame(f.timestamp, int(f.can_id), 8, (200,) * 8) for f in frames]
@@ -380,7 +387,7 @@ def test_numpy_integer_fields_read_as_ints(tmp_path):
 @settings(max_examples=100, deadline=None)
 def test_format_row_matches_per_field_reference(tmp_path_factory, frames):
     p = tmp_path_factory.mktemp("rows") / "log.csv"
-    assert write_car_hacking_csv(frames, p) == len(frames)
+    assert write_car_hacking_csv(log_of(frames), p) == len(frames)
     assert p.read_bytes() == "".join(per_field_format_car_hacking_row(f) + "\n" for f in frames).encode()
 
 
@@ -1000,12 +1007,12 @@ def test_seed_201_log_relaid_as_generic_gives_the_same_frames(tmp_path):
     assert len(g.read_bytes()) > canlog._BLOCK_CHARS  # the generic text takes two blocks
     frames = list(parse_car_hacking_csv(p))
     assert len(frames) == 22_358 and frames == list(log)
-    assert list(parse_generic_labeled_csv(g, GENERIC_RELAID)) == frames
+    assert read_generic(g, GENERIC_RELAID) == frames
 
 
 @pytest.mark.parametrize("chars", [64, 1 << 20])
 def test_both_layouts_name_the_same_line_and_message(tmp_path, monkeypatch, chars):
-    """Mutated logs and their generic re-layout: each reader gives the frames before its first bad row,
+    """Mutated logs and their generic re-layout: each decoder gives the frames before its first bad row,
     and wherever the Car-Hacking error comes from a rule both layouts share (timestamp, ID, DLC, payload
     byte, order, non-ASCII byte) the generic reader names the same line with the same message."""
     monkeypatch.setattr(canlog, "_BLOCK_CHARS", chars)
@@ -1018,7 +1025,8 @@ def test_both_layouts_name_the_same_line_and_message(tmp_path, monkeypatch, char
         log.write_bytes(data)
         expected, error = run_parser_with_message(parse_car_hacking_csv(log))
         log.write_bytes(relaid(data))
-        frames, generic_error = run_parser_with_message(parse_generic_labeled_csv(log, GENERIC_RELAID))
+        blocks, generic_error = run_parser_with_message(decode_generic_labeled_csv(log, GENERIC_RELAID))
+        frames = [frame for block in blocks for frame in block.frames()]
         assert frames[: len(expected)] == expected[: len(frames)]
         if error is None or not error[1].startswith(CAR_HACKING_ONLY, len(f"line {error[0]}: ")):
             assert generic_error == error

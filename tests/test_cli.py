@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from canids import cli
 from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
+from canids.gat import GatClassifier, jk_width
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
 from helpers import confusion_oracle
@@ -82,6 +83,9 @@ def test_synth_deterministic(tmp_path, synth_cfg, capsys):
         # numbers out of a CAN frame's range
         {"ecus": [{"can_id": 256, "period": 0.004, "payload_seed": 1, "dlc": 12}]},
         {"attacks": [{"kind": "spoofing", "start": 8.0, "duration": 1.5, "rate": 800.0, "target_id": 5000}]},
+        # a log with no time in it
+        {"duration": 0, "attacks": []},
+        {"duration": -5, "attacks": []},
     ],
 )
 def test_synth_config_numbers_must_be_json_numbers(tmp_path, capsys, edit):
@@ -460,6 +464,16 @@ def test_export_embeddings(small_run, capsys):
     from canids.gat import GatConfig, jk_width
 
     assert len(header) - 2 == jk_width(GatConfig.student())
+
+
+def test_export_embeddings_of_an_empty_cache_writes_the_header(small_run, tmp_path, capsys):
+    cache, out = tmp_path / "empty.cache", tmp_path / "emb.csv"
+    save_graph_cache([], cache)
+    gat = small_run / "gat.ckpt"
+    code, stdout, _ = run_cli(capsys, "export-embeddings", "--graphs", cache, "--gat", gat, "--out", out)
+    assert code == 0 and json.loads(stdout)["windows"] == 0
+    width = jk_width(GatClassifier.load(gat).config)
+    assert out.read_text() == "window_start_index,label," + ",".join(f"e{i}" for i in range(width)) + "\n"
 
 
 def test_run_config_supplies_defaults(small_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -286,7 +287,7 @@ def test_per_layer_pooling_equals_concat_then_pool_bitwise(mixed_graphs, name):
         for p in model.params():
             p.tensor.zero_grad()
         outputs = forward(batch)
-        sum((out * w).sum() for out, w in zip(outputs, weights)).backward()
+        functools.reduce(T.add, ((out * w).sum() for out, w in zip(outputs, weights))).backward()
         results.append([out.values for out in outputs] + [p.tensor.grad for p in model.params()])
     got, want = results
     assert len(got) == len(want) == 3 + len(model.params())

@@ -195,14 +195,14 @@ def test_glorot_bounds_and_mean():
 
 def composed_bce_terms(pred, target):
     p = T.clamp(pred, PROB_EPS, 1.0 - PROB_EPS)
-    return -(target * T.log(p) + (1.0 - target) * T.log(1.0 - p))
+    return T.neg(target * T.log(p) + (1.0 - target) * T.log(T.sub(1.0, p)))
 
 
 def composed_cross_entropy_terms(logits, class_index):
     if logits.ndim == 1:
         logits = logits.reshape((1, -1))
     p = T.clamp(T.softmax(logits, axis=1), PROB_EPS, 1.0)
-    return -T.log(T.take_per_row(p, np.atleast_1d(class_index)))
+    return T.neg(T.log(T.take_per_row(p, np.atleast_1d(class_index))))
 
 
 def test_bce_terms_equal_composed_ops_bitwise():

@@ -1,5 +1,5 @@
-"""Every module-level function and class of ``canids``, and every public method of its frame types, has a
-caller outside the tests.
+"""Every module-level function and class of ``canids``, and every public method of its classes, has a caller
+outside the tests.
 
 A definition counts as used when its name appears in ``src/``, ``bench/`` or
 ``demos/`` outside the definition itself, as a name or as a string literal that
@@ -14,7 +14,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "canids"
-METHOD_CLASSES = {"CanFrame", "FrameBlock", "FrameLog"}  # whose public methods are checked too
 
 
 def _span(node):
@@ -23,13 +22,13 @@ def _span(node):
 
 def definitions():
     """(qualified name, name, module path, first line, last line, whether a method) of each top-level function
-    and class of the package and each public non-dunder method of the METHOD_CLASSES."""
+    and class of the package and each public non-dunder method of those classes."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (*functions, ast.ClassDef)):
                 yield node.name, node.name, path, *_span(node), False
-            if isinstance(node, ast.ClassDef) and node.name in METHOD_CLASSES:
+            if isinstance(node, ast.ClassDef):
                 for method in node.body:
                     if isinstance(method, functions) and not method.name.startswith("_"):
                         yield f"{node.name}.{method.name}", method.name, path, *_span(method), True

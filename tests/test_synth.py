@@ -6,9 +6,9 @@ generation order). The generator, which draws each schedule's payloads
 in one call into frame columns and merges them with one stable argsort,
 must return the same frames for the same seed, Python types included,
 and ``write_car_hacking_csv`` must write them as the per-field row
-formatter does. The generator returns a ``FrameLog``; the writer and
-``build_windows`` must read it as they read the list of its frames,
-without building those frames.
+formatter does. The generator returns a ``FrameLog``; the writer must
+write it as it writes the FrameLog of the list of its frames, and
+``build_windows`` read it as that list, without building those frames.
 """
 
 import hashlib
@@ -20,7 +20,16 @@ import numpy as np
 import pytest
 
 from canids import canlog, synth
-from canids.canlog import CanFrame, FrameBlock, FrameLog, Label, parse_car_hacking_csv, write_car_hacking_csv
+from canids.canlog import (
+    CanFrame,
+    FrameBlock,
+    FrameLog,
+    Label,
+    decode_car_hacking_csv,
+    parse_car_hacking_csv,
+    read_frame_log,
+    write_car_hacking_csv,
+)
 from canids.errors import ConfigError, ParseError
 from canids.graphs import build_windows
 from canids.synth import (
@@ -34,7 +43,7 @@ from canids.synth import (
     generate_synthetic_log,
     load_synth_config,
 )
-from helpers import per_field_format_car_hacking_row
+from helpers import log_of, per_field_format_car_hacking_row
 
 TWO_ECUS = [EcuSpec(100, 0.01, 7), EcuSpec(200, 0.01, 8)]
 
@@ -126,6 +135,12 @@ def test_no_ecus_rejected():
         generate_synthetic_log([], 10.0, rng_seed=1)
 
 
+@pytest.mark.parametrize("duration", [0.0, -5.0, math.nan])
+def test_duration_not_above_zero_rejected(duration):
+    with pytest.raises(ConfigError, match=f"^duration must be > 0, got {duration}$"):
+        generate_synthetic_log(TWO_ECUS, duration, rng_seed=1)
+
+
 @pytest.mark.parametrize(
     "ecus, duration, attacks, message",
     [
@@ -159,7 +174,7 @@ def test_serialize_round_trip(tmp_path):
     assert list(parse_car_hacking_csv(p)) == list(frames)
     # writing the parse result again is byte-identical
     q = tmp_path / "log2.csv"
-    write_car_hacking_csv(parse_car_hacking_csv(p), q)
+    write_car_hacking_csv(read_frame_log(decode_car_hacking_csv(p)), q)
     assert p.read_bytes() == q.read_bytes()
 
 
@@ -413,11 +428,12 @@ def window_key(g):
 
 
 def sinks(tmp_path):
-    """Name -> function of a frame sequence: the bytes the writer writes, or the keys of its windows."""
+    """Name -> function of a frame sequence: the bytes the writer writes (of a frame list's FrameLog), or the
+    keys of its windows."""
 
     def written(frames):
         p = tmp_path / "log.csv"
-        write_car_hacking_csv(frames, p)
+        write_car_hacking_csv(frames if isinstance(frames, FrameLog) else log_of(frames), p)
         return p.read_bytes()
 
     def windows(stride, directed):
@@ -475,22 +491,19 @@ def test_frame_log_is_a_sequence_of_its_frames():
     ],
     ids=["id-0x800", "dlc-9", "nan"],
 )
-def test_bad_frame_log_fails_as_its_frame_list(tmp_path, monkeypatch, column, value, message):
-    """A bad ID or DLC raises when the log is made, with the ParseError that writing its frame list
-    raises; a bad timestamp raises through the writer, as for the list, counted across blocks."""
-    monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 64)  # frame 150 is in the third block
+def test_bad_frame_log_fails_as_its_frame_list(tmp_path, column, value, message):
+    """A bad ID, DLC or timestamp raises when the log is made, with the ParseError that writing its frame
+    list raises."""
     block = generate_synthetic_log(TWO_ECUS, 3.0, rng_seed=9).block
     frames = list(FrameLog(block))
     getattr(block, column)[150] = value
     frames[150] = frames[150]._replace(**{column: value})
     from_list = {name: outcome(lambda: sink(frames)) for name, sink in sinks(tmp_path).items()}
     assert from_list["writer"] == ("error", message)
-    if column != "timestamp":
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            FrameLog(block)
-        return
-    assert from_list["stride-W"][0] == "ok"
-    assert {name: outcome(lambda: sink(FrameLog(block))) for name, sink in sinks(tmp_path).items()} == from_list
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        FrameLog(block)
+    if column == "timestamp":  # the windows of a frame list do not read its timestamps
+        assert from_list["stride-W"][0] == "ok"
 
 
 def frame_list(block):

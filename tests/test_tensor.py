@@ -98,10 +98,10 @@ OP_CASES = {
     "mul": (lambda a, b: (a * b).sum(), lambda: [rand(3, 4), rand(3, 4)]),
     "mul_broadcast": (lambda a, b: (a * b).sum(), lambda: [rand(5, 1), rand(5, 3)]),
     "div": (lambda a, b: (a / b).sum(), lambda: [rand(3, 4), rand(3, 4) + 3.0]),
-    "neg": (lambda a: (-a).sum(), lambda: [rand(3, 4)]),
+    "neg": (lambda a: T.neg(a).sum(), lambda: [rand(3, 4)]),
     "pow": (lambda a: (a**2).sum(), lambda: [rand(3, 4)]),
     "matmul": (lambda a, b: (a @ b).sum(), lambda: [rand(3, 4), rand(4, 2)]),
-    "transpose": (lambda a: (a.T @ a).sum(), lambda: [rand(3, 4)]),
+    "transpose": (lambda a: (T.transpose(a) @ a).sum(), lambda: [rand(3, 4)]),
     "reshape": (lambda a: (a.reshape((2, 6)) ** 2).sum(), lambda: [rand(3, 4)]),
     "concat": (lambda a, b: T.concat([a, b], axis=1).sum(), lambda: [rand(3, 2), rand(3, 4)]),
     "slice": (lambda a: (a[1:, :2] ** 2).sum(), lambda: [rand(4, 3)]),
