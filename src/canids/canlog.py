@@ -24,7 +24,8 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
-from .errors import CanidsError, ConfigError, ParseError, non_ascii_error, quoted
+from .errors import CanidsError, ConfigError, ParseError, non_ascii_error, quoted, quoted_value
+from .floattext import repr_rows
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -68,6 +69,7 @@ class CanFrame(NamedTuple):
 
 
 _INTS = (int, np.integer)  # the types of an ID, a DLC and a payload byte
+_REALS = (int, float, np.integer, np.floating)  # the types of a timestamp that is a real number
 _LABELS = np.array(list(Label), dtype=object)  # indexed by the attack flag
 # builds a CanFrame from its checked fields without the named tuple's generated __new__
 _frame = tuple.__new__
@@ -193,22 +195,27 @@ class FrameBlock(NamedTuple):
     def from_frames(cls, frames: Sequence[CanFrame], first: int = 0) -> "FrameBlock":
         """The columns of ``frames``, the timestamps as ``np.array`` reads them (float64 if they are floats). A
         frame whose ID, DLC or payload bytes are not integers in range raises the ParseError of
-        ``checked_frame`` at its position, counted from ``first``."""
+        ``checked_frame`` at its position, counted from ``first``, and so does one whose timestamp is a
+        sequence, or anything else ``np.array`` cannot read as one entry per frame."""
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
-        can_id, dlc = np.array(can_id), np.array(dlc)  # an integer dtype only if every value is an integer
-        sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(dlc))
+        # an integer dtype only if every value is an integer; None if a value is a sequence
+        ts, can_id, dlc = (_column_of(values) for values in (ts, can_id, dlc))
+        sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(frames))
         try:
             data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
         except (TypeError, ValueError):  # a byte that is not an integer, or one outside [0, 255]
             data = None
-        if data is None or not (_ids_and_dlcs_ok(can_id, dlc) and (sizes == dlc).all()):
+        read = all(column is not None for column in (ts, can_id, dlc, data))
+        if not (read and _ids_and_dlcs_ok(can_id, dlc) and (sizes == dlc).all()):
             for position, frame in enumerate(frames, start=first):
                 checked_frame(position, frame)
+                if ts is None and not isinstance(frame[0], _REALS):
+                    raise ParseError(f"frame {position}: timestamp {quoted_value(frame[0])} is not a real number")
         can_id, dlc = can_id.astype(np.int64), dlc.astype(np.int64)
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
         attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        return cls(np.array(ts), can_id, dlc, payload, attack)
+        return cls(ts, can_id, dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
         payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
@@ -218,6 +225,15 @@ class FrameBlock(NamedTuple):
         labels = _LABELS[self.attack.view(np.uint8)].tolist()
         columns = (self.timestamp.astype(np.float64).tolist(), self.can_id.tolist(), dlc, payloads, labels)
         return map(_frame, repeat(CanFrame), zip(*columns))
+
+
+def _column_of(values: tuple) -> np.ndarray | None:
+    """``np.array(values)`` if that is one entry per value, or None."""
+    try:
+        column = np.array(values)
+    except ValueError:  # values that are sequences of different lengths
+        return None
+    return column if column.shape == (len(values),) else None
 
 
 def _ids_and_dlcs_ok(can_id: np.ndarray, dlc: np.ndarray) -> bool:
@@ -691,12 +707,11 @@ def write_car_hacking_csv(log: FrameLog, path) -> int:
 def _block_rows(block: FrameBlock) -> bytes:
     """The CSV rows of the frames of ``block``, whose timestamps are float64.
 
-    Each row is its timestamp's text, NUL-padded to the longest, then the
+    Each row is its timestamp's text from ``repr_rows``, NUL-padded, then the
     rest of the row in _ROW_TAIL characters, NUL-padded past its newline;
     no row holds a NUL, so the rows are the bytes that are not NUL.
     """
-    # repr without its dispatch
-    texts = np.array(list(map(float.__repr__, block.timestamp.tolist())), dtype=np.bytes_)
+    texts = repr_rows(block.timestamp)
     n = len(texts)
     tail = np.zeros((n, _ROW_TAIL), dtype=np.uint8)
     tail[:, [0, 5, 7]] = _COMMA
@@ -708,5 +723,5 @@ def _block_rows(block: FrameBlock) -> bytes:
     tail[rows, flag] = np.where(block.attack, _T, _R)
     tail[rows, flag + 1] = _NEWLINE
     tail[_ROW_TAIL_SLOTS > flag[:, None] + 1] = 0
-    text = np.concatenate((texts.view(np.uint8).reshape(n, -1), tail), axis=1)
+    text = np.concatenate((texts, tail), axis=1)
     return text[text != 0].tobytes()

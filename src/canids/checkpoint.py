@@ -4,7 +4,7 @@ Layout:
     canids-checkpoint v1
     model <kind> <config as one-line JSON>
     param <name> <d0> [<d1> ...]        (bare "param <name>" for scalars)
-    <one line of repr() floats per leading row>
+    <one line of repr() floats per leading row, written by floattext.repr_rows>
     ...
     end
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from .canlog import _is_decimal
 from .errors import ParseError, StateError, open_ascii, quoted
+from .floattext import repr_rows
 
 MAGIC = "canids-checkpoint v1"
 _LISTED = 3  # the most missing, and the most unexpected, param names that a mismatch names
@@ -33,17 +34,30 @@ _is_plain_row = re.compile(r"[-.0-9e\s]*(?:(?<=e)\+[-.0-9e\s]*)*").fullmatch
 
 
 def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(MAGIC + "\n")
-        fh.write(f"model {kind} {json.dumps(config, sort_keys=True)}\n")
-        for name, arr in params.items():
-            arr = np.asarray(arr, dtype=np.float64)
+    arrays = [np.asarray(arr, dtype=np.float64) for arr in params.values()]
+    texts = repr_rows(np.concatenate([np.empty(0), *(arr.ravel() for arr in arrays)]))  # one call for all values
+    at = 0  # the index in texts of the next param's first value
+    with open(path, "wb") as fh:
+        fh.write(f"{MAGIC}\nmodel {kind} {json.dumps(config, sort_keys=True)}\n".encode("ascii"))
+        for name, arr in zip(params, arrays):
             dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"param {name} {dims}".rstrip() + "\n")
-            rows = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in rows.tolist():
-                fh.write(" ".join(map(repr, row)) + "\n")
-        fh.write("end\n")
+            fh.write(f"param {name} {dims}".rstrip().encode("ascii") + b"\n")
+            lines = arr.shape[0] if arr.ndim > 1 else 1
+            fh.write(_value_lines(texts[at : at + arr.size], lines))
+            at += arr.size
+        fh.write(b"end\n")
+
+
+def _value_lines(texts: np.ndarray, lines: int) -> bytes:
+    """``lines`` lines of the value texts (rows of ``repr_rows``) in order, the values of a line joined by
+    blanks; a param with no values has empty lines."""
+    if not texts.size:
+        return b"\n" * lines
+    text = np.empty((len(texts), texts.shape[1] + 1), dtype=np.uint8)
+    text[:, :-1] = texts
+    text[:, -1] = ord(" ")
+    text[len(texts) // lines - 1 :: len(texts) // lines, -1] = ord("\n")
+    return text[text != 0].tobytes()
 
 
 def load_checkpoint(path):

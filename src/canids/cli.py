@@ -27,6 +27,7 @@ from .canlog import check_generic_options, decode_car_hacking_csv, decode_generi
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, quoted, quoted_value, read_json, require_int
+from .floattext import repr_rows
 from .gat import GatClassifier, GatConfig, jk_width, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
@@ -345,13 +346,21 @@ def cmd_export_embeddings(args) -> int:
     cache = _require_file(args.graphs, "graph cache")
     model = GatClassifier.load(_require_file(args.gat, "GAT checkpoint"))
     graphs = load_graph_cache(cache)
+    width = jk_width(model.config)
 
     def write(tmp):
-        with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-            fh.write("window_start_index,label," + ",".join(f"e{i}" for i in range(jk_width(model.config))) + "\n")
-            for g in graphs:
-                emb = model.embed(prepare_graph(g))[0]
-                fh.write(f"{g.window_start_index},{g.label}," + ",".join(repr(float(v)) for v in emb) + "\n")
+        n = len(graphs)
+        embeddings = np.array([model.embed(prepare_graph(g))[0] for g in graphs]).reshape(n, width)
+        # a row per window: its start and label, then each value's text and a comma, or the last a newline
+        heads = np.array([b"%d,%d," % (g.window_start_index, g.label) for g in graphs], dtype=np.bytes_)
+        texts = repr_rows(embeddings)
+        values = np.concatenate((texts, np.full((len(texts), 1), ord(","), dtype=np.uint8)), axis=1)
+        values[width - 1 :: width, -1] = ord("\n")
+        heads, values = heads.view(np.uint8).reshape(n, heads.itemsize), values.reshape(n, width * values.shape[1])
+        rows = np.concatenate((heads, values), axis=1)
+        with open(tmp, "wb") as fh:
+            fh.write(("window_start_index,label," + ",".join(f"e{i}" for i in range(width)) + "\n").encode())
+            fh.write(rows[rows != 0].tobytes())
 
     _write_with_lock(args.out, write)
     _emit({"out": str(args.out), "windows": len(graphs)})

@@ -19,6 +19,7 @@ import numpy as np
 
 from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
 from .errors import ConfigError, ParseError, StateError, open_ascii, quoted
+from .floattext import repr_rows
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
@@ -302,7 +303,8 @@ def _float_texts(parts: list[np.ndarray]) -> list[str]:
     features and weights of a cache repeat. Keyed on the bits, so 0.0 and -0.0 keep their own texts."""
     bits = np.concatenate([np.empty(0), *parts], dtype=np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+    rows = repr_rows(distinct.view(np.float64))
+    return rows.view(f"S{rows.shape[1]}").ravel().astype(str).astype(object)[inverse].tolist()
 
 
 def load_graph_cache(path) -> list[WindowGraph]:

@@ -6,6 +6,7 @@ something honest to disagree with.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def per_value_save_checkpoint(path, kind, config, params):
             arr = np.asarray(arr, dtype=np.float64)
             dims = " ".join(str(d) for d in arr.shape)
             fh.write(f"param {name} {dims}".rstrip() + "\n")
-            rows = arr.reshape(arr.shape[0], -1) if arr.ndim > 1 else arr.reshape(1, -1)
+            rows = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])) if arr.ndim > 1 else arr.reshape(1, -1)
             for row in rows:
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         fh.write("end\n")

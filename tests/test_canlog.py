@@ -313,6 +313,16 @@ def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
     assert written == "".join(per_field_format_car_hacking_row(f) + "\n" for f in frames).encode()
 
 
+def test_writer_timestamps_that_repr_writes_one_at_a_time(tmp_path):
+    """0.0 and the timestamps repr writes with an exponent, among those the formatter lays out itself."""
+    stamps = [0.0, 5e-05, 1e-4, 0.5, 12.345678901234567, 9999999999999998.0, 1e16, 1.5e20]
+    frames = [CanFrame(t, 0x316, 1, (k,), Label(k % 2)) for k, t in enumerate(stamps)]
+    p = tmp_path / "log.csv"
+    assert write_car_hacking_csv(log_of(frames), p) == len(frames)
+    assert p.read_bytes() == "".join(per_field_format_car_hacking_row(f) + "\n" for f in frames).encode()
+    assert p.read_bytes().splitlines()[1::5] == [b"5e-05,0316,1,01,T", b"1e+16,0316,1,06,R"]
+
+
 @pytest.mark.parametrize(
     "last, error",
     [
@@ -323,14 +333,17 @@ def test_writer_rows_on_both_sides_of_a_block_cut(tmp_path):
         (CanFrame(None, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
         (CanFrame("1.5", 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got <U32, shape \(6,\)"),
         (CanFrame(10**400, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
+        (CanFrame((1.0, 2.0), 1, 0, ()), r"frame 5: timestamp \(1.0, 2.0\) is not a real number"),
+        (CanFrame(0.0, (1, 2), 0, ()), r"frame 5: can_id \(1, 2\) is not an integer"),
         (CanFrame(np.float64(1.5), 1, 0, ()), None),
     ],
-    ids=["id-0x800", "dlc-8-two-bytes", "byte-256", "nan", "none", "text", "huge-int", "numpy-scalar"],
+    ids=["id-0x800", "dlc-8-two-bytes", "byte-256", "nan", "none", "text", "huge-int", "ts-sequence", "id-sequence",
+         "numpy-scalar"],
 )
 def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, error):
     """The writer takes a FrameLog, and a frame the reader would reject makes none: a bad ID, DLC, payload
-    byte or float timestamp raises the ParseError of its position, and a timestamp that is not a float the
-    ParseError of the timestamp column."""
+    byte or float timestamp, or one that is a sequence, raises the ParseError of its position, and any other
+    timestamp that is not a float the ParseError of the timestamp column."""
     monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 2)  # frame 5 is the second of the third block
     frames = [CanFrame(0.0, 1, 0, ())] * 5 + [last]
     p = tmp_path / "log.csv"
@@ -351,8 +364,9 @@ def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, e
         (CanFrame(0.07, 1, 2.0, (1, 2)), "dlc 2.0 is not an integer"),
         (CanFrame(0.07, 1, 1, (1.5,)), "payload byte 1.5 is not an integer"),
         (CanFrame(0.07, 1, 2, (1, "a")), "payload byte 'a' is not an integer"),
+        (CanFrame(0.07, (1, 2), 0, ()), "can_id (1, 2) is not an integer"),
     ],
-    ids=["id-float", "dlc-float", "byte-float", "byte-text"],
+    ids=["id-float", "dlc-float", "byte-float", "byte-text", "id-sequence"],
 )
 def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, sink, frame, message):
     """An ID, DLC or payload byte that is not an int raises the ParseError of its position on every path."""

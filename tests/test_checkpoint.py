@@ -39,6 +39,25 @@ def test_every_shape_and_awkward_value_matches_the_reference_bytes(tmp_path):
     assert all(np.asarray(params[k], dtype=np.float64).tobytes() == loaded[k].tobytes() for k in params)
 
 
+def test_values_that_repr_writes_one_at_a_time_match_the_reference_bytes(tmp_path):
+    """Values below 1e-4 and from 1e16 up (repr's exponent form), zeros, subnormals and a nan, which the
+    formatter hands to repr one by one, among values it lays out itself; and params with no values."""
+    params = {
+        "small": np.array([[1e-4, 9.999999999999999e-05, -5e-05, 1.5e-300], [0.0, -0.0, 5e-324, 0.25]]),
+        "large": np.array([9999999999999998.0, 1e16, -1.5e20, 1.7976931348623157e308]),
+        "nan": np.array([np.nan, 1.0, -np.inf]),
+        "rows": np.zeros((3, 0)),
+        "none": np.zeros((0,)),
+        "scalar": np.float64(0.1),
+        "tail": np.array([[2.5, -3e-20]]),
+    }
+    got, expected = tmp_path / "got.ckpt", tmp_path / "expected.ckpt"
+    save_checkpoint(got, "demo", {}, params)
+    per_value_save_checkpoint(expected, "demo", {}, params)
+    assert got.read_bytes() == expected.read_bytes()
+    assert b"\nparam rows 3 0\n\n\n\nparam none 0\n\nparam scalar\n0.1\n" in got.read_bytes()
+
+
 @pytest.mark.parametrize("shape", [(0, 2), (0, 3, 2), (3, 0), (0,), ()])
 def test_empty_and_scalar_shapes_round_trip(tmp_path, shape):
     path = tmp_path / "empty.ckpt"

@@ -353,6 +353,16 @@ def test_writer_writes_the_bytes_of_a_per_value_repr_writer(tmp_path_factory, wi
     assert (root / "got.cache").read_bytes() == (root / "want.cache").read_bytes()
 
 
+def test_floats_of_both_forms_match_the_per_value_writer(tmp_path):
+    """Distinct floats that repr writes with an exponent, and those it writes without."""
+    window = WindowGraph([1, 2], np.array([[1e-05, 0.5, 1e16], [2.5e-310, 1.5e20, 1e-4]]), np.array([0, 1]),
+                         np.array([1, 0]), np.array([3.0, 9999999999999998.0]), 1, 0)
+    save_graph_cache([window, window], tmp_path / "got.cache")
+    per_value_save_graph_cache([window, window], tmp_path / "want.cache")
+    assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
+    assert "node 1 1e-05 0.5 1e+16\n" in (tmp_path / "got.cache").read_text()
+
+
 def test_zero_and_negative_zero_keep_their_own_text(tmp_path):
     window = WindowGraph([1, 2], np.array([[0.0, -0.0, 0.0], [-0.0, 5e-324, -0.0]]), np.array([0, 1]),
                          np.array([1, 0]), np.array([-0.0, 0.0]), 0, 0)

@@ -73,12 +73,14 @@ def test_every_definition_is_named_outside_the_tests():
 
 
 # (module, top-level definition) that alone may hold each kind of call: one clock for every timings block,
-# one epoch loop for both trainers, and one timestamp-order check for every CSV layout
+# one epoch loop for both trainers, one timestamp-order check for every CSV layout, and one float formatter
+# for every writer of many floats
 SOLE_OWNERS = {
     "clock read": ("pipeline", "Timings"),
     "checked_step call": ("gat", "train_epochs"),
     "shuffle": ("gat", "train_epochs"),
     "timestamp error call": ("canlog", "_decode_block"),
+    "bulk float repr": ("floattext", "_rows"),
 }
 CLOCK_READS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
 
@@ -88,6 +90,8 @@ def _kind(node):
     name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
     if name in CLOCK_READS or (name == "time" and isinstance(node, ast.Attribute)):
         return "clock read"
+    if name == "__repr__" and isinstance(node.value, ast.Name) and node.value.id == "float":
+        return "bulk float repr"  # float.__repr__, mapped or not
     if isinstance(node, ast.Call):
         called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
         if called == "checked_step":
@@ -96,13 +100,16 @@ def _kind(node):
             return "shuffle"
         if called == "_timestamp_error":
             return "timestamp error call"
+        if called == "map" and node.args and getattr(node.args[0], "id", None) == "repr":
+            return "bulk float repr"
     return None
 
 
 def test_clock_reads_steps_shuffles_and_timestamp_errors_have_one_owner_each():
     """Only ``pipeline.Timings`` reads the clock, only ``gat.train_epochs`` calls ``checked_step`` and
-    shuffles, and only ``canlog._decode_block`` calls ``_timestamp_error``, so that every run has one
-    timings path, both trainers one epoch loop, and both CSV layouts one timestamp-order check."""
+    shuffles, only ``canlog._decode_block`` calls ``_timestamp_error``, and only ``floattext._rows``
+    maps ``repr`` or names ``float.__repr__``, so that every run has one timings path, both trainers one
+    epoch loop, both CSV layouts one timestamp-order check, and every writer one float formatter."""
     seen = {kind: set() for kind in SOLE_OWNERS}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
