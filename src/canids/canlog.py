@@ -49,6 +49,8 @@ class CanFrame(NamedTuple):
     label: Label = Label.BENIGN
 
     def validate(self):
+        if not isinstance(self.timestamp, _REALS):
+            raise ParseError(f"timestamp {quoted_value(self.timestamp)} is not a real number")
         for name, value in (("can_id", self.can_id), ("dlc", self.dlc)):
             if not isinstance(value, _INTS):
                 raise ParseError(f"{name} {value!r} is not an integer")
@@ -194,9 +196,8 @@ class FrameBlock(NamedTuple):
     @classmethod
     def from_frames(cls, frames: Sequence[CanFrame], first: int = 0) -> "FrameBlock":
         """The columns of ``frames``, the timestamps as ``np.array`` reads them (float64 if they are floats). A
-        frame whose ID, DLC or payload bytes are not integers in range raises the ParseError of
-        ``checked_frame`` at its position, counted from ``first``, and so does one whose timestamp is a
-        sequence, or anything else ``np.array`` cannot read as one entry per frame."""
+        frame whose timestamp is not a real number, or whose ID, DLC or payload bytes are not integers in
+        range, raises the ParseError of ``checked_frame`` at its position, counted from ``first``."""
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
         # an integer dtype only if every value is an integer; None if a value is a sequence
         ts, can_id, dlc = (_column_of(values) for values in (ts, can_id, dlc))
@@ -205,12 +206,11 @@ class FrameBlock(NamedTuple):
             data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
         except (TypeError, ValueError):  # a byte that is not an integer, or one outside [0, 255]
             data = None
-        read = all(column is not None for column in (ts, can_id, dlc, data))
+        # timestamps of text, None, numpy bools or other objects are checked frame by frame, like unreadable ones
+        read = ts is not None and ts.dtype.kind in "iuf" and all(column is not None for column in (can_id, dlc, data))
         if not (read and _ids_and_dlcs_ok(can_id, dlc) and (sizes == dlc).all()):
             for position, frame in enumerate(frames, start=first):
                 checked_frame(position, frame)
-                if ts is None and not isinstance(frame[0], _REALS):
-                    raise ParseError(f"frame {position}: timestamp {quoted_value(frame[0])} is not a real number")
         can_id, dlc = can_id.astype(np.int64), dlc.astype(np.int64)
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
         payload[_BYTE_SLOTS < dlc[:, None]] = data
@@ -465,9 +465,9 @@ def _decode_csv(path, layout: _Layout) -> Iterator[FrameBlock]:
 
 def _ascii_blocks(path) -> Iterator[bytes]:
     """The lines of the file at ``path``, each ending in ``\\n``, read _BLOCK_CHARS bytes at a time and cut
-    after the last line end of each read (the rest starts the next block). ``\\r\\n`` and ``\\r`` line ends
-    are read as ``\\n``, as text mode reads them, and a last line without one gets one. A read that holds a
-    non-ASCII byte raises the ParseError of ``non_ascii_error`` instead."""
+    after the last line end of each read (the rest starts the next block), each block followed by _TAIL.
+    ``\\r\\n`` and ``\\r`` line ends are read as ``\\n``, as text mode reads them, and a last line without one
+    gets one. A read that holds a non-ASCII byte raises the ParseError of ``non_ascii_error`` instead."""
     rest, cr = b"", b""  # the text after the last line end; a read's last "\r", whose "\n" may start the next read
     with open(path, "rb") as fh:
         while chunk := fh.read(_BLOCK_CHARS):
@@ -480,17 +480,18 @@ def _ascii_blocks(path) -> Iterator[bytes]:
             rest += chunk
             cut = rest.rfind(b"\n") + 1
             if cut:
-                yield rest[:cut]
+                yield b"".join((memoryview(rest)[:cut], _TAIL))  # one copy of the block
                 rest = rest[cut:]
     if rest or cr:
-        yield rest + b"\n"
+        yield rest + b"\n" + _TAIL
 
 
 def _decode_block(
     text: bytes, lineno: int, last_ts: float, layout: _Layout
 ) -> tuple[FrameBlock, CanidsError | None, int]:
-    """The frames of the ASCII lines of ``text`` (each ending in a newline, numbered from ``lineno``) up to
-    the first bad one, the error of that line (None if there is none), and the number of lines.
+    """The frames of the ASCII lines of ``text`` (each ending in a newline, numbered from ``lineno``, and
+    then _TAIL) up to the first bad one, the error of that line (None if there is none), and the number
+    of lines.
 
     The frames of the line loop are put in among the canonical lines' in line
     order (a layout with no canonical lines keeps the loop's float
@@ -505,7 +506,8 @@ def _decode_block(
     odd = np.flatnonzero(~keep)
     error = None
     if len(odd):
-        rows, read, error = _decode_lines(text.decode("ascii").split("\n"), odd.tolist(), lineno, layout)
+        lines = text[: len(text) - len(_TAIL)].decode("ascii").split("\n")
+        rows, read, error = _decode_lines(lines, odd.tolist(), lineno, layout)
         if block.timestamp.dtype.kind == "S":  # a float goes in as its repr, the text that float() reads back
             block = block._replace(timestamp=block.timestamp.astype(f"S{_MAX_TIMESTAMP}"))
         for column, values in zip(block, read):
@@ -556,8 +558,8 @@ def _byte_ordered(ts: np.ndarray, point: np.ndarray) -> np.ndarray:
 
 
 def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray, np.ndarray]:
-    """The canonical lines of ``text``, every line of which ends in a newline: a FrameBlock with one
-    row per line, whose rows of the canonical lines hold their frames; the offset of the ``.`` of each
+    """The canonical lines of ``text`` (lines that each end in a newline, then _TAIL): a FrameBlock with
+    one row per line, whose rows of the canonical lines hold their frames; the offset of the ``.`` of each
     canonical line's timestamp if that is a plain decimal (``_byte_ordered``), else -1; the mask of the
     canonical lines; and the offset of each line's newline in ``text``.
 
@@ -570,7 +572,8 @@ def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray, n
     lines, each field read from a fixed-width window of the text after the
     field before it.
     """
-    b = np.frombuffer(text + _TAIL, dtype=np.uint8)
+    b = np.frombuffer(text, dtype=np.uint8)
+    size = len(text) - len(_TAIL)  # of the lines
     ends = np.flatnonzero(b == _NEWLINE)  # one per line
     starts = np.concatenate(([0], ends[:-1] + 1))
     # each field from a window after the field before it. On a line with fewer fields, or one past the
@@ -618,8 +621,8 @@ def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray, n
         rest = c[matched]
         matched = matched[_rows_all((rest - np.uint8(_MINUS) <= 12) | (rest == _PLUS) | (rest == _E) | (rest == 0))]
         decimal[matched] = [_is_decimal(s.decode()) is not None for s in strings[matched].tolist()]
-    if b"\0" in text:  # a NUL in a timestamp would end it early
-        decimal[np.searchsorted(ends, np.flatnonzero(b[: len(text)] == 0))] = False
+    if text.find(b"\0", 0, size) >= 0:  # a NUL in a timestamp would end it early
+        decimal[np.searchsorted(ends, np.flatnonzero(b[:size] == 0))] = False
     ok &= decimal
     point = np.full(len(c), -1)
     point[row] = column

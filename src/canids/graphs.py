@@ -10,10 +10,11 @@ weights over a window always sum to W-1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .floattext import repr_rows
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
 _REPEATED_ID = "node ID listed twice in one window"
-_NODE_RECORD, _EDGE_RECORD = "node %d %s %s %s\n", "edge %d %d %s\n"  # each %s the repr of a float
+_WRITE_WINDOWS = 1 << 10  # save_graph_cache lays out the records of this many windows at once
+_NEWLINE = ord("\n")
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
@@ -272,39 +274,78 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
 def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
     """Write graphs to the line-oriented cache format. Returns graph count.
 
-    Format (floats via repr, reload is bit-exact; ``_float_texts`` formats each distinct float once):
+    Format (ints via str, floats via repr, so reload is bit-exact):
         canids-graph-cache v1
         graph <window_start_index> <label> <num_nodes> <num_edges>
         node <can_id> <feat0> <feat1> <feat2>     x num_nodes
         edge <src> <dst> <weight>                 x num_edges
+
+    The graphs are written _WRITE_WINDOWS at a time (``_window_records``).
     """
-    graphs = list(graphs)
-    texts = _float_texts([part for g in graphs for part in (g.node_features.ravel(), g.edge_weight)])
-    at = 0  # the index in texts of the next graph's first feature
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CACHE_MAGIC + "\n")
-        for g in graphs:
-            # each record's fields in one list of ints and float texts, written with one % call
-            n, e = g.num_nodes, g.num_edges
-            nodes = [0] * (4 * n)
-            nodes[::4] = g.node_ids
-            nodes[1::4], nodes[2::4], nodes[3::4] = (texts[at + k : at + 3 * n : 3] for k in range(3))
-            at += 3 * n
-            edges = [0] * (3 * e)
-            edges[::3], edges[1::3], edges[2::3] = g.edge_src.tolist(), g.edge_dst.tolist(), texts[at : at + e]
-            at += e
-            fh.write(f"graph {g.window_start_index} {g.label} {n} {e}\n" + _NODE_RECORD * n % tuple(nodes)
-                     + _EDGE_RECORD * e % tuple(edges))
-    return len(graphs)
+    graphs = iter(graphs)
+    count = 0
+    with open(path, "wb") as fh:
+        fh.write(CACHE_MAGIC.encode() + b"\n")
+        while group := list(itertools.islice(graphs, _WRITE_WINDOWS)):
+            fh.write(_window_records(group))
+            count += len(group)
+    return count
 
 
-def _float_texts(parts: list[np.ndarray]) -> list[str]:
-    """The ``repr`` of each float of ``parts``, in order, formatting each distinct bit pattern once: most
-    features and weights of a cache repeat. Keyed on the bits, so 0.0 and -0.0 keep their own texts."""
-    bits = np.concatenate([np.empty(0), *parts], dtype=np.float64).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    rows = repr_rows(distinct.view(np.float64))
-    return rows.view(f"S{rows.shape[1]}").ravel().astype(str).astype(object)[inverse].tolist()
+def _window_records(graphs: list[WindowGraph]) -> bytes:
+    """The records of ``graphs``, in order. Each window's graph record is formatted on its own; the
+    node and edge records of all of them are laid out with array operations (``_records``), each
+    field's texts from ``_text_rows``, and a window's records are slices of their bytes."""
+    node_ids = np.array([cid for g in graphs for cid in g.node_ids], dtype=np.int64)
+    feats = np.concatenate([g.node_features.ravel() for g in graphs], dtype=np.float64).reshape(-1, 3)
+    src, dst = (np.concatenate([getattr(g, name) for g in graphs], dtype=np.int64) for name in ("edge_src", "edge_dst"))
+    wts = np.concatenate([g.edge_weight for g in graphs], dtype=np.float64)
+    ints, id_feats, counts = _number_texts()
+    other = _text_rows(feats[:, 1:].ravel())  # the other two features of each node, in turn
+    other = other.reshape(len(feats), 2, other.shape[1])
+    nodes, node_ends = _records(b"node", _text_rows(node_ids, ints), _text_rows(feats[:, 0], id_feats),
+                                other[:, 0], other[:, 1])
+    edges, edge_ends = _records(b"edge", _text_rows(src, ints), _text_rows(dst, ints), _text_rows(wts, counts))
+    sizes = [(len(g.node_ids), len(g.edge_src)) for g in graphs]
+    at = np.cumsum([(0, 0), *sizes], axis=0)  # each window's first node and edge record
+    node_at, edge_at = node_ends.take(at[:, 0]).tolist(), edge_ends.take(at[:, 1]).tolist()
+    nodes, edges = memoryview(nodes), memoryview(edges)
+    parts = []
+    for g, (n, e), a, b, c, d in zip(graphs, sizes, node_at, node_at[1:], edge_at, edge_at[1:]):
+        parts += (f"graph {g.window_start_index} {g.label} {n} {e}\n".encode(), nodes[a:b], edges[c:d])
+    return b"".join(parts)
+
+
+def _records(tag: bytes, *fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes (uint8) of the records ``tag field0 field1 ...``, one a line, of the rows of ``fields``
+    (each an (n, width) uint8 array of NUL-padded texts), and where each record ends in them (0 first).
+    No text holds a NUL, so the records are the bytes of the laid-out rows that are not NUL."""
+    template = tag + b"".join(b" " + b"\0" * field.shape[1] for field in fields) + b"\n"
+    rows = np.empty((len(fields[0]), len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template, dtype=np.uint8)
+    at = len(tag) + 1
+    for field in fields:
+        rows[:, at : at + field.shape[1]] = field
+        at += field.shape[1] + 1
+    text = rows[rows != 0]
+    return text, np.concatenate(([0], np.flatnonzero(text == _NEWLINE) + 1))
+
+
+def _text_rows(values: np.ndarray, table: _NumberTexts | None = None) -> np.ndarray:
+    """The text of each int64 or float64 of ``values`` (``str`` of an int, ``repr`` of a float) as the
+    NUL-padded rows of a uint8 array: the rows of ``table`` if every value is one of its values, bit
+    for bit (not -0.0 for 0.0, nor a nan); else each distinct float's ``repr_rows``, or each int's ``str``."""
+    if table is not None:
+        # the table's values are evenly spaced: a value can only be the one a whole number of steps away
+        first, step, top = table.values[0], table.values[1] - table.values[0], table.values[-1]
+        at = np.rint((np.fmin(np.fmax(values, first), top) - first) / step).astype(np.intp)  # nan to 0
+        if (table.values.take(at).view(np.uint64) == values.view(np.uint64)).all():
+            return table.rows.take(at, axis=0)
+    if values.dtype.kind == "i":
+        texts = np.array(list(map(str, values.tolist())), dtype="S")
+        return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)  # 0.0 and -0.0 apart
+    return repr_rows(distinct.view(np.float64)).take(inverse, axis=0)
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
@@ -475,15 +516,26 @@ def _edge_columns(lines: list[str], window_nodes) -> tuple[np.ndarray, np.ndarra
     return src, dst, wts
 
 
+class _NumberTexts(NamedTuple):
+    values: np.ndarray  # ascending, int64 or float64
+    rows: np.ndarray  # (len(values), width) uint8: the text of each value, NUL-padded
+
+
+@functools.cache
+def _number_texts() -> tuple[_NumberTexts, _NumberTexts, _NumberTexts]:
+    """Number texts that save_graph_cache always spells one way: ``str(i)`` of every 11-bit CAN ID, which
+    also covers every node index (below its window's count of distinct IDs); the ``repr`` of each ID
+    feature ``i / MAX_STD_ID``; and the ``repr`` of each integral edge count up to MAX_STD_ID, ``f"{k}.0"``.
+    Built on first use, as they take a few ms."""
+    ids = np.arange(MAX_STD_ID + 1)
+    return tuple(_NumberTexts(values, _text_rows(values)) for values in (ids, ids / MAX_STD_ID, ids[1:].astype(float)))
+
+
 @functools.cache
 def _number_tables() -> tuple[dict[str, int], dict[str, float], dict[str, float]]:
-    """Number texts that save_graph_cache always spells one way, each with its value: ``str(i)`` of every
-    11-bit CAN ID, which also covers every node index (below its window's count of distinct IDs); the
-    ``repr`` of each ID feature ``i / MAX_STD_ID``; and the text of each integral edge count up to
-    MAX_STD_ID. Built on the first load, as they take a few ms."""
-    ids = range(MAX_STD_ID + 1)
-    return ({str(i): i for i in ids}, {repr(i / MAX_STD_ID): i / MAX_STD_ID for i in ids},
-            {f"{k}.0": float(k) for k in ids[1:]})
+    """The texts of ``_number_texts``, each with its value (a Python int or float), for the reader."""
+    return tuple(dict(zip(map(bytes.decode, rows.view(f"S{rows.shape[1]}")[:, 0].tolist()), values.tolist()))
+                 for values, rows in _number_texts())
 
 
 def _column(texts: list[str], table: dict, dtype) -> np.ndarray:

@@ -330,8 +330,8 @@ def test_writer_timestamps_that_repr_writes_one_at_a_time(tmp_path):
         (CanFrame(0.0, 1, 8, (1, 2)), "frame 5: payload length 2 does not match dlc 8"),
         (CanFrame(0.0, 1, 1, (256,)), r"frame 5: payload byte outside \[0, 255\]"),
         (CanFrame(math.nan, 1, 0, ()), "frame 5: timestamp nan is not a finite number"),
-        (CanFrame(None, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
-        (CanFrame("1.5", 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got <U32, shape \(6,\)"),
+        (CanFrame(None, 1, 0, ()), "frame 5: timestamp None is not a real number"),
+        (CanFrame("1.5", 1, 0, ()), "frame 5: timestamp '1.5' is not a real number"),
         (CanFrame(10**400, 1, 0, ()), r"timestamp column: want float64, shape \(6,\); got object, shape \(6,\)"),
         (CanFrame((1.0, 2.0), 1, 0, ()), r"frame 5: timestamp \(1.0, 2.0\) is not a real number"),
         (CanFrame(0.0, (1, 2), 0, ()), r"frame 5: can_id \(1, 2\) is not an integer"),
@@ -342,8 +342,8 @@ def test_writer_timestamps_that_repr_writes_one_at_a_time(tmp_path):
 )
 def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, error):
     """The writer takes a FrameLog, and a frame the reader would reject makes none: a bad ID, DLC, payload
-    byte or float timestamp, or one that is a sequence, raises the ParseError of its position, and any other
-    timestamp that is not a float the ParseError of the timestamp column."""
+    byte or float timestamp, or a timestamp that is not a real number, raises the ParseError of its
+    position, and a real timestamp that is not a float the ParseError of the timestamp column."""
     monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 2)  # frame 5 is the second of the third block
     frames = [CanFrame(0.0, 1, 0, ())] * 5 + [last]
     p = tmp_path / "log.csv"
@@ -356,7 +356,7 @@ def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, e
     assert list(parse_car_hacking_csv(p)) == frames
 
 
-@pytest.mark.parametrize("sink", ["writer", "stride-W", "stride-1"])
+@pytest.mark.parametrize("sink", ["writer", "stride-W", "stride-1", "stride-2"])
 @pytest.mark.parametrize(
     "frame, message",
     [
@@ -365,11 +365,15 @@ def test_writer_writes_only_rows_its_reader_reads(tmp_path, monkeypatch, last, e
         (CanFrame(0.07, 1, 1, (1.5,)), "payload byte 1.5 is not an integer"),
         (CanFrame(0.07, 1, 2, (1, "a")), "payload byte 'a' is not an integer"),
         (CanFrame(0.07, (1, 2), 0, ()), "can_id (1, 2) is not an integer"),
+        (CanFrame("x", 1, 0, ()), "timestamp 'x' is not a real number"),
+        (CanFrame(None, 1, 0, ()), "timestamp None is not a real number"),
+        (CanFrame((1.0, 2.0), 1, 0, ()), "timestamp (1.0, 2.0) is not a real number"),
     ],
-    ids=["id-float", "dlc-float", "byte-float", "byte-text", "id-sequence"],
+    ids=["id-float", "dlc-float", "byte-float", "byte-text", "id-sequence", "ts-text", "ts-none", "ts-sequence"],
 )
 def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, sink, frame, message):
-    """An ID, DLC or payload byte that is not an int raises the ParseError of its position on every path."""
+    """An ID, DLC or payload byte that is not an int, or a timestamp that is not a real number, raises the
+    ParseError of its position on every path."""
     monkeypatch.setattr(canlog, "_BLOCK_FRAMES", 4)  # the bad frame is in the second block
     frames = [CanFrame(0.01 * k, 0x100 + k % 3, 2, (k, 7)) for k in range(20)]
     frames[7] = frame
@@ -377,6 +381,7 @@ def test_non_integer_fields_rejected_with_their_position(tmp_path, monkeypatch, 
         "writer": lambda: write_car_hacking_csv(log_of(frames), tmp_path / "log.csv"),
         "stride-W": lambda: list(build_windows(frames, 5)),
         "stride-1": lambda: list(build_windows(frames, 5, 1)),
+        "stride-2": lambda: list(build_windows(frames, 5, 2)),
     }[sink]
     with pytest.raises(ParseError, match=f"^frame 7: {re.escape(message)}$"):
         run()
@@ -732,7 +737,7 @@ def test_only_the_odd_line_takes_the_line_loop(tmp_path, monkeypatch):
 
 def canonical_mask(lines):
     """_canonical_lines's mask over ``lines`` and the frames of its canonical lines."""
-    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode())
+    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode() + canlog._TAIL)
     return canonical.tolist(), list(FrameBlock(*(column[canonical] for column in block)).frames())
 
 
@@ -783,7 +788,7 @@ def test_canonical_timestamps_read_as_float_reads_them():
     values = np.sort(np.concatenate([values, [0.0, 1e-05, 2.5e-07, 1e16, 5e-324, 1.7976931348623157e308]]))
     lines = [f"{v!r},0316,0,R\n" for v in values.tolist()]
     assert any("e-" in line for line in lines) and any("e+" in line for line in lines)
-    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode())
+    block, _, canonical, _ = canlog._canonical_lines("".join(lines).encode() + canlog._TAIL)
     assert canonical.all()
     assert block.timestamp.tolist() == [line.split(",")[0].encode() for line in lines]  # kept as text
     stamps = [frame.timestamp for frame in block.frames()]
@@ -800,7 +805,7 @@ def test_canonical_timestamps_read_as_float_reads_them():
 def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
     """Order and finiteness are checked after this, once per block (``test_each_timestamp_rule_...``).
     The ``.`` of a timestamp of digits and one ``.`` is marked for the byte compare."""
-    block, point, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode())
+    block, point, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode() + canlog._TAIL)
     assert canonical[0] == (canlog._is_decimal(stamp) is not None and len(stamp) <= 32)
     if canonical[0]:
         assert block.timestamp[0] == stamp.encode()
@@ -837,7 +842,7 @@ def test_byte_compare_clears_no_pair_that_float_orders_the_other_way(pair, swap)
     two have their "." at one offset and their bytes are in order, and then float() orders them so too.
     Either way the order check gives float()'s verdict."""
     a, b = pair[::-1] if swap else pair
-    block, point, canonical, _ = canlog._canonical_lines(f"{a},0316,0,R\n{b},0316,0,R\n".encode())
+    block, point, canonical, _ = canlog._canonical_lines(f"{a},0316,0,R\n{b},0316,0,R\n".encode() + canlog._TAIL)
     assert canonical.all() and point.tolist() == [a.index("."), b.index(".")]
     cleared = canlog._byte_ordered(block.timestamp, point)
     assert cleared.tolist() == [False, a.index(".") == b.index(".") and a.encode() <= b.encode()]
@@ -860,7 +865,8 @@ def test_byte_compare_clears_no_pair_that_float_orders_the_other_way(pair, swap)
 def test_rows_the_byte_compare_cannot_clear_get_the_float_verdict(before, after):
     """Neither row is cleared by its bytes (the first has no row before it in its block), and the order
     check gives float()'s verdict, also when ``before`` ended the block before."""
-    block, point, canonical, _ = canlog._canonical_lines(f"{before},0316,0,R\n{after},0316,0,R\n".encode())
+    text = f"{before},0316,0,R\n{after},0316,0,R\n".encode() + canlog._TAIL
+    block, point, canonical, _ = canlog._canonical_lines(text)
     assert canonical.all()
     assert not canlog._byte_ordered(block.timestamp, point).any()
     verdict = canlog._first_disorder(block.timestamp, point, canlog._BEFORE_FIRST_TS)

@@ -317,10 +317,18 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 2.225073858507201e-308, 2.225073858
                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1.0]
 
 
+# one value that the writer's number tables lack, put in a window whose other values they all hold
+TABLE_BREAKS = ["id-0-feature--0.0", "feature-ulp-off", "weight-0.5", "weight-2048", "weight-1e16", "nan-feature",
+                "id-4095"]
+
+
 @st.composite
 def cache_graphs(draw):
-    """A few windows whose features and weights are drawn from one small pool of finite floats, so that
-    windows share values; the pool mixes 0.0 and -0.0, subnormals, 1e16 and the largest floats."""
+    """A few windows as the builder makes them, with ID features ``id / 2047`` (IDs 0 and 2047 among the
+    drawn ones) and integral weights in 1..2047, the texts of the writer's tables; and now and then a window
+    that breaks the tables in one value (TABLE_BREAKS). The other two features are drawn from one small
+    pool of finite floats, so that windows share values; the pool mixes 0.0 and -0.0, subnormals, 1e16 and
+    the largest floats."""
     pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
                          min_size=1, max_size=8))
 
@@ -332,25 +340,74 @@ def cache_graphs(draw):
         n = draw(st.integers(0, 4))
         e = draw(st.integers(0, 5)) if n else 0
         ends = st.lists(st.integers(0, n - 1), min_size=e, max_size=e) if n else st.just([])
+        ids = draw(st.lists(st.one_of(st.sampled_from([0, 2047]), st.integers(0, 2047)), min_size=n, max_size=n,
+                            unique=True))
+        feats = np.array(floats(3 * n), dtype=np.float64).reshape(n, 3)
+        feats[:, 0] = np.array(ids, dtype=np.int64) / 2047
+        weights = np.array(draw(st.lists(st.integers(1, 2047), min_size=e, max_size=e)), dtype=np.float64)
+        brk = draw(st.sampled_from(TABLE_BREAKS + [None] * 10)) if n else None
+        if brk == "id-0-feature--0.0":
+            if 0 not in ids:
+                ids[0] = 0
+            feats[ids.index(0), 0] = -0.0
+        elif brk == "feature-ulp-off":
+            feats[0, 0] = np.nextafter(feats[0, 0], draw(st.sampled_from([-np.inf, np.inf])))
+        elif brk == "nan-feature":
+            feats[0, draw(st.integers(0, 2))] = np.nan
+        elif brk == "id-4095":
+            ids[0] = 4095
+            feats[0, 0] = 4095 / 2047
+        elif brk is not None and e:
+            weights[draw(st.integers(0, e - 1))] = {"weight-0.5": 0.5, "weight-2048": 2048.0, "weight-1e16": 1e16}[brk]
         windows.append(WindowGraph(
-            node_ids=draw(st.lists(st.integers(0, 2047), min_size=n, max_size=n, unique=True)),
-            node_features=np.array(floats(3 * n), dtype=np.float64).reshape(n, 3),
+            node_ids=ids,
+            node_features=feats,
             edge_src=np.array(draw(ends), dtype=np.int64),
             edge_dst=np.array(draw(ends), dtype=np.int64),
-            edge_weight=np.array(floats(e), dtype=np.float64),
+            edge_weight=weights,
             label=draw(st.integers(0, 1)),
             window_start_index=10 * start,
         ))
     return windows
 
 
-@given(cache_graphs())
-@settings(max_examples=200, deadline=None)
-def test_writer_writes_the_bytes_of_a_per_value_repr_writer(tmp_path_factory, windows):
+@given(cache_graphs(), st.sampled_from([1, 2, graphs._WRITE_WINDOWS]))
+@settings(max_examples=300, deadline=None)
+def test_writer_writes_the_bytes_of_a_per_value_repr_writer(tmp_path_factory, windows, group):
+    """Windows written a group at a time: a group's column takes the tables' texts or, if they lack one of its
+    values, the formatter's."""
     root = tmp_path_factory.mktemp("writer")
-    assert save_graph_cache(iter(windows), root / "got.cache") == len(windows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_WRITE_WINDOWS", group)
+        assert save_graph_cache(iter(windows), root / "got.cache") == len(windows)
     per_value_save_graph_cache(windows, root / "want.cache")
     assert (root / "got.cache").read_bytes() == (root / "want.cache").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "window, stride, directed, frames_used",
+    [(100, 100, True, slice(None)), (50, 7, False, slice(None)), (100, 1, True, slice(1500, 3500))],
+    ids=["W100", "W50-stride7-undirected", "stride-1"],
+)
+def test_built_caches_match_the_per_value_writer(tmp_path, mixed_frames, window, stride, directed, frames_used):
+    """Caches as build-graphs writes them, whose IDs, ID features and weights are all table texts."""
+    built = list(build_windows(iter(mixed_frames[frames_used]), window, stride, directed))
+    save_graph_cache(built, tmp_path / "got.cache")
+    per_value_save_graph_cache(built, tmp_path / "want.cache")
+    assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
+
+
+def test_cache_longer_than_a_write_group_matches_the_per_value_writer(tmp_path, monkeypatch, mixed_graphs):
+    """Windows written 7 at a time, one group with a weight that the tables lack."""
+    monkeypatch.setattr(graphs, "_WRITE_WINDOWS", 7)
+    windows = list(mixed_graphs[:40])
+    odd = windows[10]
+    windows[10] = WindowGraph(odd.node_ids, odd.node_features, odd.edge_src, odd.edge_dst,
+                              np.concatenate([[0.5], odd.edge_weight[1:]]), odd.label, odd.window_start_index)
+    assert save_graph_cache(iter(windows), tmp_path / "got.cache") == 40
+    per_value_save_graph_cache(windows, tmp_path / "want.cache")
+    assert (tmp_path / "got.cache").read_bytes() == (tmp_path / "want.cache").read_bytes()
+    assert b" 0.5\n" in (tmp_path / "got.cache").read_bytes()
 
 
 def test_floats_of_both_forms_match_the_per_value_writer(tmp_path):
@@ -410,6 +467,25 @@ def table_caches(draw):
             lines.append(f"edge {draw(table_texts(indexes))} {draw(table_texts(indexes))} "
                          f"{draw(table_texts(counts))}")
     return "\n".join(lines) + "\n"
+
+
+def test_number_tables_hold_the_texts_that_str_and_repr_spell():
+    """The reader's tables, which are the writer's texts, hold ``str`` of each CAN ID, the ``repr`` of each
+    ID feature and the text of each integral edge count from 1, in that order."""
+    ids = range(2048)
+    want = ({str(i): i for i in ids}, {repr(i / 2047): i / 2047 for i in ids}, {f"{k}.0": float(k) for k in ids[1:]})
+    for got, table in zip(graphs._number_tables(), want):
+        assert list(got.items()) == list(table.items())
+        assert all(type(value) is type(table[text]) for text, value in got.items())
+
+
+def test_every_table_value_takes_the_table_text(monkeypatch):
+    """The writer finds each value of a table in it, in any order: no float of a table goes to the formatter."""
+    tables = graphs._number_texts()
+    monkeypatch.setattr(graphs, "repr_rows", None)  # the formatter of the values outside the tables
+    for table in tables:
+        order = np.random.default_rng(0).permutation(len(table.values))
+        assert graphs._text_rows(table.values[order], table).tobytes() == table.rows[order].tobytes()
 
 
 def test_number_tables_hold_what_their_texts_convert_to():

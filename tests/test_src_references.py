@@ -6,9 +6,14 @@ A definition counts as used when its name appears in ``src/``, ``bench/`` or
 is exactly the name (``bench/spans.py`` patches functions by name); a method
 only as an attribute (``.name``). The re-exports in ``canids/__init__.py`` do
 not count, and neither do the tests: code that only tests reach is dead code.
+The package's calls of a few kinds each have one owner, and importing it loads
+no third-party module but its declared dependencies.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -122,3 +127,20 @@ def test_clock_reads_steps_shuffles_and_timestamp_errors_have_one_owner_each():
     for kind, (module, owner) in SOLE_OWNERS.items():
         owners = {(m, o) for m, o, _ in seen[kind]}
         assert owners == {(module, owner)}, f"{kind} outside {module}.{owner}: {sorted(seen[kind])}"
+
+
+# the top-level packages that importing canids may load besides the standard library: pyproject.toml's
+# dependencies and canids itself
+DECLARED = {"numpy", "canids"}
+
+
+def test_imports_load_only_the_declared_dependencies():
+    """``import canids`` and ``import canids.cli``, in a fresh interpreter, load no top-level module outside
+    the standard library and DECLARED, so that a new runtime dependency changes pyproject.toml and DECLARED
+    together (an ``import scipy.sparse`` alone takes about as long as all of ``import canids``)."""
+    code = ("import sys; before = set(sys.modules); import canids, canids.cli; "
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert "canids" in loaded.split()
+    assert set(loaded.split()) - set(sys.stdlib_module_names) - DECLARED == set()
