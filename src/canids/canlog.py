@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view as _windows
 
 from .errors import CanidsError, ConfigError, ParseError, non_ascii_error, quoted, quoted_value
-from .floattext import repr_rows
+from .floattext import is_decimal, joined, repr_rows
 
 MAX_STD_ID = 2047  # 11-bit identifiers only; extended frames are rejected
 
@@ -98,8 +98,6 @@ _ID_SLOTS = np.arange(4)
 _ID_WEIGHTS = np.array([[16 ** (n - 1 - j) if j < n else 0 for j in range(4)] for n in range(5)])  # by ID length
 _TIMESTAMP_SLOTS = np.arange(_MAX_TIMESTAMP, dtype=np.uint8)
 _BLOCK_FRAMES = 1 << 14  # the writer and frame_blocks take this many frames at a time
-_ROW_TAIL = 34  # the most characters of a row after its timestamp: ",IIII,D,", eight "xx," and "F\n"
-_ROW_TAIL_SLOTS = np.arange(_ROW_TAIL)
 # the text of each 11-bit CAN ID (four hex digits) and of each byte as a payload field ("xx,")
 _ID_TEXT = np.frombuffer(b"".join(b"%04x" % i for i in range(MAX_STD_ID + 1)), dtype=np.uint8).reshape(-1, 4)
 _FIELD_TEXT = np.frombuffer(b"".join(b"%02x," % i for i in range(256)), dtype=np.uint8).reshape(-1, 3)
@@ -112,11 +110,6 @@ def _digits_of(base: int):
 
 _is_hex = _digits_of(16)
 _DLCS = {str(dlc): dlc for dlc in range(9)}
-# what repr(float) writes: an optional "-", digits with at most one ".", an optional exponent;
-# each string matches one way only, so a failing match does not backtrack over its digits.
-# "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
-DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
-_is_decimal = re.compile(DECIMAL).fullmatch
 
 
 def _read_int(field: str, base: int, name: str, lineno: int) -> int:
@@ -620,7 +613,7 @@ def _canonical_lines(text: bytes) -> tuple[FrameBlock, np.ndarray, np.ndarray, n
     if len(matched):
         rest = c[matched]
         matched = matched[_rows_all((rest - np.uint8(_MINUS) <= 12) | (rest == _PLUS) | (rest == _E) | (rest == 0))]
-        decimal[matched] = [_is_decimal(s.decode()) is not None for s in strings[matched].tolist()]
+        decimal[matched] = [is_decimal(s.decode()) is not None for s in strings[matched].tolist()]
     if text.find(b"\0", 0, size) >= 0:  # a NUL in a timestamp would end it early
         decimal[np.searchsorted(ends, np.flatnonzero(b[:size] == 0))] = False
     ok &= decimal
@@ -655,7 +648,7 @@ def _decode_lines(
             if n < least:
                 raise width_error(n, None, lineno + k)
             stamp = fields[ts_i]
-            if not (stamp.replace(".", "", 1).isdigit() or _is_decimal(stamp)):
+            if not (stamp.replace(".", "", 1).isdigit() or is_decimal(stamp)):
                 raise ParseError(f"bad timestamp {quoted(stamp)}", line=lineno + k)
             can_id = ids.get(fields[id_i])
             if can_id is None:
@@ -708,23 +701,9 @@ def write_car_hacking_csv(log: FrameLog, path) -> int:
 
 
 def _block_rows(block: FrameBlock) -> bytes:
-    """The CSV rows of the frames of ``block``, whose timestamps are float64.
-
-    Each row is its timestamp's text from ``repr_rows``, NUL-padded, then the
-    rest of the row in _ROW_TAIL characters, NUL-padded past its newline;
-    no row holds a NUL, so the rows are the bytes that are not NUL.
-    """
-    texts = repr_rows(block.timestamp)
-    n = len(texts)
-    tail = np.zeros((n, _ROW_TAIL), dtype=np.uint8)
-    tail[:, [0, 5, 7]] = _COMMA
-    tail[:, 1:5] = _ID_TEXT.take(block.can_id, axis=0)
-    tail[:, 6] = block.dlc + _ZERO
-    tail[:, 8:32] = _FIELD_TEXT.take(block.payload, axis=0).reshape(n, 24)
-    flag = 8 + 3 * block.dlc  # the column of each row's flag, after its DLC payload fields
-    rows = np.arange(n)
-    tail[rows, flag] = np.where(block.attack, _T, _R)
-    tail[rows, flag + 1] = _NEWLINE
-    tail[_ROW_TAIL_SLOTS > flag[:, None] + 1] = 0
-    text = np.concatenate((texts, tail), axis=1)
-    return text[text != 0].tobytes()
+    """The CSV rows of the frames of ``block``, whose timestamps are float64; payload fields past a DLC are NUL."""
+    fields = _FIELD_TEXT.take(block.payload, axis=0)
+    fields[_BYTE_SLOTS >= block.dlc[:, None]] = 0
+    return joined(repr_rows(block.timestamp), b",", _ID_TEXT.take(block.can_id, axis=0), b",",
+                  (block.dlc + _ZERO)[:, None], b",", fields.reshape(len(fields), 24),
+                  np.where(block.attack, _T, _R)[:, None], b"\n").tobytes()

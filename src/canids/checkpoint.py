@@ -19,16 +19,15 @@ import re
 
 import numpy as np
 
-from .canlog import _is_decimal
 from .errors import ParseError, StateError, open_ascii, quoted
-from .floattext import repr_rows
+from .floattext import is_decimal, joined, repr_rows
 
 MAGIC = "canids-checkpoint v1"
 _LISTED = 3  # the most missing, and the most unexpected, param names that a mismatch names
 # the characters of a value row of finite floats: digits, ".", "-", "e", blanks, and "+" only right after
 # "e". float() reads a value of these characters only in the form repr writes it. A row is split at its
 # "+" signs one way only, so a failing match backtracks over each character at most once. This check
-# scans a row about 4x as fast as a whole-row match of _is_decimal's grammar; rows that fail it (nan, inf
+# scans a row about 4x as fast as a whole-row match of is_decimal's grammar; rows that fail it (nan, inf
 # or a malformed value) are checked value by value.
 _is_plain_row = re.compile(r"[-.0-9e\s]*(?:(?<=e)\+[-.0-9e\s]*)*").fullmatch
 
@@ -53,11 +52,9 @@ def _value_lines(texts: np.ndarray, lines: int) -> bytes:
     blanks; a param with no values has empty lines."""
     if not texts.size:
         return b"\n" * lines
-    text = np.empty((len(texts), texts.shape[1] + 1), dtype=np.uint8)
-    text[:, :-1] = texts
-    text[:, -1] = ord(" ")
-    text[len(texts) // lines - 1 :: len(texts) // lines, -1] = ord("\n")
-    return text[text != 0].tobytes()
+    ends = np.full((len(texts), 1), ord(" "), dtype=np.uint8)
+    ends[len(texts) // lines - 1 :: len(texts) // lines] = ord("\n")
+    return joined(texts, ends).tobytes()
 
 
 def load_checkpoint(path):
@@ -100,7 +97,7 @@ def load_checkpoint(path):
                 for _ in range(n_lines):
                     lineno += 1
                     row = fh.readline()
-                    if not (_is_plain_row(row) or all(map(_is_decimal, row.split()))):
+                    if not (_is_plain_row(row) or all(map(is_decimal, row.split()))):
                         raise ParseError(f"{path}: param {shown} has a value that is not a float as repr writes it",
                                          line=lineno)
                     row = [float(v) for v in row.split()]

@@ -27,7 +27,7 @@ from .canlog import check_generic_options, decode_car_hacking_csv, decode_generi
 from .canlog import write_car_hacking_csv
 from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, quoted, quoted_value, read_json, require_int
-from .floattext import repr_rows
+from .floattext import joined, repr_rows
 from .gat import GatClassifier, GatConfig, jk_width, prepare_graph
 from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
@@ -349,18 +349,17 @@ def cmd_export_embeddings(args) -> int:
     width = jk_width(model.config)
 
     def write(tmp):
-        n = len(graphs)
-        embeddings = np.array([model.embed(prepare_graph(g))[0] for g in graphs]).reshape(n, width)
+        embeddings = np.array([model.embed(prepare_graph(g))[0] for g in graphs]).reshape(len(graphs), width)
         # a row per window: its start and label, then each value's text and a comma, or the last a newline
-        heads = np.array([b"%d,%d," % (g.window_start_index, g.label) for g in graphs], dtype=np.bytes_)
         texts = repr_rows(embeddings)
-        values = np.concatenate((texts, np.full((len(texts), 1), ord(","), dtype=np.uint8)), axis=1)
-        values[width - 1 :: width, -1] = ord("\n")
-        heads, values = heads.view(np.uint8).reshape(n, heads.itemsize), values.reshape(n, width * values.shape[1])
-        rows = np.concatenate((heads, values), axis=1)
+        heads = np.array([b"%d,%d," % (g.window_start_index, g.label) for g in graphs], dtype=np.bytes_)
+        leads = np.zeros(len(texts), dtype=heads.dtype)  # a window's head before its first value
+        leads[::width] = heads
+        ends = np.full((len(texts), 1), ord(","), dtype=np.uint8)
+        ends[width - 1 :: width] = ord("\n")
         with open(tmp, "wb") as fh:
             fh.write(("window_start_index,label," + ",".join(f"e{i}" for i in range(width)) + "\n").encode())
-            fh.write(rows[rows != 0].tobytes())
+            fh.write(joined(leads.view(np.uint8).reshape(len(texts), heads.itemsize), texts, ends).tobytes())
 
     _write_with_lock(args.out, write)
     _emit({"out": str(args.out), "windows": len(graphs)})

@@ -1,4 +1,6 @@
-"""The ``repr`` text of many float64 values at once, for the writers of logs, checkpoints and caches.
+"""The text of many float64 values at once, for the writers of logs, checkpoints and caches: ``repr_rows``
+writes each value's ``repr``, ``joined`` lays out the writers' rows of texts, and ``DECIMAL`` and
+``is_decimal`` are the grammar of what ``repr`` writes, against which the readers check a float's text.
 
 ``repr_rows`` finds each value's shortest round-trip digits with
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
@@ -16,6 +18,7 @@ such as 8e-323, which Schubfach spells 7.9e-323).
 from __future__ import annotations
 
 import functools
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +35,11 @@ _SOURCE = np.frombuffer(b"\0-.0", dtype=np.uint32)[0]
 _LEAST_POINT, _MOST_POINT = -3, 16  # the decimal points (0.d1d2... x 10^point) that repr writes without exponent
 _POINTS = _MOST_POINT - _LEAST_POINT + 1
 _CHUNK = 1 << 13  # values formatted at a time: the arrays of a chunk stay in cache
+# what repr(float) writes: an optional "-", digits with at most one ".", an optional exponent;
+# each string matches one way only, so a failing match does not backtrack over its digits.
+# "nan", "inf" and "-inf" pass here so that the range check names them as non-finite
+DECIMAL = r"-?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:e[-+]?[0-9]+)?|nan|-?inf"
+is_decimal = re.compile(DECIMAL).fullmatch
 
 
 class _Tables(NamedTuple):
@@ -63,11 +71,11 @@ def _tables() -> _Tables:
     k = k.ravel()
     h = (np.repeat(q, 2) + _flog2pow10(-k) + 2).astype(_U64)
     g1, g0 = g[k - _K_MIN].T
-    texts = [b"%04d" % i for i in range(10000)]
-    zeros = [len(t) - len(t.rstrip(b"0")) for t in texts]
+    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10  # of each number below 10,000, as "%04d"
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)  # the 0s its text ends with
     layout, length = _layouts()
     return _Tables(np.stack([h, g1 & _M32, g1 >> _U64(32), g1, g0 & _M32, g0 >> _U64(32)]), k,
-                   np.frombuffer(b"".join(texts), dtype=np.uint32), np.array(zeros, dtype=np.uint8),
+                   (digits + ord("0")).astype(np.uint8).view(np.uint32)[:, 0], zeros.astype(np.uint8),
                    [np.ascontiguousarray(layout[:, :w], dtype=np.intp) for w in range(25)], length)
 
 
@@ -113,6 +121,20 @@ def repr_rows(values) -> np.ndarray:
     for at, part in zip(range(0, len(x), _CHUNK), parts):
         rows[at : at + len(part), : part.shape[1]] = part
     return rows
+
+
+def joined(*fields) -> np.ndarray:
+    """The texts of ``fields`` side by side, row after row, as uint8 bytes. A field is an (n, w) uint8 array
+    of NUL-padded texts (such as the rows of ``repr_rows``), or a ``bytes`` text that every row holds; at
+    least one is an array. They fill one (n, sum of w) array, a block of columns each, and the result is
+    its bytes that are not NUL, so no text may hold a NUL."""
+    n = next(len(field) for field in fields if isinstance(field, np.ndarray))
+    fields = [np.frombuffer(field, dtype=np.uint8) if isinstance(field, bytes) else field for field in fields]
+    edges = np.cumsum([0, *(field.shape[-1] for field in fields)])  # each field's first column, then the end
+    rows = np.empty((n, edges[-1]), dtype=np.uint8)
+    for field, first, end in zip(fields, edges, edges[1:]):
+        rows[:, first:end] = field
+    return rows[rows != 0]
 
 
 def _rows(x: np.ndarray) -> np.ndarray:

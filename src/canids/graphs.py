@@ -20,7 +20,7 @@ import numpy as np
 
 from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
 from .errors import ConfigError, ParseError, StateError, open_ascii, quoted
-from .floattext import repr_rows
+from .floattext import joined, repr_rows
 
 CACHE_MAGIC = "canids-graph-cache v1"
 _CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
@@ -294,41 +294,26 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
 
 def _window_records(graphs: list[WindowGraph]) -> bytes:
     """The records of ``graphs``, in order. Each window's graph record is formatted on its own; the
-    node and edge records of all of them are laid out with array operations (``_records``), each
-    field's texts from ``_text_rows``, and a window's records are slices of their bytes."""
+    node and edge records of all of them are laid out by ``joined``, each field's texts from
+    ``_text_rows``, and a window's records are slices of their bytes, which end at their newlines."""
     node_ids = np.array([cid for g in graphs for cid in g.node_ids], dtype=np.int64)
     feats = np.concatenate([g.node_features.ravel() for g in graphs], dtype=np.float64).reshape(-1, 3)
     src, dst = (np.concatenate([getattr(g, name) for g in graphs], dtype=np.int64) for name in ("edge_src", "edge_dst"))
     wts = np.concatenate([g.edge_weight for g in graphs], dtype=np.float64)
     ints, id_feats, counts = _number_texts()
     other = _text_rows(feats[:, 1:].ravel())  # the other two features of each node, in turn
-    other = other.reshape(len(feats), 2, other.shape[1])
-    nodes, node_ends = _records(b"node", _text_rows(node_ids, ints), _text_rows(feats[:, 0], id_feats),
-                                other[:, 0], other[:, 1])
-    edges, edge_ends = _records(b"edge", _text_rows(src, ints), _text_rows(dst, ints), _text_rows(wts, counts))
+    nodes = joined(b"node ", _text_rows(node_ids, ints), b" ", _text_rows(feats[:, 0], id_feats), b" ",
+                   other[0::2], b" ", other[1::2], b"\n")
+    edges = joined(b"edge ", _text_rows(src, ints), b" ", _text_rows(dst, ints), b" ", _text_rows(wts, counts), b"\n")
     sizes = [(len(g.node_ids), len(g.edge_src)) for g in graphs]
     at = np.cumsum([(0, 0), *sizes], axis=0)  # each window's first node and edge record
-    node_at, edge_at = node_ends.take(at[:, 0]).tolist(), edge_ends.take(at[:, 1]).tolist()
+    starts = [np.concatenate(([0], np.flatnonzero(text == _NEWLINE) + 1)) for text in (nodes, edges)]
+    node_at, edge_at = (start.take(first).tolist() for start, first in zip(starts, at.T))
     nodes, edges = memoryview(nodes), memoryview(edges)
     parts = []
     for g, (n, e), a, b, c, d in zip(graphs, sizes, node_at, node_at[1:], edge_at, edge_at[1:]):
         parts += (f"graph {g.window_start_index} {g.label} {n} {e}\n".encode(), nodes[a:b], edges[c:d])
     return b"".join(parts)
-
-
-def _records(tag: bytes, *fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes (uint8) of the records ``tag field0 field1 ...``, one a line, of the rows of ``fields``
-    (each an (n, width) uint8 array of NUL-padded texts), and where each record ends in them (0 first).
-    No text holds a NUL, so the records are the bytes of the laid-out rows that are not NUL."""
-    template = tag + b"".join(b" " + b"\0" * field.shape[1] for field in fields) + b"\n"
-    rows = np.empty((len(fields[0]), len(template)), dtype=np.uint8)
-    rows[:] = np.frombuffer(template, dtype=np.uint8)
-    at = len(tag) + 1
-    for field in fields:
-        rows[:, at : at + field.shape[1]] = field
-        at += field.shape[1] + 1
-    text = rows[rows != 0]
-    return text, np.concatenate(([0], np.flatnonzero(text == _NEWLINE) + 1))
 
 
 def _text_rows(values: np.ndarray, table: _NumberTexts | None = None) -> np.ndarray:

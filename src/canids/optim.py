@@ -101,6 +101,9 @@ class ParamModel:
             config = cls.config_type(**config)
         except (TypeError, ConfigError) as exc:
             raise ParseError(f"{path}: bad {kind} config ({quoted(str(exc), marks=False)})", line=2) from None
+        if config.num_layers > len(values):  # each layer has a param: refused before the table, which grows with it
+            layers = quoted(str(config.num_layers), marks=False)
+            raise StateError(f"{kind} checkpoint mismatch: num_layers={layers} but only {len(values)} params")
         return cls(config, param_values=values)
 
 

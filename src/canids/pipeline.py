@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .canlog import DECIMAL
 from .errors import ConfigError, ParseError, StateError, open_ascii, quoted, quoted_value
 from .errors import require_finite, require_int, require_probability
+from .floattext import DECIMAL
 from .gat import GatClassifier, GatConfig, TrainingLog, prepare_graph, train_supervised
 from .metrics import Metrics, roc_auc
 from .optim import count_params

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canids
-from canids import canlog, cli
+from canids import canlog, cli, floattext
 from canids.canlog import (
     CanFrame,
     FrameBlock,
@@ -806,7 +806,7 @@ def test_canonical_timestamps_are_the_decimals_float_reads(stamp):
     """Order and finiteness are checked after this, once per block (``test_each_timestamp_rule_...``).
     The ``.`` of a timestamp of digits and one ``.`` is marked for the byte compare."""
     block, point, canonical, _ = canlog._canonical_lines(f"{stamp},0316,0,R\n".encode() + canlog._TAIL)
-    assert canonical[0] == (canlog._is_decimal(stamp) is not None and len(stamp) <= 32)
+    assert canonical[0] == (floattext.is_decimal(stamp) is not None and len(stamp) <= 32)
     if canonical[0]:
         assert block.timestamp[0] == stamp.encode()
         (frame,) = block.frames()
@@ -880,8 +880,8 @@ def test_a_long_malformed_decimal_fails_without_backtracking():
     # for a 20,000-digit field
     field = "1" * 20_000
     start = time.perf_counter()
-    assert canlog._is_decimal(field) and not canlog._is_decimal(field + "x")
-    assert not canlog._is_decimal(f"{field}e{field}x") and not canlog._is_decimal(f"{field}.{field}-")
+    assert floattext.is_decimal(field) and not floattext.is_decimal(field + "x")
+    assert not floattext.is_decimal(f"{field}e{field}x") and not floattext.is_decimal(f"{field}.{field}-")
     assert time.perf_counter() - start < 1.0
 
 
@@ -905,7 +905,7 @@ def test_module_patterns_use_no_syntax_newer_than_python_3_10():
             value = getattr(value, "__self__", value)
             if isinstance(value, re.Pattern):
                 patterns[f"{info.name}.{name}"] = value
-    assert {"canlog._is_decimal", "checkpoint._is_plain_row", "pipeline._is_scores_row"} <= patterns.keys()
+    assert {"floattext.is_decimal", "checkpoint._is_plain_row", "pipeline._is_scores_row"} <= patterns.keys()
     for name, pattern in patterns.items():
         assert newer.isdisjoint(ops(_parser.parse(pattern.pattern, pattern.flags))), name
 

@@ -1,19 +1,23 @@
 """The checkpoint writer against the per-value reference writer in helpers."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from canids.checkpoint import load_checkpoint, save_checkpoint
-from canids.errors import ParseError
+from canids.errors import ParseError, StateError
 from canids.gat import GatClassifier, GatConfig
 from canids.vgae import VgaeConfig, VgaeModel
 from helpers import per_value_save_checkpoint
 
 
+MODELS = [(GatClassifier, GatConfig), (VgaeModel, VgaeConfig)]
+
+
 @pytest.mark.parametrize("preset", ["teacher", "student"])
-@pytest.mark.parametrize("model_type, config_type", [(GatClassifier, GatConfig), (VgaeModel, VgaeConfig)])
+@pytest.mark.parametrize("model_type, config_type", MODELS)
 def test_model_checkpoints_match_the_reference_bytes(tmp_path, model_type, config_type, preset):
     model = model_type(getattr(config_type, preset)(), seed=3)
     got, expected = tmp_path / "got.ckpt", tmp_path / "expected.ckpt"
@@ -74,3 +78,23 @@ def test_repeated_param_record_is_parse_error(tmp_path):
     path.write_text("".join(lines[:-1] + ["param w 1 2\n", "9.0 9.0\n", "end\n"]))
     with pytest.raises(ParseError, match=rf"^line {len(lines)}: .*param w listed twice"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("layers, shown", [(10**9, "1000000000"), (10**400, "1" + "0" * 63 + "... (401 characters)")],
+                         ids=["1e9", "1e400"])
+@pytest.mark.parametrize("model_type, config_type", MODELS)
+def test_more_layers_than_params_is_a_mismatch_before_the_param_table_is_built(tmp_path, monkeypatch, model_type,
+                                                                               config_type, layers, shown):
+    """Each layer has at least one param, so a header whose num_layers exceeds the file's params cannot
+    match; building its name -> shape table first would take time and memory linear in num_layers."""
+    path = tmp_path / "model.ckpt"
+    model = model_type(config_type.student(), seed=3)
+    model.save(path)
+    magic, header, params = path.read_text().split("\n", 2)
+    config = {**json.loads(header.split(" ", 2)[2]), "num_layers": layers}
+    path.write_text(f"{magic}\nmodel {model.kind} {json.dumps(config, sort_keys=True)}\n{params}")
+    monkeypatch.setattr(config_type, "param_shapes", lambda self: pytest.fail("param_shapes was called"))
+    with pytest.raises(StateError) as info:
+        model_type.load(path)
+    count = len(model.param_values())
+    assert str(info.value) == f"{model.kind} checkpoint mismatch: num_layers={shown} but only {count} params"

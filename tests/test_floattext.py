@@ -1,10 +1,11 @@
-"""floattext.repr_rows against repr, value by value."""
+"""floattext.repr_rows against repr, value by value; floattext.joined against a per-row join; the tables."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.floattext import repr_rows
+from canids import floattext
+from canids.floattext import joined, repr_rows
 
 
 def lines(values) -> bytes:
@@ -80,3 +81,37 @@ def test_shapes():
     assert repr_rows(np.empty(0)).shape == (0, 1)
     assert bytes(repr_rows(2.5)[0]) == b"2.5"
     assert lines(np.array([[1.0, -2.0], [0.25, 1e20]])) == b"1.0\n-2.0\n0.25\n1e+20\n"
+
+
+def test_digit_tables_hold_the_texts_that_percent_04d_writes():
+    texts = [b"%04d" % i for i in range(10000)]
+    tables = floattext._tables()
+    assert tables.groups.tobytes() == b"".join(texts)
+    assert tables.zeros.tolist() == [len(text) - len(text.rstrip(b"0")) for text in texts]
+
+
+texts = st.binary(max_size=6).map(lambda text: text.replace(b"\0", b"a"))
+
+
+@st.composite
+def fields(draw):
+    """One to six fields of the same rows: a constant text (bytes) or a text per row (a list); the first is
+    a list, so that the rows are known."""
+    per_row = st.lists(texts, min_size=(n := draw(st.integers(0, 5))), max_size=n)
+    return [draw(per_row), *draw(st.lists(st.one_of(texts, per_row), max_size=5))]
+
+
+@given(fields())
+@settings(max_examples=200, deadline=None)
+def test_joined_is_each_rows_texts_one_after_another(fields):
+    """Each text per row goes in as an array, NUL-padded to the field's longest."""
+    rows = len(fields[0])
+
+    def padded(field):
+        width = max(map(len, field), default=0)
+        return np.array([list(text.ljust(width, b"\0")) for text in field], dtype=np.uint8).reshape(rows, width)
+
+    got = joined(*(field if isinstance(field, bytes) else padded(field) for field in fields))
+    assert got.dtype == np.uint8 and got.ndim == 1
+    expected = [b"".join(field if isinstance(field, bytes) else field[r] for field in fields) for r in range(rows)]
+    assert got.tobytes() == b"".join(expected)

@@ -86,6 +86,7 @@ SOLE_OWNERS = {
     "shuffle": ("gat", "train_epochs"),
     "timestamp error call": ("canlog", "_decode_block"),
     "bulk float repr": ("floattext", "_rows"),
+    "NUL drop": ("floattext", "joined"),
 }
 CLOCK_READS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
 
@@ -95,6 +96,8 @@ def _kind(node):
     name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
     if name in CLOCK_READS or (name == "time" and isinstance(node, ast.Attribute)):
         return "clock read"
+    if isinstance(node, ast.Subscript) and _is_nonzero_test(node.slice, node.value):
+        return "NUL drop"  # x[x != 0]
     if name == "__repr__" and isinstance(node.value, ast.Name) and node.value.id == "float":
         return "bulk float repr"  # float.__repr__, mapped or not
     if isinstance(node, ast.Call):
@@ -110,11 +113,19 @@ def _kind(node):
     return None
 
 
+def _is_nonzero_test(test, value) -> bool:
+    """Whether ``test`` is ``value != 0``."""
+    return (isinstance(test, ast.Compare) and ast.dump(test.left) == ast.dump(value) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.NotEq) and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value == 0)
+
+
 def test_clock_reads_steps_shuffles_and_timestamp_errors_have_one_owner_each():
     """Only ``pipeline.Timings`` reads the clock, only ``gat.train_epochs`` calls ``checked_step`` and
-    shuffles, only ``canlog._decode_block`` calls ``_timestamp_error``, and only ``floattext._rows``
-    maps ``repr`` or names ``float.__repr__``, so that every run has one timings path, both trainers one
-    epoch loop, both CSV layouts one timestamp-order check, and every writer one float formatter."""
+    shuffles, only ``canlog._decode_block`` calls ``_timestamp_error``, only ``floattext._rows``
+    maps ``repr`` or names ``float.__repr__``, and only ``floattext.joined`` drops NULs (``x[x != 0]``),
+    so that every run has one timings path, both trainers one epoch loop, both CSV layouts one
+    timestamp-order check, and every writer one float formatter and one row layout."""
     seen = {kind: set() for kind in SOLE_OWNERS}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
