@@ -23,7 +23,7 @@ class CanidsError(Exception):
 
 
 class ParseError(CanidsError):
-    """Malformed input data (bad CSV row, bad cache record)."""
+    """Malformed input data (bad CSV row, bad graph cache)."""
 
     category = "parse"
 

@@ -1,4 +1,4 @@
-"""The text of many float64 values at once, for the writers of logs, checkpoints and caches: ``repr_rows``
+"""The text of many float64 values at once, for the writers of logs, checkpoints and embeddings: ``repr_rows``
 writes each value's ``repr``, ``joined`` lays out the writers' rows of texts, and ``DECIMAL`` and
 ``is_decimal`` are the grammar of what ``repr`` writes, against which the readers check a float's text.
 
@@ -91,23 +91,19 @@ def _flog2pow10(e):
 
 def _layouts() -> tuple[np.ndarray, np.ndarray]:
     """For each row kind ``(negative * 17 + digits - 1) * _POINTS + point - _LEAST_POINT``, the source
-    column of each character of repr's positional text, and its length."""
-    kinds = []
-    for negative in (0, 1):
-        for nd in range(1, 18):
-            digits = [_FIRST_DIGIT + i for i in range(nd)]
-            for point in range(_LEAST_POINT, _MOST_POINT + 1):
-                if point <= 0:
-                    text = [_ZERO, _DOT] + [_ZERO] * -point + digits
-                elif point < nd:
-                    text = digits[:point] + [_DOT] + digits[point:]
-                else:
-                    text = digits + [_ZERO] * (point - nd) + [_DOT, _ZERO]
-                kinds.append([_SIGN] * negative + text)
-    layout = np.zeros((len(kinds), 24), dtype=np.uint8)
-    for row, text in zip(layout, kinds):
-        row[: len(text)] = text
-    return layout, np.array(list(map(len, kinds)))
+    column of each character of repr's positional text, and its length.
+
+    The digits of 0.d1d2... x 10^point take the decimal places point - 1 down; the text runs from place
+    ``hi`` (0 for the units) down to place -1 or below, with "." after place 0, and a place without a
+    digit is "0"."""
+    negative, nd, point, column = np.ix_((0, 1), range(1, 18), range(_LEAST_POINT, _MOST_POINT + 1), range(24))
+    hi = np.maximum(point - 1, 0)
+    length = negative + hi - np.minimum(point - nd, -1) + 2
+    j = column - negative  # the character of the text without its sign
+    digit = point - 1 - np.where(j <= hi, hi - j, hi - j + 1)  # at the place of character j
+    layout = np.where((digit >= 0) & (digit < nd), _FIRST_DIGIT + digit, _ZERO)
+    layout = np.where(j == hi + 1, _DOT, np.where(j < 0, _SIGN, layout))
+    return np.where(column < length, layout, 0).reshape(-1, 24).astype(np.uint8), length.reshape(-1)
 
 
 def repr_rows(values) -> np.ndarray:

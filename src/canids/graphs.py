@@ -9,24 +9,21 @@ weights over a window always sum to W-1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+import os
+import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
-from .errors import ConfigError, ParseError, StateError, open_ascii, quoted
-from .floattext import joined, repr_rows
+from .errors import ConfigError, ParseError, StateError, quoted
 
-CACHE_MAGIC = "canids-graph-cache v1"
-_CHUNK_CHARS = 1 << 20  # load_graph_cache reads whole lines about this many characters at a time
-_REPEATED_ID = "node ID listed twice in one window"
-_WRITE_WINDOWS = 1 << 10  # save_graph_cache lays out the records of this many windows at once
-_NEWLINE = ord("\n")
+CACHE_MAGIC = b"canids-graph-cache v2\n"
+_TEXT_MAGIC = "canids-graph-cache v1"  # the text cache of earlier versions
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
@@ -272,267 +269,101 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
 
 
 def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
-    """Write graphs to the line-oriented cache format. Returns graph count.
+    """Write graphs to the binary cache that load_graph_cache reads. Returns graph count.
 
-    Format (ints via str, floats via repr, so reload is bit-exact):
-        canids-graph-cache v1
-        graph <window_start_index> <label> <num_nodes> <num_edges>
-        node <can_id> <feat0> <feat1> <feat2>     x num_nodes
-        edge <src> <dst> <weight>                 x num_edges
-
-    The graphs are written _WRITE_WINDOWS at a time (``_window_records``).
+    The ASCII line ``canids-graph-cache v2``, the counts of windows k, nodes
+    n and edges e (three little-endian int64s), then the columns of every
+    window in order, each one array of all the windows' values:
+    ``[start, label, num_nodes, num_edges]`` (k, 4) int64, the CAN IDs (n,)
+    int64, the features (n, 3) float64, the edge sources and destinations
+    (e,) int64 each and the weights (e,) float64, all little-endian. The
+    graphs are held as a list, and each column is made as it is written.
     """
-    graphs = iter(graphs)
-    count = 0
+    graphs = list(graphs)
+    n, e = sum(g.num_nodes for g in graphs), sum(g.num_edges for g in graphs)
+    heads = ((g.window_start_index, g.label, g.num_nodes, g.num_edges) for g in graphs)
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC.encode() + b"\n")
-        while group := list(itertools.islice(graphs, _WRITE_WINDOWS)):
-            fh.write(_window_records(group))
-            count += len(group)
-    return count
-
-
-def _window_records(graphs: list[WindowGraph]) -> bytes:
-    """The records of ``graphs``, in order. Each window's graph record is formatted on its own; the
-    node and edge records of all of them are laid out by ``joined``, each field's texts from
-    ``_text_rows``, and a window's records are slices of their bytes, which end at their newlines."""
-    node_ids = np.array([cid for g in graphs for cid in g.node_ids], dtype=np.int64)
-    feats = np.concatenate([g.node_features.ravel() for g in graphs], dtype=np.float64).reshape(-1, 3)
-    src, dst = (np.concatenate([getattr(g, name) for g in graphs], dtype=np.int64) for name in ("edge_src", "edge_dst"))
-    wts = np.concatenate([g.edge_weight for g in graphs], dtype=np.float64)
-    ints, id_feats, counts = _number_texts()
-    other = _text_rows(feats[:, 1:].ravel())  # the other two features of each node, in turn
-    nodes = joined(b"node ", _text_rows(node_ids, ints), b" ", _text_rows(feats[:, 0], id_feats), b" ",
-                   other[0::2], b" ", other[1::2], b"\n")
-    edges = joined(b"edge ", _text_rows(src, ints), b" ", _text_rows(dst, ints), b" ", _text_rows(wts, counts), b"\n")
-    sizes = [(len(g.node_ids), len(g.edge_src)) for g in graphs]
-    at = np.cumsum([(0, 0), *sizes], axis=0)  # each window's first node and edge record
-    starts = [np.concatenate(([0], np.flatnonzero(text == _NEWLINE) + 1)) for text in (nodes, edges)]
-    node_at, edge_at = (start.take(first).tolist() for start, first in zip(starts, at.T))
-    nodes, edges = memoryview(nodes), memoryview(edges)
-    parts = []
-    for g, (n, e), a, b, c, d in zip(graphs, sizes, node_at, node_at[1:], edge_at, edge_at[1:]):
-        parts += (f"graph {g.window_start_index} {g.label} {n} {e}\n".encode(), nodes[a:b], edges[c:d])
-    return b"".join(parts)
-
-
-def _text_rows(values: np.ndarray, table: _NumberTexts | None = None) -> np.ndarray:
-    """The text of each int64 or float64 of ``values`` (``str`` of an int, ``repr`` of a float) as the
-    NUL-padded rows of a uint8 array: the rows of ``table`` if every value is one of its values, bit
-    for bit (not -0.0 for 0.0, nor a nan); else each distinct float's ``repr_rows``, or each int's ``str``."""
-    if table is not None:
-        # the table's values are evenly spaced: a value can only be the one a whole number of steps away
-        first, step, top = table.values[0], table.values[1] - table.values[0], table.values[-1]
-        at = np.rint((np.fmin(np.fmax(values, first), top) - first) / step).astype(np.intp)  # nan to 0
-        if (table.values.take(at).view(np.uint64) == values.view(np.uint64)).all():
-            return table.rows.take(at, axis=0)
-    if values.dtype.kind == "i":
-        texts = np.array(list(map(str, values.tolist())), dtype="S")
-        return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-    distinct, inverse = np.unique(values.view(np.uint64), return_inverse=True)  # 0.0 and -0.0 apart
-    return repr_rows(distinct.view(np.float64)).take(inverse, axis=0)
+        fh.write(CACHE_MAGIC)
+        fh.write(struct.pack("<3q", len(graphs), n, e))
+        fh.write(np.fromiter(itertools.chain.from_iterable(heads), dtype="<i8", count=4 * len(graphs)))
+        fh.write(np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), dtype="<i8", count=n))
+        for name, empty in (("node_features", np.empty((0, 3), "<f8")), ("edge_src", np.empty(0, "<i8")),
+                            ("edge_dst", np.empty(0, "<i8")), ("edge_weight", np.empty(0, "<f8"))):
+            fh.write(np.concatenate([empty, *(getattr(g, name) for g in graphs)], dtype=empty.dtype))
+    return len(graphs)
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
-    """Read a cache written by save_graph_cache, checking every record.
+    """Read a cache written by save_graph_cache, checking every window.
 
-    The grammar, one record per line (``\\n`` or ``\\r\\n`` line ends)::
-
-        canids-graph-cache v1
-        graph <start> <label> <num_nodes> <num_edges>
-        node <can_id> <f0> <f1> <f2>        x num_nodes of the graph record above
-        edge <src> <dst> <weight>           x num_edges of the graph record above
-
-    A record line starts with its tag and a space: no whitespace before the
-    tag, no tab after it. The fields after the tag are separated by
-    whitespace, and nothing else is on the line. Integers are read as
-    ``int()`` and floats as ``float()`` read them. The values must hold:
-    start, num_nodes and num_edges >= 0; label 0 or 1; can_id in
-    [0, MAX_STD_ID] and not repeated within its window; features finite;
-    src and dst in [0, num_nodes) of their window; weight finite and > 0.
-    The first line that breaks a rule raises ParseError with its line
-    number (a wrong or missing first line is line 1); a window cut short by
-    the end of the file names the line after the last.
-
-    Lines are read about 1 MB at a time. Python reads only the ``graph``
-    records; the node and edge records of a chunk are checked and converted
-    column by column, and each window's arrays are slices of its chunk's.
+    The file must be exactly as long as its counts say, or no array is
+    made. The values must hold: start, num_nodes and num_edges >= 0, and
+    the windows' counts sum to the header's; label 0 or 1; can_id in [0,
+    MAX_STD_ID] and not repeated within its window; features finite; src
+    and dst in [0, num_nodes) of their window; weight finite and > 0. A
+    broken rule raises ParseError naming the window (its index in the file,
+    from 0) and the value. Each window's arrays are writable views of one
+    buffer that holds the file.
     """
-    with open_ascii(path) as fh:
-        header = fh.readline().strip()
-        if header != CACHE_MAGIC:
-            raise ParseError(f"{path}: not a graph cache (header {quoted(header)})", line=1)
-        graphs: list[WindowGraph] = []
-        lineno = 2  # of lines[0]
-        lines: list[str] = []  # read, not yet decoded: always starts at a graph record
-        while chunk := fh.readlines(_CHUNK_CHARS):
-            lines += chunk
-            used = _decode_windows(lines, lineno, path, graphs)
-            del lines[:used]
-            lineno += used
-        if lines:  # a window cut short by the end of the file
-            _raise_first_bad_line(lines, lineno, path)
-    return graphs
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
+    if not data.startswith(CACHE_MAGIC):
+        end = data.find(b"\n")
+        header = data[: end if end >= 0 else len(data)].decode("ascii", "backslashreplace").strip()
+        if header == _TEXT_MAGIC:
+            raise ParseError(f"{path}: a text graph cache ({_TEXT_MAGIC}); rebuild it with build-graphs")
+        raise ParseError(f"{path}: not a graph cache (header {quoted(header)})")
+    at = len(CACHE_MAGIC) + 24  # the first byte of the columns
+    if len(data) < at:
+        raise ParseError(f"{path}: graph cache cut short in its counts, {len(data)} bytes")
+    k, n, e = struct.unpack_from("<3q", data, len(CACHE_MAGIC))
+    if min(k, n, e) < 0 or len(data) != at + 8 * (4 * k + 4 * n + 3 * e):
+        raise ParseError(f"{path}: {k} windows, {n} nodes and {e} edges do not fill the cache's {len(data)} bytes")
+    columns = []
+    for dtype, shape in ((np.int64, (k, 4)), (np.int64, (n,)), (np.float64, (n, 3)), (np.int64, (e,)),
+                         (np.int64, (e,)), (np.float64, (e,))):
+        count = math.prod(shape)
+        column = np.frombuffer(data, np.dtype(dtype).newbyteorder("<"), count, at).reshape(shape)
+        columns.append(column.astype(dtype, copy=False))  # no copy on a little-endian machine
+        at += 8 * count
+    heads, ids, feats, src, dst, wts = columns
+    _check_windows(path, heads, ids, feats, src, dst, wts)
+    node_ids = ids.tolist()
+    # each window's first node and edge, kept as arrays: lists of Python ints would add to the load's peak
+    node_at, edge_at = (np.concatenate(([0], np.cumsum(counts))) for counts in heads[:, 2:].T)
+    starts, labels = heads[:, 0].tolist(), heads[:, 1].tolist()
+    return [
+        WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
+        for start, label, a, b, c, d in zip(starts, labels, node_at, node_at[1:], edge_at, edge_at[1:])
+    ]
 
 
-def _decode_windows(lines: list[str], lineno: int, path, graphs: list[WindowGraph]) -> int:
-    """Append the whole windows at the front of ``lines`` to ``graphs``; returns the lines they span."""
-    heads: list[tuple[int, int, int, int]] = []
-    node_lines: list[str] = []
-    edge_lines: list[str] = []
-    pos, end = 0, len(lines)
-    try:
-        while pos < end:
-            head = _graph_record(lines[pos])
-            edges_at = pos + 1 + head[2]
-            stop = edges_at + head[3]
-            if stop > end:  # the window goes on in the next chunk
-                # check what is here, so that a count too large fails now, not at the end of the file
-                _node_columns(lines[pos + 1 : min(edges_at, end)], 0)
-                _edge_columns(lines[edges_at:end], head[2])
-                break
-            node_lines += lines[pos + 1 : edges_at]
-            edge_lines += lines[edges_at:stop]
-            heads.append(head)
-            pos = stop
-        node_ids, feats = _node_columns(node_lines, np.repeat(np.arange(len(heads)), [h[2] for h in heads]))
-        src, dst, wts = _edge_columns(edge_lines, np.repeat([h[2] for h in heads], [h[3] for h in heads]))
-    except (ValueError, OverflowError):
-        _raise_first_bad_line(lines, lineno, path)
-    a = b = 0
-    for start, label, n, e in heads:
-        graphs.append(WindowGraph(node_ids[a : a + n], feats[a : a + n], src[b : b + e], dst[b : b + e],
-                                  wts[b : b + e], label, start))
-        a += n
-        b += e
-    return pos
+def _check_windows(path, heads, ids, feats, src, dst, wts):
+    """ParseError naming the first rule of load_graph_cache that the columns of a cache break, if any."""
+    windows = np.arange(len(heads))
+    _require(heads[:, 0] >= 0, heads[:, 0], windows, path, "window start must be >= 0")
+    _require((heads[:, 1] == 0) | (heads[:, 1] == 1), heads[:, 1], windows, path, "label must be 0 or 1")
+    _require(heads[:, 2:] >= 0, heads[:, 2:], windows, path, "node and edge counts must be >= 0")
+    nodes, edges = (sum(counts.tolist()) for counts in heads[:, 2:].T)  # Python ints: no int64 wrap
+    if (nodes, edges) != (len(ids), len(src)):
+        raise ParseError(f"{path}: the windows hold {nodes} nodes and {edges} edges, the header says {len(ids)} "
+                         f"and {len(src)}")
+    node_window = np.repeat(windows, heads[:, 2])
+    _require((ids >= 0) & (ids <= MAX_STD_ID), ids, node_window, path, f"node ID must be in [0, {MAX_STD_ID}]")
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(node_window * (MAX_STD_ID + 1) + ids, return_index=True)[1]] = False  # but the first of each
+    _require(~repeated, ids, node_window, path, "node ID listed twice in one window")
+    _require(np.isfinite(feats), feats, node_window, path, "node features must be finite")
+    edge_window = np.repeat(windows, heads[:, 3])
+    window_nodes = heads[:, 2].take(edge_window)
+    _require((src >= 0) & (src < window_nodes), src, edge_window, path, "edge source must be in [0, num_nodes)")
+    _require((dst >= 0) & (dst < window_nodes), dst, edge_window, path, "edge destination must be in [0, num_nodes)")
+    _require((wts > 0.0) & (wts < math.inf), wts, edge_window, path, "edge weight must be finite and > 0")
 
 
-def _raise_first_bad_line(lines: list[str], lineno: int, path) -> NoReturn:
-    """Raise ParseError at the first bad line of ``lines`` (numbered from ``lineno``, starting at a
-    graph record), checking one record at a time. A window cut short names the line after the last."""
-    pos = 0
-    try:
-        while pos < len(lines):
-            _, _, n, e = _graph_record(lines[pos])
-            seen: set[int] = set()
-            for tag, count in (("node", n), ("edge", e)):
-                for _ in range(count):
-                    pos += 1
-                    if pos == len(lines):
-                        raise ValueError(f"expected {tag} record")
-                    if tag == "node":
-                        (can_id,), _ = _node_columns(lines[pos : pos + 1], 0)
-                        if can_id in seen:
-                            raise ValueError(f"{_REPEATED_ID}, got {can_id}")
-                        seen.add(can_id)
-                    else:
-                        _edge_columns(lines[pos : pos + 1], n)
-            pos += 1
-    except (ValueError, OverflowError) as exc:
-        message = _shown(exc, lines[pos] if pos < len(lines) else "")  # past the end: a window cut short
-        raise ParseError(f"{path}: {message}", line=lineno + pos) from None
-    raise ParseError(f"{path}: bad graph cache record")  # the column checks are the line checks: not reached
-
-
-def _shown(exc: Exception, line: str) -> str:
-    """The message of ``exc``, raised reading ``line``, with the token of the line that it quotes after its
-    first ": " (as int() and float() quote the text they cannot read) shown as errors.quoted shows it."""
-    head, sep, tail = str(exc).partition(": ")
-    token = next((t for t in line.split() if tail and repr(t).startswith(tail)), None)
-    return f"{head}: {quoted(token)}" if sep and token is not None else str(exc)
-
-
-def _graph_record(line: str) -> tuple[int, int, int, int]:
-    """(start, label, num_nodes, num_edges) of a graph record; ValueError names the rule it breaks."""
-    parts = line.split()
-    if len(parts) != 5 or not line.startswith("graph "):
-        raise ValueError(f"expected graph record, got {quoted(line.strip())}")
-    start, label, n, e = map(int, parts[1:])
-    if start < 0 or n < 0 or e < 0:
-        raise ValueError(f"window start, node and edge counts must be >= 0, got {quoted(line.strip())}")
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {quoted(str(label), marks=False)}")
-    return start, label, n, e
-
-
-def _record_tokens(lines: list[str], tag: str, width: int) -> list[str]:
-    """The tokens of ``lines``, in order, so that field ``c`` of each record is ``tokens[c::width]``;
-    ValueError unless each line is one record of ``width`` tokens that starts with ``tag`` and a space."""
-    text = "".join(lines)
-    tokens = text.split()
-    k = len(lines)
-    if k and not (
-        len(tokens) == width * k
-        and tokens[::width].count(tag) == k
-        and text.startswith(tag + " ")
-        and text.count("\n" + tag + " ") == k - 1
-    ):
-        raise ValueError(f"expected {tag} record")
-    return tokens
-
-
-def _node_columns(lines: list[str], window) -> tuple[list[int], np.ndarray]:
-    """The CAN IDs (Python ints) and the (k, 3) features of k node records; ``window`` is each one's window."""
-    ints, id_feats, _ = _number_tables()
-    tokens = _record_tokens(lines, "node", 5)
-    ids = _column(tokens[1::5], ints, np.int64)
-    feats = np.empty((len(ids), 3))
-    feats[:, 0] = _column(tokens[2::5], id_feats, np.float64)
-    feats[:, 1] = np.array(tokens[3::5], dtype=np.float64)
-    feats[:, 2] = np.array(tokens[4::5], dtype=np.float64)
-    _require((ids >= 0) & (ids <= MAX_STD_ID), ids, f"node ID must be in [0, {MAX_STD_ID}]")
-    _require(np.isfinite(feats), feats, "node features must be finite")
-    keys = np.sort(window * (MAX_STD_ID + 1) + ids)  # one key per (window, ID) pair
-    _require(keys[1:] != keys[:-1], keys[1:] % (MAX_STD_ID + 1), _REPEATED_ID)
-    return ids.tolist(), feats
-
-
-def _edge_columns(lines: list[str], window_nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sources, destinations and weights of edge records; ``window_nodes`` is each one's node count."""
-    ints, _, counts = _number_tables()
-    tokens = _record_tokens(lines, "edge", 4)
-    src = _column(tokens[1::4], ints, np.int64)
-    dst = _column(tokens[2::4], ints, np.int64)
-    wts = _column(tokens[3::4], counts, np.float64)
-    _require((src >= 0) & (src < window_nodes), src, "edge source must be in [0, num_nodes)")
-    _require((dst >= 0) & (dst < window_nodes), dst, "edge destination must be in [0, num_nodes)")
-    _require((wts > 0.0) & (wts < math.inf), wts, "edge weight must be finite and > 0")  # prepare_graph takes log
-    return src, dst, wts
-
-
-class _NumberTexts(NamedTuple):
-    values: np.ndarray  # ascending, int64 or float64
-    rows: np.ndarray  # (len(values), width) uint8: the text of each value, NUL-padded
-
-
-@functools.cache
-def _number_texts() -> tuple[_NumberTexts, _NumberTexts, _NumberTexts]:
-    """Number texts that save_graph_cache always spells one way: ``str(i)`` of every 11-bit CAN ID, which
-    also covers every node index (below its window's count of distinct IDs); the ``repr`` of each ID
-    feature ``i / MAX_STD_ID``; and the ``repr`` of each integral edge count up to MAX_STD_ID, ``f"{k}.0"``.
-    Built on first use, as they take a few ms."""
-    ids = np.arange(MAX_STD_ID + 1)
-    return tuple(_NumberTexts(values, _text_rows(values)) for values in (ids, ids / MAX_STD_ID, ids[1:].astype(float)))
-
-
-@functools.cache
-def _number_tables() -> tuple[dict[str, int], dict[str, float], dict[str, float]]:
-    """The texts of ``_number_texts``, each with its value (a Python int or float), for the reader."""
-    return tuple(dict(zip(map(bytes.decode, rows.view(f"S{rows.shape[1]}")[:, 0].tolist()), values.tolist()))
-                 for values, rows in _number_texts())
-
-
-def _column(texts: list[str], table: dict, dtype) -> np.ndarray:
-    """``np.array(texts, dtype=dtype)``, looked up in ``table`` when it holds every text. A table's value is
-    the one its text converts to, so only the time changes; a text it lacks sends the column through
-    ``np.array``, which reads or rejects it as before."""
-    try:
-        return np.fromiter(map(table.__getitem__, texts), dtype=dtype, count=len(texts))
-    except KeyError:
-        return np.array(texts, dtype=dtype)
-
-
-def _require(ok: np.ndarray, values: np.ndarray, rule: str):
+def _require(ok: np.ndarray, values: np.ndarray, windows: np.ndarray, path, rule: str):
+    """ParseError naming the window (``windows`` by row) and the value of the first False of ``ok``, if any."""
     if not ok.all():
-        raise ValueError(f"{rule}, got {values[~ok][0]}")
+        at = np.unravel_index(ok.argmin(), ok.shape)
+        raise ParseError(f"{path}: window {windows[at[0]]}: {rule}, got {values[at]}")

@@ -7,6 +7,7 @@ something honest to disagree with.
 
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -26,17 +27,29 @@ def per_field_format_car_hacking_row(frame):
     return ",".join(parts)
 
 
-def per_value_save_graph_cache(graphs, path):
-    """Reference graph-cache writer: one ``%r`` per float, as save_graph_cache formatted each before it
-    formatted each distinct float once."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("canids-graph-cache v1\n")
-        for g in graphs:
-            fh.write("graph %d %d %d %d\n" % (g.window_start_index, g.label, g.num_nodes, g.num_edges))
-            for can_id, (f0, f1, f2) in zip(g.node_ids, g.node_features.tolist()):
-                fh.write("node %d %r %r %r\n" % (can_id, f0, f1, f2))
-            for src, dst, weight in zip(g.edge_src.tolist(), g.edge_dst.tolist(), g.edge_weight.tolist()):
-                fh.write("edge %d %d %r\n" % (src, dst, weight))
+def cache_columns(data: bytes) -> dict:
+    """name -> (first byte, struct format) of each part of the binary graph cache ``data`` after its header
+    line: ``counts`` (k, n, e), then the columns ``heads`` (4 a window: start, label, node and edge counts),
+    ``ids``, ``feats`` (3 a node), ``src``, ``dst`` and ``weight``, 8 bytes a value."""
+    at = data.index(b"\n") + 1
+    k, n, e = struct.unpack_from("<3q", data, at)
+    columns = {}
+    for name, fmt, count in (("counts", "q", 3), ("heads", "q", 4 * k), ("ids", "q", n), ("feats", "d", 3 * n),
+                             ("src", "q", e), ("dst", "q", e), ("weight", "d", e)):
+        columns[name] = (at, fmt)
+        at += 8 * count
+    return columns
+
+
+def edited_cache(data: bytes, edits) -> bytes:
+    """The binary graph cache ``data`` with each (part, flat index, value) of ``edits`` written over it; the
+    parts are those of ``cache_columns``."""
+    columns = cache_columns(data)
+    out = bytearray(data)
+    for column, index, value in edits:
+        first, fmt = columns[column]
+        struct.pack_into("<" + fmt, out, first + 8 * index, value)
+    return bytes(out)
 
 
 def per_value_save_checkpoint(path, kind, config, params):

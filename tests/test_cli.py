@@ -5,8 +5,10 @@ import json
 import math
 import random
 import os
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from canids.errors import ConfigError, StateError
 from canids.gat import GatClassifier, jk_width
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
-from helpers import confusion_oracle
+from helpers import cache_columns, confusion_oracle, edited_cache
 
 COMMANDS = list(cli.COMMANDS)
 SYNTH_CFG = {
@@ -559,69 +561,49 @@ def test_bad_checkpoint_row_is_parse_error(small_run, tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "prefix, edit",
-    [
-        ("node ", lambda line: line.replace(line.split()[2], "0.x", 1)),
-        ("edge ", lambda line: line.replace(line.split()[1], "one", 1)),
-        ("graph ", lambda line: line.replace(line.split()[3], "3.5", 1)),
-    ],
-    ids=["node-feature", "edge-index", "graph-count"],
-)
-def test_bad_graph_cache_field_is_parse_error(small_run, tmp_path, capsys, prefix, edit):
-    bad = tmp_path / "train.cache"
-    lineno = _tamper(small_run / "train.cache", bad, prefix, edit)
-    code, _, err = run_cli(
-        capsys, "train-vgae", "--graphs", bad, "--preset", "student",
-        "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
-    )
-    assert code == 1
-    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
+def _cache_error(err, path, text):
+    """The stderr of a run that failed on the graph cache ``path``: one parse line, naming the file, that
+    holds ``text``; no traceback."""
+    lines = [line for line in err.splitlines() if line.startswith("canids-error")]
+    assert len(lines) == 1 and "Traceback" not in err, err
+    assert lines[0].startswith(f"canids-error category=parse message={path}: ") and text in lines[0], lines[0]
 
 
-@pytest.mark.parametrize("weight", ["0.0", "-1.0", "nan", "inf"])
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
 def test_bad_edge_weight_is_parse_error(small_run, tmp_path, capsys, weight):
     bad = tmp_path / "train.cache"
-    lineno = _tamper(
-        small_run / "train.cache", bad, "edge ", lambda line: " ".join(line.split()[:3] + [weight]) + "\n"
-    )
+    bad.write_bytes(edited_cache((small_run / "train.cache").read_bytes(), [("weight", 0, weight)]))
     code, _, err = run_cli(
         capsys, "train-vgae", "--graphs", bad, "--preset", "student",
         "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
     )
     assert code == 1
-    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
-    assert "Traceback" not in err
-
-
-def _with_field(index, value):
-    return lambda line: " ".join(line.split()[:index] + [value] + line.split()[index + 1 :]) + "\n"
+    _cache_error(err, bad, f"window 0: edge weight must be finite and > 0, got {weight}")
 
 
 @pytest.mark.parametrize(
-    "prefix, edit, rule",
+    "edit, rule",
     [
-        ("graph ", _with_field(2, "7"), "label must be 0 or 1"),
-        ("node ", _with_field(2, "nan"), "node features must be finite"),
-        ("node ", _with_field(1, "-5"), "node ID must be in"),
-        ("edge ", _with_field(1, "57"), "edge source must be in"),
+        (("heads", 4 * 3 + 1, 7), "window 3: label must be 0 or 1, got 7"),
+        (("feats", 3 * 1 + 2, math.nan), "window 0: node features must be finite, got nan"),
+        (("ids", 0, -5), "window 0: node ID must be in [0, 2047], got -5"),
+        (("src", 0, 57), "window 0: edge source must be in [0, num_nodes), got 57"),
     ],
     ids=["label-7", "nan-feature", "negative-id", "edge-source-57"],
 )
 @pytest.mark.parametrize("command", ["train-vgae", "train-gat"])
-def test_out_of_range_graph_cache_value_is_parse_error(small_run, tmp_path, capsys, command, prefix, edit, rule):
+def test_out_of_range_graph_cache_value_is_parse_error(small_run, tmp_path, capsys, command, edit, rule):
     bad = tmp_path / "graphs.cache"
     if command == "train-vgae":
-        lineno = _tamper(small_run / "train.cache", bad, prefix, edit)
+        bad.write_bytes(edited_cache((small_run / "train.cache").read_bytes(), [edit]))
         argv = [command, "--graphs", bad, "--vgae-epochs", 1]
     else:
-        lineno = _tamper(small_run / "stage2.cache", bad, prefix, edit)
+        bad.write_bytes(edited_cache((small_run / "stage2.cache").read_bytes(), [edit]))
         argv = [command, "--graphs", bad, "--val-graphs", small_run / "train.cache", "--gat-epochs", 1]
     out = tmp_path / "model.ckpt"
     code, _, err = run_cli(capsys, *argv, "--preset", "student", "--seed", 7, "--out", out)
     assert code == 1
-    _only_parse_error(err, lineno, bad)
-    assert rule in err
+    _cache_error(err, bad, rule)
     assert not out.exists()
 
 
@@ -795,30 +777,9 @@ def test_error_lines_cut_a_long_field_and_give_its_length(tmp_path, capsys, name
 
 
 
-CACHE_HEAD = "canids-graph-cache v1\n"
 # name -> (graph cache or checkpoint, the file around a text x, the character x repeats, the line for x of 3)
 LONG_TEXT_CASES = {
-    "cache-header": ("cache", lambda x, ckpt: f"{x}\n", "h", "line 1: {p}: not a graph cache (header 'hhh')"),
-    "graph-record": (
-        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0 {x}\n", "g",
-        "line 2: {p}: expected graph record, got 'graph 0 0 1 0 ggg'",
-    ),
-    "graph-counts": (
-        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 -1 {x}\n", "9",
-        "line 2: {p}: window start, node and edge counts must be >= 0, got 'graph 0 0 -1 999'",
-    ),
-    "graph-label": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 {x} 0 0\n", "7",
-                    "line 2: {p}: label must be 0 or 1, got 777"),
-    "graph-int": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph {x} 0 0 0\n", "g",
-                  "line 2: {p}: invalid literal for int() with base 10: 'ggg'"),
-    "node-id": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0\nnode {x} 0.5 0.5 0.5\n", "n",
-                "line 3: {p}: invalid literal for int() with base 10: 'nnn'"),
-    "node-feature": ("cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 1 0\nnode 1 {x} 0.5 0.5\n", "n",
-                     "line 3: {p}: could not convert string to float: 'nnn'"),
-    "edge-weight": (
-        "cache", lambda x, ckpt: f"{CACHE_HEAD}graph 0 0 2 1\nnode 1 0 0 0\nnode 2 0 0 0\nedge 0 1 {x}\n", "e",
-        "line 5: {p}: could not convert string to float: 'eee'",
-    ),
+    "cache-header": ("cache", lambda x, ckpt: f"{x}\n", "h", "{p}: not a graph cache (header 'hhh')"),
     "param-record": ("ckpt", lambda x, ckpt: f"{ckpt[0]}{x} 1\n1.0\nend\n", "p",
                      "line 3: {p}: expected param record, got 'ppp 1'"),
     "param-shape": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param w {x}\n1.0\nend\n", "p",
@@ -1255,15 +1216,14 @@ def test_non_ascii_log_is_parse_error(tmp_path, synth_cfg, capsys):
 
 def test_non_ascii_graph_cache_is_parse_error(small_run, tmp_path, capsys):
     bad = tmp_path / "train.cache"
-    lines = (small_run / "train.cache").read_text().splitlines(keepends=True)
-    lines[3000] = _with_non_ascii(lines[3000])
-    bad.write_text("".join(lines))
+    data = (small_run / "train.cache").read_bytes()
+    bad.write_bytes(data.replace(b"graph-cache", "graph-cach\u00e9".encode(), 1))
     code, _, err = run_cli(
         capsys, "train-vgae", "--graphs", bad, "--preset", "student",
         "--seed", 7, "--vgae-epochs", 1, "--out", tmp_path / "vgae.ckpt",
     )
     assert code == 1
-    _only_parse_error(err, 3001, bad)
+    _cache_error(err, bad, "not a graph cache (header 'canids-graph-cach\\\\xc3\\\\xa9 v2')")
 
 
 def test_non_ascii_checkpoint_is_parse_error(small_run, tmp_path, capsys):
@@ -1287,9 +1247,6 @@ def test_non_ascii_scores_file_is_parse_error(tmp_path, capsys):
 
 # (artifact, edit of its lines, the line the error must name)
 BAD_HEADERS = {
-    "cache-wrong-magic": ("train.cache", lambda lines: ["canids-graph-cache v2\n"] + lines[1:], 1),
-    "cache-no-magic": ("train.cache", lambda lines: lines[1:], 1),
-    "cache-empty": ("train.cache", lambda lines: [], 1),
     "checkpoint-wrong-magic": ("vgae.ckpt", lambda lines: ["canids-checkpoint v0\n"] + lines[1:], 1),
     "checkpoint-empty": ("vgae.ckpt", lambda lines: [], 1),
     "checkpoint-no-model-line": ("vgae.ckpt", lambda lines: lines[:1] + lines[2:], 2),
@@ -1308,7 +1265,6 @@ def test_bad_header_names_its_line(small_run, tmp_path, capsys, artifact, edit, 
         lines = (small_run / artifact).read_text().splitlines(keepends=True)
     bad.write_text("".join(edit(lines)))
     argv = {
-        "train.cache": ["train-vgae", "--graphs", bad, "--preset", "student", "--out", tmp_path / "v.ckpt"],
         "vgae.ckpt": ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "s2"],
         "scores.csv": ["evaluate", "--scores", bad],
     }[artifact]
@@ -1401,6 +1357,111 @@ def test_checkpoint_and_scores_mutation_sweep(small_run, tmp_path, capsys):
                 assert not out.exists()
                 assert str(bad) in err or kind not in ("truncate", "blank"), (artifact, kind, err)
     assert len(exits) == 164 and 0 in exits and 1 in exits
+
+
+# ---------------------------------------------------------------- graph-cache mutation sweep
+
+
+def _flip(rng, data: bytes, at: int, bits: range) -> bytes:
+    """``data`` with one bit of the 8-byte value at ``at`` flipped, from ``bits`` (0 the lowest)."""
+    bit = rng.choice(bits)
+    out = bytearray(data)
+    out[at + bit // 8] ^= 1 << bit % 8
+    return bytes(out)
+
+
+def cache_mutations(rng: random.Random, data: bytes) -> dict:
+    """name -> a mutant of the binary graph cache ``data`` that its loader must refuse: bit flips where any flip
+    breaks a rule, cuts, header counts too large, negative or 10^12, a value that breaks each per-window rule,
+    a text cache of the version before, and wrong or non-ASCII headers."""
+    magic = data[: data.index(b"\n") + 1]
+    columns = cache_columns(data)
+    heads, ids = columns["heads"][0], columns["ids"][0]
+    k, n, e = counts = struct.unpack_from("<3q", data, columns["counts"][0])
+    window = rng.randrange(k)
+    node, edge = rng.randrange(n), rng.randrange(e)
+    which = rng.randrange(3)
+    head = struct.unpack_from(f"<{4 * k}q", data, heads)
+    twice = rng.choice([w for w in range(k) if head[4 * w + 2] >= 2])  # a window of two nodes or more
+    first = sum(head[2 : 4 * twice : 4])  # its first node
+    edits = {
+        "counts-larger": ("counts", which, counts[which] + rng.randint(1, 9)),
+        "counts-negative": ("counts", which, -rng.randint(1, 10**6)),
+        "counts-10^12": ("counts", 0, 10**12),
+        "start": ("heads", 4 * window, -rng.randint(1, 100)),
+        "label": ("heads", 4 * window + 1, rng.choice([2, 7, -1])),
+        "node-count": ("heads", 4 * window + 2, -1),
+        "edge-count-sum": ("heads", 4 * window + 3, rng.randint(k + e, 10**6)),
+        "id-range": ("ids", node, rng.choice([-1, 2048, 10**9])),
+        "id-twice": ("ids", first + 1, struct.unpack_from("<q", data, ids + 8 * first)[0]),
+        "feature": ("feats", rng.randrange(3 * n), rng.choice([math.nan, math.inf, -math.inf])),
+        "source": ("src", edge, rng.choice([-1, 10**6])),
+        "destination": ("dst", edge, rng.choice([-1, 10**6])),
+        "weight": ("weight", edge, rng.choice([0.0, -0.0, -1.0, math.nan, math.inf])),
+    }
+    return {
+        "flip-header": _flip(rng, data, rng.randrange(0, heads - 8), range(8 * 8)),
+        "flip-node-count": _flip(rng, data, heads + 32 * window + 16, range(64)),
+        "flip-id": _flip(rng, data, ids + 8 * node, range(11, 64)),
+        "cut": data[: rng.randrange(len(data))],
+        "extra-byte": data + bytes([rng.randrange(256)]),
+        **{name: edited_cache(data, [edit]) for name, edit in edits.items()},
+        "text-v1": b"canids-graph-cache v1\ngraph 0 0 1 0\nnode 256 0.125 1.0 0.5\n",
+        "wrong-magic": b"canids-graph-cache v3\n" + data[len(magic) :],
+        "no-magic": data[len(magic) :],
+        "non-ascii": "canids-graph-cach\u00e9 v2\n".encode() + data[len(magic) :],
+        "empty": b"",
+    }
+
+
+# the kinds of mutant, in the order cache_mutations makes them
+CACHE_MUTANTS = [
+    "flip-header", "flip-node-count", "flip-id", "cut", "extra-byte", "counts-larger", "counts-negative",
+    "counts-10^12", "start", "label", "node-count", "edge-count-sum", "id-range", "id-twice", "feature", "source",
+    "destination", "weight", "text-v1", "wrong-magic", "no-magic", "non-ascii", "empty",
+]
+CACHE_READERS = ["train-vgae", "undersample", "train-gat", "report", "distill", "export-embeddings"]
+
+
+def cache_reader_argv(command: str, run: Path, bad: Path, out: Path) -> list:
+    """The arguments of ``command`` reading the graph cache ``bad``, every other input from ``run``."""
+    return {
+        "train-vgae": ["--graphs", bad, "--preset", "student", "--vgae-epochs", 1, "--out", out],
+        "undersample": ["--graphs", bad, "--vgae", run / "vgae.ckpt", "--out", out],
+        "train-gat": ["--graphs", run / "stage2.cache", "--val-graphs", bad, "--preset", "student", "--out", out],
+        "report": ["--train-graphs", run / "train.cache", "--test-graphs", bad, "--vgae", run / "vgae.ckpt",
+                   "--gat", run / "gat.ckpt", "--out-dir", out],
+        "distill": ["--graphs", bad, "--teacher-vgae", run / "vgae.ckpt", "--teacher-gat", run / "gat.ckpt",
+                    "--out-dir", out],
+        "export-embeddings": ["--graphs", bad, "--gat", run / "gat.ckpt", "--out", out],
+    }[command]
+
+
+@pytest.fixture(scope="module")
+def cache_mutants(small_run):
+    """Two rounds of every kind of mutant of the small run's training cache."""
+    rng = random.Random(11)
+    data = (small_run / "train.cache").read_bytes()
+    rounds = [cache_mutations(rng, data) for _ in range(2)]
+    assert all(list(mutants) == CACHE_MUTANTS for mutants in rounds)
+    return rounds
+
+
+@pytest.mark.parametrize("name", CACHE_MUTANTS)
+@pytest.mark.parametrize("command", CACHE_READERS)
+def test_graph_cache_mutation_sweep(small_run, cache_mutants, tmp_path, capsys, command, name):
+    """Both mutants of one kind, read by one subcommand that reads a cache, end in one canids-error line of
+    category parse that names the cache, exit 1, no traceback and no output."""
+    bad, out = tmp_path / "bad.cache", tmp_path / "out"
+    argv = cache_reader_argv(command, small_run, bad, out)
+    for mutants in cache_mutants:
+        bad.write_bytes(mutants[name])
+        started = time.perf_counter()
+        code, stdout, err = run_cli(capsys, command, *argv, "--seed", 7)
+        seconds = time.perf_counter() - started
+        assert code == 1 and stdout == "" and not out.exists(), err
+        _cache_error(err, bad, "")
+        assert name != "counts-10^12" or seconds < 0.5, seconds  # refused before anything is made
 
 
 # ---------------------------------------------------------------- run-config property test

@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 from canids import canlog, graphs
 from canids.canlog import CanFrame, FrameBlock, Label
 from canids.errors import ConfigError, ParseError, StateError
-from canids.graphs import (
-    WindowGraph,
-    build_block_windows,
-    build_windows,
-    feature_stats,
-    load_graph_cache,
-    save_graph_cache,
-)
+from canids.graphs import build_block_windows, build_windows, feature_stats, load_graph_cache, save_graph_cache
 from helpers import assert_bit_identical, brute_force_windows, loop_windows, random_frames
 
 
@@ -203,36 +196,6 @@ def test_cache_round_trip(tmp_path, mixed_graphs):
     q = tmp_path / "again.cache"
     save_graph_cache(loaded, q)
     assert p.read_bytes() == q.read_bytes()
-
-
-def test_cache_golden_bytes(tmp_path):
-    """The exact text of a cache: repr floats (17 digits where needed), ints, one record a line."""
-    graphs = [
-        WindowGraph(
-            [0x316, 5],
-            np.array([[0.1 + 0.2, 0.5, 1 / 3], [5 / 2047, 0.5, 0.0]]),
-            np.array([0, 1, 0]),
-            np.array([1, 0, 0]),
-            np.array([2.0, 1.0, 1.0]),
-            1,
-            0,
-        ),
-        WindowGraph([2047], np.array([[1.0, 1.0, 1e-300]]), np.array([0]), np.array([0]), np.array([3.0]), 0, 4),
-    ]
-    p = tmp_path / "golden.cache"
-    assert save_graph_cache(graphs, p) == 2
-    assert p.read_bytes() == (
-        b"canids-graph-cache v1\n"
-        b"graph 0 1 2 3\n"
-        b"node 790 0.30000000000000004 0.5 0.3333333333333333\n"
-        b"node 5 0.002442598925256473 0.5 0.0\n"
-        b"edge 0 1 2.0\n"
-        b"edge 1 0 1.0\n"
-        b"edge 0 0 1.0\n"
-        b"graph 4 0 1 1\n"
-        b"node 2047 1.0 1.0 1e-300\n"
-        b"edge 0 0 3.0\n"
-    )
 
 
 def test_block_builder_equals_loop_oracle_bit_for_bit():
