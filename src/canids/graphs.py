@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
-from .errors import ConfigError, ParseError, StateError, quoted
+from .errors import ConfigError, DimensionError, ParseError, StateError, quoted
 
 CACHE_MAGIC = b"canids-graph-cache v2\n"
 _TEXT_MAGIC = "canids-graph-cache v1"  # the text cache of earlier versions
@@ -129,41 +129,32 @@ def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: 
     """The windows of ``w`` frames of ``columns`` at ``starts`` (their frame indexes less ``offset``).
 
     Each (window, CAN ID) pair is one node key and each (window, source
-    node, destination node) pair one edge key. The first position of a key
-    orders the nodes and edges of its window by first appearance, and
-    ``bincount`` over the keys sums the payload bytes and DLCs. Features are
-    computed with the same float operations as ``_graph``, so the bits are
-    the same.
+    node, destination node) pair one edge key. ``_groups`` numbers the keys
+    by first appearance, which orders the nodes and edges of each window,
+    and ``bincount`` over the node numbers sums the payload bytes and DLCs.
+    Features are computed with the same float operations as ``_graph``, so
+    the bits are the same.
     """
     can_id, payload_sum, dlc, attack = columns
     k = len(starts)
     frame = (starts[:, None] + np.arange(w)).ravel()  # of each (window, position)
     window = np.repeat(np.arange(k), w)
-    keys, first, inverse, counts = np.unique(
-        window * (MAX_STD_ID + 1) + can_id[frame], return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)  # nodes by window, then first appearance
-    node = np.empty_like(order)
-    node[order] = np.arange(len(order))
-    node = node[inverse]  # of each (window, position)
-    keys = keys[order]
+    keys, counts, node = _groups(window * (MAX_STD_ID + 1) + can_id[frame], inverse=True)
     node_ids = keys % (MAX_STD_ID + 1)
     node_at = np.searchsorted(keys // (MAX_STD_ID + 1), np.arange(k + 1))  # each window's first node
     payload_n = np.bincount(node, weights=dlc[frame])
     mean_payload = np.bincount(node, weights=payload_sum[frame])
     np.divide(mean_payload, payload_n, out=mean_payload, where=payload_n > 0)
-    feats = np.stack([node_ids / MAX_STD_ID, counts[order] / w, mean_payload / 255.0], axis=1)
+    feats = np.stack([node_ids / MAX_STD_ID, counts / w, mean_payload / 255.0], axis=1)
 
     local = (node - node_at[window]).reshape(k, w)  # node index within its window
     src, dst = local[:, :-1], local[:, 1:]
     if not directed:
         src, dst = np.minimum(src, dst), np.maximum(src, dst)
-    edge_keys = (window.reshape(k, w)[:, 1:] * w + src) * w + dst
-    edge_keys, first, edge_counts = np.unique(edge_keys, return_index=True, return_counts=True)
-    order = np.argsort(first)  # edges by window, then first appearance
-    edge_keys = edge_keys[order]
-    edge_at = np.searchsorted(edge_keys // (w * w), np.arange(k + 1))
-    edge_src, edge_dst, wts = edge_keys // w % w, edge_keys % w, edge_counts[order].astype(np.float64)
+    radix = min(w, MAX_STD_ID + 1)  # a window has at most this many nodes
+    edge_keys, edge_counts = _groups(((window.reshape(k, w)[:, 1:] * radix + src) * radix + dst).ravel())
+    edge_at = np.searchsorted(edge_keys // (radix * radix), np.arange(k + 1))
+    edge_src, edge_dst, wts = edge_keys // radix % radix, edge_keys % radix, edge_counts.astype(np.float64)
 
     node_ids = node_ids.tolist()
     labels = attack[frame].reshape(k, w).any(axis=1).tolist()
@@ -174,6 +165,47 @@ def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: 
             node_at, node_at[1:], edge_at, edge_at[1:], labels, starts.tolist()
         )
     ]
+
+
+def _groups(keys: np.ndarray, inverse: bool = False):
+    """The distinct values of the non-negative int64 ``keys`` in order of first appearance, the count of
+    each and, if ``inverse``, the group (an index into them) of each key: what ``np.unique`` with
+    ``return_index``, ``return_counts`` and ``return_inverse`` gives, reordered by first index.
+
+    Each key is packed with its position, ``key << bits | position`` (``bits`` the bit length of the last
+    position). No two packed values are equal, so one sort of them, numpy's unstable SIMD sort included,
+    is the stable sort of the keys, and one pass over the positions orders the groups by their first.
+    The packed values fit an int64 while every key < 2**(63 - bits); larger keys take a stable argsort.
+    ``_group_windows``' keys never do: its k windows of w frames hold at most 2**18 positions unless
+    k = 1, its node keys are < k * 2**11 and its edge keys < k * min(w, 2**11)**2, so the packed values
+    stay below 2**48 for every w <= 2**18 and below 2**63 for every w < 2**41.
+    """
+    n = len(keys)
+    bits = max(n - 1, 0).bit_length()
+    if n and int(keys.max()) >> (63 - bits):
+        position = np.argsort(keys, kind="stable")
+        keys = keys[position]
+    else:
+        packed = np.sort(keys << bits | np.arange(n))
+        keys, position = packed >> bits, packed & ((1 << bits) - 1)
+    new = np.empty(n, dtype=bool)  # at the first key of each group, in sorted order
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, n))
+    first = position[starts]  # of each group in sorted order, its first position
+    index = np.empty(n, dtype=np.int64)  # at each first position, its group's index in sorted order
+    index[first] = np.arange(len(first))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    order = index[np.flatnonzero(is_first)]  # the groups in order of first appearance
+    if not inverse:
+        return keys[starts[order]], sizes[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = np.empty(n, dtype=np.int64)
+    group[position] = np.repeat(rank, sizes)
+    return keys[starts[order]], sizes[order], group
 
 
 def _graph(node_ids, counts, payload_sum, payload_n, edge_counts, w, label, start) -> WindowGraph:
@@ -268,8 +300,8 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
     }
 
 
-def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
-    """Write graphs to the binary cache that load_graph_cache reads. Returns graph count.
+def save_graph_cache(graphs: Sequence[WindowGraph], path) -> int:
+    """Write a sequence of graphs to the binary cache that load_graph_cache reads. Returns graph count.
 
     The ASCII line ``canids-graph-cache v2``, the counts of windows k, nodes
     n and edges e (three little-endian int64s), then the columns of every
@@ -277,20 +309,33 @@ def save_graph_cache(graphs: Iterable[WindowGraph], path) -> int:
     ``[start, label, num_nodes, num_edges]`` (k, 4) int64, the CAN IDs (n,)
     int64, the features (n, 3) float64, the edge sources and destinations
     (e,) int64 each and the weights (e,) float64, all little-endian. The
-    graphs are held as a list, and each column is made as it is written.
+    counts come before the columns, so the graphs are a sequence (a list),
+    not an iterator; each column is made as it is written. Every window's
+    columns are checked before the file is opened: DimensionError naming the
+    window (from 0) and the shapes unless its features are (num_nodes, 3)
+    and its sources, destinations and weights (num_edges,).
     """
-    graphs = list(graphs)
-    n, e = sum(g.num_nodes for g in graphs), sum(g.num_edges for g in graphs)
+    k, n, e = len(graphs), 0, 0  # len(): an iterator is refused before any of it is read
+    for i, g in enumerate(graphs):
+        nodes, edges = g.num_nodes, g.num_edges
+        try:
+            shapes = g.node_features.shape, g.edge_src.shape, g.edge_dst.shape, g.edge_weight.shape
+        except AttributeError:  # a column given as a list: np.shape is slower than .shape
+            shapes = np.shape(g.node_features), np.shape(g.edge_src), np.shape(g.edge_dst), np.shape(g.edge_weight)
+        if shapes != ((nodes, 3), (edges,), (edges,), (edges,)):
+            raise DimensionError(f"window {i}: node_features must be {(nodes, 3)} and edge_src, edge_dst and "
+                                 f"edge_weight {(edges,)}, got {', '.join(map(str, shapes))}")
+        n, e = n + nodes, e + edges
     heads = ((g.window_start_index, g.label, g.num_nodes, g.num_edges) for g in graphs)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<3q", len(graphs), n, e))
-        fh.write(np.fromiter(itertools.chain.from_iterable(heads), dtype="<i8", count=4 * len(graphs)))
+        fh.write(struct.pack("<3q", k, n, e))
+        fh.write(np.fromiter(itertools.chain.from_iterable(heads), dtype="<i8", count=4 * k))
         fh.write(np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), dtype="<i8", count=n))
         for name, empty in (("node_features", np.empty((0, 3), "<f8")), ("edge_src", np.empty(0, "<i8")),
                             ("edge_dst", np.empty(0, "<i8")), ("edge_weight", np.empty(0, "<f8"))):
             fh.write(np.concatenate([empty, *(getattr(g, name) for g in graphs)], dtype=empty.dtype))
-    return len(graphs)
+    return k
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
@@ -351,9 +396,13 @@ def _check_windows(path, heads, ids, feats, src, dst, wts):
                          f"and {len(src)}")
     node_window = np.repeat(windows, heads[:, 2])
     _require((ids >= 0) & (ids <= MAX_STD_ID), ids, node_window, path, f"node ID must be in [0, {MAX_STD_ID}]")
-    repeated = np.ones(len(ids), dtype=bool)
-    repeated[np.unique(node_window * (MAX_STD_ID + 1) + ids, return_index=True)[1]] = False  # but the first of each
-    _require(~repeated, ids, node_window, path, "node ID listed twice in one window")
+    keys = node_window * (MAX_STD_ID + 1) + ids
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():  # a repeat: name the first key whose group came before it
+        group = _groups(keys, inverse=True)[2]  # numbered in order of first appearance
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = group[1:] > np.maximum.accumulate(group)[:-1]
+        _require(first, ids, node_window, path, "node ID listed twice in one window")
     _require(np.isfinite(feats), feats, node_window, path, "node features must be finite")
     edge_window = np.repeat(windows, heads[:, 3])
     window_nodes = heads[:, 2].take(edge_window)

@@ -5,6 +5,7 @@ they recount everything with plain dicts so the real implementations have
 something honest to disagree with.
 """
 
+import hashlib
 import json
 import math
 import struct
@@ -135,6 +136,16 @@ def loop_windows(frames, window_size, stride, directed=True):
         loop_window_graph(frames[start : start + window_size], start, directed)
         for start in range(0, len(frames) - window_size + 1, stride)
     ]
+
+
+def windows_sha256(windows) -> str:
+    """A sha256 of every window's node IDs, label and start and the bytes, dtypes and shapes of its arrays."""
+    digest = hashlib.sha256()
+    for g in windows:
+        digest.update(repr((g.node_ids, g.label, g.window_start_index)).encode())
+        for x in (g.node_features, g.edge_src, g.edge_dst, g.edge_weight):
+            digest.update(repr((x.dtype.str, x.shape)).encode() + x.tobytes())
+    return digest.hexdigest()
 
 
 def assert_bit_identical(a, b):

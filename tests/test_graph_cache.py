@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.errors import ParseError
+from canids.errors import DimensionError, ParseError
 from canids.graphs import CACHE_MAGIC, WindowGraph, build_windows, load_graph_cache, save_graph_cache
 from helpers import assert_bit_identical, edited_cache
 
@@ -90,7 +90,7 @@ def layout(heads, ids, feats, src, dst, weight) -> bytes:
 
 def test_layout(tmp_path):
     p = tmp_path / "g.cache"
-    assert save_graph_cache(iter(small_windows()), p) == K
+    assert save_graph_cache(small_windows(), p) == K
     assert CACHE_MAGIC == b"canids-graph-cache v2\n" and p.read_bytes() == layout(**SMALL_COLUMNS)
 
 
@@ -126,6 +126,40 @@ def test_hand_made_windows_round_trip(tmp_path):
     assert_same_graphs(loaded, small_windows())
     assert np.signbit(loaded[2].node_features[1]).tolist() == [True, False, True]
     assert loaded[0].node_features[2, 2] == 5e-324 and loaded[3].num_nodes == 0 and loaded[2].num_edges == 0
+
+
+def window_of(ids, feature_rows, dst, start=0):
+    """A window of these node IDs and feature rows, sources [0, 1], these destinations and weights 1, its edge
+    columns given as lists."""
+    return WindowGraph(ids, np.zeros((feature_rows, 3)), [0, 1], dst, [1.0, 1.0], 0, start)
+
+
+@pytest.mark.parametrize(
+    "windows, error",
+    [
+        # without the check the pair wrote a file that loaded, one feature row moved from window 0 to window 1
+        ([window_of([1, 2], 3, [1, 0]), window_of([1, 2, 3], 2, [1, 0], 5)],
+         r"window 0: node_features must be \(2, 3\) and .* \(2,\), got \(3, 3\), \(2,\), \(2,\), \(2,\)$"),
+        ([window_of([1, 2, 3], 2, [1, 0], 5)], r"window 0: node_features must be \(3, 3\) .*, got \(2, 3\), "),
+        ([WindowGraph([1, 2], np.zeros((2, 3)), np.array([0, 1]), np.array([1]), np.ones(2), 0, 0)],
+         r"window 0: .*, got \(2, 3\), \(2,\), \(1,\), \(2,\)$"),
+        ([WindowGraph([1, 2], np.zeros((2, 4)), np.array([0, 1]), np.array([1, 0]), np.ones((2, 1)), 0, 0)],
+         r"window 0: .*, got \(2, 4\), \(2,\), \(2,\), \(2, 1\)$"),
+    ],
+    ids=["rows-moved", "one-short-window", "short-destinations", "wide-columns"],
+)
+def test_writer_refuses_columns_that_disagree_with_the_counts(tmp_path, windows, error):
+    p = tmp_path / "g.cache"
+    with pytest.raises(DimensionError, match=error):
+        save_graph_cache(windows, p)
+    assert not p.exists()
+
+
+def test_writer_refuses_an_iterator_before_reading_it(tmp_path):
+    p, drawn = tmp_path / "g.cache", iter(small_windows())
+    with pytest.raises(TypeError):
+        save_graph_cache(drawn, p)
+    assert not p.exists() and len(list(drawn)) == K
 
 
 def test_empty_cache_round_trips(tmp_path):
@@ -174,7 +208,7 @@ def windows(draw):
 @settings(max_examples=200, deadline=None)
 def test_any_valid_windows_round_trip(tmp_path_factory, drawn):
     p = tmp_path_factory.mktemp("cache") / "g.cache"
-    assert save_graph_cache(iter(drawn), p) == len(drawn)
+    assert save_graph_cache(drawn, p) == len(drawn)
     assert_same_graphs(load_graph_cache(p), drawn)
 
 
@@ -191,6 +225,7 @@ RULES = [
     ([("ids", 3, 2048)], 1, "node ID must be in [0, 2047]", "2048"),
     ([("ids", 1, 790)], 0, "node ID listed twice in one window", "790"),
     ([("ids", 5, 0)], 2, "node ID listed twice in one window", "0"),
+    ([("ids", 5, 0), ("ids", 1, 790)], 0, "node ID listed twice in one window", "790"),
     ([("feats", 3 * 1 + 0, math.nan)], 0, "node features must be finite", "nan"),
     ([("feats", 3 * 5 + 2, -math.inf)], 2, "node features must be finite", "-inf"),
     ([("src", 0, 57)], 0, "edge source must be in [0, num_nodes)", "57"),

@@ -1,13 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canids import canlog, graphs
 from canids.canlog import CanFrame, FrameBlock, Label
 from canids.errors import ConfigError, ParseError, StateError
 from canids.graphs import build_block_windows, build_windows, feature_stats, load_graph_cache, save_graph_cache
-from helpers import assert_bit_identical, brute_force_windows, loop_windows, random_frames
+from canids.synth import generate_synthetic_log
+from helpers import assert_bit_identical, brute_force_windows, loop_windows, random_frames, windows_sha256
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def frames_from_ids(ids, label_at=()):
@@ -232,6 +240,90 @@ def test_block_builder_groups_windows(monkeypatch):
         assert len(got) == len(expected)
         for g, ref in zip(got, expected):
             assert_bit_identical(g, ref)
+
+
+def test_windows_of_more_than_2048_frames_equal_the_loop_oracle():
+    """Above W = 2048 edge keys take the radix 2048, the most nodes a window can hold, not W."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    frames = random_frames(rng, 4500, np.arange(2048))
+    frames[:2048] = [f._replace(can_id=int(cid)) for f, cid in zip(frames, rng.permutation(2048))]
+    for w, stride, directed in ((2100, 2100, True), (2100, 1500, False), (4400, 4400, True)):
+        got = list(build_block_windows([FrameBlock.from_frames(frames)], w, stride, directed))
+        expected = loop_windows(frames, w, stride, directed)
+        assert len(got) == len(expected) and got[0].num_nodes == 2048
+        for g, ref in zip(got, expected):
+            assert_bit_identical(g, ref)
+
+
+def unique_by_first(keys):
+    """np.unique's distinct keys, counts and inverse, the groups renumbered in order of first appearance."""
+    values, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return values[order], counts[order], rank[inverse.ravel()]
+
+
+def assert_groups_as_unique(keys):
+    keys = np.array(keys, dtype=np.int64)
+    expected = [x.tolist() for x in unique_by_first(keys)]
+    got = graphs._groups(keys, inverse=True)
+    assert [x.dtype for x in got] == [np.int64] * 3 and [x.tolist() for x in got] == expected
+    assert [x.tolist() for x in graphs._groups(keys)] == expected[:2]
+
+
+@given(
+    st.lists(st.integers(0, 30), max_size=400),
+    st.sampled_from([1, 2047, 1 << 40]),
+    st.lists(st.integers(0, 2**63 - 1), max_size=20),
+)
+@example([], 1, [])
+@example([7], 1, [0])
+@example([5] * 1000, 1, [2**63 - 1])
+@settings(max_examples=300, deadline=None)
+def test_groups_equal_unique_by_first_appearance(small, scale, large):
+    """Many repeats of small or widely spaced keys, and keys anywhere in [0, 2**63); no key, one key, all
+    keys equal and the largest key."""
+    assert_groups_as_unique([key * scale for key in small])
+    assert_groups_as_unique(large + large[::2])
+
+
+@pytest.mark.parametrize("n", [2, 1000, 1 << 18])
+def test_groups_at_the_packing_bound(monkeypatch, n):
+    """Keys up to 2**(63 - bits) - 1 are packed with their positions and sorted; one more takes the stable
+    argsort."""
+    bits = (n - 1).bit_length()
+    rng = np.random.Generator(np.random.PCG64(n))
+    top = (1 << (63 - bits)) - 1
+    keys = rng.choice([0, 1, top - 1, top], size=n)
+    expected = [x.tolist() for x in unique_by_first(keys)]
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", None)  # the packed sort does not call it
+        assert [x.tolist() for x in graphs._groups(keys, inverse=True)] == expected
+    keys[n // 2] = top + 1
+    assert_groups_as_unique(keys)
+
+
+def seed_201_sha256() -> str:
+    """windows_sha256 of the seed-201 training log's windows at W=100 and at W=50, stride 7, undirected."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    log = generate_synthetic_log(workloads.ECUS, workloads.TRAIN_LOG_S, workloads.TRAIN_ATTACKS, rng_seed=(201, 1))
+    return windows_sha256([*build_windows(log, 100), *build_windows(log, 50, 7, directed=False)])
+
+
+# the x86 SIMD targets of numpy 2.4 and of earlier releases; a name numpy does not know is ignored
+SIMD_OFF = "X86_V4 X86_V3 AVX512_ICL AVX512_SPR AVX512F AVX512_SKX AVX2"
+
+
+def test_windows_do_not_depend_on_numpy_simd_dispatch():
+    """The seed-201 windows built with numpy's x86 SIMD sorts turned off are the same bytes as those built here."""
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": SIMD_OFF, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = "import test_graphs; print(test_graphs.seed_201_sha256())"
+    off = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert off == seed_201_sha256() + "\n"
 
 
 def test_block_builder_checks_window_and_stride():
