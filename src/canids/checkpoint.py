@@ -1,123 +1,111 @@
-"""Model checkpoints: a versioned text format holding a named parameter table.
+"""Model checkpoints: a model header and a named parameter table, then every value in binary.
 
 Layout:
-    canids-checkpoint v1
+    canids-checkpoint v2
     model <kind> <config as one-line JSON>
-    param <name> <d0> [<d1> ...]        (bare "param <name>" for scalars)
-    <one line of repr() floats per leading row, written by floattext.repr_rows>
-    ...
-    end
+    params <the table as one-line JSON: a list of [name, [d0, d1, ...]], [] for a scalar>
+    <every value as a little-endian float64, param by param in table order, each in C order>
 
-repr() round-trips float64 exactly, so save/load is lossless.
+The bytes of a float64 are the value itself, so save/load is lossless.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
-import math
-import re
+import os
 
 import numpy as np
 
-from .errors import ParseError, StateError, open_ascii, quoted
-from .floattext import is_decimal, joined, repr_rows
+from .errors import ParseError, StateError, quoted
 
-MAGIC = "canids-checkpoint v1"
+MAGIC = b"canids-checkpoint v2\n"
+_TEXT_MAGIC = "canids-checkpoint v1"  # the text checkpoint of earlier versions
 _LISTED = 3  # the most missing, and the most unexpected, param names that a mismatch names
-# the characters of a value row of finite floats: digits, ".", "-", "e", blanks, and "+" only right after
-# "e". float() reads a value of these characters only in the form repr writes it. A row is split at its
-# "+" signs one way only, so a failing match backtracks over each character at most once. This check
-# scans a row about 4x as fast as a whole-row match of is_decimal's grammar; rows that fail it (nan, inf
-# or a malformed value) are checked value by value.
-_is_plain_row = re.compile(r"[-.0-9e\s]*(?:(?<=e)\+[-.0-9e\s]*)*").fullmatch
 
 
 def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]):
     arrays = [np.asarray(arr, dtype=np.float64) for arr in params.values()]
-    texts = repr_rows(np.concatenate([np.empty(0), *(arr.ravel() for arr in arrays)]))  # one call for all values
-    at = 0  # the index in texts of the next param's first value
+    table = json.dumps([[name, list(arr.shape)] for name, arr in zip(params, arrays)])
     with open(path, "wb") as fh:
-        fh.write(f"{MAGIC}\nmodel {kind} {json.dumps(config, sort_keys=True)}\n".encode("ascii"))
-        for name, arr in zip(params, arrays):
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"param {name} {dims}".rstrip().encode("ascii") + b"\n")
-            lines = arr.shape[0] if arr.ndim > 1 else 1
-            fh.write(_value_lines(texts[at : at + arr.size], lines))
-            at += arr.size
-        fh.write(b"end\n")
-
-
-def _value_lines(texts: np.ndarray, lines: int) -> bytes:
-    """``lines`` lines of the value texts (rows of ``repr_rows``) in order, the values of a line joined by
-    blanks; a param with no values has empty lines."""
-    if not texts.size:
-        return b"\n" * lines
-    ends = np.full((len(texts), 1), ord(" "), dtype=np.uint8)
-    ends[len(texts) // lines - 1 :: len(texts) // lines] = ord("\n")
-    return joined(texts, ends).tobytes()
+        fh.write(MAGIC + f"model {kind} {json.dumps(config, sort_keys=True)}\nparams {table}\n".encode("ascii"))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def load_checkpoint(path):
     """Returns (kind, config dict, ordered {name: float64 array}).
 
-    Shape dimensions are plain decimal digits and values are floats in the
-    form repr writes them (no sign but "-", no "_", no blank inside). Any
-    malformed record raises ParseError with its line number.
+    The model and params lines must be ASCII JSON as save_checkpoint writes
+    them: the table a list of [name, shape], names unique strings and each
+    shape a list of ints >= 0. The file must be exactly as long as the
+    table's values need, or no array is made, and every value must be
+    finite. A broken rule raises ParseError: a header line's names its line
+    (2 or 3), a value's names its param. Each array is a native, writable
+    view of one buffer that holds the file.
     """
-    with open_ascii(path) as fh:
-        if fh.readline().strip() != MAGIC:
-            raise ParseError(f"{path}: not a canids checkpoint", line=1)
-        model_line = fh.readline().split(maxsplit=2)
-        if len(model_line) != 3 or model_line[0] != "model":
-            raise ParseError(f"{path}: missing model header", line=2)
-        lineno = 2
-        params: dict[str, np.ndarray] = {}
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
+    if not data.startswith(MAGIC):
+        end = data.find(b"\n")
+        header = data[: end if end >= 0 else len(data)].decode("ascii", "backslashreplace").strip()
+        if header == _TEXT_MAGIC:
+            raise ParseError(f"{path}: a text checkpoint ({_TEXT_MAGIC}); retrain it")
+        raise ParseError(f"{path}: not a canids checkpoint (header {quoted(header)})")
+    at, fields = len(MAGIC), []
+    for lineno, word, words in ((2, "model", 2), (3, "params", 1)):  # "model <kind> <JSON>", "params <JSON>"
+        end = data.find(b"\n", at)
+        if end < 0:
+            raise ParseError(f"{path}: checkpoint cut short in its header", line=lineno)
+        if not data[at:end].isascii():
+            raise ParseError(f"{path}: non-ASCII byte", line=lineno)
+        parts = data[at:end].decode("ascii").split(maxsplit=words)
+        if len(parts) != words + 1 or parts[0] != word:
+            raise ParseError(f"{path}: missing {word} header", line=lineno)
         try:
-            kind, config = model_line[1], json.loads(model_line[2])
-            line = fh.readline()
-            lineno += 1
-            while line:
-                parts = line.split()
-                if parts == ["end"]:
-                    break
-                if len(parts) < 2 or parts[0] != "param":
-                    raise ParseError(f"{path}: expected param record, got {quoted(line.strip())}", line=lineno)
-                name = parts[1]
-                shown = quoted(name, marks=False)
-                if name in params:
-                    raise ParseError(f"{path}: param {shown} listed twice", line=lineno)
-                if not all(map(str.isdigit, parts[2:])):
-                    shape_text = quoted(" ".join(parts[2:]))
-                    raise ParseError(f"{path}: param {shown} has a bad shape {shape_text}", line=lineno)
-                shape = tuple(int(d) for d in parts[2:])
-                # one line per leading row; 1-d and scalar params are a single line
-                n_lines = shape[0] if len(shape) > 1 else 1
-                width = math.prod(shape[1:] if len(shape) > 1 else shape)
-                rows = []
-                for _ in range(n_lines):
-                    lineno += 1
-                    row = fh.readline()
-                    if not (_is_plain_row(row) or all(map(is_decimal, row.split()))):
-                        raise ParseError(f"{path}: param {shown} has a value that is not a float as repr writes it",
-                                         line=lineno)
-                    row = [float(v) for v in row.split()]
-                    if len(row) != width:
-                        expected = quoted(str(width), marks=False)
-                        raise ParseError(f"{path}: param {shown} row has {len(row)} values, expected {expected}",
-                                         line=lineno)
-                    if not all(map(math.isfinite, row)):
-                        raise ParseError(f"{path}: param {shown} has a non-finite value", line=lineno)
-                    rows.append(row)
-                params[name] = np.array(rows, dtype=np.float64).reshape(shape)
-                line = fh.readline()
-                lineno += 1
-            else:
-                raise ParseError(f"{path}: truncated checkpoint (no end marker)")
-        except UnicodeDecodeError:
-            raise  # open_ascii names the line
-        except (ValueError, RecursionError) as exc:  # RecursionError: a model config nested too deep for json
-            raise ParseError(f"{path}: bad checkpoint record ({exc})", line=lineno) from None
+            fields.append((*parts[1:-1], json.loads(parts[-1])))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep for the parser
+            raise ParseError(f"{path}: bad checkpoint header ({exc})", line=lineno) from None
+        at = end + 1
+    (kind, config), (table,) = fields
+    sizes = _sizes(path, table)
+    body, count = len(data) - at, sum(sizes)
+    if body != 8 * count:
+        raise ParseError(f"{path}: {len(sizes)} params of {count} values do not fill the checkpoint's {body} bytes "
+                         "after its header")
+    values = np.frombuffer(data, "<f8", count, at).astype(np.float64, copy=False)  # no copy on a little-endian host
+    finite = np.isfinite(values)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    if not finite.all():
+        first = int(finite.argmin())
+        name = table[bisect.bisect_right(starts, first) - 1][0]
+        raise ParseError(f"{path}: param {quoted(name)} has a non-finite value, {values[first]}")
+    params = {name: values[start:stop].reshape(shape) for (name, shape), start, stop in zip(table, starts, starts[1:])}
     return kind, config, params
+
+
+def _sizes(path, table) -> list[int]:
+    """The value count of each [name, shape] of ``table``; ParseError naming line 3 unless the table is a
+    list of [name, shape] of unique string names and shapes of ints >= 0 that numpy can hold."""
+    if not isinstance(table, list):
+        raise ParseError(f"{path}: the params header is not a list of [name, shape]", line=3)
+    sizes, names = [], set()
+    for i, entry in enumerate(table):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise ParseError(f"{path}: params entry {i} is not [name, shape]", line=3)
+        name, shape = entry
+        if name in names:
+            raise ParseError(f"{path}: param {quoted(name)} listed twice", line=3)
+        names.add(name)
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ParseError(f"{path}: param {quoted(name)} has a shape that is not a list of ints >= 0", line=3)
+        try:  # numpy's own limits on a shape, checked without allocating
+            sizes.append(np.broadcast_to(0.0, shape).size)
+        except ValueError as exc:
+            raise ParseError(f"{path}: param {quoted(name)} has a shape numpy cannot hold ({exc})", line=3) from None
+    return sizes
 
 
 def validate_params(params: dict[str, np.ndarray], expected: dict[str, tuple], kind: str):

@@ -299,6 +299,8 @@ def cmd_train_gat(args) -> int:
     if args.val_graphs:
         full = load_graph_cache(_require_file(args.val_graphs, "validation graph cache"))
         _, val_part = chronological_split(full, opts.val_frac)
+        if not val_part:  # the split keeps a window for validation from 2 windows up
+            raise StateError(f"{args.val_graphs}: {len(full)} windows; early stopping needs at least 2")
     config = getattr(GatConfig, args.preset)()
     _progress(f"stage 2: training {args.preset} GAT on {len(stage2)} windows")
     timings = Timings()

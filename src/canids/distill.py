@@ -135,10 +135,10 @@ def distill_pipeline(
     Stage 1 trains the student VGAE with its ELBO plus (1 - alpha) times
     the latent KL to the teacher; undersampling is then recomputed from
     the student's scores. Stage 2 trains the student GAT under the
-    combined soft/hard loss. A training split without attack windows
-    raises StateError before any training. With ``test_graphs``, the
-    report carries paired teacher/student test metrics for the
-    comparison table.
+    combined soft/hard loss. A training split without attack windows,
+    or ``test_graphs`` with no windows, raises StateError before any
+    training. With ``test_graphs``, the report carries paired
+    teacher/student test metrics for the comparison table.
     """
     opts = options or PipelineOptions()
     timings = Timings()
@@ -148,6 +148,8 @@ def distill_pipeline(
     train_part, val_part = chronological_split(train_graphs, opts.val_frac)
     if not any(g.label == 1 for g in train_part):
         raise StateError("distill: no attack windows in the training split; stage 2 needs both classes")
+    if test_graphs is not None and not test_graphs:
+        raise StateError("distill: no test windows to evaluate on")
 
     projection = LatentProjection(student_vgae_config.latent_dim, teacher_vgae.config.latent_dim, seed=seed)
     # frozen-teacher outputs per window, computed on a batch of one at first use

@@ -7,7 +7,6 @@ something honest to disagree with.
 
 import hashlib
 import json
-import math
 import struct
 
 import numpy as np
@@ -53,19 +52,19 @@ def edited_cache(data: bytes, edits) -> bytes:
     return bytes(out)
 
 
-def per_value_save_checkpoint(path, kind, config, params):
-    """Reference checkpoint writer: one ``repr(float(v))`` per numpy value."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("canids-checkpoint v1\n")
-        fh.write(f"model {kind} {json.dumps(config, sort_keys=True)}\n")
-        for name, arr in params.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"param {name} {dims}".rstrip() + "\n")
-            rows = arr.reshape(arr.shape[0], math.prod(arr.shape[1:])) if arr.ndim > 1 else arr.reshape(1, -1)
-            for row in rows:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        fh.write("end\n")
+def checkpoint_bytes(model: str, table: list, values) -> bytes:
+    """A binary checkpoint packed by struct: the magic line, the line ``model <model>``, the params line of
+    ``table`` (a list of [name, shape]) and ``values`` as little-endian float64s."""
+    header = f"canids-checkpoint v2\nmodel {model}\nparams {json.dumps(table)}\n"
+    return header.encode() + struct.pack(f"<{len(values)}d", *values)
+
+
+def checkpoint_parts(data: bytes) -> tuple[str, list, list]:
+    """(the model line's text after "model ", the param table, the values) of the binary checkpoint ``data``:
+    the inverse of ``checkpoint_bytes``."""
+    _, model, table, values = data.split(b"\n", 3)  # the values start after the third line end
+    assert model.startswith(b"model ") and table.startswith(b"params ")
+    return model[6:].decode(), json.loads(table[7:]), list(struct.unpack(f"<{len(values) // 8}d", values))
 
 
 def brute_force_window_graph(window, start_index):

@@ -905,7 +905,7 @@ def test_module_patterns_use_no_syntax_newer_than_python_3_10():
             value = getattr(value, "__self__", value)
             if isinstance(value, re.Pattern):
                 patterns[f"{info.name}.{name}"] = value
-    assert {"floattext.is_decimal", "checkpoint._is_plain_row", "pipeline._is_scores_row"} <= patterns.keys()
+    assert {"floattext.is_decimal", "pipeline._is_scores_row"} <= patterns.keys()
     for name, pattern in patterns.items():
         assert newer.isdisjoint(ops(_parser.parse(pattern.pattern, pattern.flags))), name
 

@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids import cli
+from canids import cli, floattext
+from canids.checkpoint import MAGIC
 from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
 from canids.gat import GatClassifier, jk_width
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
-from helpers import cache_columns, confusion_oracle, edited_cache
+from helpers import cache_columns, checkpoint_bytes, checkpoint_parts, confusion_oracle, edited_cache
 
 COMMANDS = list(cli.COMMANDS)
 SYNTH_CFG = {
@@ -526,39 +527,10 @@ def test_distill_cli(small_run, capsys):
     assert report["metrics"]["student"]["gat_only"]["f1"] >= 0.0
 
 
-def _tamper(src, dst, line_prefix, edit):
-    """Copy src to dst with ``edit`` applied to the first line starting with line_prefix; returns its 1-based number."""
-    lines = src.read_text().splitlines(keepends=True)
-    at = next(i for i, line in enumerate(lines) if line.startswith(line_prefix))
-    lines[at] = edit(lines[at])
-    dst.write_text("".join(lines))
-    return at + 1
-
-
-def _row_after_param(src, dst, edit):
-    """Edit the first value row of the first parameter record."""
-    lines = src.read_text().splitlines(keepends=True)
-    at = next(i for i, line in enumerate(lines) if line.startswith("param ")) + 1
-    lines[at] = edit(lines[at])
-    dst.write_text("".join(lines))
-    return at + 1
-
-
-@pytest.mark.parametrize(
-    "edit",
-    [lambda row: " ".join(row.split()[:-1]) + "\n", lambda row: row.replace(row.split()[0], "x1.5", 1)],
-    ids=["short-row", "non-numeric"],
-)
-def test_bad_checkpoint_row_is_parse_error(small_run, tmp_path, capsys, edit):
-    bad = tmp_path / "vgae.ckpt"
-    lineno = _row_after_param(small_run / "vgae.ckpt", bad, edit)
-    code, _, err = run_cli(
-        capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", bad,
-        "--ratio", 4, "--seed", 7, "--out", tmp_path / "stage2.cache",
-    )
-    assert code == 1
-    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
-    assert "Traceback" not in err
+def _with_model(src, dst, edit):
+    """Copy the checkpoint src to dst with ``edit`` applied to its model line's text after "model "."""
+    model, table, values = checkpoint_parts(src.read_bytes())
+    dst.write_bytes(checkpoint_bytes(edit(model), table, values))
 
 
 def _cache_error(err, path, text):
@@ -607,6 +579,52 @@ def test_out_of_range_graph_cache_value_is_parse_error(small_run, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("windows", [0, 1])
+def test_validation_cache_too_small_to_split_is_state_error(small_run, tmp_path, capsys, windows):
+    """A --val-graphs cache of 0 or 1 windows leaves no validation windows after the split: one state
+    error line before any training, no traceback."""
+    val = tmp_path / "val.cache"
+    save_graph_cache(load_graph_cache(small_run / "train.cache")[:windows], val)
+    out = tmp_path / "gat.ckpt"
+    code, stdout, err = run_cli(capsys, "train-gat", "--graphs", small_run / "stage2.cache", "--val-graphs", val,
+                                "--preset", "student", "--seed", 7, "--out", out)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err == f"canids-error category=state message={val}: {windows} windows; early stopping needs at least 2\n"
+
+
+def test_only_the_float_text_writers_build_the_float_tables(small_run, tmp_path, capsys):
+    """floattext's tables cost a few ms on first use in a process. Each subcommand of the chain, run with the
+    tables unbuilt, builds them only if it writes floats as text: synth and ingest --out (a log's timestamps)
+    and export-embeddings. Caches and checkpoints are binary, and scores.csv is written by repr."""
+    run, out = small_run, tmp_path
+    chain = {
+        "synth": ["--config", run / "synth.json", "--seed", 7, "--out", out / "log.csv"],
+        "ingest": [run / "test.csv"],
+        "ingest --out": [run / "test.csv", "--out", out / "ingested.csv"],
+        "build-graphs": ["--in", run / "test.csv", "--window", 100, "--out", out / "test.cache"],
+        "train-vgae": ["--graphs", run / "train.cache", "--preset", "student", "--vgae-epochs", 1, "--out",
+                       out / "vgae.ckpt"],
+        "undersample": ["--graphs", run / "train.cache", "--vgae", out / "vgae.ckpt", "--out", out / "stage2.cache"],
+        "train-gat": ["--graphs", out / "stage2.cache", "--val-graphs", run / "train.cache", "--preset", "student",
+                      "--gat-epochs", 1, "--out", out / "gat.ckpt"],
+        "report": ["--train-graphs", run / "train.cache", "--test-graphs", out / "test.cache", "--vgae",
+                   out / "vgae.ckpt", "--gat", out / "gat.ckpt", "--out-dir", out / "run"],
+        "evaluate": ["--scores", out / "run" / "scores.csv"],
+        "distill": ["--graphs", run / "train.cache", "--test-graphs", out / "test.cache", "--teacher-vgae",
+                    out / "vgae.ckpt", "--teacher-gat", out / "gat.ckpt", "--vgae-epochs", 1, "--gat-epochs", 1,
+                    "--out-dir", out / "kd"],
+        "export-embeddings": ["--graphs", out / "test.cache", "--gat", out / "kd" / "student-gat.ckpt", "--out",
+                              out / "emb.csv"],
+    }
+    built = []
+    for name, argv in chain.items():
+        floattext._tables.cache_clear()
+        assert run_cli(capsys, name.split()[0], *argv)[0] == 0, name
+        if floattext._tables.cache_info().misses:
+            built.append(name)
+    assert built == ["synth", "ingest --out", "export-embeddings"]
+
+
 def test_negative_fusion_weight_is_config_error(small_run, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "report", "--train-graphs", small_run / "train.cache", "--test-graphs", small_run / "test.cache",
@@ -618,13 +636,13 @@ def test_negative_fusion_weight_is_config_error(small_run, tmp_path, capsys):
     assert not (tmp_path / "run" / "scores.csv").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("command", ["undersample", "report"])
 def test_non_finite_checkpoint_value_is_parse_error(small_run, tmp_path, capsys, command, value):
     bad = tmp_path / "vgae.ckpt"
-    lineno = _row_after_param(
-        small_run / "vgae.ckpt", bad, lambda row: " ".join(value for _ in row.split()) + "\n"
-    )
+    model, table, values = checkpoint_parts((small_run / "vgae.ckpt").read_bytes())
+    at = math.prod(table[0][1]) + 1  # the second value of the second param
+    bad.write_bytes(checkpoint_bytes(model, table, values[:at] + [value] + values[at + 1 :]))
     if command == "undersample":
         argv = ["--graphs", small_run / "train.cache", "--out", tmp_path / "stage2.cache"]
     else:
@@ -634,8 +652,7 @@ def test_non_finite_checkpoint_value_is_parse_error(small_run, tmp_path, capsys,
         ]
     code, _, err = run_cli(capsys, command, "--vgae", bad, "--seed", 7, *argv)
     assert code == 1
-    assert err.startswith("canids-error category=parse") and f"line {lineno}:" in err
-    assert "Traceback" not in err
+    assert err == f"canids-error category=parse message={bad}: param {table[1][0]!r} has a non-finite value, {value}\n"
 
 
 def _only_parse_error(err, lineno, path):
@@ -648,9 +665,9 @@ def _only_parse_error(err, lineno, path):
 
 def _edit_config(edit):
     """A checkpoint-header edit: ``edit`` applied to the parsed config, written back as JSON."""
-    def apply(line):
-        word, kind, config = line.split(maxsplit=2)
-        return f"{word} {kind} {json.dumps(edit(json.loads(config)))}\n"
+    def apply(model):
+        kind, config = model.split(maxsplit=1)
+        return f"{kind} {json.dumps(edit(json.loads(config)))}"
 
     return apply
 
@@ -670,15 +687,14 @@ BAD_CONFIG_EDITS = {
 )
 def test_bad_checkpoint_config_is_parse_error(small_run, tmp_path, capsys, kind, edit):
     bad = tmp_path / f"{kind}.ckpt"
-    lineno = _tamper(small_run / f"{kind}.ckpt", bad, "model ", edit)
-    assert lineno == 2
+    _with_model(small_run / f"{kind}.ckpt", bad, edit)
     if kind == "gat":
         argv = ["export-embeddings", "--graphs", small_run / "test.cache", "--gat", bad, "--out", tmp_path / "emb.csv"]
     else:
         argv = ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "stage2.cache"]
     code, _, err = run_cli(capsys, *argv, "--seed", 7)
     assert code == 1
-    _only_parse_error(err, lineno, bad)
+    _only_parse_error(err, 2, bad)
 
 
 DEEP_JSON = "[" * 200_000 + "]" * 200_000  # deeper than the json parser's recursion reaches
@@ -701,7 +717,7 @@ def test_unreadable_json_ends_in_its_readers_error(small_run, tmp_path, capsys, 
     config error naming the file (exit 2), a checkpoint's model line a parse error at line 2 (exit 1)."""
     bad = tmp_path / "bad"
     if reader == "checkpoint":
-        _tamper(small_run / "gat.ckpt", bad, "model ", lambda line: f"model gat {text}\n")
+        _with_model(small_run / "gat.ckpt", bad, lambda model: f"gat {text}")
         argv = ["export-embeddings", "--graphs", small_run / "test.cache", "--gat", bad, "--out", tmp_path / "emb.csv"]
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -777,26 +793,25 @@ def test_error_lines_cut_a_long_field_and_give_its_length(tmp_path, capsys, name
 
 
 
-# name -> (graph cache or checkpoint, the file around a text x, the character x repeats, the line for x of 3)
+# name -> (graph cache or checkpoint, the file around a text x given the VGAE checkpoint's (model, table,
+# values), the character x repeats, the line for x of 3)
 LONG_TEXT_CASES = {
-    "cache-header": ("cache", lambda x, ckpt: f"{x}\n", "h", "{p}: not a graph cache (header 'hhh')"),
-    "param-record": ("ckpt", lambda x, ckpt: f"{ckpt[0]}{x} 1\n1.0\nend\n", "p",
-                     "line 3: {p}: expected param record, got 'ppp 1'"),
-    "param-shape": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param w {x}\n1.0\nend\n", "p",
-                    "line 3: {p}: param w has a bad shape 'ppp'"),
-    "param-twice": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\n1.0\nparam {x} 1\n1.0\nend\n", "p",
-                    "line 5: {p}: param ppp listed twice"),
-    "param-width": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param w 1 {x}\n1.0\nend\n", "9",
-                    "line 4: {p}: param w row has 1 values, expected 999"),
-    "param-nan": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\nnan\nend\n", "p",
-                  "line 4: {p}: param ppp has a non-finite value"),
-    "model-kind": ("ckpt", lambda x, ckpt: f"canids-checkpoint v1\nmodel {x} {{}}\n{ckpt[1]}", "m",
+    "cache-header": ("cache", lambda x, ckpt: f"{x}\n".encode(), "h", "{p}: not a graph cache (header 'hhh')"),
+    "checkpoint-header": ("ckpt", lambda x, ckpt: f"{x}\n".encode(), "h",
+                          "{p}: not a canids checkpoint (header 'hhh')"),
+    "param-twice": ("ckpt", lambda x, ckpt: checkpoint_bytes(ckpt[0], [[x, [0]], *ckpt[1], [x, [0]]], ckpt[2]), "p",
+                    "line 3: {p}: param 'ppp' listed twice"),
+    "param-shape": ("ckpt", lambda x, ckpt: checkpoint_bytes(ckpt[0], [[x, [1.0]], *ckpt[1]], [1.0, *ckpt[2]]), "p",
+                    "line 3: {p}: param 'ppp' has a shape that is not a list of ints >= 0"),
+    "param-nan": ("ckpt", lambda x, ckpt: checkpoint_bytes(ckpt[0], [[x, [1]], *ckpt[1]], [math.nan, *ckpt[2]]), "p",
+                  "{p}: param 'ppp' has a non-finite value, nan"),
+    "model-kind": ("ckpt", lambda x, ckpt: checkpoint_bytes(f"{x} {{}}", *ckpt[1:]), "m",
                    "{p}: expected a vgae checkpoint, found 'mmm'"),
     "model-config": (
-        "ckpt", lambda x, ckpt: f'canids-checkpoint v1\nmodel vgae {{"{x}": 1}}\n{ckpt[1]}', "m",
+        "ckpt", lambda x, ckpt: checkpoint_bytes(f'vgae {{"{x}": 1}}', *ckpt[1:]), "m",
         "line 2: {p}: bad vgae config (VgaeConfig.__init__() got an unexpected keyword argument 'mmm')",
     ),
-    "extra-param": ("ckpt", lambda x, ckpt: f"{ckpt[0]}param {x} 1\n1.0\n{ckpt[1]}", "e",
+    "extra-param": ("ckpt", lambda x, ckpt: checkpoint_bytes(ckpt[0], [*ckpt[1], [x, [1]]], [*ckpt[2], 1.0]), "e",
                     "vgae checkpoint mismatch: missing=[] unexpected=['eee']"),
 }
 
@@ -808,9 +823,8 @@ def test_cache_and_checkpoint_errors_cut_a_long_text(small_run, tmp_path, capsys
     line under 300 bytes that cuts the text and gives its length; with a 3-character text the line is
     the one the readers gave before they bounded the text."""
     kind, make, char, short = LONG_TEXT_CASES[case]
-    magic, model, params = (small_run / "vgae.ckpt").read_text().split("\n", 2)
     p = tmp_path / f"bad.{kind}"
-    p.write_text(make(char * size, (f"{magic}\n{model}\n", params)))
+    p.write_bytes(make(char * size, checkpoint_parts((small_run / "vgae.ckpt").read_bytes())))
     if kind == "cache":
         argv = ["train-vgae", "--graphs", p, "--preset", "student", "--vgae-epochs", 1]
     else:
@@ -1228,13 +1242,13 @@ def test_non_ascii_graph_cache_is_parse_error(small_run, tmp_path, capsys):
 
 def test_non_ascii_checkpoint_is_parse_error(small_run, tmp_path, capsys):
     bad = tmp_path / "vgae.ckpt"
-    lineno = _row_after_param(small_run / "vgae.ckpt", bad, _with_non_ascii)
+    _with_model(small_run / "vgae.ckpt", bad, lambda model: model + "\u00e9")
     code, _, err = run_cli(
         capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", bad,
         "--ratio", 4, "--seed", 7, "--out", tmp_path / "stage2.cache",
     )
     assert code == 1
-    _only_parse_error(err, lineno, bad)
+    _only_parse_error(err, 2, bad)
 
 
 def test_non_ascii_scores_file_is_parse_error(tmp_path, capsys):
@@ -1245,14 +1259,15 @@ def test_non_ascii_scores_file_is_parse_error(tmp_path, capsys):
     _only_parse_error(err, 3, p)
 
 
-# (artifact, edit of its lines, the line the error must name)
+# (artifact, edit of its bytes, the line the error must name: none for a checkpoint's first line)
 BAD_HEADERS = {
-    "checkpoint-wrong-magic": ("vgae.ckpt", lambda lines: ["canids-checkpoint v0\n"] + lines[1:], 1),
-    "checkpoint-empty": ("vgae.ckpt", lambda lines: [], 1),
-    "checkpoint-no-model-line": ("vgae.ckpt", lambda lines: lines[:1] + lines[2:], 2),
-    "checkpoint-model-line-cut": ("vgae.ckpt", lambda lines: lines[:1] + ["model vgae\n"] + lines[2:], 2),
-    "scores-wrong-header": ("scores.csv", lambda lines: ["window_start_index,truth\n"] + lines[1:], 1),
-    "scores-empty": ("scores.csv", lambda lines: [], 1),
+    "checkpoint-wrong-magic": ("vgae.ckpt", lambda data: b"canids-checkpoint v0" + data[data.index(b"\n") :], None),
+    "checkpoint-empty": ("vgae.ckpt", lambda data: b"", None),
+    "checkpoint-no-model-line": ("vgae.ckpt", lambda data: MAGIC + data[data.index(b"\nparams ") + 1 :], 2),
+    "checkpoint-model-line-cut": ("vgae.ckpt", lambda data: MAGIC + b"model vgae" + data[data.index(b"\nparams ") :],
+                                  2),
+    "scores-wrong-header": ("scores.csv", lambda data: b"window_start_index,truth" + data[data.index(b"\n") :], 1),
+    "scores-empty": ("scores.csv", lambda data: b"", 1),
 }
 
 
@@ -1260,17 +1275,18 @@ BAD_HEADERS = {
 def test_bad_header_names_its_line(small_run, tmp_path, capsys, artifact, edit, lineno):
     bad = tmp_path / artifact
     if artifact == "scores.csv":
-        lines = [f"{SCORES_HEADER}\n", f"{GOOD_SCORES_ROW}\n"]
+        bad.write_bytes(edit(f"{SCORES_HEADER}\n{GOOD_SCORES_ROW}\n".encode()))
+        argv = ["evaluate", "--scores", bad]
     else:
-        lines = (small_run / artifact).read_text().splitlines(keepends=True)
-    bad.write_text("".join(edit(lines)))
-    argv = {
-        "vgae.ckpt": ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "s2"],
-        "scores.csv": ["evaluate", "--scores", bad],
-    }[artifact]
+        bad.write_bytes(edit((small_run / artifact).read_bytes()))
+        argv = ["undersample", "--graphs", small_run / "train.cache", "--vgae", bad, "--out", tmp_path / "s2"]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
-    _only_parse_error(err, lineno, bad)
+    if lineno is None:
+        assert err.startswith(f"canids-error category=parse message={bad}: not a canids checkpoint (header ")
+        assert err.count("\n") == 1
+    else:
+        _only_parse_error(err, lineno, bad)
 
 
 def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
@@ -1284,15 +1300,14 @@ def test_undecodable_config_is_config_error(small_run, tmp_path, capsys):
     assert code == 2 and err.startswith("canids-error category=config")
 
 
-# ---------------------------------------------------------------- checkpoint and scores mutation sweep
+# ---------------------------------------------------------------- scores mutation sweep
 
-ARTIFACT_MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "-inf", "1_0", "+1", "é", "")
+SCORES_MUTATIONS = ("truncate", "flip", "drop", "copy", "blank", "swap", "nan", "1e309", "-inf", "1_0", "+1", "é", "")
 
 
-def mutate_artifact(rng: random.Random, text: str, kind: str, sep: str) -> bytes:
-    """One mutation of a checkpoint's or scores file's text: a cut, a flipped bit, a dropped, copied or
-    blanked line, two swapped ``sep``-separated fields, a repeated ``param`` record, or a field replaced
-    by ``nan``, ``1e309``, ``-inf``, ``1_0``, ``+1``, ``é`` or nothing."""
+def mutate_scores(rng: random.Random, text: str, kind: str) -> bytes:
+    """One mutation of a scores file's text: a cut, a flipped bit, a dropped, copied or blanked line, two
+    swapped fields, or a field replaced by ``nan``, ``1e309``, ``-inf``, ``1_0``, ``+1``, ``é`` or nothing."""
     if kind == "truncate":
         return text[: rng.randrange(len(text))].encode()
     if kind == "flip":
@@ -1301,69 +1316,146 @@ def mutate_artifact(rng: random.Random, text: str, kind: str, sep: str) -> bytes
         return bytes(data)
     lines = text.split("\n")[:-1]
     k = rng.randrange(len(lines))
-    fields = lines[k].split(sep)
-    if kind == "param":  # a whole record again, before another record or the end marker
-        heads = [i for i, line in enumerate(lines) if line.startswith("param ") or line == "end"]
-        at = rng.randrange(len(heads) - 1)
-        record = lines[heads[at] : heads[at + 1]]
-        to = rng.choice(heads[at + 1 :])
-        lines[to:to] = record
-    elif kind == "drop":
+    fields = lines[k].split(",")
+    if kind == "drop":
         del lines[k]
     elif kind == "copy":
         lines.insert(rng.randrange(len(lines) + 1), lines[k])
     elif kind == "blank":
         lines[k] = ""
-    elif kind == "swap" and len(fields) > 1:
+    elif kind == "swap":
         i, j = rng.sample(range(len(fields)), 2)
         fields[i], fields[j] = fields[j], fields[i]
-        lines[k] = sep.join(fields)
-    elif kind != "swap":
+        lines[k] = ",".join(fields)
+    else:
         fields[rng.randrange(len(fields))] = kind
-        lines[k] = sep.join(fields)
+        lines[k] = ",".join(fields)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def test_checkpoint_and_scores_mutation_sweep(small_run, tmp_path, capsys):
-    """Every mutant of a VGAE checkpoint, a GAT checkpoint and a scores file exits 0, or 1 or 2 with one
-    canids-error line and no traceback, in undersample, export-embeddings and evaluate."""
-    cache = tmp_path / "few.cache"
-    save_graph_cache(load_graph_cache(small_run / "train.cache")[:60], cache)
-    scores = tmp_path / "scores.csv"
+def test_scores_mutation_sweep(tmp_path, capsys):
+    """Every mutant of a scores file exits 0, or 1 or 2 with one canids-error line and no traceback, in
+    evaluate."""
+    scores, bad = tmp_path / "scores.csv", tmp_path / "bad"
     write_scores_csv([ScoredWindow(i * 100, 0.5 * i, i / 9, 1 - i / 9, 0.5, i % 2, i // 5) for i in range(10)], scores)
-    bad, out = tmp_path / "bad", tmp_path / "out"
-    commands = {
-        "vgae.ckpt": (" ", ["undersample", "--graphs", cache, "--vgae", bad, "--ratio", 4, "--out", out]),
-        "gat.ckpt": (" ", ["export-embeddings", "--graphs", cache, "--gat", bad, "--out", out]),
-        "scores.csv": (",", ["evaluate", "--scores", bad]),
-    }
+    text = scores.read_text()
+    bad.write_text(text)
+    assert run_cli(capsys, "evaluate", "--scores", bad)[0] == 0
     rng = random.Random(2026)
     exits = []
-    for artifact, (sep, argv) in commands.items():
-        text = (scores if artifact == "scores.csv" else small_run / artifact).read_text()
-        bad.write_text(text)
-        assert run_cli(capsys, *argv)[0] == 0, artifact
-        kinds = ARTIFACT_MUTATIONS + (("param",) if artifact.endswith(".ckpt") else ())
-        for kind in kinds * 4:
-            bad.write_bytes(mutate_artifact(rng, text, kind, sep))
-            out.unlink(missing_ok=True)
-            code, _, err = run_cli(capsys, *argv)
-            exits.append(code)
-            # a repeated record is never read past; the writers write no "_" and no "+" sign
-            assert code == 1 or kind not in ("param", "1_0", "+1"), (artifact, kind, err)
-            if code != 0:
-                assert code in (1, 2) and "Traceback" not in err, (artifact, kind, err)
-                assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, (artifact, kind, err)
-                assert not out.exists()
-                assert str(bad) in err or kind not in ("truncate", "blank"), (artifact, kind, err)
-    assert len(exits) == 164 and 0 in exits and 1 in exits
+    for kind in SCORES_MUTATIONS * 4:
+        bad.write_bytes(mutate_scores(rng, text, kind))
+        code, _, err = run_cli(capsys, "evaluate", "--scores", bad)
+        exits.append(code)
+        assert code == 1 or kind not in ("1_0", "+1"), (kind, err)  # the writer writes no "_" and no "+" sign
+        if code != 0:
+            assert code in (1, 2) and "Traceback" not in err, (kind, err)
+            assert sum(line.startswith("canids-error") for line in err.splitlines()) == 1, (kind, err)
+            assert str(bad) in err or kind not in ("truncate", "blank"), (kind, err)
+    assert len(exits) == 52 and 0 in exits and 1 in exits
+
+
+# ---------------------------------------------------------------- checkpoint mutation sweep
+
+
+def checkpoint_mutations(rng: random.Random, data: bytes) -> dict:
+    """name -> a mutant of the binary checkpoint ``data`` that its loader must refuse: bit flips where any flip
+    breaks a rule (the first line, a param name, a shape's digits), cuts, a value that is not finite, a shape
+    of 10^12 values, a name repeated, missing or unexpected, the other model kind, a bad config, a text
+    checkpoint of the version before, and wrong or non-ASCII first lines."""
+    model, table, values = checkpoint_parts(data)
+    kind, config = model.split(maxsplit=1)
+    i, j = rng.sample(range(len(table)), 2)
+    name, shape = table[i]
+    # the bits of a param's name (less its quotes) and of its shape (less its brackets) in the params line:
+    # every flip there changes a name or a size, or breaks the JSON
+    quoted_name, dims = json.dumps(name), json.dumps(shape)
+    at = data.index(f"{quoted_name}, {dims}".encode())
+    name_bits = range(8, 8 * (len(quoted_name) - 1))
+    shape_bits = range(8 * (len(quoted_name) + 3), 8 * (len(quoted_name) + 1 + len(dims)))
+    sizes = [math.prod(dims) for _, dims in table]
+    first = sum(sizes[:j])
+    others = [entry for k, entry in enumerate(table) if k != j]
+    without = values[:first] + values[first + sizes[j] :]
+    layers = json.dumps({**json.loads(config), "num_layers": 10**9})
+    return {
+        "flip-magic": _flip(rng, data, 0, range(8 * (data.index(b"\n") + 1))),
+        "flip-name": _flip(rng, data, at, name_bits),
+        "flip-shape": _flip(rng, data, at, shape_bits),
+        "cut": data[: rng.randrange(len(data))],
+        "extra-byte": data + bytes([rng.randrange(256)]),
+        "non-finite": checkpoint_bytes(model, table, values[:first] + [rng.choice([math.nan, math.inf, -math.inf])]
+                                       + values[first + 1 :]),
+        "shape-10^12": checkpoint_bytes(model, [*table[:i], [name, [10**6, 10**6]], *table[i + 1 :]], values),
+        "name-twice": checkpoint_bytes(model, [*table[:j], [name, table[j][1]], *table[j + 1 :]], values),
+        "name-missing": checkpoint_bytes(model, others, without),
+        "name-unexpected": checkpoint_bytes(model, [*table, ["extra", [2]]], values + [1.0, 2.0]),
+        "other-kind": checkpoint_bytes(f"{'gat' if kind == 'vgae' else 'vgae'} {config}", table, values),
+        "config": checkpoint_bytes(f"{kind} {json.dumps({**json.loads(config), 'bogus': 1})}", table, values),
+        "num-layers-10^9": checkpoint_bytes(f"{kind} {layers}", table, values),
+        "text-v1": f"canids-checkpoint v1\nmodel {model}\nparam {name} 1\n1.0\nend\n".encode(),
+        "wrong-magic": b"canids-checkpoint v3" + data[data.index(b"\n") :],
+        "no-magic": data[data.index(b"\n") + 1 :],
+        "non-ascii": checkpoint_bytes(model + "\u00e9", table, values),
+        "empty": b"",
+    }
+
+
+# the kinds of mutant, in the order checkpoint_mutations makes them
+CHECKPOINT_MUTANTS = [
+    "flip-magic", "flip-name", "flip-shape", "cut", "extra-byte", "non-finite", "shape-10^12", "name-twice",
+    "name-missing", "name-unexpected", "other-kind", "config", "num-layers-10^9", "text-v1", "wrong-magic",
+    "no-magic", "non-ascii", "empty",
+]
+# (command, the checkpoint it reads from the mutants); every other input comes from the small run
+CHECKPOINT_READERS = [("undersample", "vgae"), ("report", "vgae"), ("report", "gat"), ("distill", "vgae"),
+                      ("distill", "gat"), ("export-embeddings", "gat")]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_mutants(small_run):
+    """Two rounds of every kind of mutant of the small run's VGAE and GAT checkpoints, by model kind."""
+    rng = random.Random(12)
+    mutants = {kind: [checkpoint_mutations(rng, (small_run / f"{kind}.ckpt").read_bytes()) for _ in range(2)]
+               for kind in ("vgae", "gat")}
+    assert all(list(round) == CHECKPOINT_MUTANTS for rounds in mutants.values() for round in rounds)
+    return mutants
+
+
+@pytest.mark.parametrize("name", CHECKPOINT_MUTANTS)
+@pytest.mark.parametrize("command, kind", CHECKPOINT_READERS, ids=[f"{c}-{k}" for c, k in CHECKPOINT_READERS])
+def test_checkpoint_mutation_sweep(small_run, checkpoint_mutants, tmp_path, capsys, command, kind, name):
+    """Both mutants of one kind, read by one subcommand that reads a checkpoint, end in one canids-error line
+    of category parse (naming the checkpoint) or state, exit 1, no traceback and no output."""
+    bad, out = tmp_path / "bad.ckpt", tmp_path / "out"
+    run = small_run
+    checkpoints = {"vgae": run / "vgae.ckpt", "gat": run / "gat.ckpt", kind: bad}
+    argv = {
+        "undersample": ["--graphs", run / "train.cache", "--vgae", checkpoints["vgae"], "--out", out],
+        "report": ["--train-graphs", run / "train.cache", "--test-graphs", run / "test.cache", "--vgae",
+                   checkpoints["vgae"], "--gat", checkpoints["gat"], "--out-dir", out],
+        "distill": ["--graphs", run / "train.cache", "--teacher-vgae", checkpoints["vgae"], "--teacher-gat",
+                    checkpoints["gat"], "--out-dir", out],
+        "export-embeddings": ["--graphs", run / "test.cache", "--gat", checkpoints["gat"], "--out", out],
+    }[command]
+    for mutants in checkpoint_mutants[kind]:
+        bad.write_bytes(mutants[name])
+        started = time.perf_counter()
+        code, stdout, err = run_cli(capsys, command, *argv, "--seed", 7)
+        seconds = time.perf_counter() - started
+        assert code == 1 and stdout == "" and not out.exists() and "Traceback" not in err, err
+        [line] = [line for line in err.splitlines() if line.startswith("canids-error")]
+        assert line.startswith(("canids-error category=parse", "canids-error category=state")), line
+        assert str(bad) in line or "category=state" in line, line
+        assert name != "shape-10^12" or seconds < 0.5, seconds  # refused before anything is made
 
 
 # ---------------------------------------------------------------- graph-cache mutation sweep
 
 
 def _flip(rng, data: bytes, at: int, bits: range) -> bytes:
-    """``data`` with one bit of the 8-byte value at ``at`` flipped, from ``bits`` (0 the lowest)."""
+    """``data`` with one bit flipped, from ``bits`` counted from the lowest bit of the byte at ``at``: of the
+    little-endian value at ``at``."""
     bit = rng.choice(bits)
     out = bytearray(data)
     out[at + bit // 8] ^= 1 << bit % 8
@@ -1645,9 +1737,9 @@ def test_long_synth_config_value_is_cut_short(tmp_path, capsys):
 
 
 def test_checkpoint_mismatch_names_a_few_params_and_counts_them(small_run, tmp_path, capsys):
-    magic, model, params = (small_run / "vgae.ckpt").read_text().split("\n", 2)
+    model, table, values = checkpoint_parts((small_run / "vgae.ckpt").read_bytes())
     p = tmp_path / "extra.ckpt"
-    p.write_text(f"{magic}\n{model}\n" + "".join(f"param x{i} 1\n1.0\n" for i in range(2000)) + params)
+    p.write_bytes(checkpoint_bytes(model, [[f"x{i}", [1]] for i in range(2000)] + table, [1.0] * 2000 + values))
     out = tmp_path / "out"
     code, stdout, err = run_cli(capsys, "undersample", "--graphs", small_run / "train.cache", "--vgae", p, "--out", out)
     assert code == 1 and stdout == "" and not out.exists()

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from canids import distill
 from canids.distill import (
     KdConfig,
     LatentProjection,
@@ -13,7 +14,7 @@ from canids.distill import (
     kd_latent_loss,
     soften,
 )
-from canids.errors import ConfigError, DimensionError
+from canids.errors import ConfigError, DimensionError, StateError
 from canids.gat import GatClassifier, GatConfig
 from canids.losses import cross_entropy, kl_categorical
 from canids.pipeline import PipelineOptions, run_two_stage
@@ -186,6 +187,17 @@ def test_distill_pipeline_report(small_distill):
     assert r["params"]["gat_student"] < r["params"]["gat_teacher"]
     assert r["params"]["vgae_student"] < r["params"]["vgae_teacher"]
     assert len(r["training"]["vgae_epoch_losses"]) == 4
+
+
+def test_an_empty_test_set_is_refused_before_any_training(small_distill, monkeypatch):
+    teacher_vgae, teacher_gat, _, train_graphs, opts = small_distill
+    monkeypatch.setattr(distill, "train_stages", lambda *args, **kwargs: pytest.fail("trained"))
+    with pytest.raises(StateError, match="^distill: no test windows to evaluate on$"):
+        distill_pipeline(
+            train_graphs, teacher_vgae, teacher_gat,
+            VgaeConfig.student(), GatConfig.student(),
+            KdConfig(), seed=5, options=opts, test_graphs=[],
+        )
 
 
 def test_distill_deterministic(small_distill):
