@@ -191,24 +191,13 @@ class FrameBlock(NamedTuple):
         """The columns of ``frames``, the timestamps as ``np.array`` reads them (float64 if they are floats). A
         frame whose timestamp is not a real number, or whose ID, DLC or payload bytes are not integers in
         range, raises the ParseError of ``checked_frame`` at its position, counted from ``first``."""
+        frames = [checked_frame(position, frame) for position, frame in enumerate(frames, start=first)]
         ts, can_id, dlc, payloads, labels = zip(*frames) if frames else ((),) * 5
-        # an integer dtype only if every value is an integer; None if a value is a sequence
-        ts, can_id, dlc = (_column_of(values) for values in (ts, can_id, dlc))
-        sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(frames))
-        try:
-            data = np.frombuffer(b"".join(map(bytes, payloads)), dtype=np.uint8)
-        except (TypeError, ValueError):  # a byte that is not an integer, or one outside [0, 255]
-            data = None
-        # timestamps of text, None, numpy bools or other objects are checked frame by frame, like unreadable ones
-        read = ts is not None and ts.dtype.kind in "iuf" and all(column is not None for column in (can_id, dlc, data))
-        if not (read and _ids_and_dlcs_ok(can_id, dlc) and (sizes == dlc).all()):
-            for position, frame in enumerate(frames, start=first):
-                checked_frame(position, frame)
-        can_id, dlc = can_id.astype(np.int64), dlc.astype(np.int64)
+        dlc = np.array(dlc, dtype=np.int64)
         payload = np.zeros((len(dlc), 8), dtype=np.uint8)
-        payload[_BYTE_SLOTS < dlc[:, None]] = data
-        attack = np.fromiter(labels, dtype=np.int64, count=len(labels)) == Label.ATTACK
-        return cls(ts, can_id, dlc, payload, attack)
+        payload[_BYTE_SLOTS < dlc[:, None]] = np.fromiter(itertools.chain.from_iterable(payloads), np.uint8)
+        attack = np.array(labels, dtype=np.int64) == Label.ATTACK
+        return cls(np.array(ts), np.array(can_id, dtype=np.int64), dlc, payload, attack)
 
     def frames(self) -> Iterator[CanFrame]:
         payloads = list(struct.iter_unpack("8B", self.payload.tobytes()))  # each frame's eight byte slots
@@ -218,15 +207,6 @@ class FrameBlock(NamedTuple):
         labels = _LABELS[self.attack.view(np.uint8)].tolist()
         columns = (self.timestamp.astype(np.float64).tolist(), self.can_id.tolist(), dlc, payloads, labels)
         return map(_frame, repeat(CanFrame), zip(*columns))
-
-
-def _column_of(values: tuple) -> np.ndarray | None:
-    """``np.array(values)`` if that is one entry per value, or None."""
-    try:
-        column = np.array(values)
-    except ValueError:  # values that are sequences of different lengths
-        return None
-    return column if column.shape == (len(values),) else None
 
 
 def _ids_and_dlcs_ok(can_id: np.ndarray, dlc: np.ndarray) -> bool:

@@ -11,17 +11,14 @@ The bytes of a float64 are the value itself, so save/load is lossless.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import json
-import os
 
 import numpy as np
 
-from .errors import ParseError, StateError, quoted
+from .errors import ParseError, StateError, quoted, read_columns
 
 MAGIC = b"canids-checkpoint v2\n"
-_TEXT_MAGIC = "canids-checkpoint v1"  # the text checkpoint of earlier versions
+_TEXT_CHECKPOINT = ("canids-checkpoint v1", "a text checkpoint (canids-checkpoint v1); retrain it")
 _LISTED = 3  # the most missing, and the most unexpected, param names that a mismatch names
 
 
@@ -42,48 +39,38 @@ def load_checkpoint(path):
     shape a list of ints >= 0. The file must be exactly as long as the
     table's values need, or no array is made, and every value must be
     finite. A broken rule raises ParseError: a header line's names its line
-    (2 or 3), a value's names its param. Each array is a native, writable
-    view of one buffer that holds the file.
+    (2 or 3), a value's names its param. Each array is an aligned, native
+    and writable view of one array that holds the file's values.
     """
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data) :]
-    if not data.startswith(MAGIC):
-        end = data.find(b"\n")
-        header = data[: end if end >= 0 else len(data)].decode("ascii", "backslashreplace").strip()
-        if header == _TEXT_MAGIC:
-            raise ParseError(f"{path}: a text checkpoint ({_TEXT_MAGIC}); retrain it")
-        raise ParseError(f"{path}: not a canids checkpoint (header {quoted(header)})")
-    at, fields = len(MAGIC), []
+    (kind, config, table), arrays = read_columns(path, MAGIC, "canids checkpoint", _TEXT_CHECKPOINT, _header)
+    for (name, _), arr in zip(table, arrays):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise ParseError(f"{path}: param {quoted(name)} has a non-finite value, {arr.flat[finite.argmin()]}")
+    return kind, config, {name: arr for (name, _), arr in zip(table, arrays)}
+
+
+def _header(path, fh, size):
+    """The kind, config and param table of a checkpoint's header and its params' columns, for ``read_columns``."""
+    fields = []
     for lineno, word, words in ((2, "model", 2), (3, "params", 1)):  # "model <kind> <JSON>", "params <JSON>"
-        end = data.find(b"\n", at)
-        if end < 0:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
             raise ParseError(f"{path}: checkpoint cut short in its header", line=lineno)
-        if not data[at:end].isascii():
+        if not line.isascii():
             raise ParseError(f"{path}: non-ASCII byte", line=lineno)
-        parts = data[at:end].decode("ascii").split(maxsplit=words)
+        parts = line[:-1].decode("ascii").split(maxsplit=words)
         if len(parts) != words + 1 or parts[0] != word:
             raise ParseError(f"{path}: missing {word} header", line=lineno)
         try:
             fields.append((*parts[1:-1], json.loads(parts[-1])))
         except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep for the parser
             raise ParseError(f"{path}: bad checkpoint header ({exc})", line=lineno) from None
-        at = end + 1
     (kind, config), (table,) = fields
     sizes = _sizes(path, table)
-    body, count = len(data) - at, sum(sizes)
-    if body != 8 * count:
-        raise ParseError(f"{path}: {len(sizes)} params of {count} values do not fill the checkpoint's {body} bytes "
-                         "after its header")
-    values = np.frombuffer(data, "<f8", count, at).astype(np.float64, copy=False)  # no copy on a little-endian host
-    finite = np.isfinite(values)
-    starts = list(itertools.accumulate(sizes, initial=0))
-    if not finite.all():
-        first = int(finite.argmin())
-        name = table[bisect.bisect_right(starts, first) - 1][0]
-        raise ParseError(f"{path}: param {quoted(name)} has a non-finite value, {values[first]}")
-    params = {name: values[start:stop].reshape(shape) for (name, shape), start, stop in zip(table, starts, starts[1:])}
-    return kind, config, params
+    mismatch = (f"{len(sizes)} params of {sum(sizes)} values do not fill the checkpoint's {size - fh.tell()} bytes "
+                "after its header")
+    return (kind, config, table), [(np.float64, tuple(shape)) for _, shape in table], mismatch
 
 
 def _sizes(path, table) -> list[int]:

@@ -21,7 +21,7 @@ from .errors import ConfigError, DimensionError, StateError, quoted, require_fin
 from .gat import GatClassifier, GatConfig, prepare_graph
 from .losses import cross_entropy, kl_categorical
 from .optim import Param, count_params, derive_seed, init_params
-from .pipeline import PipelineOptions, Timings, chronological_split, score_split, train_stages
+from .pipeline import PipelineOptions, Timings, check_calibration_count, chronological_split, score_split, train_stages
 from .tensor import Tensor, no_grad
 from .vgae import LatentState, VgaeConfig, VgaeModel
 
@@ -137,8 +137,10 @@ def distill_pipeline(
     the student's scores. Stage 2 trains the student GAT under the
     combined soft/hard loss. A training split without attack windows,
     or ``test_graphs`` with no windows, raises StateError before any
-    training. With ``test_graphs``, the report carries paired
-    teacher/student test metrics for the comparison table.
+    training; with ``test_graphs``, a validation split with too few
+    normals to calibrate on raises ConfigError then too. With them, the
+    report carries paired teacher/student test metrics for the comparison
+    table.
     """
     opts = options or PipelineOptions()
     timings = Timings()
@@ -148,8 +150,10 @@ def distill_pipeline(
     train_part, val_part = chronological_split(train_graphs, opts.val_frac)
     if not any(g.label == 1 for g in train_part):
         raise StateError("distill: no attack windows in the training split; stage 2 needs both classes")
-    if test_graphs is not None and not test_graphs:
-        raise StateError("distill: no test windows to evaluate on")
+    if test_graphs is not None:
+        if not test_graphs:
+            raise StateError("distill: no test windows to evaluate on")
+        check_calibration_count(sum(g.label == 0 for g in val_part))
 
     projection = LatentProjection(student_vgae_config.latent_dim, teacher_vgae.config.latent_dim, seed=seed)
     # frozen-teacher outputs per window, computed on a batch of one at first use

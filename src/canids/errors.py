@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the readers that end a malformed file in one of them.
 
 Every error carries a short machine-readable ``category`` so the CLI can
 emit a single parsable line and pick the right exit code.
@@ -7,7 +7,10 @@ emit a single parsable line and pick the right exit code.
 import json
 import math
 import numbers
+import os
 from contextlib import contextmanager
+
+import numpy as np
 
 
 class CanidsError(Exception):
@@ -123,3 +126,33 @@ def non_ascii_error(path) -> ParseError:
     with open(path, "rb") as raw:
         line = next((k for k, row in enumerate(raw, start=1) if not row.isascii()), None)
     return ParseError(f"{path}: non-ASCII byte", line=line)
+
+
+def read_columns(path, magic: bytes, name: str, text: tuple[str, str], header):
+    """The header's value and the columns of the file at ``path``, which must start with the line ``magic``.
+
+    Else the ParseError is ``text[1]`` if the first line is ``text[0]`` (the
+    format's text version), or that the file is not a ``name``.
+    ``header(path, fh, size)`` reads the rest of the header from ``fh``, a
+    file of ``size`` bytes, and returns its value, the (dtype, shape) of
+    each int64 or float64 column and the ParseError message for a file that
+    the columns do not fill exactly. That is checked before any column is
+    made; then the columns are read into one fresh array, each an aligned,
+    native and writable view of it.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            fh.seek(0)
+            first = fh.readline().decode("ascii", "backslashreplace").strip()
+            raise ParseError(f"{path}: " + (text[1] if first == text[0] else f"not a {name} (header {quoted(first)})"))
+        size = os.fstat(fh.fileno()).st_size
+        value, columns, mismatch = header(path, fh, size)
+        counts = [math.prod(shape) for _, shape in columns]
+        if any(d < 0 for _, shape in columns for d in shape) or size - fh.tell() != 8 * sum(counts):
+            raise ParseError(f"{path}: {mismatch}")
+        body = np.empty(sum(counts), dtype="<u8")
+        if fh.readinto(body) != body.nbytes:  # the file was cut while it was read
+            raise ParseError(f"{path}: {mismatch}")
+    parts = np.split(body, np.cumsum(counts)[:-1])  # views: astype copies none on a little-endian machine
+    return value, [part.view(np.dtype(dtype).newbyteorder("<")).reshape(shape).astype(dtype, copy=False)
+                   for part, (dtype, shape) in zip(parts, columns)]

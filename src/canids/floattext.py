@@ -1,4 +1,4 @@
-"""The text of many float64 values at once, for the writers of logs, checkpoints and embeddings: ``repr_rows``
+"""The text of many float64 values at once, for the writers of logs and embeddings: ``repr_rows``
 writes each value's ``repr``, ``joined`` lays out the writers' rows of texts, and ``DECIMAL`` and
 ``is_decimal`` are the grammar of what ``repr`` writes, against which the readers check a float's text.
 
@@ -52,7 +52,7 @@ class _Tables(NamedTuple):
     k: np.ndarray  # (4096,) int64
     groups: np.ndarray  # (10000,) uint32: the four characters of a text
     zeros: np.ndarray  # (10000,) uint8: 4 for 0
-    layouts: list[np.ndarray]  # by width w: (kinds, w) intp, the source column of each of the first w characters
+    layout: np.ndarray  # (kinds, 24) uint8: the source column of each character
     length: np.ndarray  # (kinds,): the characters of each kind
 
 
@@ -71,12 +71,13 @@ def _tables() -> _Tables:
     k = k.ravel()
     h = (np.repeat(q, 2) + _flog2pow10(-k) + 2).astype(_U64)
     g1, g0 = g[k - _K_MIN].T
-    digits = np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10  # of each number below 10,000, as "%04d"
-    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)  # the 0s its text ends with
-    layout, length = _layouts()
-    return _Tables(np.stack([h, g1 & _M32, g1 >> _U64(32), g1, g0 & _M32, g0 >> _U64(32)]), k,
-                   (digits + ord("0")).astype(np.uint8).view(np.uint32)[:, 0], zeros.astype(np.uint8),
-                   [np.ascontiguousarray(layout[:, :w], dtype=np.intp) for w in range(25)], length)
+    # "%04d" of 100 a + b is "%02d" of a, then of b; it ends with the 0s of b's text, and a's if b is 0
+    pairs = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+    groups = np.stack(np.broadcast_arrays(pairs[:, None], pairs), axis=-1).view(np.uint32).ravel()
+    tail = (np.arange(100) % 10 == 0).astype(np.uint8) + (np.arange(100) == 0)  # the 0s that "%02d" ends with
+    zeros = np.where(tail < 2, tail, 2 + tail[:, None]).ravel()
+    return _Tables(np.stack([h, g1 & _M32, g1 >> _U64(32), g1, g0 & _M32, g0 >> _U64(32)]), k, groups, zeros,
+                   *_layouts())
 
 
 def _flog10pow2(e, three_quarters: bool = False):
@@ -187,7 +188,7 @@ def _rows(x: np.ndarray) -> np.ndarray:
     texts = list(map(float.__repr__, x[others].tolist()))
     lengths = np.where(other, 0, tab.length.take(kind))
     width = max(int(lengths.max(initial=1)), max(map(len, texts), default=1))
-    index = np.take(tab.layouts[width], kind, axis=0)
+    index = tab.layout.take(kind, axis=0)[:, :width].astype(np.intp)
     index += np.arange(0, 24 * n, 24)[:, None]
     rows = source.view(np.uint8).reshape(-1).take(index)
     if len(others):

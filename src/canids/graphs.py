@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -20,10 +19,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .canlog import CanFrame, FrameBlock, Label, MAX_STD_ID, checked_frame, frame_blocks
-from .errors import ConfigError, DimensionError, ParseError, StateError, quoted
+from .errors import ConfigError, DimensionError, ParseError, StateError, quoted, read_columns
 
 CACHE_MAGIC = b"canids-graph-cache v2\n"
-_TEXT_MAGIC = "canids-graph-cache v1"  # the text cache of earlier versions
+_TEXT_CACHE = ("canids-graph-cache v1", "a text graph cache (canids-graph-cache v1); rebuild it with build-graphs")
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
@@ -347,32 +346,10 @@ def load_graph_cache(path) -> list[WindowGraph]:
     MAX_STD_ID] and not repeated within its window; features finite; src
     and dst in [0, num_nodes) of their window; weight finite and > 0. A
     broken rule raises ParseError naming the window (its index in the file,
-    from 0) and the value. Each window's arrays are writable views of one
-    buffer that holds the file.
+    from 0) and the value. Each window's arrays are aligned, native and
+    writable views of one array that holds the file's columns.
     """
-    with open(path, "rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data) :]
-    if not data.startswith(CACHE_MAGIC):
-        end = data.find(b"\n")
-        header = data[: end if end >= 0 else len(data)].decode("ascii", "backslashreplace").strip()
-        if header == _TEXT_MAGIC:
-            raise ParseError(f"{path}: a text graph cache ({_TEXT_MAGIC}); rebuild it with build-graphs")
-        raise ParseError(f"{path}: not a graph cache (header {quoted(header)})")
-    at = len(CACHE_MAGIC) + 24  # the first byte of the columns
-    if len(data) < at:
-        raise ParseError(f"{path}: graph cache cut short in its counts, {len(data)} bytes")
-    k, n, e = struct.unpack_from("<3q", data, len(CACHE_MAGIC))
-    if min(k, n, e) < 0 or len(data) != at + 8 * (4 * k + 4 * n + 3 * e):
-        raise ParseError(f"{path}: {k} windows, {n} nodes and {e} edges do not fill the cache's {len(data)} bytes")
-    columns = []
-    for dtype, shape in ((np.int64, (k, 4)), (np.int64, (n,)), (np.float64, (n, 3)), (np.int64, (e,)),
-                         (np.int64, (e,)), (np.float64, (e,))):
-        count = math.prod(shape)
-        column = np.frombuffer(data, np.dtype(dtype).newbyteorder("<"), count, at).reshape(shape)
-        columns.append(column.astype(dtype, copy=False))  # no copy on a little-endian machine
-        at += 8 * count
-    heads, ids, feats, src, dst, wts = columns
+    _, (heads, ids, feats, src, dst, wts) = read_columns(path, CACHE_MAGIC, "graph cache", _TEXT_CACHE, _cache_header)
     _check_windows(path, heads, ids, feats, src, dst, wts)
     node_ids = ids.tolist()
     # each window's first node and edge, kept as arrays: lists of Python ints would add to the load's peak
@@ -382,6 +359,16 @@ def load_graph_cache(path) -> list[WindowGraph]:
         WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
         for start, label, a, b, c, d in zip(starts, labels, node_at, node_at[1:], edge_at, edge_at[1:])
     ]
+
+
+def _cache_header(path, fh, size):
+    """The three counts of a cache and the (dtype, shape) of its columns, for ``read_columns``."""
+    counts = fh.read(24)
+    if len(counts) < 24:
+        raise ParseError(f"{path}: graph cache cut short in its counts, {size} bytes")
+    k, n, e = struct.unpack("<3q", counts)
+    columns = [(np.int64, (k, 4)), (np.int64, (n,)), (np.float64, (n, 3)), *[(np.int64, (e,))] * 2, (np.float64, (e,))]
+    return None, columns, f"{k} windows, {n} nodes and {e} edges do not fill the cache's {size} bytes"
 
 
 def _check_windows(path, heads, ids, feats, src, dst, wts):

@@ -98,13 +98,18 @@ class VgaeCalibration:
 
 def calibrate_vgae(scores, q_lo: float = 0.50, q_hi: float = 0.995) -> VgaeCalibration:
     scores = np.asarray(list(scores), dtype=np.float64)
-    if scores.size < 20:
-        raise ConfigError(f"calibration needs >= 20 validation-normal scores, got {scores.size}")
+    check_calibration_count(scores.size)
     mid, high = float(np.quantile(scores, q_lo)), float(np.quantile(scores, q_hi))
     if high <= mid:
         warnings.warn("degenerate VGAE score distribution; calibrated probability is constant 0")
         return VgaeCalibration(mid, high, degenerate=True)
     return VgaeCalibration(mid, high)
+
+
+def check_calibration_count(normals: int):
+    """ConfigError unless calibrate_vgae has enough validation-normal scores, ``normals``, to calibrate on."""
+    if normals < 20:
+        raise ConfigError(f"calibration needs >= 20 validation-normal scores, got {normals}")
 
 
 def fuse(vgae_prob: float, gat_prob: float, w_anomaly: float = 0.15, w_gat: float = 0.85) -> float:
@@ -383,12 +388,14 @@ def run_two_stage(
     """Full Fig-style run: stage 1, undersample, stage 2, calibrate, evaluate.
 
     Falls back to VGAE-only anomaly detection when the training split has
-    no attack windows. The returned report carries GAT-only and fused
-    metrics side by side; GAT-only is the headline.
+    no attack windows, and refuses a validation split with too few normals
+    to calibrate on before any training. The returned report carries
+    GAT-only and fused metrics side by side; GAT-only is the headline.
     """
     timings = Timings()
     train_graphs, test_graphs = list(train_graphs), list(test_graphs)
     train_part, val_part = chronological_split(train_graphs, options.val_frac)
+    check_calibration_count(sum(g.label == 0 for g in val_part))
     stages = train_stages(train_part, val_part, vgae_config, gat_config, seed, options, timings)
     vgae_only = stages.gat is None
     with timings.stage("score"):

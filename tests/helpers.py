@@ -19,6 +19,23 @@ from canids.graphs import WindowGraph, build_windows
 from canids.tensor import Tensor
 
 
+# the synth config of the quick-start chain (README, CI) and of the acceptance suite's crit-10 chain
+CHAIN_SYNTH = {
+    "duration": 60.0,
+    "ecus": [
+        {"can_id": 272, "period": 0.004, "payload_seed": 1},
+        {"can_id": 544, "period": 0.007, "payload_seed": 2},
+        {"can_id": 816, "period": 0.011, "payload_seed": 3},
+    ],
+    "attacks": [
+        {"kind": "dos", "start": 10.0, "duration": 1.5, "rate": 800.0},
+        {"kind": "fuzzing", "start": 28.0, "duration": 1.5, "rate": 400.0},
+        {"kind": "dos", "start": 44.0, "duration": 1.5, "rate": 800.0},
+        {"kind": "fuzzing", "start": 54.0, "duration": 1.5, "rate": 400.0},
+    ],
+}
+
+
 def per_field_format_car_hacking_row(frame):
     """Reference Car-Hacking row: one ``f"{b:02x}"`` per payload byte, joined by commas."""
     parts = [repr(frame.timestamp), f"{frame.can_id:04x}", str(frame.dlc)]

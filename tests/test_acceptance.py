@@ -20,6 +20,7 @@ from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
 from canids.tensor import Tensor
 from canids.vgae import CompositeWeights, VgaeConfig, VgaeModel, combine_errors
 from helpers import (
+    CHAIN_SYNTH,
     brute_force_windows,
     confusion_oracle,
     model_gradient_error,
@@ -310,20 +311,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     from canids.cli import main
 
     cfg = tmp_path / "synth.json"
-    cfg.write_text(json.dumps({
-        "duration": 60.0,
-        "ecus": [
-            {"can_id": 272, "period": 0.004, "payload_seed": 1},
-            {"can_id": 544, "period": 0.007, "payload_seed": 2},
-            {"can_id": 816, "period": 0.011, "payload_seed": 3},
-        ],
-        "attacks": [
-            {"kind": "dos", "start": 10.0, "duration": 1.5, "rate": 800.0},
-            {"kind": "fuzzing", "start": 28.0, "duration": 1.5, "rate": 400.0},
-            {"kind": "dos", "start": 44.0, "duration": 1.5, "rate": 800.0},
-            {"kind": "fuzzing", "start": 54.0, "duration": 1.5, "rate": 400.0},
-        ],
-    }))
+    cfg.write_text(json.dumps(CHAIN_SYNTH))
 
     def chain(root):
         root.mkdir()

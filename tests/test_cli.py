@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids import cli, floattext
+from canids import cli, distill, floattext
 from canids.checkpoint import MAGIC
 from canids.cli import _output_lock, build_parser, main
 from canids.errors import ConfigError, StateError
 from canids.gat import GatClassifier, jk_width
 from canids.graphs import load_graph_cache, save_graph_cache
 from canids.pipeline import SCORES_HEADER, PipelineOptions, ScoredWindow, write_scores_csv
-from helpers import cache_columns, checkpoint_bytes, checkpoint_parts, confusion_oracle, edited_cache
+from helpers import CHAIN_SYNTH, cache_columns, checkpoint_bytes, checkpoint_parts, confusion_oracle, edited_cache
 
 COMMANDS = list(cli.COMMANDS)
 SYNTH_CFG = {
@@ -525,6 +525,26 @@ def test_distill_cli(small_run, capsys):
     assert (root / "kd" / "student-gat.ckpt").is_file()
     assert (root / "kd" / "scores.csv").is_file()
     assert report["metrics"]["student"]["gat_only"]["f1"] >= 0.0
+
+
+def test_distill_with_too_few_validation_normals_fails_before_training(small_run, tmp_path, capsys, monkeypatch):
+    """The first 80 windows of the crit-10 chain's seed-7 training cache leave 12 normals among their 16
+    validation windows: distill with test graphs ends in calibrate_vgae's config line before either student
+    trains, and without test graphs, which it does not calibrate for, it trains."""
+    cfg, log, train, out = tmp_path / "synth.json", tmp_path / "train.csv", tmp_path / "train.cache", tmp_path / "kd"
+    cfg.write_text(json.dumps(CHAIN_SYNTH))
+    assert run_cli(capsys, "synth", "--config", cfg, "--seed", 7, "--out", log)[0] == 0
+    assert run_cli(capsys, "build-graphs", "--in", log, "--window", 100, "--out", train)[0] == 0
+    save_graph_cache(load_graph_cache(train)[:80], train)
+    argv = ["distill", "--graphs", train, "--teacher-vgae", small_run / "vgae.ckpt", "--teacher-gat",
+            small_run / "gat.ckpt", "--vgae-epochs", 1, "--gat-epochs", 1, "--out-dir", out]
+    with monkeypatch.context() as patched:
+        patched.setattr(distill, "train_stages", lambda *args, **kwargs: pytest.fail("trained"))
+        code, stdout, err = run_cli(capsys, *argv, "--test-graphs", small_run / "test.cache")
+    assert (code, stdout) == (2, "") and not out.exists()
+    assert err.splitlines()[-1] == ("canids-error category=config message=calibration needs >= 20 validation-normal "
+                                    "scores, got 12")
+    assert run_cli(capsys, *argv)[0] == 0 and (out / "student-gat.ckpt").is_file()
 
 
 def _with_model(src, dst, edit):

@@ -1,3 +1,4 @@
+import array
 import os
 import subprocess
 import sys
@@ -350,3 +351,37 @@ def test_frames_out_of_range_rejected_with_their_position(monkeypatch, stride, c
     frames[7] = CanFrame(0.07, can_id, dlc, payload)
     with pytest.raises(ParseError, match=f"^frame 7: {message}$"):
         list(build_windows(frames, 5, stride))
+
+
+def windows_or_error(frames, stride):
+    try:
+        return list(build_windows(frames, 4, stride)), None
+    except ParseError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize(
+    "field, value, refused",
+    [
+        ("can_id", np.True_, "can_id {!r} is not an integer"),
+        ("can_id", True, None),
+        ("can_id", np.int64(5), None),
+        ("can_id", 5.0, "can_id {!r} is not an integer"),
+        ("timestamp", np.float32(0.3), None),
+        ("timestamp", np.True_, "timestamp {!r} is not a real number"),
+        ("payload", array.array("H", [7]), None),  # its buffer holds 2 bytes a value
+    ],
+    ids=["np-bool-id", "bool-id", "np-int64-id", "float-id", "np-float32-timestamp", "np-bool-timestamp",
+         "uint16-array-payload"],
+)
+def test_both_paths_take_or_refuse_a_frame_alike(field, value, refused):
+    """A frame list goes through ``checked_frame`` alone at stride W and at stride 1: the same frame is refused
+    with the same line on both, and a frame taken on both gives the same windows."""
+    frames = [CanFrame(0.1 * i, 5, 1, (7,)) for i in range(10)]
+    frames[3] = frames[3]._replace(**{field: value})
+    (block, block_error), (stride_one, stride_one_error) = (windows_or_error(frames, stride) for stride in (4, 1))
+    assert block_error == stride_one_error == (None if refused is None else f"frame 3: {refused.format(value)}")
+    if refused is None:
+        assert len(block) == 2 and len(stride_one) == 7
+        for a, b in zip(block, stride_one[::4]):
+            assert_bit_identical(a, b)

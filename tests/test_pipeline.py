@@ -457,3 +457,36 @@ def test_distill_without_attack_windows_fails_before_training(benign_graphs, mon
     teacher = VgaeModel(VgaeConfig.student(), seed=1), GatClassifier(GatConfig.student(), seed=2)
     with pytest.raises(StateError, match="no attack windows"):
         distill_pipeline(benign_graphs[:60], *teacher, VgaeConfig.student(), GatConfig.student(), KdConfig(), 3)
+
+
+def test_too_few_validation_normals_fail_before_training(mixed_graphs, monkeypatch):
+    """run_two_stage, and distill_pipeline given test graphs, count the validation split's normals before any
+    stage trains and refuse too few with calibrate_vgae's error; distill_pipeline without test graphs
+    calibrates nothing, so it goes on to train."""
+    from canids import distill, pipeline
+    from canids.distill import KdConfig, distill_pipeline
+    from canids.gat import GatClassifier
+    from canids.vgae import VgaeModel
+
+    class Trained(Exception):
+        pass
+
+    def trained(*args, **kwargs):
+        raise Trained
+
+    for module in (distill, pipeline):
+        monkeypatch.setattr(module, "train_stages", trained)
+    train, test = mixed_graphs[:80], mixed_graphs[80:100]
+    normals = sum(g.label == 0 for g in chronological_split(train, PipelineOptions().val_frac)[1])
+    assert normals < 20 and any(g.label for g in chronological_split(train, PipelineOptions().val_frac)[0])
+    refused = f"^calibration needs >= 20 validation-normal scores, got {normals}$"
+    students = VgaeConfig.student(), GatConfig.student()
+    teacher = VgaeModel(VgaeConfig.student(), seed=1), GatClassifier(GatConfig.student(), seed=2)
+    with pytest.raises(ConfigError, match=refused):
+        run_two_stage(train, test, *students, 3)
+    with pytest.raises(ConfigError, match=refused):
+        distill_pipeline(train, *teacher, *students, KdConfig(), 3, test_graphs=test)
+    with pytest.raises(Trained):
+        distill_pipeline(train, *teacher, *students, KdConfig(), 3)
+    with pytest.raises(ConfigError, match=refused):
+        calibrate_vgae(np.zeros(normals))
