@@ -8,6 +8,7 @@ worse on all three.
 
 import numpy as np
 
+from canids.gat import GraphBatch
 from canids.graphs import build_windows
 from canids.pipeline import roc_auc
 from canids.synth import AttackKind, AttackSpec, EcuSpec, generate_synthetic_log
@@ -39,7 +40,7 @@ ranked = model.reconstruction_rank(benign, weights, seed=11)
 print("hardest benign windows:", [g.window_start_index for g in ranked[:5]])
 
 # the three error terms behind the score of one benign and one attack window
-for g in (benign[0], next(g for g in graphs if g.label == 1)):
-    e_node, e_neighbor, e_canid = (t[0] for t in model.error_terms(g, seed=11))
+pair = (benign[0], next(g for g in graphs if g.label == 1))
+for g, e_node, e_neighbor, e_canid in zip(pair, *model.error_terms(GraphBatch.of(pair), seed=11)):
     print(f"window {g.window_start_index} (label {g.label}): "
           f"E_node {e_node:.4f}  E_neighbor {e_neighbor:.4f}  E_CAN_ID {e_canid:.4f}")

@@ -49,12 +49,14 @@ class CanFrame(NamedTuple):
     label: Label = Label.BENIGN
 
     def validate(self):
+        if len(self) != 5:  # a tuple of any length, made with tuple.__new__
+            raise ParseError(f"{len(self)} fields, not the 5 of a CanFrame")
         if not isinstance(self.timestamp, _REALS):
             raise ParseError(f"timestamp {quoted_value(self.timestamp)} is not a real number")
         for name, value in (("can_id", self.can_id), ("dlc", self.dlc)):
-            if not isinstance(value, _INTS):
+            if type(value) is bool or not isinstance(value, _INTS):
                 raise ParseError(f"{name} {value!r} is not an integer")
-        odd = [b for b in self.payload if not isinstance(b, _INTS)]
+        odd = [b for b in self.payload if type(b) is bool or not isinstance(b, _INTS)]
         if odd:
             raise ParseError(f"payload byte {odd[0]!r} is not an integer")
         if not 0 <= self.can_id <= MAX_STD_ID:
@@ -67,10 +69,12 @@ class CanFrame(NamedTuple):
             )
         if self.payload and not (min(self.payload) >= 0 and max(self.payload) <= 255):
             raise ParseError("payload byte outside [0, 255]")
+        if type(self.label) is bool or not isinstance(self.label, _INTS) or self.label not in (0, 1):
+            raise ParseError(f"label {quoted_value(self.label)} is not an integer 0 or 1")
         return self
 
 
-_INTS = (int, np.integer)  # the types of an ID, a DLC and a payload byte
+_INTS = (int, np.integer)  # the types of an ID, a DLC, a payload byte and a label; validate refuses a bool
 _REALS = (int, float, np.integer, np.floating)  # the types of a timestamp that is a real number
 _LABELS = np.array(list(Label), dtype=object)  # indexed by the attack flag
 # builds a CanFrame from its checked fields without the named tuple's generated __new__
@@ -160,8 +164,8 @@ def _decode_payload(fields: list[str], lineno: int) -> bytes:
 
 
 def checked_frame(position: int, frame) -> CanFrame:
-    """``frame`` as a CanFrame; ParseError naming its ``position`` unless its ID, DLC and payload
-    bytes are in range."""
+    """``frame`` as a CanFrame; ParseError naming its ``position`` unless it has five fields, its ID, DLC and
+    payload bytes are integers in range and its label is 0 or 1."""
     try:
         return _frame(CanFrame, frame).validate()
     except ParseError as exc:
@@ -210,10 +214,11 @@ class FrameBlock(NamedTuple):
 
 
 def _ids_and_dlcs_ok(can_id: np.ndarray, dlc: np.ndarray) -> bool:
-    """Whether ``can_id`` and ``dlc`` have an integer dtype, every ID has 11 bits and every DLC is in [0, 8]."""
+    """Whether ``can_id`` and ``dlc`` have an integer dtype, not bool, every ID has 11 bits and every DLC is in
+    [0, 8]."""
     return (
-        can_id.dtype.kind in "biu"
-        and dlc.dtype.kind in "biu"
+        can_id.dtype.kind in "iu"
+        and dlc.dtype.kind in "iu"
         and bool(((can_id >= 0) & (can_id <= MAX_STD_ID) & (dlc >= 0) & (dlc <= 8)).all())
     )
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, StateError, quoted_value, require_finite, require_int
-from .graphs import WindowGraph
+from .graphs import WindowGraph, window_columns
 from .losses import cross_entropy
 from .metrics import Metrics
 from .optim import Adam, Param, ParamModel, checked_step, derive_seed
@@ -69,11 +69,11 @@ class GatConfig:
 class GraphBatch:
     """Window graphs as one disjoint union: node rows concatenated, edges offset per graph.
 
-    A single window is a batch of one. ``src``/``dst`` are the attention
-    edges: the window's edges plus a weight-1 self-loop on every node with
-    no in-edge, so every node has at least one attention target.
-    ``edge_src``/``edge_dst`` are the observed edges alone, which the VGAE
-    reconstructs.
+    ``GraphBatch.of`` builds every batch; a single window is a batch of one.
+    ``src``/``dst`` are the attention edges: each window's edges, then a
+    weight-1 self-loop on each of its nodes with no in-edge, so every node
+    has at least one attention target. ``edge_src``/``edge_dst`` are the
+    observed edges alone, which the VGAE reconstructs.
     """
 
     graphs: tuple  # the WindowGraphs, in batch order
@@ -86,6 +86,42 @@ class GraphBatch:
     node_ids: np.ndarray  # (num_nodes,) int64 CAN IDs
     graph_index: np.ndarray  # (num_nodes,) batch position of each node's graph
     node_counts: np.ndarray  # (num_graphs,)
+
+    @classmethod
+    def of(cls, windows) -> "GraphBatch":
+        """The batch of ``windows``, a sequence of WindowGraphs, from their ``graphs.window_columns``.
+
+        Raises the DimensionError of window_columns, then StateError if a
+        window has no nodes, then DimensionError naming the start of the
+        first window with an edge index outside [0, num_nodes): in a batch it
+        would point into a neighbouring graph.
+        """
+        windows = tuple(windows)
+        if not windows:
+            raise StateError("a batch needs at least one window")
+        _, heads, node_ids, feats, src, dst, weights = window_columns(windows)
+        counts, edge_counts = heads[:, 2], heads[:, 3]
+        window = np.arange(len(windows))
+        graph_index, edge_window = window.repeat(counts), window.repeat(edge_counts)
+        # as uint64 a negative index is above every count
+        outside = np.maximum(src.view(np.uint64), dst.view(np.uint64)) >= counts[edge_window].view(np.uint64)
+        if np.count_nonzero(counts) < len(counts):  # count_nonzero: faster than all() and any()
+            raise StateError("empty graph")
+        if np.count_nonzero(outside):
+            i = edge_window[outside.argmax()]
+            raise DimensionError(f"window {heads[i, 0]}: edge index out of range for {counts[i]} nodes")
+        edge_src, edge_dst = src, dst
+        if len(windows) > 1:  # each window's edges offset by its first node row
+            offset = (np.cumsum(counts) - counts)[edge_window]
+            edge_src, edge_dst = src + offset, dst + offset
+        loops = np.flatnonzero(np.bincount(edge_dst, minlength=len(graph_index)) == 0)
+        att_src, att_dst = np.concatenate((edge_src, loops)), np.concatenate((edge_dst, loops))
+        log_w = np.zeros((len(att_src), 1))  # log 1 at the self-loops
+        np.log(weights, out=log_w[: len(src), 0])
+        if len(windows) > 1:  # each window's edges, then its self-loops
+            order = np.argsort(np.concatenate((edge_window, graph_index[loops])), kind="stable")
+            att_src, att_dst, log_w = att_src[order], att_dst[order], log_w[order]
+        return cls(windows, Tensor(feats), att_src, att_dst, log_w, edge_src, edge_dst, node_ids, graph_index, counts)
 
     @property
     def num_graphs(self) -> int:
@@ -121,66 +157,10 @@ class GraphBatch:
             raise StateError(f"expected a batch of one window, got {len(self.graphs)}")
         return self.graphs[0]
 
-    @classmethod
-    def concat(cls, batches) -> "GraphBatch":
-        batches = list(batches)
-        if len(batches) == 1:
-            return batches[0]
-        offsets = np.cumsum([0] + [b.num_nodes for b in batches[:-1]])
-        firsts = np.cumsum([0] + [b.num_graphs for b in batches[:-1]])
-
-        def joined(name, shifts=None):
-            parts = [getattr(b, name) for b in batches]
-            if shifts is not None:
-                parts = [part + shift for part, shift in zip(parts, shifts)]
-            return np.concatenate(parts)
-
-        return cls(
-            graphs=tuple(g for b in batches for g in b.graphs),
-            x=Tensor(np.concatenate([b.x.values for b in batches])),
-            src=joined("src", offsets),
-            dst=joined("dst", offsets),
-            log_w=joined("log_w"),
-            edge_src=joined("edge_src", offsets),
-            edge_dst=joined("edge_dst", offsets),
-            node_ids=joined("node_ids"),
-            graph_index=joined("graph_index", firsts),
-            node_counts=joined("node_counts"),
-        )
-
 
 def prepare_graph(graph: WindowGraph) -> GraphBatch:
     """One window as a batch of one."""
-    n = graph.num_nodes
-    if n == 0:
-        raise StateError("empty graph")
-    src, dst, w = graph.edge_src, graph.edge_dst, graph.edge_weight
-    # in a batch, an out-of-range index would silently point into a neighbouring graph
-    if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
-        raise DimensionError(f"window {graph.window_start_index}: edge index out of range for {n} nodes")
-    in_deg = np.bincount(dst, minlength=n)
-    isolated = np.flatnonzero(in_deg == 0)
-    if isolated.size:
-        src = np.concatenate([src, isolated])
-        dst = np.concatenate([dst, isolated])
-        w = np.concatenate([w, np.ones(isolated.size)])
-    return GraphBatch(
-        graphs=(graph,),
-        x=Tensor(graph.node_features),
-        src=src,
-        dst=dst,
-        log_w=np.log(w)[:, None],
-        edge_src=graph.edge_src,
-        edge_dst=graph.edge_dst,
-        node_ids=np.asarray(graph.node_ids, dtype=np.int64),
-        graph_index=np.zeros(n, dtype=np.int64),
-        node_counts=np.array([n], dtype=np.int64),
-    )
-
-
-def as_batch(graph) -> GraphBatch:
-    """A GraphBatch passes through; a WindowGraph becomes a batch of one."""
-    return graph if isinstance(graph, GraphBatch) else prepare_graph(graph)
+    return GraphBatch.of((graph,))
 
 
 def train_epochs(graphs, params, epochs: int, batch_size: int, lr: float, shuffle_rng, batch_loss):
@@ -191,15 +171,14 @@ def train_epochs(graphs, params, epochs: int, batch_size: int, lr: float, shuffl
     over its windows at positions ``members`` of ``graphs``. Leaving the loop
     stops training. Raises StateError on a non-finite loss or gradient norm.
     """
-    preps = [as_batch(g) for g in graphs]
     opt = Adam(list(params), lr=lr)
-    order = np.arange(len(preps))
+    order = np.arange(len(graphs))
     for epoch in range(epochs):
         shuffle_rng.shuffle(order)
         total = 0.0
         for step, lo in enumerate(range(0, len(order), batch_size)):
             members = order[lo : lo + batch_size]
-            batch = GraphBatch.concat(preps[i] for i in members)
+            batch = GraphBatch.of([graphs[i] for i in members])
             opt.zero_grad()
             loss = batch_loss(batch, members)
             checked_step(opt, loss, lambda: f"epoch {epoch}, batch {step}, windows {batch.window_starts}")
@@ -342,7 +321,7 @@ def train_supervised(
         missing = sorted({0, 1} - present)
         raise ConfigError(f"training data lacks class(es) {missing}; need both labels")
     if val_graphs is not None:
-        val_batch = GraphBatch.concat(as_batch(g) for g in val_graphs)
+        val_batch = GraphBatch.of(val_graphs)
         val_truths = [g.label for g in val_graphs]
 
     model = GatClassifier(config, seed=seed)

@@ -23,6 +23,9 @@ from .errors import ConfigError, DimensionError, ParseError, StateError, quoted,
 
 CACHE_MAGIC = b"canids-graph-cache v2\n"
 _TEXT_CACHE = ("canids-graph-cache v1", "a text graph cache (canids-graph-cache v1); rebuild it with build-graphs")
+# the array columns of a WindowGraph, each as an array of no windows
+_EMPTY_COLUMNS = {"node_features": np.empty((0, 3)), "edge_src": np.empty(0, np.int64),
+                  "edge_dst": np.empty(0, np.int64), "edge_weight": np.empty(0)}
 _GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
 
 
@@ -155,15 +158,9 @@ def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: 
     edge_at = np.searchsorted(edge_keys // (radix * radix), np.arange(k + 1))
     edge_src, edge_dst, wts = edge_keys // radix % radix, edge_keys % radix, edge_counts.astype(np.float64)
 
-    node_ids = node_ids.tolist()
-    labels = attack[frame].reshape(k, w).any(axis=1).tolist()
-    node_at, edge_at = node_at.tolist(), edge_at.tolist()
-    return [
-        WindowGraph(node_ids[a:b], feats[a:b], edge_src[c:d], edge_dst[c:d], wts[c:d], int(label), offset + start)
-        for a, b, c, d, label, start in zip(
-            node_at, node_at[1:], edge_at, edge_at[1:], labels, starts.tolist()
-        )
-    ]
+    labels = attack[frame].reshape(k, w).any(axis=1)
+    heads = np.stack([offset + starts, labels, np.diff(node_at), np.diff(edge_at)], axis=1)
+    return cut_windows(heads, node_ids, feats, edge_src, edge_dst, wts)
 
 
 def _groups(keys: np.ndarray, inverse: bool = False):
@@ -299,20 +296,16 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
     }
 
 
-def save_graph_cache(graphs: Sequence[WindowGraph], path) -> int:
-    """Write a sequence of graphs to the binary cache that load_graph_cache reads. Returns graph count.
+def window_columns(graphs: Sequence[WindowGraph]) -> Iterator:
+    """The counts ``(k, n, e)`` of the windows, nodes and edges of ``graphs``, then their columns, each one
+    array of all the windows' values in order, made when it is reached.
 
-    The ASCII line ``canids-graph-cache v2``, the counts of windows k, nodes
-    n and edges e (three little-endian int64s), then the columns of every
-    window in order, each one array of all the windows' values:
-    ``[start, label, num_nodes, num_edges]`` (k, 4) int64, the CAN IDs (n,)
-    int64, the features (n, 3) float64, the edge sources and destinations
-    (e,) int64 each and the weights (e,) float64, all little-endian. The
-    counts come before the columns, so the graphs are a sequence (a list),
-    not an iterator; each column is made as it is written. Every window's
-    columns are checked before the file is opened: DimensionError naming the
-    window (from 0) and the shapes unless its features are (num_nodes, 3)
-    and its sources, destinations and weights (num_edges,).
+    The columns are ``[start, label, num_nodes, num_edges]`` of each window
+    (k, 4) int64, the CAN IDs (n,) int64, the features (n, 3) float64, the
+    edge sources and destinations (e,) int64 each and the weights (e,)
+    float64. Before the counts, DimensionError naming the first window (from
+    0) whose features are not (num_nodes, 3) or whose sources, destinations
+    or weights are not (num_edges,), with the shapes.
     """
     k, n, e = len(graphs), 0, 0  # len(): an iterator is refused before any of it is read
     for i, g in enumerate(graphs):
@@ -325,16 +318,46 @@ def save_graph_cache(graphs: Sequence[WindowGraph], path) -> int:
             raise DimensionError(f"window {i}: node_features must be {(nodes, 3)} and edge_src, edge_dst and "
                                  f"edge_weight {(edges,)}, got {', '.join(map(str, shapes))}")
         n, e = n + nodes, e + edges
+    yield k, n, e
     heads = ((g.window_start_index, g.label, g.num_nodes, g.num_edges) for g in graphs)
+    yield np.fromiter(itertools.chain.from_iterable(heads), np.int64, 4 * k).reshape(k, 4)
+    yield np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), np.int64, n)
+    for name, empty in _EMPTY_COLUMNS.items():
+        own = getattr(graphs[0], name) if k == 1 else None
+        # a lone window's own array when it is the column already, not a copy: the stream batches one window a call
+        if isinstance(own, np.ndarray) and own.dtype == empty.dtype and own.flags.c_contiguous:
+            yield own
+        else:
+            yield np.concatenate([empty, *(getattr(g, name) for g in graphs)], dtype=empty.dtype)
+
+
+def cut_windows(heads, ids, feats, src, dst, wts) -> list[WindowGraph]:
+    """The WindowGraphs of columns laid out as window_columns gives them; their arrays are views of the columns."""
+    node_ids = ids.tolist()
+    # each window's first node and edge, kept as arrays: lists of Python ints would add to a large cache's peak
+    node_at, edge_at = (np.concatenate(([0], np.cumsum(counts))) for counts in heads[:, 2:].T)
+    starts, labels = heads[:, 0].tolist(), heads[:, 1].tolist()
+    return [
+        WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
+        for start, label, a, b, c, d in zip(starts, labels, node_at, node_at[1:], edge_at, edge_at[1:])
+    ]
+
+
+def save_graph_cache(graphs: Sequence[WindowGraph], path) -> int:
+    """Write a sequence of graphs to the binary cache that load_graph_cache reads. Returns graph count.
+
+    The ASCII line ``canids-graph-cache v2``, then the window_columns of the
+    graphs, little-endian: their counts as three int64s, then each column
+    as it is made. The counts come first, so the graphs are a sequence (a
+    list), not an iterator, and are all checked before the file is opened.
+    """
+    columns = window_columns(graphs)
+    counts = next(columns)
     with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<3q", k, n, e))
-        fh.write(np.fromiter(itertools.chain.from_iterable(heads), dtype="<i8", count=4 * k))
-        fh.write(np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), dtype="<i8", count=n))
-        for name, empty in (("node_features", np.empty((0, 3), "<f8")), ("edge_src", np.empty(0, "<i8")),
-                            ("edge_dst", np.empty(0, "<i8")), ("edge_weight", np.empty(0, "<f8"))):
-            fh.write(np.concatenate([empty, *(getattr(g, name) for g in graphs)], dtype=empty.dtype))
-    return k
+        fh.write(CACHE_MAGIC + struct.pack("<3q", *counts))
+        # writelines holds no column past its write, so one column is held at a time
+        fh.writelines(map(lambda c: c.astype(c.dtype.newbyteorder("<"), copy=False), columns))
+    return counts[0]
 
 
 def load_graph_cache(path) -> list[WindowGraph]:
@@ -349,16 +372,9 @@ def load_graph_cache(path) -> list[WindowGraph]:
     from 0) and the value. Each window's arrays are aligned, native and
     writable views of one array that holds the file's columns.
     """
-    _, (heads, ids, feats, src, dst, wts) = read_columns(path, CACHE_MAGIC, "graph cache", _TEXT_CACHE, _cache_header)
-    _check_windows(path, heads, ids, feats, src, dst, wts)
-    node_ids = ids.tolist()
-    # each window's first node and edge, kept as arrays: lists of Python ints would add to the load's peak
-    node_at, edge_at = (np.concatenate(([0], np.cumsum(counts))) for counts in heads[:, 2:].T)
-    starts, labels = heads[:, 0].tolist(), heads[:, 1].tolist()
-    return [
-        WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
-        for start, label, a, b, c, d in zip(starts, labels, node_at, node_at[1:], edge_at, edge_at[1:])
-    ]
+    _, columns = read_columns(path, CACHE_MAGIC, "graph cache", _TEXT_CACHE, _cache_header)
+    _check_windows(path, *columns)
+    return cut_windows(*columns)
 
 
 def _cache_header(path, fh, size):

@@ -209,35 +209,23 @@ def score_windows(
 ) -> list[ScoredWindow]:
     """Score a stream with frozen models and fuse per the configured weights.
 
-    Each window is prepared once and serves both models. VgaeModel.score_batch
-    scores the prepared windows, each equal bit for bit to its batch-of-one
-    score, in GraphBatches of at most SCORE_CHUNK. The GAT scores one
-    window per call, because the benchmark's teacher hook
-    (``bench/spans.py``, ``Tracer.watch_teacher``) reads a batch of one.
+    The windows ``graphs``, a sequence, are scored in the GraphBatches of
+    VgaeModel.score_chunks, each window's score equal bit for bit to its
+    batch-of-one score. The GAT scores each window in a batch of one,
+    because the benchmark's teacher hook (``bench/spans.py``,
+    ``Tracer.watch_teacher``) reads a batch of one; for a call of one
+    window that is its chunk, so it is built once.
     """
-    w_a, w_g = options.fusion_weights
-    preps = [prepare_graph(g) for g in graphs]
-    raws = vgae_model.score_batch(preps, options.composite_weights, seed, options.score_mode)
+    w_a, w_g = (1.0, 0.0) if gat_model is None else options.fusion_weights  # (1, 0): VGAE-only anomaly mode
     scored = []
-    for prep, raw in zip(preps, raws):
-        v_prob = calibration(raw)
-        if gat_model is not None:
-            g_prob = gat_model.predict_prob(prep)
+    for batch, raws in vgae_model.score_chunks(graphs, options.composite_weights, seed, options.score_mode):
+        for g, raw in zip(batch.graphs, raws):
+            v_prob, g_prob = calibration(raw), 0.0
+            if gat_model is not None:
+                g_prob = gat_model.predict_prob(batch if batch.num_graphs == 1 else prepare_graph(g))
             fused = fuse(v_prob, g_prob, w_a, w_g)
-        else:
-            g_prob = 0.0
-            fused = fuse(v_prob, g_prob, 1.0, 0.0)  # VGAE-only anomaly mode
-        scored.append(
-            ScoredWindow(
-                window_start_index=prep.graph.window_start_index,
-                vgae_score=raw,
-                vgae_prob=v_prob,
-                gat_prob=g_prob,
-                fused_prob=fused,
-                predicted=1 if fused >= options.threshold else 0,
-                truth=prep.graph.label,
-            )
-        )
+            predicted = 1 if fused >= options.threshold else 0
+            scored.append(ScoredWindow(g.window_start_index, raw, v_prob, g_prob, fused, predicted, g.label))
     return scored
 
 

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, StateError, quoted_value, require_int
-from .gat import GatLayerParams, GraphBatch, as_batch, gat_layer, layer_shapes, train_epochs, IN_DIM
+from .gat import GatLayerParams, GraphBatch, gat_layer, layer_shapes, train_epochs, IN_DIM
 from .losses import bce_terms, cross_entropy_terms, kl_gaussian_standard
 from .optim import ParamModel, derive_seed
 from .tensor import Tensor, no_grad
@@ -157,7 +158,7 @@ class VgaeModel(ParamModel):
         )
         return (e_neighbor + e_node + e_canid + kl).mean()
 
-    def error_terms(self, batch, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def error_terms(self, batch: GraphBatch, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E_node, E_neighbor, E_CAN_ID) of ``batch`` at inference, each of shape (num_graphs,).
 
         One posterior_mean -> decode -> reconstruction_terms pass with z = mu,
@@ -165,7 +166,6 @@ class VgaeModel(ParamModel):
         derive_seed(seed, _SEED_NEG_SCORE, window_start_index), so a
         window's entries equal its batch-of-one entries bit for bit.
         """
-        batch = as_batch(batch)
         run = _without_one_row_products(batch)
         rngs = [derive_seed(seed, _SEED_NEG_SCORE, start) for start in run.window_starts]
         with no_grad():
@@ -173,29 +173,27 @@ class VgaeModel(ParamModel):
             terms = reconstruction_terms(run, z, self.decode(z), rngs)
         return tuple(t.values[: batch.num_graphs] for t in terms)
 
-    def score_batch(
-        self, graphs, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
-    ) -> list[float]:
-        """One anomaly score per window of ``graphs``, each equal bit for bit to its batch-of-one score.
+    def score_chunks(
+        self, graphs, weights: CompositeWeights, seed: int, score_mode: str = "composite"
+    ) -> Iterator[tuple[GraphBatch, list[float]]]:
+        """The GraphBatch of each SCORE_CHUNK consecutive windows of the sequence ``graphs`` (the last may
+        have fewer), with one anomaly score per window, equal bit for bit to its batch-of-one score.
 
-        ``graphs`` holds windows or their prepared batches of one, scored in
-        GraphBatches of at most SCORE_CHUNK windows. ``composite`` combines
-        error_terms; ``adjacency_l2`` is the Frobenius norm of (binary
-        adjacency - decoded adjacency) per window, for ablation, with the
-        per-edge decoder read at all n x n pairs.
+        ``composite`` combines error_terms; ``adjacency_l2`` is the Frobenius
+        norm of (binary adjacency - decoded adjacency) per window, for
+        ablation, with the per-edge decoder read at all n x n pairs.
         """
         if score_mode not in SCORE_MODES:
             raise ConfigError(f"unknown score_mode {quoted_value(score_mode)}")
-        preps = [as_batch(g) for g in graphs]
-        scores = []
-        for lo in range(0, len(preps), SCORE_CHUNK):
-            batch = GraphBatch.concat(preps[lo : lo + SCORE_CHUNK])
+        for lo in range(0, len(graphs), SCORE_CHUNK):
+            batch = GraphBatch.of(graphs[lo : lo + SCORE_CHUNK])
             if score_mode == "composite":
                 terms = self.error_terms(batch, seed)
-                scores += [combine_errors(weights, *e) for e in zip(*(t.tolist() for t in terms))]
+                yield batch, [combine_errors(weights, *e) for e in zip(*(t.tolist() for t in terms))]
                 continue
             with no_grad():
                 z = self.posterior_mean(_without_one_row_products(batch)).values
+            scores = []
             for g, row in zip(batch.graphs, np.cumsum(batch.node_counts) - batch.node_counts):
                 n = g.num_nodes
                 rows, cols = np.divmod(np.arange(n * n), n)
@@ -203,10 +201,16 @@ class VgaeModel(ParamModel):
                 a = np.zeros((n, n))
                 a[g.edge_src, g.edge_dst] = 1.0
                 scores.append(float(np.linalg.norm(a - adj)))
-        return scores
+            yield batch, scores
 
-    def score(self, prep, weights: CompositeWeights, seed: int, score_mode: str = "composite") -> float:
-        return self.score_batch([prep], weights, seed, score_mode)[0]
+    def score_batch(
+        self, graphs, weights: CompositeWeights = CompositeWeights(), seed: int = 0, score_mode: str = "composite"
+    ) -> list[float]:
+        """The scores of score_chunks, one per window of the sequence ``graphs``."""
+        return [s for _, scores in self.score_chunks(graphs, weights, seed, score_mode) for s in scores]
+
+    def score(self, graph, weights: CompositeWeights, seed: int, score_mode: str = "composite") -> float:
+        return self.score_batch([graph], weights, seed, score_mode)[0]
 
     def reconstruction_rank(
         self,
@@ -238,7 +242,7 @@ def _without_one_row_products(batch: GraphBatch) -> GraphBatch:
     row inside a gemm; a lone one-node window scored as two copies keeps the
     bits it gets inside any larger batch. Callers keep the first copy's rows.
     """
-    return GraphBatch.concat([batch, batch]) if batch.num_nodes == 1 else batch
+    return GraphBatch.of(batch.graphs * 2) if batch.num_nodes == 1 else batch
 
 
 def reconstruction_terms(batch: GraphBatch, z: Tensor, decoded, neg_rngs) -> tuple[Tensor, Tensor, Tensor]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from canids import gat, tensor as T, vgae
-from canids.gat import GatClassifier, GatConfig, GraphBatch, prepare_graph
+from canids.gat import GatClassifier, GatConfig, GraphBatch
 from canids.graphs import WindowGraph
 from canids.losses import cross_entropy
 from canids.tensor import Tensor
@@ -66,10 +66,8 @@ def isolated_node_graph(start):
 
 def batches(mixed_graphs):
     return {
-        "mixed": GraphBatch.concat(prepare_graph(g) for g in mixed_graphs[::40][:12]),
-        "isolated": GraphBatch.concat(
-            [prepare_graph(isolated_node_graph(s)) for s in range(3)] + [prepare_graph(mixed_graphs[1])]
-        ),
+        "mixed": GraphBatch.of(mixed_graphs[::40][:12]),
+        "isolated": GraphBatch.of([isolated_node_graph(s) for s in range(3)] + [mixed_graphs[1]]),
     }
 
 
@@ -142,7 +140,7 @@ def test_vgae_encoder_matches_per_edge_oracle(mixed_graphs, monkeypatch, preset,
 
 def test_teacher_batch_loss_tape_is_small(mixed_graphs):
     # one op per attention layer and per dense layer; the per-edge composition built about 150 tape nodes
-    batch = GraphBatch.concat(prepare_graph(g) for g in mixed_graphs[:16])
+    batch = GraphBatch.of(mixed_graphs[:16])
     model = GatClassifier(GatConfig.teacher(), seed=1)
     _, logits, _ = model.forward(batch)
     loss = cross_entropy(logits, np.array([g.label for g in batch.graphs]))

@@ -13,9 +13,9 @@ import pytest
 
 from canids import tensor as T
 from canids.distill import KdConfig, LatentProjection, kd_classifier_loss, kd_latent_loss
-from canids.errors import StateError
+from canids.errors import DimensionError, StateError
 from canids.gat import GatClassifier, GatConfig, GraphBatch, prepare_graph, train_supervised
-from canids.graphs import build_windows
+from canids.graphs import WindowGraph, build_windows
 from canids.losses import cross_entropy
 from canids.synth import EcuSpec, generate_synthetic_log
 from canids.tensor import Tensor, no_grad
@@ -61,7 +61,7 @@ def test_gat_cross_entropy_batch_equals_mean_of_singles(windows, preset):
     model = GatClassifier(getattr(GatConfig, preset)(), seed=3)
     preps = [prepare_graph(g) for g in windows]
     labels = np.array([g.label for g in windows])
-    batch = GraphBatch.concat(preps)
+    batch = GraphBatch.of(windows)
 
     def batched():
         return cross_entropy(model.forward(batch)[1], labels)
@@ -80,7 +80,7 @@ def test_kd_classifier_loss_batch_equals_mean_of_singles(windows, preset):
     labels = np.array([g.label for g in windows])
     with no_grad():
         teacher_logits = [teacher.forward(p)[1].values[0] for p in preps]
-    batch = GraphBatch.concat(preps)
+    batch = GraphBatch.of(windows)
     kd = KdConfig()
 
     def batched():
@@ -98,7 +98,7 @@ def test_kd_classifier_loss_batch_equals_mean_of_singles(windows, preset):
 def test_vgae_elbo_batch_equals_mean_of_singles(benign_graphs, preset):
     model = VgaeModel(getattr(VgaeConfig, preset)(), seed=6)
     preps = [prepare_graph(g) for g in benign_graphs[:8]]
-    batch = GraphBatch.concat(preps)
+    batch = GraphBatch.of(benign_graphs[:8])
 
     def batched():
         # one noise draw and one negative stream for the whole batch
@@ -131,7 +131,7 @@ def test_latent_hint_batch_equals_mean_of_singles(benign_graphs, preset):
         log_sigma=Tensor(np.concatenate([t.log_sigma.values for t in teacher_latents])),
         z=None,
     )
-    batch = GraphBatch.concat(preps)
+    batch = GraphBatch.of(graphs)
     params = student.params() + projection.params()
 
     def batched():
@@ -150,7 +150,7 @@ def test_batch_of_one_forward_is_per_graph_row(windows):
     model = GatClassifier(GatConfig.student(), seed=10)
     preps = [prepare_graph(g) for g in windows]
     with no_grad():
-        prob, logits, emb = model.forward(GraphBatch.concat(preps))
+        prob, logits, emb = model.forward(GraphBatch.of(windows))
         for i, p in enumerate(preps):
             one_prob, one_logits, one_emb = model.forward(p)
             assert abs(prob.values[i] - one_prob.item()) <= 1e-12
@@ -158,9 +158,9 @@ def test_batch_of_one_forward_is_per_graph_row(windows):
             assert np.max(np.abs(emb.values[i] - one_emb.values[0])) <= 1e-12
 
 
-def test_concat_offsets_edges_and_graph_index(windows):
+def test_batch_offsets_edges_and_graph_index(windows):
     preps = [prepare_graph(g) for g in windows[:3]]
-    batch = GraphBatch.concat(preps)
+    batch = GraphBatch.of(windows[:3])
     assert batch.num_graphs == 3 and batch.num_nodes == sum(g.num_nodes for g in windows[:3])
     assert batch.node_counts.tolist() == [g.num_nodes for g in windows[:3]]
     offsets = np.cumsum(batch.node_counts) - batch.node_counts
@@ -172,6 +172,83 @@ def test_concat_offsets_edges_and_graph_index(windows):
         assert np.array_equal(batch.dst[own] - offset, p.dst)
     with pytest.raises(StateError):
         batch.graph
+
+
+# ---------------------------------------------------------------- GraphBatch.of against a per-window oracle
+
+
+def disjoint_union(windows) -> dict:
+    """The arrays of the batch of ``windows``, built one window at a time: each window's nodes after the
+    nodes of the windows before it, its edges offset by their count, then a weight-1 self-loop on each of
+    its nodes with no in-edge, in node order."""
+    out = {name: [] for name in ("src", "dst", "log_w", "edge_src", "edge_dst", "node_ids", "graph_index", "x")}
+    offset = 0
+    for k, g in enumerate(windows):
+        n, targets = g.num_nodes, set(g.edge_dst.tolist())
+        loops = [j for j in range(n) if j not in targets]
+        for end in ("src", "dst"):
+            edges = [offset + j for j in getattr(g, f"edge_{end}").tolist()]
+            out[f"edge_{end}"] += edges
+            out[end] += edges + [offset + j for j in loops]
+        out["log_w"] += np.log(g.edge_weight).tolist() + [0.0] * len(loops)
+        out["node_ids"] += list(g.node_ids)
+        out["graph_index"] += [k] * n
+        out["x"] += g.node_features.tolist()
+        offset += n
+    arrays = {name: np.array(values, dtype=np.float64 if name in ("log_w", "x") else np.int64)
+              for name, values in out.items()}
+    arrays["log_w"], arrays["x"] = arrays["log_w"].reshape(-1, 1), arrays["x"].reshape(-1, 3)
+    arrays["node_counts"] = np.array([g.num_nodes for g in windows], dtype=np.int64)
+    return arrays
+
+
+def assert_batch_is_union(windows):
+    batch = GraphBatch.of(windows)
+    assert batch.graphs == tuple(windows)
+    for name, want in disjoint_union(windows).items():
+        got = batch.x.values if name == "x" else getattr(batch, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def edgeless(num_nodes: int, start: int):
+    none = np.empty(0, dtype=np.int64)
+    return WindowGraph(list(range(10, 10 + num_nodes)), np.full((num_nodes, 3), 0.25), none, none, np.empty(0), 0, start)
+
+
+def with_isolated_node(g):
+    """``g`` without its edges into node 0, which then has no in-edge (its self-loop in the batch)."""
+    keep = g.edge_dst != 0
+    return WindowGraph(g.node_ids, g.node_features, g.edge_src[keep], g.edge_dst[keep], g.edge_weight[keep],
+                       g.label, g.window_start_index)
+
+
+def test_of_equals_the_per_window_disjoint_union(mixed_graphs):
+    rng = np.random.Generator(np.random.PCG64(17))
+    pool = mixed_graphs + [with_isolated_node(g) for g in mixed_graphs[::10]]
+    for _ in range(40):
+        assert_batch_is_union([pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 20))])
+    iso, a, b = with_isolated_node(mixed_graphs[2]), mixed_graphs[5], mixed_graphs[9]
+    for windows in ([iso, a, b], [a, iso, b], [a, b, iso], [iso]):  # the isolated node first, in the middle, last
+        assert_batch_is_union(windows)
+    one_node = WindowGraph([7], np.array([[0.1, 1.0, 0.4]]), np.array([0]), np.array([0]), np.array([99.0]), 0, 3)
+    for windows in ([edgeless(3, 0)], [edgeless(1, 0)], [one_node], [edgeless(1, 0), one_node, edgeless(4, 1), a],
+                    [a, edgeless(2, 5), b, one_node]):
+        assert_batch_is_union(windows)
+
+
+def test_of_refuses_a_window_it_cannot_batch(mixed_graphs):
+    a, b = mixed_graphs[:2]
+    stray = WindowGraph(b.node_ids, b.node_features, b.edge_src, b.edge_dst.copy(), b.edge_weight, 0, 1234)
+    stray.edge_dst[-1] = b.num_nodes  # the first node of the next window, were it batched
+    with pytest.raises(DimensionError, match=f"^window 1234: edge index out of range for {b.num_nodes} nodes$"):
+        GraphBatch.of([a, stray, a])
+    with pytest.raises(StateError, match="^empty graph$"):
+        GraphBatch.of([a, edgeless(0, 9)])
+    short = WindowGraph(a.node_ids, a.node_features, a.edge_src, a.edge_dst[:-1], a.edge_weight, 0, 0)
+    with pytest.raises(DimensionError, match="^window 1: node_features must be"):
+        GraphBatch.of([b, short])
+    with pytest.raises(StateError, match="at least one window"):
+        GraphBatch.of([])
 
 
 # ---------------------------------------------------------------- finite differences
@@ -191,11 +268,11 @@ def test_batched_gradient_checks(small_batch):
     labels = np.array([0, 1, 0])
     for i in range(3):
         gat = GatClassifier(tiny_gat, seed=i)
-        batch = GraphBatch.concat(prepare_graph(g) for g in small_batch)
+        batch = GraphBatch.of(small_batch)
         worst = max(worst, model_gradient_error(gat.params(), lambda: cross_entropy(gat.forward(batch)[1], labels)))
 
         vgae = VgaeModel(tiny_vgae, seed=i)
-        vbatch = GraphBatch.concat(prepare_graph(g) for g in small_batch)
+        vbatch = GraphBatch.of(small_batch)
 
         def elbo():
             latent = vgae.encode(vbatch, training=True, rng=np.random.default_rng(1000 + i))

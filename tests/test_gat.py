@@ -214,7 +214,7 @@ def test_val_f1_is_metrics_f1(mixed_graphs):
     )
     # the best epoch's parameters are restored, so the model reproduces that epoch's F1
     with T.no_grad():
-        probs, _, _ = model.forward(GraphBatch.concat(prepare_graph(g) for g in val))
+        probs, _, _ = model.forward(GraphBatch.of(val))
     preds = [1 if p >= 0.5 else 0 for p in probs.values]
     assert log.val_f1[log.best_epoch] == Metrics.from_pairs(truths, preds).f1
     assert log.val_f1[log.best_epoch] == max(log.val_f1)
@@ -276,7 +276,7 @@ def test_per_layer_pooling_equals_concat_then_pool_bitwise(mixed_graphs, name):
     isolated = make_graph([5, 9, 12], [[0.1, 0.5, 0.2], [0.9, 0.5, 0.3], [0.4, 0.1, 0.8]], [(1, 0, 3.0)])
     edgeless = make_graph([7], [[0.3, 0.2, 0.6]], [])
     graphs = [mixed_graphs[0], one_id_window(100), isolated, *mixed_graphs[3:40:9], edgeless]
-    batch = GraphBatch.concat(prepare_graph(g) for g in graphs)
+    batch = GraphBatch.of(graphs)
     # one-node windows, and nodes whose only attention edge is the added self-loop
     assert (batch.node_counts == 1).sum() == 2 and len(batch.src) > len(batch.edge_src)
     model = GatClassifier(config, seed=5)

@@ -364,15 +364,25 @@ def windows_or_error(frames, stride):
     "field, value, refused",
     [
         ("can_id", np.True_, "can_id {!r} is not an integer"),
-        ("can_id", True, None),
+        ("can_id", True, "can_id {!r} is not an integer"),
         ("can_id", np.int64(5), None),
         ("can_id", 5.0, "can_id {!r} is not an integer"),
+        ("dlc", True, "dlc {!r} is not an integer"),
+        ("dlc", np.True_, "dlc {!r} is not an integer"),
+        ("payload", (True,), "payload byte True is not an integer"),
+        ("payload", (np.True_,), "payload byte np.True_ is not an integer"),
         ("timestamp", np.float32(0.3), None),
         ("timestamp", np.True_, "timestamp {!r} is not a real number"),
         ("payload", array.array("H", [7]), None),  # its buffer holds 2 bytes a value
+        ("label", 1.5, "label 1.5 is not an integer 0 or 1"),
+        ("label", "x", "label 'x' is not an integer 0 or 1"),
+        ("label", 2, "label 2 is not an integer 0 or 1"),
+        ("label", True, "label True is not an integer 0 or 1"),
+        ("label", np.int64(1), None),
     ],
-    ids=["np-bool-id", "bool-id", "np-int64-id", "float-id", "np-float32-timestamp", "np-bool-timestamp",
-         "uint16-array-payload"],
+    ids=["np-bool-id", "bool-id", "np-int64-id", "float-id", "bool-dlc", "np-bool-dlc", "bool-byte",
+         "np-bool-byte", "np-float32-timestamp", "np-bool-timestamp", "uint16-array-payload", "float-label",
+         "str-label", "label-2", "bool-label", "np-int64-label"],
 )
 def test_both_paths_take_or_refuse_a_frame_alike(field, value, refused):
     """A frame list goes through ``checked_frame`` alone at stride W and at stride 1: the same frame is refused
@@ -385,3 +395,12 @@ def test_both_paths_take_or_refuse_a_frame_alike(field, value, refused):
         assert len(block) == 2 and len(stride_one) == 7
         for a, b in zip(block, stride_one[::4]):
             assert_bit_identical(a, b)
+
+
+@pytest.mark.parametrize("fields", [4, 6])
+def test_both_paths_refuse_a_frame_without_five_fields(fields):
+    frames = [CanFrame(0.1 * i, 5, 1, (7,)) for i in range(10)]
+    frames[3] = (*frames[3], 0)[:fields]
+    for stride in (4, 1):
+        with pytest.raises(ParseError, match=f"^frame 3: {fields} fields, not the 5 of a CanFrame$"):
+            list(build_windows(frames, 4, stride))

@@ -268,23 +268,29 @@ def test_score_windows_list_equals_one_call_per_window(mixed_graphs):
     assert together == alone  # dataclass equality: every float bit for bit
 
 
-def test_score_windows_prepares_each_window_once(mixed_graphs, monkeypatch):
-    from canids import gat, pipeline, vgae
+def test_score_windows_builds_one_chunk_and_one_batch_of_one_per_window(mixed_graphs, monkeypatch):
+    from canids import pipeline
+    from canids.gat import GraphBatch
+    from canids.vgae import SCORE_CHUNK
 
     vgae_model, gat_model, calibration = _scoring_models()
-    calls = []
-    original = gat.prepare_graph
+    built = []  # the window starts of each batch built
+    of = GraphBatch.of
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].window_start_index)
-        return original(*args, **kwargs)
+    def counting(cls, windows):
+        windows = tuple(windows)
+        built.append([g.window_start_index for g in windows])
+        return of(windows)
 
-    for module in (gat, pipeline, vgae):
-        if getattr(module, "prepare_graph", None) is original:
-            monkeypatch.setattr(module, "prepare_graph", counting)
-    graphs = mixed_graphs[:12]
+    monkeypatch.setattr(GraphBatch, "of", classmethod(counting))
+    graphs = mixed_graphs[: SCORE_CHUNK + 6]
+    starts = [g.window_start_index for g in graphs]
     pipeline.score_windows(vgae_model, gat_model, calibration, graphs, 3, QUICK)
-    assert calls == [g.window_start_index for g in graphs]
+    chunks = [starts[:SCORE_CHUNK], starts[SCORE_CHUNK:]]
+    assert built == [chunks[0], *([s] for s in chunks[0]), chunks[1], *([s] for s in chunks[1])]
+    built.clear()
+    pipeline.score_windows(vgae_model, gat_model, calibration, graphs[:1], 3, QUICK)
+    assert built == [starts[:1]]  # a call of one window builds its batch of one once, for both models
 
 
 def test_report_cli_matches_run_two_stage(mixed_graphs, tmp_path, capsys):

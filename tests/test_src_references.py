@@ -77,9 +77,9 @@ def test_every_definition_is_named_outside_the_tests():
     assert unused == [], "defined in src/canids but named nowhere in src/, bench/ or demos/"
 
 
-# (module, top-level definition) that alone may hold each kind of call: one clock for every timings block,
-# one epoch loop for both trainers, one timestamp-order check for every CSV layout, and one float formatter
-# for every writer of many floats
+# (module, top-level definition or Class.method) that alone may hold each kind of call: one clock for every
+# timings block, one epoch loop for both trainers, one timestamp-order check for every CSV layout, one float
+# formatter for every writer of many floats, and one builder of model batches
 SOLE_OWNERS = {
     "clock read": ("pipeline", "Timings"),
     "checked_step call": ("gat", "train_epochs"),
@@ -87,12 +87,26 @@ SOLE_OWNERS = {
     "timestamp error call": ("canlog", "_decode_block"),
     "bulk float repr": ("floattext", "_rows"),
     "NUL drop": ("floattext", "joined"),
+    "GraphBatch construction": ("gat", "GraphBatch.of"),
 }
 CLOCK_READS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "process_time", "time_ns"}
 
 
-def _kind(node):
-    """Which SOLE_OWNERS kind an AST node is, or None."""
+def _owned_nodes(tree):
+    """(owner, node) of every node under a top-level statement of ``tree``: the owner is the definition's
+    name, ``Class.method`` within a method of a top-level class, and ``<module>`` outside every definition."""
+    for top in tree.body:
+        parts = top.body if isinstance(top, ast.ClassDef) else [top]
+        for part in parts:
+            owner = getattr(top, "name", "<module>")
+            if part is not top and isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{owner}.{part.name}"
+            for node in ast.walk(part):
+                yield owner, node
+
+
+def _kind(node, owner):
+    """Which SOLE_OWNERS kind an AST node is, or None; ``cls(...)`` constructs the class that owns it."""
     name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
     if name in CLOCK_READS or (name == "time" and isinstance(node, ast.Attribute)):
         return "clock read"
@@ -110,6 +124,8 @@ def _kind(node):
             return "timestamp error call"
         if called == "map" and node.args and getattr(node.args[0], "id", None) == "repr":
             return "bulk float repr"
+        if called == "GraphBatch" or (called == "cls" and owner.startswith("GraphBatch.")):
+            return "GraphBatch construction"
     return None
 
 
@@ -120,23 +136,22 @@ def _is_nonzero_test(test, value) -> bool:
             and test.comparators[0].value == 0)
 
 
-def test_clock_reads_steps_shuffles_and_timestamp_errors_have_one_owner_each():
+def test_clock_reads_steps_shuffles_timestamp_errors_and_batches_have_one_owner_each():
     """Only ``pipeline.Timings`` reads the clock, only ``gat.train_epochs`` calls ``checked_step`` and
     shuffles, only ``canlog._decode_block`` calls ``_timestamp_error``, only ``floattext._rows``
-    maps ``repr`` or names ``float.__repr__``, and only ``floattext.joined`` drops NULs (``x[x != 0]``),
-    so that every run has one timings path, both trainers one epoch loop, both CSV layouts one
-    timestamp-order check, and every writer one float formatter and one row layout."""
+    maps ``repr`` or names ``float.__repr__``, only ``floattext.joined`` drops NULs (``x[x != 0]``),
+    and only ``gat.GraphBatch.of`` constructs a GraphBatch, so that every run has one timings path,
+    both trainers one epoch loop, both CSV layouts one timestamp-order check, every writer one float
+    formatter and one row layout, and every model batch one builder."""
     seen = {kind: set() for kind in SOLE_OWNERS}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        tops = [(node.lineno, node.end_lineno, getattr(node, "name", None)) for node in tree.body]
-        for node in ast.walk(tree):
-            kind = _kind(node)
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            kind = _kind(node, owner)
             if kind is not None:
-                owner = next(name for first, last, name in tops if first <= node.lineno <= last)
                 seen[kind].add((path.stem, owner, node.lineno))
     for kind, (module, owner) in SOLE_OWNERS.items():
-        owners = {(m, o) for m, o, _ in seen[kind]}
+        # a top-level owner holds its methods too: Timings owns the clock reads of Timings.stage
+        owners = {(m, ".".join(o.split(".")[: owner.count(".") + 1])) for m, o, _ in seen[kind]}
         assert owners == {(module, owner)}, f"{kind} outside {module}.{owner}: {sorted(seen[kind])}"
 
 

@@ -528,6 +528,8 @@ BAD_LOG_COLUMNS = {
     "id-float-1.0": ("can_id", lambda c: np.full(len(c), 1.0), "frame 0: can_id 1.0 is not an integer"),
     "id-object-1.5": ("can_id", lambda c: with_value(c, 7, 1.5, object), "frame 7: can_id 1.5 is not an integer"),
     "dlc-float": ("dlc", lambda c: c.astype(float), "frame 0: dlc 2.0 is not an integer"),
+    "id-bool": ("can_id", lambda c: c.astype(bool), "frame 0: can_id True is not an integer"),
+    "dlc-bool": ("dlc", lambda c: c.astype(bool), "frame 0: dlc True is not an integer"),
     "id-0x800": ("can_id", lambda c: with_value(c, 7, 0x800), "frame 7: can_id 2048 outside 11-bit range"),
     "id-negative": ("can_id", lambda c: with_value(c, 7, -1), "frame 7: can_id -1 outside 11-bit range"),
     "dlc-9": ("dlc", lambda c: with_value(c, 7, 9), "frame 7: dlc 9 outside [0, 8]"),

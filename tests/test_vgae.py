@@ -178,7 +178,7 @@ def test_composite_score_deterministic_and_monotone_in_beta(benign_graphs):
     a = model.score(g, CompositeWeights(), 9)
     b = model.score(g, CompositeWeights(), 9)
     assert a == b and a >= 0.0
-    assert a == combine_errors(CompositeWeights(), *(t[0] for t in model.error_terms(g, 9)))
+    assert a == combine_errors(CompositeWeights(), *(t[0] for t in model.error_terms(prepare_graph(g), 9)))
     higher = model.score(g, CompositeWeights(beta=25.0), 9)
     assert higher > a  # E_neighbor is a BCE, always > 0
     assert model.score(g, CompositeWeights(0.0, 0.0, 0.0), 9) == 0.0
@@ -319,7 +319,7 @@ def test_scoring_decodes_the_posterior_mean_of_encode(mixed_graphs, config):
         prep = prepare_graph(g)
         assert model.posterior_mean(prep).values.tobytes() == model.encode(prep).mu.values.tobytes()
         # a lone one-node window is scored as two copies of itself, so that no product has one row
-        scored = GraphBatch.concat([prep, prep]) if g.num_nodes == 1 else prep
+        scored = GraphBatch.of([g, g]) if g.num_nodes == 1 else prep
         model.error_terms(prep, seed=3)
         assert decoded_z[-1].tobytes() == model.encode(scored).mu.values.tobytes()
     assert len(decoded_z) == len(windows)
@@ -336,7 +336,6 @@ def test_random_batch_splits_score_each_window_as_alone(mixed_graphs, config, sc
         order = rng.permutation(len(windows))
         cuts = np.sort(rng.choice(np.arange(1, len(windows)), size=5, replace=False))
         for part in np.split(order, cuts):
-            batch = GraphBatch.concat(prepare_graph(windows[i]) for i in part)
-            got = model.score_batch([batch], CompositeWeights(), 5, score_mode)
+            got = model.score_batch([windows[i] for i in part], CompositeWeights(), 5, score_mode)
             assert got == [alone[i] for i in part]  # float equality: bit for bit
     assert model.score_batch(windows, CompositeWeights(), 5, score_mode) == alone
