@@ -29,7 +29,7 @@ from .distill import KdConfig, distill_pipeline
 from .errors import CanidsError, ConfigError, StateError, UsageError, quoted, quoted_value, read_json, require_int
 from .floattext import joined, repr_rows
 from .gat import GatClassifier, GatConfig, jk_width, prepare_graph
-from .graphs import build_block_windows, feature_stats, load_graph_cache, save_graph_cache
+from .graphs import block_window_columns, feature_stats, load_graph_cache, save_graph_cache
 from .pipeline import (
     PipelineOptions,
     Timings,
@@ -241,12 +241,13 @@ def cmd_build_graphs(args) -> int:
     timings = Timings()
     with timings.stage("build"):  # decoding and window building, interleaved block by block
         blocks = decode_car_hacking_csv(path)
-        graphs = list(build_block_windows(blocks, args.window, stride, directed=not args.undirected))
-    if not graphs:
+        # the windows as the builder's column groups, written and summarized as they are: no WindowGraphs
+        groups = list(block_window_columns(blocks, args.window, stride, directed=not args.undirected))
+    if not groups:
         raise ConfigError(f"{path}: fewer than {quoted(str(args.window), marks=False)} frames; no windows")
     with timings.stage("write"):
-        _write_with_lock(args.out, lambda tmp: save_graph_cache(graphs, tmp))
-    _emit({**feature_stats(graphs), "timings": timings.block()})
+        _write_with_lock(args.out, lambda tmp: save_graph_cache(groups, tmp))
+    _emit({**feature_stats(groups), "timings": timings.block()})
     return 0
 
 

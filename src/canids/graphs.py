@@ -14,7 +14,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,10 +23,8 @@ from .errors import ConfigError, DimensionError, ParseError, StateError, quoted,
 
 CACHE_MAGIC = b"canids-graph-cache v2\n"
 _TEXT_CACHE = ("canids-graph-cache v1", "a text graph cache (canids-graph-cache v1); rebuild it with build-graphs")
-# the array columns of a WindowGraph, each as an array of no windows
-_EMPTY_COLUMNS = {"node_features": np.empty((0, 3)), "edge_src": np.empty(0, np.int64),
-                  "edge_dst": np.empty(0, np.int64), "edge_weight": np.empty(0)}
-_GROUP_FRAMES = 1 << 18  # build_block_windows builds windows with about this many frame positions at once
+_GROUP_FRAMES = 1 << 18  # block_window_columns builds windows with about this many frame positions at once
+_CUT_WINDOWS = 1024  # cut_windows slices this many windows at a time
 
 
 @dataclass
@@ -49,6 +47,25 @@ class WindowGraph:
 
     def edges(self) -> list[tuple[int, int, float]]:
         return list(zip(self.edge_src.tolist(), self.edge_dst.tolist(), self.edge_weight.tolist()))
+
+
+class WindowColumns(NamedTuple):
+    """A set of windows in the graph cache's layout, each column one array of all the windows' values in
+    order: the ``[start, label, num_nodes, num_edges]`` of each window (k, 4) int64, the CAN IDs (n,) int64
+    and features (n, 3) float64 of the nodes, and the sources and destinations (e,) int64 (node indexes
+    within their window) and weights (e,) float64 of the edges. The builder makes one per group of windows."""
+
+    heads: np.ndarray
+    node_ids: np.ndarray
+    node_features: np.ndarray
+    edge_src: np.ndarray
+    edge_dst: np.ndarray
+    edge_weight: np.ndarray
+
+
+# the columns of no windows, with the dtype and trailing shape of each
+_NO_WINDOWS = WindowColumns(np.empty((0, 4), np.int64), np.empty(0, np.int64), np.empty((0, 3)),
+                            np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 
 def build_windows(
@@ -95,11 +112,24 @@ def build_block_windows(
     stride: int | None = None,
     directed: bool = True,
 ) -> Iterator[WindowGraph]:
-    """The windows build_windows gives for the frames of consecutive FrameBlocks, built with array ops.
+    """The windows build_windows gives for the frames of consecutive FrameBlocks: the windows of
+    ``block_window_columns``, cut into WindowGraphs."""
+    for columns in block_window_columns(blocks, window_size, stride, directed):
+        yield from cut_windows(*columns)
+
+
+def block_window_columns(
+    blocks: Iterable[FrameBlock],
+    window_size: int,
+    stride: int | None = None,
+    directed: bool = True,
+) -> Iterator[WindowColumns]:
+    """The windows of the frames of consecutive FrameBlocks, built with array ops, as the WindowColumns of
+    each group of them: ``build-graphs`` writes these columns to the cache as they are.
 
     A window that straddles two blocks is built when the later one comes.
     A block's windows are built in groups of about _GROUP_FRAMES frame
-    positions (``_group_windows``).
+    positions (``_group_windows``); no group is empty.
     """
     w = window_size
     stride = _checked_stride(w, stride)
@@ -113,7 +143,7 @@ def build_block_windows(
         count = max(0, (len(columns[0]) - w) // stride + 1)
         for at in range(0, count, group):
             starts = np.arange(at, min(at + group, count)) * stride
-            yield from _group_windows(columns, starts, w, directed, offset)
+            yield _group_windows(columns, starts, w, directed, offset)
         columns = [c[count * stride :] for c in columns]
         offset += count * stride
 
@@ -127,8 +157,9 @@ def _payload_sums(payload: np.ndarray) -> np.ndarray:
     return total
 
 
-def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: int) -> list[WindowGraph]:
-    """The windows of ``w`` frames of ``columns`` at ``starts`` (their frame indexes less ``offset``).
+def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: int) -> WindowColumns:
+    """The WindowColumns of the windows of ``w`` frames of ``columns`` at ``starts`` (their frame indexes
+    less ``offset``), computed in the cache's layout: no per-window object is made.
 
     Each (window, CAN ID) pair is one node key and each (window, source
     node, destination node) pair one edge key. ``_groups`` numbers the keys
@@ -160,7 +191,7 @@ def _group_windows(columns, starts: np.ndarray, w: int, directed: bool, offset: 
 
     labels = attack[frame].reshape(k, w).any(axis=1)
     heads = np.stack([offset + starts, labels, np.diff(node_at), np.diff(edge_at)], axis=1)
-    return cut_windows(heads, node_ids, feats, edge_src, edge_dst, wts)
+    return WindowColumns(heads, node_ids, feats, edge_src, edge_dst, wts)
 
 
 def _groups(keys: np.ndarray, inverse: bool = False):
@@ -277,15 +308,16 @@ def _stride_one_windows(frames: Iterable[CanFrame], w: int) -> Iterator[WindowGr
         attacks -= old_attack
 
 
-def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
-    """Dataset summary: node/edge count ranges and the attack-window fraction."""
-    if not graphs:
+def feature_stats(windows: Sequence[WindowGraph] | Sequence[WindowColumns]) -> dict:
+    """Dataset summary: node/edge count ranges and the attack-window fraction, read from the heads of the
+    ``window_columns`` of ``windows`` (WindowGraphs, or WindowColumns as ``build-graphs`` gives them)."""
+    columns = window_columns(windows)
+    if next(columns)[0] == 0:
         raise StateError("feature_stats needs at least one graph")
-    nodes = np.array([g.num_nodes for g in graphs], dtype=np.float64)
-    edges = np.array([g.num_edges for g in graphs], dtype=np.float64)
-    labels = np.array([g.label for g in graphs], dtype=np.float64)
+    heads = next(columns)
+    nodes, edges, labels = (heads[:, j].astype(np.float64) for j in (2, 3, 1))
     return {
-        "num_graphs": len(graphs),
+        "num_graphs": len(heads),
         "nodes_min": float(nodes.min()),
         "nodes_mean": float(nodes.mean()),
         "nodes_max": float(nodes.max()),
@@ -296,62 +328,95 @@ def feature_stats(graphs: Sequence[WindowGraph]) -> dict:
     }
 
 
-def window_columns(graphs: Sequence[WindowGraph]) -> Iterator:
-    """The counts ``(k, n, e)`` of the windows, nodes and edges of ``graphs``, then their columns, each one
-    array of all the windows' values in order, made when it is reached.
+def window_columns(windows: Sequence[WindowGraph] | Sequence[WindowColumns]) -> Iterator:
+    """The counts ``(k, n, e)`` of the windows, nodes and edges of ``windows``, then their WindowColumns,
+    each column made when it is reached.
 
-    The columns are ``[start, label, num_nodes, num_edges]`` of each window
-    (k, 4) int64, the CAN IDs (n,) int64, the features (n, 3) float64, the
-    edge sources and destinations (e,) int64 each and the weights (e,)
-    float64. Before the counts, DimensionError naming the first window (from
-    0) whose features are not (num_nodes, 3) or whose sources, destinations
-    or weights are not (num_edges,), with the shapes.
+    ``windows`` is a sequence of WindowGraphs, or of WindowColumns (sets of
+    windows, such as the builder's groups), whose columns are joined set by
+    set. Where a lone window's or set's own array is the column already, it
+    is handed over, not copied: the stream batches one window a call, and
+    ``build-graphs`` on a short log writes one group. Before the counts,
+    DimensionError naming the first window (from 0) whose features are not
+    (num_nodes, 3) or whose sources, destinations or weights are not
+    (num_edges,), with the shapes, or the first set (from 0) whose columns
+    disagree with each other or with its windows' counts.
     """
-    k, n, e = len(graphs), 0, 0  # len(): an iterator is refused before any of it is read
-    for i, g in enumerate(graphs):
-        nodes, edges = g.num_nodes, g.num_edges
-        try:
-            shapes = g.node_features.shape, g.edge_src.shape, g.edge_dst.shape, g.edge_weight.shape
-        except AttributeError:  # a column given as a list: np.shape is slower than .shape
-            shapes = np.shape(g.node_features), np.shape(g.edge_src), np.shape(g.edge_dst), np.shape(g.edge_weight)
-        if shapes != ((nodes, 3), (edges,), (edges,), (edges,)):
-            raise DimensionError(f"window {i}: node_features must be {(nodes, 3)} and edge_src, edge_dst and "
-                                 f"edge_weight {(edges,)}, got {', '.join(map(str, shapes))}")
+    k, n, e = len(windows), 0, 0  # len(): an iterator is refused before any of it is read
+    sets = k > 0 and isinstance(windows[0], WindowColumns)
+    if sets:
+        k = 0  # counted set by set
+    for i, g in enumerate(windows):
+        if sets:
+            nodes, edges = len(g.node_ids), len(g.edge_src)
+            shapes = tuple(np.shape(c) for c in g)
+            if (shapes != ((len(g.heads), 4), (nodes,), (nodes, 3), (edges,), (edges,), (edges,))
+                    or g.heads[:, 2:].sum(axis=0).tolist() != [nodes, edges]):
+                raise DimensionError(f"window set {i}: heads must be (k, 4), node_ids (n,), node_features (n, 3) "
+                                     f"and the edge columns (e,), n and e the sums of the windows' counts, got "
+                                     f"{', '.join(map(str, shapes))}")
+            k += len(g.heads)
+        else:
+            nodes, edges = g.num_nodes, g.num_edges
+            try:
+                shapes = g.node_features.shape, g.edge_src.shape, g.edge_dst.shape, g.edge_weight.shape
+            except AttributeError:  # a column given as a list: np.shape is slower than .shape
+                shapes = np.shape(g.node_features), np.shape(g.edge_src), np.shape(g.edge_dst), np.shape(g.edge_weight)
+            if shapes != ((nodes, 3), (edges,), (edges,), (edges,)):
+                raise DimensionError(f"window {i}: node_features must be {(nodes, 3)} and edge_src, edge_dst and "
+                                     f"edge_weight {(edges,)}, got {', '.join(map(str, shapes))}")
         n, e = n + nodes, e + edges
     yield k, n, e
-    heads = ((g.window_start_index, g.label, g.num_nodes, g.num_edges) for g in graphs)
-    yield np.fromiter(itertools.chain.from_iterable(heads), np.int64, 4 * k).reshape(k, 4)
-    yield np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), np.int64, n)
-    for name, empty in _EMPTY_COLUMNS.items():
-        own = getattr(graphs[0], name) if k == 1 else None
-        # a lone window's own array when it is the column already, not a copy: the stream batches one window a call
+    for parts, empty in zip(zip(*windows) if sets else _record_parts(windows, k, n), _NO_WINDOWS):
+        own = parts[0] if len(parts) == 1 else None
+        # a lone part's own array when it is the column already, not a copy
         if isinstance(own, np.ndarray) and own.dtype == empty.dtype and own.flags.c_contiguous:
             yield own
         else:
-            yield np.concatenate([empty, *(getattr(g, name) for g in graphs)], dtype=empty.dtype)
+            yield np.concatenate([empty, *parts], dtype=empty.dtype)
+
+
+def _record_parts(graphs: Sequence[WindowGraph], k: int, n: int) -> Iterator[list]:
+    """The parts of each of the WindowColumns of ``k`` windows of ``n`` nodes, a column at a time: the heads
+    and IDs of all the windows, each one array, then the array of each window for each other column."""
+    heads = ((g.window_start_index, g.label, g.num_nodes, g.num_edges) for g in graphs)
+    yield [np.fromiter(itertools.chain.from_iterable(heads), np.int64, 4 * k).reshape(k, 4)]
+    yield [np.fromiter(itertools.chain.from_iterable(g.node_ids for g in graphs), np.int64, n)]
+    for name in WindowColumns._fields[2:]:
+        yield [getattr(g, name) for g in graphs]
 
 
 def cut_windows(heads, ids, feats, src, dst, wts) -> list[WindowGraph]:
-    """The WindowGraphs of columns laid out as window_columns gives them; their arrays are views of the columns."""
-    node_ids = ids.tolist()
-    # each window's first node and edge, kept as arrays: lists of Python ints would add to a large cache's peak
-    node_at, edge_at = (np.concatenate(([0], np.cumsum(counts))) for counts in heads[:, 2:].T)
-    starts, labels = heads[:, 0].tolist(), heads[:, 1].tolist()
-    return [
-        WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
-        for start, label, a, b, c, d in zip(starts, labels, node_at, node_at[1:], edge_at, edge_at[1:])
-    ]
+    """The WindowGraphs of columns laid out as window_columns gives them; their arrays are views of the columns.
 
-
-def save_graph_cache(graphs: Sequence[WindowGraph], path) -> int:
-    """Write a sequence of graphs to the binary cache that load_graph_cache reads. Returns graph count.
-
-    The ASCII line ``canids-graph-cache v2``, then the window_columns of the
-    graphs, little-endian: their counts as three int64s, then each column
-    as it is made. The counts come first, so the graphs are a sequence (a
-    list), not an iterator, and are all checked before the file is opened.
+    Each window is sliced at its first and last node and edge as Python
+    ints, which slice faster than numpy ints. They are made _CUT_WINDOWS
+    windows at a time, so that a large cache's load holds few of them.
     """
-    columns = window_columns(graphs)
+    node_ids = ids.tolist()
+    node_at, edge_at = (np.concatenate(([0], np.cumsum(counts))) for counts in heads[:, 2:].T)
+    windows = []
+    for at in range(0, len(heads), _CUT_WINDOWS):
+        part = slice(at, at + _CUT_WINDOWS)
+        starts, labels = heads[part, 0].tolist(), heads[part, 1].tolist()
+        nodes, edges = (offsets[at : at + _CUT_WINDOWS + 1].tolist() for offsets in (node_at, edge_at))
+        windows += [
+            WindowGraph(node_ids[a:b], feats[a:b], src[c:d], dst[c:d], wts[c:d], label, start)
+            for start, label, a, b, c, d in zip(starts, labels, nodes, nodes[1:], edges, edges[1:])
+        ]
+    return windows
+
+
+def save_graph_cache(windows: Sequence[WindowGraph] | Sequence[WindowColumns], path) -> int:
+    """Write windows to the binary cache that load_graph_cache reads. Returns the window count.
+
+    The ASCII line ``canids-graph-cache v2``, then the window_columns of
+    ``windows`` (WindowGraphs, or WindowColumns such as the builder's groups),
+    little-endian: their counts as three int64s, then each column as it is
+    made. The counts come first, so the windows are a sequence (a list), not
+    an iterator, and are all checked before the file is opened.
+    """
+    columns = window_columns(windows)
     counts = next(columns)
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC + struct.pack("<3q", *counts))

@@ -8,7 +8,11 @@ and destinations and the (e,) float64 weights. The layout is checked here
 against ``struct``, not numpy.
 """
 
+import contextlib
+import io
+import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -17,9 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canids import canlog, cli, graphs
+from canids.canlog import decode_car_hacking_csv, read_frame_log, write_car_hacking_csv
 from canids.errors import DimensionError, ParseError
-from canids.graphs import CACHE_MAGIC, WindowGraph, build_windows, load_graph_cache, save_graph_cache
-from helpers import assert_bit_identical, edited_cache
+from canids.graphs import (CACHE_MAGIC, WindowColumns, WindowGraph, block_window_columns, build_windows, feature_stats,
+                           load_graph_cache, save_graph_cache, window_columns)
+from helpers import assert_bit_identical, edited_cache, log_of, random_frames
 
 HEADER = len(CACHE_MAGIC) + 24  # the header line and the three counts
 NONE = np.empty(0, dtype=np.int64)
@@ -322,3 +329,91 @@ def test_memory_peaks_hold_no_second_copy_of_the_cache(tmp_path, mixed_frames):
     assert save_peak < 0.75 * size, (save_peak, size)
     assert load_peak - retained < 0.5 * size, (load_peak, retained, size)
     assert_same_graphs(loaded, built)
+
+
+# ---------------------------------------------------------------- build-graphs writes the builder's columns
+
+
+def build_graphs(log, out, w, stride, directed) -> tuple[int, str]:
+    """The exit code and stdout of ``canids build-graphs`` on ``log``."""
+    argv = ["build-graphs", "--in", str(log), "--out", str(out), "--window", str(w), "--stride", str(stride)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--undirected"] * (not directed))
+    return code, stdout.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_build_graphs_writes_what_the_windows_of_build_windows_write(tmp_path_factory, data):
+    """build-graphs writes the builder's column groups as they are. Its cache bytes and its stdout, less
+    timings, equal what save_graph_cache and feature_stats give for the WindowGraphs that build_windows builds
+    from the same log, with blocks and groups so small that windows straddle both."""
+    w = data.draw(st.integers(2, 12), label="window")
+    stride = data.draw(st.sampled_from(sorted({1, min(3, w), w})), label="stride")
+    directed = data.draw(st.booleans(), label="directed")
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    alphabet = rng.choice(2048, size=data.draw(st.integers(1, 12)), replace=False)
+    frames = random_frames(rng, data.draw(st.integers(w, 150), label="frames"), alphabet)
+    root = tmp_path_factory.mktemp("routes")
+    log, got, expected = root / "log.csv", root / "got.cache", root / "expected.cache"
+    write_car_hacking_csv(log_of(frames), log)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canlog, "_BLOCK_CHARS", data.draw(st.integers(16, 400), label="block chars"))
+        patch.setattr(graphs, "_GROUP_FRAMES", data.draw(st.integers(1, 60), label="group frames"))
+        windows = list(build_windows(read_frame_log(decode_car_hacking_csv(log)), w, stride, directed))
+        save_graph_cache(windows, expected)
+        code, stdout = build_graphs(log, got, w, stride, directed)
+    assert code == 0 and got.read_bytes() == expected.read_bytes()
+    printed = json.loads(stdout)
+    del printed["timings"]
+    assert printed == json.loads(json.dumps(feature_stats(windows)))
+
+
+def test_build_graphs_cuts_no_window_and_saves_once(tmp_path, monkeypatch):
+    """Inside build-graphs no WindowGraph is made, and save_graph_cache writes every group in one call."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    log, out = tmp_path / "log.csv", tmp_path / "out.cache"
+    write_car_hacking_csv(log_of(random_frames(rng, 400, rng.choice(2048, size=9, replace=False))), log)
+    monkeypatch.setattr(canlog, "_BLOCK_CHARS", 512)
+    monkeypatch.setattr(graphs, "_GROUP_FRAMES", 40)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a WindowGraph was made")
+
+    monkeypatch.setattr(graphs, "cut_windows", refused)
+    monkeypatch.setattr(WindowGraph, "__init__", refused)
+    saved = []
+    save = cli.save_graph_cache
+    monkeypatch.setattr(cli, "save_graph_cache", lambda windows, path: saved.append(list(windows)) or save(windows, path))
+    code, stdout = build_graphs(log, out, 10, 3, True)
+    assert code == 0
+    [groups] = saved
+    assert len(groups) > 1 and all(isinstance(group, WindowColumns) for group in groups)
+    assert sum(len(group.heads) for group in groups) == json.loads(stdout)["num_graphs"] == (400 - 10) // 3 + 1
+    monkeypatch.undo()
+    assert load_graph_cache(out)  # a cache the loader takes
+
+
+def test_window_columns_of_sets_are_those_of_their_windows():
+    """The columns of a sequence of WindowColumns are those of the windows cut from them, joined set by set;
+    a lone set's own arrays are handed over, and a set whose columns disagree is refused before the counts."""
+    rng = np.random.Generator(np.random.PCG64(4))
+    block = log_of(random_frames(rng, 300, rng.choice(2048, size=7, replace=False))).block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_GROUP_FRAMES", 50)
+        sets = list(block_window_columns([block], 6, 2, False))
+    windows = [g for columns in sets for g in graphs.cut_windows(*columns)]
+    assert len(sets) > 1
+    for got, expected in zip(window_columns(sets), window_columns(windows), strict=True):
+        assert got == expected if isinstance(got, tuple) else np.array_equal(got, expected) and got.dtype == expected.dtype
+    assert feature_stats(sets) == feature_stats(windows)
+    assert all(got is own for got, own in zip(list(window_columns(sets[:1]))[1:], sets[0], strict=True))
+    short = sets[1]._replace(edge_dst=sets[1].edge_dst[:-1])
+    (k, _), (n,), (e,) = short.heads.shape, short.node_ids.shape, short.edge_src.shape
+    shapes = re.escape(f"got {(k, 4)}, {(n,)}, {(n, 3)}, {(e,)}, {(e - 1,)}, {(e,)}")
+    with pytest.raises(DimensionError, match=f"^window set 1: .*{shapes}$"):
+        next(window_columns([sets[0], short]))
+    moved = sets[0]._replace(heads=sets[0].heads + [0, 0, 1, -1])
+    with pytest.raises(DimensionError, match="^window set 0: "):
+        next(window_columns([moved]))
